@@ -3,18 +3,20 @@
 Every supremum here is a finite search over a declared family: dyadic cubes
 down to a depth, optional non-dyadic sample boxes, and sampled coefficient
 families. Reports carry the search metadata next to the value so separate
-runs stay comparable, and every witness can be re-evaluated independently.
+runs stay comparable, and every witness can be re-evaluated independently:
+each family computes a candidate's value with one function, which both its
+scan and its witness evaluator call.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dyadic import DyadicCube, Grid, box_distance
-from .haar import cached_system
+from .haar import HaarSystem, cached_system, normalize_sign
 from .measure import MeshMeasure
 from .operators import (
     HaarMatrix,
@@ -50,8 +52,32 @@ __all__ = [
 ]
 
 
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    # bool is a subclass of int, so it must be matched first
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+class JsonReport:
+    """Base of the report dataclasses: their fields, as plain JSON types."""
+
+    def as_dict(self) -> dict:
+        return _jsonable(asdict(self))
+
+
 @dataclass
-class CharacteristicReport:
+class CharacteristicReport(JsonReport):
     """A named constant together with the configuration that attained it."""
 
     name: str
@@ -63,15 +89,6 @@ class CharacteristicReport:
     def __post_init__(self):
         if not self.value >= 0.0:
             raise ValueError(f"characteristic value must be >= 0, got {self.value}")
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "witness": self.witness,
-            "search_space": self.search_space,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -180,53 +197,106 @@ def _kernel_spec(kernel: Kernel) -> dict:
     }
 
 
-def _kernel_from_spec(spec: dict) -> Kernel:
-    k = make_kernel(spec["family"], spec["lambda"], spec["dimension"],
-                    direction=tuple(spec["direction"]))
-    if spec.get("sign", 1.0) != k.sign:
-        k = replace(k, sign=float(spec["sign"]))
-    return k
-
-
 def _trunc_spec(trunc: Truncation) -> dict:
     return {"eps": trunc.eps, "rmax": trunc.rmax}
 
 
-def _trunc_from_spec(spec: dict) -> Truncation:
-    return Truncation(eps=float(spec["eps"]), rmax=float(spec["rmax"]))
+def _kernel_and_trunc(space: dict) -> tuple:
+    """Rebuild the kernel and truncation recorded in a report's search space."""
+    spec = space["kernel"]
+    k = make_kernel(spec["family"], spec["lambda"], spec["dimension"],
+                    direction=tuple(spec["direction"]))
+    if spec.get("sign", 1.0) != k.sign:
+        k = replace(k, sign=float(spec["sign"]))
+    trunc = Truncation(eps=float(space["trunc"]["eps"]),
+                       rmax=float(space["trunc"]["rmax"]))
+    return k, trunc
 
 
-def _sign_normalized(vec: np.ndarray) -> np.ndarray:
-    """Fix the overall sign so the first nonzero entry is positive."""
-    v = np.asarray(vec, dtype=float)
-    nz = np.nonzero(np.abs(v) > 1e-14)[0]
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    return v
+def _lp_norm(weights: np.ndarray, values: np.ndarray, p: float) -> float:
+    """(sum_i weights_i |values_i|^p)^(1/p)."""
+    return float(np.sum(weights * np.abs(values) ** p)) ** (1.0 / p)
+
+
+def _region_witness(region) -> dict:
+    """Witness fields naming a dyadic cube or a (lower, side) box."""
+    if isinstance(region, DyadicCube):
+        return {"kind": "dyadic", "cube": region.key()}
+    return {"kind": "box", "lower": list(region[0]), "side": region[1]}
+
+
+def _witness_region(grid: Grid, witness: dict):
+    """The dyadic cube or (lower, side) box a witness names."""
+    if witness["kind"] == "dyadic":
+        return DyadicCube.from_key(grid, witness["cube"])
+    return np.asarray(witness["lower"], dtype=float), float(witness["side"])
+
+
+def _box_corners(region) -> tuple:
+    lower = np.asarray(region[0], dtype=float)
+    return lower, lower + float(region[1])
+
+
+def _restriction_weights(grid: Grid, wflat: np.ndarray, mode: str,
+                         region) -> np.ndarray:
+    """omega's cell masses on the output region a mode assigns to a region.
+
+    mode "global" keeps every cell, "local" the region itself and "triple"
+    its concentric triple, clipped to the window. The region is a dyadic
+    cube or a (lower, side) box.
+    """
+    if mode == "global":
+        return wflat
+    if isinstance(region, DyadicCube):
+        if mode == "local":
+            return wflat * region.indicator().ravel()
+        lo, hi = region.triple_box()
+    else:
+        lo, hi = _box_corners(region)
+        if mode == "triple":
+            s = float(region[1])
+            center = lo + 0.5 * s
+            lo, hi = center - 1.5 * s, center + 1.5 * s
+    frac, _ = grid.box_fractions(lo, hi)
+    return wflat * frac.ravel()
 
 
 # -- Muckenhoupt characteristics --------------------------------------------
 
-def _size_value(smass: float, wmass: float, volume: float,
-                s_expo: float, w_expo: float, vol_expo: float) -> float:
-    if volume <= 0.0:
-        return 0.0
-    return float(smass ** s_expo * wmass ** w_expo / volume ** vol_expo)
+def _size_setup(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
+                depth: int | None, min_depth: int = 0) -> tuple:
+    """Checks shared by the size scans: (grid, 1 - lam/n, resolved depth)."""
+    grid = _check_pair(sigma, omega)
+    n = grid.dimension
+    if not 0.0 <= lam < n:
+        raise ValueError(f"lam must satisfy 0 <= lam < {n}, got {lam}")
+    depth = grid.max_level if depth is None else int(depth)
+    if not min_depth <= depth <= grid.max_level:
+        raise ValueError(f"depth outside [{min_depth}, {grid.max_level}]")
+    return grid, 1.0 - lam / n, depth
+
+
+def _size_value(smass, wmass, volume, s_expo: float, w_expo: float,
+                vol_expo: float):
+    """|Q|_sigma^s_expo |Q|_omega^w_expo / |Q|^vol_expo, elementwise on arrays."""
+    return smass ** s_expo * wmass ** w_expo / volume ** vol_expo
+
+
+def _region_masses(sigma: MeshMeasure, omega: MeshMeasure, region) -> tuple:
+    """(|R|_sigma, |R|_omega, |R|) of a dyadic cube or a (lower, side) box."""
+    if isinstance(region, DyadicCube):
+        return sigma.cube_mass(region), omega.cube_mass(region), region.volume
+    lower, upper = _box_corners(region)
+    return (sigma.box_mass(lower, upper), omega.box_mass(lower, upper),
+            float(region[1]) ** sigma.grid.dimension)
 
 
 def _muckenhoupt_scan(name: str, sigma: MeshMeasure, omega: MeshMeasure,
                       lam: float, s_expo: float, w_expo: float,
                       depth: int | None, jitter_count: int,
                       seed: int) -> CharacteristicReport:
-    grid = _check_pair(sigma, omega)
+    grid, e, depth = _size_setup(sigma, omega, lam, depth)
     n = grid.dimension
-    if not 0.0 <= lam < n:
-        raise ValueError(f"lam must satisfy 0 <= lam < {n}, got {lam}")
-    e = 1.0 - lam / n
-    depth = grid.max_level if depth is None else int(depth)
-    if not 0 <= depth <= grid.max_level:
-        raise ValueError(f"depth outside [0, {grid.max_level}]")
-
     best = -1.0
     witness: dict = {}
     scanned = 0
@@ -234,37 +304,22 @@ def _muckenhoupt_scan(name: str, sigma: MeshMeasure, omega: MeshMeasure,
         sm = level_masses(sigma, level).ravel()
         wm = level_masses(omega, level).ravel()
         vol = (grid.side / 2 ** level) ** n
-        vals = sm ** s_expo * wm ** w_expo / vol ** e
+        vals = _size_value(sm, wm, vol, s_expo, w_expo, e)
         scanned += vals.size
         j = int(np.argmax(vals))
         if vals[j] > best:
             best = float(vals[j])
-            coords = np.unravel_index(j, (2 ** level,) * n)
-            cube = DyadicCube(grid, level, tuple(int(c) for c in coords))
-            witness = {
-                "kind": "dyadic",
-                "cube": cube.key(),
-                "sigma_mass": float(sm[j]),
-                "omega_mass": float(wm[j]),
-                "volume": float(vol),
-            }
+            cube = DyadicCube(grid, level, np.unravel_index(j, (2 ** level,) * n))
+            witness = {**_region_witness(cube), "sigma_mass": float(sm[j]),
+                       "omega_mass": float(wm[j]), "volume": float(vol)}
     rng = np.random.default_rng(seed)
-    for lower, s in _jittered_boxes(grid, depth, jitter_count, rng):
-        upper = tuple(lv + s for lv in lower)
-        smass = sigma.box_mass(lower, upper)
-        wmass = omega.box_mass(lower, upper)
-        vol = s ** n
+    for box in _jittered_boxes(grid, depth, jitter_count, rng):
+        smass, wmass, vol = _region_masses(sigma, omega, box)
         v = _size_value(smass, wmass, vol, s_expo, w_expo, e)
         if v > best:
             best = v
-            witness = {
-                "kind": "box",
-                "lower": list(lower),
-                "side": s,
-                "sigma_mass": smass,
-                "omega_mass": wmass,
-                "volume": vol,
-            }
+            witness = {**_region_witness(box), "sigma_mass": smass,
+                       "omega_mass": wmass, "volume": vol}
     witness["lambda"] = lam
     search_space = {
         "depth": depth,
@@ -311,26 +366,12 @@ def ap_lambda(sigma: MeshMeasure, omega: MeshMeasure, lam: float, p: float = 2.0
 
 
 def _evaluate_size_witness(sigma: MeshMeasure, omega: MeshMeasure,
-                           witness: dict) -> float:
+                           witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
-    n = grid.dimension
-    lam = float(witness["lambda"])
-    e = 1.0 - lam / n
-    p = witness.get("p")
-    if p is None:
-        s_expo = w_expo = 0.5
-    else:
-        cfg = LpConfig(float(p))
-        s_expo, w_expo = 1.0 / cfg.p_prime, 1.0 / cfg.p
-    if witness["kind"] == "dyadic":
-        cube = DyadicCube.from_key(grid, witness["cube"])
-        sm, wm, vol = sigma.cube_mass(cube), omega.cube_mass(cube), cube.volume
-    else:
-        lower = np.asarray(witness["lower"], dtype=float)
-        upper = lower + float(witness["side"])
-        sm, wm = sigma.box_mass(lower, upper), omega.box_mass(lower, upper)
-        vol = float(witness["side"]) ** n
-    return _size_value(sm, wm, vol, s_expo, w_expo, e)
+    e = 1.0 - float(witness["lambda"]) / grid.dimension
+    smass, wmass, vol = _region_masses(sigma, omega, _witness_region(grid, witness))
+    return float(_size_value(smass, wmass, vol, float(space["sigma_exponent"]),
+                             float(space["omega_exponent"]), e))
 
 
 # -- Haar testing characteristics -------------------------------------------
@@ -345,48 +386,68 @@ def _wavelet_images(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation,
     return system, images
 
 
-def _local_weights(grid: Grid, wflat: np.ndarray, key: str) -> np.ndarray:
-    cube = DyadicCube.from_key(grid, key)
-    return wflat * cube.indicator().ravel()
+def _wavelet_blocks(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
+                    mode: str):
+    """(cube key, image block, value block, output weights) of every cube
+    that carries wavelets, in system order."""
+    grid = omega.grid
+    for key, (start, count) in system.cube_slots.items():
+        if count:
+            weights = _restriction_weights(grid, omega.flat_mass, mode,
+                                           DyadicCube.from_key(grid, key))
+            yield (key, images[:, start:start + count],
+                   system.values_matrix[start:start + count], weights)
+
+
+def _block_optimum(block: np.ndarray, weights: np.ndarray | None = None) -> tuple:
+    """Top singular value of the sqrt(weights)-scaled block, and its
+    sign-normalized right singular vector: the best unit combination."""
+    m = block if weights is None else np.sqrt(weights)[:, None] * block
+    _, svals, vh = np.linalg.svd(m, full_matrices=False)
+    return float(svals[0]), normalize_sign(vh[0])
+
+
+def _haar_ratio(block: np.ndarray, vblock: np.ndarray, c: np.ndarray,
+                sflat: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """Lp(weights) norm of the image of the wavelet combination c over the
+    combination's Lp(sigma) norm; block holds the images, vblock the values."""
+    den = _lp_norm(sflat, vblock.T @ c, p)
+    return _lp_norm(weights, block @ c, p) / den if den > 0.0 else 0.0
+
+
+def _best_combination(block: np.ndarray, vblock: np.ndarray, candidates: list,
+                      sflat: np.ndarray, weights: np.ndarray, p: float) -> tuple:
+    """(ratio, combination) of the first candidate with the largest ratio."""
+    return max(((_haar_ratio(block, vblock, c, sflat, weights, p), c)
+                for c in candidates), key=lambda rc: rc[0])
 
 
 def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                  trunc: Truncation, mode: str = "global", depth: int = 6,
-                 rotation_samples: int = 4, seed: int = 0) -> CharacteristicReport:
+                 seed: int = 0) -> CharacteristicReport:
     """Largest L2(omega) norm of the operator on a unit wavelet combination.
 
     For each cube the supremum over all rotations of the wavelet block is the
-    top singular value of the weighted image block, computed exactly; the
-    rotation_samples argument is recorded for comparability but is subsumed
-    by the exact per-cube optimum. mode="local" restricts the output norm to
-    the cube itself.
+    top singular value of the weighted image block, computed exactly.
+    mode="local" restricts the output norm to the cube itself.
     """
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
-    grid = _check_pair(sigma, omega)
+    _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
-    wflat = omega.flat_mass
     best = -1.0
     witness: dict = {"cube": None, "coefficients": [], "mode": mode}
     blocks = 0
-    for key, (start, count) in system.cube_slots.items():
-        if count == 0:
-            continue
+    for key, block, _, weights in _wavelet_blocks(system, images, omega, mode):
         blocks += 1
-        block = images[:, start:start + count]
-        weights = _local_weights(grid, wflat, key) if mode == "local" else wflat
-        m = np.sqrt(weights)[:, None] * block
-        _, svals, vh = np.linalg.svd(m, full_matrices=False)
-        top = float(svals[0])
+        top, vec = _block_optimum(block, weights)
         if top > best:
             best = top
-            vec = _sign_normalized(vh[0])
             witness = {"cube": key, "coefficients": [float(v) for v in vec],
                        "mode": mode}
     search_space = {
         "depth": depth,
         "cube_blocks": blocks,
-        "rotation_samples": rotation_samples,
         "per_cube_optimum": "exact",
         "kernel": _kernel_spec(kernel),
         "trunc": _trunc_spec(trunc),
@@ -409,28 +470,21 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                     seed: int = 0) -> CharacteristicReport:
     """Largest ratio of Lp(omega) image norm to Lp(sigma) wavelet norm.
 
-    Candidates per cube are the canonical wavelets, seeded random unit
-    combinations, and at p = 2 the exact block optimum, which makes the
-    value agree with haar_testing there.
+    Candidates per cube are the canonical wavelets, rotation_samples seeded
+    random unit combinations, and at p = 2 the exact block optimum, which
+    makes the value agree with haar_testing there.
     """
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
     cfg = LpConfig(p)
-    grid = _check_pair(sigma, omega)
+    _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
-    sflat = sigma.flat_mass
-    wflat = omega.flat_mass
-    values = system.values_matrix
     rng = np.random.default_rng(seed)
     best = -1.0
     witness: dict = {"cube": None, "coefficients": [], "mode": mode, "p": cfg.p}
-    for key, (start, count) in system.cube_slots.items():
-        if count == 0:
-            continue
-        block = images[:, start:start + count]
-        vblock = values[start:start + count]
-        weights = _local_weights(grid, wflat, key) if mode == "local" else wflat
-        candidates = [np.eye(count)[j] for j in range(count)]
+    for key, block, vblock, weights in _wavelet_blocks(system, images, omega, mode):
+        count = block.shape[1]
+        candidates = list(np.eye(count))
         if count > 1:
             for _ in range(rotation_samples):
                 c = rng.standard_normal(count)
@@ -438,20 +492,13 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                 if norm > 0:
                     candidates.append(c / norm)
         if cfg.p == 2.0:
-            m = np.sqrt(weights)[:, None] * block
-            vh = np.linalg.svd(m, full_matrices=False)[2]
-            candidates.append(_sign_normalized(vh[0]))
-        for c in candidates:
-            f = vblock.T @ c
-            den = float(np.sum(sflat * np.abs(f) ** cfg.p)) ** (1.0 / cfg.p)
-            if den <= 0.0:
-                continue
-            num = float(np.sum(weights * np.abs(block @ c) ** cfg.p)) ** (1.0 / cfg.p)
-            ratio = num / den
-            if ratio > best:
-                best = ratio
-                witness = {"cube": key, "coefficients": [float(v) for v in c],
-                           "mode": mode, "p": cfg.p}
+            candidates.append(_block_optimum(block, weights)[1])
+        ratio, c = _best_combination(block, vblock, candidates, sigma.flat_mass,
+                                     weights, cfg.p)
+        if ratio > best:
+            best = ratio
+            witness = {"cube": key, "coefficients": [float(v) for v in c],
+                       "mode": mode, "p": cfg.p}
     search_space = {
         "depth": depth,
         "rotation_samples": rotation_samples,
@@ -474,46 +521,45 @@ def lp_haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
 
 
 def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
-                           kernel: Kernel, trunc: Truncation, depth: int,
-                           witness: dict, p: float = 2.0) -> float:
+                           witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
-    system, images = _wavelet_images(sigma, kernel, trunc, depth)
+    kernel, trunc = _kernel_and_trunc(space)
+    system, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
     start, count = system.cube_slots[witness["cube"]]
-    c = np.asarray(witness["coefficients"], dtype=float)
     block = images[:, start:start + count]
-    wflat = omega.flat_mass
-    weights = (_local_weights(grid, wflat, witness["cube"])
-               if witness.get("mode") == "local" else wflat)
-    num = float(np.sum(weights * np.abs(block @ c) ** p)) ** (1.0 / p)
-    f = system.values_matrix[start:start + count].T @ c
-    den = float(np.sum(sigma.flat_mass * np.abs(f) ** p)) ** (1.0 / p)
+    c = np.asarray(witness["coefficients"], dtype=float)
+    weights = _restriction_weights(grid, omega.flat_mass,
+                                   witness.get("mode", "global"),
+                                   DyadicCube.from_key(grid, witness["cube"]))
     if witness.get("p") is None:
         # L2-normalized convention: unit coefficient vectors, no denominator
-        return num
-    return num / den if den > 0 else 0.0
+        return _lp_norm(weights, block @ c, 2.0)
+    return _haar_ratio(block, system.values_matrix[start:start + count], c,
+                       sigma.flat_mass, weights, float(witness["p"]))
 
 
 # -- cube testing -------------------------------------------------------------
 
-def _restriction_weights(grid: Grid, wflat: np.ndarray, mode: str,
-                         cube: DyadicCube | None = None,
-                         box: tuple | None = None) -> np.ndarray:
-    if mode == "global":
-        return wflat
-    if cube is not None:
-        if mode == "local":
-            return wflat * cube.indicator().ravel()
-        lo, hi = cube.triple_box()
+def _cube_value(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
+                mode: str, p: float, region) -> float | None:
+    """Lp(omega) norm of T(1_R sigma) on the mode's output region, over
+    |R|_sigma^(1/p); None when R carries no sigma-mass.
+
+    R is a dyadic cube or a (lower, side) box, whose indicator takes the
+    fraction of each cell it covers.
+    """
+    if isinstance(region, DyadicCube):
+        smass = sigma.cube_mass(region)
+        indicator = region.indicator()
     else:
-        lower = np.asarray(box[0], dtype=float)
-        s = float(box[1])
-        if mode == "local":
-            lo, hi = lower, lower + s
-        else:
-            center = lower + 0.5 * s
-            lo, hi = center - 1.5 * s, center + 1.5 * s
-    frac, _ = grid.box_fractions(lo, hi)
-    return wflat * frac.ravel()
+        lower, upper = _box_corners(region)
+        smass = sigma.box_mass(lower, upper)
+        indicator, _ = sigma.grid.box_fractions(lower, upper)
+    if smass <= 0.0:
+        return None
+    tvals = g @ (indicator.ravel() * sigma.flat_mass)
+    weights = _restriction_weights(sigma.grid, omega.flat_mass, mode, region)
+    return _lp_norm(weights, tvals, p) / smass ** (1.0 / p)
 
 
 def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
@@ -535,41 +581,20 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     if not 0 <= depth <= grid.max_level:
         raise ValueError(f"depth outside [0, {grid.max_level}]")
     g = kernel_matrix(kernel, trunc, grid)
-    sflat = sigma.flat_mass
-    wflat = omega.flat_mass
+    cubes = itertools.chain.from_iterable(grid.cubes_at_level(level)
+                                          for level in range(depth + 1))
+    boxes = _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed))
     best = -1.0
     witness: dict = {}
     scanned = 0
-    for level in range(depth + 1):
-        for cube in grid.cubes_at_level(level):
-            smass = sigma.cube_mass(cube)
-            if smass <= 0.0:
-                continue
-            scanned += 1
-            tvals = g @ (cube.indicator().ravel() * sflat)
-            weights = _restriction_weights(grid, wflat, mode, cube=cube)
-            num = float(np.sum(weights * np.abs(tvals) ** cfg.p)) ** (1.0 / cfg.p)
-            val = num / smass ** (1.0 / cfg.p)
-            if val > best:
-                best = val
-                witness = {"kind": "dyadic", "cube": cube.key(),
-                           "mode": mode, "p": cfg.p}
-    rng = np.random.default_rng(seed)
-    for lower, s in _jittered_boxes(grid, depth, jitter_count, rng):
-        upper = tuple(lv + s for lv in lower)
-        smass = sigma.box_mass(lower, upper)
-        if smass <= 0.0:
+    for region in itertools.chain(cubes, boxes):
+        val = _cube_value(g, sigma, omega, mode, cfg.p, region)
+        if val is None:
             continue
         scanned += 1
-        frac, _ = grid.box_fractions(np.asarray(lower), np.asarray(upper))
-        tvals = g @ (frac.ravel() * sflat)
-        weights = _restriction_weights(grid, wflat, mode, box=(lower, s))
-        num = float(np.sum(weights * np.abs(tvals) ** cfg.p)) ** (1.0 / cfg.p)
-        val = num / smass ** (1.0 / cfg.p)
         if val > best:
             best = val
-            witness = {"kind": "box", "lower": list(lower), "side": s,
-                       "mode": mode, "p": cfg.p}
+            witness = {**_region_witness(region), "mode": mode, "p": cfg.p}
     search_space = {
         "depth": depth,
         "cubes_scanned": scanned,
@@ -585,30 +610,12 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
 
 
 def _evaluate_cube_witness(sigma: MeshMeasure, omega: MeshMeasure,
-                           kernel: Kernel, trunc: Truncation,
-                           witness: dict) -> float:
+                           witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
-    g = kernel_matrix(kernel, trunc, grid)
-    p = float(witness["p"])
-    mode = witness["mode"]
-    if witness["kind"] == "dyadic":
-        cube = DyadicCube.from_key(grid, witness["cube"])
-        smass = sigma.cube_mass(cube)
-        ind = cube.indicator().ravel()
-        weights = _restriction_weights(grid, omega.flat_mass, mode, cube=cube)
-    else:
-        lower = np.asarray(witness["lower"], dtype=float)
-        s = float(witness["side"])
-        smass = sigma.box_mass(lower, lower + s)
-        frac, _ = grid.box_fractions(lower, lower + s)
-        ind = frac.ravel()
-        weights = _restriction_weights(grid, omega.flat_mass, mode,
-                                       box=(lower, s))
-    if smass <= 0.0:
-        return 0.0
-    tvals = g @ (ind * sigma.flat_mass)
-    num = float(np.sum(weights * np.abs(tvals) ** p)) ** (1.0 / p)
-    return num / smass ** (1.0 / p)
+    g = kernel_matrix(*_kernel_and_trunc(space), grid)
+    val = _cube_value(g, sigma, omega, witness["mode"], float(witness["p"]),
+                      _witness_region(grid, witness))
+    return 0.0 if val is None else val
 
 
 # -- operator norm and matched testing ----------------------------------------
@@ -632,7 +639,7 @@ def operator_norm(matrix: HaarMatrix, tol: float = 1e-12,
     v = np.asarray(res.vector, dtype=float)
     norm = np.linalg.norm(v)
     if v.size and norm > 0:
-        v = _sign_normalized(v / norm)
+        v = normalize_sign(v / norm)
         value = float(np.linalg.norm(matrix.entries @ v))
     else:
         value = 0.0
@@ -649,11 +656,15 @@ def operator_norm(matrix: HaarMatrix, tol: float = 1e-12,
     return CharacteristicReport("operator_norm", value, witness, search_space)
 
 
-def _group_blocks(labels: list) -> dict:
+def _cube_blocks(matrix: HaarMatrix, dual: bool):
+    """(cube key, block) pairs: the columns of each source cube, or with
+    dual=True the transposed rows of each target cube."""
+    labels = matrix.row_labels if dual else matrix.col_labels
     groups: dict = {}
     for idx, (key, _windex) in enumerate(labels):
         groups.setdefault(key, []).append(idx)
-    return groups
+    for key, idx in groups.items():
+        yield key, matrix.entries[idx, :].T if dual else matrix.entries[:, idx]
 
 
 def matched_haar_testing(matrix: HaarMatrix,
@@ -665,59 +676,47 @@ def matched_haar_testing(matrix: HaarMatrix,
     matrix norm; dual=True groups rows by target cube for the adjoint.
     The block optimum covers every rotation of the cube's wavelets.
     """
-    labels = matrix.row_labels if dual else matrix.col_labels
-    groups = _group_blocks(labels)
     best = -1.0
     witness: dict = {}
-    for key, idx in groups.items():
-        block = matrix.entries[idx, :].T if dual else matrix.entries[:, idx]
-        _, svals, vh = np.linalg.svd(block, full_matrices=False)
-        top = float(svals[0])
+    blocks = 0
+    for key, block in _cube_blocks(matrix, dual):
+        blocks += 1
+        top, vec = _block_optimum(block)
         if top > best:
             best = top
-            vec = _sign_normalized(vh[0])
             witness = {"cube": key, "side": "row" if dual else "column",
                        "coefficients": [float(v) for v in vec]}
     name = "dual_haar_testing_matched" if dual else "haar_testing_matched"
     search_space = _matrix_metadata(matrix)
-    search_space.update({"cube_blocks": len(groups), "per_cube_optimum": "exact"})
+    search_space.update({"cube_blocks": blocks, "per_cube_optimum": "exact"})
     return CharacteristicReport(name, max(best, 0.0), witness, search_space)
 
 
-def _evaluate_matrix_witness(matrix: HaarMatrix, witness: dict) -> float:
+def _evaluate_matrix_witness(sigma: MeshMeasure, omega: MeshMeasure,
+                             witness: dict, space: dict) -> float:
+    if "kernel" not in space or "trunc" not in space:
+        raise ValueError("report lacks kernel metadata")
+    matrix = assemble_haar_matrix(*_kernel_and_trunc(space), sigma, omega,
+                                  int(space["depth"]),
+                                  rotation_seed=space.get("rotation_seed"))
     c = np.asarray(witness["coefficients"], dtype=float)
     side = witness.get("side", "source")
     if side == "source":
         return float(np.linalg.norm(matrix.entries @ c))
-    if side == "column":
-        idx = _group_blocks(matrix.col_labels)[witness["cube"]]
-        return float(np.linalg.norm(matrix.entries[:, idx] @ c))
-    idx = _group_blocks(matrix.row_labels)[witness["cube"]]
-    return float(np.linalg.norm(matrix.entries[idx, :].T @ c))
+    block = dict(_cube_blocks(matrix, side == "row"))[witness["cube"]]
+    return float(np.linalg.norm(block @ c))
 
 
 # -- quadratic characteristics -------------------------------------------------
 
-def _offset_partner_coords(level: int, coords: tuple, n: int,
-                           max_distance: float) -> list:
-    top = 2 ** level
-    reach = int(np.ceil(max_distance)) + 1
-    out = []
-    for delta in itertools.product(range(-reach, reach + 1), repeat=n):
-        if all(d == 0 for d in delta):
-            continue
-        cand = tuple(c + d for c, d in zip(coords, delta))
-        if any(not 0 <= cc < top for cc in cand):
-            continue
-        gap2 = sum(max(abs(d) - 1, 0) ** 2 for d in delta)
-        if gap2 <= max_distance ** 2 + 1e-9:
-            out.append(cand)
-    return out
+def _pair_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
+                       p: float, cubes: list, partners: list,
+                       coeffs: np.ndarray) -> float:
+    """Lp ratio of a family of cubes Q with partner cubes P and coefficients a.
 
-
-def _offset_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
-                         p: float, cubes: list, partners: list,
-                         coeffs: np.ndarray) -> float:
+    Numerator: Lp(omega) norm of (sum_Q (a |P|_sigma / |P|^{1-lam/n})^2 1_Q)^{1/2};
+    denominator: Lp(sigma) norm of (sum_Q a^2 1_P)^{1/2}.
+    """
     grid = sigma.grid
     e = 1.0 - lam / grid.dimension
     num_f = np.zeros(grid.mesh_shape)
@@ -732,6 +731,181 @@ def _offset_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
     return num / den if den > 0.0 else 0.0
 
 
+def _pair_scan(sigma: MeshMeasure, omega: MeshMeasure, cfg: LpConfig,
+               e: float, depth: int, min_depth: int, partners_of, reach) -> tuple:
+    """Each cube's best partner by the scalar pair ratio, and the best pair.
+
+    partners_of(cube, reach) yields the cube's candidates as (level,
+    coordinate rows) groups; cubes without candidates get no partner.
+    """
+    grid = sigma.grid
+    n = grid.dimension
+    sm = [level_masses(sigma, lv) for lv in range(grid.max_level + 1)]
+    best_partner: dict = {}
+    scalar_best = -1.0
+    scalar_pair: tuple | None = None
+    pair_count = 0
+    for level in range(min_depth, depth + 1):
+        wm = level_masses(omega, level)
+        for cube in grid.cubes_at_level(level):
+            top_ratio, top_key = -1.0, None
+            for sub_level, coords in partners_of(cube, reach):
+                vol = (grid.side / 2 ** sub_level) ** n
+                ratios = _size_value(sm[sub_level][tuple(coords.T)], wm[cube.coords],
+                                     vol, 1.0 / cfg.p_prime, 1.0 / cfg.p, e)
+                pair_count += ratios.size
+                j = int(np.argmax(ratios))
+                if ratios[j] > top_ratio:
+                    top_ratio = float(ratios[j])
+                    top_key = DyadicCube(grid, sub_level, coords[j]).key()
+            if top_key is None:
+                continue
+            best_partner[cube.key()] = top_key
+            if top_ratio > scalar_best:
+                scalar_best = top_ratio
+                scalar_pair = (cube.key(), top_key)
+    return best_partner, scalar_best, scalar_pair, pair_count
+
+
+def _offset_partners(cube: DyadicCube, max_distance: float) -> list:
+    """Same-level disjoint cubes within max_distance sides of the cube, as
+    one (level, coordinate rows) group, or no group when none qualifies."""
+    top = 2 ** cube.level
+    reach = int(np.ceil(max_distance)) + 1
+    out = []
+    n = cube.grid.dimension
+    for delta in itertools.product(range(-reach, reach + 1), repeat=n):
+        if all(d == 0 for d in delta):
+            continue
+        cand = tuple(c + d for c, d in zip(cube.coords, delta))
+        if any(not 0 <= cc < top for cc in cand):
+            continue
+        gap2 = sum(max(abs(d) - 1, 0) ** 2 for d in delta)
+        if gap2 <= max_distance ** 2 + 1e-9:
+            out.append(cand)
+    return [(cube.level, np.array(out))] if out else []
+
+
+def _offset_draw(rng, grid: Grid, depth: int, max_distance: float) -> tuple:
+    """2 to 6 cubes of one level, each with a random nearby partner; empty
+    when fewer than two cubes have a partner."""
+    n = grid.dimension
+    level = int(rng.integers(1, depth + 1))
+    total = 2 ** (n * level)
+    k = int(rng.integers(2, min(6, total) + 1))
+    flats = rng.choice(total, size=k, replace=False)
+    members, partners = [], []
+    for f in np.sort(flats):
+        cube = DyadicCube(grid, level, np.unravel_index(int(f), (2 ** level,) * n))
+        for _, plist in _offset_partners(cube, max_distance):  # at most one group
+            members.append(cube)
+            pick = plist[int(rng.integers(0, len(plist)))]
+            partners.append(DyadicCube(grid, level, pick))
+    return (members, partners) if len(members) >= 2 else ([], [])
+
+
+def _subcube_partners(cube: DyadicCube, max_generation: int):
+    """The cube's dyadic subcubes down to max_generation levels, the cube
+    itself included, one level at a time."""
+    grid = cube.grid
+    for gen in range(min(max_generation, grid.max_level - cube.level) + 1):
+        offs = np.array(list(itertools.product(range(2 ** gen), repeat=grid.dimension)))
+        yield cube.level + gen, np.array(cube.coords) * 2 ** gen + offs
+
+
+def _subcube_draw(rng, grid: Grid, depth: int, max_generation: int) -> tuple:
+    """1 to 6 cubes of one level, each with a random dyadic subcube."""
+    n = grid.dimension
+    level = int(rng.integers(0, depth + 1))
+    total = 2 ** (n * level)
+    k = int(rng.integers(1, min(6, total) + 1))
+    flats = rng.choice(total, size=k, replace=False)
+    members, subs = [], []
+    for f in np.sort(flats):
+        coords = tuple(int(c) for c in np.unravel_index(int(f), (2 ** level,) * n))
+        gen = int(rng.integers(0, min(max_generation, grid.max_level - level) + 1))
+        offs = tuple(int(rng.integers(0, 2 ** gen)) for _ in range(n))
+        members.append(DyadicCube(grid, level, coords))
+        subs.append(DyadicCube(grid, level + gen,
+                               tuple(c * 2 ** gen + o for c, o in zip(coords, offs))))
+    return members, subs
+
+
+# variant -> (partners, draw, name of its reach parameter, smallest depth)
+_PAIR_VARIANTS = {
+    "offset": (_offset_partners, _offset_draw, "max_distance", 1),
+    "subcube": (_subcube_partners, _subcube_draw, "max_generation", 0),
+}
+
+
+def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
+                    lam: float, p: float, depth: int | None, reach,
+                    family_count: int, seed: int) -> CharacteristicReport:
+    """The family search shared by the quadratic pair characteristics.
+
+    The scan over the variant's partners gives every cube's best partner
+    and the best single pair, which seeds the value. Then come the sibling
+    families (the children of each parent with their best partners, unit
+    coefficients) and family_count seeded random families from the
+    variant's draw, each tried with random and with unit coefficients.
+    """
+    partners_of, draw, reach_name, min_depth = _PAIR_VARIANTS[variant]
+    cfg = LpConfig(p)
+    grid, e, depth = _size_setup(sigma, omega, lam, depth, min_depth)
+    best_partner, scalar_best, scalar_pair, pair_count = _pair_scan(
+        sigma, omega, cfg, e, depth, min_depth, partners_of, reach)
+    scalar_best = max(scalar_best, 0.0)
+
+    best = scalar_best
+    family_witness: dict = {}
+    if scalar_pair is not None:
+        family_witness = {"cubes": [scalar_pair[0]], "partners": [scalar_pair[1]],
+                          "coefficients": [1.0]}
+
+    def consider(cubes, partners, coeffs):
+        nonlocal best, family_witness
+        val = _pair_family_value(sigma, omega, lam, cfg.p, cubes, partners, coeffs)
+        if val > best:
+            best = val
+            family_witness = {
+                "cubes": [q.key() for q in cubes],
+                "partners": [s.key() for s in partners],
+                "coefficients": [float(a) for a in coeffs],
+            }
+
+    families = 0
+    for level in range(0, depth):
+        for parent in grid.cubes_at_level(level):
+            members = [c for c in parent.children() if c.key() in best_partner]
+            if len(members) >= 2:
+                families += 1
+                partners = [DyadicCube.from_key(grid, best_partner[c.key()])
+                            for c in members]
+                consider(members, partners, np.ones(len(members)))
+
+    rng = np.random.default_rng(seed)
+    for _ in range(family_count):
+        members, partners = draw(rng, grid, depth, reach)
+        if members:
+            families += 1
+            coeffs = rng.uniform(0.2, 1.0, size=len(members))
+            consider(members, partners, coeffs)
+            consider(members, partners, np.ones(len(members)))
+
+    witness = {**family_witness, "variant": variant, "lambda": lam, "p": cfg.p,
+               "singleton_value": scalar_best}
+    search_space = {
+        "depth": depth,
+        reach_name: reach,
+        "pairs_scanned": pair_count,
+        "families_evaluated": families,
+        "family_count": family_count,
+        "p": cfg.p,
+    }
+    return CharacteristicReport(f"quadratic_{variant}_ap", best, witness,
+                                search_space, seed)
+
+
 def quadratic_offset_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
                         p: float = 2.0, depth: int | None = None,
                         max_distance: float = 10.0, family_count: int = 32,
@@ -743,129 +917,8 @@ def quadratic_offset_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
     combine disjoint cubes with seeded coefficients. Singleton families are
     always included, so the value dominates the scalar pair ratio.
     """
-    cfg = LpConfig(p)
-    grid = _check_pair(sigma, omega)
-    n = grid.dimension
-    if not 0.0 <= lam < n:
-        raise ValueError(f"lam must satisfy 0 <= lam < {n}, got {lam}")
-    e = 1.0 - lam / n
-    depth = grid.max_level if depth is None else int(depth)
-    if not 1 <= depth <= grid.max_level:
-        raise ValueError(f"depth outside [1, {grid.max_level}]")
-
-    best_partner: dict = {}
-    scalar_best = -1.0
-    scalar_pair: tuple | None = None
-    pair_count = 0
-    sm_by_level = {lv: level_masses(sigma, lv) for lv in range(depth + 1)}
-    wm_by_level = {lv: level_masses(omega, lv) for lv in range(depth + 1)}
-    for level in range(1, depth + 1):
-        sm = sm_by_level[level]
-        wm = wm_by_level[level]
-        vol = (grid.side / 2 ** level) ** n
-        for coords in itertools.product(range(2 ** level), repeat=n):
-            plist = _offset_partner_coords(level, coords, n, max_distance)
-            if not plist:
-                continue
-            pair_count += len(plist)
-            parr = np.array(plist)
-            svals = sm[tuple(parr.T)]
-            ratios = (svals ** (1.0 / cfg.p_prime) * wm[coords] ** (1.0 / cfg.p)
-                      / vol ** e)
-            j = int(np.argmax(ratios))
-            key = DyadicCube(grid, level, coords).key()
-            pkey = DyadicCube(grid, level, tuple(int(c) for c in plist[j])).key()
-            best_partner[key] = pkey
-            if ratios[j] > scalar_best:
-                scalar_best = float(ratios[j])
-                scalar_pair = (key, pkey)
-    scalar_best = max(scalar_best, 0.0)
-
-    best = scalar_best
-    family_witness: dict = {}
-    if scalar_pair is not None:
-        family_witness = {"cubes": [scalar_pair[0]], "partners": [scalar_pair[1]],
-                          "coefficients": [1.0]}
-
-    def consider(cubes, partners, coeffs):
-        nonlocal best, family_witness
-        val = _offset_family_value(sigma, omega, lam, cfg.p,
-                                   cubes, partners, coeffs)
-        if val > best:
-            best = val
-            family_witness = {
-                "cubes": [q.key() for q in cubes],
-                "partners": [s.key() for s in partners],
-                "coefficients": [float(a) for a in coeffs],
-            }
-
-    # deterministic sibling families: the children of each parent, each with
-    # its best partner and unit coefficients
-    families = 0
-    for level in range(0, depth):
-        for parent in grid.cubes_at_level(level):
-            members, partners = [], []
-            for child in parent.children():
-                pkey = best_partner.get(child.key())
-                if pkey is not None:
-                    members.append(child)
-                    partners.append(DyadicCube.from_key(grid, pkey))
-            if len(members) >= 2:
-                families += 1
-                consider(members, partners, np.ones(len(members)))
-
-    rng = np.random.default_rng(seed)
-    for _ in range(family_count):
-        level = int(rng.integers(1, depth + 1))
-        total = 2 ** (n * level)
-        k = int(rng.integers(2, min(6, total) + 1))
-        flats = rng.choice(total, size=k, replace=False)
-        members, partners = [], []
-        for f in np.sort(flats):
-            coords = tuple(int(c) for c in
-                           np.unravel_index(int(f), (2 ** level,) * n))
-            plist = _offset_partner_coords(level, coords, n, max_distance)
-            if not plist:
-                continue
-            pick = plist[int(rng.integers(0, len(plist)))]
-            members.append(DyadicCube(grid, level, coords))
-            partners.append(DyadicCube(grid, level, pick))
-        if len(members) >= 2:
-            families += 1
-            coeffs = rng.uniform(0.2, 1.0, size=len(members))
-            consider(members, partners, coeffs)
-            consider(members, partners, np.ones(len(members)))
-
-    witness = dict(family_witness)
-    witness.update({"variant": "offset", "lambda": lam, "p": cfg.p,
-                    "singleton_value": scalar_best})
-    search_space = {
-        "depth": depth,
-        "max_distance": max_distance,
-        "pairs_scanned": pair_count,
-        "families_evaluated": families,
-        "family_count": family_count,
-        "p": cfg.p,
-    }
-    return CharacteristicReport("quadratic_offset_ap", best, witness,
-                                search_space, seed)
-
-
-def _subcube_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
-                          p: float, cubes: list, subcubes: list,
-                          coeffs: np.ndarray) -> float:
-    grid = sigma.grid
-    e = 1.0 - lam / grid.dimension
-    num_f = np.zeros(grid.mesh_shape)
-    den_f = np.zeros(grid.mesh_shape)
-    for q, j, a in zip(cubes, subcubes, coeffs):
-        smass = sigma.cube_mass(j)
-        es = smass / j.volume ** e
-        num_f[q.slices()] += (a * es) ** 2
-        den_f[j.slices()] += a ** 2
-    num = float(np.sum(omega.flat_mass * num_f.ravel() ** (p / 2.0))) ** (1.0 / p)
-    den = float(np.sum(sigma.flat_mass * den_f.ravel() ** (p / 2.0))) ** (1.0 / p)
-    return num / den if den > 0.0 else 0.0
+    return _pair_family_ap("offset", sigma, omega, lam, p, depth, max_distance,
+                           family_count, seed)
 
 
 def quadratic_subcube_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
@@ -878,135 +931,18 @@ def quadratic_subcube_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
     to max_generation levels (generation 0 recovers the plain pair I = J,
     so the value dominates the product-form characteristic at this depth).
     """
-    cfg = LpConfig(p)
+    return _pair_family_ap("subcube", sigma, omega, lam, p, depth, max_generation,
+                           family_count, seed)
+
+
+def _evaluate_pair_family_witness(sigma: MeshMeasure, omega: MeshMeasure,
+                                  witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
-    n = grid.dimension
-    if not 0.0 <= lam < n:
-        raise ValueError(f"lam must satisfy 0 <= lam < {n}, got {lam}")
-    e = 1.0 - lam / n
-    depth = grid.max_level if depth is None else int(depth)
-    if not 0 <= depth <= grid.max_level:
-        raise ValueError(f"depth outside [0, {grid.max_level}]")
-
-    max_lv = min(depth + max_generation, grid.max_level)
-    sm_by_level = {lv: level_masses(sigma, lv) for lv in range(max_lv + 1)}
-    wm_by_level = {lv: level_masses(omega, lv) for lv in range(max_lv + 1)}
-
-    scalar_best = -1.0
-    scalar_pair: tuple | None = None
-    best_sub: dict = {}
-    pair_count = 0
-    for level in range(depth + 1):
-        wm = wm_by_level[level]
-        for cube in grid.cubes_at_level(level):
-            wmass = wm[cube.coords]
-            top_ratio, top_key = -1.0, None
-            for gen in range(0, min(max_generation, grid.max_level - level) + 1):
-                sub_level = level + gen
-                sm = sm_by_level[sub_level]
-                vol = (grid.side / 2 ** sub_level) ** n
-                sl = tuple(slice(c * 2 ** gen, (c + 1) * 2 ** gen)
-                           for c in cube.coords)
-                blockm = sm[sl].ravel()
-                pair_count += blockm.size
-                ratios = (blockm ** (1.0 / cfg.p_prime)
-                          * wmass ** (1.0 / cfg.p) / vol ** e)
-                j = int(np.argmax(ratios))
-                if ratios[j] > top_ratio:
-                    top_ratio = float(ratios[j])
-                    offs = np.unravel_index(j, (2 ** gen,) * n)
-                    coords = tuple(c * 2 ** gen + int(o)
-                                   for c, o in zip(cube.coords, offs))
-                    top_key = DyadicCube(grid, sub_level, coords).key()
-            if top_key is None:
-                continue
-            best_sub[cube.key()] = top_key
-            if top_ratio > scalar_best:
-                scalar_best = top_ratio
-                scalar_pair = (cube.key(), top_key)
-    scalar_best = max(scalar_best, 0.0)
-
-    best = scalar_best
-    family_witness: dict = {}
-    if scalar_pair is not None:
-        family_witness = {"cubes": [scalar_pair[0]], "partners": [scalar_pair[1]],
-                          "coefficients": [1.0]}
-
-    def consider(cubes, subs, coeffs):
-        nonlocal best, family_witness
-        val = _subcube_family_value(sigma, omega, lam, cfg.p, cubes, subs, coeffs)
-        if val > best:
-            best = val
-            family_witness = {
-                "cubes": [q.key() for q in cubes],
-                "partners": [s.key() for s in subs],
-                "coefficients": [float(a) for a in coeffs],
-            }
-
-    families = 0
-    for level in range(0, depth):
-        for parent in grid.cubes_at_level(level):
-            members, subs = [], []
-            for child in parent.children():
-                skey = best_sub.get(child.key())
-                if skey is not None:
-                    members.append(child)
-                    subs.append(DyadicCube.from_key(grid, skey))
-            if len(members) >= 2:
-                families += 1
-                consider(members, subs, np.ones(len(members)))
-
-    rng = np.random.default_rng(seed)
-    for _ in range(family_count):
-        level = int(rng.integers(0, depth + 1))
-        total = 2 ** (n * level)
-        k = int(rng.integers(1, min(6, total) + 1))
-        flats = rng.choice(total, size=k, replace=False)
-        members, subs = [], []
-        for f in np.sort(flats):
-            coords = tuple(int(c) for c in
-                           np.unravel_index(int(f), (2 ** level,) * n))
-            cube = DyadicCube(grid, level, coords)
-            gen = int(rng.integers(0, min(max_generation,
-                                          grid.max_level - level) + 1))
-            offs = tuple(int(rng.integers(0, 2 ** gen)) for _ in range(n))
-            sub = DyadicCube(grid, level + gen,
-                             tuple(c * 2 ** gen + o
-                                   for c, o in zip(coords, offs)))
-            members.append(cube)
-            subs.append(sub)
-        if members:
-            families += 1
-            coeffs = rng.uniform(0.2, 1.0, size=len(members))
-            consider(members, subs, coeffs)
-            consider(members, subs, np.ones(len(members)))
-
-    witness = dict(family_witness)
-    witness.update({"variant": "subcube", "lambda": lam, "p": cfg.p,
-                    "singleton_value": scalar_best})
-    search_space = {
-        "depth": depth,
-        "max_generation": max_generation,
-        "pairs_scanned": pair_count,
-        "families_evaluated": families,
-        "family_count": family_count,
-        "p": cfg.p,
-    }
-    return CharacteristicReport("quadratic_subcube_ap", best, witness,
-                                search_space, seed)
-
-
-def _evaluate_quadratic_witness(sigma: MeshMeasure, omega: MeshMeasure,
-                                witness: dict) -> float:
-    grid = _check_pair(sigma, omega)
-    lam = float(witness["lambda"])
-    p = float(witness["p"])
     cubes = [DyadicCube.from_key(grid, k) for k in witness["cubes"]]
     partners = [DyadicCube.from_key(grid, k) for k in witness["partners"]]
     coeffs = np.asarray(witness["coefficients"], dtype=float)
-    if witness["variant"] == "offset":
-        return _offset_family_value(sigma, omega, lam, p, cubes, partners, coeffs)
-    return _subcube_family_value(sigma, omega, lam, p, cubes, partners, coeffs)
+    return _pair_family_value(sigma, omega, float(witness["lambda"]),
+                              float(witness["p"]), cubes, partners, coeffs)
 
 
 def _haar_family_value(images: np.ndarray, values: np.ndarray,
@@ -1038,42 +974,24 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     optimum, so at p = 2 the value matches scalar haar_testing.
     """
     cfg = LpConfig(p)
-    grid = _check_pair(sigma, omega)
+    _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
     sflat = sigma.flat_mass
     wflat = omega.flat_mass
     values = system.values_matrix
     slots = system.cube_slots
-    sqrtw = np.sqrt(wflat)
 
     member_best: dict = {}
     scalar_best = -1.0
     scalar_member: tuple | None = None
     by_level: dict = {}
-    for key, (start, count) in slots.items():
-        if count == 0:
-            continue
-        level = int(key.split(":", 1)[0])
-        by_level.setdefault(level, []).append(key)
-        block = images[:, start:start + count]
-        vblock = values[start:start + count]
-        candidates = [np.eye(count)[j] for j in range(count)]
-        if count > 1:
-            m = sqrtw[:, None] * block
-            vh = np.linalg.svd(m, full_matrices=False)[2]
-            candidates.append(_sign_normalized(vh[0]))
-        top_val, top_c = -1.0, None
-        for c in candidates:
-            f = vblock.T @ c
-            den = float(np.sum(sflat * np.abs(f) ** cfg.p)) ** (1.0 / cfg.p)
-            if den <= 0.0:
-                continue
-            num = float(np.sum(wflat * np.abs(block @ c) ** cfg.p)) ** (1.0 / cfg.p)
-            ratio = num / den
-            if ratio > top_val:
-                top_val, top_c = ratio, c
-        if top_c is None:
-            continue
+    for key, block, vblock, _ in _wavelet_blocks(system, images, omega, "global"):
+        by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
+        candidates = list(np.eye(block.shape[1]))
+        if block.shape[1] > 1:
+            candidates.append(_block_optimum(block, wflat)[1])
+        top_val, top_c = _best_combination(block, vblock, candidates, sflat, wflat,
+                                           cfg.p)
         member_best[key] = [float(v) for v in top_c]
         if top_val > scalar_best:
             scalar_best = top_val
@@ -1131,9 +1049,9 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
 
 
 def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
-                                     kernel: Kernel, trunc: Truncation,
-                                     depth: int, witness: dict) -> float:
-    system, images = _wavelet_images(sigma, kernel, trunc, depth)
+                                     witness: dict, space: dict) -> float:
+    kernel, trunc = _kernel_and_trunc(space)
+    system, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
     members = [(m["cube"], m["coefficients"]) for m in witness["members"]]
     weights = np.asarray(witness["weights"], dtype=float)
     return _haar_family_value(images, system.values_matrix, system.cube_slots,
@@ -1142,6 +1060,22 @@ def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 
 # -- witness re-evaluation -----------------------------------------------------
+
+# report name -> evaluator(sigma, omega, witness, search_space)
+_EVALUATORS = {
+    "a2_lambda": _evaluate_size_witness,
+    "ap_lambda": _evaluate_size_witness,
+    "haar_testing": _evaluate_haar_witness,
+    "lp_haar_testing": _evaluate_haar_witness,
+    "cube_testing": _evaluate_cube_witness,
+    "operator_norm": _evaluate_matrix_witness,
+    "haar_testing_matched": _evaluate_matrix_witness,
+    "dual_haar_testing_matched": _evaluate_matrix_witness,
+    "quadratic_offset_ap": _evaluate_pair_family_witness,
+    "quadratic_subcube_ap": _evaluate_pair_family_witness,
+    "quadratic_haar_testing": _evaluate_quadratic_haar_witness,
+}
+
 
 def reevaluate(report: CharacteristicReport, sigma: MeshMeasure,
                omega: MeshMeasure) -> float:
@@ -1152,35 +1086,9 @@ def reevaluate(report: CharacteristicReport, sigma: MeshMeasure,
     truncation parameters are rebuilt from the report's search metadata.
     """
     name = report.name
-    witness = report.witness
-    space = report.search_space
-    if name.startswith("dual_"):
-        name = name[len("dual_"):]
-        if name != "haar_testing_matched":
-            sigma, omega = omega, sigma
-    if name in ("a2_lambda", "ap_lambda"):
-        return _evaluate_size_witness(sigma, omega, witness)
-    if name in ("quadratic_offset_ap", "quadratic_subcube_ap"):
-        return _evaluate_quadratic_witness(sigma, omega, witness)
-    kernel = _kernel_from_spec(space["kernel"]) if "kernel" in space else None
-    trunc = _trunc_from_spec(space["trunc"]) if "trunc" in space else None
-    if name == "haar_testing":
-        return _evaluate_haar_witness(sigma, omega, kernel, trunc,
-                                      int(space["depth"]), witness)
-    if name == "lp_haar_testing":
-        return _evaluate_haar_witness(sigma, omega, kernel, trunc,
-                                      int(space["depth"]), witness,
-                                      p=float(witness["p"]))
-    if name == "cube_testing":
-        return _evaluate_cube_witness(sigma, omega, kernel, trunc, witness)
-    if name == "quadratic_haar_testing":
-        return _evaluate_quadratic_haar_witness(sigma, omega, kernel, trunc,
-                                                int(space["depth"]), witness)
-    if name in ("operator_norm", "haar_testing_matched"):
-        if kernel is None or trunc is None:
-            raise ValueError(f"report {report.name} lacks kernel metadata")
-        matrix = assemble_haar_matrix(kernel, trunc, sigma, omega,
-                                      int(space["depth"]),
-                                      rotation_seed=space.get("rotation_seed"))
-        return _evaluate_matrix_witness(matrix, witness)
-    raise ValueError(f"unknown report name {report.name!r}")
+    if name not in _EVALUATORS and name.startswith("dual_"):
+        # the dual scans ran on the swapped pair
+        name, sigma, omega = name[len("dual_"):], omega, sigma
+    if name not in _EVALUATORS:
+        raise ValueError(f"unknown report name {report.name!r}")
+    return _EVALUATORS[name](sigma, omega, report.witness, report.search_space)

@@ -2,9 +2,10 @@
 
 Subcommands: characteristics, experiment, search, frames, matrix-demo.
 Values resolve as defaults < config file (INI sections) < command-line flags;
-every JSON report embeds the fully resolved configuration, and identical
-configurations with the same seed produce byte-identical reports apart from
-the generated_at field inside meta.
+every JSON report embeds the fully resolved configuration of the inputs that
+decide its results, and identical configurations with the same seed produce
+byte-identical reports apart from meta, which holds the generated_at time
+and the output directory.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -93,7 +93,6 @@ class RunConfig:
     gamma: float = 0.6
     ladder: str = "10:20"
     out: str | None = None
-    workers: int | None = None
 
     def validate(self) -> list:
         problems = []
@@ -117,8 +116,6 @@ class RunConfig:
             problems.append(f"trials: must be >= 1, got {self.trials}")
         if not 0.5 < self.gamma <= 0.75:
             problems.append(f"gamma: must lie in (0.5, 0.75], got {self.gamma}")
-        if self.workers is not None and self.workers < 1:
-            problems.append(f"workers: must be >= 1, got {self.workers}")
         parts = [m.strip() for m in self.measures.split(",") if m.strip()]
         if not parts or len(parts) % 2 != 0:
             problems.append(
@@ -144,11 +141,11 @@ class RunConfig:
                     shift=self.shift, max_level=self.max_level)
 
     def resolved(self) -> dict:
+        """Every field that decides results; the output directory is not one."""
         data = asdict(self)
+        del data["out"]
         data["origin"] = list(self.origin) if self.origin is not None else None
         data["shift"] = list(self.shift) if self.shift is not None else None
-        data["out"] = str(self.out_dir())
-        data["workers"] = self.worker_count()
         return data
 
     def out_dir(self) -> Path:
@@ -156,9 +153,6 @@ class RunConfig:
             return Path(self.out)
         env = os.environ.get("HAARTEST_OUT_DIR")
         return Path(env) if env else Path(".")
-
-    def worker_count(self) -> int:
-        return self.workers if self.workers else (os.cpu_count() or 1)
 
 
 def parse_measure(grid: Grid, spec: str):
@@ -232,7 +226,8 @@ def write_report(cfg: RunConfig, name: str, results: dict) -> Path:
     out_dir = cfg.out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     body = {
-        "meta": {"generated_at": _now(), "tool": "haartest", "version": __version__},
+        "meta": {"generated_at": _now(), "tool": "haartest", "version": __version__,
+                 "out": str(out_dir)},
         "config": cfg.resolved(),
         "results": results,
     }
@@ -241,8 +236,8 @@ def write_report(cfg: RunConfig, name: str, results: dict) -> Path:
     return path
 
 
-def _characteristic_bundle(args) -> dict:
-    cfg, s_spec, o_spec, sigma, omega = args
+def _characteristic_bundle(cfg: RunConfig, s_spec: str, o_spec: str,
+                           sigma, omega) -> dict:
     grid = sigma.grid
     kernel = make_kernel(cfg.kernel, cfg.lam, grid.dimension)
     trunc = build_truncation(cfg, grid)
@@ -276,10 +271,7 @@ def _characteristic_bundle(args) -> dict:
 
 def run_characteristics(cfg: RunConfig) -> tuple:
     grid = cfg.grid()
-    pairs = measure_pairs(cfg, grid)
-    jobs = [(cfg, s, o, ms, mo) for s, o, ms, mo in pairs]
-    with ThreadPoolExecutor(max_workers=cfg.worker_count()) as pool:
-        rows = list(pool.map(_characteristic_bundle, jobs))
+    rows = [_characteristic_bundle(cfg, *pair) for pair in measure_pairs(cfg, grid)]
     print(f"{'pair':<6}{'sigma':<24}{'omega':<24}{'norm':>10}{'haar':>10}"
           f"{'dual':>10}{'ratio':>10}")
     for i, row in enumerate(rows):
@@ -288,8 +280,8 @@ def run_characteristics(cfg: RunConfig) -> tuple:
               f"{row['haar_testing']['value']:>10.4f}"
               f"{row['haar_testing_dual']['value']:>10.4f}"
               f"{row['ratio']:>10.4f}")
-    print("note: norm and testing values scan finite wavelet blocks and sampled "
-          "rotations only; see each search_space field for what was searched.")
+    print("note: norm and testing values scan finite wavelet blocks only; "
+          "see each search_space field for what was searched.")
     failing = [f"pair {i} ratio below 1/2" for i, row in enumerate(rows)
                if row["ratio"] < 0.5 - 1e-9]
     return {"pairs": rows}, failing
@@ -383,8 +375,8 @@ def run_frames(cfg: RunConfig) -> tuple:
     _, _, mu, _ = pairs[0]
     depth = min(cfg.depth, grid.max_level)
     system = cached_system(mu, grid.max_level)
-    elements = [h.mesh_values() for h in system.wavelets]
-    elements.append(np.full(grid.mesh_shape, 1.0 / np.sqrt(mu.total_mass)))
+    constant = np.full(grid.n_cells, 1.0 / np.sqrt(mu.total_mass))
+    elements = [*system.values_matrix, constant]
     parseval = hilbert_frame_bounds(elements, mu, sample_count=64, seed=cfg.seed)
     square = lp_square_function_bounds(mu, cfg.p, depth, sample_count=64,
                                        seed=cfg.seed)
@@ -449,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--out")
-    parser.add_argument("--workers", type=int)
     parser.add_argument("--gamma", type=float)
     parser.add_argument("--ladder", help="exponent range lo:hi for the growth ladder")
     return parser
@@ -458,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 _GRID_KEYS = {"dimension": int, "max_level": int, "side": float}
 _KERNEL_KEYS = {"family": str, "lambda": float, "eps": float, "r": float}
 _RUN_KEYS = {"measures": str, "p": float, "depth": int, "seed": int,
-             "trials": int, "gamma": float, "ladder": str, "out": str,
-             "workers": int}
+             "trials": int, "gamma": float, "ladder": str, "out": str}
 _FIELD_OF = {"family": "kernel", "lambda": "lam", "r": "rmax"}
 
 
@@ -487,16 +477,11 @@ def _config_values(path: str) -> dict:
 
 
 def resolve_config(argv=None) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    values: dict = {}
-    if args.config:
-        values.update(_config_values(args.config))
-    for name in ("kernel", "lam", "eps", "rmax", "measures", "p", "depth",
-                 "seed", "trials", "out", "workers", "gamma", "ladder"):
-        flag = getattr(args, name)
-        if flag is not None:
-            values[name] = flag
-    cfg = RunConfig(command=args.command, **values)
+    flags = vars(build_parser().parse_args(argv))
+    command, config = flags.pop("command"), flags.pop("config")
+    values: dict = _config_values(config) if config else {}
+    values.update({name: flag for name, flag in flags.items() if flag is not None})
+    cfg = RunConfig(command=command, **values)
     problems = cfg.validate()
     if problems:
         raise ConfigError("; ".join(problems))

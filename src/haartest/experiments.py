@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .characteristics import (
+    JsonReport,
     _kernel_spec,
     _trunc_spec,
     a2_lambda,
@@ -75,25 +76,8 @@ class SignDominanceError(AssertionError):
     """A kernel-difference check failed; the message lists the worst sample."""
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    # bool is a subclass of int, so it must be matched first
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(JsonReport):
     """Outcome of one experiment: headline value plus measured details."""
 
     name: str
@@ -101,17 +85,6 @@ class ExperimentReport:
     passed: bool
     details: dict
     seed: int | None = None
-
-    def as_dict(self) -> dict:
-        return _jsonable(
-            {
-                "name": self.name,
-                "value": self.value,
-                "passed": self.passed,
-                "details": self.details,
-                "seed": self.seed,
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -521,6 +494,30 @@ def _expansion_check(sigma: MeshMeasure, triple: AlignedTriple, phi: np.ndarray,
     }
 
 
+def _dipole_trial(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
+                  trunc: Truncation, triple: AlignedTriple) -> tuple:
+    """Transform the dipole of a triple and measure the image on the target.
+
+    Returns the image on the target cube (flat), the pairing ratio
+    r1 = |<T phi, 1_target>_omega| / (|target|_omega / |target|^(1-lam/n)),
+    which is 0 on an omega-null target, whether the image keeps one sign on
+    the target, the dipole's PhiReport, and its expansion check.
+    """
+    n = sigma.grid.dimension
+    target = triple.target
+    phi, phi_rep = phi_test_function(sigma, triple)
+    image = apply(kernel, trunc, sigma, phi)
+    block = image[target.slices()].ravel()
+    signs = np.sign(block)
+    sign_ok = bool(signs[0] != 0.0 and np.all(signs == signs[0]))
+    pairing = omega.integrate(image * target.indicator())
+    target_mass = omega.cube_mass(target)
+    r1 = (abs(pairing) * target.volume ** (1.0 - kernel.lam / n) / target_mass
+          if target_mass > 0.0 else 0.0)
+    expansion = _expansion_check(sigma, triple, phi, phi_rep.l2_norm)
+    return block, float(r1), sign_ok, phi_rep, expansion
+
+
 def a2_lower_bound_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                               kernel: Kernel, trunc: Truncation,
                               cfg: SectorConfig | None = None,
@@ -568,21 +565,14 @@ def a2_lower_bound_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                                           grid.cube(level, coords))
         except AlignmentError:
             continue
-        phi, phi_rep = phi_test_function(sigma, triple)
-        image = apply(kernel, trunc, sigma, phi)
-        block = image[triple.target.slices()]
-        signs = np.sign(block.ravel())
-        sign_ok = bool(signs[0] != 0.0 and np.all(signs == signs[0]))
-        pairing = omega.integrate(image * triple.target.indicator())
-        target_mass = omega.cube_mass(triple.target)
-        if target_mass <= 0.0:
+        _, r1, sign_ok, phi_rep, expansion = _dipole_trial(sigma, omega, kernel,
+                                                          trunc, triple)
+        if omega.cube_mass(triple.target) <= 0.0:
             continue
-        r1 = abs(pairing) * triple.target.volume ** (1.0 - kernel.lam / n) / target_mass
-        expansion = _expansion_check(sigma, triple, phi, phi_rep.l2_norm)
         trial_rows.append(
             {
                 "triple": triple.keys(),
-                "r1": float(r1),
+                "r1": r1,
                 "sign_constant": sign_ok,
                 "phi_norm": phi_rep.l2_norm,
                 **expansion,
@@ -716,6 +706,11 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                             passed=True, details=details, seed=seed)
 
 
+def _inside(cube: DyadicCube, lo: np.ndarray, hi: np.ndarray, slack: float) -> bool:
+    """True when the cube lies in the box [lo, hi] widened by slack."""
+    return not (np.any(cube.lower < lo - slack) or np.any(cube.upper > hi + slack))
+
+
 @dataclass(frozen=True)
 class HaloCover:
     """Dyadic cubes inside the concentric shrink of a cube, nearly full.
@@ -753,7 +748,7 @@ class HaloCover:
         mass = 0.0
         for key in self.keys:
             cube = DyadicCube.from_key(grid, key)
-            if np.any(cube.lower < lo_e - slack) or np.any(cube.upper > hi_e + slack):
+            if not _inside(cube, lo_e, hi_e, slack):
                 contained = False
             sl = cube.slices()
             if covered[sl].any():
@@ -841,7 +836,7 @@ def halo_cover(measure: MeshMeasure, box, epsilon: float, eta: float) -> HaloCov
         cubes = []
         for k in levels:
             for cube in grid.cubes_at_level(k):
-                if np.any(cube.lower < lo_e - slack) or np.any(cube.upper > hi_e + slack):
+                if not _inside(cube, lo_e, hi_e, slack):
                     continue
                 sl = cube.slices()
                 if covered[sl].any():
@@ -884,7 +879,7 @@ def inner_dyadic_cube(grid: Grid, lower, side: float) -> DyadicCube:
             break
         best = None
         for cube in grid.cubes_at_level(k):
-            if np.any(cube.lower < lo - slack) or np.any(cube.upper > hi + slack):
+            if not _inside(cube, lo, hi, slack):
                 continue
             rank = (float(np.linalg.norm(cube.center - center)), cube.key())
             if best is None or rank < best[0]:
@@ -1143,22 +1138,11 @@ def quadratic_ap_experiment(sigma: MeshMeasure, omega: MeshMeasure,
             target = grid.cube(level, target_coords)
             cfg = SectorConfig(v=v, delta=delta, m=None)
             triple = build_aligned_triple(grid, kernel, cfg, base, target_cube=target)
-            phi, phi_rep = phi_test_function(sigma, triple)
-            image = apply(kernel, trunc, sigma, phi)
-            block = image[target.slices()].ravel()
-            signs = np.sign(block)
-            sign_ok = bool(signs[0] != 0.0 and np.all(signs == signs[0]))
+            block, r1, sign_ok, phi_rep, expansion = _dipole_trial(
+                sigma, omega, kernel, trunc, triple)
             floor_dom = target.volume ** (kernel.lam / n - 1.0)
             min_abs = float(np.min(np.abs(block)))
             pointwise_c = floor_dom / min_abs if min_abs > 0.0 else float("inf")
-            expansion = _expansion_check(sigma, triple, phi, phi_rep.l2_norm)
-            target_mass = omega.cube_mass(target)
-            pairing = omega.integrate(image * target.indicator())
-            r1 = (
-                abs(pairing) * target.volume ** (1.0 - kernel.lam / n) / target_mass
-                if target_mass > 0.0
-                else 0.0
-            )
             sigma_target = sigma.cube_mass(target)
             norm_ratio = (
                 phi_rep.l2_norm**2 * sigma_target if sigma_target > 0.0 else float("nan")
@@ -1168,7 +1152,7 @@ def quadratic_ap_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                     "triple": triple.keys(),
                     "sign_constant": sign_ok,
                     "pointwise_c": pointwise_c,
-                    "r1": float(r1),
+                    "r1": r1,
                     "norm_ratio": float(norm_ratio),
                     **expansion,
                 }

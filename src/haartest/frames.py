@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .experiments import ExperimentReport, _jsonable
+from .characteristics import JsonReport
+from .experiments import ExperimentReport
 from .haar import HaarSystem, cached_system
 from .measure import DegenerateMeasureError, MeshMeasure
 
@@ -25,7 +26,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FrameBoundsReport:
+class FrameBoundsReport(JsonReport):
     """Empirical two-sided bound: lower <= energy ratio <= upper.
 
     A strictly positive lower bound is evidence of the frame property on the
@@ -51,20 +52,6 @@ class FrameBoundsReport:
             )
         if self.upper <= 0.0:
             raise ValueError("upper frame bound must be positive")
-
-    def as_dict(self) -> dict:
-        return _jsonable(
-            {
-                "lower": self.lower,
-                "upper": self.upper,
-                "sample_count": self.sample_count,
-                "p": self.p,
-                "lower_witness": self.lower_witness,
-                "upper_witness": self.upper_witness,
-                "seed": self.seed,
-                "details": self.details,
-            }
-        )
 
 
 def _ratio_report(ratios: np.ndarray, labels: list, sample_count: int, p: float,

@@ -37,10 +37,19 @@ class HaarWavelet:
         return out
 
 
-def build_cube_wavelets(measure: MeshMeasure, cube: DyadicCube,
-                        rotation: np.ndarray | None = None) -> list:
-    """Wavelets of one cube. `rotation` (dim x dim orthogonal) probes
-    alternative orthonormal bases of the same mean-zero child space."""
+def normalize_sign(vec: np.ndarray) -> np.ndarray:
+    """Fix the overall sign so the leading entry is positive.
+
+    The leading entry is the first one above 1e-13 times the largest
+    magnitude, so rounding noise in front of it never decides the sign.
+    """
+    v = np.asarray(vec, dtype=float)
+    lead = np.flatnonzero(np.abs(v) > _SIGN_TOL * np.max(np.abs(v), initial=0.0))
+    return -v if lead.size and v[lead[0]] < 0 else v
+
+
+def build_cube_wavelets(measure: MeshMeasure, cube: DyadicCube) -> list:
+    """Wavelets of one cube, by Gram-Schmidt over its positive-mass children."""
     children = cube.children()
     masses = np.array([measure.cube_mass(c) for c in children])
     active = np.flatnonzero(masses > 0)
@@ -64,23 +73,11 @@ def build_cube_wavelets(measure: MeshMeasure, cube: DyadicCube,
         if nrm <= 0:
             raise ValueError("degenerate child-indicator system")
         ortho.append(u / nrm)
-    vecs = np.array(ortho[1:])
-
-    if rotation is not None:
-        rotation = np.asarray(rotation, dtype=float)
-        if rotation.shape != (dim, dim):
-            raise ValueError(f"rotation must be {dim}x{dim}")
-        vecs = rotation @ vecs
 
     out = []
-    for i in range(dim):
-        row = vecs[i]
-        scale = np.max(np.abs(row))
-        lead = row[np.flatnonzero(np.abs(row) > _SIGN_TOL * scale)[0]]
-        if lead < 0:
-            row = -row
+    for i, row in enumerate(ortho[1:]):
         values = np.zeros(len(children))
-        values[active] = row
+        values[active] = normalize_sign(row)
         out.append(HaarWavelet(cube=cube, index=i, child_values=values, child_masses=masses))
     return out
 
@@ -98,16 +95,9 @@ def rotate_cube_wavelets(wavelets: list, rotation: np.ndarray) -> list:
     if not wavelets:
         return []
     rows = rotation @ np.array([h.child_values for h in wavelets])
-    out = []
-    for i, h in enumerate(wavelets):
-        row = rows[i]
-        scale = np.max(np.abs(row))
-        lead = row[np.flatnonzero(np.abs(row) > _SIGN_TOL * scale)[0]]
-        if lead < 0:
-            row = -row
-        out.append(HaarWavelet(cube=h.cube, index=i, child_values=row,
-                               child_masses=h.child_masses))
-    return out
+    return [HaarWavelet(cube=h.cube, index=i, child_values=normalize_sign(row),
+                        child_masses=h.child_masses)
+            for i, (h, row) in enumerate(zip(wavelets, rows))]
 
 
 @dataclass(eq=False)
@@ -123,15 +113,9 @@ class HaarSystem:
     @cached_property
     def values_matrix(self) -> np.ndarray:
         """(n_wavelets, n_cells) dense cell values, C-order cells."""
-        grid = self.measure.grid
-        out = np.zeros((len(self.wavelets), grid.n_cells))
-        mesh = np.zeros(grid.mesh_shape)
-        for i, h in enumerate(self.wavelets):
-            mesh[:] = 0.0
-            for child, v in zip(h.cube.children(), h.child_values):
-                if v != 0.0:
-                    mesh[child.slices()] = v
-            out[i] = mesh.ravel()
+        out = np.empty((len(self.wavelets), self.measure.grid.n_cells))
+        for row, h in zip(out, self.wavelets):
+            row[:] = h.mesh_values().ravel()
         return out
 
     @cached_property

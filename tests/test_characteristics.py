@@ -180,6 +180,22 @@ def test_matched_testing_below_operator_norm():
     assert col.value >= mat.column_norms().max() - 1e-12
 
 
+def test_matched_testing_is_rotation_invariant():
+    # the per-cube block optimum covers every rotation of the cube's
+    # wavelets; 2-D cubes carry three wavelets, so rotations really move them
+    grid = Grid(dimension=2, max_level=4)
+    sigma = random_dyadic_doubling(grid, 2.0, seed=11)
+    omega = random_dyadic_doubling(grid, 2.0, seed=12)
+    kernel = make_kernel("riesz_like", 0.5, 2)
+    trunc = default_truncation(grid)
+    plain = assemble_haar_matrix(kernel, trunc, sigma, omega, 3)
+    turned = assemble_haar_matrix(kernel, trunc, sigma, omega, 3, rotation_seed=7)
+    for dual in (False, True):
+        np.testing.assert_allclose(matched_haar_testing(turned, dual=dual).value,
+                                   matched_haar_testing(plain, dual=dual).value,
+                                   rtol=1e-12, atol=0.0)
+
+
 def test_reevaluate_reproduces_witness_values():
     mat = assemble_haar_matrix(HILBERT, TRUNC, SIGMA, OMEGA, 4)
     reports = [
@@ -187,8 +203,14 @@ def test_reevaluate_reproduces_witness_values():
         ap_lambda(SIGMA, OMEGA, 0.0, p=3.0, depth=5),
         haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth=4),
         haar_testing_dual(SIGMA, OMEGA, HILBERT, TRUNC, depth=4),
+        haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="local", depth=4),
         lp_haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, p=3.0, depth=4),
+        lp_haar_testing_dual(SIGMA, OMEGA, HILBERT, TRUNC, p=3.0, depth=4),
         cube_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth=4),
+        cube_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="triple", depth=4,
+                     jitter_count=8),
+        cube_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="local", depth=4),
+        a2_lambda(SIGMA, OMEGA, 0.0, depth=5, jitter_count=8),
         operator_norm(mat),
         matched_haar_testing(mat),
         matched_haar_testing(mat, dual=True),

@@ -41,11 +41,11 @@ def test_runconfig_defaults_validate():
 def test_runconfig_validation_problems():
     cfg = RunConfig(command="nope", kernel="bad", lam=2.0, p=1.0, depth=0,
                     trials=0, gamma=0.4, measures="lebesgue",
-                    ladder="20:10", workers=0)
+                    ladder="20:10")
     problems = cfg.validate()
     fields = {p.split(":", 1)[0] for p in problems}
     assert fields == {"command", "kernel", "lambda", "p", "depth", "trials",
-                      "gamma", "measures", "ladder", "workers"}
+                      "gamma", "measures", "ladder"}
 
 
 def test_ladder_parsing_errors():
@@ -116,8 +116,7 @@ def test_write_report_layout(tmp_path):
 
 
 def tiny_args(command, tmp_path, extra=()):
-    return [command, "--depth", "4", "--out", str(tmp_path),
-            "--workers", "1", *extra]
+    return [command, "--depth", "4", "--out", str(tmp_path), *extra]
 
 
 def test_main_characteristics_roundtrip(tmp_path, capsys):
@@ -134,8 +133,7 @@ def test_main_characteristics_roundtrip(tmp_path, capsys):
 def test_main_flags_shallow_scan_below_half(tmp_path, capsys):
     # at depth 3 the truncated two-sided testing bound genuinely exceeds
     # twice the matrix norm on Lebesgue, and the run reports the failed check
-    rc = main(["characteristics", "--depth", "3", "--out", str(tmp_path),
-               "--workers", "1"])
+    rc = main(["characteristics", "--depth", "3", "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert "ratio below 1/2" in err
@@ -149,20 +147,21 @@ def test_main_determinism_modulo_timestamp(tmp_path):
     assert first == second
 
 
-def test_main_worker_count_does_not_change_results(tmp_path):
+def test_main_out_dir_does_not_change_config_or_results(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
     args = ["characteristics", "--depth", "4",
             "--measures", "lebesgue,doubling:r=2:seed=1,doubling:r=2:seed=2,lebesgue"]
-    rc_a = main(args + ["--out", str(a_dir), "--workers", "1"])
-    rc_b = main(args + ["--out", str(b_dir), "--workers", "3"])
+    rc_a = main(args + ["--out", str(a_dir)])
+    rc_b = main(args + ["--out", str(b_dir)])
     assert rc_a == rc_b
     a = json.loads((a_dir / "characteristics.json").read_text())
     b = json.loads((b_dir / "characteristics.json").read_text())
-    # the pool size shows up only in the resolved config, never in results
+    # the output directory shows up only in meta, never in config or results
+    assert a["config"] == b["config"]
     assert a["results"] == b["results"]
-    assert a["config"]["workers"] == 1
-    assert b["config"]["workers"] == 3
+    assert a["meta"]["out"] == str(a_dir)
+    assert b["meta"]["out"] == str(b_dir)
 
 
 def test_main_matrix_demo(tmp_path, capsys):
@@ -191,7 +190,7 @@ def test_main_frames(tmp_path):
 
 def test_main_search(tmp_path):
     rc = main(["search", "--depth", "3", "--trials", "4",
-               "--out", str(tmp_path), "--workers", "1"])
+               "--out", str(tmp_path)])
     assert rc == 0
     rows = (tmp_path / "search_leaderboard.csv").read_text().splitlines()
     assert rows[0].split(",")[0] == "rank"
