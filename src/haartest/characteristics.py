@@ -157,16 +157,22 @@ def validate_offset_family(grid: Grid, family: QuadraticFamily,
 
 # -- shared helpers ---------------------------------------------------------
 
+def _block_sums(values: np.ndarray, dimension: int, factor: int) -> np.ndarray:
+    """Sums over blocks of factor**dimension entries of the trailing
+    `dimension` axes: the dyadic ancestors `log2(factor)` levels up."""
+    lead = values.shape[:values.ndim - dimension]
+    mesh = values.shape[values.ndim - dimension:]
+    shape = lead + tuple(v for side in mesh for v in (side // factor, factor))
+    return values.reshape(shape).sum(axis=tuple(len(lead) + 2 * i + 1
+                                                for i in range(dimension)))
+
+
 def level_masses(measure: MeshMeasure, level: int) -> np.ndarray:
     """Masses of every dyadic cube at one level, indexed by coordinates."""
     grid = measure.grid
     if not 0 <= level <= grid.max_level:
         raise ValueError(f"level {level} outside [0, {grid.max_level}]")
-    f = 2 ** (grid.max_level - level)
-    n = grid.dimension
-    shape = tuple(v for _ in range(n) for v in (2 ** level, f))
-    arr = measure.cell_mass.reshape(shape)
-    return arr.sum(axis=tuple(2 * i + 1 for i in range(n)))
+    return _block_sums(measure.cell_mass, grid.dimension, 2 ** (grid.max_level - level))
 
 
 def _jittered_boxes(grid: Grid, depth: int, count: int, rng) -> list:
@@ -540,6 +546,10 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 # -- cube testing -------------------------------------------------------------
 
+# entries of one row block of the kernel matrix in the pyramid's first pass
+_ROW_BLOCK_ENTRIES = 1 << 22
+
+
 def _cube_value(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
                 mode: str, p: float, region) -> float | None:
     """Lp(omega) norm of T(1_R sigma) on the mode's output region, over
@@ -562,6 +572,41 @@ def _cube_value(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
     return _lp_norm(weights, tvals, p) / smass ** (1.0 / p)
 
 
+def _cube_images(g: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
+    """T(1_Q sigma) at every cell for every level-`level` cube Q, indexed
+    [cell, *cube coords]."""
+    grid = sigma.grid
+    n = grid.dimension
+    factor = 2 ** (grid.max_level - level)
+    out = np.empty((grid.n_cells,) + (2 ** level,) * n)
+    rows = max(1, _ROW_BLOCK_ENTRIES // grid.n_cells)
+    for start in range(0, grid.n_cells, rows):
+        block = g[start:start + rows] * sigma.flat_mass
+        out[start:start + rows] = _block_sums(block.reshape((-1,) + grid.mesh_shape),
+                                              n, factor)
+    return out
+
+
+def _pyramid_values(images: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
+                    mode: str, p: float, level: int) -> np.ndarray:
+    """`_cube_value` of every level-`level` cube from its image, in C order;
+    cubes without sigma-mass read -1, below every value."""
+    grid = sigma.grid
+    columns = images.reshape(grid.n_cells, -1)
+    smass = level_masses(sigma, level).ravel()
+    live = smass > 0.0
+    if mode == "global":
+        norms = (omega.flat_mass @ np.abs(columns) ** p) ** (1.0 / p)
+    else:
+        norms = np.array([
+            _lp_norm(_restriction_weights(grid, omega.flat_mass, mode, cube),
+                     columns[:, c], p) if live[c] else 0.0
+            for c, cube in enumerate(grid.cubes_at_level(level))])
+    values = np.full(smass.shape, -1.0)
+    values[live] = norms[live] / smass[live] ** (1.0 / p)
+    return values
+
+
 def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                  trunc: Truncation, mode: str = "global", depth: int = 6,
                  p: float = 2.0, jitter_count: int = 0,
@@ -572,6 +617,17 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     mode picks the output restriction: none, the concentric triple, or I
     itself. jitter_count adds non-dyadic sample cubes (fractional indicators
     at mesh resolution).
+
+    Dyadic cubes are scanned up a pyramid: one row-blocked pass over the
+    kernel matrix gives the images of all level-`depth` cubes, and each
+    coarser cube's image is the sum of its children's. Those images are one
+    extra n_cells x 2**(n*depth) array (global mode adds two temporaries of
+    that size). Cubes are scanned by level, then C-order coordinates, and
+    only a strictly larger value replaces the witness. The images are summed
+    in a different order than `_cube_value` (the witness oracle) sums them,
+    so values agree to rounding, and cubes of mathematically equal value may
+    resolve to a different one of them. Jitter boxes go through
+    `_cube_value`. cubes_scanned counts the cubes and boxes with sigma-mass.
     """
     if mode not in ("global", "triple", "local"):
         raise ValueError(f"mode must be global/triple/local, got {mode!r}")
@@ -580,21 +636,31 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     require_resolved(trunc, grid)
     if not 0 <= depth <= grid.max_level:
         raise ValueError(f"depth outside [0, {grid.max_level}]")
+    n = grid.dimension
     g = kernel_matrix(kernel, trunc, grid)
-    cubes = itertools.chain.from_iterable(grid.cubes_at_level(level)
-                                          for level in range(depth + 1))
-    boxes = _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed))
+    images = _cube_images(g, sigma, depth)
+    levels = [_pyramid_values(images, sigma, omega, mode, cfg.p, depth)]
+    for level in range(depth - 1, -1, -1):
+        images = _block_sums(images, n, 2)
+        levels.append(_pyramid_values(images, sigma, omega, mode, cfg.p, level))
     best = -1.0
     witness: dict = {}
     scanned = 0
-    for region in itertools.chain(cubes, boxes):
-        val = _cube_value(g, sigma, omega, mode, cfg.p, region)
+    for level, values in enumerate(reversed(levels)):
+        scanned += int(np.count_nonzero(values >= 0.0))
+        j = int(np.argmax(values))
+        if values[j] > best:
+            best = float(values[j])
+            cube = grid.cube(level, np.unravel_index(j, (2 ** level,) * n))
+            witness = {**_region_witness(cube), "mode": mode, "p": cfg.p}
+    for box in _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed)):
+        val = _cube_value(g, sigma, omega, mode, cfg.p, box)
         if val is None:
             continue
         scanned += 1
         if val > best:
             best = val
-            witness = {**_region_witness(region), "mode": mode, "p": cfg.p}
+            witness = {**_region_witness(box), "mode": mode, "p": cfg.p}
     search_space = {
         "depth": depth,
         "cubes_scanned": scanned,

@@ -3,7 +3,10 @@
 Kernel families carry declared size/smoothness and lower ellipticity
 constants; `check_cz_bounds` and `check_ellipticity` verify them by sampled
 finite differences. Operators act by midpoint quadrature over mesh cells,
-so truncations must not dip below the mesh scale.
+so truncations must not dip below the mesh scale. The kernels are
+translation invariant, so the mesh kernel matrix is gathered from the
+kernel's values at the distinct cell offsets; `points_matrix` evaluates the
+kernel pair by pair at arbitrary points.
 """
 from __future__ import annotations
 
@@ -175,9 +178,25 @@ def eval_truncated(kernel: Kernel, trunc: Truncation, x, y) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
-    """G[i, j] = truncated kernel between cell centers i and j (C order)."""
-    pts = grid.flat_centers
-    return points_matrix(kernel, trunc, pts, grid)
+    """G[i, j] = truncated kernel between cell centers i and j (C order).
+
+    Every kernel family is translation invariant, K(x, y) = K(x - y, 0), and
+    on the uniform mesh c_i - c_j = (i - j) * cell_side per axis. So G is
+    Toeplitz (block-Toeplitz in 2-D) and is gathered from the kernel at the
+    (2 * cells_per_axis - 1)**n exact offsets. On a window with dyadic origin,
+    shift and side the centers are exact, so G equals the pairwise
+    `points_matrix` build bit for bit; elsewhere they differ by the rounding
+    of the centers.
+    """
+    m, n = grid.cells_per_axis, grid.dimension
+    steps = np.arange(1 - m, m) * grid.cell_side
+    offsets = np.stack(np.meshgrid(*[steps] * n, indexing="ij"), axis=-1)
+    table = kernel.eval(offsets, 0.0) * trunc.scale(np.linalg.norm(offsets, axis=-1))
+    # index of offset i - j on one axis; axis a varies along output axes a and n + a
+    diff = np.subtract.outer(np.arange(m), np.arange(m)) + (m - 1)
+    index = tuple(diff.reshape((1,) * a + (m,) + (1,) * (n - 1) + (m,) + (1,) * (n - 1 - a))
+                  for a in range(n))
+    return table[index].reshape(grid.n_cells, grid.n_cells)
 
 
 def points_matrix(kernel: Kernel, trunc: Truncation, points: np.ndarray,

@@ -6,6 +6,8 @@ import pytest
 from haartest.characteristics import (
     CharacteristicReport,
     QuadraticFamily,
+    _cube_value,
+    _jittered_boxes,
     a2_lambda,
     ap_lambda,
     conjugate_exponent,
@@ -22,14 +24,21 @@ from haartest.characteristics import (
     reevaluate,
     validate_offset_family,
 )
-from haartest.dyadic import Grid
+from haartest.dyadic import DyadicCube, Grid
 from haartest.haar import cached_system
-from haartest.measure import lebesgue, power_weight, random_dyadic_doubling
+from haartest.measure import (
+    custom_cells,
+    lebesgue,
+    near_point_mass,
+    power_weight,
+    random_dyadic_doubling,
+)
 from haartest.operators import (
     Truncation,
     apply,
     assemble_haar_matrix,
     default_truncation,
+    kernel_matrix,
     make_kernel,
 )
 
@@ -152,6 +161,80 @@ def test_cube_testing_mode_monotonicity():
     assert loc.value <= tri.value + 1e-12
     assert tri.value <= glob.value + 1e-12
     assert glob.witness["p"] == 2.0
+
+
+def _dense_cube_scan(sigma, omega, kernel, trunc, mode, depth, p):
+    """The per-cube dense loop: (values by cube key, first maximiser)."""
+    g = kernel_matrix(kernel, trunc, sigma.grid)
+    values = {}
+    for level in range(depth + 1):
+        for cube in sigma.grid.cubes_at_level(level):
+            val = _cube_value(g, sigma, omega, mode, p, cube)
+            if val is not None:
+                values[cube.key()] = val
+    return values, max(values, key=values.get)
+
+
+def _pyramid_case(dim):
+    """(grid, kernel, sigma, omega); the 2-D pair has an off-diagonal
+    witness, so swapped cube coordinates show."""
+    if dim == 1:
+        grid = Grid(dimension=1, max_level=8)
+        return (grid, make_kernel("hilbert", 0.0, 1),
+                random_dyadic_doubling(grid, 2.0, seed=31),
+                random_dyadic_doubling(grid, 2.0, seed=32))
+    grid = Grid(dimension=2, max_level=4)
+    return (grid, make_kernel("riesz_like", 0.5, 2),
+            near_point_mass(grid, 4.0, cell_coords=(3, 12)),
+            random_dyadic_doubling(grid, 2.0, seed=32))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", ["global", "triple", "local"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_cube_testing_pyramid_matches_dense_scan(dim, mode, p):
+    grid, kernel, sigma, omega = _pyramid_case(dim)
+    trunc = default_truncation(grid)
+    depth = grid.max_level - 1
+    rep = cube_testing(sigma, omega, kernel, trunc, mode=mode, depth=depth, p=p)
+    values, dense_witness = _dense_cube_scan(sigma, omega, kernel, trunc, mode, depth, p)
+    best = values[dense_witness]
+    assert rep.value == pytest.approx(best, rel=1e-12, abs=0.0)
+    g = kernel_matrix(kernel, trunc, grid)
+    at_witness = _cube_value(g, sigma, omega, mode, p,
+                             DyadicCube.from_key(grid, rep.witness["cube"]))
+    assert at_witness == pytest.approx(rep.value, rel=1e-12, abs=0.0)
+    assert rep.search_space["cubes_scanned"] == len(values)
+    # without near-ties the pyramid picks the dense loop's cube
+    runner_up = max(v for k, v in values.items() if k != dense_witness)
+    assert runner_up < best * (1.0 - 1e-9)
+    assert rep.witness["cube"] == dense_witness
+
+
+@pytest.mark.parametrize("mode", ["global", "triple", "local"])
+def test_cube_testing_skips_zero_mass_cubes(mode):
+    grid, kernel, _, omega = _pyramid_case(2)
+    trunc = default_truncation(grid)
+    mass = random_dyadic_doubling(grid, 2.0, seed=31).cell_mass.copy()
+    mass[:8, 8:] = 0.0  # one empty quadrant
+    sigma = custom_cells(grid, mass)
+    rep = cube_testing(sigma, omega, kernel, trunc, mode=mode, depth=3)
+    values, _ = _dense_cube_scan(sigma, omega, kernel, trunc, mode, 3, 2.0)
+    assert rep.search_space["cubes_scanned"] == len(values) == 85 - 21
+    assert rep.value == pytest.approx(max(values.values()), rel=1e-12, abs=0.0)
+
+
+def test_cube_testing_jitter_boxes_extend_the_pyramid():
+    grid, kernel, sigma, omega = _pyramid_case(1)
+    trunc = default_truncation(grid)
+    rep = cube_testing(sigma, omega, kernel, trunc, depth=7, jitter_count=8, seed=2)
+    values, _ = _dense_cube_scan(sigma, omega, kernel, trunc, "global", 7, 2.0)
+    g = kernel_matrix(kernel, trunc, grid)
+    boxes = [_cube_value(g, sigma, omega, "global", 2.0, box)
+             for box in _jittered_boxes(grid, 7, 8, np.random.default_rng(2))]
+    assert rep.search_space["cubes_scanned"] == len(values) + 8
+    assert rep.witness["kind"] == "box"
+    assert rep.value == max(boxes) > max(values.values())
 
 
 def test_cube_testing_rejects_bad_mode():
