@@ -22,7 +22,6 @@ from .haar import (
     build_cube_wavelets,
     build_system,
     lq_l2_ratio,
-    save_coefficients_csv,
 )
 from .operators import (
     BoundViolation,
@@ -37,7 +36,6 @@ from .operators import (
     default_truncation,
     eval_truncated,
     make_kernel,
-    save_haar_matrix_csv,
     smoothstep,
     top_singular_value,
 )

@@ -546,8 +546,11 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 # -- cube testing -------------------------------------------------------------
 
-# entries of one row block of the kernel matrix in the pyramid's first pass
-_ROW_BLOCK_ENTRIES = 1 << 22
+# entries of one row block of the kernel matrix in the pyramid's first pass:
+# the block's weighted copy (512 KB) must stay well below the kernel matrix
+# itself (8 MB at 1-D L=10) to add nothing to peak memory; larger blocks
+# were no faster at 2-D L=6
+_ROW_BLOCK_ENTRIES = 1 << 16
 
 
 def _cube_value(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
@@ -607,6 +610,22 @@ def _pyramid_values(images: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
     return values
 
 
+def _cube_pyramid(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
+                  mode: str, p: float, depth: int):
+    """Yield (level, images, values) from level `depth` down to level 0.
+
+    images is `_cube_images` of the level, each coarser level summing its
+    children's columns; values is its `_pyramid_values`. The generator keeps
+    only the current level's images, but a caller that keeps every level
+    holds all of them: about 45 MB at 2-D L=6, depth 5.
+    """
+    images = _cube_images(g, sigma, depth)
+    for level in range(depth, -1, -1):
+        if level < depth:
+            images = _block_sums(images, sigma.grid.dimension, 2)
+        yield level, images, _pyramid_values(images, sigma, omega, mode, p, level)
+
+
 def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                  trunc: Truncation, mode: str = "global", depth: int = 6,
                  p: float = 2.0, jitter_count: int = 0,
@@ -618,16 +637,17 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     itself. jitter_count adds non-dyadic sample cubes (fractional indicators
     at mesh resolution).
 
-    Dyadic cubes are scanned up a pyramid: one row-blocked pass over the
-    kernel matrix gives the images of all level-`depth` cubes, and each
-    coarser cube's image is the sum of its children's. Those images are one
-    extra n_cells x 2**(n*depth) array (global mode adds two temporaries of
-    that size). Cubes are scanned by level, then C-order coordinates, and
-    only a strictly larger value replaces the witness. The images are summed
-    in a different order than `_cube_value` (the witness oracle) sums them,
-    so values agree to rounding, and cubes of mathematically equal value may
-    resolve to a different one of them. Jitter boxes go through
-    `_cube_value`. cubes_scanned counts the cubes and boxes with sigma-mass.
+    Dyadic cubes are scanned up a pyramid (`_cube_pyramid`): one row-blocked
+    pass over the kernel matrix gives the images of all level-`depth` cubes,
+    and each coarser cube's image is the sum of its children's. Those images
+    are one extra n_cells x 2**(n*depth) array (global mode adds two
+    temporaries of that size). Cubes are scanned by level, then C-order
+    coordinates, and only a strictly larger value replaces the witness. The
+    images are summed in a different order than `_cube_value` (the witness
+    oracle) sums them, so values agree to rounding, and cubes of
+    mathematically equal value may resolve to a different one of them.
+    Jitter boxes go through `_cube_value`. cubes_scanned counts the cubes and
+    boxes with sigma-mass.
     """
     if mode not in ("global", "triple", "local"):
         raise ValueError(f"mode must be global/triple/local, got {mode!r}")
@@ -638,11 +658,8 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
         raise ValueError(f"depth outside [0, {grid.max_level}]")
     n = grid.dimension
     g = kernel_matrix(kernel, trunc, grid)
-    images = _cube_images(g, sigma, depth)
-    levels = [_pyramid_values(images, sigma, omega, mode, cfg.p, depth)]
-    for level in range(depth - 1, -1, -1):
-        images = _block_sums(images, n, 2)
-        levels.append(_pyramid_values(images, sigma, omega, mode, cfg.p, level))
+    levels = [values for _, _, values in _cube_pyramid(g, sigma, omega, mode,
+                                                       cfg.p, depth)]
     best = -1.0
     witness: dict = {}
     scanned = 0
@@ -698,10 +715,14 @@ def _matrix_metadata(matrix: HaarMatrix) -> dict:
     return meta
 
 
-def operator_norm(matrix: HaarMatrix, tol: float = 1e-12,
-                  max_iters: int = 10000) -> CharacteristicReport:
+# power-iteration stopping rule of operator_norm, recorded in its search space
+_NORM_TOL = 1e-12
+_NORM_MAX_ITERS = 10000
+
+
+def operator_norm(matrix: HaarMatrix) -> CharacteristicReport:
     """Largest singular value of the coefficient matrix by power iteration."""
-    res = top_singular_value(matrix.entries, tol=tol, max_iter=max_iters)
+    res = top_singular_value(matrix.entries, tol=_NORM_TOL, max_iter=_NORM_MAX_ITERS)
     v = np.asarray(res.vector, dtype=float)
     norm = np.linalg.norm(v)
     if v.size and norm > 0:
@@ -714,8 +735,8 @@ def operator_norm(matrix: HaarMatrix, tol: float = 1e-12,
     search_space.update({
         "rows": int(matrix.entries.shape[0]),
         "cols": int(matrix.entries.shape[1]),
-        "tol": tol,
-        "max_iters": max_iters,
+        "tol": _NORM_TOL,
+        "max_iters": _NORM_MAX_ITERS,
         "iterations": res.iterations,
         "converged": bool(res.converged),
     })
@@ -723,14 +744,14 @@ def operator_norm(matrix: HaarMatrix, tol: float = 1e-12,
 
 
 def _cube_blocks(matrix: HaarMatrix, dual: bool):
-    """(cube key, block) pairs: the columns of each source cube, or with
-    dual=True the transposed rows of each target cube."""
-    labels = matrix.row_labels if dual else matrix.col_labels
-    groups: dict = {}
-    for idx, (key, _windex) in enumerate(labels):
-        groups.setdefault(key, []).append(idx)
-    for key, idx in groups.items():
-        yield key, matrix.entries[idx, :].T if dual else matrix.entries[:, idx]
+    """(cube key, block) pairs from the system's cube slots: the columns of
+    each source cube, or with dual=True the transposed rows of each target
+    cube. Cubes without wavelets are skipped."""
+    system = matrix.omega_system if dual else matrix.sigma_system
+    for key, (start, count) in system.cube_slots.items():
+        if count:
+            rows = slice(start, start + count)
+            yield key, matrix.entries[rows].T if dual else matrix.entries[:, rows]
 
 
 def matched_haar_testing(matrix: HaarMatrix,

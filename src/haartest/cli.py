@@ -366,7 +366,7 @@ def run_search(cfg: RunConfig) -> tuple:
             writer.writerow([rank] + [row[k] for k in fields[1:]])
     print(f"best ratio {report.value:.6f} over {cfg.trials} iterations "
           f"(leaderboard: {csv_path})")
-    return {"search": report.as_dict(), "leaderboard_csv": str(csv_path)}, []
+    return {"search": report.as_dict(), "leaderboard_csv": csv_path.name}, []
 
 
 def run_frames(cfg: RunConfig) -> tuple:
@@ -412,7 +412,7 @@ def run_matrix_demo(cfg: RunConfig) -> tuple:
     for key in sorted(growth, key=int):
         print(f"{key:>10}{growth[key]:>14.6f}")
     failing = [] if report.passed else ["matrix growth ladder"]
-    return {"matrix": report.as_dict(), "growth_csv": str(csv_path)}, failing
+    return {"matrix": report.as_dict(), "growth_csv": csv_path.name}, failing
 
 
 _RUNNERS = {

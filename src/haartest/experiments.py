@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .characteristics import (
     JsonReport,
+    _cube_pyramid,
     _kernel_spec,
+    _restriction_weights,
     _trunc_spec,
     a2_lambda,
     haar_testing,
@@ -41,6 +43,8 @@ from .operators import (
     TruncationError,
     apply,
     assemble_haar_matrix,
+    kernel_matrix,
+    require_resolved,
 )
 
 __all__ = [
@@ -427,20 +431,23 @@ def kernel_difference_report(kernel: Kernel, trunc: Truncation,
                             passed=True, details=details, seed=seed)
 
 
+# select_delta tries cone widths 2**-j down to j = _MAX_HALVINGS
+_MAX_HALVINGS = 10
+
+
 def select_delta(grid: Grid, kernel: Kernel, trunc: Truncation,
                  base_cube: DyadicCube, v=None, m: int | None = None,
-                 sample_count: int = 64, seed: int = 0,
-                 max_halvings: int = 10):
+                 sample_count: int = 64, seed: int = 0):
     """Smallest-j search over widths 2**-j until the difference check passes.
 
     Returns (delta, triple, report) for the first accepted width; raises
-    AlignmentError when every width down to 2**-max_halvings fails.
+    AlignmentError when every width down to 2**-_MAX_HALVINGS fails.
     """
     if v is None:
         v = (1.0,) + (0.0,) * (grid.dimension - 1)
     start = max(1, math.ceil(-math.log2(kernel.delta0)))
     failures = []
-    for j in range(start, max_halvings + 1):
+    for j in range(start, _MAX_HALVINGS + 1):
         delta = 2.0**-j
         cfg = SectorConfig(v=v, delta=delta, m=m)
         try:
@@ -453,7 +460,7 @@ def select_delta(grid: Grid, kernel: Kernel, trunc: Truncation,
         return delta, triple, report
     raise AlignmentError(
         "no cone width down to 2^-%d passes the difference check; attempts: %s"
-        % (max_halvings, " | ".join(failures))
+        % (_MAX_HALVINGS, " | ".join(failures))
     )
 
 
@@ -616,18 +623,24 @@ def a2_lower_bound_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                             passed=passed, details=details, seed=seed)
 
 
+# adjacent cube pairs whose cross terms triple_absorption_experiment samples
+_CROSS_PAIRS = 16
+
+
 def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                                  kernel: Kernel, trunc: Truncation,
-                                 depth: int = 5, cross_pairs: int = 16,
-                                 seed: int = 0) -> ExperimentReport:
+                                 depth: int = 5, seed: int = 0) -> ExperimentReport:
     """Absorb tripled-cube testing into global testing plus the size term.
 
-    For every cube L up to depth, the squared energy of the normalized
-    indicator image over the tripled box is compared against
+    For every cube L up to depth with sigma-mass, the energy of the
+    normalized indicator image over the tripled box is the square of L's
+    cube_testing value in "triple" mode at p = 2, read from the cube pyramid
+    (`_cube_pyramid`). Each energy is compared against
     C * testing^2 + C * a2 * energy; the report carries the smallest C that
     makes every comparison hold, the implied constant in
     triple_testing <= C' * (testing + a2), and the worst Cauchy-Schwarz
-    ratio of cross terms over adjacent same-level pairs.
+    ratio of cross terms over adjacent same-level pairs, taken on the
+    pyramid's image columns over the first cube's tripled box.
     """
     grid = sigma.grid
     if not 0 <= depth <= grid.max_level:
@@ -635,27 +648,20 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     test_rep = haar_testing(sigma, omega, kernel, trunc, mode="global", depth=depth)
     size_rep = a2_lambda(sigma, omega, kernel.lam, depth=depth)
     h_val, a_val = test_rep.value, size_rep.value
-    omega_mesh = omega.cell_mass
+    require_resolved(trunc, grid)
+    g = kernel_matrix(kernel, trunc, grid)
+    # (level, images, values) from level 0 up to depth
+    pyramid = list(_cube_pyramid(g, sigma, omega, "triple", 2.0, depth))[::-1]
     energies: dict[str, float] = {}
-    images: dict[str, np.ndarray] = {}
-    fractions: dict[str, np.ndarray] = {}
     c_best = 0.0
     c_witness = ""
-    for level in range(depth + 1):
-        for cube in grid.cubes_at_level(level):
-            smass = sigma.cube_mass(cube)
-            if smass <= 0.0:
-                continue
-            f = cube.indicator() / np.sqrt(smass)
-            image = apply(kernel, trunc, sigma, f)
-            frac, _ = grid.box_fractions(*cube.triple_box())
-            energy = float((image**2 * omega_mesh * frac).sum())
-            key = cube.key()
+    n = grid.dimension
+    for level, _, values in pyramid:
+        for j in np.flatnonzero(values >= 0.0):
+            key = grid.cube(level, np.unravel_index(j, (2**level,) * n)).key()
+            energy = float(values[j]) ** 2
             energies[key] = energy
-            images[key] = image
-            fractions[key] = frac
-            x = np.sqrt(energy)
-            denom = h_val**2 + a_val * x
+            denom = h_val**2 + a_val * math.sqrt(energy)
             c_here = energy / denom if denom > 0.0 else 0.0
             if c_here > c_best:
                 c_best, c_witness = c_here, key
@@ -665,28 +671,28 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     c_prime = triple_constant / (h_val + a_val) if h_val + a_val > 0.0 else 0.0
     rng = np.random.default_rng(seed)
     adjacent = []
-    for level in range(1, depth + 1):
-        for cube in grid.cubes_at_level(level):
-            if cube.key() not in energies:
-                continue
-            for ax in range(grid.dimension):
-                coords = list(cube.coords)
-                coords[ax] += 1
-                if coords[ax] >= 2**level:
-                    continue
-                other = grid.cube(level, tuple(coords))
-                if other.key() in energies:
-                    adjacent.append((cube.key(), other.key()))
+    for level, _, values in pyramid[1:]:
+        live = values.reshape((2**level,) * n) >= 0.0
+        for coords in zip(*np.nonzero(live)):
+            for ax in range(n):
+                other = list(coords)
+                other[ax] += 1
+                if other[ax] < 2**level and live[tuple(other)]:
+                    adjacent.append((level, coords, tuple(other)))
     cross_max = 0.0
     if adjacent:
-        take = min(cross_pairs, len(adjacent))
+        take = min(_CROSS_PAIRS, len(adjacent))
         picks = rng.choice(len(adjacent), size=take, replace=False)
         for idx in sorted(int(i) for i in picks):
-            key_l, key_k = adjacent[idx]
-            frac = fractions[key_l]
-            cross = abs(float((images[key_l] * images[key_k] * omega_mesh * frac).sum()))
-            other_energy = float((images[key_k] ** 2 * omega_mesh * frac).sum())
-            bound = math.sqrt(energies[key_l] * other_energy)
+            level, coords_l, coords_k = adjacent[idx]
+            images = pyramid[level][1]
+            image_l = images[(slice(None),) + coords_l]
+            image_k = images[(slice(None),) + coords_k]
+            weights = _restriction_weights(grid, omega.flat_mass, "triple",
+                                           grid.cube(level, coords_l))
+            cross = abs(float((image_l * image_k * weights).sum()))
+            bound = math.sqrt(float((image_l**2 * weights).sum())
+                              * float((image_k**2 * weights).sum()))
             if bound > 0.0:
                 cross_max = max(cross_max, cross / bound)
     details = {

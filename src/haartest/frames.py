@@ -1,9 +1,12 @@
 """Frame-style two-sided bounds for Haar coefficient maps.
 
 Empirical frame bounds in L2(mu), block square-function bounds in Lp(mu),
-and the coefficient/synthesis round trip packaged as a three-part check.
-Bounds are sampled, never certified: each report records the sample count,
-the seed, and the extreme witnesses.
+and a Banach-frame check of the coefficient map, its sequence norm and
+synthesis. The square-function bounds and the Banach-frame check share one
+per-sample sequence norm; the check makes a single pass over its samples
+and reports their square-function band itself. Bounds are sampled, never
+certified: each report records the sample count, the seed, and the extreme
+witnesses.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ from .measure import DegenerateMeasureError, MeshMeasure
 
 __all__ = [
     "FrameBoundsReport",
-    "BanachFrameTriple",
     "hilbert_frame_bounds",
     "lp_square_function_bounds",
     "banach_frame_check",
@@ -109,16 +111,18 @@ def hilbert_frame_bounds(elements: list, mu: MeshMeasure, sample_count: int = 64
                          details=details)
 
 
-def _block_square(system: HaarSystem, coeffs: np.ndarray) -> np.ndarray:
-    """Mesh array of sum over cubes of the squared per-cube component."""
+def _sequence_norm(system: HaarSystem, coeffs: np.ndarray, p: float) -> float:
+    """Lp norm of the block square function (sum over cubes Q of |D_Q f|^2)^(1/2)
+    of a coefficient sequence, D_Q f being its per-cube wavelet component."""
     values = system.values_matrix
-    out = np.zeros(values.shape[1])
+    square = np.zeros(values.shape[1])
     for start, count in system.cube_slots.values():
         if count == 0:
             continue
         block = coeffs[start:start + count] @ values[start:start + count]
-        out += block**2
-    return out.reshape(system.measure.grid.mesh_shape)
+        square += block**2
+    mu = system.measure
+    return mu.norm_lp(np.sqrt(square.reshape(mu.grid.mesh_shape)), p)
 
 
 def _resolved_samples(grid, depth: int, sample_count: int,
@@ -130,6 +134,15 @@ def _resolved_samples(grid, depth: int, sample_count: int,
     for ax in range(1, grid.dimension + 1):
         f = np.repeat(f, factor, axis=ax)
     return f
+
+
+def _check_square_inputs(mu: MeshMeasure, p: float, depth: int) -> None:
+    if not 1.0 < p < float("inf"):
+        raise ValueError(f"p must lie in (1, inf), got {p}")
+    if not 1 <= depth <= mu.grid.max_level:
+        raise ValueError(f"depth must be in [1, {mu.grid.max_level}], got {depth}")
+    if mu.total_mass <= 0.0:
+        raise DegenerateMeasureError("measure carries no mass")
 
 
 def _square_function_ratios(mu: MeshMeasure, p: float, depth: int,
@@ -146,14 +159,11 @@ def _square_function_ratios(mu: MeshMeasure, p: float, depth: int,
         den = mu.norm_lp(centered, p)
         if den == 0.0:
             continue
-        coeffs = system.expand(f)
-        square = _block_square(system, coeffs)
-        num = mu.norm_lp(np.sqrt(square), p)
-        ratios.append(num / den)
+        ratios.append(_sequence_norm(system, system.expand(f), p) / den)
         kept_labels.append(lab)
     if not ratios:
         raise DegenerateMeasureError("every sample is constant under the measure")
-    return np.asarray(ratios), kept_labels, system
+    return np.asarray(ratios), kept_labels
 
 
 def lp_square_function_bounds(mu: MeshMeasure, p: float, depth: int,
@@ -166,21 +176,16 @@ def lp_square_function_bounds(mu: MeshMeasure, p: float, depth: int,
     component. At p = 2 both bounds equal 1 exactly. Details carry the same
     band one level deeper as a stability check.
     """
-    if not 1.0 < p < float("inf"):
-        raise ValueError(f"p must lie in (1, inf), got {p}")
+    _check_square_inputs(mu, p, depth)
     grid = mu.grid
-    if not 1 <= depth <= grid.max_level:
-        raise ValueError(f"depth must be in [1, {grid.max_level}], got {depth}")
-    if mu.total_mass <= 0.0:
-        raise DegenerateMeasureError("measure carries no mass")
     rng = np.random.default_rng(seed)
     samples = _resolved_samples(grid, depth, sample_count, rng)
-    ratios, labels, _ = _square_function_ratios(mu, p, depth, samples, probes)
+    ratios, labels = _square_function_ratios(mu, p, depth, samples, probes)
     details: dict = {"depth": depth}
     if depth + 1 <= grid.max_level:
         deeper = _resolved_samples(grid, depth + 1, sample_count,
                                    np.random.default_rng(seed))
-        d_ratios, _, _ = _square_function_ratios(mu, p, depth + 1, deeper, probes)
+        d_ratios, _ = _square_function_ratios(mu, p, depth + 1, deeper, probes)
         lo, hi = float(ratios.min()), float(ratios.max())
         dlo, dhi = float(d_ratios.min()), float(d_ratios.max())
         details["neighbor_depth"] = depth + 1
@@ -190,73 +195,53 @@ def lp_square_function_bounds(mu: MeshMeasure, p: float, depth: int,
                          details=details)
 
 
-@dataclass(frozen=True)
-class BanachFrameTriple:
-    """Coefficient maps, sequence-space norm, and synthesis for one system.
-
-    functionals sends a mesh function to (wavelet coefficients, mean
-    coefficient); sequence_space_norm is the Lp norm of the block square
-    function of a coefficient sequence; reconstruction synthesizes a mesh
-    function back from coefficients.
-    """
-
-    mu: MeshMeasure
-    p: float
-    system: HaarSystem
-
-    def functionals(self, f: np.ndarray):
-        return self.system.expand(f), self.system.mean_coefficient(f)
-
-    def sequence_space_norm(self, coeffs: np.ndarray) -> float:
-        return self.mu.norm_lp(np.sqrt(_block_square(self.system, coeffs)), self.p)
-
-    def reconstruction(self, coeffs: np.ndarray, mean_coeff: float = 0.0) -> np.ndarray:
-        return self.system.reconstruct(coeffs, mean_coeff)
-
-
 def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
                        sample_count: int = 32, seed: int = 0) -> ExperimentReport:
     """Exercise the four frame-triple properties on sampled functions.
 
-    (1) coefficient sequences of sampled functions have finite sequence
-    norm; (2) each sampled ratio of sequence norm to centered Lp norm lies
-    in the band reported by lp_square_function_bounds at the same seed;
-    (3) synthesis is bounded on random sparse coefficient sequences, with
-    the empirical bound recorded; (4) synthesis of the coefficients of f
-    returns f to 1e-10 on positive-mass cells.
+    One pass over the samples computes, for each, its coefficients, their
+    sequence norm (the Lp norm of the block square function), the centered
+    Lp norm and the synthesis round trip. (1) Every sequence norm is finite;
+    (2) every sampled ratio of sequence norm to centered Lp norm is finite
+    and the band [min, max] of those ratios, reported in details, has a
+    positive lower end (the lower square-function bound); (3) synthesis is
+    bounded on random sparse coefficient sequences, with the empirical bound
+    recorded; (4) synthesis of the coefficients of f returns f to 1e-10 on
+    positive-mass cells. The band is the one lp_square_function_bounds
+    reports at the same seed and sample count.
     """
-    band = lp_square_function_bounds(mu, p, depth, sample_count=sample_count,
-                                     seed=seed)
-    grid = mu.grid
+    _check_square_inputs(mu, p, depth)
     rng = np.random.default_rng(seed)
-    samples = _resolved_samples(grid, depth, sample_count, rng)
-    triple = BanachFrameTriple(mu=mu, p=p, system=cached_system(mu, depth))
+    samples = _resolved_samples(mu.grid, depth, sample_count, rng)
+    system = cached_system(mu, depth)
     finite_ok = True
-    band_ok = True
-    band_slack = 1e-12 * max(1.0, band.upper)
+    ratios = []
     worst_roundtrip = 0.0
     positive = mu.cell_mass > 0.0
     failures = []
-    for i in range(samples.shape[0]):
-        f = samples[i]
-        coeffs, mean_c = triple.functionals(f)
-        norm_seq = triple.sequence_space_norm(coeffs)
+    for i, f in enumerate(samples):
+        coeffs = system.expand(f)
+        norm_seq = _sequence_norm(system, coeffs, p)
         if not np.isfinite(norm_seq):
             finite_ok = False
             failures.append({"property": 1, "sample": i})
         centered = f - mu.integrate(f) / mu.total_mass
         den = mu.norm_lp(centered, p)
         if den > 0.0:
-            ratio = norm_seq / den
-            if not (band.lower - band_slack <= ratio <= band.upper + band_slack):
-                band_ok = False
-                failures.append({"property": 2, "sample": i, "ratio": float(ratio)})
-        back = triple.reconstruction(coeffs, mean_c)
+            ratios.append(norm_seq / den)
+        back = system.reconstruct(coeffs, system.mean_coefficient(f))
         gap = float(np.max(np.abs((back - f)[positive]))) if positive.any() else 0.0
         worst_roundtrip = max(worst_roundtrip, gap)
         if gap > 1e-10:
             failures.append({"property": 4, "sample": i, "gap": gap})
-    n_wavelets = triple.system.n_wavelets
+    if not ratios:
+        raise DegenerateMeasureError("every sample is constant under the measure")
+    ratios = np.asarray(ratios)
+    band = [float(ratios.min()), float(ratios.max())]
+    band_ok = bool(np.all(np.isfinite(ratios)) and band[0] > 0.0)
+    if not band_ok:
+        failures.append({"property": 2, "band": band})
+    n_wavelets = system.n_wavelets
     synth_bound = 0.0
     sparse_trials = max(8, sample_count // 2)
     for i in range(sparse_trials):
@@ -264,10 +249,10 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
         k = max(1, n_wavelets // 8)
         idx = rng.choice(n_wavelets, size=min(k, n_wavelets), replace=False)
         coeffs[idx] = rng.standard_normal(idx.size)
-        norm_seq = triple.sequence_space_norm(coeffs)
+        norm_seq = _sequence_norm(system, coeffs, p)
         if norm_seq == 0.0:
             continue
-        out = triple.reconstruction(coeffs, 0.0)
+        out = system.reconstruct(coeffs, 0.0)
         synth_bound = max(synth_bound, mu.norm_lp(out, p) / norm_seq)
     synth_ok = bool(np.isfinite(synth_bound) and synth_bound > 0.0)
     if not synth_ok:
@@ -275,7 +260,7 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
     roundtrip_ok = worst_roundtrip <= 1e-10
     passed = finite_ok and band_ok and synth_ok and roundtrip_ok
     details = {
-        "band": [band.lower, band.upper],
+        "band": band,
         "finite_coefficients": finite_ok,
         "band_consistent": band_ok,
         "synthesis_bound": synth_bound,

@@ -6,7 +6,6 @@ constant function first. Values on zero-mass children are identically zero.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -141,15 +140,6 @@ class HaarSystem:
         flat = flat + mean_coeff / np.sqrt(self.measure.total_mass)
         return flat.reshape(self.measure.grid.mesh_shape)
 
-    def project_cube(self, f: np.ndarray, cube: DyadicCube) -> np.ndarray:
-        """Sum of this cube's wavelet components of f, as a mesh function."""
-        start, count = self.cube_slots.get(cube.key(), (0, 0))
-        if count == 0:
-            return np.zeros(self.measure.grid.mesh_shape)
-        block = slice(start, start + count)
-        coeffs = self.weighted_matrix[block] @ np.asarray(f).ravel()
-        return (self.values_matrix[block].T @ coeffs).reshape(self.measure.grid.mesh_shape)
-
     def wavelet_labels(self) -> list:
         return [(h.cube.key(), h.index) for h in self.wavelets]
 
@@ -191,11 +181,3 @@ def lq_l2_ratio(wavelet: HaarWavelet, q: float) -> float:
     num = float((np.abs(v) ** q * m).sum() / total) ** (1.0 / q)
     den = float((v * v * m).sum() / total) ** 0.5
     return num / den
-
-
-def save_coefficients_csv(system: HaarSystem, coeffs: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cube", "index", "coefficient"])
-        for h, c in zip(system.wavelets, coeffs):
-            writer.writerow([h.cube.key(), h.index, repr(float(c))])

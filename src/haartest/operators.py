@@ -10,7 +10,6 @@ kernel pair by pair at arbitrary points.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -199,14 +198,18 @@ def kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
     return table[index].reshape(grid.n_cells, grid.n_cells)
 
 
+# points per row block of points_matrix
+_POINTS_BLOCK = 1024
+
+
 def points_matrix(kernel: Kernel, trunc: Truncation, points: np.ndarray,
-                  grid: Grid, block: int = 1024) -> np.ndarray:
+                  grid: Grid) -> np.ndarray:
     """Truncated kernel from mesh cell centers (columns) to `points` (rows)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     centers = grid.flat_centers
     out = np.empty((points.shape[0], centers.shape[0]))
-    for start in range(0, points.shape[0], block):
-        stop = min(start + block, points.shape[0])
+    for start in range(0, points.shape[0], _POINTS_BLOCK):
+        stop = min(start + _POINTS_BLOCK, points.shape[0])
         x = points[start:stop, None, :]
         y = centers[None, :, :]
         r = np.linalg.norm(x - y, axis=-1)
@@ -259,9 +262,6 @@ class HaarMatrix:
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.entries, axis=0)
 
-    def row_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.entries, axis=1)
-
 
 def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
                          omega: MeshMeasure, depth: int,
@@ -277,15 +277,6 @@ def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
                       col_labels=ssys.wavelet_labels(), depth=depth,
                       sigma_system=ssys, omega_system=osys,
                       kernel=kernel, trunc=trunc)
-
-
-def save_haar_matrix_csv(matrix: HaarMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_cube", "row_index", "col_cube", "col_index", "value"])
-        for i, (rc, ri) in enumerate(matrix.row_labels):
-            for j, (cc, ci) in enumerate(matrix.col_labels):
-                writer.writerow([rc, ri, cc, ci, repr(float(matrix.entries[i, j]))])
 
 
 # -- sampled verification of declared constants -------------------------------

@@ -164,6 +164,25 @@ def test_main_out_dir_does_not_change_config_or_results(tmp_path):
     assert b["meta"]["out"] == str(b_dir)
 
 
+@pytest.mark.parametrize("args, name, csv_key", [
+    (["search", "--trials", "3"], "search", "leaderboard_csv"),
+    (["matrix-demo", "--ladder", "10:12"], "matrix_demo", "growth_csv"),
+], ids=["search", "matrix-demo"])
+def test_main_csv_subcommands_out_dir_does_not_change_results(tmp_path, args, name,
+                                                              csv_key):
+    bodies = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(args + ["--out", str(out)]) == 0
+        bodies.append(json.loads((out / f"{name}.json").read_text()))
+        # the CSV sits beside the report, in the directory meta.out names
+        csv_name = bodies[-1]["results"][csv_key]
+        assert (out / csv_name).is_file()
+        assert bodies[-1]["meta"]["out"] == str(out)
+    assert bodies[0]["config"] == bodies[1]["config"]
+    assert bodies[0]["results"] == bodies[1]["results"]
+
+
 def test_main_matrix_demo(tmp_path, capsys):
     rc = main(["matrix-demo", "--gamma", "0.6", "--ladder", "10:12",
                "--out", str(tmp_path)])

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from haartest.dyadic import Grid, MeshExhaustedError
+from haartest.characteristics import _cube_value, cube_testing
+from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError
 from haartest.experiments import (
     AlignedTriple,
     AlignmentError,
@@ -22,11 +23,17 @@ from haartest.experiments import (
     select_delta,
     triple_absorption_experiment,
 )
-from haartest.measure import lebesgue, near_point_mass, power_weight
+from haartest.measure import (
+    lebesgue,
+    near_point_mass,
+    power_weight,
+    random_dyadic_doubling,
+)
 from haartest.operators import (
     Truncation,
     TruncationError,
     default_truncation,
+    kernel_matrix,
     make_kernel,
 )
 
@@ -198,6 +205,75 @@ def test_triple_absorption_stability(power_pair):
                                       depth=6, seed=0)
     # deeper scans keep the absorption constant within a 10% band
     assert abs(r6.value - r5.value) <= 0.1 * r5.value
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("depth", [3, 5])
+def test_triple_absorption_matches_dense_cube_values(dim, depth):
+    # oracle: each cube's energy is the squared triple-mode cube value at
+    # p = 2, computed densely by _cube_value one cube at a time
+    if dim == 1:
+        grid = Grid(dimension=1, max_level=8)
+        kernel = make_kernel("hilbert", 0.0, 1)
+        sigma, omega = power_weight(grid, 0.3), power_weight(grid, -0.3)
+    else:
+        grid = Grid(dimension=2, max_level=5)
+        kernel = make_kernel("riesz_like", 0.5, 2)
+        # a pair whose witness, 1:1,0, is neither the root nor on the diagonal
+        sigma = random_dyadic_doubling(grid, 8.0, seed=3)
+        omega = random_dyadic_doubling(grid, 8.0, seed=4)
+    trunc = default_truncation(grid)
+    rep = triple_absorption_experiment(sigma, omega, kernel, trunc,
+                                       depth=depth, seed=0)
+    d = rep.details
+    cube = cube_testing(sigma, omega, kernel, trunc, mode="triple", p=2.0,
+                        depth=depth)
+    np.testing.assert_allclose(d["triple_testing"], cube.value, rtol=1e-12)
+    assert d["scanned_cubes"] == cube.search_space["cubes_scanned"]
+    g = kernel_matrix(kernel, trunc, grid)
+    h, a = d["haar_testing_global"], d["a2"]
+    dense = {}
+    for level in range(depth + 1):
+        for q in grid.cubes_at_level(level):
+            val = _cube_value(g, sigma, omega, "triple", 2.0, q)
+            if val is not None:
+                dense[q.key()] = val**2 / (h**2 + a * val)
+    assert len(dense) == d["scanned_cubes"]
+    np.testing.assert_allclose(d["absorption_c"], max(dense.values()), rtol=1e-12)
+    # c = E / (h^2 + a sqrt(E)) is increasing in E: invert it at the witness
+    c = d["absorption_c"]
+    root = 0.5 * (c * a + np.sqrt((c * a) ** 2 + 4.0 * c * h**2))
+    witness = DyadicCube.from_key(grid, d["absorption_witness"])
+    energy = _cube_value(g, sigma, omega, "triple", 2.0, witness) ** 2
+    np.testing.assert_allclose(root**2, energy, rtol=1e-12)
+    # the cross-term ratio is the Cauchy-Schwarz ratio of one adjacent pair,
+    # with dense images, over the first cube's tripled box
+    def image(q):
+        return g @ (q.indicator().ravel() * sigma.flat_mass)
+
+    ratios = []
+    for level in range(1, depth + 1):
+        for q in grid.cubes_at_level(level):
+            if q.key() not in dense:
+                continue
+            img_q = image(q)
+            frac, _ = grid.box_fractions(*q.triple_box())
+            w = omega.flat_mass * frac.ravel()
+            for ax in range(grid.dimension):
+                coords = list(q.coords)
+                coords[ax] += 1
+                if coords[ax] >= 2**level:
+                    continue
+                other = grid.cube(level, tuple(coords))
+                if other.key() not in dense:
+                    continue
+                img_o = image(other)
+                bound = np.sqrt((img_q**2 @ w) * (img_o**2 @ w))
+                if bound > 0.0:
+                    ratios.append(abs(img_q @ (w * img_o)) / bound)
+    gap = np.abs(np.asarray(ratios) - d["cross_term_max_ratio"]).min()
+    assert gap <= 1e-12 * d["cross_term_max_ratio"]
+    assert d["cross_term_max_ratio"] <= max(ratios) + 1e-12
 
 
 def test_matrix_counterexample_frozen():

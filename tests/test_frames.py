@@ -5,8 +5,8 @@ import pytest
 
 from haartest.dyadic import Grid
 from haartest.frames import (
-    BanachFrameTriple,
     FrameBoundsReport,
+    _sequence_norm,
     banach_frame_check,
     hilbert_frame_bounds,
     lp_square_function_bounds,
@@ -148,13 +148,12 @@ def test_square_function_validation():
 
 def test_banach_frame_triple_roundtrip():
     sys = build_system(MU, 5)
-    triple = BanachFrameTriple(MU, 3.0, sys)
     rng = np.random.default_rng(7)
     blocks = rng.standard_normal(2 ** 5)
     f = np.repeat(blocks, GRID.cells_per_axis // 2 ** 5)
-    coeffs, mean = triple.functionals(f)
-    assert np.isfinite(triple.sequence_space_norm(coeffs))
-    back = triple.reconstruction(coeffs, mean).ravel()
+    coeffs, mean = sys.expand(f), sys.mean_coefficient(f)
+    assert np.isfinite(_sequence_norm(sys, coeffs, 3.0))
+    back = sys.reconstruct(coeffs, mean).ravel()
     err = np.abs(back - f)[MU.flat_mass > 0]
     assert float(err.max(initial=0.0)) < 1e-10
 
@@ -178,3 +177,17 @@ def test_banach_frame_check_p2_parseval():
     assert rep.passed
     lo, hi = rep.details["band"]
     np.testing.assert_allclose([lo, hi], 1.0, atol=1e-9)
+
+
+def test_banach_frame_check_validation():
+    with pytest.raises(ValueError):
+        banach_frame_check(MU, p=1.0, depth=3)
+    with pytest.raises(ValueError):
+        banach_frame_check(MU, p=0.5, depth=3)
+    with pytest.raises(ValueError):
+        banach_frame_check(MU, p=3.0, depth=0)
+    with pytest.raises(ValueError):
+        banach_frame_check(MU, p=3.0, depth=GRID.max_level + 1)
+    null = custom_cells(GRID, np.zeros(GRID.n_cells), label="null")
+    with pytest.raises(DegenerateMeasureError):
+        banach_frame_check(null, p=3.0, depth=3)
