@@ -2,7 +2,7 @@
 kernels on dyadic meshes: testing constants, frame bounds, and the cube
 constructions behind them."""
 
-from .dyadic import DyadicCube, Grid, GeometryReport, MeshExhaustedError, geometry
+from .dyadic import DyadicCube, Grid, MeshExhaustedError
 from .measure import (
     DegenerateMeasureError,
     DoublingReport,

@@ -704,15 +704,12 @@ def _evaluate_cube_witness(sigma: MeshMeasure, omega: MeshMeasure,
 # -- operator norm and matched testing ----------------------------------------
 
 def _matrix_metadata(matrix: HaarMatrix) -> dict:
-    meta = {
+    return {
         "depth": matrix.depth,
         "rotation_seed": matrix.sigma_system.rotation_seed,
+        "kernel": _kernel_spec(matrix.kernel),
+        "trunc": _trunc_spec(matrix.trunc),
     }
-    if matrix.kernel is not None:
-        meta["kernel"] = _kernel_spec(matrix.kernel)
-    if matrix.trunc is not None:
-        meta["trunc"] = _trunc_spec(matrix.trunc)
-    return meta
 
 
 # power-iteration stopping rule of operator_norm, recorded in its search space

@@ -258,42 +258,8 @@ class DyadicCube:
         return DyadicCube(grid, int(level_str), tuple(int(c) for c in coord_str.split(",")))
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    distance: float
-    triple_overlap: bool
-    first_contains_second: bool
-    second_contains_first: bool
-    triple_clipped: bool
-
-
-def _box_gap(lo1, hi1, lo2, hi2) -> float:
-    gap = np.maximum(0.0, np.maximum(lo2 - hi1, lo1 - hi2))
-    return float(np.linalg.norm(gap))
-
-
 def box_distance(lo1, hi1, lo2, hi2) -> float:
     """Euclidean distance between the closures of two boxes."""
-    return _box_gap(np.asarray(lo1), np.asarray(hi1), np.asarray(lo2), np.asarray(hi2))
-
-
-def geometry(q1: DyadicCube, q2: DyadicCube) -> GeometryReport:
-    """Pairwise geometry of two cubes on the same grid."""
-    if q1.grid != q2.grid:
-        raise ValueError("cubes live on different grids")
-    dist = _box_gap(q1.lower, q1.upper, q2.lower, q2.upper)
-    t1_lo, t1_hi = q1.triple_box()
-    t2_lo, t2_hi = q2.triple_box()
-    overlap = bool(np.all(np.maximum(t1_lo, t2_lo) < np.minimum(t1_hi, t2_hi)))
-    g = q1.grid
-    clipped = bool(
-        np.any(t1_lo < g.window_lower) or np.any(t1_hi > g.window_upper)
-        or np.any(t2_lo < g.window_lower) or np.any(t2_hi > g.window_upper)
-    )
-    return GeometryReport(
-        distance=dist,
-        triple_overlap=overlap,
-        first_contains_second=q1.contains(q2),
-        second_contains_first=q2.contains(q1),
-        triple_clipped=clipped,
-    )
+    lo1, hi1, lo2, hi2 = map(np.asarray, (lo1, hi1, lo2, hi2))
+    gap = np.maximum(0.0, np.maximum(lo2 - hi1, lo1 - hi2))
+    return float(np.linalg.norm(gap))

@@ -2,9 +2,10 @@
 
 Empirical frame bounds in L2(mu), block square-function bounds in Lp(mu),
 and a Banach-frame check of the coefficient map, its sequence norm and
-synthesis. The square-function bounds and the Banach-frame check share one
-per-sample sequence norm; the check makes a single pass over its samples
-and reports their square-function band itself. Bounds are sampled, never
+synthesis. The square-function bounds and the Banach-frame check analyse a
+whole sample matrix through one helper, `_analyse`: one product gives every
+sample's coefficients, and the block square functions take one synthesis
+per level (`_sequence_norms`), not one per cube. Bounds are sampled, never
 certified: each report records the sample count, the seed, and the extreme
 witnesses.
 """
@@ -25,6 +26,9 @@ __all__ = [
     "lp_square_function_bounds",
     "banach_frame_check",
 ]
+
+# relative centered Lp norm at or below which a function counts as constant
+_CONSTANT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,7 @@ def hilbert_frame_bounds(elements: list, mu: MeshMeasure, sample_count: int = 64
         pr = np.stack([np.asarray(q, dtype=float).ravel() for q in probes])
         xs = np.concatenate([pr, xs])
         labels = [{"kind": "probe", "index": i} for i in range(len(probes))] + labels
-    weighted = rows * mu.flat_mass
-    coeffs = weighted @ xs.T
+    coeffs = rows @ (xs * mu.flat_mass).T
     num = (coeffs**2).sum(axis=0)
     den = xs**2 @ mu.flat_mass
     keep = den > 0.0
@@ -111,29 +114,59 @@ def hilbert_frame_bounds(elements: list, mu: MeshMeasure, sample_count: int = 64
                          details=details)
 
 
-def _sequence_norm(system: HaarSystem, coeffs: np.ndarray, p: float) -> float:
-    """Lp norm of the block square function (sum over cubes Q of |D_Q f|^2)^(1/2)
-    of a coefficient sequence, D_Q f being its per-cube wavelet component."""
+def _sequence_norms(system: HaarSystem, coeffs: np.ndarray, p: float) -> np.ndarray:
+    """Lp(mu) norms of the block square functions (sum over cubes Q of
+    |D_Q f|^2)^(1/2) of the coefficient rows `coeffs` (k, n_wavelets), D_Q f
+    being the row's wavelet component on Q.
+
+    The wavelets of the cubes of one level have disjoint supports, so at each
+    cell at most one D_Q f of that level is nonzero, and the sum over the
+    level of |D_Q f|^2 equals |sum over the level of D_Q f|^2 exactly. Each
+    level therefore costs one synthesis of its rows.
+    """
     values = system.values_matrix
-    square = np.zeros(values.shape[1])
-    for start, count in system.cube_slots.values():
-        if count == 0:
-            continue
-        block = coeffs[start:start + count] @ values[start:start + count]
-        square += block**2
+    square = np.zeros((coeffs.shape[0], values.shape[1]))
+    for rows in system.level_rows:
+        square += (coeffs[:, rows] @ values[rows]) ** 2
+    return _lp_norms(np.sqrt(square), system.measure, p)
+
+
+def _lp_norms(funcs: np.ndarray, mu: MeshMeasure, p: float) -> np.ndarray:
+    """Lp(mu) norms of the rows of funcs (k, n_cells)."""
+    return (np.abs(funcs) ** p * mu.flat_mass).sum(axis=1) ** (1.0 / p)
+
+
+def _analyse(system: HaarSystem, funcs: np.ndarray, p: float) -> tuple:
+    """(coeffs, means, norms, keep, ratios) of the rows of funcs (k, n_cells),
+    all at once: the Haar coefficients, the mu-averages, the sequence norms,
+    the mask of the rows not constant under mu, and those rows' ratios of
+    sequence norm to centered Lp norm.
+
+    A row is constant when its centered norm is at most _CONSTANT_TOL times
+    its own Lp norm: centering a constant leaves rounding noise, not 0.
+    """
     mu = system.measure
-    return mu.norm_lp(np.sqrt(square.reshape(mu.grid.mesh_shape)), p)
+    weighted = funcs * mu.flat_mass
+    coeffs = weighted @ system.values_matrix.T
+    means = weighted.sum(axis=1) / mu.total_mass
+    norms = _sequence_norms(system, coeffs, p)
+    centered = _lp_norms(funcs - means[:, None], mu, p)
+    keep = centered > _CONSTANT_TOL * _lp_norms(funcs, mu, p)
+    if not keep.any():
+        raise DegenerateMeasureError("every sample is constant under the measure")
+    return coeffs, means, norms, keep, norms[keep] / centered[keep]
 
 
 def _resolved_samples(grid, depth: int, sample_count: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Random mesh functions constant on the level-depth cubes."""
+    """Random mesh functions constant on the level-depth cubes, one per row
+    of a (sample_count, n_cells) array."""
     factor = 2 ** (grid.max_level - depth)
     coarse = rng.standard_normal((sample_count,) + (2**depth,) * grid.dimension)
     f = coarse
     for ax in range(1, grid.dimension + 1):
         f = np.repeat(f, factor, axis=ax)
-    return f
+    return f.reshape(sample_count, grid.n_cells)
 
 
 def _check_square_inputs(mu: MeshMeasure, p: float, depth: int) -> None:
@@ -147,23 +180,13 @@ def _check_square_inputs(mu: MeshMeasure, p: float, depth: int) -> None:
 
 def _square_function_ratios(mu: MeshMeasure, p: float, depth: int,
                             samples: np.ndarray, probes: list | None):
-    system = cached_system(mu, depth)
-    funcs = [np.asarray(q, dtype=float) for q in (probes or [])]
-    labels = [{"kind": "probe", "index": i} for i in range(len(funcs))]
-    funcs += [samples[i] for i in range(samples.shape[0])]
-    labels += [{"kind": "random", "index": i} for i in range(samples.shape[0])]
-    ratios = []
-    kept_labels = []
-    for f, lab in zip(funcs, labels):
-        centered = f - mu.integrate(f) / mu.total_mass
-        den = mu.norm_lp(centered, p)
-        if den == 0.0:
-            continue
-        ratios.append(_sequence_norm(system, system.expand(f), p) / den)
-        kept_labels.append(lab)
-    if not ratios:
-        raise DegenerateMeasureError("every sample is constant under the measure")
-    return np.asarray(ratios), kept_labels
+    probes = probes or []
+    funcs = np.concatenate([np.reshape(probes, (len(probes), mu.grid.n_cells)),
+                            samples])
+    labels = ([{"kind": "probe", "index": i} for i in range(len(probes))]
+              + [{"kind": "random", "index": i} for i in range(len(samples))])
+    _, _, _, keep, ratios = _analyse(cached_system(mu, depth), funcs, p)
+    return ratios, [lab for lab, k in zip(labels, keep) if k]
 
 
 def lp_square_function_bounds(mu: MeshMeasure, p: float, depth: int,
@@ -173,8 +196,10 @@ def lp_square_function_bounds(mu: MeshMeasure, p: float, depth: int,
 
     Ratios ||(sum_Q |D_Q f|^2)^(1/2)||_p / ||f - average||_p over random
     functions resolved at the system depth; D_Q is the per-cube wavelet
-    component. At p = 2 both bounds equal 1 exactly. Details carry the same
-    band one level deeper as a stability check.
+    component. Functions constant under mu (up to rounding) are skipped.
+    At p = 2 every ratio is 1 up to rounding, so both bounds are 1 and the
+    witnesses name an arbitrary sample. Details carry the same band one
+    level deeper as a stability check.
     """
     _check_square_inputs(mu, p, depth)
     grid = mu.grid
@@ -199,9 +224,9 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
                        sample_count: int = 32, seed: int = 0) -> ExperimentReport:
     """Exercise the four frame-triple properties on sampled functions.
 
-    One pass over the samples computes, for each, its coefficients, their
-    sequence norm (the Lp norm of the block square function), the centered
-    Lp norm and the synthesis round trip. (1) Every sequence norm is finite;
+    One batched analysis gives every sample's coefficients, their sequence
+    norm (the Lp norm of the block square function), the centered Lp norm
+    and the synthesis round trip. (1) Every sequence norm is finite;
     (2) every sampled ratio of sequence norm to centered Lp norm is finite
     and the band [min, max] of those ratios, reported in details, has a
     positive lower end (the lower square-function bound); (3) synthesis is
@@ -214,46 +239,34 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
     rng = np.random.default_rng(seed)
     samples = _resolved_samples(mu.grid, depth, sample_count, rng)
     system = cached_system(mu, depth)
-    finite_ok = True
-    ratios = []
-    worst_roundtrip = 0.0
-    positive = mu.cell_mass > 0.0
+    values = system.values_matrix
+    coeffs, means, norms, _, ratios = _analyse(system, samples, p)
+    finite = np.isfinite(norms)
+    back = coeffs @ values + means[:, None]
+    gaps = np.abs(back - samples)[:, mu.flat_mass > 0.0].max(axis=1)
     failures = []
-    for i, f in enumerate(samples):
-        coeffs = system.expand(f)
-        norm_seq = _sequence_norm(system, coeffs, p)
-        if not np.isfinite(norm_seq):
-            finite_ok = False
+    for i, gap in enumerate(gaps):
+        if not finite[i]:
             failures.append({"property": 1, "sample": i})
-        centered = f - mu.integrate(f) / mu.total_mass
-        den = mu.norm_lp(centered, p)
-        if den > 0.0:
-            ratios.append(norm_seq / den)
-        back = system.reconstruct(coeffs, system.mean_coefficient(f))
-        gap = float(np.max(np.abs((back - f)[positive]))) if positive.any() else 0.0
-        worst_roundtrip = max(worst_roundtrip, gap)
         if gap > 1e-10:
-            failures.append({"property": 4, "sample": i, "gap": gap})
-    if not ratios:
-        raise DegenerateMeasureError("every sample is constant under the measure")
-    ratios = np.asarray(ratios)
+            failures.append({"property": 4, "sample": i, "gap": float(gap)})
+    finite_ok = bool(finite.all())
+    worst_roundtrip = float(gaps.max())
     band = [float(ratios.min()), float(ratios.max())]
     band_ok = bool(np.all(np.isfinite(ratios)) and band[0] > 0.0)
     if not band_ok:
         failures.append({"property": 2, "band": band})
     n_wavelets = system.n_wavelets
-    synth_bound = 0.0
     sparse_trials = max(8, sample_count // 2)
-    for i in range(sparse_trials):
-        coeffs = np.zeros(n_wavelets)
-        k = max(1, n_wavelets // 8)
+    sparse = np.zeros((sparse_trials, n_wavelets))
+    k = max(1, n_wavelets // 8)
+    for row in sparse:
         idx = rng.choice(n_wavelets, size=min(k, n_wavelets), replace=False)
-        coeffs[idx] = rng.standard_normal(idx.size)
-        norm_seq = _sequence_norm(system, coeffs, p)
-        if norm_seq == 0.0:
-            continue
-        out = system.reconstruct(coeffs, 0.0)
-        synth_bound = max(synth_bound, mu.norm_lp(out, p) / norm_seq)
+        row[idx] = rng.standard_normal(idx.size)
+    sparse_norms = _sequence_norms(system, sparse, p)
+    nonzero = sparse_norms != 0.0
+    synth = _lp_norms(sparse[nonzero] @ values, mu, p) / sparse_norms[nonzero]
+    synth_bound = float(synth.max(initial=0.0))
     synth_ok = bool(np.isfinite(synth_bound) and synth_bound > 0.0)
     if not synth_ok:
         failures.append({"property": 3, "bound": synth_bound})

@@ -121,6 +121,13 @@ class HaarSystem:
     def weighted_matrix(self) -> np.ndarray:
         return self.values_matrix * self.measure.flat_mass
 
+    @cached_property
+    def level_rows(self) -> list:
+        """Row slice of each level 0..depth-1 (rows are ordered level first)."""
+        levels = [h.cube.level for h in self.wavelets]
+        bounds = np.searchsorted(levels, np.arange(self.depth + 1))
+        return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
     @property
     def n_wavelets(self) -> int:
         return len(self.wavelets)

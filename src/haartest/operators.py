@@ -256,8 +256,8 @@ class HaarMatrix:
     depth: int
     sigma_system: HaarSystem
     omega_system: HaarSystem
-    kernel: "Kernel | None" = None
-    trunc: "Truncation | None" = None
+    kernel: Kernel
+    trunc: Truncation
 
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.entries, axis=0)

@@ -6,7 +6,7 @@ import pytest
 from haartest.dyadic import Grid
 from haartest.frames import (
     FrameBoundsReport,
-    _sequence_norm,
+    _sequence_norms,
     banach_frame_check,
     hilbert_frame_bounds,
     lp_square_function_bounds,
@@ -18,6 +18,8 @@ from haartest.measure import (
     lebesgue,
     random_dyadic_doubling,
 )
+
+GRID_2D = Grid(dimension=2, max_level=4)
 
 GRID = Grid(dimension=1, max_level=6)
 MU = random_dyadic_doubling(GRID, 2.0, seed=51)
@@ -152,7 +154,7 @@ def test_banach_frame_triple_roundtrip():
     blocks = rng.standard_normal(2 ** 5)
     f = np.repeat(blocks, GRID.cells_per_axis // 2 ** 5)
     coeffs, mean = sys.expand(f), sys.mean_coefficient(f)
-    assert np.isfinite(_sequence_norm(sys, coeffs, 3.0))
+    assert np.isfinite(_sequence_norms(sys, coeffs[None], 3.0)).all()
     back = sys.reconstruct(coeffs, mean).ravel()
     err = np.abs(back - f)[MU.flat_mass > 0]
     assert float(err.max(initial=0.0)) < 1e-10
@@ -191,3 +193,93 @@ def test_banach_frame_check_validation():
     null = custom_cells(GRID, np.zeros(GRID.n_cells), label="null")
     with pytest.raises(DegenerateMeasureError):
         banach_frame_check(null, p=3.0, depth=3)
+
+
+def empty_quadrant_measure():
+    """2-D L=4 doubling measure with an empty quadrant, so the root carries
+    2 wavelets, and with half of cube 1:1,0 empty, so that cube carries 1."""
+    mass = random_dyadic_doubling(GRID_2D, 2.0, seed=9).cell_mass.copy()
+    mass[:8, :8] = 0.0
+    mass[8:, :4] = 0.0
+    return custom_cells(GRID_2D, mass, label="holes")
+
+
+SYSTEMS = {
+    "1d-doubling": lambda: build_system(MU, GRID.max_level),
+    "2d-empty-quadrant": lambda: build_system(empty_quadrant_measure(), 4),
+    "2d-rotated": lambda: build_system(random_dyadic_doubling(GRID_2D, 3.0, seed=5),
+                                       3, rotation_seed=3),
+}
+
+
+def per_cube_sequence_norm(system, coeffs, p):
+    """The Lp norm of the block square function, summed cube by cube."""
+    values = system.values_matrix
+    square = np.zeros(values.shape[1])
+    for start, count in system.cube_slots.values():
+        if count:
+            square += (coeffs[start:start + count] @ values[start:start + count]) ** 2
+    mu = system.measure
+    return mu.norm_lp(np.sqrt(square.reshape(mu.grid.mesh_shape)), p)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_sequence_norms_match_per_cube_sum(name):
+    sys = SYSTEMS[name]()
+    if name == "2d-empty-quadrant":
+        counts = {count for _, count in sys.cube_slots.values()}
+        assert {1, 2} <= counts
+    coeffs = np.random.default_rng(11).standard_normal((5, sys.n_wavelets))
+    for p in (1.5, 2.0, 3.0):
+        oracle = [per_cube_sequence_norm(sys, row, p) for row in coeffs]
+        np.testing.assert_allclose(_sequence_norms(sys, coeffs, p), oracle,
+                                   rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_level_rows_partition_the_cube_slots(name):
+    sys = SYSTEMS[name]()
+    rows = sys.level_rows
+    assert len(rows) == sys.depth
+    bounds = [r.start for r in rows] + [rows[-1].stop]
+    assert bounds[0] == 0 and bounds[-1] == sys.n_wavelets
+    assert bounds == sorted(bounds)
+    for key, (start, count) in sys.cube_slots.items():
+        level = rows[int(key.split(":")[0])]
+        assert level.start <= start and start + count <= level.stop
+
+
+def test_level_rows_without_wavelets():
+    mass = np.zeros(GRID.n_cells)
+    mass[5] = 1.0
+    sys = build_system(custom_cells(GRID, mass, label="point"), 4)
+    assert sys.n_wavelets == 0
+    assert sys.level_rows == [slice(0, 0)] * 4
+
+
+def test_hilbert_frame_bounds_match_weighted_rows():
+    elements = full_basis(MU, 4)[0] + cell_basis(MU)[:20]
+    probes = [elements[0] + elements[7], np.ones(GRID.mesh_shape), elements[30]]
+    rep = hilbert_frame_bounds(elements, MU, sample_count=16, seed=4, probes=probes)
+    rows = np.stack([e.ravel() for e in elements])
+    xs = np.concatenate([np.stack([q.ravel() for q in probes]),
+                         np.random.default_rng(4).standard_normal((16, GRID.n_cells))])
+    ratios = (((rows * MU.flat_mass) @ xs.T) ** 2).sum(axis=0) / (xs**2 @ MU.flat_mass)
+    labels = ([{"kind": "probe", "index": i} for i in range(3)]
+              + [{"kind": "random", "index": i} for i in range(16)])
+    np.testing.assert_allclose([rep.lower, rep.upper], [ratios.min(), ratios.max()],
+                               rtol=1e-12)
+    assert rep.lower_witness["sample"] == labels[int(np.argmin(ratios))]
+    assert rep.upper_witness["sample"] == labels[int(np.argmax(ratios))]
+
+
+def test_constant_probe_is_skipped():
+    mu = random_dyadic_doubling(GRID_2D, 3.0, seed=5)
+    constant = np.full(GRID_2D.mesh_shape, 5.0)
+    with_probe = lp_square_function_bounds(mu, p=3.0, depth=3, sample_count=8,
+                                           seed=0, probes=[constant])
+    without = lp_square_function_bounds(mu, p=3.0, depth=3, sample_count=8, seed=0)
+    assert with_probe.as_dict() == without.as_dict()
+    with pytest.raises(DegenerateMeasureError):
+        lp_square_function_bounds(mu, p=3.0, depth=3, sample_count=0,
+                                  probes=[constant])

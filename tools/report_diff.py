@@ -12,7 +12,8 @@ It then compares, run by run, the exit codes, every JSON report with `meta`
 left out, and every CSV cell by cell. A string naming a file inside the
 run's output directory is compared by its path relative to that directory,
 since the directory itself is not a result. For each report it prints the
-largest relative float difference and every non-float difference. It exits
+largest relative float difference, every float difference above 1e-12
+relative (its place and both values) and every non-float difference. It exits
 1 when a non-float value differs or a float differs by more than 1e-12
 relative, and 0 otherwise.
 """
@@ -94,23 +95,25 @@ def _as_float(value):
     return None
 
 
-def compare(a, b, where: str, diffs: list) -> tuple:
+def compare(a, b, where: str, diffs: list, floats: list) -> tuple:
     """(largest relative float difference between a and b, where it is);
-    non-float differences are appended to diffs as text."""
+    non-float differences, and float differences above REL_TOL, are appended
+    to diffs and floats as text."""
     worst = (0.0, "")
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
                 diffs.append(f"{where}.{key}: only in {'base' if key in a else 'change'}")
                 continue
-            worst = max(worst, compare(a[key], b[key], f"{where}.{key}", diffs))
+            worst = max(worst, compare(a[key], b[key], f"{where}.{key}", diffs,
+                                       floats))
         return worst
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             diffs.append(f"{where}: length {len(a)} != {len(b)}")
             return worst
         for i, (x, y) in enumerate(zip(a, b)):
-            worst = max(worst, compare(x, y, f"{where}[{i}]", diffs))
+            worst = max(worst, compare(x, y, f"{where}[{i}]", diffs, floats))
         return worst
     fa, fb = _as_float(a), _as_float(b)
     float_like = isinstance(a, float) or isinstance(b, float) or isinstance(a, str)
@@ -118,7 +121,10 @@ def compare(a, b, where: str, diffs: list) -> tuple:
         return worst
     if fa is not None and fb is not None and float_like:
         if math.isfinite(fa) and math.isfinite(fb):
-            return abs(fa - fb) / max(abs(fa), abs(fb)), where
+            rel = abs(fa - fb) / max(abs(fa), abs(fb))
+            if rel > REL_TOL:
+                floats.append(f"{where}: {a!r} != {b!r} (relative {rel:.3g})")
+            return rel, where
         if not (math.isnan(fa) and math.isnan(fb)):
             diffs.append(f"{where}: {a!r} != {b!r}")
         return worst
@@ -168,13 +174,16 @@ def main() -> int:
                 a = load(outs["base"] / fname, outs["base"], moved["base"])
                 b = load(outs["change"] / fname, outs["change"], moved["change"])
                 diffs: list = []
-                worst, at = compare(a, b, "", diffs)
+                floats: list = []
+                worst, at = compare(a, b, "", diffs, floats)
                 overall = max(overall, worst)
                 print(f"{label}/{fname}: max relative float difference {worst:.3g}"
                       + (f" at {at}" if worst > 0.0 else ""))
                 for name, places in moved.items():
                     for place in places:
                         print(f"  {name}: output-directory path made relative at {place}")
+                for line in floats:
+                    print(f"  float: {line}")
                 for line in diffs:
                     print(f"  non-float: {line}")
                 failed = failed or bool(diffs) or worst > REL_TOL
