@@ -10,6 +10,7 @@ from .measure import (
     custom_cells,
     doubling_constant,
     lebesgue,
+    level_masses,
     load_measure_csv,
     near_point_mass,
     power_weight,
@@ -51,7 +52,6 @@ from .characteristics import (
     haar_testing_dual,
     lp_haar_testing,
     lp_haar_testing_dual,
-    level_masses,
     matched_haar_testing,
     operator_norm,
     quadratic_haar_testing,

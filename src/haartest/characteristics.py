@@ -15,18 +15,20 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dyadic import DyadicCube, Grid, box_distance
+from .dyadic import DyadicCube, Grid, block_sums, box_distance, group_by_cube
 from .haar import HaarSystem, cached_system, normalize_sign
-from .measure import MeshMeasure
+from .measure import MeshMeasure, level_masses
 from .operators import (
     HaarMatrix,
     Kernel,
     Truncation,
     assemble_haar_matrix,
+    cube_images,
     kernel_matrix,
     make_kernel,
     require_resolved,
     top_singular_value,
+    wavelet_images,
 )
 
 __all__ = [
@@ -156,24 +158,6 @@ def validate_offset_family(grid: Grid, family: QuadraticFamily,
 
 
 # -- shared helpers ---------------------------------------------------------
-
-def _block_sums(values: np.ndarray, dimension: int, factor: int) -> np.ndarray:
-    """Sums over blocks of factor**dimension entries of the trailing
-    `dimension` axes: the dyadic ancestors `log2(factor)` levels up."""
-    lead = values.shape[:values.ndim - dimension]
-    mesh = values.shape[values.ndim - dimension:]
-    shape = lead + tuple(v for side in mesh for v in (side // factor, factor))
-    return values.reshape(shape).sum(axis=tuple(len(lead) + 2 * i + 1
-                                                for i in range(dimension)))
-
-
-def level_masses(measure: MeshMeasure, level: int) -> np.ndarray:
-    """Masses of every dyadic cube at one level, indexed by coordinates."""
-    grid = measure.grid
-    if not 0 <= level <= grid.max_level:
-        raise ValueError(f"level {level} outside [0, {grid.max_level}]")
-    return _block_sums(measure.cell_mass, grid.dimension, 2 ** (grid.max_level - level))
-
 
 def _jittered_boxes(grid: Grid, depth: int, count: int, rng) -> list:
     """Non-dyadic axis-parallel cubes inside the window, varied in scale."""
@@ -387,44 +371,95 @@ def _wavelet_images(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation,
     """Canonical system plus the operator image of every wavelet (by column)."""
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
-    g = kernel_matrix(kernel, trunc, sigma.grid)
-    images = g @ system.weighted_matrix.T
-    return system, images
+    return system, wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), system)
 
 
 def _wavelet_blocks(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
                     mode: str):
     """(cube key, image block, value block, output weights) of every cube
-    that carries wavelets, in system order."""
+    that carries wavelets, in system order. The value block holds the
+    wavelets' values on the level-`depth` cubes (`HaarSystem.cube_values`)."""
     grid = omega.grid
-    for key, (start, count) in system.cube_slots.items():
-        if count:
-            weights = _restriction_weights(grid, omega.flat_mass, mode,
-                                           DyadicCube.from_key(grid, key))
-            yield (key, images[:, start:start + count],
-                   system.values_matrix[start:start + count], weights)
+    for key, start, count in _live_slots(system):
+        weights = _restriction_weights(grid, omega.flat_mass, mode,
+                                       DyadicCube.from_key(grid, key))
+        yield (key, images[:, start:start + count],
+               system.cube_values[start:start + count], weights)
 
 
-def _block_optimum(block: np.ndarray, weights: np.ndarray | None = None) -> tuple:
-    """Top singular value of the sqrt(weights)-scaled block, and its
-    sign-normalized right singular vector: the best unit combination."""
-    m = block if weights is None else np.sqrt(weights)[:, None] * block
-    _, svals, vh = np.linalg.svd(m, full_matrices=False)
-    return float(svals[0]), normalize_sign(vh[0])
+def _stacked_optima(blocks: np.ndarray, weights: np.ndarray | None) -> tuple:
+    """(tops, vectors) of stacked blocks (c, k, m): the top singular value of
+    each (m, k) block.T, its rows scaled by sqrt(weights), and its
+    sign-normalized right singular vector, the best unit combination of the
+    block's k columns.
+
+    Both come from one batched eigh of the k x k Gram matrices. Of equal top
+    eigenvalues the first is taken, so a zero block gives e_1, as an SVD does.
+    """
+    scaled = blocks if weights is None else blocks * weights
+    vals, vecs = np.linalg.eigh(scaled @ blocks.transpose(0, 2, 1))
+    top = vals.argmax(axis=1)
+    pick = np.arange(len(vals))
+    return np.sqrt(np.maximum(vals[pick, top], 0.0)), normalize_sign(vecs[pick, :, top])
+
+
+def _live_slots(system: HaarSystem) -> list:
+    """(cube key, first row, count) of every cube that carries wavelets, in
+    system order."""
+    return [(key, start, count) for key, (start, count) in system.cube_slots.items()
+            if count]
+
+
+def _cube_optima(system: HaarSystem, vectors: np.ndarray,
+                 weights: np.ndarray | None = None, local: bool = False) -> tuple:
+    """(tops, coefficients) of every cube that carries wavelets, in system
+    order (that of `_live_slots`): `_stacked_optima` of the cube's rows of
+    vectors.
+
+    vectors (n_wavelets, m) holds one vector per wavelet: its image, or its
+    row or column of a coefficient matrix. local=True keeps only the cube's
+    own cells of each image (m = n_cells). The cubes of one level that carry
+    equally many wavelets are stacked into one call, so there is no per-cube
+    loop. coefficients is zero-padded to the largest count.
+    """
+    grid = system.measure.grid
+    tops: list = []
+    coeffs: list = []
+    width = 2 ** grid.dimension - 1
+    for lv, rows in zip(system.levels, system.level_rows):
+        live = np.flatnonzero(lv.counts)
+        level_tops = np.zeros(live.size)
+        level_coeffs = np.zeros((live.size, width))
+        if local:
+            cells = group_by_cube(np.arange(grid.n_cells).reshape(grid.mesh_shape), lv.level)
+        for count in np.unique(lv.counts[live]):
+            group = np.flatnonzero(lv.counts[live] == count)
+            index = rows.start + lv.starts[live[group]][:, None] + np.arange(count)
+            if local:
+                own = cells[live[group]]
+                blocks = vectors[index[:, :, None], own[:, None, :]]
+                scale = None if weights is None else weights[own][:, None, :]
+            else:
+                blocks, scale = vectors[index], weights
+            level_tops[group], level_coeffs[group, :count] = _stacked_optima(blocks, scale)
+        tops.append(level_tops)
+        coeffs.append(level_coeffs)
+    return np.concatenate(tops), np.concatenate(coeffs)
 
 
 def _haar_ratio(block: np.ndarray, vblock: np.ndarray, c: np.ndarray,
-                sflat: np.ndarray, weights: np.ndarray, p: float) -> float:
+                smass: np.ndarray, weights: np.ndarray, p: float) -> float:
     """Lp(weights) norm of the image of the wavelet combination c over the
-    combination's Lp(sigma) norm; block holds the images, vblock the values."""
-    den = _lp_norm(sflat, vblock.T @ c, p)
+    combination's Lp(sigma) norm; block holds the images, vblock the values
+    on the cubes whose sigma-masses are smass."""
+    den = _lp_norm(smass, vblock.T @ c, p)
     return _lp_norm(weights, block @ c, p) / den if den > 0.0 else 0.0
 
 
 def _best_combination(block: np.ndarray, vblock: np.ndarray, candidates: list,
-                      sflat: np.ndarray, weights: np.ndarray, p: float) -> tuple:
+                      smass: np.ndarray, weights: np.ndarray, p: float) -> tuple:
     """(ratio, combination) of the first candidate with the largest ratio."""
-    return max(((_haar_ratio(block, vblock, c, sflat, weights, p), c)
+    return max(((_haar_ratio(block, vblock, c, smass, weights, p), c)
                 for c in candidates), key=lambda rc: rc[0])
 
 
@@ -434,32 +469,34 @@ def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     """Largest L2(omega) norm of the operator on a unit wavelet combination.
 
     For each cube the supremum over all rotations of the wavelet block is the
-    top singular value of the weighted image block, computed exactly.
+    top singular value of the weighted image block, computed exactly, for
+    all cubes at once (`_cube_optima`); the first cube in system order with
+    the largest value is the witness.
     mode="local" restricts the output norm to the cube itself.
     """
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
     _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
-    best = -1.0
+    slots = _live_slots(system)
+    tops, coeffs = _cube_optima(system, images.T, omega.flat_mass,
+                                local=mode == "local")
+    best = 0.0
     witness: dict = {"cube": None, "coefficients": [], "mode": mode}
-    blocks = 0
-    for key, block, _, weights in _wavelet_blocks(system, images, omega, mode):
-        blocks += 1
-        top, vec = _block_optimum(block, weights)
-        if top > best:
-            best = top
-            witness = {"cube": key, "coefficients": [float(v) for v in vec],
-                       "mode": mode}
+    if slots:
+        j = int(np.argmax(tops))
+        key, _, count = slots[j]
+        best = float(tops[j])
+        witness = {"cube": key, "coefficients": [float(v) for v in coeffs[j, :count]],
+                   "mode": mode}
     search_space = {
         "depth": depth,
-        "cube_blocks": blocks,
+        "cube_blocks": len(slots),
         "per_cube_optimum": "exact",
         "kernel": _kernel_spec(kernel),
         "trunc": _trunc_spec(trunc),
     }
-    return CharacteristicReport("haar_testing", max(best, 0.0), witness,
-                                search_space, seed)
+    return CharacteristicReport("haar_testing", best, witness, search_space, seed)
 
 
 def haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
@@ -485,10 +522,15 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
+    smass = level_masses(sigma, depth).ravel()
+    if cfg.p == 2.0:
+        _, optima = _cube_optima(system, images.T, omega.flat_mass,
+                                 local=mode == "local")
     rng = np.random.default_rng(seed)
     best = -1.0
     witness: dict = {"cube": None, "coefficients": [], "mode": mode, "p": cfg.p}
-    for key, block, vblock, weights in _wavelet_blocks(system, images, omega, mode):
+    blocks = _wavelet_blocks(system, images, omega, mode)
+    for i, (key, block, vblock, weights) in enumerate(blocks):
         count = block.shape[1]
         candidates = list(np.eye(count))
         if count > 1:
@@ -498,9 +540,8 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                 if norm > 0:
                     candidates.append(c / norm)
         if cfg.p == 2.0:
-            candidates.append(_block_optimum(block, weights)[1])
-        ratio, c = _best_combination(block, vblock, candidates, sigma.flat_mass,
-                                     weights, cfg.p)
+            candidates.append(optima[i, :count])
+        ratio, c = _best_combination(block, vblock, candidates, smass, weights, cfg.p)
         if ratio > best:
             best = ratio
             witness = {"cube": key, "coefficients": [float(v) for v in c],
@@ -540,18 +581,12 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
     if witness.get("p") is None:
         # L2-normalized convention: unit coefficient vectors, no denominator
         return _lp_norm(weights, block @ c, 2.0)
-    return _haar_ratio(block, system.values_matrix[start:start + count], c,
-                       sigma.flat_mass, weights, float(witness["p"]))
+    return _haar_ratio(block, system.cube_values[start:start + count], c,
+                       level_masses(sigma, system.depth).ravel(), weights,
+                       float(witness["p"]))
 
 
 # -- cube testing -------------------------------------------------------------
-
-# entries of one row block of the kernel matrix in the pyramid's first pass:
-# the block's weighted copy (512 KB) must stay well below the kernel matrix
-# itself (8 MB at 1-D L=10) to add nothing to peak memory; larger blocks
-# were no faster at 2-D L=6
-_ROW_BLOCK_ENTRIES = 1 << 16
-
 
 def _cube_value(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
                 mode: str, p: float, region) -> float | None:
@@ -573,21 +608,6 @@ def _cube_value(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
     tvals = g @ (indicator.ravel() * sigma.flat_mass)
     weights = _restriction_weights(sigma.grid, omega.flat_mass, mode, region)
     return _lp_norm(weights, tvals, p) / smass ** (1.0 / p)
-
-
-def _cube_images(g: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
-    """T(1_Q sigma) at every cell for every level-`level` cube Q, indexed
-    [cell, *cube coords]."""
-    grid = sigma.grid
-    n = grid.dimension
-    factor = 2 ** (grid.max_level - level)
-    out = np.empty((grid.n_cells,) + (2 ** level,) * n)
-    rows = max(1, _ROW_BLOCK_ENTRIES // grid.n_cells)
-    for start in range(0, grid.n_cells, rows):
-        block = g[start:start + rows] * sigma.flat_mass
-        out[start:start + rows] = _block_sums(block.reshape((-1,) + grid.mesh_shape),
-                                              n, factor)
-    return out
 
 
 def _pyramid_values(images: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
@@ -614,15 +634,15 @@ def _cube_pyramid(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
                   mode: str, p: float, depth: int):
     """Yield (level, images, values) from level `depth` down to level 0.
 
-    images is `_cube_images` of the level, each coarser level summing its
+    images is `cube_images` of the level, each coarser level summing its
     children's columns; values is its `_pyramid_values`. The generator keeps
     only the current level's images, but a caller that keeps every level
     holds all of them: about 45 MB at 2-D L=6, depth 5.
     """
-    images = _cube_images(g, sigma, depth)
+    images = cube_images(g, sigma, depth)
     for level in range(depth, -1, -1):
         if level < depth:
-            images = _block_sums(images, sigma.grid.dimension, 2)
+            images = block_sums(images, sigma.grid.dimension, 2)
         yield level, images, _pyramid_values(images, sigma, omega, mode, p, level)
 
 
@@ -638,8 +658,10 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     at mesh resolution).
 
     Dyadic cubes are scanned up a pyramid (`_cube_pyramid`): one row-blocked
-    pass over the kernel matrix gives the images of all level-`depth` cubes,
-    and each coarser cube's image is the sum of its children's. Those images
+    pass over the kernel matrix (`operators.cube_images`, which sums each
+    row block's sigma-weighted columns to the cubes by pairwise adds) gives
+    the images of all level-`depth` cubes, and each coarser cube's image is
+    the sum of its children's, again by pairwise adds. Those images
     are one extra n_cells x 2**(n*depth) array (global mode adds two
     temporaries of that size). Cubes are scanned by level, then C-order
     coordinates, and only a strictly larger value replaces the witness. The
@@ -740,17 +762,6 @@ def operator_norm(matrix: HaarMatrix) -> CharacteristicReport:
     return CharacteristicReport("operator_norm", value, witness, search_space)
 
 
-def _cube_blocks(matrix: HaarMatrix, dual: bool):
-    """(cube key, block) pairs from the system's cube slots: the columns of
-    each source cube, or with dual=True the transposed rows of each target
-    cube. Cubes without wavelets are skipped."""
-    system = matrix.omega_system if dual else matrix.sigma_system
-    for key, (start, count) in system.cube_slots.items():
-        if count:
-            rows = slice(start, start + count)
-            yield key, matrix.entries[rows].T if dual else matrix.entries[:, rows]
-
-
 def matched_haar_testing(matrix: HaarMatrix,
                          dual: bool = False) -> CharacteristicReport:
     """Largest per-cube block norm of the coefficient matrix.
@@ -760,20 +771,21 @@ def matched_haar_testing(matrix: HaarMatrix,
     matrix norm; dual=True groups rows by target cube for the adjoint.
     The block optimum covers every rotation of the cube's wavelets.
     """
-    best = -1.0
+    system = matrix.omega_system if dual else matrix.sigma_system
+    slots = _live_slots(system)
+    tops, coeffs = _cube_optima(system, matrix.entries if dual else matrix.entries.T)
+    best = 0.0
     witness: dict = {}
-    blocks = 0
-    for key, block in _cube_blocks(matrix, dual):
-        blocks += 1
-        top, vec = _block_optimum(block)
-        if top > best:
-            best = top
-            witness = {"cube": key, "side": "row" if dual else "column",
-                       "coefficients": [float(v) for v in vec]}
+    if slots:
+        j = int(np.argmax(tops))
+        key, _, count = slots[j]
+        best = float(tops[j])
+        witness = {"cube": key, "side": "row" if dual else "column",
+                   "coefficients": [float(v) for v in coeffs[j, :count]]}
     name = "dual_haar_testing_matched" if dual else "haar_testing_matched"
     search_space = _matrix_metadata(matrix)
-    search_space.update({"cube_blocks": blocks, "per_cube_optimum": "exact"})
-    return CharacteristicReport(name, max(best, 0.0), witness, search_space)
+    search_space.update({"cube_blocks": len(slots), "per_cube_optimum": "exact"})
+    return CharacteristicReport(name, best, witness, search_space)
 
 
 def _evaluate_matrix_witness(sigma: MeshMeasure, omega: MeshMeasure,
@@ -787,7 +799,11 @@ def _evaluate_matrix_witness(sigma: MeshMeasure, omega: MeshMeasure,
     side = witness.get("side", "source")
     if side == "source":
         return float(np.linalg.norm(matrix.entries @ c))
-    block = dict(_cube_blocks(matrix, side == "row"))[witness["cube"]]
+    dual = side == "row"
+    system = matrix.omega_system if dual else matrix.sigma_system
+    start, count = system.cube_slots[witness["cube"]]
+    rows = slice(start, start + count)
+    block = matrix.entries[rows].T if dual else matrix.entries[:, rows]
     return float(np.linalg.norm(block @ c))
 
 
@@ -1030,10 +1046,12 @@ def _evaluate_pair_family_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 
 def _haar_family_value(images: np.ndarray, values: np.ndarray,
-                       slots: dict, sflat: np.ndarray, wflat: np.ndarray,
+                       slots: dict, smass: np.ndarray, wflat: np.ndarray,
                        members: list, weights: np.ndarray, p: float) -> float:
+    """Family ratio from the images (by cell) and the wavelets' values on
+    the cubes whose sigma-masses are smass."""
     num_f = np.zeros(images.shape[0])
-    den_f = np.zeros(images.shape[0])
+    den_f = np.zeros(values.shape[1])
     for (key, coeffs), a in zip(members, weights):
         start, count = slots[key]
         c = np.asarray(coeffs, dtype=float)
@@ -1042,7 +1060,7 @@ def _haar_family_value(images: np.ndarray, values: np.ndarray,
         num_f += (a * u) ** 2
         den_f += (a * h) ** 2
     num = float(np.sum(wflat * num_f ** (p / 2.0))) ** (1.0 / p)
-    den = float(np.sum(sflat * den_f ** (p / 2.0))) ** (1.0 / p)
+    den = float(np.sum(smass * den_f ** (p / 2.0))) ** (1.0 / p)
     return num / den if den > 0.0 else 0.0
 
 
@@ -1060,21 +1078,24 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
-    sflat = sigma.flat_mass
+    smass = level_masses(sigma, depth).ravel()
     wflat = omega.flat_mass
-    values = system.values_matrix
+    values = system.cube_values
     slots = system.cube_slots
+    _, optima = _cube_optima(system, images.T, wflat)
 
     member_best: dict = {}
     scalar_best = -1.0
     scalar_member: tuple | None = None
     by_level: dict = {}
-    for key, block, vblock, _ in _wavelet_blocks(system, images, omega, "global"):
+    blocks = _wavelet_blocks(system, images, omega, "global")
+    for i, (key, block, vblock, _) in enumerate(blocks):
         by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
-        candidates = list(np.eye(block.shape[1]))
-        if block.shape[1] > 1:
-            candidates.append(_block_optimum(block, wflat)[1])
-        top_val, top_c = _best_combination(block, vblock, candidates, sflat, wflat,
+        count = block.shape[1]
+        candidates = list(np.eye(count))
+        if count > 1:
+            candidates.append(optima[i, :count])
+        top_val, top_c = _best_combination(block, vblock, candidates, smass, wflat,
                                            cfg.p)
         member_best[key] = [float(v) for v in top_c]
         if top_val > scalar_best:
@@ -1092,7 +1113,7 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     def consider(keys, weights):
         nonlocal best, witness_members, witness_weights
         members = [(k, member_best[k]) for k in keys]
-        val = _haar_family_value(images, values, slots, sflat, wflat,
+        val = _haar_family_value(images, values, slots, smass, wflat,
                                  members, weights, cfg.p)
         if val > best:
             best = val
@@ -1138,9 +1159,9 @@ def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
     system, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
     members = [(m["cube"], m["coefficients"]) for m in witness["members"]]
     weights = np.asarray(witness["weights"], dtype=float)
-    return _haar_family_value(images, system.values_matrix, system.cube_slots,
-                              sigma.flat_mass, omega.flat_mass,
-                              members, weights, float(witness["p"]))
+    return _haar_family_value(images, system.cube_values, system.cube_slots,
+                              level_masses(sigma, system.depth).ravel(),
+                              omega.flat_mass, members, weights, float(witness["p"]))
 
 
 # -- witness re-evaluation -----------------------------------------------------

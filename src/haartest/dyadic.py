@@ -258,6 +258,40 @@ class DyadicCube:
         return DyadicCube(grid, int(level_str), tuple(int(c) for c in coord_str.split(",")))
 
 
+def block_sums(values: np.ndarray, dimension: int, factor: int,
+               start: int | None = None) -> np.ndarray:
+    """Sums over blocks of factor**dimension entries of the `dimension` mesh
+    axes from axis `start` on (by default the trailing ones): the dyadic
+    ancestors log2(factor) levels up.
+
+    Each axis is halved by adding its even and odd entries, log2(factor)
+    times: pairwise adds of slabs, much faster than reducing the strided
+    axes of a reshape in 2-D.
+    """
+    start = values.ndim - dimension if start is None else start
+    for axis in range(start, start + dimension):
+        step = factor
+        while step > 1:
+            shape = values.shape[:axis] + (values.shape[axis] // 2, 2) + values.shape[axis + 1:]
+            pairs = values.reshape(shape)
+            head = (slice(None),) * (axis + 1)
+            values = pairs[head + (0,)] + pairs[head + (1,)]
+            step //= 2
+    return values
+
+
+def group_by_cube(mesh: np.ndarray, level: int) -> np.ndarray:
+    """(cubes, entries per cube): a square n-D mesh array regrouped by the
+    level-`level` cubes of its grid, cubes in C order and each cube's
+    entries in C order (for children: lexicographic offset order)."""
+    n = mesh.ndim
+    side = 2 ** level
+    width = mesh.shape[0] // side
+    split = mesh.reshape(sum(((side, width) for _ in range(n)), ()))
+    order = [2 * a for a in range(n)] + [2 * a + 1 for a in range(n)]
+    return split.transpose(order).reshape(side ** n, width ** n)
+
+
 def box_distance(lo1, hi1, lo2, hi2) -> float:
     """Euclidean distance between the closures of two boxes."""
     lo1, hi1, lo2, hi2 = map(np.asarray, (lo1, hi1, lo2, hi2))

@@ -30,6 +30,10 @@ __all__ = [
 # relative centered Lp norm at or below which a function counts as constant
 _CONSTANT_TOL = 1e-12
 
+# elements stacked at a time by hilbert_frame_bounds: a block is 8 MB at
+# 2-D L=6, instead of a copy of the whole family
+_ELEMENT_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class FrameBoundsReport(JsonReport):
@@ -82,7 +86,8 @@ def hilbert_frame_bounds(elements: list, mu: MeshMeasure, sample_count: int = 64
 
     Ratios sum |<x, f_j>_mu|^2 / ||x||_mu^2 over random mesh functions x,
     plus any supplied probe functions (labeled in the witnesses). A complete
-    orthonormal family gives lower = upper = 1.
+    orthonormal family gives lower = upper = 1. The elements are stacked
+    and paired with the samples _ELEMENT_BLOCK at a time.
     """
     if mu.total_mass <= 0.0:
         raise DegenerateMeasureError("measure carries no mass")
@@ -91,18 +96,22 @@ def hilbert_frame_bounds(elements: list, mu: MeshMeasure, sample_count: int = 64
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     grid = mu.grid
-    rng = np.random.default_rng(seed)
-    rows = np.stack([np.asarray(e, dtype=float).ravel() for e in elements])
-    if rows.shape[1] != grid.n_cells:
+    if any(np.size(e) != grid.n_cells for e in elements):
         raise ValueError("elements must be mesh functions on the measure's grid")
+    rng = np.random.default_rng(seed)
     xs = rng.standard_normal((sample_count, grid.n_cells))
     labels = [{"kind": "random", "index": i} for i in range(sample_count)]
     if probes:
         pr = np.stack([np.asarray(q, dtype=float).ravel() for q in probes])
         xs = np.concatenate([pr, xs])
         labels = [{"kind": "probe", "index": i} for i in range(len(probes))] + labels
-    coeffs = rows @ (xs * mu.flat_mass).T
-    num = (coeffs**2).sum(axis=0)
+    weighted = (xs * mu.flat_mass).T
+    num = np.zeros(len(xs))
+    for start in range(0, len(elements), _ELEMENT_BLOCK):
+        rows = np.stack([np.asarray(e, dtype=float).ravel()
+                         for e in elements[start:start + _ELEMENT_BLOCK]])
+        # the running sum leads the block, so the sum runs in element order
+        num = np.concatenate([num[None], (rows @ weighted) ** 2]).sum(axis=0)
     den = xs**2 @ mu.flat_mass
     keep = den > 0.0
     if not np.any(keep):

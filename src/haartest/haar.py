@@ -1,18 +1,24 @@
 """Weighted Haar systems: child-constant, mean-zero, L2-normalized wavelets.
 
-Each cube with at least two positive-mass children carries dim = (#positive
-children - 1) wavelets, built by Gram-Schmidt over child indicators with the
-constant function first. Values on zero-mass children are identically zero.
+Each cube with at least two positive-mass children a_1 < ... < a_k carries
+k - 1 wavelets: Gram-Schmidt over the child indicators with the constant
+first, which has a closed form. With M_j = m_{a_1} + sum_{i >= j} m_{a_i},
+wavelet j (j = 2..k) is ((m_{a_j} / M_j) 1_{a_1, a_j..a_k} - e_{a_j}) over
+sqrt(m_{a_j} (M_j - m_{a_j}) / M_j), up to the sign convention. So a level
+is built in one step from its children's masses (cubes x 2**n), with no
+per-cube loop; values on zero-mass children are identically zero. The
+per-wavelet objects, cube slots and dense matrices of a system are derived
+from those level arrays on demand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicCube
-from .measure import MeshMeasure
+from .dyadic import DyadicCube, MeshExhaustedError, group_by_cube
+from .measure import MeshMeasure, level_masses
 
 _SIGN_TOL = 1e-13
 
@@ -37,48 +43,58 @@ class HaarWavelet:
 
 
 def normalize_sign(vec: np.ndarray) -> np.ndarray:
-    """Fix the overall sign so the leading entry is positive.
+    """Fix the sign of a vector, or of each row of an array, so that its
+    leading entry is positive.
 
     The leading entry is the first one above 1e-13 times the largest
     magnitude, so rounding noise in front of it never decides the sign.
     """
     v = np.asarray(vec, dtype=float)
-    lead = np.flatnonzero(np.abs(v) > _SIGN_TOL * np.max(np.abs(v), initial=0.0))
-    return -v if lead.size and v[lead[0]] < 0 else v
+    if v.shape[-1] == 0:
+        return v
+    mag = np.abs(v)
+    above = mag > _SIGN_TOL * mag.max(axis=-1, keepdims=True)
+    lead = np.take_along_axis(v, above.argmax(axis=-1)[..., None], axis=-1)
+    return np.where((lead < 0) & above.any(axis=-1, keepdims=True), -v, v)
+
+
+def _child_masses(measure: MeshMeasure, level: int) -> np.ndarray:
+    """(2**(n*level), 2**n): the masses of the children of every level-`level`
+    cube, cubes in C order, children in lexicographic offset order."""
+    return group_by_cube(level_masses(measure, level + 1), level)
+
+
+def _level_wavelets(masses: np.ndarray) -> tuple:
+    """(cubes, values): the wavelets of cubes whose children have masses
+    `masses` (cubes x 2**n), one row each, by cube and then by child a_j,
+    as the closed form of the module docstring gives them, sign-normalized.
+    cubes holds each row's cube index."""
+    active = masses > 0
+    count = masses.shape[1]
+    first = active.argmax(axis=1)
+    tail = np.zeros((masses.shape[0], count + 1))
+    tail[:, :count] = np.cumsum(masses[:, ::-1], axis=1)[:, ::-1]
+    cubes, child = np.nonzero(active & (np.arange(count) > first[:, None]))
+    m = masses[cubes, child]
+    rest = masses[cubes, first[cubes]] + tail[cubes, child + 1]  # M_j - m_j
+    total = m + rest
+    scale = 1.0 / np.sqrt(m * rest / total)
+    support = (np.arange(count) == first[cubes, None]) | (
+        active[cubes] & (np.arange(count) >= child[:, None]))
+    values = np.where(support, (m / total * scale)[:, None], 0.0)
+    values[np.arange(cubes.size), child] = -rest / total * scale
+    return cubes, normalize_sign(values)
 
 
 def build_cube_wavelets(measure: MeshMeasure, cube: DyadicCube) -> list:
-    """Wavelets of one cube, by Gram-Schmidt over its positive-mass children."""
-    children = cube.children()
-    masses = np.array([measure.cube_mass(c) for c in children])
-    active = np.flatnonzero(masses > 0)
-    dim = active.size - 1
-    if dim <= 0:
-        return []
-    w = masses[active]
-
-    raw = [np.ones(active.size)]
-    for j in range(1, active.size):
-        e = np.zeros(active.size)
-        e[j] = 1.0
-        raw.append(e)
-    ortho: list = []
-    for v in raw:
-        u = v.astype(float)
-        for _ in range(2):  # re-orthogonalize once; enough at any mass ratio
-            for b in ortho:
-                u = u - (u * w @ b) * b
-        nrm = float(np.sqrt(u * u @ w))
-        if nrm <= 0:
-            raise ValueError("degenerate child-indicator system")
-        ortho.append(u / nrm)
-
-    out = []
-    for i, row in enumerate(ortho[1:]):
-        values = np.zeros(len(children))
-        values[active] = normalize_sign(row)
-        out.append(HaarWavelet(cube=cube, index=i, child_values=values, child_masses=masses))
-    return out
+    """Wavelets of one cube: the level build run on that cube alone."""
+    if cube.level >= cube.grid.max_level:
+        raise MeshExhaustedError(f"mesh exhausted: cube at level {cube.level} has no children")
+    flat = np.ravel_multi_index(cube.coords, (2 ** cube.level,) * cube.grid.dimension)
+    masses = _child_masses(measure, cube.level)[flat]
+    _, values = _level_wavelets(masses[None])
+    return [HaarWavelet(cube=cube, index=i, child_values=row, child_masses=masses)
+            for i, row in enumerate(values)]
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,44 +109,124 @@ def rotate_cube_wavelets(wavelets: list, rotation: np.ndarray) -> list:
     same span, re-applying the leading-sign convention."""
     if not wavelets:
         return []
-    rows = rotation @ np.array([h.child_values for h in wavelets])
-    return [HaarWavelet(cube=h.cube, index=i, child_values=normalize_sign(row),
+    rows = normalize_sign(rotation @ np.array([h.child_values for h in wavelets]))
+    return [HaarWavelet(cube=h.cube, index=i, child_values=row,
                         child_masses=h.child_masses)
             for i, (h, row) in enumerate(zip(wavelets, rows))]
 
 
+def _cube_keys(level: int, cubes: np.ndarray, dimension: int) -> list:
+    """`DyadicCube.key()` of the level-`level` cubes with C-order indices cubes."""
+    coords = np.unravel_index(cubes, (2 ** level,) * dimension)
+    return [f"{level}:" + ",".join(map(str, c))
+            for c in zip(*(axis.tolist() for axis in coords))]
+
+
+@dataclass(frozen=True, eq=False)
+class HaarLevel:
+    """The wavelets of the cubes of one level: one row each, ordered by cube
+    (C order), then by index within the cube."""
+
+    level: int
+    cubes: np.ndarray         # (rows,) C-order index of each row's cube
+    child_values: np.ndarray  # (rows, 2**n) value on each child, lexicographic
+    child_masses: np.ndarray  # (2**(n*level), 2**n) children's masses of every cube
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Number of wavelets of every cube of the level, C order."""
+        return np.bincount(self.cubes, minlength=self.child_masses.shape[0])
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Row of every cube's first wavelet, counted from the level's first row."""
+        return np.cumsum(self.counts) - self.counts
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Index of each row's wavelet within its cube."""
+        return np.arange(self.cubes.size) - self.starts[self.cubes]
+
+
 @dataclass(eq=False)
 class HaarSystem:
-    """All wavelets on cubes at levels 0..depth-1, ordered (level, coords, index)."""
+    """All wavelets on cubes at levels 0..depth-1, ordered (level, coords, index).
+
+    `levels` holds them as one HaarLevel per level; everything else is
+    derived from those arrays.
+    """
 
     measure: MeshMeasure
     depth: int
-    wavelets: list
-    cube_slots: dict = field(default_factory=dict)  # cube key -> (start, count)
+    levels: list
     rotation_seed: int | None = None
-
-    @cached_property
-    def values_matrix(self) -> np.ndarray:
-        """(n_wavelets, n_cells) dense cell values, C-order cells."""
-        out = np.empty((len(self.wavelets), self.measure.grid.n_cells))
-        for row, h in zip(out, self.wavelets):
-            row[:] = h.mesh_values().ravel()
-        return out
-
-    @cached_property
-    def weighted_matrix(self) -> np.ndarray:
-        return self.values_matrix * self.measure.flat_mass
 
     @cached_property
     def level_rows(self) -> list:
         """Row slice of each level 0..depth-1 (rows are ordered level first)."""
-        levels = [h.cube.level for h in self.wavelets]
-        bounds = np.searchsorted(levels, np.arange(self.depth + 1))
+        bounds = np.cumsum([0] + [lv.cubes.size for lv in self.levels])
         return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
     @property
     def n_wavelets(self) -> int:
-        return len(self.wavelets)
+        return int(sum(lv.cubes.size for lv in self.levels))
+
+    @cached_property
+    def cube_slots(self) -> dict:
+        """Cube key -> (first row, wavelet count) for every cube of levels
+        0..depth-1, in system order."""
+        n = self.measure.grid.dimension
+        slots: dict = {}
+        for lv, rows in zip(self.levels, self.level_rows):
+            keys = _cube_keys(lv.level, np.arange(lv.counts.size), n)
+            slots.update(zip(keys, zip((rows.start + lv.starts).tolist(),
+                                       lv.counts.tolist())))
+        return slots
+
+    @cached_property
+    def wavelets(self) -> list:
+        """One HaarWavelet per row."""
+        grid = self.measure.grid
+        out = []
+        for lv in self.levels:
+            for c, i, values in zip(lv.cubes.tolist(), lv.index.tolist(), lv.child_values):
+                coords = np.unravel_index(c, (2 ** lv.level,) * grid.dimension)
+                out.append(HaarWavelet(cube=grid.cube(lv.level, coords), index=i,
+                                       child_values=values, child_masses=lv.child_masses[c]))
+        return out
+
+    def _values_on(self, level: int) -> np.ndarray:
+        """(n_wavelets, 2**(n*level)) values on the level-`level` cubes (level
+        >= depth), C order, filled level by level by one broadcast each."""
+        n = self.measure.grid.dimension
+        side = 2 ** level
+        out = np.zeros((self.n_wavelets, side ** n))
+        for lv, rows in zip(self.levels, self.level_rows):
+            width = side >> (lv.level + 1)  # a child's side, in level-`level` cubes
+            count = lv.cubes.size
+            blocks = np.broadcast_to(
+                lv.child_values.reshape((count,) + (2, 1) * n),
+                (count,) + (2, width) * n).reshape((count,) + (2 * width,) * n)
+            cube_view = out[rows].reshape((count,) + (2 ** lv.level, 2 * width) * n)
+            coords = np.unravel_index(lv.cubes, (2 ** lv.level,) * n)
+            index = (np.arange(count),) + sum(((c, slice(None)) for c in coords), ())
+            cube_view[index] = blocks
+        return out
+
+    @cached_property
+    def values_matrix(self) -> np.ndarray:
+        """(n_wavelets, n_cells) dense cell values, C-order cells."""
+        return self._values_on(self.measure.grid.max_level)
+
+    @cached_property
+    def cube_values(self) -> np.ndarray:
+        """(n_wavelets, 2**(n*depth)) values on the level-`depth` cubes, on
+        which every wavelet is constant; C-order cubes."""
+        return self._values_on(self.depth)
+
+    @cached_property
+    def weighted_matrix(self) -> np.ndarray:
+        return self.values_matrix * self.measure.flat_mass
 
     def gram(self) -> np.ndarray:
         return self.weighted_matrix @ self.values_matrix.T
@@ -148,26 +244,38 @@ class HaarSystem:
         return flat.reshape(self.measure.grid.mesh_shape)
 
     def wavelet_labels(self) -> list:
-        return [(h.cube.key(), h.index) for h in self.wavelets]
+        """(cube key, index within the cube) of every row."""
+        n = self.measure.grid.dimension
+        out = []
+        for lv in self.levels:
+            out.extend(zip(_cube_keys(lv.level, lv.cubes, n), lv.index.tolist()))
+        return out
 
 
 def build_system(measure: MeshMeasure, depth: int,
                  rotation_seed: int | None = None) -> HaarSystem:
+    """The system of levels 0..depth-1, each level built in one step.
+
+    With rotation_seed, each cube with two or more wavelets then gets a
+    Haar-random rotation of them, drawn cube by cube in system order.
+    """
     grid = measure.grid
     if depth < 1 or depth > grid.max_level:
         raise ValueError(f"depth must be in [1, {grid.max_level}], got {depth}")
     rng = np.random.default_rng(rotation_seed) if rotation_seed is not None else None
-    wavelets: list = []
-    slots: dict = {}
+    levels = []
     for level in range(depth):
-        for cube in grid.cubes_at_level(level):
-            ws = build_cube_wavelets(measure, cube)
-            if rng is not None and len(ws) >= 2:
-                ws = rotate_cube_wavelets(ws, random_rotation(len(ws), rng))
-            slots[cube.key()] = (len(wavelets), len(ws))
-            wavelets.extend(ws)
-    return HaarSystem(measure=measure, depth=depth, wavelets=wavelets,
-                      cube_slots=slots, rotation_seed=rotation_seed)
+        masses = _child_masses(measure, level)
+        cubes, values = _level_wavelets(masses)
+        lv = HaarLevel(level=level, cubes=cubes, child_values=values, child_masses=masses)
+        if rng is not None:
+            for start, count in zip(lv.starts.tolist(), lv.counts.tolist()):
+                if count >= 2:
+                    rows = slice(start, start + count)
+                    values[rows] = normalize_sign(random_rotation(count, rng) @ values[rows])
+        levels.append(lv)
+    return HaarSystem(measure=measure, depth=depth, levels=levels,
+                      rotation_seed=rotation_seed)
 
 
 @lru_cache(maxsize=64)

@@ -7,6 +7,14 @@ so truncations must not dip below the mesh scale. The kernels are
 translation invariant, so the mesh kernel matrix is gathered from the
 kernel's values at the distinct cell offsets; `points_matrix` evaluates the
 kernel pair by pair at arbitrary points.
+
+The operator images of a Haar system, G diag(sigma) V^T, never multiply the
+N x N kernel matrix by the N-wide wavelet matrix V. Every wavelet of a
+depth-`depth` system is constant on the level-`depth` cubes, so
+G diag(sigma) V^T = (G diag(sigma) P) V_d^T exactly, where P maps cells to
+the level-`depth` cubes and V_d holds the wavelets' values on those cubes:
+one pass over G sums its sigma-weighted columns to the cubes
+(`cube_images`), and a product with V_d finishes (`wavelet_images`).
 """
 from __future__ import annotations
 
@@ -16,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import Grid
+from .dyadic import Grid, block_sums
 from .haar import HaarSystem, cached_system
 from .measure import MeshMeasure
 
@@ -242,6 +250,60 @@ def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, f: np.ndarray,
     return g @ fw
 
 
+# entries of one row block of the kernel matrix in `cube_images`' pass: the
+# block's weighted copy (512 KB) must stay well below the kernel matrix
+# itself (8 MB at 1-D L=10) to add nothing to peak memory; larger blocks
+# were no faster at 2-D L=6
+_ROW_BLOCK_ENTRIES = 1 << 16
+
+# cells per cube side from which `cube_images` weights and sums the last,
+# contiguous mesh axis in one einsum: at 4 the einsum and the pairwise adds
+# cost the same, and at 64 (1-D L=10, depth 4) the einsum is 4x faster
+_FUSED_FACTOR = 4
+
+
+def cube_images(g: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
+    """T(1_Q sigma) at every cell for every level-`level` cube Q, indexed
+    [cell, *cube coords]: G diag(sigma) P, P mapping cells to their cubes.
+
+    One row-blocked pass over the kernel matrix g. Each block's
+    sigma-weighted columns are summed to the cubes by pairwise adds
+    (`block_sums`); when cubes are at least _FUSED_FACTOR cells wide, the
+    last mesh axis is weighted and summed by one einsum first.
+    """
+    grid = sigma.grid
+    n = grid.dimension
+    factor = 2 ** (grid.max_level - level)
+    out = np.empty((grid.n_cells,) + (2 ** level,) * n)
+    rows = max(1, _ROW_BLOCK_ENTRIES // grid.n_cells)
+    fused = factor >= _FUSED_FACTOR
+    weights = sigma.flat_mass.reshape(-1, factor) if fused else sigma.flat_mass
+    for start in range(0, grid.n_cells, rows):
+        block = g[start:start + rows]
+        if fused:
+            block = np.einsum("rcf,cf->rc", block.reshape(len(block), -1, factor), weights)
+            out[start:start + rows] = block_sums(
+                block.reshape((-1,) + grid.mesh_shape[1:] + (2 ** level,)),
+                n - 1, factor, start=1)
+        else:
+            out[start:start + rows] = block_sums(
+                (block * weights).reshape((-1,) + grid.mesh_shape), n, factor)
+    return out
+
+
+def wavelet_images(g: np.ndarray, system: HaarSystem) -> np.ndarray:
+    """(n_cells, n_wavelets) operator image of every wavelet of the system,
+    G diag(sigma) V^T with sigma the system's measure.
+
+    Computed as (G diag(sigma) P) V_d^T: `cube_images` at the system depth,
+    then a product with the wavelets' values on those cubes
+    (`HaarSystem.cube_values`). Exact, because every wavelet below level
+    `depth` is constant on the level-`depth` cubes.
+    """
+    images = cube_images(g, system.measure, system.depth)
+    return images.reshape(images.shape[0], -1) @ system.cube_values.T
+
+
 @dataclass(eq=False)
 class HaarMatrix:
     """Coefficient matrix of the operator between two Haar systems.
@@ -268,11 +330,16 @@ def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
                          rotation_seed: int | None = None) -> HaarMatrix:
     if sigma.grid != omega.grid:
         raise ValueError("sigma and omega must share a grid")
-    require_resolved(trunc, sigma.grid)
+    grid = sigma.grid
+    require_resolved(trunc, grid)
     ssys = cached_system(sigma, depth, rotation_seed)
     osys = cached_system(omega, depth, rotation_seed)
-    g = kernel_matrix(kernel, trunc, sigma.grid)
-    entries = osys.weighted_matrix @ (g @ ssys.weighted_matrix.T)
+    images = wavelet_images(kernel_matrix(kernel, trunc, grid), ssys)
+    # the target wavelets are constant on the level-`depth` cubes: sum the
+    # omega-weighted image rows to those cubes
+    weighted = (images * omega.flat_mass[:, None]).reshape(grid.mesh_shape + (ssys.n_wavelets,))
+    cubes = block_sums(weighted, grid.dimension, 2 ** (grid.max_level - depth), start=0)
+    entries = osys.cube_values @ cubes.reshape(-1, ssys.n_wavelets)
     return HaarMatrix(entries=entries, row_labels=osys.wavelet_labels(),
                       col_labels=ssys.wavelet_labels(), depth=depth,
                       sigma_system=ssys, omega_system=osys,

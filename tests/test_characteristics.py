@@ -6,6 +6,7 @@ import pytest
 from haartest.characteristics import (
     CharacteristicReport,
     QuadraticFamily,
+    _cube_optima,
     _cube_value,
     _jittered_boxes,
     a2_lambda,
@@ -377,3 +378,92 @@ def test_depth_stability_of_haar_testing():
     assert b.value >= a.value - 1e-12
     # and the increment stays modest for doubling measures
     assert b.value <= 1.25 * a.value
+
+
+# -- batched per-cube optima against the per-cube SVD ---------------------------
+
+def _sign_fixed(v):
+    lead = np.flatnonzero(np.abs(v) > 1e-13 * np.max(np.abs(v), initial=0.0))
+    return -v if lead.size and v[lead[0]] < 0 else v
+
+
+def _svd_optima(system, blocks_of, weights_of):
+    """[(key, top, vector)] of every cube that carries wavelets, one SVD per
+    cube: blocks_of(start, count) is the cube's (m, count) block,
+    weights_of(key) its row weights or None."""
+    out = []
+    for key, (start, count) in system.cube_slots.items():
+        if count:
+            block = blocks_of(start, count)
+            w = weights_of(key)
+            m = block if w is None else np.sqrt(w)[:, None] * block
+            _, svals, vh = np.linalg.svd(m, full_matrices=False)
+            out.append((key, float(svals[0]), _sign_fixed(vh[0])))
+    return out
+
+
+def _holed_pair_2d():
+    """2-D L=4 pair whose sigma has an empty quadrant and a cube with two
+    live children, so its cubes carry 1, 2 and 3 wavelets."""
+    grid = Grid(dimension=2, max_level=4)
+    cells = random_dyadic_doubling(grid, 3.0, seed=5).cell_mass.copy()
+    cells[8:, 8:] = 0.0
+    cells[:8, 4:8] = 0.0
+    return (custom_cells(grid, cells, label="holed"),
+            random_dyadic_doubling(grid, 2.0, seed=6),
+            make_kernel("riesz_like", 0.5, 2), default_truncation(grid))
+
+
+OPTIMA_CASES = {
+    "1d": lambda: (SIGMA, OMEGA, HILBERT, TRUNC),
+    "1d-point": lambda: (near_point_mass(GRID, 9.0), OMEGA, HILBERT, TRUNC),
+    "2d-holed": _holed_pair_2d,
+}
+
+
+def _assert_same_optimum(rep, oracle):
+    tops = [top for _, top, _ in oracle]
+    j = int(np.argmax(tops))
+    np.testing.assert_allclose(rep.value, tops[j], rtol=1e-12, atol=0.0)
+    assert rep.witness["cube"] == oracle[j][0]
+    np.testing.assert_allclose(rep.witness["coefficients"], oracle[j][2], atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
+@pytest.mark.parametrize("mode", ["global", "local"])
+def test_haar_testing_optima_match_per_cube_svd(name, mode):
+    sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
+    grid = sigma.grid
+    depth = 3
+    system = cached_system(sigma, depth)
+    images = kernel_matrix(kernel, trunc, grid) @ system.weighted_matrix.T
+
+    def weights_of(key):
+        if mode == "global":
+            return omega.flat_mass
+        return omega.flat_mass * DyadicCube.from_key(grid, key).indicator().ravel()
+
+    oracle = _svd_optima(system, lambda s, c: images[:, s:s + c], weights_of)
+    tops, coeffs = _cube_optima(system, images.T, omega.flat_mass, local=mode == "local")
+    np.testing.assert_allclose(tops, [top for _, top, _ in oracle], rtol=1e-12, atol=0.0)
+    for row, (_, _, vec) in zip(coeffs, oracle):
+        np.testing.assert_allclose(row[:vec.size], vec, atol=1e-10)
+        assert not row[vec.size:].any()
+    rep = haar_testing(sigma, omega, kernel, trunc, mode=mode, depth=depth)
+    _assert_same_optimum(rep, oracle)
+    assert rep.search_space["cube_blocks"] == len(oracle)
+    lp = lp_haar_testing(sigma, omega, kernel, trunc, p=2.0, mode=mode, depth=depth)
+    np.testing.assert_allclose(lp.value, rep.value, rtol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
+@pytest.mark.parametrize("dual", [False, True])
+def test_matched_optima_match_per_cube_svd(name, dual):
+    sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
+    mat = assemble_haar_matrix(kernel, trunc, sigma, omega, 3)
+    system = mat.omega_system if dual else mat.sigma_system
+    if dual:
+        oracle = _svd_optima(system, lambda s, c: mat.entries[s:s + c].T, lambda k: None)
+    else:
+        oracle = _svd_optima(system, lambda s, c: mat.entries[:, s:s + c], lambda k: None)
+    _assert_same_optimum(matched_haar_testing(mat, dual=dual), oracle)

@@ -273,6 +273,22 @@ def test_hilbert_frame_bounds_match_weighted_rows():
     assert rep.upper_witness["sample"] == labels[int(np.argmax(ratios))]
 
 
+def test_hilbert_frame_bounds_in_element_blocks():
+    # 1,024 elements: several blocks of stacked rows, summed in element order
+    grid = Grid(dimension=2, max_level=5)
+    mu = random_dyadic_doubling(grid, 2.0, seed=8)
+    system = build_system(mu, grid.max_level)
+    elements = [*system.values_matrix, np.full(grid.n_cells, 1.0 / np.sqrt(mu.total_mass))]
+    rep = hilbert_frame_bounds(elements, mu, sample_count=12, seed=2)
+    xs = np.random.default_rng(2).standard_normal((12, grid.n_cells))
+    coeffs = np.stack(elements) @ (xs * mu.flat_mass).T
+    ratios = (coeffs**2).sum(axis=0) / (xs**2 @ mu.flat_mass)
+    assert [rep.lower, rep.upper] == [ratios.min(), ratios.max()]
+    np.testing.assert_allclose([rep.lower, rep.upper], 1.0, atol=1e-9)
+    with pytest.raises(ValueError):
+        hilbert_frame_bounds(elements[:-1] + [np.ones(3)], mu)
+
+
 def test_constant_probe_is_skipped():
     mu = random_dyadic_doubling(GRID_2D, 3.0, seed=5)
     constant = np.full(GRID_2D.mesh_shape, 5.0)

@@ -12,7 +12,7 @@ from haartest.haar import (
     random_rotation,
     rotate_cube_wavelets,
 )
-from haartest.measure import custom_cells, lebesgue, random_dyadic_doubling
+from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
 
 
 def system_for(measure, depth):
@@ -185,3 +185,109 @@ def test_gram_identity_random_measures(seed):
     mu = random_dyadic_doubling(g, 3.0, seed=seed)
     sys = build_system(mu, 4)
     np.testing.assert_allclose(sys.gram(), np.eye(sys.n_wavelets), atol=1e-10)
+
+
+# -- level build against the per-cube Gram-Schmidt ----------------------------
+
+def _sign_fixed(v):
+    """The leading-sign convention, one vector at a time."""
+    lead = np.flatnonzero(np.abs(v) > 1e-13 * np.max(np.abs(v), initial=0.0))
+    return -v if lead.size and v[lead[0]] < 0 else v
+
+
+def _gram_schmidt_cube(masses):
+    """Child values of one cube's wavelets by Gram-Schmidt over its active
+    child indicators, constant first, re-orthogonalized once."""
+    active = np.flatnonzero(masses > 0)
+    if active.size < 2:
+        return []
+    w = masses[active]
+    ortho = []
+    for j in range(active.size):
+        u = np.ones(active.size) if j == 0 else np.eye(active.size)[j]
+        for _ in range(2):
+            for b in ortho:
+                u = u - (u * w @ b) * b
+        ortho.append(u / np.sqrt(u * u @ w))
+    rows = []
+    for row in ortho[1:]:
+        values = np.zeros(masses.size)
+        values[active] = _sign_fixed(row)
+        rows.append(values)
+    return rows
+
+
+def _oracle_rows(mu, depth, rotation_seed=None):
+    """(labels, child-value rows) of the system, one cube at a time in
+    system order, with the rotation drawn per cube as build_system draws it."""
+    rng = None if rotation_seed is None else np.random.default_rng(rotation_seed)
+    labels, rows = [], []
+    for level in range(depth):
+        for cube in mu.grid.cubes_at_level(level):
+            masses = np.array([mu.cube_mass(c) for c in cube.children()])
+            block = _gram_schmidt_cube(masses)
+            if rng is not None and len(block) >= 2:
+                turned = random_rotation(len(block), rng) @ np.array(block)
+                block = [_sign_fixed(r) for r in turned]
+            labels += [(cube.key(), i) for i in range(len(block))]
+            rows += block
+    return labels, np.array(rows).reshape(len(rows), 2 ** mu.grid.dimension)
+
+
+def _holed_2d():
+    """2-D L=4 doubling measure with an empty quadrant, so the root has 3
+    live children, and with half of cube 1:0,0 empty, so it has 2."""
+    g = Grid(dimension=2, max_level=4)
+    cells = random_dyadic_doubling(g, 3.0, seed=5).cell_mass.copy()
+    cells[8:, 8:] = 0.0
+    cells[:8, 4:8] = 0.0
+    return custom_cells(g, cells, label="holed")
+
+
+LEVEL_BUILD_CASES = {
+    "1d-doubling": (lambda: random_dyadic_doubling(Grid(dimension=1, max_level=8), 2.5,
+                                                   seed=8), 7, None),
+    "2d-holed": (_holed_2d, 4, None),
+    "1d-point": (lambda: near_point_mass(Grid(dimension=1, max_level=8), 12.0), 6, None),
+    "2d-point": (lambda: near_point_mass(Grid(dimension=2, max_level=4), 9.0), 4, None),
+    "2d-rotated": (_holed_2d, 4, 3),
+    "1d-rotated": (lambda: random_dyadic_doubling(Grid(dimension=1, max_level=8), 2.5,
+                                                  seed=8), 5, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_BUILD_CASES))
+def test_level_build_matches_gram_schmidt(name):
+    make, depth, seed = LEVEL_BUILD_CASES[name]
+    mu = make()
+    sys = build_system(mu, depth, rotation_seed=seed)
+    labels, rows = _oracle_rows(mu, depth, seed)
+    assert sys.wavelet_labels() == labels
+    got = np.concatenate([lv.child_values for lv in sys.levels])
+    assert got.shape == rows.shape
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - rows) <= 1e-12 * scale)
+    # the derived views agree with the per-wavelet objects
+    dense = np.array([h.mesh_values().ravel() for h in sys.wavelets])
+    np.testing.assert_array_equal(sys.values_matrix, dense)
+    factor = 2 ** (mu.grid.max_level - depth)
+    coarse = dense.reshape((-1,) + sum(((2 ** depth, factor) for _ in range(mu.grid.dimension)), ()))
+    coarse = coarse[(slice(None),) + (slice(None), 0) * mu.grid.dimension]
+    np.testing.assert_array_equal(sys.cube_values, coarse.reshape(len(dense), -1))
+    for key, (start, count) in sys.cube_slots.items():
+        assert [lab for lab in labels if lab[0] == key] == labels[start:start + count]
+
+
+def test_holed_case_has_two_and_three_live_children():
+    slots = build_system(_holed_2d(), 4).cube_slots
+    assert slots["0:0,0"][1] == 2 and slots["1:0,0"][1] == 1
+    assert {0, 1, 2, 3} == {count for _, count in slots.values()}
+
+
+def test_build_cube_wavelets_is_the_level_build(grid2):
+    mu = _holed_2d()
+    sys = build_system(mu, 3)
+    for h in sys.wavelets:
+        same = build_cube_wavelets(mu, h.cube)[h.index]
+        np.testing.assert_array_equal(same.child_values, h.child_values)
+        np.testing.assert_array_equal(same.child_masses, h.child_masses)

@@ -166,3 +166,61 @@ def test_box_mass_additivity():
     whole = mu.box_mass((0.1,), (0.9,))
     parts = mu.box_mass((0.1,), (0.37,)) + mu.box_mass((0.37,), (0.9,))
     np.testing.assert_allclose(parts, whole, rtol=1e-12)
+
+
+def _doubling_by_cube(measure, depth):
+    """{cube key: (ratio, clipped)} of every positive-mass cube at levels
+    1..depth, one box-fraction sum per cube, plus the scan's (best, key)."""
+    grid = measure.grid
+    out, best, key = {}, -np.inf, None
+    for level in range(1, depth + 1):
+        for q in grid.cubes_at_level(level):
+            m = measure.cube_mass(q)
+            if m <= 0:
+                continue
+            frac, clipped = grid.box_fractions(*q.dilate_box(2.0))
+            ratio = float((measure.cell_mass * frac).sum()) / m
+            out[q.key()] = (ratio, clipped)
+            if ratio > best:
+                best, key = ratio, q.key()
+    return out, best, key
+
+
+def _holed(grid):
+    cells = random_dyadic_doubling(grid, 3.0, seed=4).cell_mass.copy()
+    cells[: grid.cells_per_axis // 2] = 0.0
+    return custom_cells(grid, cells, label="holed")
+
+
+DOUBLING_CASES = {
+    "1d-lebesgue": lambda: lebesgue(Grid(dimension=1, max_level=8)),
+    "1d-power": lambda: power_weight(Grid(dimension=1, max_level=8), -0.4),
+    "1d-doubling": lambda: random_dyadic_doubling(Grid(dimension=1, max_level=8), 3.0, seed=2),
+    "1d-point": lambda: near_point_mass(Grid(dimension=1, max_level=8), 6.0),
+    "1d-holed": lambda: _holed(Grid(dimension=1, max_level=8)),
+    "2d-doubling": lambda: random_dyadic_doubling(Grid(dimension=2, max_level=4), 3.0, seed=3),
+    "2d-point": lambda: near_point_mass(Grid(dimension=2, max_level=4), 5.0, (3, 12)),
+    # the point sits in the collar of the cube at the window's corner
+    "1d-edge": lambda: near_point_mass(Grid(dimension=1, max_level=8), 6.0, (2,)),
+    "2d-edge": lambda: near_point_mass(Grid(dimension=2, max_level=4), 5.0, (2, 2)),
+    "2d-holed": lambda: _holed(Grid(dimension=2, max_level=4)),
+    "2d-shifted": lambda: random_dyadic_doubling(
+        Grid(dimension=2, origin=(0.3, -0.2), side=1.5, shift=(0.25, 0.1), max_level=4),
+        2.0, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLING_CASES))
+def test_doubling_constant_matches_per_cube_scan(name):
+    mu = DOUBLING_CASES[name]()
+    depth = mu.grid.max_level - 1
+    by_cube, best, key = _doubling_by_cube(mu, depth)
+    rep = doubling_constant(mu, depth)
+    np.testing.assert_allclose(rep.constant, best, rtol=1e-12, atol=0.0)
+    ratio, clipped = by_cube[rep.witness_cube]
+    np.testing.assert_allclose(ratio, best, rtol=1e-12, atol=0.0)
+    assert rep.clipped_at_witness == clipped
+    near = [k for k, (r, _) in by_cube.items() if r >= best * (1.0 - 1e-10)]
+    if len(near) == 1:
+        assert rep.witness_cube == key
+    assert rep.clipped_at_witness == name.endswith("-edge")

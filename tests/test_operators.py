@@ -11,6 +11,7 @@ from haartest.operators import (
     apply,
     assemble_haar_matrix,
     check_cz_bounds,
+    cube_images,
     check_ellipticity,
     default_truncation,
     eval_truncated,
@@ -20,6 +21,7 @@ from haartest.operators import (
     require_resolved,
     smoothstep,
     top_singular_value,
+    wavelet_images,
 )
 
 
@@ -225,6 +227,66 @@ def test_assemble_haar_matrix_against_direct_sums():
     assert mat.row_labels == osys.wavelet_labels()
     assert mat.col_labels == ssys.wavelet_labels()
     assert mat.kernel is k and mat.trunc is t
+
+
+# (grid, depth, kernel family, lambda): factor 2**(max_level - depth) runs
+# the pairwise adds (2), the fused last axis (>= 4) and no sum at all (1)
+IMAGE_CASES = {
+    "1d-fused": (Grid(dimension=1, max_level=7), 3, "hilbert", 0.0),
+    "1d-full-depth": (Grid(dimension=1, max_level=7), 7, "hilbert", 0.0),
+    "2d-pairwise": (Grid(dimension=2, max_level=4), 3, "riesz_like", 0.5),
+    "2d-fused": (Grid(dimension=2, max_level=4), 2, "riesz_like", 0.5),
+    "2d-full-depth": (Grid(dimension=2, max_level=4), 4, "fractional_integral", 0.5),
+    "2d-non-dyadic": (Grid(dimension=2, origin=(0.3, -0.7), side=1.7, shift=(0.05, 0.1),
+                           max_level=4), 3, "fractional_integral", 1.0),
+}
+
+
+def _image_case(name):
+    grid, depth, family, lam = IMAGE_CASES[name]
+    kernel = make_kernel(family, lam, grid.dimension)
+    g = kernel_matrix(kernel, default_truncation(grid), grid)
+    sigma = random_dyadic_doubling(grid, 3.0, seed=21)
+    omega = random_dyadic_doubling(grid, 2.0, seed=22)
+    return grid, depth, kernel, g, sigma, omega
+
+
+def _weighted_values(system):
+    """sigma-weighted cell values of the wavelets, one row each, from the
+    per-wavelet objects rather than the system's dense matrices."""
+    return np.array([h.mesh_values().ravel() for h in system.wavelets]) * system.measure.flat_mass
+
+
+def _assert_close_to(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+def test_cube_images_match_indicator_products(name):
+    grid, depth, _, g, sigma, _ = _image_case(name)
+    got = cube_images(g, sigma, depth).reshape(grid.n_cells, -1)
+    want = np.array([g @ (cube.indicator().ravel() * sigma.flat_mass)
+                     for cube in grid.cubes_at_level(depth)]).T
+    _assert_close_to(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+def test_wavelet_images_match_dense_product(name):
+    _, depth, _, g, sigma, _ = _image_case(name)
+    system = cached_system(sigma, depth)
+    _assert_close_to(wavelet_images(g, system), g @ _weighted_values(system).T)
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+@pytest.mark.parametrize("rotation_seed", [None, 3])
+def test_assemble_haar_matrix_matches_dense_products(name, rotation_seed):
+    grid, depth, kernel, g, sigma, omega = _image_case(name)
+    mat = assemble_haar_matrix(kernel, default_truncation(grid), sigma, omega, depth,
+                               rotation_seed=rotation_seed)
+    ssys = cached_system(sigma, depth, rotation_seed)
+    osys = cached_system(omega, depth, rotation_seed)
+    _assert_close_to(mat.entries, _weighted_values(osys) @ g @ _weighted_values(ssys).T)
 
 
 def test_assemble_requires_shared_grid():

@@ -4,8 +4,9 @@
 
 Extracts BASE_REV with `git archive` into a temporary directory (no network)
 and runs, once with each tree's `src/`, the five `haartest` subcommands with
-`--depth 4` (acceptance criterion 10's arguments) and every op of the
-benchmark workloads at seed 0 (`perfbench/workloads.py` of this checkout,
+`--depth 4` (acceptance criterion 10's arguments), `characteristics --p 3
+--depth 4` (which adds the Lp Haar testing reports and their duals) and
+every op of the benchmark workloads at seed 0 (`perfbench/workloads.py` of this checkout,
 imported as is). Each run gets its own output directory.
 
 It then compares, run by run, the exit codes, every JSON report with `meta`
@@ -51,6 +52,7 @@ def extract(rev: str, dest: Path) -> None:
 def jobs(config_dir: Path) -> list:
     """(label, argv without --out) of every run."""
     out = [(f"c10-{cmd}", [cmd, "--depth", "4"]) for cmd in SUBCOMMANDS]
+    out.append(("lp-characteristics", ["characteristics", "--p", "3", "--depth", "4"]))
     for workload in WORKLOADS:
         for i, op in enumerate(ops_for(workload, 0, config_dir)):
             out.append((f"{workload}-{i}-{op.subcommand}",
