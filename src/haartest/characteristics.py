@@ -22,6 +22,7 @@ from .operators import (
     HaarMatrix,
     Kernel,
     Truncation,
+    _haar_matrix,
     assemble_haar_matrix,
     cube_images,
     kernel_matrix,
@@ -478,6 +479,14 @@ def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
     _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
+    return _haar_testing(system, images, omega, kernel, trunc, mode, seed)
+
+
+def _haar_testing(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
+                  kernel: Kernel, trunc: Truncation, mode: str,
+                  seed: int) -> CharacteristicReport:
+    """haar_testing of the system's measure against omega, from the system
+    and its wavelets' images (`_wavelet_images`)."""
     slots = _live_slots(system)
     tops, coeffs = _cube_optima(system, images.T, omega.flat_mass,
                                 local=mode == "local")
@@ -490,13 +499,27 @@ def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
         witness = {"cube": key, "coefficients": [float(v) for v in coeffs[j, :count]],
                    "mode": mode}
     search_space = {
-        "depth": depth,
+        "depth": system.depth,
         "cube_blocks": len(slots),
         "per_cube_optimum": "exact",
         "kernel": _kernel_spec(kernel),
         "trunc": _trunc_spec(trunc),
     }
     return CharacteristicReport("haar_testing", best, witness, search_space, seed)
+
+
+def _matrix_and_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
+                        trunc: Truncation, depth: int) -> tuple:
+    """(assemble_haar_matrix(...), global haar_testing(...)) of the pair at
+    `depth`, both from one sigma system and one set of its wavelets' images."""
+    _check_pair(sigma, omega)
+    system, images = _wavelet_images(sigma, kernel, trunc, depth)
+    # the report before the matrix: the other order leaves more freed heap
+    # behind (2-D L=6: 17 MB more peak RSS for the whole characteristics run)
+    test = _haar_testing(system, images, omega, kernel, trunc, "global", 0)
+    # the omega system under assemble_haar_matrix's cache key
+    osys = cached_system(omega, depth, None)
+    return _haar_matrix(system, images, osys, kernel, trunc), test
 
 
 def haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,

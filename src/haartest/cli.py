@@ -19,13 +19,11 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .characteristics import (
+    _matrix_and_testing,
     a2_lambda,
     cube_testing,
-    haar_testing,
     haar_testing_dual,
     lp_haar_testing,
     lp_haar_testing_dual,
@@ -59,7 +57,6 @@ from .operators import (
     KERNEL_FAMILIES,
     Truncation,
     TruncationError,
-    assemble_haar_matrix,
     default_truncation,
     make_kernel,
 )
@@ -242,9 +239,8 @@ def _characteristic_bundle(cfg: RunConfig, s_spec: str, o_spec: str,
     kernel = make_kernel(cfg.kernel, cfg.lam, grid.dimension)
     trunc = build_truncation(cfg, grid)
     depth = min(cfg.depth, grid.max_level)
-    matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, depth)
+    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth)
     norm = operator_norm(matrix)
-    test = haar_testing(sigma, omega, kernel, trunc, mode="global", depth=depth)
     dual = haar_testing_dual(sigma, omega, kernel, trunc, mode="global", depth=depth)
     cube = cube_testing(sigma, omega, kernel, trunc, mode="global", depth=depth)
     size = a2_lambda(sigma, omega, cfg.lam, depth=depth)
@@ -374,10 +370,8 @@ def run_frames(cfg: RunConfig) -> tuple:
     pairs = measure_pairs(cfg, grid)
     _, _, mu, _ = pairs[0]
     depth = min(cfg.depth, grid.max_level)
-    system = cached_system(mu, grid.max_level)
-    constant = np.full(grid.n_cells, 1.0 / np.sqrt(mu.total_mass))
-    elements = [*system.values_matrix, constant]
-    parseval = hilbert_frame_bounds(elements, mu, sample_count=64, seed=cfg.seed)
+    parseval = hilbert_frame_bounds(cached_system(mu, grid.max_level), mu,
+                                    sample_count=64, seed=cfg.seed)
     square = lp_square_function_bounds(mu, cfg.p, depth, sample_count=64,
                                        seed=cfg.seed)
     triple = banach_frame_check(mu, cfg.p, depth, sample_count=32, seed=cfg.seed)

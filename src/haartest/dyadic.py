@@ -280,16 +280,46 @@ def block_sums(values: np.ndarray, dimension: int, factor: int,
     return values
 
 
-def group_by_cube(mesh: np.ndarray, level: int) -> np.ndarray:
-    """(cubes, entries per cube): a square n-D mesh array regrouped by the
-    level-`level` cubes of its grid, cubes in C order and each cube's
-    entries in C order (for children: lexicographic offset order)."""
-    n = mesh.ndim
+def group_by_cube(mesh: np.ndarray, level: int, dimension: int | None = None) -> np.ndarray:
+    """(..., cubes, entries per cube): the trailing `dimension` axes of mesh
+    (by default all of them), a square n-D mesh array, regrouped by the
+    level-`level` cubes of its grid, cubes in C order and each cube's entries
+    in C order (for children: lexicographic offset order). Leading axes are
+    kept."""
+    n = mesh.ndim if dimension is None else dimension
+    lead = mesh.shape[:mesh.ndim - n]
+    k = len(lead)
     side = 2 ** level
-    width = mesh.shape[0] // side
-    split = mesh.reshape(sum(((side, width) for _ in range(n)), ()))
-    order = [2 * a for a in range(n)] + [2 * a + 1 for a in range(n)]
-    return split.transpose(order).reshape(side ** n, width ** n)
+    width = mesh.shape[-1] // side
+    split = mesh.reshape(lead + sum(((side, width) for _ in range(n)), ()))
+    order = list(range(k)) + [k + 2 * a for a in range(n)] + [k + 2 * a + 1 for a in range(n)]
+    return split.transpose(order).reshape(lead + (side ** n, width ** n))
+
+
+def ungroup_children(grouped: np.ndarray, level: int, dimension: int) -> np.ndarray:
+    """Inverse of `group_by_cube` for children: (..., 2**(n*level), 2**n)
+    back to the (...,) + (2**(level+1),)*n array on the level-(level+1) cubes."""
+    n = dimension
+    lead = grouped.shape[:-2]
+    k = len(lead)
+    side = 2 ** level
+    split = grouped.reshape(lead + (side,) * n + (2,) * n)
+    order = list(range(k)) + [k + a + s for a in range(n) for s in (0, n)]
+    return split.transpose(order).reshape(lead + (2 * side,) * n)
+
+
+def refine(values: np.ndarray, dimension: int, factor: int) -> np.ndarray:
+    """Each entry of the trailing `dimension` axes repeated factor times along
+    each of them: values on dyadic cubes carried to their descendants
+    log2(factor) levels down (the broadcast that `block_sums` undoes up to
+    the factor**dimension)."""
+    if factor == 1:
+        return values
+    lead = values.shape[:values.ndim - dimension]
+    mesh = values.shape[values.ndim - dimension:]
+    column = values.reshape(lead + sum(((s, 1) for s in mesh), ()))
+    wide = np.broadcast_to(column, lead + sum(((s, factor) for s in mesh), ()))
+    return wide.reshape(lead + tuple(s * factor for s in mesh))
 
 
 def box_distance(lo1, hi1, lo2, hi2) -> float:

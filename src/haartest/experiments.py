@@ -19,6 +19,7 @@ from .characteristics import (
     JsonReport,
     _cube_pyramid,
     _kernel_spec,
+    _matrix_and_testing,
     _restriction_weights,
     _trunc_spec,
     a2_lambda,
@@ -42,7 +43,6 @@ from .operators import (
     Truncation,
     TruncationError,
     apply,
-    assemble_haar_matrix,
     kernel_matrix,
     require_resolved,
 )
@@ -121,22 +121,30 @@ class SectorConfig:
 
     def contains_points(self, origin, points) -> bool:
         """True when every point sits strictly inside the cone from origin."""
-        z = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(origin, dtype=float)
+        origin = np.asarray(origin, dtype=float)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return bool(self.contains_point_sets(origin[None], points[None])[0])
+
+    def contains_point_sets(self, origins: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """`contains_points` of each origin (k, n) with its points (k, c, n)."""
+        z = points - origins[:, None, :]
         r = np.linalg.norm(z, axis=-1)
-        if np.any(r == 0.0):
-            return False
-        units = z / r[:, None]
-        return bool(np.all(np.linalg.norm(units - self.axis(), axis=-1) < self.delta))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            units = z / r[..., None]
+        inside = np.linalg.norm(units - self.axis(), axis=-1) < self.delta
+        return np.all(inside & (r > 0.0), axis=-1)
+
+
+def _box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """(k, 2**n, n) corners of the boxes [lower, upper) (k, n); corner i
+    takes the upper end on axis ax when bit ax of i is set."""
+    n = lower.shape[-1]
+    bits = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    return np.where(bits, upper[:, None, :], lower[:, None, :])
 
 
 def _corners(cube: DyadicCube) -> np.ndarray:
-    lo, hi = cube.lower, cube.upper
-    n = lo.size
-    pts = np.zeros((2**n, n))
-    for i in range(2**n):
-        for ax in range(n):
-            pts[i, ax] = hi[ax] if (i >> ax) & 1 else lo[ax]
-    return pts
+    return _box_corners(cube.lower[None], cube.upper[None])[0]
 
 
 @dataclass(frozen=True)
@@ -228,30 +236,8 @@ def build_aligned_triple(grid: Grid, kernel: Kernel, cfg: SectorConfig,
             f"cone width delta={cfg.delta} exceeds kernel delta0={kernel.delta0:.6g}"
         )
     side = base_cube.side
-    axis = cfg.axis()
     if target_cube is None:
-        lo_band, hi_band = side / (2.0 * cfg.delta), 2.0 * side / cfg.delta
-        nominal = side / cfg.delta
-        in_band = 0
-        best = None
-        for cand in grid.cubes_at_level(base_cube.level):
-            if cand.coords == base_cube.coords:
-                continue
-            dist = box_distance(base_cube.lower, base_cube.upper, cand.lower, cand.upper)
-            if not lo_band <= dist <= hi_band:
-                continue
-            in_band += 1
-            if not cfg.contains_points(base_cube.center, _corners(cand)):
-                continue
-            rank = (abs(dist - nominal), cand.key())
-            if best is None or rank < best[0]:
-                best = (rank, cand)
-        if best is None:
-            reason = "distance band is empty" if in_band == 0 else "no candidate fits the cone"
-            raise AlignmentError(
-                f"no aligned partner for {base_cube.key()} at delta={cfg.delta}: {reason}"
-            )
-        target = best[1]
+        target = _aligned_partner(grid, cfg, base_cube)
     else:
         target = target_cube
     depths = [cfg.m] if cfg.m is not None else list(range(1, grid.max_level - base_cube.level + 1))
@@ -259,30 +245,110 @@ def build_aligned_triple(grid: Grid, kernel: Kernel, cfg: SectorConfig,
     for m in depths:
         if base_cube.level + m > grid.max_level:
             break
-        cells = base_cube.grandchildren(m)
-        best_pair = None
-        for a in range(len(cells)):
-            for b in range(len(cells)):
-                if a == b:
-                    continue
-                neg, pos = cells[a], cells[b]
-                d3 = box_distance(*neg.triple_box(), *pos.triple_box())
-                if not lo3 <= d3 <= hi3:
-                    continue
-                if not cfg.contains_points(neg.center, _corners(pos)):
-                    continue
-                rank = (abs(d3 - side), neg.key(), pos.key())
-                if best_pair is None or rank < best_pair[0]:
-                    best_pair = (rank, neg, pos)
-        if best_pair is not None:
+        pair = _dipole_pair(grid, cfg, base_cube, m)
+        if pair is not None:
             sector = cfg if cfg.m == m else replace(cfg, m=m)
-            return AlignedTriple(source=base_cube, target=target,
-                                 neg_cube=best_pair[1], pos_cube=best_pair[2],
-                                 sector=sector)
+            return AlignedTriple(source=base_cube, target=target, neg_cube=pair[0],
+                                 pos_cube=pair[1], sector=sector)
     raise AlignmentError(
         f"no aligned configuration at this depth: no dipole pair below {base_cube.key()} "
         f"reaches tripled separation in [{lo3:.6g}, {hi3:.6g}] within max_level={grid.max_level}"
     )
+
+
+# pairs of cubes whose distances build_aligned_triple holds at once
+_PAIR_BLOCK = 1 << 18
+
+
+def _level_boxes(grid: Grid, level: int, coords: np.ndarray) -> tuple:
+    """(lower, upper) of the level-`level` cubes with integer coords (k, n),
+    by the arithmetic of `DyadicCube.lower` and `upper`."""
+    lower = grid.window_lower + coords * (grid.side / 2 ** level)
+    return lower, lower + grid.side / 2 ** level
+
+
+def _exact_distances(gaps: np.ndarray) -> np.ndarray:
+    """`box_distance` of each row of per-axis gaps (k, n), by its own
+    arithmetic (the norm of a 1-D array), so band edges and ties fall as there.
+    The array scans call it only on the few boxes near a band."""
+    return np.array([np.linalg.norm(g) for g in gaps], dtype=float)
+
+
+def _near_band(gaps: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mask of the gaps (..., n) whose norm is in [lo, hi] up to 1e-9 * hi: a
+    superset of the exact band, whatever the rounding of the norm."""
+    dist = np.linalg.norm(gaps, axis=-1)
+    slack = 1e-9 * hi
+    return (dist >= lo - slack) & (dist <= hi + slack)
+
+
+def _aligned_partner(grid: Grid, cfg: SectorConfig, base: DyadicCube) -> DyadicCube:
+    """The same-level cube in the distance band [side/(2 delta), 2 side/delta]
+    from base and inside the cone from its center whose distance is nearest
+    to side/delta, ties broken by key: one array scan over the level."""
+    side = base.side
+    lo_band, hi_band = side / (2.0 * cfg.delta), 2.0 * side / cfg.delta
+    nominal = side / cfg.delta
+    n = grid.dimension
+    coords = np.indices((2 ** base.level,) * n).reshape(n, -1).T
+    lower, upper = _level_boxes(grid, base.level, coords)
+    gaps = np.maximum(0.0, np.maximum(lower - base.upper, base.lower - upper))
+    near = np.flatnonzero(_near_band(gaps, lo_band, hi_band)
+                          & np.any(coords != base.coords, axis=1))
+    dist = _exact_distances(gaps[near])
+    in_band = (lo_band <= dist) & (dist <= hi_band)
+    near, dist = near[in_band], dist[in_band]
+    fits = cfg.contains_point_sets(np.broadcast_to(base.center, (near.size, n)),
+                                   _box_corners(lower[near], upper[near]))
+    if not fits.any():
+        reason = "distance band is empty" if near.size == 0 else "no candidate fits the cone"
+        raise AlignmentError(
+            f"no aligned partner for {base.key()} at delta={cfg.delta}: {reason}"
+        )
+    cubes = [grid.cube(base.level, c) for c in coords[near[fits]]]
+    ranks = zip(np.abs(dist[fits] - nominal).tolist(), (c.key() for c in cubes), cubes)
+    return min(ranks, key=lambda rank: rank[:2])[2]
+
+
+def _dipole_pair(grid: Grid, cfg: SectorConfig, base: DyadicCube, m: int):
+    """(neg, pos): the pair of distinct generation-m descendants of base whose
+    tripled boxes are apart by a distance in [side/2, 2 side] nearest to
+    side, with pos inside the cone from neg's center, ties broken by the
+    keys; None when no pair qualifies. Pairs are scanned as arrays,
+    _PAIR_BLOCK at a time."""
+    side = base.side
+    lo3, hi3 = side / 2.0, 2.0 * side
+    n = grid.dimension
+    level = base.level + m
+    coords = np.array(base.coords) * 2 ** m + np.indices((2 ** m,) * n).reshape(n, -1).T
+    lower, upper = _level_boxes(grid, level, coords)
+    cell = grid.side / 2 ** level
+    tlo, thi = lower - cell, upper + cell
+    center = lower + 0.5 * cell
+    corners = _box_corners(lower, upper)
+    count = len(coords)
+    step = max(1, _PAIR_BLOCK // count)
+    found_neg, found_pos, found_dist = [], [], []
+    for start in range(0, count, step):
+        rows = np.arange(start, min(count, start + step))
+        gaps = np.maximum(0.0, np.maximum(tlo[None] - thi[rows, None], tlo[rows, None] - thi[None]))
+        a, b = np.nonzero(_near_band(gaps, lo3, hi3))
+        gaps = gaps[a, b]
+        a = rows[a]
+        keep = (a != b) & cfg.contains_point_sets(center[a], corners[b])
+        dist = _exact_distances(gaps[keep])
+        in_band = (lo3 <= dist) & (dist <= hi3)
+        found_neg.append(a[keep][in_band])
+        found_pos.append(b[keep][in_band])
+        found_dist.append(dist[in_band])
+    neg, pos, dist = (np.concatenate(x) for x in (found_neg, found_pos, found_dist))
+    if neg.size == 0:
+        return None
+    cubes = {i: grid.cube(level, coords[i]) for i in set(neg.tolist()) | set(pos.tolist())}
+    ranks = ((d, cubes[a].key(), cubes[b].key(), a, b)
+             for d, a, b in zip(np.abs(dist - side).tolist(), neg.tolist(), pos.tolist()))
+    best = min(ranks, key=lambda rank: rank[:3])
+    return cubes[best[3]], cubes[best[4]]
 
 
 @dataclass(frozen=True)
@@ -1032,9 +1098,9 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
     dbl_depth = min(depth, grid.max_level - 1)
 
     def evaluate(sigma: MeshMeasure, omega: MeshMeasure, kind: str) -> dict:
-        matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, depth)
+        matrix, test_rep = _matrix_and_testing(sigma, omega, kernel, trunc, depth)
         norm = operator_norm(matrix).value
-        test = haar_testing(sigma, omega, kernel, trunc, mode="global", depth=depth).value
+        test = test_rep.value
         dual = haar_testing_dual(sigma, omega, kernel, trunc, mode="global", depth=depth).value
         denom = test + dual
         ratio = norm / denom if denom > 0.0 else 0.0

@@ -2,12 +2,13 @@
 
 Empirical frame bounds in L2(mu), block square-function bounds in Lp(mu),
 and a Banach-frame check of the coefficient map, its sequence norm and
-synthesis. The square-function bounds and the Banach-frame check analyse a
-whole sample matrix through one helper, `_analyse`: one product gives every
-sample's coefficients, and the block square functions take one synthesis
-per level (`_sequence_norms`), not one per cube. Bounds are sampled, never
-certified: each report records the sample count, the seed, and the extreme
-witnesses.
+synthesis. Every Haar coefficient and synthesis goes through the system's
+level-by-level transform (`HaarSystem.analyse`, `synthesise` and
+`level_components`), so no dense wavelet matrix is formed: the sample
+matrix is analysed at once in `_analyse`, and the block square functions
+are summed level by level (`_sequence_norms`), not cube by cube. Bounds are
+sampled, never certified: each report records the sample count, the seed,
+and the extreme witnesses.
 """
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import JsonReport
+from .dyadic import refine
 from .experiments import ExperimentReport
 from .haar import HaarSystem, cached_system
-from .measure import DegenerateMeasureError, MeshMeasure
+from .measure import DegenerateMeasureError, MeshMeasure, level_masses
 
 __all__ = [
     "FrameBoundsReport",
@@ -30,8 +32,8 @@ __all__ = [
 # relative centered Lp norm at or below which a function counts as constant
 _CONSTANT_TOL = 1e-12
 
-# elements stacked at a time by hilbert_frame_bounds: a block is 8 MB at
-# 2-D L=6, instead of a copy of the whole family
+# elements stacked at a time by hilbert_frame_bounds on a list family: a
+# block is 8 MB at 2-D L=6, instead of a copy of the whole family
 _ELEMENT_BLOCK = 256
 
 
@@ -80,31 +82,12 @@ def _ratio_report(ratios: np.ndarray, labels: list, sample_count: int, p: float,
     )
 
 
-def hilbert_frame_bounds(elements: list, mu: MeshMeasure, sample_count: int = 64,
-                         seed: int = 0, probes: list | None = None) -> FrameBoundsReport:
-    """Sampled L2(mu) frame bounds of a finite family of mesh functions.
-
-    Ratios sum |<x, f_j>_mu|^2 / ||x||_mu^2 over random mesh functions x,
-    plus any supplied probe functions (labeled in the witnesses). A complete
-    orthonormal family gives lower = upper = 1. The elements are stacked
-    and paired with the samples _ELEMENT_BLOCK at a time.
-    """
-    if mu.total_mass <= 0.0:
-        raise DegenerateMeasureError("measure carries no mass")
-    if not elements:
-        raise ValueError("need at least one element")
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
-    grid = mu.grid
-    if any(np.size(e) != grid.n_cells for e in elements):
+def _element_energies(elements: list, mu: MeshMeasure, xs: np.ndarray) -> np.ndarray:
+    """sum_j |<x, f_j>_mu|^2 of every row x of xs, for a list of mesh
+    functions f_j: the elements are stacked and paired with the samples
+    _ELEMENT_BLOCK at a time."""
+    if any(np.size(e) != mu.grid.n_cells for e in elements):
         raise ValueError("elements must be mesh functions on the measure's grid")
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((sample_count, grid.n_cells))
-    labels = [{"kind": "random", "index": i} for i in range(sample_count)]
-    if probes:
-        pr = np.stack([np.asarray(q, dtype=float).ravel() for q in probes])
-        xs = np.concatenate([pr, xs])
-        labels = [{"kind": "probe", "index": i} for i in range(len(probes))] + labels
     weighted = (xs * mu.flat_mass).T
     num = np.zeros(len(xs))
     for start in range(0, len(elements), _ELEMENT_BLOCK):
@@ -112,13 +95,57 @@ def hilbert_frame_bounds(elements: list, mu: MeshMeasure, sample_count: int = 64
                          for e in elements[start:start + _ELEMENT_BLOCK]])
         # the running sum leads the block, so the sum runs in element order
         num = np.concatenate([num[None], (rows @ weighted) ** 2]).sum(axis=0)
+    return num
+
+
+def _system_energies(system: HaarSystem, xs: np.ndarray) -> np.ndarray:
+    """sum_h |<x, h>_mu|^2 + |<x, 1/sqrt(|mu|)>_mu|^2 of every row x of xs:
+    the system's wavelets plus the normalized constant, by the transform."""
+    mu = system.measure
+    means = (xs * mu.flat_mass).sum(axis=1) / np.sqrt(mu.total_mass)
+    return (system.analyse(xs) ** 2).sum(axis=1) + means**2
+
+
+def hilbert_frame_bounds(family, mu: MeshMeasure, sample_count: int = 64,
+                         seed: int = 0, probes: list | None = None) -> FrameBoundsReport:
+    """Sampled L2(mu) frame bounds of a finite family.
+
+    The family is a list of mesh functions, or a HaarSystem on mu, which
+    stands for its wavelets plus the normalized constant 1/sqrt(|mu|) and is
+    analysed by its transform. Ratios sum |<x, f_j>_mu|^2 / ||x||_mu^2 over
+    random mesh functions x, plus any supplied probe functions (labeled in
+    the witnesses). A complete orthonormal family gives lower = upper = 1.
+    """
+    if mu.total_mass <= 0.0:
+        raise DegenerateMeasureError("measure carries no mass")
+    is_system = isinstance(family, HaarSystem)
+    if is_system:
+        if family.measure.grid != mu.grid or not np.array_equal(
+                family.measure.cell_mass, mu.cell_mass):
+            raise ValueError("the Haar system must be built on the measure mu")
+        element_count = family.n_wavelets + 1
+    elif not family:
+        raise ValueError("need at least one element")
+    else:
+        element_count = len(family)
+    if sample_count < 1:
+        raise ValueError("sample_count must be positive")
+    grid = mu.grid
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((sample_count, grid.n_cells))
+    labels = [{"kind": "random", "index": i} for i in range(sample_count)]
+    if probes:
+        pr = np.stack([np.asarray(q, dtype=float).ravel() for q in probes])
+        xs = np.concatenate([pr, xs])
+        labels = [{"kind": "probe", "index": i} for i in range(len(probes))] + labels
+    num = _system_energies(family, xs) if is_system else _element_energies(family, mu, xs)
     den = xs**2 @ mu.flat_mass
     keep = den > 0.0
     if not np.any(keep):
         raise DegenerateMeasureError("every sample has zero norm under the measure")
     ratios = num[keep] / den[keep]
     labels = [lab for lab, k in zip(labels, keep) if k]
-    details = {"element_count": len(elements), "probe_count": len(probes or [])}
+    details = {"element_count": element_count, "probe_count": len(probes or [])}
     return _ratio_report(ratios, labels, sample_count, p=2.0, seed=seed,
                          details=details)
 
@@ -130,19 +157,22 @@ def _sequence_norms(system: HaarSystem, coeffs: np.ndarray, p: float) -> np.ndar
 
     The wavelets of the cubes of one level have disjoint supports, so at each
     cell at most one D_Q f of that level is nonzero, and the sum over the
-    level of |D_Q f|^2 equals |sum over the level of D_Q f|^2 exactly. Each
-    level therefore costs one synthesis of its rows.
+    level of |D_Q f|^2 equals the square of the level's component
+    (`HaarSystem.level_components`) exactly. The squares are summed coarse
+    to fine on the level-`depth` cubes, on which the sum is constant.
     """
-    values = system.values_matrix
-    square = np.zeros((coeffs.shape[0], values.shape[1]))
-    for rows in system.level_rows:
-        square += (coeffs[:, rows] @ values[rows]) ** 2
-    return _lp_norms(np.sqrt(square), system.measure, p)
+    mu = system.measure
+    n = mu.grid.dimension
+    square = np.zeros((coeffs.shape[0],) + (1,) * n)
+    for component in system.level_components(coeffs):
+        square = refine(square, n, 2) + component**2
+    masses = level_masses(mu, system.depth).ravel()
+    return _lp_norms(np.sqrt(square.reshape(len(square), -1)), masses, p)
 
 
-def _lp_norms(funcs: np.ndarray, mu: MeshMeasure, p: float) -> np.ndarray:
-    """Lp(mu) norms of the rows of funcs (k, n_cells)."""
-    return (np.abs(funcs) ** p * mu.flat_mass).sum(axis=1) ** (1.0 / p)
+def _lp_norms(funcs: np.ndarray, masses: np.ndarray, p: float) -> np.ndarray:
+    """Lp norms of the rows of funcs (k, cells) for the cell masses `masses`."""
+    return (np.abs(funcs) ** p * masses).sum(axis=1) ** (1.0 / p)
 
 
 def _analyse(system: HaarSystem, funcs: np.ndarray, p: float) -> tuple:
@@ -155,12 +185,11 @@ def _analyse(system: HaarSystem, funcs: np.ndarray, p: float) -> tuple:
     its own Lp norm: centering a constant leaves rounding noise, not 0.
     """
     mu = system.measure
-    weighted = funcs * mu.flat_mass
-    coeffs = weighted @ system.values_matrix.T
-    means = weighted.sum(axis=1) / mu.total_mass
+    coeffs = system.analyse(funcs)
+    means = (funcs * mu.flat_mass).sum(axis=1) / mu.total_mass
     norms = _sequence_norms(system, coeffs, p)
-    centered = _lp_norms(funcs - means[:, None], mu, p)
-    keep = centered > _CONSTANT_TOL * _lp_norms(funcs, mu, p)
+    centered = _lp_norms(funcs - means[:, None], mu.flat_mass, p)
+    keep = centered > _CONSTANT_TOL * _lp_norms(funcs, mu.flat_mass, p)
     if not keep.any():
         raise DegenerateMeasureError("every sample is constant under the measure")
     return coeffs, means, norms, keep, norms[keep] / centered[keep]
@@ -170,12 +199,9 @@ def _resolved_samples(grid, depth: int, sample_count: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Random mesh functions constant on the level-depth cubes, one per row
     of a (sample_count, n_cells) array."""
-    factor = 2 ** (grid.max_level - depth)
     coarse = rng.standard_normal((sample_count,) + (2**depth,) * grid.dimension)
-    f = coarse
-    for ax in range(1, grid.dimension + 1):
-        f = np.repeat(f, factor, axis=ax)
-    return f.reshape(sample_count, grid.n_cells)
+    return refine(coarse, grid.dimension, 2 ** (grid.max_level - depth)).reshape(
+        sample_count, grid.n_cells)
 
 
 def _check_square_inputs(mu: MeshMeasure, p: float, depth: int) -> None:
@@ -248,10 +274,9 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
     rng = np.random.default_rng(seed)
     samples = _resolved_samples(mu.grid, depth, sample_count, rng)
     system = cached_system(mu, depth)
-    values = system.values_matrix
     coeffs, means, norms, _, ratios = _analyse(system, samples, p)
     finite = np.isfinite(norms)
-    back = coeffs @ values + means[:, None]
+    back = system.synthesise(coeffs) + means[:, None]
     gaps = np.abs(back - samples)[:, mu.flat_mass > 0.0].max(axis=1)
     failures = []
     for i, gap in enumerate(gaps):
@@ -274,7 +299,8 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
         row[idx] = rng.standard_normal(idx.size)
     sparse_norms = _sequence_norms(system, sparse, p)
     nonzero = sparse_norms != 0.0
-    synth = _lp_norms(sparse[nonzero] @ values, mu, p) / sparse_norms[nonzero]
+    synth = (_lp_norms(system.synthesise(sparse[nonzero]), mu.flat_mass, p)
+             / sparse_norms[nonzero])
     synth_bound = float(synth.max(initial=0.0))
     synth_ok = bool(np.isfinite(synth_bound) and synth_bound > 0.0)
     if not synth_ok:

@@ -7,8 +7,15 @@ wavelet j (j = 2..k) is ((m_{a_j} / M_j) 1_{a_1, a_j..a_k} - e_{a_j}) over
 sqrt(m_{a_j} (M_j - m_{a_j}) / M_j), up to the sign convention. So a level
 is built in one step from its children's masses (cubes x 2**n), with no
 per-cube loop; values on zero-mass children are identically zero. The
-per-wavelet objects, cube slots and dense matrices of a system are derived
-from those level arrays on demand.
+per-wavelet objects and cube slots of a system are derived from those
+level arrays on demand.
+
+The fast transform for these unbalanced wavelets works on the same arrays:
+analysis sums f * mu to every level's children and takes one product per
+level with the child values, and synthesis adds each level's component,
+coarse to fine (`HaarSystem.analyse`, `synthesise`, `level_components`).
+No n_wavelets x n_cells matrix is formed; the dense `values_matrix`,
+`weighted_matrix` and `gram` remain as an oracle for tests on small grids.
 """
 from __future__ import annotations
 
@@ -17,7 +24,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicCube, MeshExhaustedError, group_by_cube
+from .dyadic import (DyadicCube, MeshExhaustedError, block_sums, group_by_cube, refine,
+                     ungroup_children)
 from .measure import MeshMeasure, level_masses
 
 _SIGN_TOL = 1e-13
@@ -215,7 +223,8 @@ class HaarSystem:
 
     @cached_property
     def values_matrix(self) -> np.ndarray:
-        """(n_wavelets, n_cells) dense cell values, C-order cells."""
+        """(n_wavelets, n_cells) dense cell values, C-order cells: an oracle
+        for small grids (the transform methods below form no such matrix)."""
         return self._values_on(self.measure.grid.max_level)
 
     @cached_property
@@ -229,17 +238,70 @@ class HaarSystem:
         return self.values_matrix * self.measure.flat_mass
 
     def gram(self) -> np.ndarray:
+        """Dense Gram matrix of the wavelets: an oracle for small grids."""
         return self.weighted_matrix @ self.values_matrix.T
 
     def mean_coefficient(self, f: np.ndarray) -> float:
         tot = self.measure.total_mass
         return float(self.measure.integrate(f) / np.sqrt(tot))
 
+    def analyse(self, funcs: np.ndarray) -> np.ndarray:
+        """(k, n_wavelets) coefficients <f, h>_mu of the rows f of funcs
+        (k, n_cells).
+
+        f * mu is summed to the level-`depth` cubes, then level by level to
+        coarser ones (finest first); at each level the sums over every
+        cube's children give the level's coefficients in one product with
+        the child values. No dense wavelet matrix is formed.
+        """
+        grid = self.measure.grid
+        n = grid.dimension
+        funcs = np.asarray(funcs, dtype=float)
+        k = funcs.shape[0]
+        weighted = (funcs * self.measure.flat_mass).reshape((k,) + grid.mesh_shape)
+        sums = block_sums(weighted, n, 2 ** (grid.max_level - self.depth))
+        out = np.empty((k, self.n_wavelets))
+        for lv, rows in zip(reversed(self.levels), reversed(self.level_rows)):
+            children = group_by_cube(sums, lv.level, n)
+            out[:, rows] = np.einsum("krj,rj->kr", children[:, lv.cubes], lv.child_values)
+            sums = block_sums(sums, n, 2)
+        return out
+
+    def level_components(self, coeffs: np.ndarray):
+        """Yield, level by level from level 0, the component of the rows of
+        coeffs (k, n_wavelets) on that level: the sum over the level's cubes
+        Q of D_Q f = sum over Q's wavelets h of c_h h. Each is constant on
+        the level's children and is given there, as a (k,) +
+        (2**(level+1),)*n array."""
+        n = self.measure.grid.dimension
+        coeffs = np.asarray(coeffs, dtype=float)
+        k = coeffs.shape[0]
+        for lv, rows in zip(self.levels, self.level_rows):
+            children = np.zeros((k,) + lv.child_masses.shape)
+            live = np.flatnonzero(lv.counts)
+            if live.size:
+                terms = coeffs[:, rows, None] * lv.child_values
+                children[:, live] = np.add.reduceat(terms, lv.starts[live], axis=1)
+            yield ungroup_children(children, lv.level, n)
+
+    def synthesise(self, coeffs: np.ndarray) -> np.ndarray:
+        """(k, n_cells) functions sum_h c_h h of the rows of coeffs
+        (k, n_wavelets), the inverse of `analyse` on the span: the level
+        components added coarse to fine, the sum so far refined one level
+        before each."""
+        grid = self.measure.grid
+        n = grid.dimension
+        k = np.shape(coeffs)[0]
+        total = np.zeros((k,) + (1,) * n)
+        for component in self.level_components(coeffs):
+            total = refine(total, n, 2) + component
+        return refine(total, n, 2 ** (grid.max_level - self.depth)).reshape(k, grid.n_cells)
+
     def expand(self, f: np.ndarray) -> np.ndarray:
-        return self.weighted_matrix @ np.asarray(f).ravel()
+        return self.analyse(np.asarray(f, dtype=float).reshape(1, -1))[0]
 
     def reconstruct(self, coeffs: np.ndarray, mean_coeff: float = 0.0) -> np.ndarray:
-        flat = self.values_matrix.T @ np.asarray(coeffs)
+        flat = self.synthesise(np.asarray(coeffs, dtype=float)[None])[0]
         flat = flat + mean_coeff / np.sqrt(self.measure.total_mass)
         return flat.reshape(self.measure.grid.mesh_shape)
 

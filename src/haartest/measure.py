@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import DyadicCube, Grid, block_sums
+from .dyadic import DyadicCube, Grid, block_sums, ungroup_children
 
 
 class DegenerateMeasureError(ValueError):
@@ -232,17 +232,8 @@ def random_dyadic_doubling(grid: Grid, ratio_bound: float, seed: int,
         eps -= eps.mean(axis=-1, keepdims=True)
         fracs = (1.0 + eps) / nc
         # last axis enumerates child offsets lexicographically, matching children()
-        expanded = (mass[..., None] * fracs).reshape(mass.shape + (2,) * n)
-        mass = _interleave(expanded, n, 2 ** level)
+        mass = ungroup_children((mass[..., None] * fracs).reshape(-1, nc), level, n)
     return MeshMeasure(grid, mass, label=f"doubling(r={ratio_bound},seed={seed})")
-
-
-def _interleave(arr: np.ndarray, n: int, m: int) -> np.ndarray:
-    """(m,)*n + (2,)*n array -> (2m,)*n with child offsets interleaved."""
-    order = []
-    for i in range(n):
-        order.extend([i, n + i])
-    return arr.transpose(order).reshape((2 * m,) * n)
 
 
 def near_point_mass(grid: Grid, sharpness: float, cell_coords=None) -> MeshMeasure:

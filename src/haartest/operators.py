@@ -333,15 +333,24 @@ def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
     grid = sigma.grid
     require_resolved(trunc, grid)
     ssys = cached_system(sigma, depth, rotation_seed)
-    osys = cached_system(omega, depth, rotation_seed)
     images = wavelet_images(kernel_matrix(kernel, trunc, grid), ssys)
+    return _haar_matrix(ssys, images, cached_system(omega, depth, rotation_seed),
+                        kernel, trunc)
+
+
+def _haar_matrix(ssys: HaarSystem, images: np.ndarray, osys: HaarSystem,
+                 kernel: Kernel, trunc: Truncation) -> HaarMatrix:
+    """The HaarMatrix of the source system ssys, whose wavelets' operator
+    images (`wavelet_images`) are `images`, against the target system osys."""
+    grid = ssys.measure.grid
+    omega = osys.measure
     # the target wavelets are constant on the level-`depth` cubes: sum the
     # omega-weighted image rows to those cubes
     weighted = (images * omega.flat_mass[:, None]).reshape(grid.mesh_shape + (ssys.n_wavelets,))
-    cubes = block_sums(weighted, grid.dimension, 2 ** (grid.max_level - depth), start=0)
+    cubes = block_sums(weighted, grid.dimension, 2 ** (grid.max_level - ssys.depth), start=0)
     entries = osys.cube_values @ cubes.reshape(-1, ssys.n_wavelets)
     return HaarMatrix(entries=entries, row_labels=osys.wavelet_labels(),
-                      col_labels=ssys.wavelet_labels(), depth=depth,
+                      col_labels=ssys.wavelet_labels(), depth=ssys.depth,
                       sigma_system=ssys, omega_system=osys,
                       kernel=kernel, trunc=trunc)
 

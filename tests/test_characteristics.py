@@ -467,3 +467,15 @@ def test_matched_optima_match_per_cube_svd(name, dual):
     else:
         oracle = _svd_optima(system, lambda s, c: mat.entries[:, s:s + c], lambda k: None)
     _assert_same_optimum(matched_haar_testing(mat, dual=dual), oracle)
+
+
+def test_matrix_and_testing_share_one_sigma_pass():
+    from haartest.characteristics import _matrix_and_testing
+
+    for depth in (3, GRID.max_level):
+        matrix, test = _matrix_and_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth)
+        alone = assemble_haar_matrix(HILBERT, TRUNC, SIGMA, OMEGA, depth)
+        np.testing.assert_array_equal(matrix.entries, alone.entries)
+        assert (matrix.row_labels, matrix.col_labels) == (alone.row_labels, alone.col_labels)
+        want = haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="global", depth=depth)
+        assert test.as_dict() == want.as_dict()

@@ -259,3 +259,21 @@ def test_env_out_dir(tmp_path, monkeypatch):
     assert str(cfg.out_dir()).endswith("envout")
     monkeypatch.delenv("HAARTEST_OUT_DIR")
     assert str(RunConfig(command="characteristics").out_dir()) == "."
+
+
+def test_main_frames_builds_no_dense_wavelet_matrix(tmp_path, monkeypatch):
+    from haartest.haar import HaarSystem
+
+    def dense(self):
+        raise AssertionError("frames built a dense wavelet matrix")
+
+    # a property on the class wins over values cached on instances
+    for name in ("values_matrix", "weighted_matrix", "cube_values"):
+        monkeypatch.setattr(HaarSystem, name, property(dense))
+    ini = tmp_path / "grid.ini"
+    ini.write_text("[grid]\ndimension = 2\nmax_level = 4\n")
+    rc = main(["frames", "--config", str(ini), "--depth", "3", "--p", "3",
+               "--measures", "doubling:r=2.0:seed=1,lebesgue", "--out", str(tmp_path)])
+    assert rc == 0
+    body = json.loads((tmp_path / "frames.json").read_text())
+    assert body["results"]["banach_frame_check"]["passed"] is True

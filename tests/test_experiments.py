@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from haartest.characteristics import _cube_value, cube_testing
-from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError
+from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance
 from haartest.experiments import (
     AlignedTriple,
     AlignmentError,
+    _aligned_partner,
+    _dipole_pair,
     MatrixCounterexampleConfig,
     SectorConfig,
     SignDominanceError,
@@ -409,3 +411,156 @@ def test_reports_serialize():
     rep = kernel_difference_report(HILBERT, TRUNC, tri, seed=0)
     out = json.dumps(rep.as_dict(), sort_keys=True)
     assert json.loads(out)["name"] == rep.name
+
+
+# -- aligned-triple search against the per-candidate loop ---------------------
+
+def _loop_corners(cube):
+    lo, hi = cube.lower, cube.upper
+    n = lo.size
+    pts = np.zeros((2**n, n))
+    for i in range(2**n):
+        for ax in range(n):
+            pts[i, ax] = hi[ax] if (i >> ax) & 1 else lo[ax]
+    return pts
+
+
+def _loop_in_cone(cfg, origin, points):
+    z = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(origin, dtype=float)
+    r = np.linalg.norm(z, axis=-1)
+    if np.any(r == 0.0):
+        return False
+    units = z / r[:, None]
+    return bool(np.all(np.linalg.norm(units - cfg.axis(), axis=-1) < cfg.delta))
+
+
+def _loop_partner(grid, cfg, base_cube):
+    """The partner search one candidate at a time: the partner's key, or
+    the AlignmentError message."""
+    side = base_cube.side
+    lo_band, hi_band = side / (2.0 * cfg.delta), 2.0 * side / cfg.delta
+    nominal = side / cfg.delta
+    in_band = 0
+    best = None
+    for cand in grid.cubes_at_level(base_cube.level):
+        if cand.coords == base_cube.coords:
+            continue
+        dist = box_distance(base_cube.lower, base_cube.upper, cand.lower, cand.upper)
+        if not lo_band <= dist <= hi_band:
+            continue
+        in_band += 1
+        if not _loop_in_cone(cfg, base_cube.center, _loop_corners(cand)):
+            continue
+        rank = (abs(dist - nominal), cand.key())
+        if best is None or rank < best[0]:
+            best = (rank, cand)
+    if best is None:
+        reason = "distance band is empty" if in_band == 0 else "no candidate fits the cone"
+        return f"no aligned partner for {base_cube.key()} at delta={cfg.delta}: {reason}"
+    return best[1].key()
+
+
+def _loop_dipole(cfg, base_cube, m):
+    """The dipole-pair search of generation m one pair at a time: the keys
+    (neg, pos), or None."""
+    side = base_cube.side
+    lo3, hi3 = side / 2.0, 2.0 * side
+    cells = base_cube.grandchildren(m)
+    boxes = [c.triple_box() for c in cells]
+    best_pair = None
+    for a in range(len(cells)):
+        for b in range(len(cells)):
+            if a == b:
+                continue
+            neg, pos = cells[a], cells[b]
+            d3 = box_distance(*boxes[a], *boxes[b])
+            if not lo3 <= d3 <= hi3:
+                continue
+            if not _loop_in_cone(cfg, neg.center, _loop_corners(pos)):
+                continue
+            rank = (abs(d3 - side), neg.key(), pos.key())
+            if best_pair is None or rank < best_pair[0]:
+                best_pair = (rank, neg, pos)
+    return None if best_pair is None else (best_pair[1].key(), best_pair[2].key())
+
+
+def _loop_triple(grid, cfg, base_cube):
+    """The whole search one candidate at a time: keys of the (target, neg,
+    pos) found, or the AlignmentError message."""
+    target = _loop_partner(grid, cfg, base_cube)
+    if target.startswith("no aligned partner"):
+        return target
+    depths = [cfg.m] if cfg.m is not None else list(range(1, grid.max_level - base_cube.level + 1))
+    for m in depths:
+        if base_cube.level + m > grid.max_level:
+            break
+        pair = _loop_dipole(cfg, base_cube, m)
+        if pair is not None:
+            return (target,) + pair
+    side = base_cube.side
+    return (f"no aligned configuration at this depth: no dipole pair below {base_cube.key()} "
+            f"reaches tripled separation in [{side / 2.0:.6g}, {2.0 * side:.6g}] "
+            f"within max_level={grid.max_level}")
+
+
+TRIPLE_SEARCH_CASES = {
+    "1d": (Grid(dimension=1, max_level=7), (1, 2, 3, 4), [(1.0,), (-1.0,)],
+           (0.125, 0.25, 0.5), (None, 2, 3)),
+    "2d": (Grid(dimension=2, max_level=5), (2, 3), [(1.0, 0.5), (-1.0, -0.5)],
+           (1.0,), (None, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIPLE_SEARCH_CASES))
+def test_aligned_triple_search_matches_candidate_loop(name):
+    import dataclasses
+
+    grid, levels, axes, deltas, ms = TRIPLE_SEARCH_CASES[name]
+    kernel = dataclasses.replace(make_kernel("hilbert", 0.0, 1), delta0=1.0)
+    found = failed = 0
+    for level in levels:
+        for base in grid.cubes_at_level(level):
+            for v in axes:
+                for delta in deltas:
+                    for m in ms:
+                        cfg = SectorConfig(v=v, delta=delta, m=m)
+                        want = _loop_triple(grid, cfg, base)
+                        try:
+                            tri = build_aligned_triple(grid, kernel, cfg, base)
+                            got = (tri.target.key(), tri.neg_cube.key(), tri.pos_cube.key())
+                            found += 1
+                        except AlignmentError as exc:
+                            got = str(exc)
+                            failed += 1
+                        assert got == want, (base.key(), v, delta, m)
+    # both outcomes occur, so both branches are compared
+    assert found and failed
+
+
+def test_partner_search_ties_follow_the_key_order():
+    # at level 4 coordinates reach two digits, so the key order ("4:3,10" <
+    # "4:3,9") differs from the coordinate order on ties of distance: with a
+    # cone along an axis, the three cubes across it tie
+    grid = Grid(dimension=2, max_level=4)
+    for v in [(1.0, 0.0), (-1.0, 0.0)]:
+        cfg = SectorConfig(v=v, delta=1.0)
+        for base in (grid.cube(4, (x, y)) for x in range(16) for y in range(8, 12)):
+            try:
+                got = _aligned_partner(grid, cfg, base).key()
+            except AlignmentError as exc:
+                got = str(exc)
+            assert got == _loop_partner(grid, cfg, base), (base.key(), v)
+
+
+@pytest.mark.parametrize("dimension,max_level,m", [(1, 7, 4), (2, 5, 3)])
+def test_dipole_search_ties_follow_the_key_order(dimension, max_level, m):
+    # generation-m descendants of level-1 cubes have two-digit coordinates
+    grid = Grid(dimension=dimension, max_level=max_level)
+    axes = ([(1.0,), (-1.0,)] if dimension == 1 else [(1.0, 0.5), (-1.0, -0.5), (1.0, 0.0)])
+    for v in axes:
+        for delta in (0.5, 1.0):
+            cfg = SectorConfig(v=v, delta=delta)
+            for base in grid.cubes_at_level(1):
+                pair = _dipole_pair(grid, cfg, base, m)
+                got = None if pair is None else (pair[0].key(), pair[1].key())
+                assert got == _loop_dipole(cfg, base, m), (base.key(), v, delta)

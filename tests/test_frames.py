@@ -299,3 +299,31 @@ def test_constant_probe_is_skipped():
     with pytest.raises(DegenerateMeasureError):
         lp_square_function_bounds(mu, p=3.0, depth=3, sample_count=0,
                                   probes=[constant])
+
+
+@pytest.mark.parametrize("mu", [MU, empty_quadrant_measure()], ids=["1d", "2d-holes"])
+def test_hilbert_frame_bounds_on_the_system_match_its_element_list(mu):
+    grid = mu.grid
+    constant = np.full(grid.n_cells, 1.0 / np.sqrt(mu.total_mass))
+    probes = [np.ones(grid.mesh_shape), np.arange(grid.n_cells, dtype=float)]
+    for depth in (grid.max_level, 2):
+        system = build_system(mu, depth)
+        by_system = hilbert_frame_bounds(system, mu, sample_count=16, seed=3, probes=probes)
+        by_list = hilbert_frame_bounds([*system.values_matrix, constant], mu,
+                                       sample_count=16, seed=3, probes=probes)
+        np.testing.assert_allclose([by_system.lower, by_system.upper],
+                                   [by_list.lower, by_list.upper], rtol=1e-12)
+        assert by_system.details == by_list.details
+        if depth < grid.max_level:
+            # an incomplete family: the ratios are apart, so the witnesses agree
+            assert by_system.lower < 1.0 - 1e-3
+            assert by_system.lower_witness["sample"] == by_list.lower_witness["sample"]
+            assert by_system.upper_witness["sample"] == by_list.upper_witness["sample"]
+        else:
+            np.testing.assert_allclose([by_system.lower, by_system.upper], 1.0, atol=1e-12)
+
+
+def test_hilbert_frame_bounds_rejects_a_system_on_another_measure():
+    system = build_system(lebesgue(GRID), 3)
+    with pytest.raises(ValueError):
+        hilbert_frame_bounds(system, MU)

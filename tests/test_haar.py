@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haartest.dyadic import Grid
+from haartest.dyadic import Grid, refine
 from haartest.haar import (
     build_cube_wavelets,
     build_system,
@@ -291,3 +291,55 @@ def test_build_cube_wavelets_is_the_level_build(grid2):
         same = build_cube_wavelets(mu, h.cube)[h.index]
         np.testing.assert_array_equal(same.child_values, h.child_values)
         np.testing.assert_array_equal(same.child_masses, h.child_masses)
+
+
+# -- level-by-level transform against the dense wavelet matrix -----------------
+
+TRANSFORM_CASES = {
+    **LEVEL_BUILD_CASES,
+    "1d-full-depth": (lambda: random_dyadic_doubling(Grid(dimension=1, max_level=8), 2.5,
+                                                     seed=8), 8, None),
+}
+
+
+def _assert_close(got, want, tol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= tol * np.abs(want).max(initial=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_CASES))
+def test_transform_matches_dense_matrix(name):
+    make, depth, seed = TRANSFORM_CASES[name]
+    mu = make()
+    sys = build_system(mu, depth, rotation_seed=seed)
+    grid = mu.grid
+    n = grid.dimension
+    rng = np.random.default_rng(2)
+    funcs = rng.standard_normal((4, grid.n_cells))
+    coeffs = rng.standard_normal((4, sys.n_wavelets))
+    values = sys.values_matrix
+    _assert_close(sys.analyse(funcs), funcs @ sys.weighted_matrix.T)
+    _assert_close(sys.synthesise(coeffs), coeffs @ values)
+    components = list(sys.level_components(coeffs))
+    assert len(components) == depth
+    for lv, rows, component in zip(sys.levels, sys.level_rows, components):
+        assert component.shape == (4,) + (2 ** (lv.level + 1),) * n
+        on_mesh = refine(component, n, 2 ** (grid.max_level - lv.level - 1))
+        _assert_close(on_mesh.reshape(4, -1), coeffs[:, rows] @ values[rows])
+    # synthesis is the inverse of analysis on the span
+    _assert_close(sys.analyse(sys.synthesise(coeffs)), coeffs)
+    # expand and reconstruct are their one-row calls
+    _assert_close(sys.expand(funcs[0].reshape(grid.mesh_shape)), values @ (funcs[0] * mu.flat_mass))
+    back = sys.reconstruct(coeffs[0], mean_coeff=2.0)
+    assert back.shape == grid.mesh_shape
+    _assert_close(back.ravel(), coeffs[0] @ values + 2.0 / np.sqrt(mu.total_mass))
+
+
+def test_transform_without_wavelets():
+    g = Grid(dimension=2, max_level=3)
+    cells = np.zeros(g.mesh_shape)
+    cells[5, 2] = 1.0
+    sys = build_system(custom_cells(g, cells, label="point"), 3)
+    assert sys.n_wavelets == 0
+    assert sys.analyse(np.ones((2, g.n_cells))).shape == (2, 0)
+    np.testing.assert_array_equal(sys.synthesise(np.zeros((2, 0))), np.zeros((2, g.n_cells)))
