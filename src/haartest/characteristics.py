@@ -377,15 +377,13 @@ def _wavelet_images(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation,
 
 def _wavelet_blocks(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
                     mode: str):
-    """(cube key, image block, value block, output weights) of every cube
-    that carries wavelets, in system order. The value block holds the
-    wavelets' values on the level-`depth` cubes (`HaarSystem.cube_values`)."""
+    """(cube key, first row, image block, output weights) of every cube that
+    carries wavelets, in system order."""
     grid = omega.grid
     for key, start, count in _live_slots(system):
         weights = _restriction_weights(grid, omega.flat_mass, mode,
                                        DyadicCube.from_key(grid, key))
-        yield (key, images[:, start:start + count],
-               system.cube_values[start:start + count], weights)
+        yield key, start, images[:, start:start + count], weights
 
 
 def _stacked_optima(blocks: np.ndarray, weights: np.ndarray | None) -> tuple:
@@ -448,19 +446,31 @@ def _cube_optima(system: HaarSystem, vectors: np.ndarray,
     return np.concatenate(tops), np.concatenate(coeffs)
 
 
-def _haar_ratio(block: np.ndarray, vblock: np.ndarray, c: np.ndarray,
-                smass: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Lp(weights) norm of the image of the wavelet combination c over the
-    combination's Lp(sigma) norm; block holds the images, vblock the values
-    on the cubes whose sigma-masses are smass."""
-    den = _lp_norm(smass, vblock.T @ c, p)
+def _combination_norm(system: HaarSystem, key: str, start: int, c: np.ndarray,
+                      p: float) -> float:
+    """Lp(sigma) norm of the combination c of the wavelets of cube `key`,
+    system rows start, start + 1, ...: the combination is constant on the
+    cube's children, so the norm is a sum over them."""
+    level = int(key.partition(":")[0])
+    lv = system.levels[level]
+    first = start - system.level_rows[level].start
+    values = lv.child_values[first:first + len(c)]
+    return _lp_norm(lv.child_masses[lv.cubes[first]], values.T @ c, p)
+
+
+def _haar_ratio(system: HaarSystem, key: str, start: int, block: np.ndarray,
+                c: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """Lp(weights) norm of the image of the combination c of the wavelets of
+    cube `key` (first row start, images block) over the combination's
+    Lp(sigma) norm."""
+    den = _combination_norm(system, key, start, c, p)
     return _lp_norm(weights, block @ c, p) / den if den > 0.0 else 0.0
 
 
-def _best_combination(block: np.ndarray, vblock: np.ndarray, candidates: list,
-                      smass: np.ndarray, weights: np.ndarray, p: float) -> tuple:
+def _best_combination(system: HaarSystem, key: str, start: int, block: np.ndarray,
+                      candidates: list, weights: np.ndarray, p: float) -> tuple:
     """(ratio, combination) of the first candidate with the largest ratio."""
-    return max(((_haar_ratio(block, vblock, c, smass, weights, p), c)
+    return max(((_haar_ratio(system, key, start, block, c, weights, p), c)
                 for c in candidates), key=lambda rc: rc[0])
 
 
@@ -545,7 +555,6 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
-    smass = level_masses(sigma, depth).ravel()
     if cfg.p == 2.0:
         _, optima = _cube_optima(system, images.T, omega.flat_mass,
                                  local=mode == "local")
@@ -553,7 +562,7 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     best = -1.0
     witness: dict = {"cube": None, "coefficients": [], "mode": mode, "p": cfg.p}
     blocks = _wavelet_blocks(system, images, omega, mode)
-    for i, (key, block, vblock, weights) in enumerate(blocks):
+    for i, (key, start, block, weights) in enumerate(blocks):
         count = block.shape[1]
         candidates = list(np.eye(count))
         if count > 1:
@@ -564,7 +573,8 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                     candidates.append(c / norm)
         if cfg.p == 2.0:
             candidates.append(optima[i, :count])
-        ratio, c = _best_combination(block, vblock, candidates, smass, weights, cfg.p)
+        ratio, c = _best_combination(system, key, start, block, candidates, weights,
+                                     cfg.p)
         if ratio > best:
             best = ratio
             witness = {"cube": key, "coefficients": [float(v) for v in c],
@@ -604,8 +614,7 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
     if witness.get("p") is None:
         # L2-normalized convention: unit coefficient vectors, no denominator
         return _lp_norm(weights, block @ c, 2.0)
-    return _haar_ratio(block, system.cube_values[start:start + count], c,
-                       level_masses(sigma, system.depth).ravel(), weights,
+    return _haar_ratio(system, witness["cube"], start, block, c, weights,
                        float(witness["p"]))
 
 
@@ -954,6 +963,44 @@ def _subcube_draw(rng, grid: Grid, depth: int, max_generation: int) -> tuple:
     return members, subs
 
 
+def _family_search(families, value, best: float, winner) -> tuple:
+    """(best, winner, families evaluated) of a family search from a starting
+    best and its winner.
+
+    families yields each candidate family as the list of its tries, the
+    argument tuples of value. A try replaces the winner only when its value
+    is strictly above the best so far.
+    """
+    count = 0
+    for tries in families:
+        count += 1
+        for args in tries:
+            val = value(*args)
+            if val > best:
+                best, winner = val, args
+    return best, winner, count
+
+
+def _pair_families(grid: Grid, depth: int, best_partner: dict, draw, reach,
+                   family_count: int, rng):
+    """The tries of `_pair_family_ap`: the sibling families (the children of
+    each parent with their best partners, unit coefficients), then
+    family_count draws, each tried with random and with unit coefficients."""
+    for level in range(0, depth):
+        for parent in grid.cubes_at_level(level):
+            members = [c for c in parent.children() if c.key() in best_partner]
+            if len(members) >= 2:
+                partners = [DyadicCube.from_key(grid, best_partner[c.key()])
+                            for c in members]
+                yield [(members, partners, np.ones(len(members)))]
+    for _ in range(family_count):
+        members, partners = draw(rng, grid, depth, reach)
+        if members:
+            coeffs = rng.uniform(0.2, 1.0, size=len(members))
+            yield [(members, partners, coeffs),
+                   (members, partners, np.ones(len(members)))]
+
+
 # variant -> (partners, draw, name of its reach parameter, smallest depth)
 _PAIR_VARIANTS = {
     "offset": (_offset_partners, _offset_draw, "max_distance", 1),
@@ -979,41 +1026,22 @@ def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
         sigma, omega, cfg, e, depth, min_depth, partners_of, reach)
     scalar_best = max(scalar_best, 0.0)
 
-    best = scalar_best
-    family_witness: dict = {}
+    single = None  # the best pair as a family of one
     if scalar_pair is not None:
-        family_witness = {"cubes": [scalar_pair[0]], "partners": [scalar_pair[1]],
-                          "coefficients": [1.0]}
-
-    def consider(cubes, partners, coeffs):
-        nonlocal best, family_witness
-        val = _pair_family_value(sigma, omega, lam, cfg.p, cubes, partners, coeffs)
-        if val > best:
-            best = val
-            family_witness = {
-                "cubes": [q.key() for q in cubes],
-                "partners": [s.key() for s in partners],
-                "coefficients": [float(a) for a in coeffs],
-            }
-
-    families = 0
-    for level in range(0, depth):
-        for parent in grid.cubes_at_level(level):
-            members = [c for c in parent.children() if c.key() in best_partner]
-            if len(members) >= 2:
-                families += 1
-                partners = [DyadicCube.from_key(grid, best_partner[c.key()])
-                            for c in members]
-                consider(members, partners, np.ones(len(members)))
-
-    rng = np.random.default_rng(seed)
-    for _ in range(family_count):
-        members, partners = draw(rng, grid, depth, reach)
-        if members:
-            families += 1
-            coeffs = rng.uniform(0.2, 1.0, size=len(members))
-            consider(members, partners, coeffs)
-            consider(members, partners, np.ones(len(members)))
+        cube, partner = (DyadicCube.from_key(grid, k) for k in scalar_pair)
+        single = ([cube], [partner], [1.0])
+    best, winner, families = _family_search(
+        _pair_families(grid, depth, best_partner, draw, reach, family_count,
+                       np.random.default_rng(seed)),
+        lambda cubes, partners, coeffs: _pair_family_value(
+            sigma, omega, lam, cfg.p, cubes, partners, coeffs),
+        scalar_best, single)
+    family_witness: dict = {}
+    if winner is not None:
+        cubes, partners, coeffs = winner
+        family_witness = {"cubes": [q.key() for q in cubes],
+                          "partners": [s.key() for s in partners],
+                          "coefficients": [float(a) for a in coeffs]}
 
     witness = {**family_witness, "variant": variant, "lambda": lam, "p": cfg.p,
                "singleton_value": scalar_best}
@@ -1068,23 +1096,39 @@ def _evaluate_pair_family_witness(sigma: MeshMeasure, omega: MeshMeasure,
                               float(witness["p"]), cubes, partners, coeffs)
 
 
-def _haar_family_value(images: np.ndarray, values: np.ndarray,
-                       slots: dict, smass: np.ndarray, wflat: np.ndarray,
+def _haar_family_value(system: HaarSystem, images: np.ndarray, wflat: np.ndarray,
                        members: list, weights: np.ndarray, p: float) -> float:
-    """Family ratio from the images (by cell) and the wavelets' values on
-    the cubes whose sigma-masses are smass."""
+    """Family ratio: the Lp(omega) norm of the pointwise square sum of the
+    members' images over the Lp(sigma) norm of that of the members
+    themselves, which the system synthesises from their coefficient rows."""
     num_f = np.zeros(images.shape[0])
-    den_f = np.zeros(values.shape[1])
-    for (key, coeffs), a in zip(members, weights):
-        start, count = slots[key]
+    rows = np.zeros((len(members), system.n_wavelets))
+    for i, ((key, coeffs), a) in enumerate(zip(members, weights)):
+        start, count = system.cube_slots[key]
         c = np.asarray(coeffs, dtype=float)
-        u = images[:, start:start + count] @ c
-        h = values[start:start + count].T @ c
-        num_f += (a * u) ** 2
-        den_f += (a * h) ** 2
+        num_f += (a * (images[:, start:start + count] @ c)) ** 2
+        rows[i, start:start + count] = a * c
+    den_f = (system.synthesise(rows) ** 2).sum(axis=0)
     num = float(np.sum(wflat * num_f ** (p / 2.0))) ** (1.0 / p)
-    den = float(np.sum(smass * den_f ** (p / 2.0))) ** (1.0 / p)
+    den = float(np.sum(system.measure.flat_mass * den_f ** (p / 2.0))) ** (1.0 / p)
     return num / den if den > 0.0 else 0.0
+
+
+def _level_families(by_level: dict, family_count: int, rng):
+    """The tries of `quadratic_haar_testing`: each level's cubes with unit
+    weights, then family_count draws of 1 to 6 cubes of one level with
+    random weights."""
+    levels = sorted(by_level)
+    for level in levels:
+        keys = by_level[level]
+        if len(keys) >= 2:
+            yield [(keys, np.ones(len(keys)))]
+    for _ in range(family_count):
+        keys = by_level[levels[int(rng.integers(0, len(levels)))]]
+        k = int(rng.integers(1, min(6, len(keys)) + 1))
+        picks = sorted(rng.choice(len(keys), size=k, replace=False).tolist())
+        chosen = [keys[i] for i in picks]
+        yield [(chosen, rng.uniform(0.2, 1.0, size=len(chosen)))]
 
 
 def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
@@ -1101,68 +1145,35 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
-    smass = level_masses(sigma, depth).ravel()
     wflat = omega.flat_mass
-    values = system.cube_values
-    slots = system.cube_slots
     _, optima = _cube_optima(system, images.T, wflat)
 
     member_best: dict = {}
     scalar_best = -1.0
-    scalar_member: tuple | None = None
+    scalar_keys: list = []
     by_level: dict = {}
     blocks = _wavelet_blocks(system, images, omega, "global")
-    for i, (key, block, vblock, _) in enumerate(blocks):
+    for i, (key, start, block, _) in enumerate(blocks):
         by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
         count = block.shape[1]
         candidates = list(np.eye(count))
         if count > 1:
             candidates.append(optima[i, :count])
-        top_val, top_c = _best_combination(block, vblock, candidates, smass, wflat,
-                                           cfg.p)
+        top_val, top_c = _best_combination(system, key, start, block, candidates,
+                                           wflat, cfg.p)
         member_best[key] = [float(v) for v in top_c]
         if top_val > scalar_best:
             scalar_best = top_val
-            scalar_member = (key, member_best[key])
+            scalar_keys = [key]
     scalar_best = max(scalar_best, 0.0)
 
-    best = scalar_best
-    witness_members: list = []
-    witness_weights: list = [1.0]
-    if scalar_member is not None:
-        witness_members = [{"cube": scalar_member[0],
-                            "coefficients": scalar_member[1]}]
-
-    def consider(keys, weights):
-        nonlocal best, witness_members, witness_weights
-        members = [(k, member_best[k]) for k in keys]
-        val = _haar_family_value(images, values, slots, smass, wflat,
-                                 members, weights, cfg.p)
-        if val > best:
-            best = val
-            witness_members = [{"cube": k, "coefficients": member_best[k]}
-                               for k in keys]
-            witness_weights = [float(a) for a in weights]
-
-    families = 0
-    for level in sorted(by_level):
-        keys = by_level[level]
-        if len(keys) >= 2:
-            families += 1
-            consider(keys, np.ones(len(keys)))
-
-    rng = np.random.default_rng(seed)
-    levels = sorted(by_level)
-    for _ in range(family_count):
-        level = levels[int(rng.integers(0, len(levels)))]
-        keys = by_level[level]
-        k = int(rng.integers(1, min(6, len(keys)) + 1))
-        picks = sorted(rng.choice(len(keys), size=k, replace=False).tolist())
-        chosen = [keys[i] for i in picks]
-        families += 1
-        consider(chosen, rng.uniform(0.2, 1.0, size=len(chosen)))
-
-    witness = {"members": witness_members, "weights": witness_weights,
+    best, (keys, weights), families = _family_search(
+        _level_families(by_level, family_count, np.random.default_rng(seed)),
+        lambda keys, weights: _haar_family_value(
+            system, images, wflat, [(k, member_best[k]) for k in keys], weights, cfg.p),
+        scalar_best, (scalar_keys, [1.0]))
+    witness = {"members": [{"cube": k, "coefficients": member_best[k]} for k in keys],
+               "weights": [float(a) for a in weights],
                "p": cfg.p, "scalar_value": scalar_best}
     search_space = {
         "depth": depth,
@@ -1182,9 +1193,8 @@ def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
     system, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
     members = [(m["cube"], m["coefficients"]) for m in witness["members"]]
     weights = np.asarray(witness["weights"], dtype=float)
-    return _haar_family_value(images, system.cube_values, system.cube_slots,
-                              level_masses(sigma, system.depth).ravel(),
-                              omega.flat_mass, members, weights, float(witness["p"]))
+    return _haar_family_value(system, images, omega.flat_mass, members, weights,
+                              float(witness["p"]))
 
 
 # -- witness re-evaluation -----------------------------------------------------

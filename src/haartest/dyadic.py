@@ -280,20 +280,24 @@ def block_sums(values: np.ndarray, dimension: int, factor: int,
     return values
 
 
-def group_by_cube(mesh: np.ndarray, level: int, dimension: int | None = None) -> np.ndarray:
-    """(..., cubes, entries per cube): the trailing `dimension` axes of mesh
-    (by default all of them), a square n-D mesh array, regrouped by the
-    level-`level` cubes of its grid, cubes in C order and each cube's entries
-    in C order (for children: lexicographic offset order). Leading axes are
-    kept."""
+def group_by_cube(mesh: np.ndarray, level: int, dimension: int | None = None,
+                  start: int | None = None) -> np.ndarray:
+    """(..., cubes, entries per cube, ...): `dimension` consecutive axes of
+    mesh from axis `start`, a square n-D mesh array, regrouped by the
+    level-`level` cubes of its grid, cubes in C order and each cube's
+    entries in C order (for children: lexicographic offset order).
+    dimension defaults to all axes and start to the trailing ones; the
+    other axes are kept."""
     n = mesh.ndim if dimension is None else dimension
-    lead = mesh.shape[:mesh.ndim - n]
+    start = mesh.ndim - n if start is None else start
+    lead, trail = mesh.shape[:start], mesh.shape[start + n:]
     k = len(lead)
     side = 2 ** level
-    width = mesh.shape[-1] // side
-    split = mesh.reshape(lead + sum(((side, width) for _ in range(n)), ()))
-    order = list(range(k)) + [k + 2 * a for a in range(n)] + [k + 2 * a + 1 for a in range(n)]
-    return split.transpose(order).reshape(lead + (side ** n, width ** n))
+    width = mesh.shape[start] // side
+    split = mesh.reshape(lead + sum(((side, width) for _ in range(n)), ()) + trail)
+    order = (list(range(k)) + [k + 2 * a for a in range(n)] + [k + 2 * a + 1 for a in range(n)]
+             + list(range(k + 2 * n, split.ndim)))
+    return split.transpose(order).reshape(lead + (side ** n, width ** n) + trail)
 
 
 def ungroup_children(grouped: np.ndarray, level: int, dimension: int) -> np.ndarray:

@@ -11,11 +11,13 @@ per-wavelet objects and cube slots of a system are derived from those
 level arrays on demand.
 
 The fast transform for these unbalanced wavelets works on the same arrays:
-analysis sums f * mu to every level's children and takes one product per
-level with the child values, and synthesis adds each level's component,
-coarse to fine (`HaarSystem.analyse`, `synthesise`, `level_components`).
-No n_wavelets x n_cells matrix is formed; the dense `values_matrix`,
-`weighted_matrix` and `gram` remain as an oracle for tests on small grids.
+analysis sums f * mu to the level-`depth` cubes and then, level by level,
+takes one stacked product of every cube's children's sums with its child
+values (`HaarSystem.analyse`, `analyse_cube_sums`); synthesis adds each
+level's component, coarse to fine (`synthesise`, `level_components`). The
+operator images and Haar matrices of `operators` are analyses too, so no
+code path forms an n_wavelets x n_cells matrix; the dense cell values and
+the Gram matrix below remain as an oracle for tests on small grids.
 """
 from __future__ import annotations
 
@@ -29,6 +31,12 @@ from .dyadic import (DyadicCube, MeshExhaustedError, block_sums, group_by_cube, 
 from .measure import MeshMeasure, level_masses
 
 _SIGN_TOL = 1e-13
+
+# sums per batch block of `HaarSystem.analyse_cube_sums`, each block copied
+# once with its batch axis last: moving the whole batch of a 2-D L=6
+# operator's images at once raised `characteristics`' peak RSS from 400 to
+# 480 MB at depth 5, and 2**16 and 2**20 were slower than 2**18 at depth 6
+_TRANSFORM_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +163,15 @@ class HaarLevel:
         """Index of each row's wavelet within its cube."""
         return np.arange(self.cubes.size) - self.starts[self.cubes]
 
+    @cached_property
+    def padded_values(self) -> np.ndarray:
+        """(cubes, 2**n - 1, 2**n): the child values of every cube's
+        wavelets, rows past the cube's wavelet count zero."""
+        children = self.child_masses.shape[1]
+        out = np.zeros((self.counts.size, children - 1, children))
+        out[self.cubes, self.index] = self.child_values
+        return out
+
 
 @dataclass(eq=False)
 class HaarSystem:
@@ -203,14 +220,16 @@ class HaarSystem:
                                        child_values=values, child_masses=lv.child_masses[c]))
         return out
 
-    def _values_on(self, level: int) -> np.ndarray:
-        """(n_wavelets, 2**(n*level)) values on the level-`level` cubes (level
-        >= depth), C order, filled level by level by one broadcast each."""
-        n = self.measure.grid.dimension
-        side = 2 ** level
-        out = np.zeros((self.n_wavelets, side ** n))
+    @cached_property
+    def values_matrix(self) -> np.ndarray:
+        """(n_wavelets, n_cells) dense cell values, C-order cells, filled
+        level by level by one broadcast each: an oracle for small grids (the
+        transform methods below form no such matrix)."""
+        grid = self.measure.grid
+        n = grid.dimension
+        out = np.zeros((self.n_wavelets, grid.n_cells))
         for lv, rows in zip(self.levels, self.level_rows):
-            width = side >> (lv.level + 1)  # a child's side, in level-`level` cubes
+            width = grid.cells_per_axis >> (lv.level + 1)  # a child's side, in cells
             count = lv.cubes.size
             blocks = np.broadcast_to(
                 lv.child_values.reshape((count,) + (2, 1) * n),
@@ -220,18 +239,6 @@ class HaarSystem:
             index = (np.arange(count),) + sum(((c, slice(None)) for c in coords), ())
             cube_view[index] = blocks
         return out
-
-    @cached_property
-    def values_matrix(self) -> np.ndarray:
-        """(n_wavelets, n_cells) dense cell values, C-order cells: an oracle
-        for small grids (the transform methods below form no such matrix)."""
-        return self._values_on(self.measure.grid.max_level)
-
-    @cached_property
-    def cube_values(self) -> np.ndarray:
-        """(n_wavelets, 2**(n*depth)) values on the level-`depth` cubes, on
-        which every wavelet is constant; C-order cubes."""
-        return self._values_on(self.depth)
 
     @cached_property
     def weighted_matrix(self) -> np.ndarray:
@@ -247,24 +254,38 @@ class HaarSystem:
 
     def analyse(self, funcs: np.ndarray) -> np.ndarray:
         """(k, n_wavelets) coefficients <f, h>_mu of the rows f of funcs
-        (k, n_cells).
-
-        f * mu is summed to the level-`depth` cubes, then level by level to
-        coarser ones (finest first); at each level the sums over every
-        cube's children give the level's coefficients in one product with
-        the child values. No dense wavelet matrix is formed.
-        """
+        (k, n_cells): f * mu summed to the level-`depth` cubes, then
+        `analyse_cube_sums`. No dense wavelet matrix is formed."""
         grid = self.measure.grid
-        n = grid.dimension
         funcs = np.asarray(funcs, dtype=float)
-        k = funcs.shape[0]
-        weighted = (funcs * self.measure.flat_mass).reshape((k,) + grid.mesh_shape)
-        sums = block_sums(weighted, n, 2 ** (grid.max_level - self.depth))
+        weighted = (funcs * self.measure.flat_mass).reshape((funcs.shape[0],) + grid.mesh_shape)
+        return self.analyse_cube_sums(
+            block_sums(weighted, grid.dimension, 2 ** (grid.max_level - self.depth)))
+
+    def analyse_cube_sums(self, sums: np.ndarray) -> np.ndarray:
+        """(k, n_wavelets) coefficients <f, h>_mu of k functions f from
+        their mu-weighted sums over the level-`depth` cubes, sums (k,) +
+        (2**depth,)*n: the level loop of the transform.
+
+        Level by level, finest first, the sums over every cube's children
+        give the level's coefficients in one stacked product with the
+        children's values (`HaarLevel.padded_values`), and the children's
+        sums are the next level's sums. The k functions go through in
+        blocks of _TRANSFORM_BLOCK_ENTRIES sums, each moved to the last
+        axis so that every level is one matmul over contiguous memory.
+        """
+        n = self.measure.grid.dimension
+        sums = np.asarray(sums, dtype=float)
+        k = sums.shape[0]
         out = np.empty((k, self.n_wavelets))
-        for lv, rows in zip(reversed(self.levels), reversed(self.level_rows)):
-            children = group_by_cube(sums, lv.level, n)
-            out[:, rows] = np.einsum("krj,rj->kr", children[:, lv.cubes], lv.child_values)
-            sums = block_sums(sums, n, 2)
+        step = max(1, _TRANSFORM_BLOCK_ENTRIES // 2 ** (n * self.depth))
+        for first in range(0, k, step):
+            batch = slice(first, first + step)
+            block = np.ascontiguousarray(np.moveaxis(sums[batch], 0, -1))
+            for lv, rows in zip(reversed(self.levels), reversed(self.level_rows)):
+                children = group_by_cube(block, lv.level, n, start=0)  # (cubes, 2**n, b)
+                out[batch, rows] = (lv.padded_values @ children)[lv.cubes, lv.index].T
+                block = children.sum(axis=1).reshape((2 ** lv.level,) * n + (-1,))
         return out
 
     def level_components(self, coeffs: np.ndarray):

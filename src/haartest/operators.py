@@ -8,13 +8,15 @@ translation invariant, so the mesh kernel matrix is gathered from the
 kernel's values at the distinct cell offsets; `points_matrix` evaluates the
 kernel pair by pair at arbitrary points.
 
-The operator images of a Haar system, G diag(sigma) V^T, never multiply the
-N x N kernel matrix by the N-wide wavelet matrix V. Every wavelet of a
-depth-`depth` system is constant on the level-`depth` cubes, so
-G diag(sigma) V^T = (G diag(sigma) P) V_d^T exactly, where P maps cells to
-the level-`depth` cubes and V_d holds the wavelets' values on those cubes:
-one pass over G sums its sigma-weighted columns to the cubes
-(`cube_images`), and a product with V_d finishes (`wavelet_images`).
+The operator images of a Haar system, G diag(sigma) V^T, and the Haar
+coefficient matrix W diag(omega) G diag(sigma) V^T are Haar analyses of the
+kernel matrix's rows and of the images' columns, done by the systems' level
+transform (the two-sided wavelet transform of an operator matrix); no
+wavelet matrix V or W is formed. Every wavelet of a depth-`depth` system is
+constant on the level-`depth` cubes, so one pass over G sums its
+sigma-weighted columns to the cubes (`cube_images`), and the transform
+finishes from those sums (`wavelet_images`). The target side analyses each
+image column against omega (`assemble_haar_matrix`).
 """
 from __future__ import annotations
 
@@ -233,21 +235,14 @@ def require_resolved(trunc: Truncation, grid: Grid) -> None:
         )
 
 
-def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, f: np.ndarray,
-          points: np.ndarray | None = None) -> np.ndarray:
-    """Midpoint-quadrature action of the truncated operator on a mesh function.
-
-    With points=None the output is a mesh function (evaluated at every cell
-    center); otherwise an array of values at the given points.
-    """
+def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
+          f: np.ndarray) -> np.ndarray:
+    """Midpoint-quadrature action of the truncated operator on a mesh
+    function, evaluated at every cell center."""
     grid = sigma.grid
     require_resolved(trunc, grid)
     fw = np.asarray(f).ravel() * sigma.flat_mass
-    if points is None:
-        g = kernel_matrix(kernel, trunc, grid)
-        return (g @ fw).reshape(grid.mesh_shape)
-    g = points_matrix(kernel, trunc, points, grid)
-    return g @ fw
+    return (kernel_matrix(kernel, trunc, grid) @ fw).reshape(grid.mesh_shape)
 
 
 # entries of one row block of the kernel matrix in `cube_images`' pass: the
@@ -295,13 +290,11 @@ def wavelet_images(g: np.ndarray, system: HaarSystem) -> np.ndarray:
     """(n_cells, n_wavelets) operator image of every wavelet of the system,
     G diag(sigma) V^T with sigma the system's measure.
 
-    Computed as (G diag(sigma) P) V_d^T: `cube_images` at the system depth,
-    then a product with the wavelets' values on those cubes
-    (`HaarSystem.cube_values`). Exact, because every wavelet below level
-    `depth` is constant on the level-`depth` cubes.
+    Row i is the Haar analysis of row i of G against sigma: `cube_images`
+    sums each row's sigma-weighted entries to the level-`depth` cubes, and
+    the system's level transform finishes (`HaarSystem.analyse_cube_sums`).
     """
-    images = cube_images(g, system.measure, system.depth)
-    return images.reshape(images.shape[0], -1) @ system.cube_values.T
+    return system.analyse_cube_sums(cube_images(g, system.measure, system.depth))
 
 
 @dataclass(eq=False)
@@ -321,9 +314,6 @@ class HaarMatrix:
     kernel: Kernel
     trunc: Truncation
 
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.entries, axis=0)
-
 
 def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
                          omega: MeshMeasure, depth: int,
@@ -341,14 +331,9 @@ def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
 def _haar_matrix(ssys: HaarSystem, images: np.ndarray, osys: HaarSystem,
                  kernel: Kernel, trunc: Truncation) -> HaarMatrix:
     """The HaarMatrix of the source system ssys, whose wavelets' operator
-    images (`wavelet_images`) are `images`, against the target system osys."""
-    grid = ssys.measure.grid
-    omega = osys.measure
-    # the target wavelets are constant on the level-`depth` cubes: sum the
-    # omega-weighted image rows to those cubes
-    weighted = (images * omega.flat_mass[:, None]).reshape(grid.mesh_shape + (ssys.n_wavelets,))
-    cubes = block_sums(weighted, grid.dimension, 2 ** (grid.max_level - ssys.depth), start=0)
-    entries = osys.cube_values @ cubes.reshape(-1, ssys.n_wavelets)
+    images (`wavelet_images`) are `images`, against the target system osys:
+    the target system's analysis of every image."""
+    entries = osys.analyse(images.T).T
     return HaarMatrix(entries=entries, row_labels=osys.wavelet_labels(),
                       col_labels=ssys.wavelet_labels(), depth=ssys.depth,
                       sigma_system=ssys, omega_system=osys,

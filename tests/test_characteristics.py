@@ -261,7 +261,7 @@ def test_matched_testing_below_operator_norm():
     assert col.value <= norm + 1e-12
     assert row.value <= norm + 1e-12
     # block norms dominate single-column norms
-    assert col.value >= mat.column_norms().max() - 1e-12
+    assert col.value >= np.linalg.norm(mat.entries, axis=0).max() - 1e-12
 
 
 def test_matched_testing_is_rotation_invariant():
@@ -479,3 +479,76 @@ def test_matrix_and_testing_share_one_sigma_pass():
         assert (matrix.row_labels, matrix.col_labels) == (alone.row_labels, alone.col_labels)
         want = haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="global", depth=depth)
         assert test.as_dict() == want.as_dict()
+
+
+# -- Lp and quadratic Haar denominators against the dense cell values -----------
+
+def _dense_lp(weights, values, p):
+    return float(np.sum(weights * np.abs(values) ** p)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_lp_haar_denominators_match_dense_values(name, p):
+    from haartest.characteristics import _combination_norm, _haar_family_value
+
+    sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
+    depth = 3
+    system = cached_system(sigma, depth)
+    values = system.values_matrix
+    images = kernel_matrix(kernel, trunc, sigma.grid) @ system.weighted_matrix.T
+    slots = system.cube_slots
+
+    def wavelet(key, c):
+        start, count = slots[key]
+        return np.asarray(c) @ values[start:start + count]
+
+    def image(key, c):
+        start, count = slots[key]
+        return images[:, start:start + count] @ np.asarray(c)
+
+    rng = np.random.default_rng(3)
+    live = [(key, start, count) for key, (start, count) in slots.items() if count]
+    for key, start, count in live:
+        c = rng.standard_normal(count)
+        np.testing.assert_allclose(_combination_norm(system, key, start, c, p),
+                                   _dense_lp(sigma.flat_mass, wavelet(key, c), p),
+                                   rtol=1e-12, atol=0.0)
+    lp = lp_haar_testing(sigma, omega, kernel, trunc, p=p, depth=depth)
+    key, c = lp.witness["cube"], lp.witness["coefficients"]
+    want = (_dense_lp(omega.flat_mass, image(key, c), p)
+            / _dense_lp(sigma.flat_mass, wavelet(key, c), p))
+    np.testing.assert_allclose(lp.value, want, rtol=1e-12, atol=0.0)
+
+    def dense_family(members, weights):
+        num = sum((a * image(k, c)) ** 2 for (k, c), a in zip(members, weights))
+        den = sum((a * wavelet(k, c)) ** 2 for (k, c), a in zip(members, weights))
+        return (_dense_lp(omega.flat_mass, np.sqrt(num), p)
+                / _dense_lp(sigma.flat_mass, np.sqrt(den), p))
+
+    quad = quadratic_haar_testing(sigma, omega, kernel, trunc, p=p, depth=depth)
+    members = [(m["cube"], m["coefficients"]) for m in quad.witness["members"]]
+    np.testing.assert_allclose(quad.value, dense_family(members, quad.witness["weights"]),
+                               rtol=1e-12, atol=0.0)
+    # families of one level's cubes, with random unit combinations and weights
+    for level in range(depth):
+        keys = [key for key, _, _ in live if key.startswith(f"{level}:")]
+        if len(keys) < 2:
+            continue
+        members = []
+        for key in keys:
+            c = rng.standard_normal(slots[key][1])
+            members.append((key, c / np.linalg.norm(c)))
+        weights = rng.uniform(0.2, 1.0, size=len(keys))
+        got = _haar_family_value(system, images, omega.flat_mass, members, weights, p)
+        np.testing.assert_allclose(got, dense_family(members, weights), rtol=1e-12, atol=0.0)
+
+
+def test_family_search_keeps_the_first_strict_maximum():
+    from haartest.characteristics import _family_search
+
+    # each family is a list of tries; an empty family still counts
+    families = [[("a", 1.0)], [("b", 2.0), ("c", 2.0)], [], [("d", 0.5)]]
+    value = lambda name, v: v  # noqa: E731
+    assert _family_search(iter(families), value, 1.0, None) == (2.0, ("b", 2.0), 4)
+    assert _family_search(iter(families), value, 2.0, "start") == (2.0, "start", 4)

@@ -268,7 +268,7 @@ def test_main_frames_builds_no_dense_wavelet_matrix(tmp_path, monkeypatch):
         raise AssertionError("frames built a dense wavelet matrix")
 
     # a property on the class wins over values cached on instances
-    for name in ("values_matrix", "weighted_matrix", "cube_values"):
+    for name in ("values_matrix", "weighted_matrix"):
         monkeypatch.setattr(HaarSystem, name, property(dense))
     ini = tmp_path / "grid.ini"
     ini.write_text("[grid]\ndimension = 2\nmax_level = 4\n")
@@ -277,3 +277,23 @@ def test_main_frames_builds_no_dense_wavelet_matrix(tmp_path, monkeypatch):
     assert rc == 0
     body = json.loads((tmp_path / "frames.json").read_text())
     assert body["results"]["banach_frame_check"]["passed"] is True
+
+
+def test_main_full_depth_lp_characteristics_build_no_dense_wavelet_matrix(tmp_path, monkeypatch):
+    from haartest.haar import HaarSystem
+
+    def dense(self):
+        raise AssertionError("characteristics built a dense wavelet matrix")
+
+    for name in ("values_matrix", "weighted_matrix"):
+        monkeypatch.setattr(HaarSystem, name, property(dense))
+    ini = tmp_path / "grid.ini"
+    ini.write_text("[grid]\ndimension = 2\nmax_level = 3\n\n"
+                   "[kernel]\nfamily = riesz_like\nlambda = 0.5\n")
+    rc = main(["characteristics", "--config", str(ini), "--depth", "3", "--p", "3",
+               "--measures", "doubling:r=2.0:seed=1,doubling:r=3.0:seed=2",
+               "--out", str(tmp_path)])
+    assert rc in (0, 1)  # 1 is the norm ratio gate, not a failed run
+    pair = json.loads((tmp_path / "characteristics.json").read_text())["results"]["pairs"][0]
+    assert pair["lp_haar_testing"]["search_space"]["depth"] == 3
+    assert pair["lp_haar_testing_dual"]["value"] > 0.0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haartest import haar
 from haartest.dyadic import Grid, refine
 from haartest.haar import (
     build_cube_wavelets,
@@ -270,10 +271,13 @@ def test_level_build_matches_gram_schmidt(name):
     # the derived views agree with the per-wavelet objects
     dense = np.array([h.mesh_values().ravel() for h in sys.wavelets])
     np.testing.assert_array_equal(sys.values_matrix, dense)
-    factor = 2 ** (mu.grid.max_level - depth)
-    coarse = dense.reshape((-1,) + sum(((2 ** depth, factor) for _ in range(mu.grid.dimension)), ()))
-    coarse = coarse[(slice(None),) + (slice(None), 0) * mu.grid.dimension]
-    np.testing.assert_array_equal(sys.cube_values, coarse.reshape(len(dense), -1))
+    for lv, rows in zip(sys.levels, sys.level_rows):
+        padded = [row for cube, count in enumerate(lv.counts)
+                  for row in lv.padded_values[cube, :count]]
+        np.testing.assert_array_equal(np.reshape(padded, (-1, 2 ** mu.grid.dimension)),
+                                      got[rows])
+        live = np.arange(2 ** mu.grid.dimension - 1) < lv.counts[:, None]
+        assert not lv.padded_values[~live].any()
     for key, (start, count) in sys.cube_slots.items():
         assert [lab for lab in labels if lab[0] == key] == labels[start:start + count]
 
@@ -343,3 +347,15 @@ def test_transform_without_wavelets():
     assert sys.n_wavelets == 0
     assert sys.analyse(np.ones((2, g.n_cells))).shape == (2, 0)
     np.testing.assert_array_equal(sys.synthesise(np.zeros((2, 0))), np.zeros((2, g.n_cells)))
+
+
+@pytest.mark.parametrize("name", ["1d-full-depth", "2d-holed", "2d-rotated"])
+def test_transform_in_batch_blocks(name, monkeypatch):
+    # blocks of 3 functions, the last one short: the batch loop of
+    # analyse_cube_sums, which the grids above fill in one block
+    make, depth, seed = TRANSFORM_CASES[name]
+    mu = make()
+    sys = build_system(mu, depth, rotation_seed=seed)
+    monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", 3 * 2 ** (mu.grid.dimension * depth))
+    funcs = np.random.default_rng(4).standard_normal((10, mu.grid.n_cells))
+    _assert_close(sys.analyse(funcs), funcs @ sys.weighted_matrix.T)

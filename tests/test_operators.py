@@ -3,7 +3,7 @@ import pytest
 
 from haartest.dyadic import Grid
 from haartest.haar import cached_system
-from haartest.measure import lebesgue, random_dyadic_doubling
+from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
 from haartest.operators import (
     KERNEL_FAMILIES,
     Truncation,
@@ -172,24 +172,6 @@ def test_kernel_matrix_matches_pairwise_build(dim, level, family, lam):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_apply_at_points():
-    g = Grid(dimension=1, max_level=5)
-    sigma = lebesgue(g)
-    k = make_kernel("fractional_integral", 0.5, 1)
-    t = Truncation(4 * g.cell_side, 2.0)
-    f = np.ones(g.cells_per_axis)
-    pts = np.array([[0.3], [0.8]])
-    out = apply(k, t, sigma, f, points=pts)
-    assert out.shape == (2,)
-    centers = g.window_lower[0] + (np.arange(g.cells_per_axis) + 0.5) * g.cell_side
-    for row, x in zip(out, pts[:, 0]):
-        dist = np.abs(x - centers)
-        mask = dist > 0
-        want = float((dist[mask] ** -0.5 * t.scale(dist[mask])
-                      * sigma.flat_mass[mask]).sum())
-        np.testing.assert_allclose(row, want, rtol=1e-12)
-
-
 def test_eval_truncated_vanishes_off_plateau():
     k = make_kernel("hilbert", 0.0, 1)
     t = Truncation(0.05, 1.0)
@@ -242,11 +224,32 @@ IMAGE_CASES = {
 }
 
 
+def _holed(grid):
+    """2-D L=4 doubling measure with an empty quadrant and half of cube
+    1:0,0 empty, so its cubes carry 0 to 3 wavelets."""
+    cells = random_dyadic_doubling(grid, 3.0, seed=5).cell_mass.copy()
+    cells[8:, 8:] = 0.0
+    cells[:8, 4:8] = 0.0
+    return custom_cells(grid, cells, label="holed")
+
+
+# full-depth cases (depth = max_level, where the level-`depth` cubes are the
+# cells) with their own sigma
+IMAGE_CASES.update({
+    "1d-L8-full-depth": (Grid(dimension=1, max_level=8), 8, "hilbert", 0.0),
+    "2d-holed-full-depth": (Grid(dimension=2, max_level=4), 4, "riesz_like", 0.5, _holed),
+    "1d-point-full-depth": (Grid(dimension=1, max_level=8), 8, "hilbert", 0.0,
+                            lambda grid: near_point_mass(grid, 12.0)),
+    "2d-point-full-depth": (Grid(dimension=2, max_level=4), 4, "riesz_like", 0.5,
+                            lambda grid: near_point_mass(grid, 9.0)),
+})
+
+
 def _image_case(name):
-    grid, depth, family, lam = IMAGE_CASES[name]
+    grid, depth, family, lam, *sigma_of = IMAGE_CASES[name]
     kernel = make_kernel(family, lam, grid.dimension)
     g = kernel_matrix(kernel, default_truncation(grid), grid)
-    sigma = random_dyadic_doubling(grid, 3.0, seed=21)
+    sigma = sigma_of[0](grid) if sigma_of else random_dyadic_doubling(grid, 3.0, seed=21)
     omega = random_dyadic_doubling(grid, 2.0, seed=22)
     return grid, depth, kernel, g, sigma, omega
 

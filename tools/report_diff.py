@@ -7,7 +7,9 @@ and runs, once with each tree's `src/`, the five `haartest` subcommands with
 `--depth 4` (acceptance criterion 10's arguments), `characteristics --p 3
 --depth 4` (which adds the Lp Haar testing reports and their duals),
 `frames --p 1.5 --depth 10` (depth = max_level on the default 1-D grid: the
-full-depth transform, and no neighbour band) and every op of the benchmark
+full-depth transform, and no neighbour band), `characteristics --p 3
+--depth 10` (the full-depth operator images, Haar matrix and Lp Haar
+testing) and every op of the benchmark
 workloads at seed 0 (`perfbench/workloads.py` of this checkout,
 imported as is). Each run gets its own output directory.
 
@@ -56,6 +58,8 @@ def jobs(config_dir: Path) -> list:
     out = [(f"c10-{cmd}", [cmd, "--depth", "4"]) for cmd in SUBCOMMANDS]
     out.append(("lp-characteristics", ["characteristics", "--p", "3", "--depth", "4"]))
     out.append(("full-depth-frames", ["frames", "--p", "1.5", "--depth", "10"]))
+    out.append(("full-depth-lp-characteristics",
+                ["characteristics", "--p", "3", "--depth", "10"]))
     for workload in WORKLOADS:
         for i, op in enumerate(ops_for(workload, 0, config_dir)):
             out.append((f"{workload}-{i}-{op.subcommand}",
