@@ -6,6 +6,15 @@ families. Reports carry the search metadata next to the value so separate
 runs stay comparable, and every witness can be re-evaluated independently:
 each family computes a candidate's value with one function, which both its
 scan and its witness evaluator call.
+
+Scans run on level arrays, not cube by cube. The Haar scans share one
+grouping of each level's cubes by wavelet count (`_cube_groups`), which
+gives either every cube's exact L2 optimum or the batched Lp ratios of its
+candidate combinations (`_lp_ratios`). The pair scans take every cube's
+partners at once: an offset stencil, or the finer levels' cubes grouped by
+cube. One witness rule serves every scan (`_first_max`): the first largest
+candidate in scan order, that is levels coarse to fine, cubes in C order,
+each cube's candidates in order, and jitter boxes last.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dyadic import DyadicCube, Grid, block_sums, box_distance, group_by_cube
-from .haar import HaarSystem, cached_system, normalize_sign
+from .haar import HaarLevel, HaarSystem, _cube_keys, cached_system, normalize_sign
 from .measure import MeshMeasure, level_masses
 from .operators import (
     HaarMatrix,
@@ -209,6 +218,21 @@ def _lp_norm(weights: np.ndarray, values: np.ndarray, p: float) -> float:
     return float(np.sum(weights * np.abs(values) ** p)) ** (1.0 / p)
 
 
+def _first_max(parts: list) -> tuple:
+    """The witness rule of every scan: (value, part, index) of the first
+    largest entry of the arrays `parts`, each taken in C order and laid end
+    to end in scan order, index a tuple into its part. Entries below 0 are
+    absent; (-1.0, None, None) when every entry is."""
+    flat = np.concatenate([np.ravel(v) for v in parts] + [[-1.0]])
+    j = int(np.argmax(flat))
+    if flat[j] < 0.0:
+        return -1.0, None, None
+    sizes = [np.size(v) for v in parts]
+    part = int(np.searchsorted(np.cumsum(sizes), j, side="right"))
+    return (float(flat[j]), part,
+            np.unravel_index(j - sum(sizes[:part]), np.shape(parts[part])))
+
+
 def _region_witness(region) -> dict:
     """Witness fields naming a dyadic cube or a (lower, side) box."""
     if isinstance(region, DyadicCube):
@@ -287,34 +311,26 @@ def _muckenhoupt_scan(name: str, sigma: MeshMeasure, omega: MeshMeasure,
                       depth: int | None, jitter_count: int,
                       seed: int) -> CharacteristicReport:
     grid, e, depth = _size_setup(sigma, omega, lam, depth)
-    n = grid.dimension
-    best = -1.0
-    witness: dict = {}
-    scanned = 0
-    for level in range(depth + 1):
-        sm = level_masses(sigma, level).ravel()
-        wm = level_masses(omega, level).ravel()
-        vol = (grid.side / 2 ** level) ** n
-        vals = _size_value(sm, wm, vol, s_expo, w_expo, e)
-        scanned += vals.size
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            cube = DyadicCube(grid, level, np.unravel_index(j, (2 ** level,) * n))
-            witness = {**_region_witness(cube), "sigma_mass": float(sm[j]),
-                       "omega_mass": float(wm[j]), "volume": float(vol)}
-    rng = np.random.default_rng(seed)
-    for box in _jittered_boxes(grid, depth, jitter_count, rng):
-        smass, wmass, vol = _region_masses(sigma, omega, box)
-        v = _size_value(smass, wmass, vol, s_expo, w_expo, e)
-        if v > best:
-            best = v
-            witness = {**_region_witness(box), "sigma_mass": smass,
-                       "omega_mass": wmass, "volume": vol}
-    witness["lambda"] = lam
+    # (sigma mass, omega mass, volume) of each level's cubes, then of each box
+    levels = [(level_masses(sigma, level), level_masses(omega, level),
+               (grid.side / 2 ** level) ** grid.dimension) for level in range(depth + 1)]
+    boxes = _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed))
+    box_masses = [_region_masses(sigma, omega, box) for box in boxes]
+    values = [_size_value(*masses, s_expo, w_expo, e) for masses in levels]
+    values.append(np.array([_size_value(*masses, s_expo, w_expo, e)
+                            for masses in box_masses]))
+    best, part, index = _first_max(values)
+    if part <= depth:
+        region = grid.cube(part, index)
+        masses = (levels[part][0][index], levels[part][1][index], levels[part][2])
+    else:
+        region, masses = boxes[index[0]], box_masses[index[0]]
+    witness = {**_region_witness(region),
+               **dict(zip(("sigma_mass", "omega_mass", "volume"), map(float, masses))),
+               "lambda": lam}
     search_space = {
         "depth": depth,
-        "dyadic_cubes": scanned,
+        "dyadic_cubes": sum(sm.size for sm, _, _ in levels),
         "jitter_count": jitter_count,
         "sigma_exponent": s_expo,
         "omega_exponent": w_expo,
@@ -367,23 +383,16 @@ def _evaluate_size_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 # -- Haar testing characteristics -------------------------------------------
 
+# random unit combinations per cube among lp_haar_testing's candidates
+_ROTATION_SAMPLES = 4
+
+
 def _wavelet_images(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation,
                     depth: int):
     """Canonical system plus the operator image of every wavelet (by column)."""
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
     return system, wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), system)
-
-
-def _wavelet_blocks(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
-                    mode: str):
-    """(cube key, first row, image block, output weights) of every cube that
-    carries wavelets, in system order."""
-    grid = omega.grid
-    for key, start, count in _live_slots(system):
-        weights = _restriction_weights(grid, omega.flat_mass, mode,
-                                       DyadicCube.from_key(grid, key))
-        yield key, start, images[:, start:start + count], weights
 
 
 def _stacked_optima(blocks: np.ndarray, weights: np.ndarray | None) -> tuple:
@@ -409,69 +418,102 @@ def _live_slots(system: HaarSystem) -> list:
             if count]
 
 
-def _cube_optima(system: HaarSystem, vectors: np.ndarray,
-                 weights: np.ndarray | None = None, local: bool = False) -> tuple:
-    """(tops, coefficients) of every cube that carries wavelets, in system
-    order (that of `_live_slots`): `_stacked_optima` of the cube's rows of
-    vectors.
-
-    vectors (n_wavelets, m) holds one vector per wavelet: its image, or its
-    row or column of a coefficient matrix. local=True keeps only the cube's
-    own cells of each image (m = n_cells). The cubes of one level that carry
-    equally many wavelets are stacked into one call, so there is no per-cube
-    loop. coefficients is zero-padded to the largest count.
-    """
+def _cube_groups(system: HaarSystem, vectors: np.ndarray,
+                 weights: np.ndarray | None = None, local: bool = False):
+    """Yield (at, level, cubes, blocks, scale) for each group of one level's
+    cubes with equally many wavelets, k: their places in `_live_slots`, their
+    HaarLevel and C-order indices in it, their rows of vectors (one image or
+    matrix row per wavelet) as blocks (g, k, m), and the weights of blocks'
+    last axis. local=True keeps each cube's own cells of the images only."""
     grid = system.measure.grid
-    tops: list = []
-    coeffs: list = []
-    width = 2 ** grid.dimension - 1
+    done = 0
     for lv, rows in zip(system.levels, system.level_rows):
         live = np.flatnonzero(lv.counts)
-        level_tops = np.zeros(live.size)
-        level_coeffs = np.zeros((live.size, width))
         if local:
             cells = group_by_cube(np.arange(grid.n_cells).reshape(grid.mesh_shape), lv.level)
         for count in np.unique(lv.counts[live]):
             group = np.flatnonzero(lv.counts[live] == count)
-            index = rows.start + lv.starts[live[group]][:, None] + np.arange(count)
+            cubes = live[group]
+            index = rows.start + lv.starts[cubes][:, None] + np.arange(count)
             if local:
-                own = cells[live[group]]
+                own = cells[cubes]
                 blocks = vectors[index[:, :, None], own[:, None, :]]
                 scale = None if weights is None else weights[own][:, None, :]
             else:
                 blocks, scale = vectors[index], weights
-            level_tops[group], level_coeffs[group, :count] = _stacked_optima(blocks, scale)
-        tops.append(level_tops)
-        coeffs.append(level_coeffs)
-    return np.concatenate(tops), np.concatenate(coeffs)
+            yield done + group, lv, cubes, blocks, scale
+        done += live.size
 
 
-def _combination_norm(system: HaarSystem, key: str, start: int, c: np.ndarray,
-                      p: float) -> float:
-    """Lp(sigma) norm of the combination c of the wavelets of cube `key`,
-    system rows start, start + 1, ...: the combination is constant on the
-    cube's children, so the norm is a sum over them."""
-    level = int(key.partition(":")[0])
-    lv = system.levels[level]
-    first = start - system.level_rows[level].start
-    values = lv.child_values[first:first + len(c)]
-    return _lp_norm(lv.child_masses[lv.cubes[first]], values.T @ c, p)
+def _cube_optima(system: HaarSystem, vectors: np.ndarray,
+                 weights: np.ndarray | None = None, local: bool = False) -> tuple:
+    """(tops, coefficients) of every cube that carries wavelets, in system
+    order: `_stacked_optima` of each of `_cube_groups`, so there is no
+    per-cube loop. coefficients is zero-padded to the largest count."""
+    n_live = len(_live_slots(system))
+    tops = np.zeros(n_live)
+    coeffs = np.zeros((n_live, 2 ** system.measure.grid.dimension - 1))
+    for at, _, _, blocks, scale in _cube_groups(system, vectors, weights, local):
+        tops[at], coeffs[at, :blocks.shape[1]] = _stacked_optima(blocks, scale)
+    return tops, coeffs
 
 
-def _haar_ratio(system: HaarSystem, key: str, start: int, block: np.ndarray,
-                c: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Lp(weights) norm of the image of the combination c of the wavelets of
-    cube `key` (first row start, images block) over the combination's
-    Lp(sigma) norm."""
-    den = _combination_norm(system, key, start, c, p)
-    return _lp_norm(weights, block @ c, p) / den if den > 0.0 else 0.0
+def _lp_ratios(lv: HaarLevel, cubes: np.ndarray, blocks: np.ndarray, weights,
+               combos: np.ndarray, p: float) -> np.ndarray:
+    """(g, r) Lp ratios of the combinations combos (g, r, k) of the wavelets
+    of the level-`lv` cubes `cubes` (g,): the Lp(weights) norm of the same
+    combination of the cubes' images, blocks (g, k, m), over the
+    combination's Lp(sigma) norm, 0 where that norm is 0. A combination is
+    constant on its cube's children, so its norm is a sum over them."""
+    k = combos.shape[-1]
+    num = (weights * np.abs(combos @ blocks) ** p).sum(axis=-1)
+    den = (lv.child_masses[cubes][:, None]
+           * np.abs(combos @ lv.padded_values[cubes, :k]) ** p).sum(axis=-1)
+    # float_power is the scalar pow of `_lp_norm`; ** on arrays may differ by an ulp
+    return np.divide(np.float_power(num, 1.0 / p), np.float_power(den, 1.0 / p),
+                     out=np.zeros_like(num), where=den > 0.0)
 
 
-def _best_combination(system: HaarSystem, key: str, start: int, block: np.ndarray,
-                      candidates: list, weights: np.ndarray, p: float) -> tuple:
-    """(ratio, combination) of the first candidate with the largest ratio."""
-    return max(((_haar_ratio(system, key, start, block, c, weights, p), c)
-                for c in candidates), key=lambda rc: rc[0])
+def _lp_scan(system: HaarSystem, images: np.ndarray, weights: np.ndarray, p: float,
+             local: bool = False, rng=None, optimum_from: float = 2) -> tuple:
+    """(values, combinations) of the candidates of the cubes of `_live_slots`:
+    values (cubes, r) their `_lp_ratios`, -1 past a cube's last candidate.
+    A cube's candidates are its canonical wavelets; with rng and two or more
+    wavelets, _ROTATION_SAMPLES random unit combinations (one standard_normal
+    call in system order draws what one call per combination would); and
+    with at least optimum_from wavelets, its exact L2 optimum."""
+    counts = np.array([count for _, _, count in _live_slots(system)], dtype=int)
+    samples = 0 if rng is None else _ROTATION_SAMPLES
+    drawn = np.where(counts > 1, samples * counts, 0)
+    first = np.cumsum(drawn) - drawn
+    draws = None if rng is None else rng.standard_normal(int(drawn.sum()))
+    width = 2 ** system.measure.grid.dimension - 1
+    values = np.full((counts.size, width + samples + 1), -1.0)
+    combos = np.zeros(values.shape + (width,))
+    for at, lv, cubes, blocks, scale in _cube_groups(system, images.T, weights, local):
+        g, k = blocks.shape[:2]
+        cands = [np.broadcast_to(np.eye(k), (g, k, k))]
+        if k > 1 and samples:
+            c = draws[first[at, None] + np.arange(samples * k)].reshape(g, samples, k)
+            norms = np.linalg.norm(c, axis=-1, keepdims=True)
+            cands.append(c / np.where(norms > 0.0, norms, 1.0))
+        if k >= optimum_from:
+            cands.append(_stacked_optima(blocks, scale)[1][:, None])
+        cands = np.concatenate(cands, axis=1)
+        values[at, :cands.shape[1]] = _lp_ratios(lv, cubes, blocks, scale, cands, p)
+        combos[at, :cands.shape[1], :k] = cands
+    return values, combos
+
+
+def _cube_witness(system: HaarSystem, values: np.ndarray, combos: np.ndarray) -> tuple:
+    """(value, cube key, coefficients) of the first largest entry of values,
+    one row per cube that carries wavelets (`_live_slots`), and of its
+    combination in combos; (0.0, None, []) when there is none."""
+    best, _, index = _first_max([values])
+    if index is None:
+        return 0.0, None, []
+    key, _, count = _live_slots(system)[index[0]]
+    return best, key, [float(v) for v in combos[index][:count]]
 
 
 def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
@@ -497,20 +539,13 @@ def _haar_testing(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
                   seed: int) -> CharacteristicReport:
     """haar_testing of the system's measure against omega, from the system
     and its wavelets' images (`_wavelet_images`)."""
-    slots = _live_slots(system)
     tops, coeffs = _cube_optima(system, images.T, omega.flat_mass,
                                 local=mode == "local")
-    best = 0.0
-    witness: dict = {"cube": None, "coefficients": [], "mode": mode}
-    if slots:
-        j = int(np.argmax(tops))
-        key, _, count = slots[j]
-        best = float(tops[j])
-        witness = {"cube": key, "coefficients": [float(v) for v in coeffs[j, :count]],
-                   "mode": mode}
+    best, cube, coefficients = _cube_witness(system, tops, coeffs)
+    witness = {"cube": cube, "coefficients": coefficients, "mode": mode}
     search_space = {
         "depth": system.depth,
-        "cube_blocks": len(slots),
+        "cube_blocks": tops.size,
         "per_cube_optimum": "exact",
         "kernel": _kernel_spec(kernel),
         "trunc": _trunc_spec(trunc),
@@ -542,52 +577,31 @@ def haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
 
 def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                     trunc: Truncation, p: float = 2.0, mode: str = "global",
-                    depth: int = 6, rotation_samples: int = 4,
-                    seed: int = 0) -> CharacteristicReport:
+                    depth: int = 6, seed: int = 0) -> CharacteristicReport:
     """Largest ratio of Lp(omega) image norm to Lp(sigma) wavelet norm.
 
-    Candidates per cube are the canonical wavelets, rotation_samples seeded
+    Candidates per cube are the canonical wavelets, _ROTATION_SAMPLES seeded
     random unit combinations, and at p = 2 the exact block optimum, which
-    makes the value agree with haar_testing there.
+    makes the value agree with haar_testing there (`_lp_scan`).
     """
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
-    if cfg.p == 2.0:
-        _, optima = _cube_optima(system, images.T, omega.flat_mass,
-                                 local=mode == "local")
-    rng = np.random.default_rng(seed)
-    best = -1.0
-    witness: dict = {"cube": None, "coefficients": [], "mode": mode, "p": cfg.p}
-    blocks = _wavelet_blocks(system, images, omega, mode)
-    for i, (key, start, block, weights) in enumerate(blocks):
-        count = block.shape[1]
-        candidates = list(np.eye(count))
-        if count > 1:
-            for _ in range(rotation_samples):
-                c = rng.standard_normal(count)
-                norm = np.linalg.norm(c)
-                if norm > 0:
-                    candidates.append(c / norm)
-        if cfg.p == 2.0:
-            candidates.append(optima[i, :count])
-        ratio, c = _best_combination(system, key, start, block, candidates, weights,
-                                     cfg.p)
-        if ratio > best:
-            best = ratio
-            witness = {"cube": key, "coefficients": [float(v) for v in c],
-                       "mode": mode, "p": cfg.p}
+    values, combos = _lp_scan(system, images, omega.flat_mass, cfg.p, mode == "local",
+                              np.random.default_rng(seed),
+                              1 if cfg.p == 2.0 else np.inf)
+    best, cube, coefficients = _cube_witness(system, values, combos)
+    witness = {"cube": cube, "coefficients": coefficients, "mode": mode, "p": cfg.p}
     search_space = {
         "depth": depth,
-        "rotation_samples": rotation_samples,
+        "rotation_samples": _ROTATION_SAMPLES,
         "p": cfg.p,
         "kernel": _kernel_spec(kernel),
         "trunc": _trunc_spec(trunc),
     }
-    return CharacteristicReport("lp_haar_testing", max(best, 0.0), witness,
-                                search_space, seed)
+    return CharacteristicReport("lp_haar_testing", best, witness, search_space, seed)
 
 
 def lp_haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
@@ -608,14 +622,15 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
     start, count = system.cube_slots[witness["cube"]]
     block = images[:, start:start + count]
     c = np.asarray(witness["coefficients"], dtype=float)
-    weights = _restriction_weights(grid, omega.flat_mass,
-                                   witness.get("mode", "global"),
-                                   DyadicCube.from_key(grid, witness["cube"]))
+    cube = DyadicCube.from_key(grid, witness["cube"])
+    weights = _restriction_weights(grid, omega.flat_mass, witness.get("mode", "global"),
+                                   cube)
     if witness.get("p") is None:
         # L2-normalized convention: unit coefficient vectors, no denominator
         return _lp_norm(weights, block @ c, 2.0)
-    return _haar_ratio(system, witness["cube"], start, block, c, weights,
-                       float(witness["p"]))
+    flat = np.ravel_multi_index(cube.coords, (2 ** cube.level,) * grid.dimension)
+    return float(_lp_ratios(system.levels[cube.level], np.array([flat]), block.T[None],
+                            weights, c[None, None], float(witness["p"]))[0, 0])
 
 
 # -- cube testing -------------------------------------------------------------
@@ -695,8 +710,8 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     the images of all level-`depth` cubes, and each coarser cube's image is
     the sum of its children's, again by pairwise adds. Those images
     are one extra n_cells x 2**(n*depth) array (global mode adds two
-    temporaries of that size). Cubes are scanned by level, then C-order
-    coordinates, and only a strictly larger value replaces the witness. The
+    temporaries of that size). The witness follows `_first_max`: levels
+    coarse to fine, cubes in C order, then the jitter boxes. The
     images are summed in a different order than `_cube_value` (the witness
     oracle) sums them, so values agree to rounding, and cubes of
     mathematically equal value may resolve to a different one of them.
@@ -710,28 +725,18 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     require_resolved(trunc, grid)
     if not 0 <= depth <= grid.max_level:
         raise ValueError(f"depth outside [0, {grid.max_level}]")
-    n = grid.dimension
     g = kernel_matrix(kernel, trunc, grid)
-    levels = [values for _, _, values in _cube_pyramid(g, sigma, omega, mode,
-                                                       cfg.p, depth)]
-    best = -1.0
+    parts = [values.reshape((2 ** level,) * grid.dimension) for level, _, values
+             in _cube_pyramid(g, sigma, omega, mode, cfg.p, depth)][::-1]
+    boxes = _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed))
+    box_values = [_cube_value(g, sigma, omega, mode, cfg.p, box) for box in boxes]
+    parts.append(np.array([-1.0 if v is None else v for v in box_values]))
+    best, part, index = _first_max(parts)
+    scanned = sum(int(np.count_nonzero(values >= 0.0)) for values in parts)
     witness: dict = {}
-    scanned = 0
-    for level, values in enumerate(reversed(levels)):
-        scanned += int(np.count_nonzero(values >= 0.0))
-        j = int(np.argmax(values))
-        if values[j] > best:
-            best = float(values[j])
-            cube = grid.cube(level, np.unravel_index(j, (2 ** level,) * n))
-            witness = {**_region_witness(cube), "mode": mode, "p": cfg.p}
-    for box in _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed)):
-        val = _cube_value(g, sigma, omega, mode, cfg.p, box)
-        if val is None:
-            continue
-        scanned += 1
-        if val > best:
-            best = val
-            witness = {**_region_witness(box), "mode": mode, "p": cfg.p}
+    if part is not None:
+        region = grid.cube(part, index) if part <= depth else boxes[index[0]]
+        witness = {**_region_witness(region), "mode": mode, "p": cfg.p}
     search_space = {
         "depth": depth,
         "cubes_scanned": scanned,
@@ -804,19 +809,13 @@ def matched_haar_testing(matrix: HaarMatrix,
     The block optimum covers every rotation of the cube's wavelets.
     """
     system = matrix.omega_system if dual else matrix.sigma_system
-    slots = _live_slots(system)
     tops, coeffs = _cube_optima(system, matrix.entries if dual else matrix.entries.T)
-    best = 0.0
-    witness: dict = {}
-    if slots:
-        j = int(np.argmax(tops))
-        key, _, count = slots[j]
-        best = float(tops[j])
-        witness = {"cube": key, "side": "row" if dual else "column",
-                   "coefficients": [float(v) for v in coeffs[j, :count]]}
+    best, cube, coefficients = _cube_witness(system, tops, coeffs)
+    witness = {} if cube is None else {"cube": cube, "side": "row" if dual else "column",
+                                       "coefficients": coefficients}
     name = "dual_haar_testing_matched" if dual else "haar_testing_matched"
     search_space = _matrix_metadata(matrix)
-    search_space.update({"cube_blocks": len(slots), "per_cube_optimum": "exact"})
+    search_space.update({"cube_blocks": tops.size, "per_cube_optimum": "exact"})
     return CharacteristicReport(name, best, witness, search_space)
 
 
@@ -863,86 +862,105 @@ def _pair_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
     return num / den if den > 0.0 else 0.0
 
 
+# families drawn at random by each quadratic characteristic
+_FAMILY_COUNT = 32
+
+
 def _pair_scan(sigma: MeshMeasure, omega: MeshMeasure, cfg: LpConfig,
                e: float, depth: int, min_depth: int, partners_of, reach) -> tuple:
     """Each cube's best partner by the scalar pair ratio, and the best pair.
 
-    partners_of(cube, reach) yields the cube's candidates as (level,
-    coordinate rows) groups; cubes without candidates get no partner.
-    """
+    partners_of(grid, level, reach) gives every level-`level` cube's
+    candidates as (levels (d,), index (cubes, d)): candidate j of cube c is
+    the level-levels[j] cube of C-order index index[c, j], none where -1.
+    A cube's partner is its first candidate of largest ratio."""
     grid = sigma.grid
     n = grid.dimension
-    sm = [level_masses(sigma, lv) for lv in range(grid.max_level + 1)]
+    masses = [level_masses(sigma, lv).ravel() for lv in range(grid.max_level + 1)]
+    base = np.cumsum([0] + [m.size for m in masses])
+    masses = np.concatenate(masses)
     best_partner: dict = {}
-    scalar_best = -1.0
-    scalar_pair: tuple | None = None
+    tops = []
     pair_count = 0
     for level in range(min_depth, depth + 1):
-        wm = level_masses(omega, level)
-        for cube in grid.cubes_at_level(level):
-            top_ratio, top_key = -1.0, None
-            for sub_level, coords in partners_of(cube, reach):
-                vol = (grid.side / 2 ** sub_level) ** n
-                ratios = _size_value(sm[sub_level][tuple(coords.T)], wm[cube.coords],
-                                     vol, 1.0 / cfg.p_prime, 1.0 / cfg.p, e)
-                pair_count += ratios.size
-                j = int(np.argmax(ratios))
-                if ratios[j] > top_ratio:
-                    top_ratio = float(ratios[j])
-                    top_key = DyadicCube(grid, sub_level, coords[j]).key()
-            if top_key is None:
-                continue
-            best_partner[cube.key()] = top_key
-            if top_ratio > scalar_best:
-                scalar_best = top_ratio
-                scalar_pair = (cube.key(), top_key)
+        subs, index = partners_of(grid, level, reach)
+        live = index >= 0
+        pair_count += int(live.sum())
+        # `_size_value` with the omega and volume powers taken by float_power,
+        # the scalar pow (** on arrays may differ from it by an ulp)
+        wterm = np.float_power(level_masses(omega, level).reshape(-1, 1), 1.0 / cfg.p)
+        vterm = np.float_power((grid.side / 2.0 ** subs) ** n, e)
+        ratios = np.where(live, masses[base[subs] + index] ** (1.0 / cfg.p_prime)
+                          * wterm / vterm, -1.0)
+        top = np.full(len(index), -1.0)
+        if live.any():
+            j = ratios.argmax(axis=1)
+            top = ratios[np.arange(len(j)), j]
+            for sub in np.unique(subs[j]):
+                cubes = np.flatnonzero((top >= 0.0) & (subs[j] == sub))
+                best_partner.update(zip(_cube_keys(level, cubes, n),
+                                        _cube_keys(sub, index[cubes, j[cubes]], n)))
+        tops.append(top)
+    scalar_best, part, index = _first_max(tops)
+    scalar_pair = None
+    if part is not None:
+        key = _cube_keys(min_depth + part, np.array(index), n)[0]
+        scalar_pair = (key, best_partner[key])
     return best_partner, scalar_best, scalar_pair, pair_count
 
 
-def _offset_partners(cube: DyadicCube, max_distance: float) -> list:
-    """Same-level disjoint cubes within max_distance sides of the cube, as
-    one (level, coordinate rows) group, or no group when none qualifies."""
-    top = 2 ** cube.level
+def _offset_stencil(dimension: int, max_distance: float) -> np.ndarray:
+    """(d, n) nonzero offsets of the same-level cubes within max_distance
+    sides of a cube, in lexicographic order."""
     reach = int(np.ceil(max_distance)) + 1
-    out = []
-    n = cube.grid.dimension
-    for delta in itertools.product(range(-reach, reach + 1), repeat=n):
-        if all(d == 0 for d in delta):
-            continue
-        cand = tuple(c + d for c, d in zip(cube.coords, delta))
-        if any(not 0 <= cc < top for cc in cand):
-            continue
-        gap2 = sum(max(abs(d) - 1, 0) ** 2 for d in delta)
-        if gap2 <= max_distance ** 2 + 1e-9:
-            out.append(cand)
-    return [(cube.level, np.array(out))] if out else []
+    deltas = np.array(list(itertools.product(range(-reach, reach + 1), repeat=dimension)),
+                      dtype=int).reshape(-1, dimension)
+    gap2 = (np.maximum(np.abs(deltas) - 1, 0) ** 2).sum(axis=1)
+    return deltas[deltas.any(axis=1) & (gap2 <= max_distance ** 2 + 1e-9)]
+
+
+def _stencil_partners(grid: Grid, level: int, max_distance: float) -> tuple:
+    """The offset candidates of `_pair_scan`: each cube plus every stencil
+    offset that stays inside the window, in stencil order."""
+    shape = (2 ** level,) * grid.dimension
+    coords = np.stack(np.unravel_index(np.arange(np.prod(shape)), shape), axis=-1)
+    cand = coords[:, None] + _offset_stencil(grid.dimension, max_distance)
+    inside = ((cand >= 0) & (cand < shape[0])).all(axis=-1)
+    index = np.ravel_multi_index(tuple(np.moveaxis(cand, -1, 0)), shape, mode="clip")
+    return np.full(cand.shape[1], level), np.where(inside, index, -1)
 
 
 def _offset_draw(rng, grid: Grid, depth: int, max_distance: float) -> tuple:
-    """2 to 6 cubes of one level, each with a random nearby partner; empty
-    when fewer than two cubes have a partner."""
+    """2 to 6 cubes of one level, each with a random nearby partner from
+    the stencil rows inside the window; empty when fewer than two cubes
+    have a partner."""
     n = grid.dimension
     level = int(rng.integers(1, depth + 1))
     total = 2 ** (n * level)
     k = int(rng.integers(2, min(6, total) + 1))
     flats = rng.choice(total, size=k, replace=False)
+    stencil = _offset_stencil(n, max_distance)
     members, partners = [], []
     for f in np.sort(flats):
-        cube = DyadicCube(grid, level, np.unravel_index(int(f), (2 ** level,) * n))
-        for _, plist in _offset_partners(cube, max_distance):  # at most one group
-            members.append(cube)
+        coords = np.unravel_index(int(f), (2 ** level,) * n)
+        cand = np.array(coords) + stencil
+        plist = cand[((cand >= 0) & (cand < 2 ** level)).all(axis=1)]
+        if len(plist):
+            members.append(DyadicCube(grid, level, coords))
             pick = plist[int(rng.integers(0, len(plist)))]
             partners.append(DyadicCube(grid, level, pick))
     return (members, partners) if len(members) >= 2 else ([], [])
 
 
-def _subcube_partners(cube: DyadicCube, max_generation: int):
-    """The cube's dyadic subcubes down to max_generation levels, the cube
-    itself included, one level at a time."""
-    grid = cube.grid
-    for gen in range(min(max_generation, grid.max_level - cube.level) + 1):
-        offs = np.array(list(itertools.product(range(2 ** gen), repeat=grid.dimension)))
-        yield cube.level + gen, np.array(cube.coords) * 2 ** gen + offs
+def _descendant_partners(grid: Grid, level: int, max_generation: int) -> tuple:
+    """The subcube candidates of `_pair_scan`: each cube's dyadic subcubes
+    down to max_generation levels, the cube itself first, each level's in C
+    order (a `group_by_cube` of the finer level's cube indices)."""
+    n = grid.dimension
+    subs = range(level, level + min(max_generation, grid.max_level - level) + 1)
+    index = [group_by_cube(np.arange(2 ** (n * s)).reshape((2 ** s,) * n), level)
+             for s in subs]
+    return np.repeat(subs, [i.shape[1] for i in index]), np.concatenate(index, axis=1)
 
 
 def _subcube_draw(rng, grid: Grid, depth: int, max_generation: int) -> tuple:
@@ -981,11 +999,10 @@ def _family_search(families, value, best: float, winner) -> tuple:
     return best, winner, count
 
 
-def _pair_families(grid: Grid, depth: int, best_partner: dict, draw, reach,
-                   family_count: int, rng):
+def _pair_families(grid: Grid, depth: int, best_partner: dict, draw, reach, rng):
     """The tries of `_pair_family_ap`: the sibling families (the children of
     each parent with their best partners, unit coefficients), then
-    family_count draws, each tried with random and with unit coefficients."""
+    _FAMILY_COUNT draws, each tried with random and with unit coefficients."""
     for level in range(0, depth):
         for parent in grid.cubes_at_level(level):
             members = [c for c in parent.children() if c.key() in best_partner]
@@ -993,7 +1010,7 @@ def _pair_families(grid: Grid, depth: int, best_partner: dict, draw, reach,
                 partners = [DyadicCube.from_key(grid, best_partner[c.key()])
                             for c in members]
                 yield [(members, partners, np.ones(len(members)))]
-    for _ in range(family_count):
+    for _ in range(_FAMILY_COUNT):
         members, partners = draw(rng, grid, depth, reach)
         if members:
             coeffs = rng.uniform(0.2, 1.0, size=len(members))
@@ -1003,20 +1020,20 @@ def _pair_families(grid: Grid, depth: int, best_partner: dict, draw, reach,
 
 # variant -> (partners, draw, name of its reach parameter, smallest depth)
 _PAIR_VARIANTS = {
-    "offset": (_offset_partners, _offset_draw, "max_distance", 1),
-    "subcube": (_subcube_partners, _subcube_draw, "max_generation", 0),
+    "offset": (_stencil_partners, _offset_draw, "max_distance", 1),
+    "subcube": (_descendant_partners, _subcube_draw, "max_generation", 0),
 }
 
 
 def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
                     lam: float, p: float, depth: int | None, reach,
-                    family_count: int, seed: int) -> CharacteristicReport:
+                    seed: int) -> CharacteristicReport:
     """The family search shared by the quadratic pair characteristics.
 
     The scan over the variant's partners gives every cube's best partner
     and the best single pair, which seeds the value. Then come the sibling
     families (the children of each parent with their best partners, unit
-    coefficients) and family_count seeded random families from the
+    coefficients) and _FAMILY_COUNT seeded random families from the
     variant's draw, each tried with random and with unit coefficients.
     """
     partners_of, draw, reach_name, min_depth = _PAIR_VARIANTS[variant]
@@ -1031,8 +1048,7 @@ def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
         cube, partner = (DyadicCube.from_key(grid, k) for k in scalar_pair)
         single = ([cube], [partner], [1.0])
     best, winner, families = _family_search(
-        _pair_families(grid, depth, best_partner, draw, reach, family_count,
-                       np.random.default_rng(seed)),
+        _pair_families(grid, depth, best_partner, draw, reach, np.random.default_rng(seed)),
         lambda cubes, partners, coeffs: _pair_family_value(
             sigma, omega, lam, cfg.p, cubes, partners, coeffs),
         scalar_best, single)
@@ -1050,7 +1066,7 @@ def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
         reach_name: reach,
         "pairs_scanned": pair_count,
         "families_evaluated": families,
-        "family_count": family_count,
+        "family_count": _FAMILY_COUNT,
         "p": cfg.p,
     }
     return CharacteristicReport(f"quadratic_{variant}_ap", best, witness,
@@ -1059,8 +1075,7 @@ def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
 
 def quadratic_offset_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
                         p: float = 2.0, depth: int | None = None,
-                        max_distance: float = 10.0, family_count: int = 32,
-                        seed: int = 0) -> CharacteristicReport:
+                        max_distance: float = 10.0, seed: int = 0) -> CharacteristicReport:
     """Vector-valued size characteristic over equal-size nearby cube pairs.
 
     Pairs (I, I*) run over same-level disjoint dyadic cubes within
@@ -1068,22 +1083,19 @@ def quadratic_offset_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
     combine disjoint cubes with seeded coefficients. Singleton families are
     always included, so the value dominates the scalar pair ratio.
     """
-    return _pair_family_ap("offset", sigma, omega, lam, p, depth, max_distance,
-                           family_count, seed)
+    return _pair_family_ap("offset", sigma, omega, lam, p, depth, max_distance, seed)
 
 
 def quadratic_subcube_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
                          p: float = 2.0, depth: int | None = None,
-                         max_generation: int = 2, family_count: int = 32,
-                         seed: int = 0) -> CharacteristicReport:
+                         max_generation: int = 2, seed: int = 0) -> CharacteristicReport:
     """Vector-valued size characteristic with dyadic subcubes as partners.
 
     Pairs (I, J) run over cubes to the depth and their dyadic subcubes down
     to max_generation levels (generation 0 recovers the plain pair I = J,
     so the value dominates the product-form characteristic at this depth).
     """
-    return _pair_family_ap("subcube", sigma, omega, lam, p, depth, max_generation,
-                           family_count, seed)
+    return _pair_family_ap("subcube", sigma, omega, lam, p, depth, max_generation, seed)
 
 
 def _evaluate_pair_family_witness(sigma: MeshMeasure, omega: MeshMeasure,
@@ -1114,16 +1126,16 @@ def _haar_family_value(system: HaarSystem, images: np.ndarray, wflat: np.ndarray
     return num / den if den > 0.0 else 0.0
 
 
-def _level_families(by_level: dict, family_count: int, rng):
+def _level_families(by_level: dict, rng):
     """The tries of `quadratic_haar_testing`: each level's cubes with unit
-    weights, then family_count draws of 1 to 6 cubes of one level with
-    random weights."""
+    weights, then _FAMILY_COUNT draws of 1 to 6 cubes of one level with
+    random weights, none when no level has cubes."""
     levels = sorted(by_level)
     for level in levels:
         keys = by_level[level]
         if len(keys) >= 2:
             yield [(keys, np.ones(len(keys)))]
-    for _ in range(family_count):
+    for _ in range(_FAMILY_COUNT if levels else 0):
         keys = by_level[levels[int(rng.integers(0, len(levels)))]]
         k = int(rng.integers(1, min(6, len(keys)) + 1))
         picks = sorted(rng.choice(len(keys), size=k, replace=False).tolist())
@@ -1133,52 +1145,39 @@ def _level_families(by_level: dict, family_count: int, rng):
 
 def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
                            kernel: Kernel, trunc: Truncation, p: float = 2.0,
-                           depth: int = 6, family_count: int = 32,
-                           seed: int = 0) -> CharacteristicReport:
+                           depth: int = 6, seed: int = 0) -> CharacteristicReport:
     """Vector-valued Haar testing over families of disjoint cubes.
 
     Each family member is a unit wavelet combination on its cube; the value
     compares the pointwise square sum of the images against that of the
-    wavelets, both in Lp. Singleton members include the exact per-cube
-    optimum, so at p = 2 the value matches scalar haar_testing.
+    wavelets, both in Lp. A cube's member is its best candidate of
+    `_lp_scan`: a canonical wavelet or, with two or more wavelets, the exact
+    per-cube optimum, so at p = 2 the value matches scalar haar_testing.
     """
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
     wflat = omega.flat_mass
-    _, optima = _cube_optima(system, images.T, wflat)
-
-    member_best: dict = {}
-    scalar_best = -1.0
-    scalar_keys: list = []
+    values, combos = _lp_scan(system, images, wflat, cfg.p)
+    member_best: dict = {}  # each cube's first best candidate
     by_level: dict = {}
-    blocks = _wavelet_blocks(system, images, omega, "global")
-    for i, (key, start, block, _) in enumerate(blocks):
+    for (key, _, count), row, combo in zip(_live_slots(system), values, combos):
+        member_best[key] = [float(v) for v in combo[row.argmax(), :count]]
         by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
-        count = block.shape[1]
-        candidates = list(np.eye(count))
-        if count > 1:
-            candidates.append(optima[i, :count])
-        top_val, top_c = _best_combination(system, key, start, block, candidates,
-                                           wflat, cfg.p)
-        member_best[key] = [float(v) for v in top_c]
-        if top_val > scalar_best:
-            scalar_best = top_val
-            scalar_keys = [key]
-    scalar_best = max(scalar_best, 0.0)
+    scalar_best, scalar_key, _ = _cube_witness(system, values, combos)
 
     best, (keys, weights), families = _family_search(
-        _level_families(by_level, family_count, np.random.default_rng(seed)),
+        _level_families(by_level, np.random.default_rng(seed)),
         lambda keys, weights: _haar_family_value(
             system, images, wflat, [(k, member_best[k]) for k in keys], weights, cfg.p),
-        scalar_best, (scalar_keys, [1.0]))
+        scalar_best, ([scalar_key], [1.0]) if scalar_key else ([], []))
     witness = {"members": [{"cube": k, "coefficients": member_best[k]} for k in keys],
                "weights": [float(a) for a in weights],
                "p": cfg.p, "scalar_value": scalar_best}
     search_space = {
         "depth": depth,
         "families_evaluated": families,
-        "family_count": family_count,
+        "family_count": _FAMILY_COUNT,
         "p": cfg.p,
         "kernel": _kernel_spec(kernel),
         "trunc": _trunc_spec(trunc),

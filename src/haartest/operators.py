@@ -201,11 +201,11 @@ def kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
     steps = np.arange(1 - m, m) * grid.cell_side
     offsets = np.stack(np.meshgrid(*[steps] * n, indexing="ij"), axis=-1)
     table = kernel.eval(offsets, 0.0) * trunc.scale(np.linalg.norm(offsets, axis=-1))
-    # index of offset i - j on one axis; axis a varies along output axes a and n + a
-    diff = np.subtract.outer(np.arange(m), np.arange(m)) + (m - 1)
-    index = tuple(diff.reshape((1,) * a + (m,) + (1,) * (n - 1) + (m,) + (1,) * (n - 1 - a))
-                  for a in range(n))
-    return table[index].reshape(grid.n_cells, grid.n_cells)
+    # window w at position a of the reversed table holds the offsets
+    # 2m - 2 - a - w; reversing a makes that i - j + m - 1 at (i, j)
+    flip = (slice(None, None, -1),) * n
+    windows = np.lib.stride_tricks.sliding_window_view(table[flip], (m,) * n)[flip]
+    return np.ascontiguousarray(windows.reshape(grid.n_cells, grid.n_cells))
 
 
 # points per row block of points_matrix

@@ -490,7 +490,7 @@ def _dense_lp(weights, values, p):
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_lp_haar_denominators_match_dense_values(name, p):
-    from haartest.characteristics import _combination_norm, _haar_family_value
+    from haartest.characteristics import _haar_family_value, _lp_ratios
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     depth = 3
@@ -510,9 +510,15 @@ def test_lp_haar_denominators_match_dense_values(name, p):
     rng = np.random.default_rng(3)
     live = [(key, start, count) for key, (start, count) in slots.items() if count]
     for key, start, count in live:
-        c = rng.standard_normal(count)
-        np.testing.assert_allclose(_combination_norm(system, key, start, c, p),
-                                   _dense_lp(sigma.flat_mass, wavelet(key, c), p),
+        # every wavelet's image one cell of value 1, weight 1: the numerator
+        # of combination c is |sum(c)|, so the ratio exposes the denominator
+        cube = DyadicCube.from_key(sigma.grid, key)
+        flat = np.ravel_multi_index(cube.coords, (2 ** cube.level,) * sigma.grid.dimension)
+        c = rng.standard_normal((1, 2, count))
+        norms = [_dense_lp(sigma.flat_mass, wavelet(key, row), p) for row in c[0]]
+        ratios = _lp_ratios(system.levels[cube.level], np.array([flat]),
+                            np.ones((1, count, 1)), 1.0, c, p)
+        np.testing.assert_allclose(ratios[0], np.abs(c[0].sum(axis=1)) / norms,
                                    rtol=1e-12, atol=0.0)
     lp = lp_haar_testing(sigma, omega, kernel, trunc, p=p, depth=depth)
     key, c = lp.witness["cube"], lp.witness["coefficients"]
@@ -552,3 +558,297 @@ def test_family_search_keeps_the_first_strict_maximum():
     value = lambda name, v: v  # noqa: E731
     assert _family_search(iter(families), value, 1.0, None) == (2.0, ("b", 2.0), 4)
     assert _family_search(iter(families), value, 2.0, "start") == (2.0, "start", 4)
+
+
+# -- level-array scans against the per-cube loops they replaced -----------------
+#
+# The loops below are the per-cube scans as they were before the scans became
+# level arrays; each new scan must give the same values (to 1e-12 relative)
+# and the same witness.
+
+def _loop_lp_norm(weights, values, p):
+    return float(np.sum(weights * np.abs(values) ** p)) ** (1.0 / p)
+
+
+def _loop_ratio(system, key, start, block, c, weights, p):
+    level = int(key.partition(":")[0])
+    lv = system.levels[level]
+    first = start - system.level_rows[level].start
+    values = lv.child_values[first:first + len(c)]
+    den = _loop_lp_norm(lv.child_masses[lv.cubes[first]], values.T @ c, p)
+    return _loop_lp_norm(weights, block @ c, p) / den if den > 0.0 else 0.0
+
+
+def _loop_candidates(system, images, omega, p, mode, rng, optimum_from):
+    """[(key, ratios, candidates)] of every cube that carries wavelets, in
+    system order: the candidate loop of lp_haar_testing (rng given) and of
+    the member scan of quadratic_haar_testing (rng None)."""
+    _, optima = _cube_optima(system, images.T, omega.flat_mass, local=mode == "local")
+    out = []
+    for i, (key, (start, count)) in enumerate(
+            (k, s) for k, s in system.cube_slots.items() if s[1]):
+        weights = omega.flat_mass
+        if mode == "local":
+            weights = weights * DyadicCube.from_key(omega.grid, key).indicator().ravel()
+        block = images[:, start:start + count]
+        candidates = list(np.eye(count))
+        if count > 1 and rng is not None:
+            for _ in range(4):
+                c = rng.standard_normal(count)
+                norm = np.linalg.norm(c)
+                if norm > 0:
+                    candidates.append(c / norm)
+        if count >= optimum_from:
+            candidates.append(optima[i, :count])
+        ratios = [_loop_ratio(system, key, start, block, c, weights, p) for c in candidates]
+        out.append((key, ratios, candidates))
+    return out
+
+
+def _assert_same_candidates(values, combos, loop):
+    """The rows of `_lp_scan` against the loop's candidates, cube by cube."""
+    assert len(values) == len(loop)
+    for row, combo, (_, ratios, candidates) in zip(values, combos, loop):
+        np.testing.assert_allclose(row[:len(ratios)], ratios, rtol=1e-12, atol=0.0)
+        assert (row[len(ratios):] == -1.0).all()
+        count = len(candidates[0])
+        np.testing.assert_allclose(combo[:len(ratios), :count], candidates, rtol=1e-12,
+                                   atol=1e-15)
+
+
+def _loop_best(loop):
+    """(value, key, coefficients) of the first largest candidate of each
+    cube, then the first cube whose value is strictly largest."""
+    best, cube, coeffs = -1.0, None, []
+    for key, ratios, candidates in loop:
+        ratio, c = max(zip(ratios, candidates), key=lambda rc: rc[0])
+        if ratio > best:
+            best, cube, coeffs = ratio, key, [float(v) for v in c]
+    return max(best, 0.0), cube, coeffs
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
+    from haartest.characteristics import _lp_scan, _wavelet_images
+
+    sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
+    system, images = _wavelet_images(sigma, kernel, trunc, 3)
+    optimum_from = 1 if p == 2.0 else np.inf
+    for seed in (0, 5):
+        loop = _loop_candidates(system, images, omega, p, mode,
+                                np.random.default_rng(seed), optimum_from)
+        values, combos = _lp_scan(system, images, omega.flat_mass, p, mode == "local",
+                                  np.random.default_rng(seed), optimum_from)
+        _assert_same_candidates(values, combos, loop)
+        rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, mode=mode, depth=3,
+                              seed=seed)
+        value, cube, coeffs = _loop_best(loop)
+        np.testing.assert_allclose(rep.value, value, rtol=1e-12, atol=0.0)
+        assert rep.witness["cube"] == cube
+        np.testing.assert_allclose(rep.witness["coefficients"], coeffs, rtol=1e-12,
+                                   atol=1e-15)
+        assert rep.search_space["rotation_samples"] == 4
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_quadratic_member_scan_matches_member_loop(name, p):
+    from haartest.characteristics import (_family_search, _haar_family_value,
+                                          _level_families, _lp_scan, _wavelet_images)
+
+    sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
+    system, images = _wavelet_images(sigma, kernel, trunc, 3)
+    loop = _loop_candidates(system, images, omega, p, "global", None, 2)
+    _assert_same_candidates(*_lp_scan(system, images, omega.flat_mass, p), loop)
+    # the loop's members, scalar and by-level keys, then its family search
+    # through the module's family driver
+    member_best, by_level = {}, {}
+    for key, ratios, candidates in loop:
+        member_best[key] = [float(v) for v in max(zip(ratios, candidates),
+                                                  key=lambda rc: rc[0])[1]]
+        by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
+    scalar_best, scalar_key, _ = _loop_best(loop)
+    best, (keys, weights), families = _family_search(
+        _level_families(by_level, np.random.default_rng(4)),
+        lambda keys, weights: _haar_family_value(
+            system, images, omega.flat_mass, [(k, member_best[k]) for k in keys],
+            weights, p),
+        scalar_best, ([scalar_key], [1.0]))
+    rep = quadratic_haar_testing(sigma, omega, kernel, trunc, p=p, depth=3, seed=4)
+    np.testing.assert_allclose(rep.value, best, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep.witness["scalar_value"], scalar_best, rtol=1e-12,
+                               atol=0.0)
+    assert [m["cube"] for m in rep.witness["members"]] == keys
+    for member in rep.witness["members"]:
+        np.testing.assert_allclose(member["coefficients"], member_best[member["cube"]],
+                                   rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(rep.witness["weights"], weights)
+    assert rep.search_space["families_evaluated"] == families
+    assert rep.search_space["family_count"] == 32
+
+
+def test_first_max_takes_the_first_largest_entry_in_scan_order():
+    from haartest.characteristics import _first_max
+
+    parts = [np.array([1.0, 3.0]), np.array([[3.0, 0.0], [2.0, 3.0]]), np.array([3.0])]
+    assert _first_max(parts) == (3.0, 0, (1,))
+    assert _first_max(parts[1:]) == (3.0, 0, (0, 0))
+    assert _first_max([np.array([-1.0, -1.0]), np.zeros(0)]) == (-1.0, None, None)
+    assert _first_max([np.full((2, 2), -1.0), np.array([0.0, 0.0])]) == (0.0, 1, (0,))
+
+
+def _loop_offset_partners(cube, max_distance):
+    import itertools
+
+    top = 2 ** cube.level
+    reach = int(np.ceil(max_distance)) + 1
+    out = []
+    for delta in itertools.product(range(-reach, reach + 1), repeat=cube.grid.dimension):
+        if all(d == 0 for d in delta):
+            continue
+        cand = tuple(c + d for c, d in zip(cube.coords, delta))
+        if any(not 0 <= cc < top for cc in cand):
+            continue
+        if sum(max(abs(d) - 1, 0) ** 2 for d in delta) <= max_distance ** 2 + 1e-9:
+            out.append(cand)
+    return [(cube.level, np.array(out))] if out else []
+
+
+def _loop_offset_draw(rng, grid, depth, max_distance):
+    n = grid.dimension
+    level = int(rng.integers(1, depth + 1))
+    total = 2 ** (n * level)
+    k = int(rng.integers(2, min(6, total) + 1))
+    flats = rng.choice(total, size=k, replace=False)
+    members, partners = [], []
+    for f in np.sort(flats):
+        cube = DyadicCube(grid, level, np.unravel_index(int(f), (2 ** level,) * n))
+        for _, plist in _loop_offset_partners(cube, max_distance):
+            members.append(cube)
+            pick = plist[int(rng.integers(0, len(plist)))]
+            partners.append(DyadicCube(grid, level, pick))
+    return (members, partners) if len(members) >= 2 else ([], [])
+
+
+def _loop_subcube_partners(cube, max_generation):
+    import itertools
+
+    grid = cube.grid
+    for gen in range(min(max_generation, grid.max_level - cube.level) + 1):
+        offs = np.array(list(itertools.product(range(2 ** gen), repeat=grid.dimension)))
+        yield cube.level + gen, np.array(cube.coords) * 2 ** gen + offs
+
+
+def _loop_pair_scan(sigma, omega, cfg, e, depth, min_depth, partners_of, reach):
+    from haartest.characteristics import _size_value
+    from haartest.measure import level_masses
+
+    grid = sigma.grid
+    n = grid.dimension
+    sm = [level_masses(sigma, lv) for lv in range(grid.max_level + 1)]
+    best_partner, scalar_best, scalar_pair, pair_count = {}, -1.0, None, 0
+    for level in range(min_depth, depth + 1):
+        wm = level_masses(omega, level)
+        for cube in grid.cubes_at_level(level):
+            top_ratio, top_key = -1.0, None
+            for sub_level, coords in partners_of(cube, reach):
+                vol = (grid.side / 2 ** sub_level) ** n
+                ratios = _size_value(sm[sub_level][tuple(coords.T)], wm[cube.coords],
+                                     vol, 1.0 / cfg.p_prime, 1.0 / cfg.p, e)
+                pair_count += ratios.size
+                j = int(np.argmax(ratios))
+                if ratios[j] > top_ratio:
+                    top_ratio = float(ratios[j])
+                    top_key = DyadicCube(grid, sub_level, coords[j]).key()
+            if top_key is None:
+                continue
+            best_partner[cube.key()] = top_key
+            if top_ratio > scalar_best:
+                scalar_best, scalar_pair = top_ratio, (cube.key(), top_key)
+    return best_partner, scalar_best, scalar_pair, pair_count
+
+
+def _pair_case(name):
+    if name == "1d":
+        return SIGMA, OMEGA, 0.0
+    grid = Grid(dimension=2, max_level=4)
+    omega = random_dyadic_doubling(grid, 2.0, seed=6)
+    if name == "2d-lebesgue":  # equal partner masses: ties decided by scan order
+        return lebesgue(grid), omega, 0.5
+    return random_dyadic_doubling(grid, 3.0, seed=5), omega, 0.5
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "2d-lebesgue"])
+@pytest.mark.parametrize("variant,reach", [("offset", 2.5), ("offset", 10.0),
+                                           ("subcube", 0), ("subcube", 2)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_pair_scans_match_per_cube_loops(monkeypatch, case, variant, reach, p):
+    import haartest.characteristics as chars
+
+    sigma, omega, lam = _pair_case(case)
+    func = quadratic_offset_ap if variant == "offset" else quadratic_subcube_ap
+    kwargs = {"max_distance" if variant == "offset" else "max_generation": reach}
+    partners_of, draw, reach_name, min_depth = chars._PAIR_VARIANTS[variant]
+    cfg = chars.LpConfig(p)
+    _, e, depth = chars._size_setup(sigma, omega, lam, None, min_depth)
+    scan = chars._pair_scan(sigma, omega, cfg, e, depth, min_depth, partners_of, reach)
+    loop_partners = _loop_offset_partners if variant == "offset" else _loop_subcube_partners
+    loop = _loop_pair_scan(sigma, omega, cfg, e, depth, min_depth, loop_partners, reach)
+    assert scan[0] == loop[0]
+    np.testing.assert_allclose(scan[1], loop[1], rtol=1e-12, atol=0.0)
+    assert scan[2:] == loop[2:]
+    rep = func(sigma, omega, lam, p=p, seed=9, **kwargs)
+    # the whole report once more, with the per-cube scan and draw
+    monkeypatch.setitem(chars._PAIR_VARIANTS, variant, (
+        loop_partners, _loop_offset_draw if variant == "offset" else draw,
+        reach_name, min_depth))
+    monkeypatch.setattr(chars, "_pair_scan", _loop_pair_scan)
+    want = func(sigma, omega, lam, p=p, seed=9, **kwargs)
+    np.testing.assert_allclose(rep.value, want.value, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep.witness.pop("singleton_value"),
+                               want.witness.pop("singleton_value"), rtol=1e-12, atol=0.0)
+    assert rep.witness == want.witness
+    assert rep.search_space == want.search_space
+    assert rep.search_space["pairs_scanned"] == loop[3]
+
+
+def test_partner_candidates_keep_the_loop_order():
+    from haartest.characteristics import (_descendant_partners, _offset_stencil,
+                                          _stencil_partners)
+
+    grid = Grid(dimension=2, max_level=4)
+    for level in (1, 3):
+        shape = (2 ** level,) * 2
+        scans = [(_stencil_partners(grid, level, d), _loop_offset_partners, d)
+                 for d in (0.0, 1.0, 2.5, 10.0)]
+        scans += [(_descendant_partners(grid, level, g), _loop_subcube_partners, g)
+                  for g in (0, 1, 3)]
+        for (subs, index), loop_partners, reach in scans:
+            for cube in grid.cubes_at_level(level):
+                row = index[np.ravel_multi_index(cube.coords, shape)]
+                got = [DyadicCube(grid, s, np.unravel_index(i, (2 ** s,) * 2)).key()
+                       for s, i in zip(subs, row) if i >= 0]
+                want = [DyadicCube(grid, s, c).key()
+                        for s, coords in loop_partners(cube, reach) for c in coords]
+                assert got == want
+    assert _offset_stencil(2, -1.0).shape == (0, 2)
+
+
+def test_quadratic_haar_testing_without_wavelets():
+    # all of sigma's mass in one cell: no cube of levels 0..3 has two live
+    # children, so there are no wavelets to scan and no family to draw
+    grid = Grid(dimension=1, max_level=6)
+    cells = np.zeros(grid.mesh_shape)
+    cells[5] = 1.0
+    sigma = custom_cells(grid, cells, label="cell5")
+    omega = random_dyadic_doubling(grid, 2.0, seed=1)
+    kernel, trunc = make_kernel("hilbert", 0.0, 1), default_truncation(grid)
+    rep = quadratic_haar_testing(sigma, omega, kernel, trunc, p=3.0, depth=4)
+    assert rep.value == 0.0
+    assert rep.search_space["families_evaluated"] == 0
+    assert rep.witness["members"] == [] and rep.witness["weights"] == []
+    assert reevaluate(rep, sigma, omega) == 0.0
+    assert haar_testing(sigma, omega, kernel, trunc, depth=4).value == 0.0
+    assert lp_haar_testing(sigma, omega, kernel, trunc, p=3.0, depth=4).value == 0.0

@@ -9,7 +9,9 @@ and runs, once with each tree's `src/`, the five `haartest` subcommands with
 `frames --p 1.5 --depth 10` (depth = max_level on the default 1-D grid: the
 full-depth transform, and no neighbour band), `characteristics --p 3
 --depth 10` (the full-depth operator images, Haar matrix and Lp Haar
-testing) and every op of the benchmark
+testing), `characteristics --p 3 --depth 4` on the chars-2d workload's grid
+and measures (2-D L=6, riesz_like lambda=0.5: the Lp Haar scans and their
+duals in 2-D, on cubes with three wavelets) and every op of the benchmark
 workloads at seed 0 (`perfbench/workloads.py` of this checkout,
 imported as is). Each run gets its own output directory.
 
@@ -60,6 +62,9 @@ def jobs(config_dir: Path) -> list:
     out.append(("full-depth-frames", ["frames", "--p", "1.5", "--depth", "10"]))
     out.append(("full-depth-lp-characteristics",
                 ["characteristics", "--p", "3", "--depth", "10"]))
+    flags = list(ops_for("chars-2d", 0, config_dir)[0].flags)
+    flags[flags.index("--depth") + 1] = "4"
+    out.append(("lp-characteristics-2d", ["characteristics", *flags, "--p", "3"]))
     for workload in WORKLOADS:
         for i, op in enumerate(ops_for(workload, 0, config_dir)):
             out.append((f"{workload}-{i}-{op.subcommand}",
