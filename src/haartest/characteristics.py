@@ -558,12 +558,34 @@ def _matrix_and_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     """(assemble_haar_matrix(...), global haar_testing(...)) of the pair at
     `depth`, both from one sigma system and one set of its wavelets' images."""
     _check_pair(sigma, omega)
-    system, images = _wavelet_images(sigma, kernel, trunc, depth)
+    return _matrix_and_testing_from(*_wavelet_images(sigma, kernel, trunc, depth),
+                                    omega, kernel, trunc)
+
+
+def _matrix_haar_and_cube_testing(sigma: MeshMeasure, omega: MeshMeasure,
+                                  kernel: Kernel, trunc: Truncation, depth: int) -> tuple:
+    """`_matrix_and_testing` plus the global cube_testing(...) at p = 2, all
+    from one pass over the kernel matrix for sigma: the cube scan runs on
+    the level-`depth` cube images before they become wavelet images."""
+    _check_pair(sigma, omega)
+    require_resolved(trunc, sigma.grid)
+    system = cached_system(sigma, depth)
+    sums = cube_images(kernel_matrix(kernel, trunc, sigma.grid), sigma, depth)
+    cube = _cube_testing(sums, sigma, omega, kernel, trunc, "global", depth, 2.0, 0, 0)
+    images = system.analyse_cube_sums(sums)
+    # the Haar scans have no use for the sums (33.5 MB at 2-D L=6, depth 5)
+    del sums
+    return (*_matrix_and_testing_from(system, images, omega, kernel, trunc), cube)
+
+
+def _matrix_and_testing_from(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
+                             kernel: Kernel, trunc: Truncation) -> tuple:
+    """`_matrix_and_testing` from the sigma system and its wavelets' images."""
     # the report before the matrix: the other order leaves more freed heap
     # behind (2-D L=6: 17 MB more peak RSS for the whole characteristics run)
     test = _haar_testing(system, images, omega, kernel, trunc, "global", 0)
     # the omega system under assemble_haar_matrix's cache key
-    osys = cached_system(omega, depth, None)
+    osys = cached_system(omega, system.depth, None)
     return _haar_matrix(system, images, osys, kernel, trunc), test
 
 
@@ -617,6 +639,8 @@ def lp_haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
 def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
                            witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
+    if witness["cube"] is None:
+        return 0.0  # sigma carries no wavelets at the scanned depth
     kernel, trunc = _kernel_and_trunc(space)
     system, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
     start, count = system.cube_slots[witness["cube"]]
@@ -677,16 +701,16 @@ def _pyramid_values(images: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
     return values
 
 
-def _cube_pyramid(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
+def _cube_pyramid(images: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
                   mode: str, p: float, depth: int):
     """Yield (level, images, values) from level `depth` down to level 0.
 
-    images is `cube_images` of the level, each coarser level summing its
-    children's columns; values is its `_pyramid_values`. The generator keeps
-    only the current level's images, but a caller that keeps every level
-    holds all of them: about 45 MB at 2-D L=6, depth 5.
+    images is `cube_images` of the level: given for level `depth`, each
+    coarser level sums its children's columns. values is its
+    `_pyramid_values`. The generator keeps only the current level's images,
+    but a caller that keeps every level holds all of them: about 45 MB at
+    2-D L=6, depth 5.
     """
-    images = cube_images(g, sigma, depth)
     for level in range(depth, -1, -1):
         if level < depth:
             images = block_sums(images, sigma.grid.dimension, 2)
@@ -725,24 +749,34 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     require_resolved(trunc, grid)
     if not 0 <= depth <= grid.max_level:
         raise ValueError(f"depth outside [0, {grid.max_level}]")
-    g = kernel_matrix(kernel, trunc, grid)
+    images = cube_images(kernel_matrix(kernel, trunc, grid), sigma, depth)
+    return _cube_testing(images, sigma, omega, kernel, trunc, mode, depth, cfg.p,
+                         jitter_count, seed)
+
+
+def _cube_testing(images: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
+                  kernel: Kernel, trunc: Truncation, mode: str, depth: int, p: float,
+                  jitter_count: int, seed: int) -> CharacteristicReport:
+    """cube_testing from the `cube_images` of the level-`depth` cubes."""
+    grid = sigma.grid
     parts = [values.reshape((2 ** level,) * grid.dimension) for level, _, values
-             in _cube_pyramid(g, sigma, omega, mode, cfg.p, depth)][::-1]
+             in _cube_pyramid(images, sigma, omega, mode, p, depth)][::-1]
     boxes = _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed))
-    box_values = [_cube_value(g, sigma, omega, mode, cfg.p, box) for box in boxes]
+    g = kernel_matrix(kernel, trunc, grid)
+    box_values = [_cube_value(g, sigma, omega, mode, p, box) for box in boxes]
     parts.append(np.array([-1.0 if v is None else v for v in box_values]))
     best, part, index = _first_max(parts)
     scanned = sum(int(np.count_nonzero(values >= 0.0)) for values in parts)
     witness: dict = {}
     if part is not None:
         region = grid.cube(part, index) if part <= depth else boxes[index[0]]
-        witness = {**_region_witness(region), "mode": mode, "p": cfg.p}
+        witness = {**_region_witness(region), "mode": mode, "p": p}
     search_space = {
         "depth": depth,
         "cubes_scanned": scanned,
         "jitter_count": jitter_count,
         "mode": mode,
-        "p": cfg.p,
+        "p": p,
         "restriction": "clipped to window",
         "kernel": _kernel_spec(kernel),
         "trunc": _trunc_spec(trunc),
@@ -823,6 +857,8 @@ def _evaluate_matrix_witness(sigma: MeshMeasure, omega: MeshMeasure,
                              witness: dict, space: dict) -> float:
     if "kernel" not in space or "trunc" not in space:
         raise ValueError("report lacks kernel metadata")
+    if not witness:
+        return 0.0  # matched testing found no cube that carries wavelets
     matrix = assemble_haar_matrix(*_kernel_and_trunc(space), sigma, omega,
                                   int(space["depth"]),
                                   rotation_seed=space.get("rotation_seed"))

@@ -21,9 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from .characteristics import (
-    _matrix_and_testing,
+    _matrix_haar_and_cube_testing,
     a2_lambda,
-    cube_testing,
     haar_testing_dual,
     lp_haar_testing,
     lp_haar_testing_dual,
@@ -239,10 +238,9 @@ def _characteristic_bundle(cfg: RunConfig, s_spec: str, o_spec: str,
     kernel = make_kernel(cfg.kernel, cfg.lam, grid.dimension)
     trunc = build_truncation(cfg, grid)
     depth = min(cfg.depth, grid.max_level)
-    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth)
+    matrix, test, cube = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
     norm = operator_norm(matrix)
     dual = haar_testing_dual(sigma, omega, kernel, trunc, mode="global", depth=depth)
-    cube = cube_testing(sigma, omega, kernel, trunc, mode="global", depth=depth)
     size = a2_lambda(sigma, omega, cfg.lam, depth=depth)
     out = {
         "sigma": s_spec,

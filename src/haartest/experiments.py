@@ -43,6 +43,7 @@ from .operators import (
     Truncation,
     TruncationError,
     apply,
+    cube_images,
     kernel_matrix,
     require_resolved,
 )
@@ -715,9 +716,9 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     size_rep = a2_lambda(sigma, omega, kernel.lam, depth=depth)
     h_val, a_val = test_rep.value, size_rep.value
     require_resolved(trunc, grid)
-    g = kernel_matrix(kernel, trunc, grid)
+    images = cube_images(kernel_matrix(kernel, trunc, grid), sigma, depth)
     # (level, images, values) from level 0 up to depth
-    pyramid = list(_cube_pyramid(g, sigma, omega, "triple", 2.0, depth))[::-1]
+    pyramid = list(_cube_pyramid(images, sigma, omega, "triple", 2.0, depth))[::-1]
     energies: dict[str, float] = {}
     c_best = 0.0
     c_witness = ""

@@ -6,7 +6,9 @@ finite differences. Operators act by midpoint quadrature over mesh cells,
 so truncations must not dip below the mesh scale. The kernels are
 translation invariant, so the mesh kernel matrix is gathered from the
 kernel's values at the distinct cell offsets; `points_matrix` evaluates the
-kernel pair by pair at arbitrary points.
+kernel pair by pair at arbitrary points. One dense array serves an operator
+and its adjoint: the adjoint's matrix is the transposed view of the
+operator's.
 
 The operator images of a Haar system, G diag(sigma) V^T, and the Haar
 coefficient matrix W diag(omega) G diag(sigma) V^T are Haar analyses of the
@@ -14,9 +16,10 @@ kernel matrix's rows and of the images' columns, done by the systems' level
 transform (the two-sided wavelet transform of an operator matrix); no
 wavelet matrix V or W is formed. Every wavelet of a depth-`depth` system is
 constant on the level-`depth` cubes, so one pass over G sums its
-sigma-weighted columns to the cubes (`cube_images`), and the transform
-finishes from those sums (`wavelet_images`). The target side analyses each
-image column against omega (`assemble_haar_matrix`).
+sigma-weighted columns to the cubes (`cube_images`: by row blocks of a
+C-ordered G, by bands of H's rows for the adjoint's view G = H^T), and the
+transform finishes from those sums (`wavelet_images`). The target side
+analyses each image column against omega (`assemble_haar_matrix`).
 """
 from __future__ import annotations
 
@@ -196,7 +199,16 @@ def kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
     shift and side the centers are exact, so G equals the pairwise
     `points_matrix` build bit for bit; elsewhere they differ by the rounding
     of the centers.
+
+    The adjoint's kernel K(y, x) has the matrix G^T. The odd families'
+    kernel of sign -1 is the transpose of their sign +1 kernel, so its
+    matrix is the transposed view of that one's, equal entry for entry to
+    a build of its own (the offsets are exact and the kernels exactly odd);
+    `fractional_integral` is its own transpose. So one dense array serves
+    an operator and its adjoint.
     """
+    if kernel.sign < 0 and kernel.transpose().sign > 0:
+        return kernel_matrix(kernel.transpose(), trunc, grid).T
     m, n = grid.cells_per_axis, grid.dimension
     steps = np.arange(1 - m, m) * grid.cell_side
     offsets = np.stack(np.meshgrid(*[steps] * n, indexing="ij"), axis=-1)
@@ -248,7 +260,9 @@ def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
 # entries of one row block of the kernel matrix in `cube_images`' pass: the
 # block's weighted copy (512 KB) must stay well below the kernel matrix
 # itself (8 MB at 1-D L=10) to add nothing to peak memory; larger blocks
-# were no faster at 2-D L=6
+# were no faster at 2-D L=6. It also bounds a band of the adjoint's pass,
+# where grouping the one-cell cubes of 1-D L=10 took the pass from about
+# 20 ms (a gemv per cube) to 6 ms
 _ROW_BLOCK_ENTRIES = 1 << 16
 
 # cells per cube side from which `cube_images` weights and sums the last,
@@ -261,11 +275,16 @@ def cube_images(g: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
     """T(1_Q sigma) at every cell for every level-`level` cube Q, indexed
     [cell, *cube coords]: G diag(sigma) P, P mapping cells to their cubes.
 
-    One row-blocked pass over the kernel matrix g. Each block's
-    sigma-weighted columns are summed to the cubes by pairwise adds
-    (`block_sums`); when cubes are at least _FUSED_FACTOR cells wide, the
-    last mesh axis is weighted and summed by one einsum first.
+    One pass over the kernel matrix g, read in its own layout. A C-ordered
+    g goes by row blocks: each block's sigma-weighted columns are summed
+    to the cubes by pairwise adds (`block_sums`); when cubes are at least
+    _FUSED_FACTOR cells wide, the last mesh axis is weighted and summed by
+    one einsum first. The transposed view of a C-ordered G (the adjoint's
+    matrix, see `kernel_matrix`) goes by bands of G's contiguous rows
+    (`_cube_images_by_rows`).
     """
+    if not g.flags.c_contiguous and g.T.flags.c_contiguous:
+        return _cube_images_by_rows(g.T, sigma, level)
     grid = sigma.grid
     n = grid.dimension
     factor = 2 ** (grid.max_level - level)
@@ -283,6 +302,38 @@ def cube_images(g: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
         else:
             out[start:start + rows] = block_sums(
                 (block * weights).reshape((-1,) + grid.mesh_shape), n, factor)
+    return out
+
+
+def _cube_images_by_rows(rows: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
+    """`cube_images` of rows.T for a C-ordered rows: (P^T diag(sigma) rows)^T,
+    each cube's image the sigma-weighted sum of its cells' rows.
+
+    The cells whose cubes share a first coordinate make a slab of
+    contiguous rows. A band of as many slabs as fit in _ROW_BLOCK_ENTRIES
+    entries, and at least one, is summed to its cubes at once: in 1-D by
+    one batched gemv (one per cube), in n-D by one einsum over the band
+    laid out as (slab, first axis within the cube) + (cube, axis within
+    it) per other axis. Bands are views, so nothing is copied but the
+    images.
+    """
+    grid = sigma.grid
+    n = grid.dimension
+    side = 2 ** level
+    factor = 2 ** (grid.max_level - level)
+    out = np.empty((grid.n_cells,) + (side,) * n)
+    weights = sigma.flat_mass.reshape((side, factor) * n)
+    slab = grid.n_cells // side
+    step = max(1, _ROW_BLOCK_ENTRIES // grid.n_cells // slab)
+    cells, cubes = list(range(2 * n)), list(range(0, 2 * n, 2))
+    for first in range(0, side, step):
+        w = weights[first:first + step]
+        band = rows[first * slab:(first + step) * slab].reshape(w.shape + (-1,))
+        if n == 1:
+            images = (w[:, None] @ band)[:, 0]
+        else:
+            images = np.einsum(band, cells + [2 * n], w, cells, cubes + [2 * n])
+        out[:, first:first + step] = np.moveaxis(images, -1, 0)
     return out
 
 

@@ -852,3 +852,54 @@ def test_quadratic_haar_testing_without_wavelets():
     assert reevaluate(rep, sigma, omega) == 0.0
     assert haar_testing(sigma, omega, kernel, trunc, depth=4).value == 0.0
     assert lp_haar_testing(sigma, omega, kernel, trunc, p=3.0, depth=4).value == 0.0
+
+
+def test_empty_witnesses_reevaluate_to_zero():
+    # the same sigma as above: haar_testing and lp_haar_testing report the
+    # witness cube None and matched testing an empty witness; each
+    # re-evaluates to 0 as quadratic_haar_testing's does
+    grid = Grid(dimension=1, max_level=6)
+    cells = np.zeros(grid.mesh_shape)
+    cells[5] = 1.0
+    sigma = custom_cells(grid, cells, label="cell5")
+    omega = random_dyadic_doubling(grid, 2.0, seed=1)
+    kernel, trunc = make_kernel("hilbert", 0.0, 1), default_truncation(grid)
+    matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, 4)
+    reports = [haar_testing(sigma, omega, kernel, trunc, depth=4),
+               lp_haar_testing(sigma, omega, kernel, trunc, p=3.0, depth=4),
+               matched_haar_testing(matrix)]
+    assert [rep.witness.get("cube") for rep in reports] == [None, None, None]
+    for rep in reports:
+        assert rep.value == 0.0
+        assert reevaluate(rep, sigma, omega) == 0.0
+    # the dual scans run on the swapped pair: sigma is their target measure
+    dual = haar_testing_dual(omega, sigma, kernel, trunc, depth=4)
+    assert dual.witness["cube"] is None and reevaluate(dual, omega, sigma) == 0.0
+    rows = matched_haar_testing(assemble_haar_matrix(kernel, trunc, omega, sigma, 4), dual=True)
+    assert rows.witness == {} and reevaluate(rows, omega, sigma) == 0.0
+
+
+SHARED_PASS_GRID = Grid(dimension=2, max_level=4)
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_bundle_cube_testing_matches_standalone_scan(case, corpus1):
+    # the characteristics bundle scans cube testing on sigma's cube images
+    # before they become wavelet images; the report is the standalone one
+    from haartest.characteristics import _matrix_haar_and_cube_testing
+
+    if case < len(corpus1):
+        sigma, omega = corpus1[case], corpus1[(case + 3) % len(corpus1)]
+        kernel, depth = make_kernel("hilbert", 0.0, 1), 5
+    else:
+        sigma = random_dyadic_doubling(SHARED_PASS_GRID, 2.0, seed=41)
+        omega = random_dyadic_doubling(SHARED_PASS_GRID, 3.0, seed=42)
+        kernel, depth = make_kernel("riesz_like", 0.5, 2), 3
+    trunc = default_truncation(sigma.grid)
+    matrix, test, cube = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
+    assert cube.as_dict() == cube_testing(sigma, omega, kernel, trunc, mode="global",
+                                          depth=depth).as_dict()
+    assert test.as_dict() == haar_testing(sigma, omega, kernel, trunc, mode="global",
+                                          depth=depth).as_dict()
+    np.testing.assert_array_equal(
+        matrix.entries, assemble_haar_matrix(kernel, trunc, sigma, omega, depth).entries)

@@ -341,3 +341,68 @@ def test_check_ellipticity_perturbed_cone():
     rep = check_ellipticity(k, kappa=1, samples=48, seed=3, perturb=True)
     assert rep.perturbed_inf is not None
     assert rep.perturbed_inf >= 0.5 * rep.declared * (1.0 - 1e-6)
+
+
+# (grid, kernel family, lambda) of the adjoint tests
+ADJOINT_CASES = {
+    "1d-hilbert": (Grid(dimension=1, max_level=7), "hilbert", 0.0),
+    "1d-riesz_like": (Grid(dimension=1, max_level=7), "riesz_like", 0.5),
+    "2d-riesz_like": (Grid(dimension=2, max_level=4), "riesz_like", 0.5),
+    "1d-fractional_integral": (Grid(dimension=1, max_level=7), "fractional_integral", 0.5),
+    "2d-fractional_integral": (Grid(dimension=2, max_level=4), "fractional_integral", 1.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
+def test_adjoint_kernel_matrix_is_a_view(name):
+    grid, family, lam = ADJOINT_CASES[name]
+    kernel, trunc = make_kernel(family, lam, grid.dimension), default_truncation(grid)
+    g = kernel_matrix(kernel, trunc, grid)
+    adjoint = kernel_matrix(kernel.transpose(), trunc, grid)
+    if family == "fractional_integral":
+        assert adjoint is g
+    else:
+        assert np.array_equal(adjoint, g.T) and np.shares_memory(adjoint, g)
+        assert adjoint.T.flags.c_contiguous
+    sigma = random_dyadic_doubling(grid, 3.0, seed=23)
+    f = np.random.default_rng(24).standard_normal(grid.mesh_shape)
+    got = apply(kernel.transpose(), trunc, sigma, f).ravel()
+    want = np.ascontiguousarray(g.T) @ (f.ravel() * sigma.flat_mass)
+    _assert_close_to(got, want)
+
+
+def _cube_indicators(grid, sigma, level):
+    """(n_cells, cubes) sigma-weighted indicator of every level-`level` cube."""
+    return np.array([cube.indicator().ravel() * sigma.flat_mass
+                     for cube in grid.cubes_at_level(level)]).T
+
+
+def _adjoint_image_cases():
+    for grid, family, lam in (ADJOINT_CASES["1d-hilbert"], ADJOINT_CASES["2d-riesz_like"]):
+        for level in (0, 1, grid.max_level - 1, grid.max_level):
+            yield pytest.param(grid, family, lam, level,
+                               id=f"{grid.dimension}d-L{grid.max_level}-level{level}")
+
+
+@pytest.mark.parametrize("grid, family, lam, level", _adjoint_image_cases())
+@pytest.mark.parametrize("measure", ["doubling", "holed"])
+def test_cube_images_of_the_adjoint_view(grid, family, lam, level, measure):
+    # the transposed view goes by bands of G's rows, the C-ordered copy by
+    # row blocks of its own; both match the dense product
+    kernel, trunc = make_kernel(family, lam, grid.dimension), default_truncation(grid)
+    adjoint = kernel_matrix(kernel.transpose(), trunc, grid)
+    sigma = random_dyadic_doubling(grid, 3.0, seed=25)
+    if measure == "holed":
+        cells = sigma.cell_mass.copy()
+        cells[(slice(0, grid.cells_per_axis // 4),) * grid.dimension] = 0.0
+        cells.ravel()[-3:] = 0.0
+        sigma = custom_cells(grid, cells, label="holed")
+    want = np.ascontiguousarray(adjoint) @ _cube_indicators(grid, sigma, level)
+    for g in (adjoint, np.ascontiguousarray(adjoint)):
+        _assert_close_to(cube_images(g, sigma, level).reshape(grid.n_cells, -1), want)
+    if level >= 1:
+        system = cached_system(sigma, level)
+        np.testing.assert_array_equal(wavelet_images(adjoint, system),
+                                      system.analyse_cube_sums(cube_images(adjoint, sigma, level)))
+        _assert_close_to(wavelet_images(adjoint, system),
+                         wavelet_images(np.ascontiguousarray(adjoint), system))

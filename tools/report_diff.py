@@ -11,8 +11,10 @@ full-depth transform, and no neighbour band), `characteristics --p 3
 --depth 10` (the full-depth operator images, Haar matrix and Lp Haar
 testing), `characteristics --p 3 --depth 4` on the chars-2d workload's grid
 and measures (2-D L=6, riesz_like lambda=0.5: the Lp Haar scans and their
-duals in 2-D, on cubes with three wavelets) and every op of the benchmark
-workloads at seed 0 (`perfbench/workloads.py` of this checkout,
+duals in 2-D, on cubes with three wavelets), `characteristics --depth 4`
+on 2-D L=5 with fractional_integral lambda=0.5 and the chars-2d measures
+(an even kernel: the operator is its own adjoint, one kernel-matrix cache
+entry for both) and every op of the benchmark workloads at seed 0 (`perfbench/workloads.py` of this checkout,
 imported as is). Each run gets its own output directory.
 
 It then compares, run by run, the exit codes, every JSON report with `meta`
@@ -65,6 +67,13 @@ def jobs(config_dir: Path) -> list:
     flags = list(ops_for("chars-2d", 0, config_dir)[0].flags)
     flags[flags.index("--depth") + 1] = "4"
     out.append(("lp-characteristics-2d", ["characteristics", *flags, "--p", "3"]))
+    grid = config_dir / "grid2d_L5.ini"
+    grid.parent.mkdir(parents=True, exist_ok=True)
+    grid.write_text("[grid]\ndimension = 2\nmax_level = 5\n")
+    flags[flags.index("--config") + 1] = str(grid)
+    out.append(("self-adjoint-characteristics-2d",
+                ["characteristics", *flags, "--kernel", "fractional_integral",
+                 "--lambda", "0.5"]))
     for workload in WORKLOADS:
         for i, op in enumerate(ops_for(workload, 0, config_dir)):
             out.append((f"{workload}-{i}-{op.subcommand}",
