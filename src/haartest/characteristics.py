@@ -7,14 +7,18 @@ runs stay comparable, and every witness can be re-evaluated independently:
 each family computes a candidate's value with one function, which both its
 scan and its witness evaluator call.
 
-Scans run on level arrays, not cube by cube. The Haar scans share one
-grouping of each level's cubes by wavelet count (`_cube_groups`), which
-gives either every cube's exact L2 optimum or the batched Lp ratios of its
-candidate combinations (`_lp_ratios`). The pair scans take every cube's
-partners at once: an offset stencil, or the finer levels' cubes grouped by
-cube. One witness rule serves every scan (`_first_max`): the first largest
-candidate in scan order, that is levels coarse to fine, cubes in C order,
-each cube's candidates in order, and jitter boxes last.
+Scans run on level arrays, not cube by cube. The operator scans read the
+images a block of output cells at a time (`operators.image_blocks`) and
+fold each block into per-cube sums before the next is made: the cube
+pyramid's power sums (`_PyramidFold`), and, over one grouping of each
+level's cubes by wavelet count (`_cube_groups`), the Grams that give every
+cube's exact L2 optimum (`_GramFold`) or the Lp sums behind the ratios of
+its candidate combinations (`_lp_sums`, `_lp_ratios`). The pair scans take
+a block of cubes' partners at once: an offset stencil, or the finer
+levels' cubes grouped by cube. One witness rule serves every scan
+(`_first_max`): the first largest candidate in scan order, that is levels
+coarse to fine, cubes in C order, each cube's candidates in order, and
+jitter boxes last.
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ from .haar import HaarLevel, HaarSystem, _cube_keys, cached_system, normalize_si
 from .measure import MeshMeasure, level_masses
 from .operators import (
     HaarMatrix,
+    HaarMatrixFold,
     Kernel,
     Truncation,
-    _haar_matrix,
     assemble_haar_matrix,
-    cube_images,
+    image_blocks,
     kernel_matrix,
     make_kernel,
     require_resolved,
@@ -389,23 +393,28 @@ _ROTATION_SAMPLES = 4
 
 def _wavelet_images(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation,
                     depth: int):
-    """Canonical system plus the operator image of every wavelet (by column)."""
+    """Canonical system plus the whole operator image of every wavelet (by
+    column), for the scans that still need every image at once."""
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
     return system, wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), system)
 
 
-def _stacked_optima(blocks: np.ndarray, weights: np.ndarray | None) -> tuple:
-    """(tops, vectors) of stacked blocks (c, k, m): the top singular value of
-    each (m, k) block.T, its rows scaled by sqrt(weights), and its
-    sign-normalized right singular vector, the best unit combination of the
-    block's k columns.
+def _image_blocks(system: HaarSystem, kernel: Kernel, trunc: Truncation):
+    """Yield (rows, images): the operator images of the system's wavelets
+    on the cells of rows, the system's level transform of each block of
+    `image_blocks`."""
+    g = kernel_matrix(kernel, trunc, system.measure.grid)
+    for rows, sums in image_blocks(g, system.measure, system.depth):
+        yield rows, system.analyse_cube_sums(sums)
 
-    Both come from one batched eigh of the k x k Gram matrices. Of equal top
-    eigenvalues the first is taken, so a zero block gives e_1, as an SVD does.
-    """
-    scaled = blocks if weights is None else blocks * weights
-    vals, vecs = np.linalg.eigh(scaled @ blocks.transpose(0, 2, 1))
+
+def _gram_optima(grams: np.ndarray) -> tuple:
+    """(tops, vectors) of stacked Gram matrices (c, k, k): the square root
+    of each one's top eigenvalue and its sign-normalized eigenvector, the
+    best unit combination. Of equal top eigenvalues the first is taken, so
+    a zero Gram gives e_1, as an SVD does."""
+    vals, vecs = np.linalg.eigh(grams)
     top = vals.argmax(axis=1)
     pick = np.arange(len(vals))
     return np.sqrt(np.maximum(vals[pick, top], 0.0)), normalize_sign(vecs[pick, :, top])
@@ -418,70 +427,123 @@ def _live_slots(system: HaarSystem) -> list:
             if count]
 
 
-def _cube_groups(system: HaarSystem, vectors: np.ndarray,
-                 weights: np.ndarray | None = None, local: bool = False):
-    """Yield (at, level, cubes, blocks, scale) for each group of one level's
-    cubes with equally many wavelets, k: their places in `_live_slots`, their
-    HaarLevel and C-order indices in it, their rows of vectors (one image or
-    matrix row per wavelet) as blocks (g, k, m), and the weights of blocks'
-    last axis. local=True keeps each cube's own cells of the images only."""
-    grid = system.measure.grid
+def _cube_groups(system: HaarSystem):
+    """Yield (at, level, cubes, index) for each group of one level's cubes
+    with equally many wavelets, k: their places in `_live_slots`, their
+    HaarLevel and C-order indices in it, and their wavelets' rows (g, k)."""
     done = 0
     for lv, rows in zip(system.levels, system.level_rows):
         live = np.flatnonzero(lv.counts)
-        if local:
-            cells = group_by_cube(np.arange(grid.n_cells).reshape(grid.mesh_shape), lv.level)
         for count in np.unique(lv.counts[live]):
             group = np.flatnonzero(lv.counts[live] == count)
             cubes = live[group]
-            index = rows.start + lv.starts[cubes][:, None] + np.arange(count)
-            if local:
-                own = cells[cubes]
-                blocks = vectors[index[:, :, None], own[:, None, :]]
-                scale = None if weights is None else weights[own][:, None, :]
-            else:
-                blocks, scale = vectors[index], weights
-            yield done + group, lv, cubes, blocks, scale
+            yield done + group, lv, cubes, rows.start + lv.starts[cubes][:, None] + np.arange(count)
         done += live.size
+
+
+def _cell_cubes(grid: Grid, level: int) -> np.ndarray:
+    """C-order index of the level-`level` cube of every cell, C order."""
+    out = np.empty(grid.n_cells, dtype=int)
+    cells = group_by_cube(np.arange(grid.n_cells).reshape(grid.mesh_shape), level)
+    out[cells] = np.arange(len(cells))[:, None]
+    return out
+
+
+class _CubeFold:
+    """The groups of `_cube_groups` of a system, for folding per-cube sums
+    over the output cells from row blocks (rows, images (r, n_wavelets)) of
+    the images of its wavelets.
+
+    For each block, `blocks` gives each group's images x (g, k, r) with
+    their cells' weights: (r,), or None for no weights; local=True keeps
+    each cube's own cells only, with weights (g, 1, r) that vanish off the
+    cube.
+    """
+
+    def __init__(self, system: HaarSystem, weights: np.ndarray | None, local: bool = False):
+        self.system, self.weights = system, weights
+        self.groups = list(_cube_groups(system))
+        grid = system.measure.grid
+        self.cells = {lv.level: _cell_cubes(grid, lv.level)
+                      for _, lv, _, _ in self.groups} if local else None
+
+    def blocks(self, rows: slice, images: np.ndarray):
+        columns = images.T
+        for _, lv, cubes, index in self.groups:
+            weights = None if self.weights is None else self.weights[rows]
+            if self.cells is not None:
+                weights = (weights * (self.cells[lv.level][rows] == cubes[:, None]))[:, None]
+            yield columns[index], weights
+
+
+class _GramFold(_CubeFold):
+    """The weighted Grams sum_i w_i x_a(i) x_b(i) of the images x of every
+    cube's wavelets; `optima` runs one batched eigh per group at the end."""
+
+    def __init__(self, system: HaarSystem, weights: np.ndarray | None, local: bool = False):
+        super().__init__(system, weights, local)
+        self.grams = [np.zeros((len(at), index.shape[1], index.shape[1]))
+                      for at, _, _, index in self.groups]
+
+    def add(self, rows: slice, images: np.ndarray) -> None:
+        for gram, (x, weights) in zip(self.grams, self.blocks(rows, images)):
+            gram += (x if weights is None else x * weights) @ x.transpose(0, 2, 1)
+
+    def optima(self) -> tuple:
+        """(tops, coefficients) of every cube that carries wavelets, in
+        system order: the top singular value of its weighted image block and
+        its best unit combination (`_gram_optima`), zero-padded to the
+        largest count."""
+        tops = np.zeros(sum(len(at) for at, _, _, _ in self.groups))
+        coeffs = np.zeros((tops.size, 2 ** self.system.measure.grid.dimension - 1))
+        for (at, _, _, index), gram in zip(self.groups, self.grams):
+            tops[at], coeffs[at, :index.shape[1]] = _gram_optima(gram)
+        return tops, coeffs
 
 
 def _cube_optima(system: HaarSystem, vectors: np.ndarray,
                  weights: np.ndarray | None = None, local: bool = False) -> tuple:
-    """(tops, coefficients) of every cube that carries wavelets, in system
-    order: `_stacked_optima` of each of `_cube_groups`, so there is no
-    per-cube loop. coefficients is zero-padded to the largest count."""
-    n_live = len(_live_slots(system))
-    tops = np.zeros(n_live)
-    coeffs = np.zeros((n_live, 2 ** system.measure.grid.dimension - 1))
-    for at, _, _, blocks, scale in _cube_groups(system, vectors, weights, local):
-        tops[at], coeffs[at, :blocks.shape[1]] = _stacked_optima(blocks, scale)
-    return tops, coeffs
+    """`_GramFold.optima` of the rows of vectors (one image or matrix row
+    per wavelet) taken as one block."""
+    fold = _GramFold(system, weights, local)
+    fold.add(slice(None), vectors.T)
+    return fold.optima()
 
 
-def _lp_ratios(lv: HaarLevel, cubes: np.ndarray, blocks: np.ndarray, weights,
+def _lp_sums(x: np.ndarray, weights, combos: np.ndarray, p: float) -> np.ndarray:
+    """(g, r) sums over the last axis of weights * |c @ x|^p, for the
+    combinations combos (g, r, k) of the rows of x (g, k, m)."""
+    return (weights * np.abs(combos @ x) ** p).sum(axis=-1)
+
+
+def _lp_ratios(lv: HaarLevel, cubes: np.ndarray, sums: np.ndarray,
                combos: np.ndarray, p: float) -> np.ndarray:
     """(g, r) Lp ratios of the combinations combos (g, r, k) of the wavelets
-    of the level-`lv` cubes `cubes` (g,): the Lp(weights) norm of the same
-    combination of the cubes' images, blocks (g, k, m), over the
+    of the level-`lv` cubes `cubes` (g,): the p-th root of the `_lp_sums`
+    of the same combination of the cubes' images, sums, over the
     combination's Lp(sigma) norm, 0 where that norm is 0. A combination is
     constant on its cube's children, so its norm is a sum over them."""
     k = combos.shape[-1]
-    num = (weights * np.abs(combos @ blocks) ** p).sum(axis=-1)
     den = (lv.child_masses[cubes][:, None]
            * np.abs(combos @ lv.padded_values[cubes, :k]) ** p).sum(axis=-1)
     # float_power is the scalar pow of `_lp_norm`; ** on arrays may differ by an ulp
-    return np.divide(np.float_power(num, 1.0 / p), np.float_power(den, 1.0 / p),
-                     out=np.zeros_like(num), where=den > 0.0)
+    return np.divide(np.float_power(sums, 1.0 / p), np.float_power(den, 1.0 / p),
+                     out=np.zeros_like(sums), where=den > 0.0)
 
 
-def _lp_scan(system: HaarSystem, images: np.ndarray, weights: np.ndarray, p: float,
+def _lp_scan(system: HaarSystem, blocks, weights: np.ndarray, p: float,
              local: bool = False, rng=None, optimum_from: float = 2) -> tuple:
     """(values, combinations) of the candidates of the cubes of `_live_slots`:
     values (cubes, r) their `_lp_ratios`, -1 past a cube's last candidate.
     A cube's candidates are its canonical wavelets; with rng and two or more
     wavelets, _ROTATION_SAMPLES random unit combinations (one standard_normal
     call in system order draws what one call per combination would); and
-    with at least optimum_from wavelets, its exact L2 optimum."""
+    with at least optimum_from wavelets, its exact L2 optimum.
+
+    blocks() yields the wavelets' images as row blocks (rows, images). It is
+    run once for the Lp sums (`_lp_sums`), and before that once more for
+    the Grams (`_GramFold`) when some cube takes its L2 optimum.
+    """
     counts = np.array([count for _, _, count in _live_slots(system)], dtype=int)
     samples = 0 if rng is None else _ROTATION_SAMPLES
     drawn = np.where(counts > 1, samples * counts, 0)
@@ -490,18 +552,31 @@ def _lp_scan(system: HaarSystem, images: np.ndarray, weights: np.ndarray, p: flo
     width = 2 ** system.measure.grid.dimension - 1
     values = np.full((counts.size, width + samples + 1), -1.0)
     combos = np.zeros(values.shape + (width,))
-    for at, lv, cubes, blocks, scale in _cube_groups(system, images.T, weights, local):
-        g, k = blocks.shape[:2]
-        cands = [np.broadcast_to(np.eye(k), (g, k, k))]
+    groups = list(_cube_groups(system))
+    cands = []
+    for at, _, _, index in groups:
+        g, k = index.shape
+        cands.append([np.broadcast_to(np.eye(k), (g, k, k))])
         if k > 1 and samples:
             c = draws[first[at, None] + np.arange(samples * k)].reshape(g, samples, k)
             norms = np.linalg.norm(c, axis=-1, keepdims=True)
-            cands.append(c / np.where(norms > 0.0, norms, 1.0))
-        if k >= optimum_from:
-            cands.append(_stacked_optima(blocks, scale)[1][:, None])
-        cands = np.concatenate(cands, axis=1)
-        values[at, :cands.shape[1]] = _lp_ratios(lv, cubes, blocks, scale, cands, p)
-        combos[at, :cands.shape[1], :k] = cands
+            cands[-1].append(c / np.where(norms > 0.0, norms, 1.0))
+    if any(index.shape[1] >= optimum_from for *_, index in groups):
+        grams = _GramFold(system, weights, local)
+        for rows, images in blocks():
+            grams.add(rows, images)
+        for group, (*_, index), gram in zip(cands, groups, grams.grams):
+            if index.shape[1] >= optimum_from:
+                group.append(_gram_optima(gram)[1][:, None])
+    cands = [np.concatenate(c, axis=1) for c in cands]
+    lp_sums = [np.zeros(c.shape[:2]) for c in cands]
+    fold = _CubeFold(system, weights, local)
+    for rows, images in blocks():
+        for sums, c, (x, w) in zip(lp_sums, cands, fold.blocks(rows, images)):
+            sums += _lp_sums(x, w, c, p)
+    for (at, lv, cubes, index), c, sums in zip(groups, cands, lp_sums):
+        values[at, :c.shape[1]] = _lp_ratios(lv, cubes, sums, c, p)
+        combos[at, :c.shape[1], :index.shape[1]] = c
     return values, combos
 
 
@@ -522,25 +597,32 @@ def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     """Largest L2(omega) norm of the operator on a unit wavelet combination.
 
     For each cube the supremum over all rotations of the wavelet block is the
-    top singular value of the weighted image block, computed exactly, for
-    all cubes at once (`_cube_optima`); the first cube in system order with
+    top singular value of the weighted image block, computed exactly from
+    the block's Gram matrix, for all cubes at once (`_GramFold`, fed one
+    pass of the images' row blocks); the first cube in system order with
     the largest value is the witness.
     mode="local" restricts the output norm to the cube itself.
     """
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
     _check_pair(sigma, omega)
-    system, images = _wavelet_images(sigma, kernel, trunc, depth)
-    return _haar_testing(system, images, omega, kernel, trunc, mode, seed)
+    require_resolved(trunc, sigma.grid)
+    return _haar_testing(cached_system(sigma, depth), omega, kernel, trunc, mode, seed)
 
 
-def _haar_testing(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
-                  kernel: Kernel, trunc: Truncation, mode: str,
-                  seed: int) -> CharacteristicReport:
-    """haar_testing of the system's measure against omega, from the system
-    and its wavelets' images (`_wavelet_images`)."""
-    tops, coeffs = _cube_optima(system, images.T, omega.flat_mass,
-                                local=mode == "local")
+def _haar_testing(system: HaarSystem, omega: MeshMeasure, kernel: Kernel,
+                  trunc: Truncation, mode: str, seed: int) -> CharacteristicReport:
+    """haar_testing of the system's measure against omega."""
+    fold = _GramFold(system, omega.flat_mass, mode == "local")
+    for rows, images in _image_blocks(system, kernel, trunc):
+        fold.add(rows, images)
+    return _haar_report(system, fold, kernel, trunc, mode, seed)
+
+
+def _haar_report(system: HaarSystem, fold: _GramFold, kernel: Kernel,
+                 trunc: Truncation, mode: str, seed: int) -> CharacteristicReport:
+    """The haar_testing report of a `_GramFold` that has seen every block."""
+    tops, coeffs = fold.optima()
     best, cube, coefficients = _cube_witness(system, tops, coeffs)
     witness = {"cube": cube, "coefficients": coefficients, "mode": mode}
     search_space = {
@@ -554,39 +636,45 @@ def _haar_testing(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
 
 
 def _matrix_and_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                        trunc: Truncation, depth: int) -> tuple:
+                        trunc: Truncation, depth: int, cube_fold=None) -> tuple:
     """(assemble_haar_matrix(...), global haar_testing(...)) of the pair at
-    `depth`, both from one sigma system and one set of its wavelets' images."""
+    `depth` from one pass of `image_blocks` over the kernel matrix for
+    sigma: each block's wavelet images go to the matrix's fold and the
+    testing's, and its cube images first to cube_fold, when given."""
     _check_pair(sigma, omega)
-    return _matrix_and_testing_from(*_wavelet_images(sigma, kernel, trunc, depth),
-                                    omega, kernel, trunc)
+    require_resolved(trunc, sigma.grid)
+    system = cached_system(sigma, depth)
+    # the omega system under assemble_haar_matrix's cache key
+    matrix = HaarMatrixFold(system, cached_system(omega, depth, None))
+    test = _GramFold(system, omega.flat_mass)
+    for rows, sums in image_blocks(kernel_matrix(kernel, trunc, sigma.grid), sigma, depth):
+        if cube_fold is not None:
+            cube_fold.add(rows, sums)
+        images = system.analyse_cube_sums(sums)
+        test.add(rows, images)
+        matrix.add(rows, images)
+    del sums, images  # not held through the target side's analysis
+    return (matrix.matrix(kernel, trunc),
+            _haar_report(system, test, kernel, trunc, "global", 0))
 
 
 def _matrix_haar_and_cube_testing(sigma: MeshMeasure, omega: MeshMeasure,
                                   kernel: Kernel, trunc: Truncation, depth: int) -> tuple:
     """`_matrix_and_testing` plus the global cube_testing(...) at p = 2, all
-    from one pass over the kernel matrix for sigma: the cube scan runs on
-    the level-`depth` cube images before they become wavelet images."""
-    _check_pair(sigma, omega)
-    require_resolved(trunc, sigma.grid)
-    system = cached_system(sigma, depth)
-    sums = cube_images(kernel_matrix(kernel, trunc, sigma.grid), sigma, depth)
-    cube = _cube_testing(sums, sigma, omega, kernel, trunc, "global", depth, 2.0, 0, 0)
-    images = system.analyse_cube_sums(sums)
-    # the Haar scans have no use for the sums (33.5 MB at 2-D L=6, depth 5)
-    del sums
-    return (*_matrix_and_testing_from(system, images, omega, kernel, trunc), cube)
+    from one pass: the cube pyramid folds each block of cube images before
+    it becomes wavelet images."""
+    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
+    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth, cubes)
+    return matrix, test, _cube_report(cubes, kernel, trunc, 0, 0)
 
 
-def _matrix_and_testing_from(system: HaarSystem, images: np.ndarray, omega: MeshMeasure,
-                             kernel: Kernel, trunc: Truncation) -> tuple:
-    """`_matrix_and_testing` from the sigma system and its wavelets' images."""
-    # the report before the matrix: the other order leaves more freed heap
-    # behind (2-D L=6: 17 MB more peak RSS for the whole characteristics run)
-    test = _haar_testing(system, images, omega, kernel, trunc, "global", 0)
-    # the omega system under assemble_haar_matrix's cache key
-    osys = cached_system(omega, system.depth, None)
-    return _haar_matrix(system, images, osys, kernel, trunc), test
+def _dual_haar_testing(osys: HaarSystem, sigma: MeshMeasure, kernel: Kernel,
+                       trunc: Truncation) -> CharacteristicReport:
+    """The global haar_testing_dual(...) of a pair from osys, the omega
+    system of its Haar matrix: no second omega system is built."""
+    rep = _haar_testing(osys, sigma, kernel.transpose(), trunc, "global", 0)
+    rep.name = "dual_haar_testing"
+    return rep
 
 
 def haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
@@ -604,16 +692,18 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
 
     Candidates per cube are the canonical wavelets, _ROTATION_SAMPLES seeded
     random unit combinations, and at p = 2 the exact block optimum, which
-    makes the value agree with haar_testing there (`_lp_scan`).
+    makes the value agree with haar_testing there (`_lp_scan`, over the
+    images' row blocks).
     """
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
-    system, images = _wavelet_images(sigma, kernel, trunc, depth)
-    values, combos = _lp_scan(system, images, omega.flat_mass, cfg.p, mode == "local",
-                              np.random.default_rng(seed),
-                              1 if cfg.p == 2.0 else np.inf)
+    require_resolved(trunc, sigma.grid)
+    system = cached_system(sigma, depth)
+    values, combos = _lp_scan(system, lambda: _image_blocks(system, kernel, trunc),
+                              omega.flat_mass, cfg.p, mode == "local",
+                              np.random.default_rng(seed), 1 if cfg.p == 2.0 else np.inf)
     best, cube, coefficients = _cube_witness(system, values, combos)
     witness = {"cube": cube, "coefficients": coefficients, "mode": mode, "p": cfg.p}
     search_space = {
@@ -642,9 +732,13 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
     if witness["cube"] is None:
         return 0.0  # sigma carries no wavelets at the scanned depth
     kernel, trunc = _kernel_and_trunc(space)
-    system, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
+    require_resolved(trunc, grid)
+    system = cached_system(sigma, int(space["depth"]))
     start, count = system.cube_slots[witness["cube"]]
-    block = images[:, start:start + count]
+    # the images of the cube's wavelets h, G (sigma h), one column each
+    rows = np.zeros((count, system.n_wavelets))
+    rows[np.arange(count), start + np.arange(count)] = 1.0
+    block = kernel_matrix(kernel, trunc, grid) @ (system.synthesise(rows) * sigma.flat_mass).T
     c = np.asarray(witness["coefficients"], dtype=float)
     cube = DyadicCube.from_key(grid, witness["cube"])
     weights = _restriction_weights(grid, omega.flat_mass, witness.get("mode", "global"),
@@ -652,9 +746,11 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
     if witness.get("p") is None:
         # L2-normalized convention: unit coefficient vectors, no denominator
         return _lp_norm(weights, block @ c, 2.0)
+    p = float(witness["p"])
     flat = np.ravel_multi_index(cube.coords, (2 ** cube.level,) * grid.dimension)
-    return float(_lp_ratios(system.levels[cube.level], np.array([flat]), block.T[None],
-                            weights, c[None, None], float(witness["p"]))[0, 0])
+    combos = c[None, None]
+    return float(_lp_ratios(system.levels[cube.level], np.array([flat]),
+                            _lp_sums(block.T[None], weights, combos, p), combos, p)[0, 0])
 
 
 # -- cube testing -------------------------------------------------------------
@@ -681,40 +777,65 @@ def _cube_value(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
     return _lp_norm(weights, tvals, p) / smass ** (1.0 / p)
 
 
-def _pyramid_values(images: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
-                    mode: str, p: float, level: int) -> np.ndarray:
-    """`_cube_value` of every level-`level` cube from its image, in C order;
-    cubes without sigma-mass read -1, below every value."""
-    grid = sigma.grid
-    columns = images.reshape(grid.n_cells, -1)
-    smass = level_masses(sigma, level).ravel()
-    live = smass > 0.0
-    if mode == "global":
-        norms = (omega.flat_mass @ np.abs(columns) ** p) ** (1.0 / p)
-    else:
-        norms = np.array([
-            _lp_norm(_restriction_weights(grid, omega.flat_mass, mode, cube),
-                     columns[:, c], p) if live[c] else 0.0
-            for c, cube in enumerate(grid.cubes_at_level(level))])
-    values = np.full(smass.shape, -1.0)
-    values[live] = norms[live] / smass[live] ** (1.0 / p)
-    return values
+class _PyramidFold:
+    """`_cube_value` of every dyadic cube of levels 0..depth, folded from
+    row blocks of the level-`depth` cube images (`image_blocks`) by `add`.
 
-
-def _cube_pyramid(images: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
-                  mode: str, p: float, depth: int):
-    """Yield (level, images, values) from level `depth` down to level 0.
-
-    images is `cube_images` of the level: given for level `depth`, each
-    coarser level sums its children's columns. values is its
-    `_pyramid_values`. The generator keeps only the current level's images,
-    but a caller that keeps every level holds all of them: about 45 MB at
-    2-D L=6, depth 5.
+    Each block is summed to the coarser cubes by pairwise adds
+    (`block_sums`), level by level, and each level's |images|^p is summed
+    against omega on the mode's output region: every cell, the cube itself,
+    or its concentric triple clipped to the window (the cells whose
+    level-`level` cube lies within one step of the cube on every axis, as
+    `_restriction_weights` gives them). So what stays is one power sum per
+    cube, and a block's temporaries are a few times the block.
     """
-    for level in range(depth, -1, -1):
-        if level < depth:
-            images = block_sums(images, sigma.grid.dimension, 2)
-        yield level, images, _pyramid_values(images, sigma, omega, mode, p, level)
+
+    def __init__(self, sigma: MeshMeasure, omega: MeshMeasure, mode: str, p: float,
+                 depth: int):
+        grid = sigma.grid
+        self.sigma, self.omega, self.mode, self.p, self.depth = sigma, omega, mode, p, depth
+        self.sums = [np.zeros(2 ** (grid.dimension * level)) for level in range(depth + 1)]
+        self.cells = None if mode == "global" else [
+            _cell_cubes(grid, level) for level in range(depth + 1)]
+
+    def _regions(self, rows: slice, level: int) -> np.ndarray:
+        """(r, cubes) 1 where a cell of rows lies in a cube's output region."""
+        cells = self.cells[level][rows, None]
+        if self.mode == "local":
+            return cells == np.arange(self.sums[level].size)
+        shape = (2 ** level,) * self.sigma.grid.dimension
+        near = np.ones((len(cells), self.sums[level].size), dtype=bool)
+        for at, of in zip(np.unravel_index(cells, shape), np.indices(shape).reshape(len(shape), 1, -1)):
+            near &= np.abs(at - of) <= 1
+        return near
+
+    def add(self, rows: slice, images: np.ndarray) -> None:
+        n = self.sigma.grid.dimension
+        wflat = self.omega.flat_mass[rows]
+        for level in range(self.depth, -1, -1):
+            if level < self.depth:
+                images = block_sums(images, n, 2)
+            # in place: |images| ** p would make a second block-sized temporary
+            powers = np.abs(images.reshape(len(wflat), -1))
+            powers **= self.p
+            if self.mode == "global":
+                self.sums[level] += wflat @ powers
+            else:
+                self.sums[level] += np.einsum("rc,r,rc->c", self._regions(rows, level),
+                                              wflat, powers)
+
+    def values(self) -> list:
+        """One array per level 0..depth, shaped (2**level,)*n: each cube's
+        value, or -1, below every value, where it carries no sigma-mass."""
+        out = []
+        for level, sums in enumerate(self.sums):
+            smass = level_masses(self.sigma, level).ravel()
+            live = smass > 0.0
+            norms = sums ** (1.0 / self.p)
+            values = np.full(smass.shape, -1.0)
+            values[live] = norms[live] / smass[live] ** (1.0 / self.p)
+            out.append(values.reshape((2 ** level,) * self.sigma.grid.dimension))
+        return out
 
 
 def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
@@ -728,14 +849,12 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     itself. jitter_count adds non-dyadic sample cubes (fractional indicators
     at mesh resolution).
 
-    Dyadic cubes are scanned up a pyramid (`_cube_pyramid`): one row-blocked
-    pass over the kernel matrix (`operators.cube_images`, which sums each
-    row block's sigma-weighted columns to the cubes by pairwise adds) gives
-    the images of all level-`depth` cubes, and each coarser cube's image is
-    the sum of its children's, again by pairwise adds. Those images
-    are one extra n_cells x 2**(n*depth) array (global mode adds two
-    temporaries of that size). The witness follows `_first_max`: levels
-    coarse to fine, cubes in C order, then the jitter boxes. The
+    Dyadic cubes are scanned up a pyramid (`_PyramidFold`): one pass of
+    `image_blocks` over the kernel matrix gives the images of the
+    level-`depth` cubes a block of output cells at a time, each coarser
+    cube's image is the sum of its children's, and each block leaves only
+    its power sums behind, one per cube. The witness follows `_first_max`:
+    levels coarse to fine, cubes in C order, then the jitter boxes. The
     images are summed in a different order than `_cube_value` (the witness
     oracle) sums them, so values agree to rounding, and cubes of
     mathematically equal value may resolve to a different one of them.
@@ -749,18 +868,18 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     require_resolved(trunc, grid)
     if not 0 <= depth <= grid.max_level:
         raise ValueError(f"depth outside [0, {grid.max_level}]")
-    images = cube_images(kernel_matrix(kernel, trunc, grid), sigma, depth)
-    return _cube_testing(images, sigma, omega, kernel, trunc, mode, depth, cfg.p,
-                         jitter_count, seed)
+    fold = _PyramidFold(sigma, omega, mode, cfg.p, depth)
+    for rows, sums in image_blocks(kernel_matrix(kernel, trunc, grid), sigma, depth):
+        fold.add(rows, sums)
+    return _cube_report(fold, kernel, trunc, jitter_count, seed)
 
 
-def _cube_testing(images: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
-                  kernel: Kernel, trunc: Truncation, mode: str, depth: int, p: float,
-                  jitter_count: int, seed: int) -> CharacteristicReport:
-    """cube_testing from the `cube_images` of the level-`depth` cubes."""
+def _cube_report(fold: _PyramidFold, kernel: Kernel, trunc: Truncation,
+                 jitter_count: int, seed: int) -> CharacteristicReport:
+    """The cube_testing report of a `_PyramidFold` that has seen every block."""
+    sigma, omega, mode, p, depth = fold.sigma, fold.omega, fold.mode, fold.p, fold.depth
     grid = sigma.grid
-    parts = [values.reshape((2 ** level,) * grid.dimension) for level, _, values
-             in _cube_pyramid(images, sigma, omega, mode, p, depth)][::-1]
+    parts = fold.values()
     boxes = _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed))
     g = kernel_matrix(kernel, trunc, grid)
     box_values = [_cube_value(g, sigma, omega, mode, p, box) for box in boxes]
@@ -902,14 +1021,21 @@ def _pair_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
 _FAMILY_COUNT = 32
 
 
+# cubes per block of `_pair_scan`: a block's candidate arrays take a few
+# MB each at 2-D max_distance 10 (404 offsets), whatever the level
+_PAIR_BLOCK_CUBES = 1 << 10
+
+
 def _pair_scan(sigma: MeshMeasure, omega: MeshMeasure, cfg: LpConfig,
                e: float, depth: int, min_depth: int, partners_of, reach) -> tuple:
     """Each cube's best partner by the scalar pair ratio, and the best pair.
 
-    partners_of(grid, level, reach) gives every level-`level` cube's
-    candidates as (levels (d,), index (cubes, d)): candidate j of cube c is
-    the level-levels[j] cube of C-order index index[c, j], none where -1.
-    A cube's partner is its first candidate of largest ratio."""
+    partners_of(grid, level, reach, cubes) gives the candidates of the
+    level-`level` cubes of C-order indices cubes (c,) as (levels (d,), index
+    (c, d)): candidate j of cube i is the level-levels[j] cube of C-order
+    index index[i, j], none where -1. A level's cubes go in blocks of
+    _PAIR_BLOCK_CUBES. A cube's partner is its first candidate of largest
+    ratio."""
     grid = sigma.grid
     n = grid.dimension
     masses = [level_masses(sigma, lv).ravel() for lv in range(grid.max_level + 1)]
@@ -919,23 +1045,26 @@ def _pair_scan(sigma: MeshMeasure, omega: MeshMeasure, cfg: LpConfig,
     tops = []
     pair_count = 0
     for level in range(min_depth, depth + 1):
-        subs, index = partners_of(grid, level, reach)
-        live = index >= 0
-        pair_count += int(live.sum())
         # `_size_value` with the omega and volume powers taken by float_power,
         # the scalar pow (** on arrays may differ from it by an ulp)
         wterm = np.float_power(level_masses(omega, level).reshape(-1, 1), 1.0 / cfg.p)
-        vterm = np.float_power((grid.side / 2.0 ** subs) ** n, e)
-        ratios = np.where(live, masses[base[subs] + index] ** (1.0 / cfg.p_prime)
-                          * wterm / vterm, -1.0)
-        top = np.full(len(index), -1.0)
-        if live.any():
+        top = np.full(len(wterm), -1.0)
+        for start in range(0, len(wterm), _PAIR_BLOCK_CUBES):
+            cubes = np.arange(start, min(start + _PAIR_BLOCK_CUBES, len(wterm)))
+            subs, index = partners_of(grid, level, reach, cubes)
+            live = index >= 0
+            if not live.any():
+                continue
+            pair_count += int(live.sum())
+            vterm = np.float_power((grid.side / 2.0 ** subs) ** n, e)
+            ratios = np.where(live, masses[base[subs] + index] ** (1.0 / cfg.p_prime)
+                              * wterm[cubes] / vterm, -1.0)
             j = ratios.argmax(axis=1)
-            top = ratios[np.arange(len(j)), j]
+            top[cubes] = ratios[np.arange(len(j)), j]
             for sub in np.unique(subs[j]):
-                cubes = np.flatnonzero((top >= 0.0) & (subs[j] == sub))
-                best_partner.update(zip(_cube_keys(level, cubes, n),
-                                        _cube_keys(sub, index[cubes, j[cubes]], n)))
+                pick = np.flatnonzero((top[cubes] >= 0.0) & (subs[j] == sub))
+                best_partner.update(zip(_cube_keys(level, cubes[pick], n),
+                                        _cube_keys(sub, index[pick, j[pick]], n)))
         tops.append(top)
     scalar_best, part, index = _first_max(tops)
     scalar_pair = None
@@ -955,11 +1084,14 @@ def _offset_stencil(dimension: int, max_distance: float) -> np.ndarray:
     return deltas[deltas.any(axis=1) & (gap2 <= max_distance ** 2 + 1e-9)]
 
 
-def _stencil_partners(grid: Grid, level: int, max_distance: float) -> tuple:
-    """The offset candidates of `_pair_scan`: each cube plus every stencil
-    offset that stays inside the window, in stencil order."""
+def _stencil_partners(grid: Grid, level: int, max_distance: float,
+                      cubes: np.ndarray | None = None) -> tuple:
+    """The offset candidates of `_pair_scan`: each cube (by default every
+    cube of the level) plus every stencil offset that stays inside the
+    window, in stencil order."""
     shape = (2 ** level,) * grid.dimension
-    coords = np.stack(np.unravel_index(np.arange(np.prod(shape)), shape), axis=-1)
+    cubes = np.arange(2 ** (grid.dimension * level)) if cubes is None else cubes
+    coords = np.stack(np.unravel_index(cubes, shape), axis=-1)
     cand = coords[:, None] + _offset_stencil(grid.dimension, max_distance)
     inside = ((cand >= 0) & (cand < shape[0])).all(axis=-1)
     index = np.ravel_multi_index(tuple(np.moveaxis(cand, -1, 0)), shape, mode="clip")
@@ -988,13 +1120,16 @@ def _offset_draw(rng, grid: Grid, depth: int, max_distance: float) -> tuple:
     return (members, partners) if len(members) >= 2 else ([], [])
 
 
-def _descendant_partners(grid: Grid, level: int, max_generation: int) -> tuple:
-    """The subcube candidates of `_pair_scan`: each cube's dyadic subcubes
-    down to max_generation levels, the cube itself first, each level's in C
-    order (a `group_by_cube` of the finer level's cube indices)."""
+def _descendant_partners(grid: Grid, level: int, max_generation: int,
+                         cubes: np.ndarray | None = None) -> tuple:
+    """The subcube candidates of `_pair_scan`: each cube's (by default
+    every cube of the level) dyadic subcubes down to max_generation levels,
+    the cube itself first, each level's in C order (a `group_by_cube` of the
+    finer level's cube indices)."""
     n = grid.dimension
+    cubes = slice(None) if cubes is None else cubes
     subs = range(level, level + min(max_generation, grid.max_level - level) + 1)
-    index = [group_by_cube(np.arange(2 ** (n * s)).reshape((2 ** s,) * n), level)
+    index = [group_by_cube(np.arange(2 ** (n * s)).reshape((2 ** s,) * n), level)[cubes]
              for s in subs]
     return np.repeat(subs, [i.shape[1] for i in index]), np.concatenate(index, axis=1)
 
@@ -1194,7 +1329,7 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     _check_pair(sigma, omega)
     system, images = _wavelet_images(sigma, kernel, trunc, depth)
     wflat = omega.flat_mass
-    values, combos = _lp_scan(system, images, wflat, cfg.p)
+    values, combos = _lp_scan(system, lambda: [(slice(None), images)], wflat, cfg.p)
     member_best: dict = {}  # each cube's first best candidate
     by_level: dict = {}
     for (key, _, count), row, combo in zip(_live_slots(system), values, combos):

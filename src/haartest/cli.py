@@ -21,9 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .characteristics import (
+    _dual_haar_testing,
     _matrix_haar_and_cube_testing,
     a2_lambda,
-    haar_testing_dual,
     lp_haar_testing,
     lp_haar_testing_dual,
     operator_norm,
@@ -240,7 +240,7 @@ def _characteristic_bundle(cfg: RunConfig, s_spec: str, o_spec: str,
     depth = min(cfg.depth, grid.max_level)
     matrix, test, cube = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
     norm = operator_norm(matrix)
-    dual = haar_testing_dual(sigma, omega, kernel, trunc, mode="global", depth=depth)
+    dual = _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc)
     size = a2_lambda(sigma, omega, cfg.lam, depth=depth)
     out = {
         "sigma": s_spec,

@@ -17,14 +17,14 @@ import numpy as np
 
 from .characteristics import (
     JsonReport,
-    _cube_pyramid,
+    _PyramidFold,
+    _dual_haar_testing,
     _kernel_spec,
     _matrix_and_testing,
     _restriction_weights,
     _trunc_spec,
     a2_lambda,
     haar_testing,
-    haar_testing_dual,
     operator_norm,
     quadratic_haar_testing,
     quadratic_offset_ap,
@@ -43,7 +43,7 @@ from .operators import (
     Truncation,
     TruncationError,
     apply,
-    cube_images,
+    image_blocks,
     kernel_matrix,
     require_resolved,
 )
@@ -702,12 +702,12 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     For every cube L up to depth with sigma-mass, the energy of the
     normalized indicator image over the tripled box is the square of L's
     cube_testing value in "triple" mode at p = 2, read from the cube pyramid
-    (`_cube_pyramid`). Each energy is compared against
+    (`_PyramidFold`). Each energy is compared against
     C * testing^2 + C * a2 * energy; the report carries the smallest C that
     makes every comparison hold, the implied constant in
     triple_testing <= C' * (testing + a2), and the worst Cauchy-Schwarz
     ratio of cross terms over adjacent same-level pairs, taken on the
-    pyramid's image columns over the first cube's tripled box.
+    pair's indicator images over the first cube's tripled box.
     """
     grid = sigma.grid
     if not 0 <= depth <= grid.max_level:
@@ -716,14 +716,17 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     size_rep = a2_lambda(sigma, omega, kernel.lam, depth=depth)
     h_val, a_val = test_rep.value, size_rep.value
     require_resolved(trunc, grid)
-    images = cube_images(kernel_matrix(kernel, trunc, grid), sigma, depth)
-    # (level, images, values) from level 0 up to depth
-    pyramid = list(_cube_pyramid(images, sigma, omega, "triple", 2.0, depth))[::-1]
+    g = kernel_matrix(kernel, trunc, grid)
+    fold = _PyramidFold(sigma, omega, "triple", 2.0, depth)
+    for rows, sums in image_blocks(g, sigma, depth):
+        fold.add(rows, sums)
+    # each level's values in C order, from level 0 up to depth
+    pyramid = [values.ravel() for values in fold.values()]
     energies: dict[str, float] = {}
     c_best = 0.0
     c_witness = ""
     n = grid.dimension
-    for level, _, values in pyramid:
+    for level, values in enumerate(pyramid):
         for j in np.flatnonzero(values >= 0.0):
             key = grid.cube(level, np.unravel_index(j, (2**level,) * n)).key()
             energy = float(values[j]) ** 2
@@ -738,7 +741,7 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     c_prime = triple_constant / (h_val + a_val) if h_val + a_val > 0.0 else 0.0
     rng = np.random.default_rng(seed)
     adjacent = []
-    for level, _, values in pyramid[1:]:
+    for level, values in enumerate(pyramid[1:], start=1):
         live = values.reshape((2**level,) * n) >= 0.0
         for coords in zip(*np.nonzero(live)):
             for ax in range(n):
@@ -752,9 +755,9 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
         picks = rng.choice(len(adjacent), size=take, replace=False)
         for idx in sorted(int(i) for i in picks):
             level, coords_l, coords_k = adjacent[idx]
-            images = pyramid[level][1]
-            image_l = images[(slice(None),) + coords_l]
-            image_k = images[(slice(None),) + coords_k]
+            image_l, image_k = (
+                g @ (grid.cube(level, coords).indicator().ravel() * sigma.flat_mass)
+                for coords in (coords_l, coords_k))
             weights = _restriction_weights(grid, omega.flat_mass, "triple",
                                            grid.cube(level, coords_l))
             cross = abs(float((image_l * image_k * weights).sum()))
@@ -1102,7 +1105,7 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
         matrix, test_rep = _matrix_and_testing(sigma, omega, kernel, trunc, depth)
         norm = operator_norm(matrix).value
         test = test_rep.value
-        dual = haar_testing_dual(sigma, omega, kernel, trunc, mode="global", depth=depth).value
+        dual = _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc).value
         denom = test + dual
         ratio = norm / denom if denom > 0.0 else 0.0
         return {

@@ -16,10 +16,12 @@ kernel matrix's rows and of the images' columns, done by the systems' level
 transform (the two-sided wavelet transform of an operator matrix); no
 wavelet matrix V or W is formed. Every wavelet of a depth-`depth` system is
 constant on the level-`depth` cubes, so one pass over G sums its
-sigma-weighted columns to the cubes (`cube_images`: by row blocks of a
-C-ordered G, by bands of H's rows for the adjoint's view G = H^T), and the
-transform finishes from those sums (`wavelet_images`). The target side
-analyses each image column against omega (`assemble_haar_matrix`).
+sigma-weighted columns to the cubes, and the transform finishes from those
+sums. That pass is the one source of operator images (`image_blocks`): it
+yields them a block of output cells at a time (row blocks of a C-ordered G,
+column slices of H for the adjoint's view G = H^T), and each consumer folds
+a block into what it keeps, such as the target side's sums of the Haar
+matrix (`HaarMatrixFold`), before the next one is made.
 """
 from __future__ import annotations
 
@@ -257,94 +259,85 @@ def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
     return (kernel_matrix(kernel, trunc, grid) @ fw).reshape(grid.mesh_shape)
 
 
-# entries of one row block of the kernel matrix in `cube_images`' pass: the
-# block's weighted copy (512 KB) must stay well below the kernel matrix
-# itself (8 MB at 1-D L=10) to add nothing to peak memory; larger blocks
-# were no faster at 2-D L=6. It also bounds a band of the adjoint's pass,
-# where grouping the one-cell cubes of 1-D L=10 took the pass from about
-# 20 ms (a gemv per cube) to 6 ms
-_ROW_BLOCK_ENTRIES = 1 << 16
+# kernel-matrix entries read per block of `image_blocks` (8 MB), so grids
+# of up to 1024 cells take one block. A block's temporaries are a few times
+# that: at 2-D L=6, depth 5, where G alone takes 166 MiB of RSS with the
+# imports, the characteristics bundle's sigma pass peaked at 193, 195, 213
+# and 253 MiB with blocks of 128, 256 (this budget), 512 and 1024 rows
+_IMAGE_BLOCK_ENTRIES = 1 << 20
 
-# cells per cube side from which `cube_images` weights and sums the last,
-# contiguous mesh axis in one einsum: at 4 the einsum and the pairwise adds
-# cost the same, and at 64 (1-D L=10, depth 4) the einsum is 4x faster
+# cells per cube side from which the C-ordered pass of `image_block` weights
+# and sums the last, contiguous mesh axis in one einsum: at 4 the einsum and
+# the pairwise adds cost the same, and at 64 (1-D L=10, depth 4) the einsum
+# is 4x faster
 _FUSED_FACTOR = 4
 
 
-def cube_images(g: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
-    """T(1_Q sigma) at every cell for every level-`level` cube Q, indexed
-    [cell, *cube coords]: G diag(sigma) P, P mapping cells to their cubes.
-
-    One pass over the kernel matrix g, read in its own layout. A C-ordered
-    g goes by row blocks: each block's sigma-weighted columns are summed
-    to the cubes by pairwise adds (`block_sums`); when cubes are at least
-    _FUSED_FACTOR cells wide, the last mesh axis is weighted and summed by
-    one einsum first. The transposed view of a C-ordered G (the adjoint's
-    matrix, see `kernel_matrix`) goes by bands of G's contiguous rows
-    (`_cube_images_by_rows`).
-    """
-    if not g.flags.c_contiguous and g.T.flags.c_contiguous:
-        return _cube_images_by_rows(g.T, sigma, level)
-    grid = sigma.grid
-    n = grid.dimension
-    factor = 2 ** (grid.max_level - level)
-    out = np.empty((grid.n_cells,) + (2 ** level,) * n)
-    rows = max(1, _ROW_BLOCK_ENTRIES // grid.n_cells)
-    fused = factor >= _FUSED_FACTOR
-    weights = sigma.flat_mass.reshape(-1, factor) if fused else sigma.flat_mass
-    for start in range(0, grid.n_cells, rows):
-        block = g[start:start + rows]
-        if fused:
-            block = np.einsum("rcf,cf->rc", block.reshape(len(block), -1, factor), weights)
-            out[start:start + rows] = block_sums(
-                block.reshape((-1,) + grid.mesh_shape[1:] + (2 ** level,)),
-                n - 1, factor, start=1)
-        else:
-            out[start:start + rows] = block_sums(
-                (block * weights).reshape((-1,) + grid.mesh_shape), n, factor)
-    return out
+def image_rows(grid: Grid, level: int) -> list:
+    """The row slices of `image_blocks`: whole slabs, the N / 2**level
+    consecutive cells whose level-`level` cubes share their first
+    coordinate, as many as fit in _IMAGE_BLOCK_ENTRIES kernel-matrix
+    entries and at least one. A slab holds whole cubes, so summing a
+    block's rows to the cubes pairs the cells as a sum over all rows does."""
+    slab = grid.n_cells >> level
+    step = slab * max(1, _IMAGE_BLOCK_ENTRIES // (grid.n_cells * slab))
+    return [slice(start, min(start + step, grid.n_cells))
+            for start in range(0, grid.n_cells, step)]
 
 
-def _cube_images_by_rows(rows: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
-    """`cube_images` of rows.T for a C-ordered rows: (P^T diag(sigma) rows)^T,
-    each cube's image the sigma-weighted sum of its cells' rows.
+def image_block(g: np.ndarray, sigma: MeshMeasure, level: int, rows: slice) -> np.ndarray:
+    """Rows `rows` of the level-`level` cube images G diag(sigma) P, P
+    mapping cells to their cubes: T(1_Q sigma) at the cells of rows, indexed
+    [cell - rows.start, *cube coords].
 
-    The cells whose cubes share a first coordinate make a slab of
-    contiguous rows. A band of as many slabs as fit in _ROW_BLOCK_ENTRIES
-    entries, and at least one, is summed to its cubes at once: in 1-D by
-    one batched gemv (one per cube), in n-D by one einsum over the band
-    laid out as (slab, first axis within the cube) + (cube, axis within
-    it) per other axis. Bands are views, so nothing is copied but the
-    images.
+    g is read in its own layout. A C-ordered g gives the block's rows, their
+    sigma-weighted entries summed to the cubes by pairwise adds
+    (`block_sums`); when cubes are at least _FUSED_FACTOR cells wide, the
+    last mesh axis is weighted and summed by one einsum first. The
+    transposed view g = H^T of a C-ordered H (the adjoint's matrix, see
+    `kernel_matrix`) gives the block's columns of H, weighted and summed
+    along H's rows: in 1-D by one batched gemv (one per cube), in n-D by one
+    einsum over H laid out as (cube, cell within it) per axis. Neither pass
+    transposes or copies g.
     """
     grid = sigma.grid
     n = grid.dimension
     side = 2 ** level
     factor = 2 ** (grid.max_level - level)
-    out = np.empty((grid.n_cells,) + (side,) * n)
-    weights = sigma.flat_mass.reshape((side, factor) * n)
-    slab = grid.n_cells // side
-    step = max(1, _ROW_BLOCK_ENTRIES // grid.n_cells // slab)
-    cells, cubes = list(range(2 * n)), list(range(0, 2 * n, 2))
-    for first in range(0, side, step):
-        w = weights[first:first + step]
-        band = rows[first * slab:(first + step) * slab].reshape(w.shape + (-1,))
+    if not g.flags.c_contiguous and g.T.flags.c_contiguous:
+        weights = sigma.flat_mass.reshape((side, factor) * n)
+        band = g.T.reshape(weights.shape + (grid.n_cells,))[..., rows]
         if n == 1:
-            images = (w[:, None] @ band)[:, 0]
-        else:
-            images = np.einsum(band, cells + [2 * n], w, cells, cubes + [2 * n])
-        out[:, first:first + step] = np.moveaxis(images, -1, 0)
-    return out
+            return (weights[:, None] @ band)[:, 0].T
+        cells = list(range(2 * n))
+        return np.einsum(band, cells + [2 * n], weights, cells, [2 * n] + cells[::2])
+    block = g[rows]
+    if factor >= _FUSED_FACTOR:
+        block = np.einsum("rcf,cf->rc", block.reshape(len(block), -1, factor),
+                          sigma.flat_mass.reshape(-1, factor))
+        return block_sums(block.reshape((-1,) + grid.mesh_shape[1:] + (side,)),
+                          n - 1, factor, start=1)
+    return block_sums((block * sigma.flat_mass).reshape((-1,) + grid.mesh_shape), n, factor)
+
+
+def image_blocks(g: np.ndarray, sigma: MeshMeasure, level: int):
+    """Yield (rows, `image_block`) for the row slices of `image_rows`: the
+    one source of operator images. Consumers fold each block into what they
+    keep and drop it, so no image array need be held whole."""
+    for rows in image_rows(sigma.grid, level):
+        yield rows, image_block(g, sigma, level, rows)
+
+
+def cube_images(g: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
+    """The whole (n_cells,) + (2**level,)*n cube images of `image_blocks`,
+    for the scans that still need every image at once."""
+    return np.concatenate([sums for _, sums in image_blocks(g, sigma, level)])
 
 
 def wavelet_images(g: np.ndarray, system: HaarSystem) -> np.ndarray:
     """(n_cells, n_wavelets) operator image of every wavelet of the system,
-    G diag(sigma) V^T with sigma the system's measure.
-
-    Row i is the Haar analysis of row i of G against sigma: `cube_images`
-    sums each row's sigma-weighted entries to the level-`depth` cubes, and
-    the system's level transform finishes (`HaarSystem.analyse_cube_sums`).
-    """
+    G diag(sigma) V^T with sigma the system's measure: the system's level
+    transform of the whole `cube_images` (`HaarSystem.analyse_cube_sums`)."""
     return system.analyse_cube_sums(cube_images(g, system.measure, system.depth))
 
 
@@ -366,6 +359,40 @@ class HaarMatrix:
     trunc: Truncation
 
 
+class HaarMatrixFold:
+    """The HaarMatrix of the source system ssys against the target system
+    osys, folded from row blocks of ssys's wavelets' images.
+
+    `add` sums each block's omega-weighted rows to the level-`depth` cubes,
+    C = P^T diag(omega) images (2**(n*depth) x n_wavelets); `matrix` then
+    runs the target system's analysis of C's columns. Blocks of whole slabs
+    (`image_rows`) pair the cells as `HaarSystem.analyse` of the whole
+    images does, so the entries are the same bit for bit.
+    """
+
+    def __init__(self, ssys: HaarSystem, osys: HaarSystem):
+        grid = ssys.measure.grid
+        self.ssys, self.osys = ssys, osys
+        self.sums = np.empty((2 ** ssys.depth,) * grid.dimension + (ssys.n_wavelets,))
+
+    def add(self, rows: slice, images: np.ndarray) -> None:
+        grid = self.ssys.measure.grid
+        n = grid.dimension
+        slab = grid.n_cells >> self.ssys.depth
+        weighted = images * self.osys.measure.flat_mass[rows, None]
+        self.sums[rows.start // slab:rows.stop // slab] = block_sums(
+            weighted.reshape((len(images) * grid.cells_per_axis // grid.n_cells,)
+                             + grid.mesh_shape[1:] + (images.shape[1],)),
+            n, 2 ** (grid.max_level - self.ssys.depth), start=0)
+
+    def matrix(self, kernel: Kernel, trunc: Truncation) -> HaarMatrix:
+        entries = self.osys.analyse_cube_sums(np.moveaxis(self.sums, -1, 0)).T
+        return HaarMatrix(entries=entries, row_labels=self.osys.wavelet_labels(),
+                          col_labels=self.ssys.wavelet_labels(), depth=self.ssys.depth,
+                          sigma_system=self.ssys, omega_system=self.osys,
+                          kernel=kernel, trunc=trunc)
+
+
 def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
                          omega: MeshMeasure, depth: int,
                          rotation_seed: int | None = None) -> HaarMatrix:
@@ -374,21 +401,10 @@ def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
     grid = sigma.grid
     require_resolved(trunc, grid)
     ssys = cached_system(sigma, depth, rotation_seed)
-    images = wavelet_images(kernel_matrix(kernel, trunc, grid), ssys)
-    return _haar_matrix(ssys, images, cached_system(omega, depth, rotation_seed),
-                        kernel, trunc)
-
-
-def _haar_matrix(ssys: HaarSystem, images: np.ndarray, osys: HaarSystem,
-                 kernel: Kernel, trunc: Truncation) -> HaarMatrix:
-    """The HaarMatrix of the source system ssys, whose wavelets' operator
-    images (`wavelet_images`) are `images`, against the target system osys:
-    the target system's analysis of every image."""
-    entries = osys.analyse(images.T).T
-    return HaarMatrix(entries=entries, row_labels=osys.wavelet_labels(),
-                      col_labels=ssys.wavelet_labels(), depth=ssys.depth,
-                      sigma_system=ssys, omega_system=osys,
-                      kernel=kernel, trunc=trunc)
+    fold = HaarMatrixFold(ssys, cached_system(omega, depth, rotation_seed))
+    for rows, sums in image_blocks(kernel_matrix(kernel, trunc, grid), sigma, depth):
+        fold.add(rows, ssys.analyse_cube_sums(sums))
+    return fold.matrix(kernel, trunc)
 
 
 # -- sampled verification of declared constants -------------------------------

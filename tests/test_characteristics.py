@@ -490,7 +490,7 @@ def _dense_lp(weights, values, p):
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_lp_haar_denominators_match_dense_values(name, p):
-    from haartest.characteristics import _haar_family_value, _lp_ratios
+    from haartest.characteristics import _haar_family_value, _lp_ratios, _lp_sums
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     depth = 3
@@ -517,7 +517,7 @@ def test_lp_haar_denominators_match_dense_values(name, p):
         c = rng.standard_normal((1, 2, count))
         norms = [_dense_lp(sigma.flat_mass, wavelet(key, row), p) for row in c[0]]
         ratios = _lp_ratios(system.levels[cube.level], np.array([flat]),
-                            np.ones((1, count, 1)), 1.0, c, p)
+                            _lp_sums(np.ones((1, count, 1)), 1.0, c, p), c, p)
         np.testing.assert_allclose(ratios[0], np.abs(c[0].sum(axis=1)) / norms,
                                    rtol=1e-12, atol=0.0)
     lp = lp_haar_testing(sigma, omega, kernel, trunc, p=p, depth=depth)
@@ -639,8 +639,9 @@ def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
     for seed in (0, 5):
         loop = _loop_candidates(system, images, omega, p, mode,
                                 np.random.default_rng(seed), optimum_from)
-        values, combos = _lp_scan(system, images, omega.flat_mass, p, mode == "local",
-                                  np.random.default_rng(seed), optimum_from)
+        values, combos = _lp_scan(system, lambda: [(slice(None), images)], omega.flat_mass,
+                                  p, mode == "local", np.random.default_rng(seed),
+                                  optimum_from)
         _assert_same_candidates(values, combos, loop)
         rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, mode=mode, depth=3,
                               seed=seed)
@@ -661,7 +662,8 @@ def test_quadratic_member_scan_matches_member_loop(name, p):
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     system, images = _wavelet_images(sigma, kernel, trunc, 3)
     loop = _loop_candidates(system, images, omega, p, "global", None, 2)
-    _assert_same_candidates(*_lp_scan(system, images, omega.flat_mass, p), loop)
+    _assert_same_candidates(
+        *_lp_scan(system, lambda: [(slice(None), images)], omega.flat_mass, p), loop)
     # the loop's members, scalar and by-level keys, then its family search
     # through the module's family driver
     member_best, by_level = {}, {}

@@ -1,0 +1,271 @@
+"""The streamed L2 scans against whole-image oracles.
+
+Every scan folds the operator images one block of output cells at a time
+(`operators.image_blocks`). The oracles below hold the images whole, as
+dense products with the kernel matrix, and compute each characteristic
+from them cube by cube. Each case runs with the default block budget, one
+block on these grids, and with a budget of three slabs, which does not
+divide the slab count, so the last block is shorter than the others.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import haartest.characteristics as characteristics
+import haartest.haar as haar
+import haartest.operators as operators
+from haartest.characteristics import (
+    _PAIR_VARIANTS,
+    LpConfig,
+    _cube_witness,
+    _dual_haar_testing,
+    _lp_scan,
+    _matrix_haar_and_cube_testing,
+    _pair_scan,
+    _restriction_weights,
+    _size_setup,
+    cube_testing,
+    haar_testing,
+    haar_testing_dual,
+    lp_haar_testing,
+)
+from haartest.dyadic import DyadicCube, Grid
+from haartest.haar import cached_system
+from haartest.measure import random_dyadic_doubling
+from haartest.operators import (
+    assemble_haar_matrix,
+    default_truncation,
+    image_rows,
+    kernel_matrix,
+    make_kernel,
+)
+
+GRID_2D = Grid(dimension=2, max_level=4)
+
+
+def _pair_2d(family, lam):
+    return (random_dyadic_doubling(GRID_2D, 3.0, seed=51),
+            random_dyadic_doubling(GRID_2D, 2.0, seed=52),
+            make_kernel(family, lam, 2), 3)
+
+
+def _case(name, corpus1):
+    """(sigma, omega, kernel, depth): the conftest corpus against itself
+    with the odd hilbert kernel, and a 2-D pair with an odd kernel (the
+    adjoint's matrix a transposed view) and with an even one (its own
+    C-ordered matrix)."""
+    if name == "2d-odd":
+        return _pair_2d("riesz_like", 0.5)
+    if name == "2d-even":
+        return _pair_2d("fractional_integral", 1.2)
+    i = int(name.removeprefix("corpus"))
+    return corpus1[i], corpus1[(i + 3) % len(corpus1)], make_kernel("hilbert", 0.0, 1), 5
+
+
+CASES = [f"corpus{i}" for i in range(6)] + ["2d-odd", "2d-even"]
+
+
+@pytest.fixture(params=["one-block", "short-last-block"])
+def budget(request, monkeypatch):
+    """Set the block budget for a grid and depth; return the blocks' rows."""
+    def set_for(grid, depth):
+        if request.param == "short-last-block":
+            slab = grid.n_cells >> depth
+            monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", 3 * slab * grid.n_cells)
+        rows = image_rows(grid, depth)
+        assert (len(rows) == 1) == (request.param == "one-block")
+        return rows
+    return set_for
+
+
+def _cube_images(g, sigma, level):
+    """Whole (n_cells, cubes) images of the level's cube indicators."""
+    return g @ np.array([cube.indicator().ravel() * sigma.flat_mass
+                         for cube in sigma.grid.cubes_at_level(level)]).T
+
+
+def _wavelet_images(g, system):
+    """Whole (n_cells, n_wavelets) images of the system's wavelets."""
+    return g @ (system.values_matrix * system.measure.flat_mass).T
+
+
+def _sign_fixed(v):
+    lead = np.flatnonzero(np.abs(v) > 1e-13 * np.max(np.abs(v)))
+    return -v if v[lead[0]] < 0 else v
+
+
+def _haar_oracle(system, images, omega, mode):
+    """(value, cube, coefficients) of haar_testing: one SVD per cube of
+    its weighted image block, the first strict maximum in system order."""
+    grid = omega.grid
+    best = (0.0, None, [])
+    for key, (start, count) in system.cube_slots.items():
+        if not count:
+            continue
+        weights = omega.flat_mass
+        if mode == "local":
+            weights = weights * DyadicCube.from_key(grid, key).indicator().ravel()
+        _, svals, vh = np.linalg.svd(np.sqrt(weights)[:, None] * images[:, start:start + count],
+                                     full_matrices=False)
+        if svals[0] > best[0]:
+            best = (float(svals[0]), key, _sign_fixed(vh[0]))
+    return best
+
+
+def _cube_oracle(g, sigma, omega, mode, p, depth):
+    """(value, cube) of cube_testing: every cube's value from its whole
+    image, the first strict maximum, levels coarse to fine."""
+    grid = sigma.grid
+    best = (-1.0, None)
+    for level in range(depth + 1):
+        images = _cube_images(g, sigma, level)
+        for c, cube in enumerate(grid.cubes_at_level(level)):
+            smass = sigma.cube_mass(cube)
+            if smass <= 0.0:
+                continue
+            weights = _restriction_weights(grid, omega.flat_mass, mode, cube)
+            value = float(weights @ np.abs(images[:, c]) ** p) ** (1.0 / p) / smass ** (1.0 / p)
+            if value > best[0]:
+                best = (value, cube.key())
+    return best
+
+
+def _assert_haar(rep, oracle):
+    value, cube, coefficients = oracle
+    assert rep.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert rep.witness["cube"] == cube
+    np.testing.assert_allclose(rep.witness["coefficients"], coefficients, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("mode", ["global", "local"])
+def test_streamed_haar_testing_matches_whole_images(name, mode, corpus1, budget):
+    sigma, omega, kernel, depth = _case(name, corpus1)
+    trunc = default_truncation(sigma.grid)
+    budget(sigma.grid, depth)
+    ssys, osys = cached_system(sigma, depth), cached_system(omega, depth)
+    images = _wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), ssys)
+    _assert_haar(haar_testing(sigma, omega, kernel, trunc, mode=mode, depth=depth),
+                 _haar_oracle(ssys, images, omega, mode))
+    dual_images = _wavelet_images(kernel_matrix(kernel.transpose(), trunc, sigma.grid), osys)
+    dual_oracle = _haar_oracle(osys, dual_images, sigma, mode)
+    _assert_haar(haar_testing_dual(sigma, omega, kernel, trunc, mode=mode, depth=depth),
+                 dual_oracle)
+    if mode == "global":
+        _assert_haar(_dual_haar_testing(osys, sigma, kernel, trunc), dual_oracle)
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("mode", ["global", "local", "triple"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_streamed_cube_testing_matches_whole_images(name, mode, p, corpus1, budget):
+    sigma, omega, kernel, depth = _case(name, corpus1)
+    trunc = default_truncation(sigma.grid)
+    budget(sigma.grid, depth)
+    value, cube = _cube_oracle(kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
+                               mode, p, depth)
+    rep = cube_testing(sigma, omega, kernel, trunc, mode=mode, depth=depth, p=p)
+    assert rep.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert rep.witness["cube"] == cube
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_streamed_lp_haar_testing_matches_whole_images(name, mode, p, corpus1, budget):
+    sigma, omega, kernel, depth = _case(name, corpus1)
+    trunc = default_truncation(sigma.grid)
+    budget(sigma.grid, depth)
+    system = cached_system(sigma, depth)
+    images = _wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), system)
+    values, combos = _lp_scan(system, lambda: [(slice(None), images)], omega.flat_mass, p,
+                              mode == "local", np.random.default_rng(7),
+                              1 if p == 2.0 else np.inf)
+    value, cube, coefficients = _cube_witness(system, values, combos)
+    rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, mode=mode, depth=depth, seed=7)
+    assert rep.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert rep.witness["cube"] == cube
+    np.testing.assert_allclose(rep.witness["coefficients"], coefficients, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_streamed_haar_matrix_and_bundle_match_whole_images(name, corpus1, budget):
+    sigma, omega, kernel, depth = _case(name, corpus1)
+    trunc = default_truncation(sigma.grid)
+    budget(sigma.grid, depth)
+    ssys, osys = cached_system(sigma, depth), cached_system(omega, depth)
+    images = _wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), ssys)
+    want = (osys.values_matrix * omega.flat_mass) @ images
+    scale = np.abs(want).max()
+    for matrix in (assemble_haar_matrix(kernel, trunc, sigma, omega, depth),
+                   _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)[0]):
+        assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
+    _, test, cube = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
+    _assert_haar(test, _haar_oracle(ssys, images, omega, "global"))
+    value, key = _cube_oracle(kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
+                              "global", 2.0, depth)
+    assert cube.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert cube.witness["cube"] == key
+
+
+def test_blocks_of_whole_slabs_keep_the_haar_matrix_bit_for_bit(monkeypatch):
+    # the target side sums whole slabs of cells, pairing them as a sum over
+    # every row does: the entries do not depend on the block budget
+    sigma, omega, kernel, depth = _pair_2d("riesz_like", 0.5)
+    trunc = default_truncation(GRID_2D)
+    for k in (kernel, kernel.transpose()):
+        whole = assemble_haar_matrix(k, trunc, sigma, omega, depth).entries
+        monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", GRID_2D.n_cells)
+        assert len(image_rows(GRID_2D, depth)) == 2 ** depth
+        np.testing.assert_array_equal(
+            assemble_haar_matrix(k, trunc, sigma, omega, depth).entries, whole)
+        monkeypatch.undo()
+
+
+def test_bundle_memory_is_bounded_by_a_block(monkeypatch):
+    # the sigma pass and the dual keep no image array whole: with G built
+    # beforehand and the block budgets of the image pass and of the Haar
+    # transform an eighth of the images' entries, their peak traced
+    # allocation stays below one n_cells x 2**(n*depth) float64 array
+    grid, depth = Grid(dimension=2, max_level=5), 4
+    sigma = random_dyadic_doubling(grid, 2.0, seed=1)
+    omega = random_dyadic_doubling(grid, 3.0, seed=2)
+    kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
+    image_entries = grid.n_cells * 2 ** (grid.dimension * depth)
+    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", image_entries // 8)
+    monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", image_entries // 8)
+
+    def bundle():
+        matrix, _, _ = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
+        _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc)
+
+    bundle()  # G, both systems and numpy's lazy imports, outside the trace
+    assert len(image_rows(grid, depth)) > 8
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        bundle()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < image_entries * 8
+
+
+@pytest.mark.parametrize("variant,reach", [("offset", 2.5), ("offset", 10.0),
+                                           ("subcube", 2)])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_pair_scan_in_blocks_matches_one_block(monkeypatch, variant, reach, dimension):
+    # blocks of 3 cubes, which divide no level's count, keep the scan order:
+    # the same partners, values and witness as one block per level
+    grid = Grid(dimension=dimension, max_level=8 if dimension == 1 else 4)
+    sigma = random_dyadic_doubling(grid, 3.0, seed=53)
+    omega = random_dyadic_doubling(grid, 2.0, seed=54)
+    partners_of, _, _, min_depth = _PAIR_VARIANTS[variant]
+    cfg = LpConfig(3.0)
+    _, e, depth = _size_setup(sigma, omega, 0.0, None, min_depth)
+    args = (sigma, omega, cfg, e, depth, min_depth, partners_of, reach)
+    monkeypatch.setattr(characteristics, "_PAIR_BLOCK_CUBES", 1 << 30)
+    whole = _pair_scan(*args)
+    monkeypatch.setattr(characteristics, "_PAIR_BLOCK_CUBES", 3)
+    assert _pair_scan(*args) == whole
