@@ -25,20 +25,16 @@ from .haar import (
     lq_l2_ratio,
 )
 from .operators import (
-    BoundViolation,
     HaarMatrix,
     Kernel,
     Truncation,
     TruncationError,
     apply,
     assemble_haar_matrix,
-    check_cz_bounds,
-    check_ellipticity,
     default_truncation,
     eval_truncated,
     make_kernel,
     smoothstep,
-    top_singular_value,
 )
 from .characteristics import (
     CharacteristicReport,

@@ -8,17 +8,22 @@ each family computes a candidate's value with one function, which both its
 scan and its witness evaluator call.
 
 Scans run on level arrays, not cube by cube. The operator scans read the
-images a block of output cells at a time (`operators.image_blocks`) and
-fold each block into per-cube sums before the next is made: the cube
-pyramid's power sums (`_PyramidFold`), and, over one grouping of each
-level's cubes by wavelet count (`_cube_groups`), the Grams that give every
-cube's exact L2 optimum (`_GramFold`) or the Lp sums behind the ratios of
-its candidate combinations (`_lp_sums`, `_lp_ratios`). The pair scans take
-a block of cubes' partners at once: an offset stencil, or the finer
-levels' cubes grouped by cube. One witness rule serves every scan
-(`_first_max`): the first largest candidate in scan order, that is levels
-coarse to fine, cubes in C order, each cube's candidates in order, and
-jitter boxes last.
+images of the dyadic cubes of every level a block of output cells at a
+time (`_level_blocks`, from `operators.image_blocks`) and fold each block
+into per-cube sums before the next is made: the cube pyramid's power sums
+(`_PyramidFold`), and, over one grouping of each level's cubes by wavelet
+count (`_cube_groups`), sums over the cube's children's images. A Haar
+wavelet is constant on its cube's children, so its image is the same
+combination of theirs: the children's Grams give every cube's exact L2
+optimum (`_GramFold`), and the Lp sums of the candidate combinations are
+taken in child space (`_lp_sums`, `_lp_ratios`). Only
+`quadratic_haar_testing` still takes the whole wavelet images. The
+operator norm is the top singular value of the Haar matrix by
+Golub-Kahan-Lanczos steps (`_top_singular_triple`). The pair scans take a
+block of cubes' partners at once: an offset stencil, or the finer levels'
+cubes grouped by cube. One witness rule serves every scan (`_first_max`):
+the first largest candidate in scan order, that is levels coarse to fine,
+cubes in C order, each cube's candidates in order, and jitter boxes last.
 """
 
 from __future__ import annotations
@@ -37,12 +42,11 @@ from .operators import (
     Kernel,
     Truncation,
     assemble_haar_matrix,
+    cube_images,
     image_blocks,
     kernel_matrix,
     make_kernel,
     require_resolved,
-    top_singular_value,
-    wavelet_images,
 )
 
 __all__ = [
@@ -391,22 +395,36 @@ def _evaluate_size_witness(sigma: MeshMeasure, omega: MeshMeasure,
 _ROTATION_SAMPLES = 4
 
 
+def _level_sums(images: np.ndarray, depth: int, dimension: int) -> list:
+    """The images of the cubes of levels 0..depth, each (2**level,)*n +
+    (r,), from those of the level-`depth` cubes, images: each level the
+    pairwise block sums (`block_sums`) of the next finer."""
+    levels = [images]
+    for _ in range(depth):
+        levels.append(block_sums(levels[-1], dimension, 2, start=0))
+    return levels[::-1]
+
+
+def _level_blocks(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation, depth: int):
+    """Yield (rows, levels): for each block of output cells of
+    `image_blocks`, the images T(sigma 1_Q) at those cells of the cubes Q
+    of levels 0..depth (`_level_sums`)."""
+    g = kernel_matrix(kernel, trunc, sigma.grid)
+    for rows, images in image_blocks(g, sigma, depth):
+        yield rows, _level_sums(images, depth, sigma.grid.dimension)
+
+
 def _wavelet_images(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation,
-                    depth: int):
-    """Canonical system plus the whole operator image of every wavelet (by
-    column), for the scans that still need every image at once."""
+                    depth: int) -> tuple:
+    """(system, levels, images): the canonical system, the whole
+    `_level_sums` of the cube images, and the whole operator image of every
+    wavelet (n_cells, n_wavelets), the system's level transform of the
+    finest, for the scans that still need every image at once."""
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
-    return system, wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), system)
-
-
-def _image_blocks(system: HaarSystem, kernel: Kernel, trunc: Truncation):
-    """Yield (rows, images): the operator images of the system's wavelets
-    on the cells of rows, the system's level transform of each block of
-    `image_blocks`."""
-    g = kernel_matrix(kernel, trunc, system.measure.grid)
-    for rows, sums in image_blocks(g, system.measure, system.depth):
-        yield rows, system.analyse_cube_sums(sums)
+    sums = cube_images(kernel_matrix(kernel, trunc, sigma.grid), sigma, depth)
+    levels = _level_sums(np.moveaxis(sums, 0, -1), depth, sigma.grid.dimension)
+    return system, levels, system.analyse_cube_sums(sums)
 
 
 def _gram_optima(grams: np.ndarray) -> tuple:
@@ -414,6 +432,8 @@ def _gram_optima(grams: np.ndarray) -> tuple:
     of each one's top eigenvalue and its sign-normalized eigenvector, the
     best unit combination. Of equal top eigenvalues the first is taken, so
     a zero Gram gives e_1, as an SVD does."""
+    if grams.shape[-1] == 1:  # a lone wavelet is its own optimum, as eigh finds
+        return np.sqrt(np.maximum(grams[:, 0, 0], 0.0)), np.ones((len(grams), 1))
     vals, vecs = np.linalg.eigh(grams)
     top = vals.argmax(axis=1)
     pick = np.arange(len(vals))
@@ -441,6 +461,19 @@ def _cube_groups(system: HaarSystem):
         done += live.size
 
 
+def _optima(groups: list, grams, width: int) -> tuple:
+    """(tops, coefficients) of every cube that carries wavelets, in system
+    order, from the Grams (g, k, k) of its wavelets' images, one array per
+    group of `_cube_groups`: the top singular value of its weighted image
+    block and its best unit combination (`_gram_optima`), zero-padded to
+    width, the largest count."""
+    tops = np.zeros(sum(len(at) for at, _, _, _ in groups))
+    coeffs = np.zeros((tops.size, width))
+    for (at, _, _, index), gram in zip(groups, grams):
+        tops[at], coeffs[at, :index.shape[1]] = _gram_optima(gram)
+    return tops, coeffs
+
+
 def _cell_cubes(grid: Grid, level: int) -> np.ndarray:
     """C-order index of the level-`level` cube of every cell, C order."""
     out = np.empty(grid.n_cells, dtype=int)
@@ -449,65 +482,82 @@ def _cell_cubes(grid: Grid, level: int) -> np.ndarray:
     return out
 
 
+def _cube_optima(system: HaarSystem, vectors: np.ndarray,
+                 weights: np.ndarray | None = None, local: bool = False) -> tuple:
+    """`_optima` of the rows of vectors (one image or matrix row per
+    wavelet): each cube's Gram of its wavelets' rows, weighted by weights
+    over the columns when given, and with local=True on the cube's own
+    cells only."""
+    grid = system.measure.grid
+    groups = list(_cube_groups(system))
+
+    def grams():
+        for _, lv, cubes, index in groups:
+            x = vectors[index]
+            w = 1.0 if weights is None else weights
+            if local:
+                w = (w * (_cell_cubes(grid, lv.level) == cubes[:, None]))[:, None]
+            yield (x * w) @ x.transpose(0, 2, 1)
+
+    return _optima(groups, grams(), 2 ** grid.dimension - 1)
+
+
 class _CubeFold:
     """The groups of `_cube_groups` of a system, for folding per-cube sums
-    over the output cells from row blocks (rows, images (r, n_wavelets)) of
-    the images of its wavelets.
+    over the output cells from blocks (rows, levels) of `_level_blocks`.
 
-    For each block, `blocks` gives each group's images x (g, k, r) with
-    their cells' weights: (r,), or None for no weights; local=True keeps
-    each cube's own cells only, with weights (g, 1, r) that vanish off the
-    cube.
+    A cube's wavelets are constant on its children, so their images are
+    combinations of the children's cube images. For each block, `blocks`
+    gives each group's cubes' children's images x (g, 2**n, r), grouped
+    from the next finer level, with their cells' weights: (r,), or with
+    local=True (g, 1, r), vanishing off each cube's own cells.
     """
 
-    def __init__(self, system: HaarSystem, weights: np.ndarray | None, local: bool = False):
+    def __init__(self, system: HaarSystem, weights: np.ndarray, local: bool = False):
         self.system, self.weights = system, weights
         self.groups = list(_cube_groups(system))
         grid = system.measure.grid
         self.cells = {lv.level: _cell_cubes(grid, lv.level)
                       for _, lv, _, _ in self.groups} if local else None
 
-    def blocks(self, rows: slice, images: np.ndarray):
-        columns = images.T
-        for _, lv, cubes, index in self.groups:
-            weights = None if self.weights is None else self.weights[rows]
+    def blocks(self, rows: slice, levels: list):
+        n = self.system.measure.grid.dimension
+        children: dict = {}
+        for _, lv, cubes, _ in self.groups:
+            if lv.level not in children:
+                children[lv.level] = group_by_cube(levels[lv.level + 1], lv.level, n, start=0)
+            weights = self.weights[rows]
             if self.cells is not None:
                 weights = (weights * (self.cells[lv.level][rows] == cubes[:, None]))[:, None]
-            yield columns[index], weights
+            every = len(cubes) == len(children[lv.level])  # no copy for a whole level
+            yield children[lv.level] if every else children[lv.level][cubes], weights
 
 
 class _GramFold(_CubeFold):
-    """The weighted Grams sum_i w_i x_a(i) x_b(i) of the images x of every
-    cube's wavelets; `optima` runs one batched eigh per group at the end."""
+    """Each cube's weighted Gram of its children's images, C = sum_i w_i
+    S_J(i) S_J'(i) over the output cells i. A wavelet with child values v
+    has the image sum_J v_J S_J, so V C V^T is the Gram of the images of a
+    cube's wavelets, V their child values (`wavelet_grams`); `optima` runs
+    one batched eigh per group on those at the end."""
 
-    def __init__(self, system: HaarSystem, weights: np.ndarray | None, local: bool = False):
+    def __init__(self, system: HaarSystem, weights: np.ndarray, local: bool = False):
         super().__init__(system, weights, local)
-        self.grams = [np.zeros((len(at), index.shape[1], index.shape[1]))
-                      for at, _, _, index in self.groups]
+        children = 2 ** system.measure.grid.dimension
+        self.grams = [np.zeros((len(at), children, children)) for at, _, _, _ in self.groups]
 
-    def add(self, rows: slice, images: np.ndarray) -> None:
-        for gram, (x, weights) in zip(self.grams, self.blocks(rows, images)):
-            gram += (x if weights is None else x * weights) @ x.transpose(0, 2, 1)
+    def add(self, rows: slice, levels: list) -> None:
+        for gram, (x, weights) in zip(self.grams, self.blocks(rows, levels)):
+            gram += (x * weights) @ x.transpose(0, 2, 1)
+
+    def wavelet_grams(self):
+        """Yield each group's Grams (g, k, k) of its wavelets' images."""
+        for (_, lv, cubes, index), gram in zip(self.groups, self.grams):
+            values = lv.padded_values[cubes, :index.shape[1]]
+            yield values @ gram @ values.transpose(0, 2, 1)
 
     def optima(self) -> tuple:
-        """(tops, coefficients) of every cube that carries wavelets, in
-        system order: the top singular value of its weighted image block and
-        its best unit combination (`_gram_optima`), zero-padded to the
-        largest count."""
-        tops = np.zeros(sum(len(at) for at, _, _, _ in self.groups))
-        coeffs = np.zeros((tops.size, 2 ** self.system.measure.grid.dimension - 1))
-        for (at, _, _, index), gram in zip(self.groups, self.grams):
-            tops[at], coeffs[at, :index.shape[1]] = _gram_optima(gram)
-        return tops, coeffs
-
-
-def _cube_optima(system: HaarSystem, vectors: np.ndarray,
-                 weights: np.ndarray | None = None, local: bool = False) -> tuple:
-    """`_GramFold.optima` of the rows of vectors (one image or matrix row
-    per wavelet) taken as one block."""
-    fold = _GramFold(system, weights, local)
-    fold.add(slice(None), vectors.T)
-    return fold.optima()
+        return _optima(self.groups, self.wavelet_grams(),
+                       2 ** self.system.measure.grid.dimension - 1)
 
 
 def _lp_sums(x: np.ndarray, weights, combos: np.ndarray, p: float) -> np.ndarray:
@@ -540,9 +590,12 @@ def _lp_scan(system: HaarSystem, blocks, weights: np.ndarray, p: float,
     call in system order draws what one call per combination would); and
     with at least optimum_from wavelets, its exact L2 optimum.
 
-    blocks() yields the wavelets' images as row blocks (rows, images). It is
-    run once for the Lp sums (`_lp_sums`), and before that once more for
-    the Grams (`_GramFold`) when some cube takes its L2 optimum.
+    blocks() yields blocks (rows, levels) of the cube images of levels
+    0..depth, as `_level_blocks` does. It is run once for the Lp sums
+    (`_lp_sums`), and before that once more for the Grams (`_GramFold`)
+    when some cube takes its L2 optimum. A combination c of a cube's
+    wavelets takes the values c @ V on its children, V their child values,
+    so its image is (c @ V) @ x, x the children's images.
     """
     counts = np.array([count for _, _, count in _live_slots(system)], dtype=int)
     samples = 0 if rng is None else _ROTATION_SAMPLES
@@ -563,16 +616,18 @@ def _lp_scan(system: HaarSystem, blocks, weights: np.ndarray, p: float,
             cands[-1].append(c / np.where(norms > 0.0, norms, 1.0))
     if any(index.shape[1] >= optimum_from for *_, index in groups):
         grams = _GramFold(system, weights, local)
-        for rows, images in blocks():
-            grams.add(rows, images)
-        for group, (*_, index), gram in zip(cands, groups, grams.grams):
+        for rows, levels in blocks():
+            grams.add(rows, levels)
+        for group, (*_, index), gram in zip(cands, groups, grams.wavelet_grams()):
             if index.shape[1] >= optimum_from:
                 group.append(_gram_optima(gram)[1][:, None])
     cands = [np.concatenate(c, axis=1) for c in cands]
+    on_children = [c @ lv.padded_values[cubes, :index.shape[1]]
+                   for c, (_, lv, cubes, index) in zip(cands, groups)]
     lp_sums = [np.zeros(c.shape[:2]) for c in cands]
     fold = _CubeFold(system, weights, local)
-    for rows, images in blocks():
-        for sums, c, (x, w) in zip(lp_sums, cands, fold.blocks(rows, images)):
+    for rows, levels in blocks():
+        for sums, c, (x, w) in zip(lp_sums, on_children, fold.blocks(rows, levels)):
             sums += _lp_sums(x, w, c, p)
     for (at, lv, cubes, index), c, sums in zip(groups, cands, lp_sums):
         values[at, :c.shape[1]] = _lp_ratios(lv, cubes, sums, c, p)
@@ -614,8 +669,8 @@ def _haar_testing(system: HaarSystem, omega: MeshMeasure, kernel: Kernel,
                   trunc: Truncation, mode: str, seed: int) -> CharacteristicReport:
     """haar_testing of the system's measure against omega."""
     fold = _GramFold(system, omega.flat_mass, mode == "local")
-    for rows, images in _image_blocks(system, kernel, trunc):
-        fold.add(rows, images)
+    for rows, levels in _level_blocks(system.measure, kernel, trunc, system.depth):
+        fold.add(rows, levels)
     return _haar_report(system, fold, kernel, trunc, mode, seed)
 
 
@@ -638,22 +693,21 @@ def _haar_report(system: HaarSystem, fold: _GramFold, kernel: Kernel,
 def _matrix_and_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                         trunc: Truncation, depth: int, cube_fold=None) -> tuple:
     """(assemble_haar_matrix(...), global haar_testing(...)) of the pair at
-    `depth` from one pass of `image_blocks` over the kernel matrix for
-    sigma: each block's wavelet images go to the matrix's fold and the
-    testing's, and its cube images first to cube_fold, when given."""
+    `depth` from one pass of `_level_blocks` for sigma: each block's cube
+    images go to the matrix's fold, the testing's and cube_fold, when
+    given."""
     _check_pair(sigma, omega)
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
     # the omega system under assemble_haar_matrix's cache key
     matrix = HaarMatrixFold(system, cached_system(omega, depth, None))
     test = _GramFold(system, omega.flat_mass)
-    for rows, sums in image_blocks(kernel_matrix(kernel, trunc, sigma.grid), sigma, depth):
+    for rows, levels in _level_blocks(sigma, kernel, trunc, depth):
         if cube_fold is not None:
-            cube_fold.add(rows, sums)
-        images = system.analyse_cube_sums(sums)
-        test.add(rows, images)
-        matrix.add(rows, images)
-    del sums, images  # not held through the target side's analysis
+            cube_fold.add(rows, levels)
+        test.add(rows, levels)
+        matrix.add(rows, levels[depth])
+    del levels  # not held through the matrix's transforms
     return (matrix.matrix(kernel, trunc),
             _haar_report(system, test, kernel, trunc, "global", 0))
 
@@ -661,8 +715,7 @@ def _matrix_and_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
 def _matrix_haar_and_cube_testing(sigma: MeshMeasure, omega: MeshMeasure,
                                   kernel: Kernel, trunc: Truncation, depth: int) -> tuple:
     """`_matrix_and_testing` plus the global cube_testing(...) at p = 2, all
-    from one pass: the cube pyramid folds each block of cube images before
-    it becomes wavelet images."""
+    from one pass: the cube pyramid folds the same blocks."""
     cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
     matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth, cubes)
     return matrix, test, _cube_report(cubes, kernel, trunc, 0, 0)
@@ -693,7 +746,7 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     Candidates per cube are the canonical wavelets, _ROTATION_SAMPLES seeded
     random unit combinations, and at p = 2 the exact block optimum, which
     makes the value agree with haar_testing there (`_lp_scan`, over the
-    images' row blocks).
+    blocks of `_level_blocks`).
     """
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
@@ -701,7 +754,7 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     _check_pair(sigma, omega)
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
-    values, combos = _lp_scan(system, lambda: _image_blocks(system, kernel, trunc),
+    values, combos = _lp_scan(system, lambda: _level_blocks(sigma, kernel, trunc, depth),
                               omega.flat_mass, cfg.p, mode == "local",
                               np.random.default_rng(seed), 1 if cfg.p == 2.0 else np.inf)
     best, cube, coefficients = _cube_witness(system, values, combos)
@@ -779,15 +832,14 @@ def _cube_value(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
 
 class _PyramidFold:
     """`_cube_value` of every dyadic cube of levels 0..depth, folded from
-    row blocks of the level-`depth` cube images (`image_blocks`) by `add`.
+    blocks of the cube images of those levels (`_level_blocks`) by `add`.
 
-    Each block is summed to the coarser cubes by pairwise adds
-    (`block_sums`), level by level, and each level's |images|^p is summed
-    against omega on the mode's output region: every cell, the cube itself,
-    or its concentric triple clipped to the window (the cells whose
-    level-`level` cube lies within one step of the cube on every axis, as
-    `_restriction_weights` gives them). So what stays is one power sum per
-    cube, and a block's temporaries are a few times the block.
+    Each level's |images|^p is summed against omega on the mode's output
+    region: every cell, the cube itself, or its concentric triple clipped
+    to the window (the cells whose level-`level` cube lies within one step
+    of the cube on every axis, as `_restriction_weights` gives them). So
+    what stays is one power sum per cube, and a block's temporaries are a
+    few times the block.
     """
 
     def __init__(self, sigma: MeshMeasure, omega: MeshMeasure, mode: str, p: float,
@@ -809,19 +861,16 @@ class _PyramidFold:
             near &= np.abs(at - of) <= 1
         return near
 
-    def add(self, rows: slice, images: np.ndarray) -> None:
-        n = self.sigma.grid.dimension
+    def add(self, rows: slice, levels: list) -> None:
         wflat = self.omega.flat_mass[rows]
-        for level in range(self.depth, -1, -1):
-            if level < self.depth:
-                images = block_sums(images, n, 2)
+        for level, images in enumerate(levels):
             # in place: |images| ** p would make a second block-sized temporary
-            powers = np.abs(images.reshape(len(wflat), -1))
+            powers = np.abs(images.reshape(-1, len(wflat)))
             powers **= self.p
             if self.mode == "global":
-                self.sums[level] += wflat @ powers
+                self.sums[level] += powers @ wflat
             else:
-                self.sums[level] += np.einsum("rc,r,rc->c", self._regions(rows, level),
+                self.sums[level] += np.einsum("rc,r,cr->c", self._regions(rows, level),
                                               wflat, powers)
 
     def values(self) -> list:
@@ -850,10 +899,10 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     at mesh resolution).
 
     Dyadic cubes are scanned up a pyramid (`_PyramidFold`): one pass of
-    `image_blocks` over the kernel matrix gives the images of the
-    level-`depth` cubes a block of output cells at a time, each coarser
-    cube's image is the sum of its children's, and each block leaves only
-    its power sums behind, one per cube. The witness follows `_first_max`:
+    `_level_blocks` gives the images of the cubes of every level a block of
+    output cells at a time, each coarser cube's image the sum of its
+    children's, and each block leaves only its power sums behind, one per
+    cube. The witness follows `_first_max`:
     levels coarse to fine, cubes in C order, then the jitter boxes. The
     images are summed in a different order than `_cube_value` (the witness
     oracle) sums them, so values agree to rounding, and cubes of
@@ -869,8 +918,8 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     if not 0 <= depth <= grid.max_level:
         raise ValueError(f"depth outside [0, {grid.max_level}]")
     fold = _PyramidFold(sigma, omega, mode, cfg.p, depth)
-    for rows, sums in image_blocks(kernel_matrix(kernel, trunc, grid), sigma, depth):
-        fold.add(rows, sums)
+    for rows, levels in _level_blocks(sigma, kernel, trunc, depth):
+        fold.add(rows, levels)
     return _cube_report(fold, kernel, trunc, jitter_count, seed)
 
 
@@ -924,15 +973,68 @@ def _matrix_metadata(matrix: HaarMatrix) -> dict:
     }
 
 
-# power-iteration stopping rule of operator_norm, recorded in its search space
+# operator_norm's stopping rule, recorded in its search space: the top
+# singular triple (s, u, v) of the Lanczos bidiagonal has |A^T u - s v|
+# at most _NORM_TOL s, or the steps reach _NORM_MAX_ITERS
 _NORM_TOL = 1e-12
 _NORM_MAX_ITERS = 10000
 
+# blocks whose smaller side is at most this take numpy's dense SVD, which is
+# faster there than the Lanczos steps: 0.09 ms against 1.3 ms on 15 x 15
+_DENSE_NORM_SIDE = 64
+
+
+def _top_singular_triple(a: np.ndarray) -> tuple:
+    """(value, unit right vector, steps, converged) of the largest singular
+    value of a.
+
+    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization:
+    A V_k = U_k B_k with B_k upper bidiagonal, and the top singular triple
+    (s, p, q) of B_k gives v = V_k q with A v = s U_k p and the residual
+    |A^T U_k p - s v| = beta_k |p_k|. Small blocks (_DENSE_NORM_SIDE) take
+    the dense SVD, in 0 steps. The start is a fixed pseudo-random vector,
+    so no structure of a can make it orthogonal to the top vector, and a
+    zero alpha or beta ends the steps with an exact invariant subspace.
+    """
+    m, n = a.shape
+    if not np.any(a):
+        return 0.0, np.zeros(n), 0, True
+    if min(m, n) <= _DENSE_NORM_SIDE:
+        _, svals, vt = np.linalg.svd(a, full_matrices=False)
+        return float(svals[0]), vt[0], 0, True
+    floor = np.finfo(float).eps * max(m, n) * float(np.linalg.norm(a))
+    start = np.random.default_rng(0).standard_normal(n)
+    left, right = [], [start / np.linalg.norm(start)]
+    alphas, betas = [], []
+    for k in range(min(m, n, _NORM_MAX_ITERS)):
+        u = a @ right[k] - (betas[-1] * left[-1] if k else 0.0)
+        r = a.T @ _next_lanczos_vector(u, left, alphas, floor) - alphas[-1] * right[k]
+        _next_lanczos_vector(r, right, betas, floor)
+        p, svals, qt = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
+        converged = betas[-1] * abs(p[-1, 0]) <= _NORM_TOL * svals[0]
+        if converged or k + 1 == min(m, n, _NORM_MAX_ITERS):
+            return float(svals[0]), qt[0] @ np.array(right[:k + 1]), k + 1, bool(converged)
+
+
+def _next_lanczos_vector(w: np.ndarray, basis: list, norms: list, floor: float) -> np.ndarray:
+    """Append w, orthogonalized twice against basis and normalized, to
+    basis and its norm to norms, and return it; a norm at or below floor
+    is taken as 0, with a zero vector."""
+    if basis:
+        earlier = np.array(basis)
+        for _ in range(2):
+            w = w - earlier.T @ (earlier @ w)
+    norm = float(np.linalg.norm(w))
+    norms.append(norm if norm > floor else 0.0)
+    basis.append(w / norm if norm > floor else np.zeros_like(w))
+    return basis[-1]
+
 
 def operator_norm(matrix: HaarMatrix) -> CharacteristicReport:
-    """Largest singular value of the coefficient matrix by power iteration."""
-    res = top_singular_value(matrix.entries, tol=_NORM_TOL, max_iter=_NORM_MAX_ITERS)
-    v = np.asarray(res.vector, dtype=float)
+    """Largest singular value of the coefficient matrix, with its right
+    singular vector as the witness (`_top_singular_triple`); the value is
+    |entries v| of the sign-normalized unit vector v."""
+    _, v, steps, converged = _top_singular_triple(matrix.entries)
     norm = np.linalg.norm(v)
     if v.size and norm > 0:
         v = normalize_sign(v / norm)
@@ -946,8 +1048,8 @@ def operator_norm(matrix: HaarMatrix) -> CharacteristicReport:
         "cols": int(matrix.entries.shape[1]),
         "tol": _NORM_TOL,
         "max_iters": _NORM_MAX_ITERS,
-        "iterations": res.iterations,
-        "converged": bool(res.converged),
+        "iterations": steps,
+        "converged": converged,
     })
     return CharacteristicReport("operator_norm", value, witness, search_space)
 
@@ -1019,6 +1121,10 @@ def _pair_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
 
 # families drawn at random by each quadratic characteristic
 _FAMILY_COUNT = 32
+
+# relative margin by which a family must beat the best so far in
+# `_family_search`; values that tie to rounding differ by about 1e-16
+_FAMILY_TIE = 1e-12
 
 
 # cubes per block of `_pair_scan`: a block's candidate arrays take a few
@@ -1158,14 +1264,16 @@ def _family_search(families, value, best: float, winner) -> tuple:
 
     families yields each candidate family as the list of its tries, the
     argument tuples of value. A try replaces the winner only when its value
-    is strictly above the best so far.
+    is above the best so far by more than _FAMILY_TIE relative: tries that
+    tie it up to rounding keep the first, such as one-cube families with
+    other weights, whose value does not depend on the weight.
     """
     count = 0
     for tries in families:
         count += 1
         for args in tries:
             val = value(*args)
-            if val > best:
+            if val > best * (1.0 + _FAMILY_TIE):
                 best, winner = val, args
     return best, winner, count
 
@@ -1327,9 +1435,10 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     """
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
-    system, images = _wavelet_images(sigma, kernel, trunc, depth)
+    system, levels, images = _wavelet_images(sigma, kernel, trunc, depth)
     wflat = omega.flat_mass
-    values, combos = _lp_scan(system, lambda: [(slice(None), images)], wflat, cfg.p)
+    values, combos = _lp_scan(system, lambda: [(slice(None), levels)], wflat, cfg.p)
+    del levels
     member_best: dict = {}  # each cube's first best candidate
     by_level: dict = {}
     for (key, _, count), row, combo in zip(_live_slots(system), values, combos):
@@ -1360,7 +1469,7 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
 def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
                                      witness: dict, space: dict) -> float:
     kernel, trunc = _kernel_and_trunc(space)
-    system, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
+    system, _, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
     members = [(m["cube"], m["coefficients"]) for m in witness["members"]]
     weights = np.asarray(witness["weights"], dtype=float)
     return _haar_family_value(system, images, omega.flat_mass, members, weights,

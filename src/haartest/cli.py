@@ -52,7 +52,6 @@ from .measure import (
     random_dyadic_doubling,
 )
 from .operators import (
-    BoundViolation,
     KERNEL_FAMILIES,
     Truncation,
     TruncationError,
@@ -489,7 +488,7 @@ def main(argv=None) -> int:
     try:
         results, failing = _RUNNERS[cfg.command](cfg)
         path = write_report(cfg, cfg.command.replace("-", "_"), results)
-    except (AlignmentError, SignDominanceError, BoundViolation, TruncationError,
+    except (AlignmentError, SignDominanceError, TruncationError,
             MeshExhaustedError, DegenerateMeasureError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from .characteristics import (
     JsonReport,
     _PyramidFold,
     _dual_haar_testing,
+    _level_blocks,
     _kernel_spec,
     _matrix_and_testing,
     _restriction_weights,
@@ -43,7 +44,6 @@ from .operators import (
     Truncation,
     TruncationError,
     apply,
-    image_blocks,
     kernel_matrix,
     require_resolved,
 )
@@ -718,8 +718,8 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     require_resolved(trunc, grid)
     g = kernel_matrix(kernel, trunc, grid)
     fold = _PyramidFold(sigma, omega, "triple", 2.0, depth)
-    for rows, sums in image_blocks(g, sigma, depth):
-        fold.add(rows, sums)
+    for rows, levels in _level_blocks(sigma, kernel, trunc, depth):
+        fold.add(rows, levels)
     # each level's values in C order, from level 0 up to depth
     pyramid = [values.ravel() for values in fold.values()]
     energies: dict[str, float] = {}

@@ -15,9 +15,10 @@ analysis sums f * mu to the level-`depth` cubes and then, level by level,
 takes one stacked product of every cube's children's sums with its child
 values (`HaarSystem.analyse`, `analyse_cube_sums`); synthesis adds each
 level's component, coarse to fine (`synthesise`, `level_components`). The
-operator images and Haar matrices of `operators` are analyses too, so no
-code path forms an n_wavelets x n_cells matrix; the dense cell values and
-the Gram matrix below remain as an oracle for tests on small grids.
+Haar matrices of `operators` are analyses too, of the operator's cube sums
+on both sides, so no code path forms an n_wavelets x n_cells matrix; the
+dense cell values and the Gram matrix below remain as an oracle for tests
+on small grids.
 """
 from __future__ import annotations
 

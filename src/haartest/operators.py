@@ -1,31 +1,27 @@
 """Truncated singular kernels and their discretized operators.
 
 Kernel families carry declared size/smoothness and lower ellipticity
-constants; `check_cz_bounds` and `check_ellipticity` verify them by sampled
-finite differences. Operators act by midpoint quadrature over mesh cells,
-so truncations must not dip below the mesh scale. The kernels are
+constants. Operators act by midpoint quadrature over mesh cells, so
+truncations must not dip below the mesh scale. The kernels are
 translation invariant, so the mesh kernel matrix is gathered from the
 kernel's values at the distinct cell offsets; `points_matrix` evaluates the
 kernel pair by pair at arbitrary points. One dense array serves an operator
 and its adjoint: the adjoint's matrix is the transposed view of the
 operator's.
 
-The operator images of a Haar system, G diag(sigma) V^T, and the Haar
-coefficient matrix W diag(omega) G diag(sigma) V^T are Haar analyses of the
-kernel matrix's rows and of the images' columns, done by the systems' level
-transform (the two-sided wavelet transform of an operator matrix); no
-wavelet matrix V or W is formed. Every wavelet of a depth-`depth` system is
-constant on the level-`depth` cubes, so one pass over G sums its
-sigma-weighted columns to the cubes, and the transform finishes from those
-sums. That pass is the one source of operator images (`image_blocks`): it
-yields them a block of output cells at a time (row blocks of a C-ordered G,
-column slices of H for the adjoint's view G = H^T), and each consumer folds
-a block into what it keeps, such as the target side's sums of the Haar
-matrix (`HaarMatrixFold`), before the next one is made.
+Every wavelet of a depth-`depth` Haar system is constant on the
+level-`depth` cubes, so the operator's action on a system is fixed by the
+cube images G diag(sigma) P, P mapping cells to their cubes. They are the
+one operator product the scans take (`image_blocks`): a batched matmul of
+each input slab's sigma weights against G's columns (`slab_weights`), for
+a block of output cells at a time, whatever G's layout. Each consumer
+folds a block into what it keeps before the next one is made. The Haar
+coefficient matrix W diag(omega) G diag(sigma) V^T is the two-sided level
+transform of the cube-sum matrix P^T diag(omega) G diag(sigma) P
+(`HaarMatrixFold`); no wavelet matrix V or W is formed.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -44,10 +40,6 @@ _S2_MAX = 10.0 / np.sqrt(3.0)
 
 class TruncationError(ValueError):
     """Raised when a truncation cannot be resolved on the mesh."""
-
-
-class BoundViolation(AssertionError):
-    """A declared kernel constant failed a sampled check."""
 
 
 @dataclass(frozen=True)
@@ -261,16 +253,18 @@ def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
 
 # kernel-matrix entries read per block of `image_blocks` (8 MB), so grids
 # of up to 1024 cells take one block. A block's temporaries are a few times
-# that: at 2-D L=6, depth 5, where G alone takes 166 MiB of RSS with the
-# imports, the characteristics bundle's sigma pass peaked at 193, 195, 213
-# and 253 MiB with blocks of 128, 256 (this budget), 512 and 1024 rows
+# its images: at 2-D L=6, depth 5, where G alone takes 167 MiB of RSS with
+# the imports, the characteristics bundle's sigma pass peaked at 191, 191,
+# 196 and 222 MiB with blocks of 128, 256 (this budget), 512 and 1024 rows
 _IMAGE_BLOCK_ENTRIES = 1 << 20
 
-# cells per cube side from which the C-ordered pass of `image_block` weights
-# and sums the last, contiguous mesh axis in one einsum: at 4 the einsum and
-# the pairwise adds cost the same, and at 64 (1-D L=10, depth 4) the einsum
-# is 4x faster
-_FUSED_FACTOR = 4
+# largest slab product (cubes per slab x cells per slab) that `image_block`
+# takes a slab of output cells at a time. BLAS runs matrix products this
+# small on other kernels than large ones, which round differently (OpenBLAS
+# 0.3 on Haswell switches at 1024 outputs), so a block's size would change
+# its rows' images in the last bit. Larger products, and the matrix-vector
+# products of one cube per slab (1-D), take a block at once
+_SMALL_SLAB_PRODUCT = 1 << 10
 
 
 def image_rows(grid: Grid, level: int) -> list:
@@ -285,39 +279,45 @@ def image_rows(grid: Grid, level: int) -> list:
             for start in range(0, grid.n_cells, step)]
 
 
-def image_block(g: np.ndarray, sigma: MeshMeasure, level: int, rows: slice) -> np.ndarray:
-    """Rows `rows` of the level-`level` cube images G diag(sigma) P, P
-    mapping cells to their cubes: T(1_Q sigma) at the cells of rows, indexed
-    [cell - rows.start, *cube coords].
-
-    g is read in its own layout. A C-ordered g gives the block's rows, their
-    sigma-weighted entries summed to the cubes by pairwise adds
-    (`block_sums`); when cubes are at least _FUSED_FACTOR cells wide, the
-    last mesh axis is weighted and summed by one einsum first. The
-    transposed view g = H^T of a C-ordered H (the adjoint's matrix, see
-    `kernel_matrix`) gives the block's columns of H, weighted and summed
-    along H's rows: in 1-D by one batched gemv (one per cube), in n-D by one
-    einsum over H laid out as (cube, cell within it) per axis. Neither pass
-    transposes or copies g.
-    """
+@lru_cache(maxsize=8)
+def slab_weights(sigma: MeshMeasure, level: int) -> np.ndarray:
+    """(2**level, cubes per slab, cells per slab): sigma's cell masses on
+    each slab of input cells (see `image_rows`), spread over the slab's
+    level-`level` cubes: entry [s, q, c] is the mass of cell c of slab s if
+    the cell lies in the slab's q-th cube (C order), and 0 otherwise.
+    Cached, so each pass over a measure builds it once."""
     grid = sigma.grid
     n = grid.dimension
     side = 2 ** level
     factor = 2 ** (grid.max_level - level)
-    if not g.flags.c_contiguous and g.T.flags.c_contiguous:
-        weights = sigma.flat_mass.reshape((side, factor) * n)
-        band = g.T.reshape(weights.shape + (grid.n_cells,))[..., rows]
-        if n == 1:
-            return (weights[:, None] @ band)[:, 0].T
-        cells = list(range(2 * n))
-        return np.einsum(band, cells + [2 * n], weights, cells, [2 * n] + cells[::2])
-    block = g[rows]
-    if factor >= _FUSED_FACTOR:
-        block = np.einsum("rcf,cf->rc", block.reshape(len(block), -1, factor),
-                          sigma.flat_mass.reshape(-1, factor))
-        return block_sums(block.reshape((-1,) + grid.mesh_shape[1:] + (side,)),
-                          n - 1, factor, start=1)
-    return block_sums((block * sigma.flat_mass).reshape((-1,) + grid.mesh_shape), n, factor)
+    slab = grid.n_cells // side
+    within = np.indices((factor,) + (grid.cells_per_axis,) * (n - 1)).reshape(n, slab)
+    cube = np.ravel_multi_index(tuple(within[1:] // factor), (side,) * (n - 1))
+    out = np.zeros((side, side ** (n - 1), slab))
+    out[:, cube, np.arange(slab)] = sigma.flat_mass.reshape(side, slab)
+    return out
+
+
+def image_block(g: np.ndarray, sigma: MeshMeasure, level: int, rows: slice) -> np.ndarray:
+    """Rows `rows` of the level-`level` cube images G diag(sigma) P, P
+    mapping cells to their cubes: T(1_Q sigma) at the cells of rows, indexed
+    [*cube coords, cell - rows.start], output cells last.
+
+    One batched matmul of each input slab's `slab_weights` against that
+    slab's columns of g's rows, read in g's own layout (a C-ordered G, or
+    the adjoint's transposed view, see `kernel_matrix`) with no copy. Small
+    slab matrix products take the rows a slab at a time
+    (_SMALL_SLAB_PRODUCT), so that every row's image comes from a product
+    of one shape whatever the block budget.
+    """
+    grid = sigma.grid
+    weights = slab_weights(sigma, level)
+    side, cubes, slab = weights.shape
+    count = rows.stop - rows.start
+    chunk = slab if 1 < cubes and cubes * slab <= _SMALL_SLAB_PRODUCT else count
+    block = g[rows].reshape(count // chunk, chunk, side, slab).transpose(0, 2, 3, 1)
+    images = np.matmul(weights, block)  # (chunks, side, cubes, chunk)
+    return images.transpose(1, 2, 0, 3).reshape((side,) * grid.dimension + (count,))
 
 
 def image_blocks(g: np.ndarray, sigma: MeshMeasure, level: int):
@@ -331,7 +331,8 @@ def image_blocks(g: np.ndarray, sigma: MeshMeasure, level: int):
 def cube_images(g: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
     """The whole (n_cells,) + (2**level,)*n cube images of `image_blocks`,
     for the scans that still need every image at once."""
-    return np.concatenate([sums for _, sums in image_blocks(g, sigma, level)])
+    return np.moveaxis(np.concatenate([sums for _, sums in image_blocks(g, sigma, level)],
+                                      axis=-1), -1, 0)
 
 
 def wavelet_images(g: np.ndarray, system: HaarSystem) -> np.ndarray:
@@ -361,32 +362,41 @@ class HaarMatrix:
 
 class HaarMatrixFold:
     """The HaarMatrix of the source system ssys against the target system
-    osys, folded from row blocks of ssys's wavelets' images.
+    osys, folded from row blocks of the level-`depth` cube images
+    (`image_blocks`).
 
-    `add` sums each block's omega-weighted rows to the level-`depth` cubes,
-    C = P^T diag(omega) images (2**(n*depth) x n_wavelets); `matrix` then
-    runs the target system's analysis of C's columns. Blocks of whole slabs
-    (`image_rows`) pair the cells as `HaarSystem.analyse` of the whole
-    images does, so the entries are the same bit for bit.
+    `add` sums each block's omega-weighted output cells to their cubes, so
+    what is kept is the cube-sum matrix B = P^T diag(omega) G diag(sigma) P,
+    stored as (input cubes, output cubes), 2**(n*depth) square. `matrix`
+    then runs the source system's level transform over B's input side and,
+    with B dropped, the target system's over its output side: the two-sided
+    Haar transform of B. Blocks of whole slabs (`image_rows`) give each
+    output cube's sums from one block.
     """
 
     def __init__(self, ssys: HaarSystem, osys: HaarSystem):
-        grid = ssys.measure.grid
+        cubes = 2 ** (ssys.measure.grid.dimension * ssys.depth)
         self.ssys, self.osys = ssys, osys
-        self.sums = np.empty((2 ** ssys.depth,) * grid.dimension + (ssys.n_wavelets,))
+        self.sums = np.empty((cubes, cubes))
 
     def add(self, rows: slice, images: np.ndarray) -> None:
         grid = self.ssys.measure.grid
-        n = grid.dimension
-        slab = grid.n_cells >> self.ssys.depth
-        weighted = images * self.osys.measure.flat_mass[rows, None]
-        self.sums[rows.start // slab:rows.stop // slab] = block_sums(
-            weighted.reshape((len(images) * grid.cells_per_axis // grid.n_cells,)
-                             + grid.mesh_shape[1:] + (images.shape[1],)),
-            n, 2 ** (grid.max_level - self.ssys.depth), start=0)
+        n, depth = grid.dimension, self.ssys.depth
+        slab = grid.n_cells >> depth
+        per_slab = 2 ** (depth * (n - 1))
+        weighted = (images * self.osys.measure.flat_mass[rows]).reshape(
+            (-1, (rows.stop - rows.start) * grid.cells_per_axis // grid.n_cells)
+            + grid.mesh_shape[1:])
+        sums = block_sums(weighted, n, 2 ** (grid.max_level - depth), start=1)
+        self.sums[:, rows.start // slab * per_slab:rows.stop // slab * per_slab] = \
+            sums.reshape(len(sums), -1)
 
     def matrix(self, kernel: Kernel, trunc: Truncation) -> HaarMatrix:
-        entries = self.osys.analyse_cube_sums(np.moveaxis(self.sums, -1, 0)).T
+        cubes = (2 ** self.ssys.depth,) * self.ssys.measure.grid.dimension
+        # one row per output cube, its coefficients on the source wavelets
+        rows = self.ssys.analyse_cube_sums(self.sums.T.reshape((-1,) + cubes))
+        self.sums = None  # not held through the target side's transform
+        entries = self.osys.analyse_cube_sums(rows.T.reshape((-1,) + cubes)).T
         return HaarMatrix(entries=entries, row_labels=self.osys.wavelet_labels(),
                           col_labels=self.ssys.wavelet_labels(), depth=self.ssys.depth,
                           sigma_system=self.ssys, omega_system=self.osys,
@@ -400,210 +410,8 @@ def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
         raise ValueError("sigma and omega must share a grid")
     grid = sigma.grid
     require_resolved(trunc, grid)
-    ssys = cached_system(sigma, depth, rotation_seed)
-    fold = HaarMatrixFold(ssys, cached_system(omega, depth, rotation_seed))
+    fold = HaarMatrixFold(cached_system(sigma, depth, rotation_seed),
+                          cached_system(omega, depth, rotation_seed))
     for rows, sums in image_blocks(kernel_matrix(kernel, trunc, grid), sigma, depth):
-        fold.add(rows, ssys.analyse_cube_sums(sums))
+        fold.add(rows, sums)
     return fold.matrix(kernel, trunc)
-
-
-# -- sampled verification of declared constants -------------------------------
-
-@dataclass(frozen=True)
-class CZBoundsReport:
-    measured: tuple
-    declared: tuple
-    samples: int
-    seed: int
-    worst_pair: tuple
-
-
-def _fd_gradient(fn, x: np.ndarray, h: float) -> np.ndarray:
-    n = x.size
-    out = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        out[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return out
-
-
-def _fd_hessian(fn, x: np.ndarray, h: float) -> np.ndarray:
-    n = x.size
-    out = np.zeros((n, n))
-    f0 = fn(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        out[i, i] = (fn(x + ei) - 2.0 * f0 + fn(x - ei)) / h ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            out[i, j] = out[j, i] = (
-                fn(x + ei + ej) - fn(x + ei - ej) - fn(x - ei + ej) + fn(x - ei - ej)
-            ) / (4.0 * h ** 2)
-    return out
-
-
-def check_cz_bounds(kernel: Kernel, trunc: Truncation, grid: Grid,
-                    m_max: int = 2, samples: int = 48, seed: int = 0) -> CZBoundsReport:
-    """Sampled size/smoothness check of the truncated kernel.
-
-    Raises BoundViolation naming the worst pair if any sampled ratio exceeds
-    the declared constant (with the profile factor folded in).
-    """
-    if m_max > 2:
-        raise ValueError("declared constants cover m <= 2")
-    rng = np.random.default_rng(seed)
-    n = kernel.dimension
-    lo = np.log(1.05 * trunc.eps)
-    hi = np.log(0.98 * trunc.rmax)
-    measured = [0.0] * (m_max + 1)
-    worst = None
-    ktr = lambda x, y: float(kernel.eval(x, y) * trunc.scale(np.linalg.norm(x - y)))
-    for _ in range(samples):
-        x = grid.window_lower + rng.uniform(0.0, 1.0, size=n) * grid.side
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        d = float(np.exp(rng.uniform(lo, hi)))
-        y = x - d * u
-        fd_h = 1e-5 * d
-        for m in range(m_max + 1):
-            if m == 0:
-                mag = abs(ktr(x, y))
-            elif m == 1:
-                gx = _fd_gradient(lambda p: ktr(p, y), x, fd_h)
-                gy = _fd_gradient(lambda p: ktr(x, p), y, fd_h)
-                mag = max(np.linalg.norm(gx), np.linalg.norm(gy))
-            else:
-                hx = _fd_hessian(lambda p: ktr(p, y), x, fd_h)
-                hy = _fd_hessian(lambda p: ktr(x, p), y, fd_h)
-                mag = max(np.linalg.norm(hx, 2), np.linalg.norm(hy, 2))
-            ratio = mag * d ** (n + m - kernel.lam)
-            if ratio > measured[m]:
-                measured[m] = ratio
-                worst = (tuple(x), tuple(y), m)
-    declared = tuple(kernel.c_cz * trunc.profile_factor(m) for m in range(m_max + 1))
-    for m in range(m_max + 1):
-        if measured[m] > declared[m] * (1.0 + 1e-3):
-            raise BoundViolation(
-                f"size-smoothness bound violated at order {m}: measured "
-                f"{measured[m]:.6g} > declared {declared[m]:.6g} at pair {worst}"
-            )
-    return CZBoundsReport(measured=tuple(measured), declared=declared,
-                          samples=samples, seed=seed, worst_pair=worst)
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    kappa: int
-    inf_sum_ratio: float
-    inf_term_ratio: float
-    declared: float
-    samples: int
-    seed: int
-    perturbed_inf: float | None
-
-
-def check_ellipticity(kernel: Kernel, kappa: int, samples: int = 64, seed: int = 0,
-                      grid: Grid | None = None, perturb: bool = False) -> EllipticityReport:
-    """Lower ellipticity of the raw kernel along its declared direction.
-
-    kappa=0 checks kernel size along v; kappa=1 checks the derivative in the
-    step length, both as an infimum of the two-ended sum over sampled
-    (base point, t)."""
-    if kappa not in (0, 1):
-        raise ValueError("kappa must be 0 or 1")
-    rng = np.random.default_rng(seed)
-    n = kernel.dimension
-    side = grid.side if grid is not None else 1.0
-    base = grid.window_lower if grid is not None else np.zeros(n)
-    v = np.asarray(kernel.direction)
-    declared = kernel.grad_c1 if kappa == 1 else kernel.stein_c0
-    power = kernel.lam - n - kappa
-
-    def terms(w: np.ndarray, t: float, x: np.ndarray) -> tuple:
-        if kappa == 0:
-            return (abs(float(kernel.eval(x + t * w, x))),
-                    abs(float(kernel.eval(x, x + t * w))))
-        h = 1e-5 * t
-        d1 = (float(kernel.eval(x + (t + h) * w, x)) - float(kernel.eval(x + (t - h) * w, x))) / (2 * h)
-        d2 = (float(kernel.eval(x, x + (t + h) * w)) - float(kernel.eval(x, x + (t - h) * w))) / (2 * h)
-        return abs(d1), abs(d2)
-
-    inf_sum = np.inf
-    inf_term = np.inf
-    for _ in range(samples):
-        x = base + rng.uniform(0.0, 1.0, size=n) * side
-        t = float(np.exp(rng.uniform(np.log(1e-3 * side), np.log(side))))
-        t1, t2 = terms(v, t, x)
-        scale_t = t ** (-power)
-        ratio = (t1 + t2) * scale_t
-        inf_sum = min(inf_sum, ratio)
-        inf_term = min(inf_term, t1 * scale_t, t2 * scale_t)
-        if ratio < declared * (1.0 - 1e-6):
-            raise BoundViolation(
-                f"ellipticity violated at (x={tuple(x)}, t={t:.6g}): "
-                f"ratio {ratio:.6g} < declared {declared:.6g}"
-            )
-    perturbed_inf = None
-    if perturb and kappa == 1 and n >= 2:
-        perturbed_inf = np.inf
-        for _ in range(samples):
-            x = base + rng.uniform(0.0, 1.0, size=n) * side
-            t = float(np.exp(rng.uniform(np.log(1e-3 * side), np.log(side))))
-            raw = rng.standard_normal(n)
-            raw -= raw @ v * v
-            nrm = np.linalg.norm(raw)
-            if nrm == 0:
-                continue
-            w = v + rng.uniform(0.0, 0.999) * kernel.delta0 * raw / nrm
-            w = w / np.linalg.norm(w)
-            if np.linalg.norm(w - v) >= kernel.delta0:
-                continue
-            ratio = sum(terms(w, t, x)) * t ** (-power)
-            perturbed_inf = min(perturbed_inf, ratio)
-            if ratio < 0.5 * declared * (1.0 - 1e-6):
-                raise BoundViolation(
-                    f"perturbed ellipticity violated at (x={tuple(x)}, t={t:.6g}, "
-                    f"w={tuple(w)}): ratio {ratio:.6g} < {0.5 * declared:.6g}"
-                )
-    return EllipticityReport(kappa=kappa, inf_sum_ratio=float(inf_sum),
-                             inf_term_ratio=float(inf_term), declared=declared,
-                             samples=samples, seed=seed,
-                             perturbed_inf=None if perturbed_inf is None else float(perturbed_inf))
-
-
-# -- operator norm via eigen-iteration ----------------------------------------
-
-@dataclass(frozen=True)
-class PowerIterationResult:
-    value: float
-    vector: np.ndarray
-    iterations: int
-    converged: bool
-
-
-def top_singular_value(entries: np.ndarray, tol: float = 1e-12,
-                       max_iter: int = 10000) -> PowerIterationResult:
-    """Largest singular value by power iteration on the normal matrix."""
-    m = np.asarray(entries, dtype=float)
-    if m.size == 0 or not np.any(m):
-        return PowerIterationResult(0.0, np.zeros(m.shape[1] if m.ndim == 2 else 0), 0, True)
-    col = np.linalg.norm(m, axis=0)
-    v = col + 1e-12 * (1.0 + np.arange(m.shape[1]))  # deterministic, generic start
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for it in range(1, max_iter + 1):
-        w = m @ v
-        s = float(np.linalg.norm(w))
-        u = m.T @ w
-        nu = float(np.linalg.norm(u))
-        if nu == 0:
-            return PowerIterationResult(s, v, it, True)
-        v = u / nu
-        if it >= 3 and abs(s - prev) <= tol * max(1.0, s):
-            return PowerIterationResult(s, v, it, True)
-        prev = s
-    warnings.warn("power iteration did not converge; returning last iterate")
-    return PowerIterationResult(prev, v, max_iter, False)

@@ -634,12 +634,12 @@ def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
     from haartest.characteristics import _lp_scan, _wavelet_images
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
-    system, images = _wavelet_images(sigma, kernel, trunc, 3)
+    system, levels, images = _wavelet_images(sigma, kernel, trunc, 3)
     optimum_from = 1 if p == 2.0 else np.inf
     for seed in (0, 5):
         loop = _loop_candidates(system, images, omega, p, mode,
                                 np.random.default_rng(seed), optimum_from)
-        values, combos = _lp_scan(system, lambda: [(slice(None), images)], omega.flat_mass,
+        values, combos = _lp_scan(system, lambda: [(slice(None), levels)], omega.flat_mass,
                                   p, mode == "local", np.random.default_rng(seed),
                                   optimum_from)
         _assert_same_candidates(values, combos, loop)
@@ -660,10 +660,10 @@ def test_quadratic_member_scan_matches_member_loop(name, p):
                                           _level_families, _lp_scan, _wavelet_images)
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
-    system, images = _wavelet_images(sigma, kernel, trunc, 3)
+    system, levels, images = _wavelet_images(sigma, kernel, trunc, 3)
     loop = _loop_candidates(system, images, omega, p, "global", None, 2)
     _assert_same_candidates(
-        *_lp_scan(system, lambda: [(slice(None), images)], omega.flat_mass, p), loop)
+        *_lp_scan(system, lambda: [(slice(None), levels)], omega.flat_mass, p), loop)
     # the loop's members, scalar and by-level keys, then its family search
     # through the module's family driver
     member_best, by_level = {}, {}

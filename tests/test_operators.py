@@ -1,18 +1,21 @@
+import dataclasses
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from haartest.characteristics import matched_haar_testing, operator_norm
 from haartest.dyadic import Grid
 from haartest.haar import cached_system
 from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
 from haartest.operators import (
     KERNEL_FAMILIES,
+    Kernel,
     Truncation,
     TruncationError,
     apply,
     assemble_haar_matrix,
-    check_cz_bounds,
     cube_images,
-    check_ellipticity,
     default_truncation,
     eval_truncated,
     kernel_matrix,
@@ -20,7 +23,6 @@ from haartest.operators import (
     points_matrix,
     require_resolved,
     smoothstep,
-    top_singular_value,
     wavelet_images,
 )
 
@@ -301,16 +303,228 @@ def test_assemble_requires_shared_grid():
         assemble_haar_matrix(k, t, lebesgue(g1), lebesgue(g2), 2)
 
 
-def test_top_singular_value_matches_svd():
-    rng = np.random.default_rng(12)
-    for shape in [(6, 6), (10, 4), (3, 9)]:
-        m = rng.standard_normal(shape)
-        got = top_singular_value(m)
-        assert got.converged
-        np.testing.assert_allclose(got.value, np.linalg.svd(m, compute_uv=False)[0],
-                                   rtol=1e-9)
-    zero = top_singular_value(np.zeros((4, 4)))
-    assert zero.value == 0.0 and zero.converged
+def _norm_pairs(corpus1):
+    """(sigma, omega, kernel, depth): the conftest corpus against itself at
+    full depth (255 x 255 Haar blocks) and a 2-D pair on L=5 at depth 4
+    (255 x 255 as well)."""
+    for i, sigma in enumerate(corpus1):
+        yield sigma, corpus1[(i + 3) % len(corpus1)], make_kernel("hilbert", 0.0, 1), 8
+    grid = Grid(dimension=2, max_level=5)
+    yield (random_dyadic_doubling(grid, 2.0, seed=61), random_dyadic_doubling(grid, 3.0, seed=62),
+           make_kernel("riesz_like", 0.5, 2), 4)
+
+
+def _norm_matrices(corpus1):
+    """The Haar matrices of `_norm_pairs`, then random square matrices of
+    the Lanczos and the dense sizes, a rank-one and a zero matrix, each as
+    the entries of the first Haar matrix."""
+    matrices = [assemble_haar_matrix(kernel, default_truncation(sigma.grid), sigma, omega, depth)
+                for sigma, omega, kernel, depth in _norm_pairs(corpus1)]
+    rng = np.random.default_rng(63)
+    entries = [rng.standard_normal((size, size)) for size in (15, 63, 255, 1023)]
+    entries += [np.outer(rng.standard_normal(255), rng.standard_normal(200)),
+                np.outer(rng.standard_normal(9), rng.standard_normal(15)), np.zeros((70, 80))]
+    return matrices, [dataclasses.replace(matrices[0], entries=e) for e in entries]
+
+
+def test_operator_norm_matches_the_dense_norm(corpus1):
+    # the Lanczos bidiagonal of the large blocks and the dense SVD of the
+    # small ones both give the spectral norm to rounding
+    haar, other = _norm_matrices(corpus1)
+    for matrix in haar + other:
+        rep = operator_norm(matrix)
+        want = np.linalg.norm(matrix.entries, 2)
+        assert abs(rep.value - want) <= 1e-13 * want
+        assert rep.search_space["converged"]
+        assert (rep.search_space["iterations"] > 0) == (min(matrix.entries.shape) > 64
+                                                        and want > 0.0)
+        v = np.asarray(rep.witness["coefficients"])
+        assert np.linalg.norm(v) == pytest.approx(1.0 if want > 0.0 else 0.0, abs=1e-14)
+    assert operator_norm(other[-1]).witness["coefficients"] == [0.0] * 80
+
+
+def test_operator_norm_dominates_matched_testing(corpus1):
+    # the block norm dominates the norm of every column block and every row
+    # block, so both matched testing constants
+    haar, _ = _norm_matrices(corpus1)
+    for matrix in haar:
+        bound = max(matched_haar_testing(matrix).value,
+                    matched_haar_testing(matrix, dual=True).value)
+        assert operator_norm(matrix).value >= bound * (1.0 - 1e-13)
+
+
+# -- sampled checks of the declared kernel constants ----------------------------
+#
+# The paper's hypotheses on the kernel (size and smoothness bounds, lower
+# ellipticity along a direction) as sampled finite-difference checks of the
+# constants `make_kernel` declares.
+
+class BoundViolation(AssertionError):
+    """A declared kernel constant failed a sampled check."""
+
+@dataclass(frozen=True)
+class CZBoundsReport:
+    measured: tuple
+    declared: tuple
+    samples: int
+    seed: int
+    worst_pair: tuple
+
+
+def _fd_gradient(fn, x: np.ndarray, h: float) -> np.ndarray:
+    n = x.size
+    out = np.zeros(n)
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        out[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
+    return out
+
+
+def _fd_hessian(fn, x: np.ndarray, h: float) -> np.ndarray:
+    n = x.size
+    out = np.zeros((n, n))
+    f0 = fn(x)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        out[i, i] = (fn(x + ei) - 2.0 * f0 + fn(x - ei)) / h ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            out[i, j] = out[j, i] = (
+                fn(x + ei + ej) - fn(x + ei - ej) - fn(x - ei + ej) + fn(x - ei - ej)
+            ) / (4.0 * h ** 2)
+    return out
+
+
+def check_cz_bounds(kernel: Kernel, trunc: Truncation, grid: Grid,
+                    m_max: int = 2, samples: int = 48, seed: int = 0) -> CZBoundsReport:
+    """Sampled size/smoothness check of the truncated kernel.
+
+    Raises BoundViolation naming the worst pair if any sampled ratio exceeds
+    the declared constant (with the profile factor folded in).
+    """
+    if m_max > 2:
+        raise ValueError("declared constants cover m <= 2")
+    rng = np.random.default_rng(seed)
+    n = kernel.dimension
+    lo = np.log(1.05 * trunc.eps)
+    hi = np.log(0.98 * trunc.rmax)
+    measured = [0.0] * (m_max + 1)
+    worst = None
+    ktr = lambda x, y: float(kernel.eval(x, y) * trunc.scale(np.linalg.norm(x - y)))
+    for _ in range(samples):
+        x = grid.window_lower + rng.uniform(0.0, 1.0, size=n) * grid.side
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        d = float(np.exp(rng.uniform(lo, hi)))
+        y = x - d * u
+        fd_h = 1e-5 * d
+        for m in range(m_max + 1):
+            if m == 0:
+                mag = abs(ktr(x, y))
+            elif m == 1:
+                gx = _fd_gradient(lambda p: ktr(p, y), x, fd_h)
+                gy = _fd_gradient(lambda p: ktr(x, p), y, fd_h)
+                mag = max(np.linalg.norm(gx), np.linalg.norm(gy))
+            else:
+                hx = _fd_hessian(lambda p: ktr(p, y), x, fd_h)
+                hy = _fd_hessian(lambda p: ktr(x, p), y, fd_h)
+                mag = max(np.linalg.norm(hx, 2), np.linalg.norm(hy, 2))
+            ratio = mag * d ** (n + m - kernel.lam)
+            if ratio > measured[m]:
+                measured[m] = ratio
+                worst = (tuple(x), tuple(y), m)
+    declared = tuple(kernel.c_cz * trunc.profile_factor(m) for m in range(m_max + 1))
+    for m in range(m_max + 1):
+        if measured[m] > declared[m] * (1.0 + 1e-3):
+            raise BoundViolation(
+                f"size-smoothness bound violated at order {m}: measured "
+                f"{measured[m]:.6g} > declared {declared[m]:.6g} at pair {worst}"
+            )
+    return CZBoundsReport(measured=tuple(measured), declared=declared,
+                          samples=samples, seed=seed, worst_pair=worst)
+
+
+@dataclass(frozen=True)
+class EllipticityReport:
+    kappa: int
+    inf_sum_ratio: float
+    inf_term_ratio: float
+    declared: float
+    samples: int
+    seed: int
+    perturbed_inf: float | None
+
+
+def check_ellipticity(kernel: Kernel, kappa: int, samples: int = 64, seed: int = 0,
+                      grid: Grid | None = None, perturb: bool = False) -> EllipticityReport:
+    """Lower ellipticity of the raw kernel along its declared direction.
+
+    kappa=0 checks kernel size along v; kappa=1 checks the derivative in the
+    step length, both as an infimum of the two-ended sum over sampled
+    (base point, t)."""
+    if kappa not in (0, 1):
+        raise ValueError("kappa must be 0 or 1")
+    rng = np.random.default_rng(seed)
+    n = kernel.dimension
+    side = grid.side if grid is not None else 1.0
+    base = grid.window_lower if grid is not None else np.zeros(n)
+    v = np.asarray(kernel.direction)
+    declared = kernel.grad_c1 if kappa == 1 else kernel.stein_c0
+    power = kernel.lam - n - kappa
+
+    def terms(w: np.ndarray, t: float, x: np.ndarray) -> tuple:
+        if kappa == 0:
+            return (abs(float(kernel.eval(x + t * w, x))),
+                    abs(float(kernel.eval(x, x + t * w))))
+        h = 1e-5 * t
+        d1 = (float(kernel.eval(x + (t + h) * w, x)) - float(kernel.eval(x + (t - h) * w, x))) / (2 * h)
+        d2 = (float(kernel.eval(x, x + (t + h) * w)) - float(kernel.eval(x, x + (t - h) * w))) / (2 * h)
+        return abs(d1), abs(d2)
+
+    inf_sum = np.inf
+    inf_term = np.inf
+    for _ in range(samples):
+        x = base + rng.uniform(0.0, 1.0, size=n) * side
+        t = float(np.exp(rng.uniform(np.log(1e-3 * side), np.log(side))))
+        t1, t2 = terms(v, t, x)
+        scale_t = t ** (-power)
+        ratio = (t1 + t2) * scale_t
+        inf_sum = min(inf_sum, ratio)
+        inf_term = min(inf_term, t1 * scale_t, t2 * scale_t)
+        if ratio < declared * (1.0 - 1e-6):
+            raise BoundViolation(
+                f"ellipticity violated at (x={tuple(x)}, t={t:.6g}): "
+                f"ratio {ratio:.6g} < declared {declared:.6g}"
+            )
+    perturbed_inf = None
+    if perturb and kappa == 1 and n >= 2:
+        perturbed_inf = np.inf
+        for _ in range(samples):
+            x = base + rng.uniform(0.0, 1.0, size=n) * side
+            t = float(np.exp(rng.uniform(np.log(1e-3 * side), np.log(side))))
+            raw = rng.standard_normal(n)
+            raw -= raw @ v * v
+            nrm = np.linalg.norm(raw)
+            if nrm == 0:
+                continue
+            w = v + rng.uniform(0.0, 0.999) * kernel.delta0 * raw / nrm
+            w = w / np.linalg.norm(w)
+            if np.linalg.norm(w - v) >= kernel.delta0:
+                continue
+            ratio = sum(terms(w, t, x)) * t ** (-power)
+            perturbed_inf = min(perturbed_inf, ratio)
+            if ratio < 0.5 * declared * (1.0 - 1e-6):
+                raise BoundViolation(
+                    f"perturbed ellipticity violated at (x={tuple(x)}, t={t:.6g}, "
+                    f"w={tuple(w)}): ratio {ratio:.6g} < {0.5 * declared:.6g}"
+                )
+    return EllipticityReport(kappa=kappa, inf_sum_ratio=float(inf_sum),
+                             inf_term_ratio=float(inf_term), declared=declared,
+                             samples=samples, seed=seed,
+                             perturbed_inf=None if perturbed_inf is None else float(perturbed_inf))
 
 
 @pytest.mark.parametrize("family,lam", [("hilbert", 0.0), ("fractional_integral", 0.5)])

@@ -1,11 +1,12 @@
-"""The streamed L2 scans against whole-image oracles.
+"""The streamed scans against whole-image oracles.
 
-Every scan folds the operator images one block of output cells at a time
-(`operators.image_blocks`). The oracles below hold the images whole, as
-dense products with the kernel matrix, and compute each characteristic
-from them cube by cube. Each case runs with the default block budget, one
-block on these grids, and with a budget of three slabs, which does not
-divide the slab count, so the last block is shorter than the others.
+Every scan folds the children's cube images one block of output cells at a
+time (`operators.image_blocks`, `characteristics._level_blocks`). The
+oracles below hold the wavelet and cube images whole, as dense products
+with the kernel matrix, and compute each characteristic from them cube by
+cube. Each case runs with the default block budget, one block on these
+grids, and with a budget of three slabs, which does not divide the slab
+count, so the last block is shorter than the others.
 """
 import tracemalloc
 
@@ -18,9 +19,8 @@ import haartest.operators as operators
 from haartest.characteristics import (
     _PAIR_VARIANTS,
     LpConfig,
-    _cube_witness,
+    _ROTATION_SAMPLES,
     _dual_haar_testing,
-    _lp_scan,
     _matrix_haar_and_cube_testing,
     _pair_scan,
     _restriction_weights,
@@ -35,6 +35,7 @@ from haartest.haar import cached_system
 from haartest.measure import random_dyadic_doubling
 from haartest.operators import (
     assemble_haar_matrix,
+    cube_images,
     default_truncation,
     image_rows,
     kernel_matrix,
@@ -170,38 +171,76 @@ def test_streamed_cube_testing_matches_whole_images(name, mode, p, corpus1, budg
     assert rep.witness["cube"] == cube
 
 
+def _lp_oracle(system, images, omega, p, mode, seed):
+    """(value, cube, coefficients) of lp_haar_testing: each cube's
+    candidates are its canonical wavelets, with two or more wavelets
+    _ROTATION_SAMPLES seeded unit combinations, and at p = 2 the SVD
+    optimum of its weighted image block; each one's ratio comes from the
+    whole images and the dense wavelet values, and the witness is the first
+    strict maximum in system order."""
+    rng = np.random.default_rng(seed)
+    sigma_mass = system.measure.flat_mass
+    best = (0.0, None, [])
+    for key, (start, count) in system.cube_slots.items():
+        if not count:
+            continue
+        weights = omega.flat_mass
+        if mode == "local":
+            weights = weights * DyadicCube.from_key(omega.grid, key).indicator().ravel()
+        block = images[:, start:start + count]
+        candidates = list(np.eye(count))
+        if count > 1:
+            for _ in range(_ROTATION_SAMPLES):
+                c = rng.standard_normal(count)
+                candidates.append(c / np.linalg.norm(c))
+        if p == 2.0:
+            vh = np.linalg.svd(np.sqrt(weights)[:, None] * block, full_matrices=False)[2]
+            candidates.append(_sign_fixed(vh[0]))
+        for c in candidates:
+            num = float(weights @ np.abs(block @ c) ** p) ** (1.0 / p)
+            values = c @ system.values_matrix[start:start + count]
+            den = float(sigma_mass @ np.abs(values) ** p) ** (1.0 / p)
+            if den > 0.0 and num / den > best[0]:
+                best = (num / den, key, c)
+    return best
+
+
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("mode", ["global", "local"])
-@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_streamed_lp_haar_testing_matches_whole_images(name, mode, p, corpus1, budget):
     sigma, omega, kernel, depth = _case(name, corpus1)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
     system = cached_system(sigma, depth)
     images = _wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), system)
-    values, combos = _lp_scan(system, lambda: [(slice(None), images)], omega.flat_mass, p,
-                              mode == "local", np.random.default_rng(7),
-                              1 if p == 2.0 else np.inf)
-    value, cube, coefficients = _cube_witness(system, values, combos)
     rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, mode=mode, depth=depth, seed=7)
-    assert rep.value == pytest.approx(value, rel=1e-12, abs=0.0)
-    assert rep.witness["cube"] == cube
-    np.testing.assert_allclose(rep.witness["coefficients"], coefficients, rtol=0.0, atol=1e-10)
+    _assert_haar(rep, _lp_oracle(system, images, omega, p, mode, 7))
+    dual = lp_haar_testing(omega, sigma, kernel.transpose(), trunc, p=p, mode=mode,
+                           depth=depth, seed=7)
+    osys = cached_system(omega, depth)
+    dual_images = _wavelet_images(kernel_matrix(kernel.transpose(), trunc, sigma.grid), osys)
+    _assert_haar(dual, _lp_oracle(osys, dual_images, sigma, p, mode, 7))
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_streamed_haar_matrix_and_bundle_match_whole_images(name, corpus1, budget):
+@pytest.mark.parametrize("rotation_seed", [None, 5])
+def test_streamed_haar_matrix_and_bundle_match_whole_images(name, rotation_seed, corpus1,
+                                                            budget):
     sigma, omega, kernel, depth = _case(name, corpus1)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
-    ssys, osys = cached_system(sigma, depth), cached_system(omega, depth)
+    ssys = cached_system(sigma, depth, rotation_seed)
+    osys = cached_system(omega, depth, rotation_seed)
     images = _wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), ssys)
     want = (osys.values_matrix * omega.flat_mass) @ images
     scale = np.abs(want).max()
-    for matrix in (assemble_haar_matrix(kernel, trunc, sigma, omega, depth),
-                   _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)[0]):
-        assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
-    _, test, cube = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
+    matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, depth, rotation_seed=rotation_seed)
+    assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
+    if rotation_seed is not None:
+        return
+    matrix, test, cube = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
+    assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
     _assert_haar(test, _haar_oracle(ssys, images, omega, "global"))
     value, key = _cube_oracle(kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
                               "global", 2.0, depth)
@@ -220,6 +259,25 @@ def test_blocks_of_whole_slabs_keep_the_haar_matrix_bit_for_bit(monkeypatch):
         assert len(image_rows(GRID_2D, depth)) == 2 ** depth
         np.testing.assert_array_equal(
             assemble_haar_matrix(k, trunc, sigma, omega, depth).entries, whole)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_cube_images_do_not_depend_on_the_block_budget(monkeypatch, level):
+    # on 2-D L=5 every slab product is small, so the rows go through the
+    # matmul a slab at a time: blocks of one slab and of three give the
+    # images of one block bit for bit, in both layouts of G
+    grid = Grid(dimension=2, max_level=5)
+    sigma = random_dyadic_doubling(grid, 3.0, seed=55)
+    kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
+    slab = grid.n_cells >> level
+    for k in (kernel, kernel.transpose()):
+        g = kernel_matrix(k, trunc, grid)
+        whole = cube_images(g, sigma, level)
+        for slabs in (1, 3):
+            monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", slabs * slab * grid.n_cells)
+            assert len(image_rows(grid, level)) == -(-(2 ** level) // slabs)
+            np.testing.assert_array_equal(cube_images(g, sigma, level), whole)
         monkeypatch.undo()
 
 
