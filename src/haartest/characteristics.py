@@ -16,8 +16,8 @@ count (`_cube_groups`), sums over the cube's children's images. A Haar
 wavelet is constant on its cube's children, so its image is the same
 combination of theirs: the children's Grams give every cube's exact L2
 optimum (`_GramFold`), and the Lp sums of the candidate combinations are
-taken in child space (`_lp_sums`, `_lp_ratios`). Only
-`quadratic_haar_testing` still takes the whole wavelet images. The
+taken in child space (`_lp_sums`, `_lp_ratios`). Only the family values
+of `quadratic_haar_testing` still take the whole wavelet images. The
 operator norm is the top singular value of the Haar matrix by
 Golub-Kahan-Lanczos steps (`_top_singular_triple`). The pair scans take a
 block of cubes' partners at once: an offset stencil, or the finer levels'
@@ -42,11 +42,11 @@ from .operators import (
     Kernel,
     Truncation,
     assemble_haar_matrix,
-    cube_images,
     image_blocks,
     kernel_matrix,
     make_kernel,
     require_resolved,
+    wavelet_images,
 )
 
 __all__ = [
@@ -416,15 +416,11 @@ def _level_blocks(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation, depth: 
 
 def _wavelet_images(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation,
                     depth: int) -> tuple:
-    """(system, levels, images): the canonical system, the whole
-    `_level_sums` of the cube images, and the whole operator image of every
-    wavelet (n_cells, n_wavelets), the system's level transform of the
-    finest, for the scans that still need every image at once."""
+    """Canonical system plus the whole operator image of every wavelet (by
+    column), for the family values that need every image at once."""
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
-    sums = cube_images(kernel_matrix(kernel, trunc, sigma.grid), sigma, depth)
-    levels = _level_sums(np.moveaxis(sums, 0, -1), depth, sigma.grid.dimension)
-    return system, levels, system.analyse_cube_sums(sums)
+    return system, wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), system)
 
 
 def _gram_optima(grams: np.ndarray) -> tuple:
@@ -432,8 +428,6 @@ def _gram_optima(grams: np.ndarray) -> tuple:
     of each one's top eigenvalue and its sign-normalized eigenvector, the
     best unit combination. Of equal top eigenvalues the first is taken, so
     a zero Gram gives e_1, as an SVD does."""
-    if grams.shape[-1] == 1:  # a lone wavelet is its own optimum, as eigh finds
-        return np.sqrt(np.maximum(grams[:, 0, 0], 0.0)), np.ones((len(grams), 1))
     vals, vecs = np.linalg.eigh(grams)
     top = vals.argmax(axis=1)
     pick = np.arange(len(vals))
@@ -482,24 +476,17 @@ def _cell_cubes(grid: Grid, level: int) -> np.ndarray:
     return out
 
 
-def _cube_optima(system: HaarSystem, vectors: np.ndarray,
-                 weights: np.ndarray | None = None, local: bool = False) -> tuple:
-    """`_optima` of the rows of vectors (one image or matrix row per
-    wavelet): each cube's Gram of its wavelets' rows, weighted by weights
-    over the columns when given, and with local=True on the cube's own
-    cells only."""
-    grid = system.measure.grid
+def _cube_optima(system: HaarSystem, vectors: np.ndarray) -> tuple:
+    """`_optima` of the rows of vectors (one matrix row per wavelet): each
+    cube's Gram of its wavelets' rows."""
     groups = list(_cube_groups(system))
 
     def grams():
-        for _, lv, cubes, index in groups:
+        for *_, index in groups:
             x = vectors[index]
-            w = 1.0 if weights is None else weights
-            if local:
-                w = (w * (_cell_cubes(grid, lv.level) == cubes[:, None]))[:, None]
-            yield (x * w) @ x.transpose(0, 2, 1)
+            yield x @ x.transpose(0, 2, 1)
 
-    return _optima(groups, grams(), 2 ** grid.dimension - 1)
+    return _optima(groups, grams(), 2 ** system.measure.grid.dimension - 1)
 
 
 class _CubeFold:
@@ -522,15 +509,16 @@ class _CubeFold:
 
     def blocks(self, rows: slice, levels: list):
         n = self.system.measure.grid.dimension
-        children: dict = {}
+        level = children = None  # the groups come level by level
         for _, lv, cubes, _ in self.groups:
-            if lv.level not in children:
-                children[lv.level] = group_by_cube(levels[lv.level + 1], lv.level, n, start=0)
+            if lv.level != level:
+                level = lv.level
+                children = group_by_cube(levels[level + 1], level, n, start=0)
             weights = self.weights[rows]
             if self.cells is not None:
-                weights = (weights * (self.cells[lv.level][rows] == cubes[:, None]))[:, None]
-            every = len(cubes) == len(children[lv.level])  # no copy for a whole level
-            yield children[lv.level] if every else children[lv.level][cubes], weights
+                weights = (weights * (self.cells[level][rows] == cubes[:, None]))[:, None]
+            every = len(cubes) == len(children)  # no copy for a whole level
+            yield children if every else children[cubes], weights
 
 
 class _GramFold(_CubeFold):
@@ -1122,10 +1110,6 @@ def _pair_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
 # families drawn at random by each quadratic characteristic
 _FAMILY_COUNT = 32
 
-# relative margin by which a family must beat the best so far in
-# `_family_search`; values that tie to rounding differ by about 1e-16
-_FAMILY_TIE = 1e-12
-
 
 # cubes per block of `_pair_scan`: a block's candidate arrays take a few
 # MB each at 2-D max_distance 10 (404 offsets), whatever the level
@@ -1264,16 +1248,14 @@ def _family_search(families, value, best: float, winner) -> tuple:
 
     families yields each candidate family as the list of its tries, the
     argument tuples of value. A try replaces the winner only when its value
-    is above the best so far by more than _FAMILY_TIE relative: tries that
-    tie it up to rounding keep the first, such as one-cube families with
-    other weights, whose value does not depend on the weight.
+    is strictly above the best so far.
     """
     count = 0
     for tries in families:
         count += 1
         for args in tries:
             val = value(*args)
-            if val > best * (1.0 + _FAMILY_TIE):
+            if val > best:
                 best, winner = val, args
     return best, winner, count
 
@@ -1435,10 +1417,11 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     """
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
-    system, levels, images = _wavelet_images(sigma, kernel, trunc, depth)
+    require_resolved(trunc, sigma.grid)
+    system = cached_system(sigma, depth)
     wflat = omega.flat_mass
-    values, combos = _lp_scan(system, lambda: [(slice(None), levels)], wflat, cfg.p)
-    del levels
+    values, combos = _lp_scan(system, lambda: _level_blocks(sigma, kernel, trunc, depth),
+                              wflat, cfg.p)
     member_best: dict = {}  # each cube's first best candidate
     by_level: dict = {}
     for (key, _, count), row, combo in zip(_live_slots(system), values, combos):
@@ -1446,6 +1429,7 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
         by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
     scalar_best, scalar_key, _ = _cube_witness(system, values, combos)
 
+    images = _wavelet_images(sigma, kernel, trunc, depth)[1]
     best, (keys, weights), families = _family_search(
         _level_families(by_level, np.random.default_rng(seed)),
         lambda keys, weights: _haar_family_value(
@@ -1469,7 +1453,7 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
 def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
                                      witness: dict, space: dict) -> float:
     kernel, trunc = _kernel_and_trunc(space)
-    system, _, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
+    system, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
     members = [(m["cube"], m["coefficients"]) for m in witness["members"]]
     weights = np.asarray(witness["weights"], dtype=float)
     return _haar_family_value(system, images, omega.flat_mass, members, weights,

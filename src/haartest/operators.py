@@ -258,12 +258,16 @@ def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
 # 196 and 222 MiB with blocks of 128, 256 (this budget), 512 and 1024 rows
 _IMAGE_BLOCK_ENTRIES = 1 << 20
 
-# largest slab product (cubes per slab x cells per slab) that `image_block`
-# takes a slab of output cells at a time. BLAS runs matrix products this
-# small on other kernels than large ones, which round differently (OpenBLAS
-# 0.3 on Haswell switches at 1024 outputs), so a block's size would change
-# its rows' images in the last bit. Larger products, and the matrix-vector
-# products of one cube per slab (1-D), take a block at once
+# largest slab product (cubes per slab x cells per slab, n_cells in 2-D)
+# that `image_block` takes a slab of output cells at a time, so that its
+# shape does not depend on the block budget. A BLAS may round products of
+# other shapes differently, as OpenBLAS 0.3.31 on an AVX-512 Xeon does for
+# products this small. Larger products, and the matrix-vector products of
+# one cube per slab (1-D), take a block at once: their images are the same
+# for every block budget only where the BLAS rounds them alike, as that one
+# does. A slab at a time everywhere would not depend on the BLAS, but made
+# chars-2d's wall_s 21% slower there: slab-sized products of rows of G,
+# 4096 entries apart, run far slower than block-sized ones
 _SMALL_SLAB_PRODUCT = 1 << 10
 
 
