@@ -7,17 +7,18 @@ runs stay comparable, and every witness can be re-evaluated independently:
 each family computes a candidate's value with one function, which both its
 scan and its witness evaluator call.
 
-Scans run on level arrays, not cube by cube. The operator scans read the
-images of the dyadic cubes of every level a block of output cells at a
-time (`_level_blocks`, from `operators.image_blocks`) and fold each block
-into per-cube sums before the next is made: the cube pyramid's power sums
+Scans run on level arrays, not cube by cube. The operator scans are
+folds over `operators.image_blocks`, the images of the dyadic cubes of
+every level a block of output cells at a time, and fold each block into
+per-cube sums before the next is made: the cube pyramid's power sums
 (`_PyramidFold`), and, over one grouping of each level's cubes by wavelet
 count (`_cube_groups`), sums over the cube's children's images. A Haar
 wavelet is constant on its cube's children, so its image is the same
 combination of theirs: the children's Grams give every cube's exact L2
-optimum (`_GramFold`), and the Lp sums of the candidate combinations are
-taken in child space (`_lp_sums`, `_lp_ratios`). Only the family values
-of `quadratic_haar_testing` still take the whole wavelet images. The
+optimum (`_GramFold`), the Lp sums of the candidate combinations are
+taken in child space (`_lp_sums`, `_lp_ratios`), and so are the square
+sums of the quadratic families' member images (`_haar_family_values`). Single
+images, of witnesses and jitter boxes, come from `operators.apply`. The
 operator norm is the top singular value of the Haar matrix by
 Golub-Kahan-Lanczos steps (`_top_singular_triple`). The pair scans take a
 block of cubes' partners at once: an offset stencil, or the finer levels'
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dyadic import DyadicCube, Grid, block_sums, box_distance, group_by_cube
+from .dyadic import DyadicCube, Grid, box_distance, group_by_cube
 from .haar import HaarLevel, HaarSystem, _cube_keys, cached_system, normalize_sign
 from .measure import MeshMeasure, level_masses
 from .operators import (
@@ -41,12 +42,11 @@ from .operators import (
     HaarMatrixFold,
     Kernel,
     Truncation,
+    _fold_images,
+    apply,
     assemble_haar_matrix,
-    image_blocks,
-    kernel_matrix,
     make_kernel,
     require_resolved,
-    wavelet_images,
 )
 
 __all__ = [
@@ -395,34 +395,6 @@ def _evaluate_size_witness(sigma: MeshMeasure, omega: MeshMeasure,
 _ROTATION_SAMPLES = 4
 
 
-def _level_sums(images: np.ndarray, depth: int, dimension: int) -> list:
-    """The images of the cubes of levels 0..depth, each (2**level,)*n +
-    (r,), from those of the level-`depth` cubes, images: each level the
-    pairwise block sums (`block_sums`) of the next finer."""
-    levels = [images]
-    for _ in range(depth):
-        levels.append(block_sums(levels[-1], dimension, 2, start=0))
-    return levels[::-1]
-
-
-def _level_blocks(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation, depth: int):
-    """Yield (rows, levels): for each block of output cells of
-    `image_blocks`, the images T(sigma 1_Q) at those cells of the cubes Q
-    of levels 0..depth (`_level_sums`)."""
-    g = kernel_matrix(kernel, trunc, sigma.grid)
-    for rows, images in image_blocks(g, sigma, depth):
-        yield rows, _level_sums(images, depth, sigma.grid.dimension)
-
-
-def _wavelet_images(sigma: MeshMeasure, kernel: Kernel, trunc: Truncation,
-                    depth: int) -> tuple:
-    """Canonical system plus the whole operator image of every wavelet (by
-    column), for the family values that need every image at once."""
-    require_resolved(trunc, sigma.grid)
-    system = cached_system(sigma, depth)
-    return system, wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), system)
-
-
 def _gram_optima(grams: np.ndarray) -> tuple:
     """(tops, vectors) of stacked Gram matrices (c, k, k): the square root
     of each one's top eigenvalue and its sign-normalized eigenvector, the
@@ -491,7 +463,7 @@ def _cube_optima(system: HaarSystem, vectors: np.ndarray) -> tuple:
 
 class _CubeFold:
     """The groups of `_cube_groups` of a system, for folding per-cube sums
-    over the output cells from blocks (rows, levels) of `_level_blocks`.
+    over the output cells from blocks (rows, levels) of `image_blocks`.
 
     A cube's wavelets are constant on its children, so their images are
     combinations of the children's cube images. For each block, `blocks`
@@ -569,8 +541,8 @@ def _lp_ratios(lv: HaarLevel, cubes: np.ndarray, sums: np.ndarray,
                      out=np.zeros_like(sums), where=den > 0.0)
 
 
-def _lp_scan(system: HaarSystem, blocks, weights: np.ndarray, p: float,
-             local: bool = False, rng=None, optimum_from: float = 2) -> tuple:
+def _lp_scan(system: HaarSystem, kernel: Kernel, trunc: Truncation, weights: np.ndarray,
+             p: float, local: bool = False, rng=None, optimum_from: float = 2) -> tuple:
     """(values, combinations) of the candidates of the cubes of `_live_slots`:
     values (cubes, r) their `_lp_ratios`, -1 past a cube's last candidate.
     A cube's candidates are its canonical wavelets; with rng and two or more
@@ -578,12 +550,11 @@ def _lp_scan(system: HaarSystem, blocks, weights: np.ndarray, p: float,
     call in system order draws what one call per combination would); and
     with at least optimum_from wavelets, its exact L2 optimum.
 
-    blocks() yields blocks (rows, levels) of the cube images of levels
-    0..depth, as `_level_blocks` does. It is run once for the Lp sums
-    (`_lp_sums`), and before that once more for the Grams (`_GramFold`)
-    when some cube takes its L2 optimum. A combination c of a cube's
-    wavelets takes the values c @ V on its children, V their child values,
-    so its image is (c @ V) @ x, x the children's images.
+    One pass of `image_blocks` folds the Lp sums (`_lp_sums`), and when
+    some cube takes its L2 optimum, one more before it folds the Grams
+    (`_GramFold`). A combination c of a cube's wavelets takes the values
+    c @ V on its children, V their child values, so its image is
+    (c @ V) @ x, x the children's images.
     """
     counts = np.array([count for _, _, count in _live_slots(system)], dtype=int)
     samples = 0 if rng is None else _ROTATION_SAMPLES
@@ -604,8 +575,7 @@ def _lp_scan(system: HaarSystem, blocks, weights: np.ndarray, p: float,
             cands[-1].append(c / np.where(norms > 0.0, norms, 1.0))
     if any(index.shape[1] >= optimum_from for *_, index in groups):
         grams = _GramFold(system, weights, local)
-        for rows, levels in blocks():
-            grams.add(rows, levels)
+        _fold_images(kernel, trunc, system.measure, system.depth, grams.add)
         for group, (*_, index), gram in zip(cands, groups, grams.wavelet_grams()):
             if index.shape[1] >= optimum_from:
                 group.append(_gram_optima(gram)[1][:, None])
@@ -614,9 +584,12 @@ def _lp_scan(system: HaarSystem, blocks, weights: np.ndarray, p: float,
                    for c, (_, lv, cubes, index) in zip(cands, groups)]
     lp_sums = [np.zeros(c.shape[:2]) for c in cands]
     fold = _CubeFold(system, weights, local)
-    for rows, levels in blocks():
+
+    def add(rows: slice, levels: list) -> None:
         for sums, c, (x, w) in zip(lp_sums, on_children, fold.blocks(rows, levels)):
             sums += _lp_sums(x, w, c, p)
+
+    _fold_images(kernel, trunc, system.measure, system.depth, add)
     for (at, lv, cubes, index), c, sums in zip(groups, cands, lp_sums):
         values[at, :c.shape[1]] = _lp_ratios(lv, cubes, sums, c, p)
         combos[at, :c.shape[1], :index.shape[1]] = c
@@ -654,11 +627,11 @@ def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
 
 
 def _haar_testing(system: HaarSystem, omega: MeshMeasure, kernel: Kernel,
-                  trunc: Truncation, mode: str, seed: int) -> CharacteristicReport:
-    """haar_testing of the system's measure against omega."""
+                  trunc: Truncation, mode: str, seed: int, *adds) -> CharacteristicReport:
+    """haar_testing of the system's measure against omega, from one pass of
+    `image_blocks` that also feeds the extra folds' adds."""
     fold = _GramFold(system, omega.flat_mass, mode == "local")
-    for rows, levels in _level_blocks(system.measure, kernel, trunc, system.depth):
-        fold.add(rows, levels)
+    _fold_images(kernel, trunc, system.measure, system.depth, *adds, fold.add)
     return _haar_report(system, fold, kernel, trunc, mode, seed)
 
 
@@ -679,34 +652,21 @@ def _haar_report(system: HaarSystem, fold: _GramFold, kernel: Kernel,
 
 
 def _matrix_and_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                        trunc: Truncation, depth: int, cube_fold=None) -> tuple:
+                        trunc: Truncation, depth: int, *adds) -> tuple:
     """(assemble_haar_matrix(...), global haar_testing(...)) of the pair at
-    `depth` from one pass of `_level_blocks` for sigma: each block's cube
-    images go to the matrix's fold, the testing's and cube_fold, when
-    given."""
+    `depth` from one pass of `image_blocks` for sigma, which also feeds the
+    extra folds' adds, such as the cube pyramid's in the characteristics
+    bundle. The matrix's transforms run first: after the Grams' eigh they
+    raised chars-2d's peak RSS by 0.8 MiB."""
     _check_pair(sigma, omega)
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
     # the omega system under assemble_haar_matrix's cache key
     matrix = HaarMatrixFold(system, cached_system(omega, depth, None))
     test = _GramFold(system, omega.flat_mass)
-    for rows, levels in _level_blocks(sigma, kernel, trunc, depth):
-        if cube_fold is not None:
-            cube_fold.add(rows, levels)
-        test.add(rows, levels)
-        matrix.add(rows, levels[depth])
-    del levels  # not held through the matrix's transforms
+    _fold_images(kernel, trunc, sigma, depth, *adds, test.add, matrix.add)
     return (matrix.matrix(kernel, trunc),
             _haar_report(system, test, kernel, trunc, "global", 0))
-
-
-def _matrix_haar_and_cube_testing(sigma: MeshMeasure, omega: MeshMeasure,
-                                  kernel: Kernel, trunc: Truncation, depth: int) -> tuple:
-    """`_matrix_and_testing` plus the global cube_testing(...) at p = 2, all
-    from one pass: the cube pyramid folds the same blocks."""
-    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
-    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth, cubes)
-    return matrix, test, _cube_report(cubes, kernel, trunc, 0, 0)
 
 
 def _dual_haar_testing(osys: HaarSystem, sigma: MeshMeasure, kernel: Kernel,
@@ -734,7 +694,7 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     Candidates per cube are the canonical wavelets, _ROTATION_SAMPLES seeded
     random unit combinations, and at p = 2 the exact block optimum, which
     makes the value agree with haar_testing there (`_lp_scan`, over the
-    blocks of `_level_blocks`).
+    blocks of `image_blocks`).
     """
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
@@ -742,8 +702,7 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     _check_pair(sigma, omega)
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
-    values, combos = _lp_scan(system, lambda: _level_blocks(sigma, kernel, trunc, depth),
-                              omega.flat_mass, cfg.p, mode == "local",
+    values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, cfg.p, mode == "local",
                               np.random.default_rng(seed), 1 if cfg.p == 2.0 else np.inf)
     best, cube, coefficients = _cube_witness(system, values, combos)
     witness = {"cube": cube, "coefficients": coefficients, "mode": mode, "p": cfg.p}
@@ -776,10 +735,10 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
     require_resolved(trunc, grid)
     system = cached_system(sigma, int(space["depth"]))
     start, count = system.cube_slots[witness["cube"]]
-    # the images of the cube's wavelets h, G (sigma h), one column each
+    # the images of the cube's wavelets h, T(sigma h), one column each
     rows = np.zeros((count, system.n_wavelets))
     rows[np.arange(count), start + np.arange(count)] = 1.0
-    block = kernel_matrix(kernel, trunc, grid) @ (system.synthesise(rows) * sigma.flat_mass).T
+    block = apply(kernel, trunc, sigma, system.synthesise(rows)).T
     c = np.asarray(witness["coefficients"], dtype=float)
     cube = DyadicCube.from_key(grid, witness["cube"])
     weights = _restriction_weights(grid, omega.flat_mass, witness.get("mode", "global"),
@@ -796,31 +755,32 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 # -- cube testing -------------------------------------------------------------
 
-def _cube_value(g: np.ndarray, sigma: MeshMeasure, omega: MeshMeasure,
-                mode: str, p: float, region) -> float | None:
-    """Lp(omega) norm of T(1_R sigma) on the mode's output region, over
-    |R|_sigma^(1/p); None when R carries no sigma-mass.
+def _cube_values(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
+                 omega: MeshMeasure, mode: str, p: float, regions: list) -> list:
+    """For each region R, the Lp(omega) norm of T(1_R sigma) on the mode's
+    output region over |R|_sigma^(1/p), or -1, below every value, when R
+    carries no sigma-mass. The images are one `apply` of the indicators.
 
     R is a dyadic cube or a (lower, side) box, whose indicator takes the
     fraction of each cell it covers.
     """
-    if isinstance(region, DyadicCube):
-        smass = sigma.cube_mass(region)
-        indicator = region.indicator()
-    else:
-        lower, upper = _box_corners(region)
-        smass = sigma.box_mass(lower, upper)
-        indicator, _ = sigma.grid.box_fractions(lower, upper)
-    if smass <= 0.0:
-        return None
-    tvals = g @ (indicator.ravel() * sigma.flat_mass)
-    weights = _restriction_weights(sigma.grid, omega.flat_mass, mode, region)
-    return _lp_norm(weights, tvals, p) / smass ** (1.0 / p)
+    grid = sigma.grid
+    masses = [_region_masses(sigma, omega, region)[0] for region in regions]
+    live = [i for i, smass in enumerate(masses) if smass > 0.0]
+    out = [-1.0] * len(regions)
+    if live:
+        images = apply(kernel, trunc, sigma, np.array([
+            (regions[i].indicator() if isinstance(regions[i], DyadicCube)
+             else grid.box_fractions(*_box_corners(regions[i]))[0]).ravel() for i in live]))
+        for i, tvals in zip(live, images):
+            weights = _restriction_weights(grid, omega.flat_mass, mode, regions[i])
+            out[i] = _lp_norm(weights, tvals, p) / masses[i] ** (1.0 / p)
+    return out
 
 
 class _PyramidFold:
-    """`_cube_value` of every dyadic cube of levels 0..depth, folded from
-    blocks of the cube images of those levels (`_level_blocks`) by `add`.
+    """`_cube_values` of every dyadic cube of levels 0..depth, folded from
+    the blocks of `image_blocks` by `add`.
 
     Each level's |images|^p is summed against omega on the mode's output
     region: every cell, the cube itself, or its concentric triple clipped
@@ -887,15 +847,15 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     at mesh resolution).
 
     Dyadic cubes are scanned up a pyramid (`_PyramidFold`): one pass of
-    `_level_blocks` gives the images of the cubes of every level a block of
+    `image_blocks` gives the images of the cubes of every level a block of
     output cells at a time, each coarser cube's image the sum of its
     children's, and each block leaves only its power sums behind, one per
     cube. The witness follows `_first_max`:
     levels coarse to fine, cubes in C order, then the jitter boxes. The
-    images are summed in a different order than `_cube_value` (the witness
+    images are summed in a different order than `_cube_values` (the witness
     oracle) sums them, so values agree to rounding, and cubes of
     mathematically equal value may resolve to a different one of them.
-    Jitter boxes go through `_cube_value`. cubes_scanned counts the cubes and
+    Jitter boxes go through `_cube_values`. cubes_scanned counts the cubes and
     boxes with sigma-mass.
     """
     if mode not in ("global", "triple", "local"):
@@ -906,8 +866,7 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     if not 0 <= depth <= grid.max_level:
         raise ValueError(f"depth outside [0, {grid.max_level}]")
     fold = _PyramidFold(sigma, omega, mode, cfg.p, depth)
-    for rows, levels in _level_blocks(sigma, kernel, trunc, depth):
-        fold.add(rows, levels)
+    _fold_images(kernel, trunc, sigma, depth, fold.add)
     return _cube_report(fold, kernel, trunc, jitter_count, seed)
 
 
@@ -918,9 +877,7 @@ def _cube_report(fold: _PyramidFold, kernel: Kernel, trunc: Truncation,
     grid = sigma.grid
     parts = fold.values()
     boxes = _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed))
-    g = kernel_matrix(kernel, trunc, grid)
-    box_values = [_cube_value(g, sigma, omega, mode, p, box) for box in boxes]
-    parts.append(np.array([-1.0 if v is None else v for v in box_values]))
+    parts.append(np.array(_cube_values(kernel, trunc, sigma, omega, mode, p, boxes)))
     best, part, index = _first_max(parts)
     scanned = sum(int(np.count_nonzero(values >= 0.0)) for values in parts)
     witness: dict = {}
@@ -944,10 +901,9 @@ def _cube_report(fold: _PyramidFold, kernel: Kernel, trunc: Truncation,
 def _evaluate_cube_witness(sigma: MeshMeasure, omega: MeshMeasure,
                            witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
-    g = kernel_matrix(*_kernel_and_trunc(space), grid)
-    val = _cube_value(g, sigma, omega, witness["mode"], float(witness["p"]),
-                      _witness_region(grid, witness))
-    return 0.0 if val is None else val
+    val = _cube_values(*_kernel_and_trunc(space), sigma, omega, witness["mode"],
+                       float(witness["p"]), [_witness_region(grid, witness)])[0]
+    return max(val, 0.0)
 
 
 # -- operator norm and matched testing ----------------------------------------
@@ -1262,15 +1218,21 @@ def _family_search(families, value, best: float, winner) -> tuple:
 
 def _pair_families(grid: Grid, depth: int, best_partner: dict, draw, reach, rng):
     """The tries of `_pair_family_ap`: the sibling families (the children of
-    each parent with their best partners, unit coefficients), then
-    _FAMILY_COUNT draws, each tried with random and with unit coefficients."""
+    each parent that have a best partner, with it, unit coefficients; one
+    `group_by_cube` of the finer level), then _FAMILY_COUNT draws, each
+    tried with random and with unit coefficients."""
+    n = grid.dimension
     for level in range(0, depth):
-        for parent in grid.cubes_at_level(level):
-            members = [c for c in parent.children() if c.key() in best_partner]
-            if len(members) >= 2:
-                partners = [DyadicCube.from_key(grid, best_partner[c.key()])
-                            for c in members]
-                yield [(members, partners, np.ones(len(members)))]
+        cells = np.arange(2 ** (n * (level + 1))).reshape((2 ** (level + 1),) * n)
+        keys = _cube_keys(level + 1, cells.ravel(), n)
+        coords = np.stack(np.unravel_index(cells.ravel(), cells.shape), axis=-1).tolist()
+        live = np.array([key in best_partner for key in keys])
+        siblings = group_by_cube(cells, level)
+        for children in siblings[live[siblings].sum(axis=1) >= 2]:
+            children = children[live[children]].tolist()
+            yield [([DyadicCube(grid, level + 1, coords[c]) for c in children],
+                    [DyadicCube.from_key(grid, best_partner[keys[c]]) for c in children],
+                    np.ones(len(children)))]
     for _ in range(_FAMILY_COUNT):
         members, partners = draw(rng, grid, depth, reach)
         if members:
@@ -1369,39 +1331,62 @@ def _evaluate_pair_family_witness(sigma: MeshMeasure, omega: MeshMeasure,
                               float(witness["p"]), cubes, partners, coeffs)
 
 
-def _haar_family_value(system: HaarSystem, images: np.ndarray, wflat: np.ndarray,
-                       members: list, weights: np.ndarray, p: float) -> float:
-    """Family ratio: the Lp(omega) norm of the pointwise square sum of the
-    members' images over the Lp(sigma) norm of that of the members
-    themselves, which the system synthesises from their coefficient rows."""
-    num_f = np.zeros(images.shape[0])
-    rows = np.zeros((len(members), system.n_wavelets))
-    for i, ((key, coeffs), a) in enumerate(zip(members, weights)):
-        start, count = system.cube_slots[key]
-        c = np.asarray(coeffs, dtype=float)
-        num_f += (a * (images[:, start:start + count] @ c)) ** 2
-        rows[i, start:start + count] = a * c
-    den_f = (system.synthesise(rows) ** 2).sum(axis=0)
-    num = float(np.sum(wflat * num_f ** (p / 2.0))) ** (1.0 / p)
-    den = float(np.sum(system.measure.flat_mass * den_f ** (p / 2.0))) ** (1.0 / p)
-    return num / den if den > 0.0 else 0.0
+def _haar_family_values(system: HaarSystem, kernel: Kernel, trunc: Truncation,
+                        wflat: np.ndarray, members: dict, families: list, p: float) -> list:
+    """Ratio of each family (keys, weights a) of cubes with members (cube
+    key -> coefficients): the Lp(omega) norm of the pointwise square sum of
+    the members' images over the Lp(sigma) norm of that of the members
+    themselves, which the system synthesises from their coefficient rows.
+    The numerators sum_i omega_i (sum_m (a_m img_m(i))^2)^(p/2) take one
+    pass of `image_blocks`: a member c is constant on its cube's children,
+    so its image is (c @ V) @ x, V the wavelets' child values and x the
+    children's images."""
+    slots = _live_slots(system)
+    place = {key: i for i, (key, _, _) in enumerate(slots)}
+    coeffs = np.zeros((len(slots), 2 ** system.measure.grid.dimension - 1))
+    for key, c in members.items():
+        coeffs[place[key], :len(c)] = c
+    fold = _CubeFold(system, wflat)
+    on_children = [coeffs[at, None, :index.shape[1]] @ lv.padded_values[cubes, :index.shape[1]]
+                   for at, lv, cubes, index in fold.groups]
+    places = [([place[k] for k in keys], np.asarray(a, dtype=float)) for keys, a in families]
+    nums = np.zeros(len(families))
+
+    def add(rows: slice, levels: list) -> None:
+        images = np.empty((len(slots), rows.stop - rows.start))
+        for (at, *_), v, (x, _) in zip(fold.groups, on_children, fold.blocks(rows, levels)):
+            images[at] = (v @ x)[:, 0]
+        w = wflat[rows]
+        for i, (at, a) in enumerate(places):
+            nums[i] += w @ ((a[:, None] * images[at]) ** 2).sum(axis=0) ** (p / 2.0)
+
+    _fold_images(kernel, trunc, system.measure, system.depth, add)
+    out = []
+    for (keys, weights), num in zip(families, nums):
+        rows = np.zeros((len(keys), system.n_wavelets))
+        for i, (key, a) in enumerate(zip(keys, weights)):
+            start, count = system.cube_slots[key]
+            rows[i, start:start + count] = a * coeffs[place[key], :count]
+        den_f = (system.synthesise(rows) ** 2).sum(axis=0)
+        den = float(np.sum(system.measure.flat_mass * den_f ** (p / 2.0))) ** (1.0 / p)
+        out.append(float(num) ** (1.0 / p) / den if den > 0.0 else 0.0)
+    return out
 
 
-def _level_families(by_level: dict, rng):
-    """The tries of `quadratic_haar_testing`: each level's cubes with unit
-    weights, then _FAMILY_COUNT draws of 1 to 6 cubes of one level with
-    random weights, none when no level has cubes."""
+def _level_families(by_level: dict, rng) -> list:
+    """The families (keys, weights) of `quadratic_haar_testing`: each
+    level's cubes with unit weights, then _FAMILY_COUNT draws of 1 to 6
+    cubes of one level with random weights, none when no level has cubes."""
     levels = sorted(by_level)
-    for level in levels:
-        keys = by_level[level]
-        if len(keys) >= 2:
-            yield [(keys, np.ones(len(keys)))]
+    out = [(by_level[level], np.ones(len(by_level[level])))
+           for level in levels if len(by_level[level]) >= 2]
     for _ in range(_FAMILY_COUNT if levels else 0):
         keys = by_level[levels[int(rng.integers(0, len(levels)))]]
         k = int(rng.integers(1, min(6, len(keys)) + 1))
         picks = sorted(rng.choice(len(keys), size=k, replace=False).tolist())
         chosen = [keys[i] for i in picks]
-        yield [(chosen, rng.uniform(0.2, 1.0, size=len(chosen)))]
+        out.append((chosen, rng.uniform(0.2, 1.0, size=len(chosen))))
+    return out
 
 
 def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
@@ -1414,50 +1399,50 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     wavelets, both in Lp. A cube's member is its best candidate of
     `_lp_scan`: a canonical wavelet or, with two or more wavelets, the exact
     per-cube optimum, so at p = 2 the value matches scalar haar_testing.
+    The families depend on the cubes and the seed only, so one more pass
+    gives every family's value (`_haar_family_values`); the first family
+    strictly above the best single cube is the witness.
     """
     cfg = LpConfig(p)
     _check_pair(sigma, omega)
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
-    wflat = omega.flat_mass
-    values, combos = _lp_scan(system, lambda: _level_blocks(sigma, kernel, trunc, depth),
-                              wflat, cfg.p)
+    values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, cfg.p)
     member_best: dict = {}  # each cube's first best candidate
     by_level: dict = {}
     for (key, _, count), row, combo in zip(_live_slots(system), values, combos):
         member_best[key] = [float(v) for v in combo[row.argmax(), :count]]
         by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
     scalar_best, scalar_key, _ = _cube_witness(system, values, combos)
-
-    images = _wavelet_images(sigma, kernel, trunc, depth)[1]
-    best, (keys, weights), families = _family_search(
-        _level_families(by_level, np.random.default_rng(seed)),
-        lambda keys, weights: _haar_family_value(
-            system, images, wflat, [(k, member_best[k]) for k in keys], weights, cfg.p),
-        scalar_best, ([scalar_key], [1.0]) if scalar_key else ([], []))
+    families = _level_families(by_level, np.random.default_rng(seed))
+    best, _, at = _first_max([np.array(_haar_family_values(
+        system, kernel, trunc, omega.flat_mass, member_best, families, cfg.p))])
+    keys, weights = ([scalar_key], [1.0]) if scalar_key else ([], [])
+    if best > scalar_best:
+        keys, weights = families[at[0]]
     witness = {"members": [{"cube": k, "coefficients": member_best[k]} for k in keys],
                "weights": [float(a) for a in weights],
                "p": cfg.p, "scalar_value": scalar_best}
     search_space = {
         "depth": depth,
-        "families_evaluated": families,
+        "families_evaluated": len(families),
         "family_count": _FAMILY_COUNT,
         "p": cfg.p,
         "kernel": _kernel_spec(kernel),
         "trunc": _trunc_spec(trunc),
     }
-    return CharacteristicReport("quadratic_haar_testing", best, witness,
+    return CharacteristicReport("quadratic_haar_testing", max(best, scalar_best), witness,
                                 search_space, seed)
 
 
 def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
                                      witness: dict, space: dict) -> float:
     kernel, trunc = _kernel_and_trunc(space)
-    system, images = _wavelet_images(sigma, kernel, trunc, int(space["depth"]))
-    members = [(m["cube"], m["coefficients"]) for m in witness["members"]]
-    weights = np.asarray(witness["weights"], dtype=float)
-    return _haar_family_value(system, images, omega.flat_mass, members, weights,
-                              float(witness["p"]))
+    require_resolved(trunc, sigma.grid)
+    members = {m["cube"]: m["coefficients"] for m in witness["members"]}
+    return _haar_family_values(cached_system(sigma, int(space["depth"])), kernel, trunc,
+                               omega.flat_mass, members, [(list(members), witness["weights"])],
+                               float(witness["p"]))[0]
 
 
 # -- witness re-evaluation -----------------------------------------------------

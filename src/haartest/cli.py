@@ -21,8 +21,10 @@ from pathlib import Path
 
 from . import __version__
 from .characteristics import (
+    _PyramidFold,
+    _cube_report,
     _dual_haar_testing,
-    _matrix_haar_and_cube_testing,
+    _matrix_and_testing,
     a2_lambda,
     lp_haar_testing,
     lp_haar_testing_dual,
@@ -237,7 +239,9 @@ def _characteristic_bundle(cfg: RunConfig, s_spec: str, o_spec: str,
     kernel = make_kernel(cfg.kernel, cfg.lam, grid.dimension)
     trunc = build_truncation(cfg, grid)
     depth = min(cfg.depth, grid.max_level)
-    matrix, test, cube = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
+    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
+    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth, cubes.add)
+    cube = _cube_report(cubes, kernel, trunc, 0, 0)
     norm = operator_norm(matrix)
     dual = _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc)
     size = a2_lambda(sigma, omega, cfg.lam, depth=depth)

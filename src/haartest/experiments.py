@@ -18,8 +18,9 @@ import numpy as np
 from .characteristics import (
     JsonReport,
     _PyramidFold,
+    _check_pair,
     _dual_haar_testing,
-    _level_blocks,
+    _haar_testing,
     _kernel_spec,
     _matrix_and_testing,
     _restriction_weights,
@@ -44,7 +45,6 @@ from .operators import (
     Truncation,
     TruncationError,
     apply,
-    kernel_matrix,
     require_resolved,
 )
 
@@ -699,27 +699,27 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                                  depth: int = 5, seed: int = 0) -> ExperimentReport:
     """Absorb tripled-cube testing into global testing plus the size term.
 
-    For every cube L up to depth with sigma-mass, the energy of the
-    normalized indicator image over the tripled box is the square of L's
-    cube_testing value in "triple" mode at p = 2, read from the cube pyramid
-    (`_PyramidFold`). Each energy is compared against
-    C * testing^2 + C * a2 * energy; the report carries the smallest C that
-    makes every comparison hold, the implied constant in
+    For every cube L up to depth (1 to max_level: the global Haar testing
+    needs wavelets) with sigma-mass, the energy of the normalized indicator
+    image over the tripled box is the square of L's cube_testing value in
+    "triple" mode at p = 2, read from the cube pyramid (`_PyramidFold`) on
+    the global Haar testing's pass of the images. Each energy is compared
+    against C * testing^2 + C * a2 * energy; the report carries the smallest
+    C that makes every comparison hold, the implied constant in
     triple_testing <= C' * (testing + a2), and the worst Cauchy-Schwarz
     ratio of cross terms over adjacent same-level pairs, taken on the
     pair's indicator images over the first cube's tripled box.
     """
-    grid = sigma.grid
-    if not 0 <= depth <= grid.max_level:
-        raise ValueError(f"depth outside [0, {grid.max_level}]")
-    test_rep = haar_testing(sigma, omega, kernel, trunc, mode="global", depth=depth)
+    grid = _check_pair(sigma, omega)
+    if not 1 <= depth <= grid.max_level:
+        raise ValueError(f"triple absorption depth must lie in [1, {grid.max_level}], "
+                         f"got {depth}")
+    require_resolved(trunc, grid)
+    fold = _PyramidFold(sigma, omega, "triple", 2.0, depth)
+    test_rep = _haar_testing(cached_system(sigma, depth), omega, kernel, trunc, "global", 0,
+                             fold.add)
     size_rep = a2_lambda(sigma, omega, kernel.lam, depth=depth)
     h_val, a_val = test_rep.value, size_rep.value
-    require_resolved(trunc, grid)
-    g = kernel_matrix(kernel, trunc, grid)
-    fold = _PyramidFold(sigma, omega, "triple", 2.0, depth)
-    for rows, levels in _level_blocks(sigma, kernel, trunc, depth):
-        fold.add(rows, levels)
     # each level's values in C order, from level 0 up to depth
     pyramid = [values.ravel() for values in fold.values()]
     energies: dict[str, float] = {}
@@ -755,9 +755,8 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
         picks = rng.choice(len(adjacent), size=take, replace=False)
         for idx in sorted(int(i) for i in picks):
             level, coords_l, coords_k = adjacent[idx]
-            image_l, image_k = (
-                g @ (grid.cube(level, coords).indicator().ravel() * sigma.flat_mass)
-                for coords in (coords_l, coords_k))
+            image_l, image_k = apply(kernel, trunc, sigma, np.array([
+                grid.cube(level, coords).indicator().ravel() for coords in (coords_l, coords_k)]))
             weights = _restriction_weights(grid, omega.flat_mass, "triple",
                                            grid.cube(level, coords_l))
             cross = abs(float((image_l * image_k * weights).sum()))

@@ -9,15 +9,18 @@ kernel pair by pair at arbitrary points. One dense array serves an operator
 and its adjoint: the adjoint's matrix is the transposed view of the
 operator's.
 
+Only two functions read the kernel matrix G: `apply`, for a mesh function
+or a stack of them, and `image_blocks`, the one source of operator images.
 Every wavelet of a depth-`depth` Haar system is constant on the
 level-`depth` cubes, so the operator's action on a system is fixed by the
-cube images G diag(sigma) P, P mapping cells to their cubes. They are the
-one operator product the scans take (`image_blocks`): a batched matmul of
-each input slab's sigma weights against G's columns (`slab_weights`), for
-a block of output cells at a time, whatever G's layout. Each consumer
-folds a block into what it keeps before the next one is made. The Haar
-coefficient matrix W diag(omega) G diag(sigma) V^T is the two-sided level
-transform of the cube-sum matrix P^T diag(omega) G diag(sigma) P
+cube images G diag(sigma) P, P mapping cells to their cubes. `image_blocks`
+takes them a block of output cells at a time, by a batched matmul of each
+input slab's sigma weights against G's columns (`slab_weights`) whatever
+G's layout, and sums them up to the cubes of every coarser level. Every
+consumer is a fold with add(rows, levels), and one loop (`_fold_images`)
+hands each block to the folds of a pass before the next one is made. The
+Haar coefficient matrix W diag(omega) G diag(sigma) V^T is the two-sided
+level transform of the cube-sum matrix P^T diag(omega) G diag(sigma) P
 (`HaarMatrixFold`); no wavelet matrix V or W is formed.
 """
 from __future__ import annotations
@@ -243,12 +246,17 @@ def require_resolved(trunc: Truncation, grid: Grid) -> None:
 
 def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
           f: np.ndarray) -> np.ndarray:
-    """Midpoint-quadrature action of the truncated operator on a mesh
-    function, evaluated at every cell center."""
+    """Midpoint-quadrature action of the truncated operator at every cell
+    center: mesh-shaped for one mesh function, (k, n_cells) for a stack of
+    them (k, n_cells), one matrix-vector product per row so that a row's
+    image does not depend on its stack."""
     grid = sigma.grid
     require_resolved(trunc, grid)
-    fw = np.asarray(f).ravel() * sigma.flat_mass
-    return (kernel_matrix(kernel, trunc, grid) @ fw).reshape(grid.mesh_shape)
+    g = kernel_matrix(kernel, trunc, grid)
+    f = np.asarray(f)
+    if f.ndim == 2 and f.shape[1] == grid.n_cells:
+        return np.array([g @ (row * sigma.flat_mass) for row in f]).reshape(f.shape)
+    return (g @ (f.ravel() * sigma.flat_mass)).reshape(grid.mesh_shape)
 
 
 # kernel-matrix entries read per block of `image_blocks` (8 MB), so grids
@@ -324,26 +332,29 @@ def image_block(g: np.ndarray, sigma: MeshMeasure, level: int, rows: slice) -> n
     return images.transpose(1, 2, 0, 3).reshape((side,) * grid.dimension + (count,))
 
 
-def image_blocks(g: np.ndarray, sigma: MeshMeasure, level: int):
-    """Yield (rows, `image_block`) for the row slices of `image_rows`: the
-    one source of operator images. Consumers fold each block into what they
-    keep and drop it, so no image array need be held whole."""
-    for rows in image_rows(sigma.grid, level):
-        yield rows, image_block(g, sigma, level, rows)
+def image_blocks(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, depth: int):
+    """Yield (rows, levels) for the row slices of `image_rows`: levels[l]
+    holds the images T(sigma 1_Q) at the cells of rows of the level-l cubes
+    Q, l = 0..depth, each (2**l,)*n + (r,), the level-`depth` ones an
+    `image_block` and each coarser level the pairwise block sums
+    (`block_sums`) of the next finer. The one source of operator images:
+    consumers fold each block into what they keep and drop it
+    (`_fold_images`), so no image array need be held whole."""
+    g = kernel_matrix(kernel, trunc, sigma.grid)
+    for rows in image_rows(sigma.grid, depth):
+        levels = [image_block(g, sigma, depth, rows)]
+        for _ in range(depth):
+            levels.append(block_sums(levels[-1], sigma.grid.dimension, 2, start=0))
+        yield rows, levels[::-1]
 
 
-def cube_images(g: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
-    """The whole (n_cells,) + (2**level,)*n cube images of `image_blocks`,
-    for the scans that still need every image at once."""
-    return np.moveaxis(np.concatenate([sums for _, sums in image_blocks(g, sigma, level)],
-                                      axis=-1), -1, 0)
-
-
-def wavelet_images(g: np.ndarray, system: HaarSystem) -> np.ndarray:
-    """(n_cells, n_wavelets) operator image of every wavelet of the system,
-    G diag(sigma) V^T with sigma the system's measure: the system's level
-    transform of the whole `cube_images` (`HaarSystem.analyse_cube_sums`)."""
-    return system.analyse_cube_sums(cube_images(g, system.measure, system.depth))
+def _fold_images(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, depth: int,
+                 *adds) -> None:
+    """One pass of `image_blocks`: each block goes to every fold's
+    add(rows, levels), given as adds, before the next block is made."""
+    for rows, levels in image_blocks(kernel, trunc, sigma, depth):
+        for add in adds:
+            add(rows, levels)
 
 
 @dataclass(eq=False)
@@ -366,16 +377,16 @@ class HaarMatrix:
 
 class HaarMatrixFold:
     """The HaarMatrix of the source system ssys against the target system
-    osys, folded from row blocks of the level-`depth` cube images
-    (`image_blocks`).
+    osys, folded from the blocks (rows, levels) of `image_blocks`.
 
-    `add` sums each block's omega-weighted output cells to their cubes, so
-    what is kept is the cube-sum matrix B = P^T diag(omega) G diag(sigma) P,
-    stored as (input cubes, output cubes), 2**(n*depth) square. `matrix`
-    then runs the source system's level transform over B's input side and,
-    with B dropped, the target system's over its output side: the two-sided
-    Haar transform of B. Blocks of whole slabs (`image_rows`) give each
-    output cube's sums from one block.
+    `add` sums each block's level-`depth` cube images, omega-weighted, over
+    the output cells of each cube, so what is kept is the cube-sum matrix
+    B = P^T diag(omega) G diag(sigma) P, stored as (input cubes, output
+    cubes), 2**(n*depth) square. `matrix` then runs the source system's
+    level transform over B's input side and, with B dropped, the target
+    system's over its output side: the two-sided Haar transform of B.
+    Blocks of whole slabs (`image_rows`) give each output cube's sums from
+    one block.
     """
 
     def __init__(self, ssys: HaarSystem, osys: HaarSystem):
@@ -383,12 +394,12 @@ class HaarMatrixFold:
         self.ssys, self.osys = ssys, osys
         self.sums = np.empty((cubes, cubes))
 
-    def add(self, rows: slice, images: np.ndarray) -> None:
+    def add(self, rows: slice, levels: list) -> None:
         grid = self.ssys.measure.grid
         n, depth = grid.dimension, self.ssys.depth
         slab = grid.n_cells >> depth
         per_slab = 2 ** (depth * (n - 1))
-        weighted = (images * self.osys.measure.flat_mass[rows]).reshape(
+        weighted = (levels[depth] * self.osys.measure.flat_mass[rows]).reshape(
             (-1, (rows.stop - rows.start) * grid.cells_per_axis // grid.n_cells)
             + grid.mesh_shape[1:])
         sums = block_sums(weighted, n, 2 ** (grid.max_level - depth), start=1)
@@ -416,6 +427,5 @@ def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
     require_resolved(trunc, grid)
     fold = HaarMatrixFold(cached_system(sigma, depth, rotation_seed),
                           cached_system(omega, depth, rotation_seed))
-    for rows, sums in image_blocks(kernel_matrix(kernel, trunc, grid), sigma, depth):
-        fold.add(rows, sums)
+    _fold_images(kernel, trunc, sigma, depth, fold.add)
     return fold.matrix(kernel, trunc)

@@ -6,10 +6,9 @@ import pytest
 from haartest.characteristics import (
     CharacteristicReport,
     QuadraticFamily,
-    _cube_value,
+    _cube_values,
     _GramFold,
     _jittered_boxes,
-    _level_blocks,
     a2_lambda,
     ap_lambda,
     conjugate_exponent,
@@ -37,6 +36,7 @@ from haartest.measure import (
 )
 from haartest.operators import (
     Truncation,
+    _fold_images,
     apply,
     assemble_haar_matrix,
     default_truncation,
@@ -167,12 +167,11 @@ def test_cube_testing_mode_monotonicity():
 
 def _dense_cube_scan(sigma, omega, kernel, trunc, mode, depth, p):
     """The per-cube dense loop: (values by cube key, first maximiser)."""
-    g = kernel_matrix(kernel, trunc, sigma.grid)
     values = {}
     for level in range(depth + 1):
-        for cube in sigma.grid.cubes_at_level(level):
-            val = _cube_value(g, sigma, omega, mode, p, cube)
-            if val is not None:
+        cubes = list(sigma.grid.cubes_at_level(level))
+        for cube, val in zip(cubes, _cube_values(kernel, trunc, sigma, omega, mode, p, cubes)):
+            if val >= 0.0:
                 values[cube.key()] = val
     return values, max(values, key=values.get)
 
@@ -202,9 +201,8 @@ def test_cube_testing_pyramid_matches_dense_scan(dim, mode, p):
     values, dense_witness = _dense_cube_scan(sigma, omega, kernel, trunc, mode, depth, p)
     best = values[dense_witness]
     assert rep.value == pytest.approx(best, rel=1e-12, abs=0.0)
-    g = kernel_matrix(kernel, trunc, grid)
-    at_witness = _cube_value(g, sigma, omega, mode, p,
-                             DyadicCube.from_key(grid, rep.witness["cube"]))
+    at_witness = _cube_values(kernel, trunc, sigma, omega, mode, p,
+                              [DyadicCube.from_key(grid, rep.witness["cube"])])[0]
     assert at_witness == pytest.approx(rep.value, rel=1e-12, abs=0.0)
     assert rep.search_space["cubes_scanned"] == len(values)
     # without near-ties the pyramid picks the dense loop's cube
@@ -231,8 +229,7 @@ def test_cube_testing_jitter_boxes_extend_the_pyramid():
     trunc = default_truncation(grid)
     rep = cube_testing(sigma, omega, kernel, trunc, depth=7, jitter_count=8, seed=2)
     values, _ = _dense_cube_scan(sigma, omega, kernel, trunc, "global", 7, 2.0)
-    g = kernel_matrix(kernel, trunc, grid)
-    boxes = [_cube_value(g, sigma, omega, "global", 2.0, box)
+    boxes = [_cube_values(kernel, trunc, sigma, omega, "global", 2.0, [box])[0]
              for box in _jittered_boxes(grid, 7, 8, np.random.default_rng(2))]
     assert rep.search_space["cubes_scanned"] == len(values) + 8
     assert rep.witness["kind"] == "box"
@@ -446,8 +443,7 @@ def test_haar_testing_optima_match_per_cube_svd(name, mode):
 
     oracle = _svd_optima(system, lambda s, c: images[:, s:s + c], weights_of)
     fold = _GramFold(system, omega.flat_mass, local=mode == "local")
-    for rows, levels in _level_blocks(sigma, kernel, trunc, depth):
-        fold.add(rows, levels)
+    _fold_images(kernel, trunc, sigma, depth, fold.add)
     tops, coeffs = fold.optima()
     np.testing.assert_allclose(tops, [top for _, top, _ in oracle], rtol=1e-12, atol=0.0)
     for row, (_, _, vec) in zip(coeffs, oracle):
@@ -487,6 +483,30 @@ def test_matrix_and_testing_share_one_sigma_pass():
 
 # -- Lp and quadratic Haar denominators against the dense cell values -----------
 
+def _whole_wavelet_images(sigma, kernel, trunc, depth):
+    """The canonical system and the dense image of each of its wavelets,
+    one column each."""
+    system = cached_system(sigma, depth)
+    return system, kernel_matrix(kernel, trunc, sigma.grid) @ system.weighted_matrix.T
+
+
+def _haar_family_value(system, images, wflat, members, weights, p):
+    """The family oracle from the whole wavelet images: the Lp(omega) norm
+    of the pointwise square sum of the members' images over the Lp(sigma)
+    norm of that of the members themselves."""
+    num_f = np.zeros(images.shape[0])
+    rows = np.zeros((len(members), system.n_wavelets))
+    for i, ((key, coeffs), a) in enumerate(zip(members, weights)):
+        start, count = system.cube_slots[key]
+        c = np.asarray(coeffs, dtype=float)
+        num_f += (a * (images[:, start:start + count] @ c)) ** 2
+        rows[i, start:start + count] = a * c
+    den_f = (system.synthesise(rows) ** 2).sum(axis=0)
+    num = float(np.sum(wflat * num_f ** (p / 2.0))) ** (1.0 / p)
+    den = float(np.sum(system.measure.flat_mass * den_f ** (p / 2.0))) ** (1.0 / p)
+    return num / den if den > 0.0 else 0.0
+
+
 def _dense_lp(weights, values, p):
     return float(np.sum(weights * np.abs(values) ** p)) ** (1.0 / p)
 
@@ -494,7 +514,7 @@ def _dense_lp(weights, values, p):
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_lp_haar_denominators_match_dense_values(name, p):
-    from haartest.characteristics import _haar_family_value, _lp_ratios, _lp_sums
+    from haartest.characteristics import _haar_family_values, _lp_ratios, _lp_sums
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     depth = 3
@@ -550,8 +570,13 @@ def test_lp_haar_denominators_match_dense_values(name, p):
             c = rng.standard_normal(slots[key][1])
             members.append((key, c / np.linalg.norm(c)))
         weights = rng.uniform(0.2, 1.0, size=len(keys))
-        got = _haar_family_value(system, images, omega.flat_mass, members, weights, p)
-        np.testing.assert_allclose(got, dense_family(members, weights), rtol=1e-12, atol=0.0)
+        want = dense_family(members, weights)
+        np.testing.assert_allclose(
+            _haar_family_value(system, images, omega.flat_mass, members, weights, p), want,
+            rtol=1e-12, atol=0.0)
+        got = _haar_family_values(system, kernel, trunc, omega.flat_mass, dict(members),
+                                  [(keys, weights)], p)
+        np.testing.assert_allclose(got, [want], rtol=1e-12, atol=0.0)
 
 
 def test_family_search_keeps_the_first_strict_maximum():
@@ -634,16 +659,15 @@ def _loop_best(loop):
 @pytest.mark.parametrize("mode", ["global", "local"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
-    from haartest.characteristics import _lp_scan, _wavelet_images
+    from haartest.characteristics import _lp_scan
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
-    system, images = _wavelet_images(sigma, kernel, trunc, 3)
+    system, images = _whole_wavelet_images(sigma, kernel, trunc, 3)
     optimum_from = 1 if p == 2.0 else np.inf
     for seed in (0, 5):
         loop = _loop_candidates(system, images, omega, p, mode,
                                 np.random.default_rng(seed), optimum_from)
-        values, combos = _lp_scan(system, lambda: _level_blocks(sigma, kernel, trunc, 3),
-                                  omega.flat_mass, p, mode == "local",
+        values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, p, mode == "local",
                                   np.random.default_rng(seed), optimum_from)
         _assert_same_candidates(values, combos, loop)
         rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, mode=mode, depth=3,
@@ -659,14 +683,12 @@ def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_quadratic_member_scan_matches_member_loop(name, p):
-    from haartest.characteristics import (_family_search, _haar_family_value,
-                                          _level_families, _lp_scan, _wavelet_images)
+    from haartest.characteristics import _family_search, _level_families, _lp_scan
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
-    system, images = _wavelet_images(sigma, kernel, trunc, 3)
+    system, images = _whole_wavelet_images(sigma, kernel, trunc, 3)
     loop = _loop_candidates(system, images, omega, p, "global", None, 2)
-    _assert_same_candidates(*_lp_scan(system, lambda: _level_blocks(sigma, kernel, trunc, 3),
-                                      omega.flat_mass, p), loop)
+    _assert_same_candidates(*_lp_scan(system, kernel, trunc, omega.flat_mass, p), loop)
     # the loop's members, scalar and by-level keys, then its family search
     # through the module's family driver
     member_best, by_level = {}, {}
@@ -676,7 +698,7 @@ def test_quadratic_member_scan_matches_member_loop(name, p):
         by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
     scalar_best, scalar_key, _ = _loop_best(loop)
     best, (keys, weights), families = _family_search(
-        _level_families(by_level, np.random.default_rng(4)),
+        ([family] for family in _level_families(by_level, np.random.default_rng(4))),
         lambda keys, weights: _haar_family_value(
             system, images, omega.flat_mass, [(k, member_best[k]) for k in keys],
             weights, p),
@@ -824,6 +846,50 @@ def test_pair_scans_match_per_cube_loops(monkeypatch, case, variant, reach, p):
     assert rep.search_space["pairs_scanned"] == loop[3]
 
 
+def _loop_pair_families(grid, depth, best_partner, draw, reach, rng):
+    """The tries of `_pair_family_ap` by the per-parent loop over
+    `DyadicCube.children()` that the level arrays replaced."""
+    for level in range(0, depth):
+        for parent in grid.cubes_at_level(level):
+            members = [c for c in parent.children() if c.key() in best_partner]
+            if len(members) >= 2:
+                partners = [DyadicCube.from_key(grid, best_partner[c.key()]) for c in members]
+                yield [(members, partners, np.ones(len(members)))]
+    for _ in range(32):
+        members, partners = draw(rng, grid, depth, reach)
+        if members:
+            coeffs = rng.uniform(0.2, 1.0, size=len(members))
+            yield [(members, partners, coeffs), (members, partners, np.ones(len(members)))]
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+@pytest.mark.parametrize("variant,reach", [("offset", 2.5), ("subcube", 2)])
+@pytest.mark.parametrize("dropped", [0.0, 0.3])
+def test_pair_families_match_the_per_parent_loop(case, variant, reach, dropped):
+    # the same sibling families in the same order, then the same draws from
+    # the rng; dropping partners leaves parents with fewer than two members
+    import haartest.characteristics as chars
+
+    sigma, omega, lam = _pair_case(case)
+    partners_of, draw, _, min_depth = chars._PAIR_VARIANTS[variant]
+    _, e, depth = chars._size_setup(sigma, omega, lam, None, min_depth)
+    best_partner = chars._pair_scan(sigma, omega, chars.LpConfig(3.0), e, depth, min_depth,
+                                    partners_of, reach)[0]
+    drop = np.random.default_rng(8).uniform(size=len(best_partner)) < dropped
+    best_partner = {k: v for (k, v), out in zip(best_partner.items(), drop) if not out}
+    got = list(chars._pair_families(sigma.grid, depth, best_partner, draw, reach,
+                                    np.random.default_rng(9)))
+    want = list(_loop_pair_families(sigma.grid, depth, best_partner, draw, reach,
+                                    np.random.default_rng(9)))
+    assert len(got) == len(want) > 32
+    for tries, loop_tries in zip(got, want):
+        assert len(tries) == len(loop_tries)
+        for (cubes, partners, coeffs), (loop_cubes, loop_partners, loop_coeffs) in zip(
+                tries, loop_tries):
+            assert cubes == loop_cubes and partners == loop_partners
+            np.testing.assert_array_equal(coeffs, loop_coeffs)
+
+
 def test_partner_candidates_keep_the_loop_order():
     from haartest.characteristics import (_descendant_partners, _offset_stencil,
                                           _stencil_partners)
@@ -896,7 +962,7 @@ SHARED_PASS_GRID = Grid(dimension=2, max_level=4)
 def test_bundle_cube_testing_matches_standalone_scan(case, corpus1):
     # the characteristics bundle scans cube testing on sigma's cube images
     # before they become wavelet images; the report is the standalone one
-    from haartest.characteristics import _matrix_haar_and_cube_testing
+    from haartest.characteristics import _PyramidFold, _cube_report, _matrix_and_testing
 
     if case < len(corpus1):
         sigma, omega = corpus1[case], corpus1[(case + 3) % len(corpus1)]
@@ -906,7 +972,9 @@ def test_bundle_cube_testing_matches_standalone_scan(case, corpus1):
         omega = random_dyadic_doubling(SHARED_PASS_GRID, 3.0, seed=42)
         kernel, depth = make_kernel("riesz_like", 0.5, 2), 3
     trunc = default_truncation(sigma.grid)
-    matrix, test, cube = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
+    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
+    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth, cubes.add)
+    cube = _cube_report(cubes, kernel, trunc, 0, 0)
     assert cube.as_dict() == cube_testing(sigma, omega, kernel, trunc, mode="global",
                                           depth=depth).as_dict()
     assert test.as_dict() == haar_testing(sigma, omega, kernel, trunc, mode="global",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from haartest.characteristics import _cube_value, cube_testing
+from haartest.characteristics import _cube_values, cube_testing
 from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance
 from haartest.experiments import (
     AlignedTriple,
@@ -209,11 +209,22 @@ def test_triple_absorption_stability(power_pair):
     assert abs(r6.value - r5.value) <= 0.1 * r5.value
 
 
+@pytest.mark.parametrize("depth", [0, -1, 8])
+def test_triple_absorption_rejects_depth_outside_the_haar_levels(depth):
+    # the global Haar testing needs a level of wavelets: depth 0 is
+    # refused up front, as a depth past the mesh is
+    grid = Grid(dimension=1, max_level=7)
+    sigma = random_dyadic_doubling(grid, 2.0, seed=1)
+    with pytest.raises(ValueError, match=r"triple absorption depth must lie in \[1, 7\]"):
+        triple_absorption_experiment(sigma, sigma, HILBERT, default_truncation(grid),
+                                     depth=depth)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("depth", [3, 5])
 def test_triple_absorption_matches_dense_cube_values(dim, depth):
     # oracle: each cube's energy is the squared triple-mode cube value at
-    # p = 2, computed densely by _cube_value one cube at a time
+    # p = 2, computed densely by _cube_values one cube at a time
     if dim == 1:
         grid = Grid(dimension=1, max_level=8)
         kernel = make_kernel("hilbert", 0.0, 1)
@@ -237,8 +248,8 @@ def test_triple_absorption_matches_dense_cube_values(dim, depth):
     dense = {}
     for level in range(depth + 1):
         for q in grid.cubes_at_level(level):
-            val = _cube_value(g, sigma, omega, "triple", 2.0, q)
-            if val is not None:
+            val = _cube_values(kernel, trunc, sigma, omega, "triple", 2.0, [q])[0]
+            if val >= 0.0:
                 dense[q.key()] = val**2 / (h**2 + a * val)
     assert len(dense) == d["scanned_cubes"]
     np.testing.assert_allclose(d["absorption_c"], max(dense.values()), rtol=1e-12)
@@ -246,7 +257,7 @@ def test_triple_absorption_matches_dense_cube_values(dim, depth):
     c = d["absorption_c"]
     root = 0.5 * (c * a + np.sqrt((c * a) ** 2 + 4.0 * c * h**2))
     witness = DyadicCube.from_key(grid, d["absorption_witness"])
-    energy = _cube_value(g, sigma, omega, "triple", 2.0, witness) ** 2
+    energy = _cube_values(kernel, trunc, sigma, omega, "triple", 2.0, [witness])[0] ** 2
     np.testing.assert_allclose(root**2, energy, rtol=1e-12)
     # the cross-term ratio is the Cauchy-Schwarz ratio of one adjacent pair,
     # with dense images, over the first cube's tripled box

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import haartest.operators as operators
 from haartest.characteristics import matched_haar_testing, operator_norm
 from haartest.dyadic import Grid
 from haartest.haar import cached_system
@@ -15,15 +16,14 @@ from haartest.operators import (
     TruncationError,
     apply,
     assemble_haar_matrix,
-    cube_images,
     default_truncation,
     eval_truncated,
+    image_blocks,
     kernel_matrix,
     make_kernel,
     points_matrix,
     require_resolved,
     smoothstep,
-    wavelet_images,
 )
 
 
@@ -262,6 +262,13 @@ def _weighted_values(system):
     return np.array([h.mesh_values().ravel() for h in system.wavelets]) * system.measure.flat_mass
 
 
+def _stream_images(kernel, sigma, level):
+    """The level-`level` cube images of `image_blocks`, its blocks
+    concatenated: (n_cells,) + (2**level,)*n."""
+    blocks = image_blocks(kernel, default_truncation(sigma.grid), sigma, level)
+    return np.moveaxis(np.concatenate([levels[level] for _, levels in blocks], axis=-1), -1, 0)
+
+
 def _assert_close_to(got, want, rel=1e-12):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rel * np.abs(want).max()
@@ -269,8 +276,8 @@ def _assert_close_to(got, want, rel=1e-12):
 
 @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
 def test_cube_images_match_indicator_products(name):
-    grid, depth, _, g, sigma, _ = _image_case(name)
-    got = cube_images(g, sigma, depth).reshape(grid.n_cells, -1)
+    grid, depth, kernel, g, sigma, _ = _image_case(name)
+    got = _stream_images(kernel, sigma, depth).reshape(grid.n_cells, -1)
     want = np.array([g @ (cube.indicator().ravel() * sigma.flat_mass)
                      for cube in grid.cubes_at_level(depth)]).T
     _assert_close_to(got, want)
@@ -278,9 +285,10 @@ def test_cube_images_match_indicator_products(name):
 
 @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
 def test_wavelet_images_match_dense_product(name):
-    _, depth, _, g, sigma, _ = _image_case(name)
+    _, depth, kernel, g, sigma, _ = _image_case(name)
     system = cached_system(sigma, depth)
-    _assert_close_to(wavelet_images(g, system), g @ _weighted_values(system).T)
+    _assert_close_to(system.analyse_cube_sums(_stream_images(kernel, sigma, depth)),
+                     g @ _weighted_values(system).T)
 
 
 @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
@@ -585,6 +593,26 @@ def test_adjoint_kernel_matrix_is_a_view(name):
     _assert_close_to(got, want)
 
 
+@pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
+def test_apply_to_a_stack_matches_row_products(name):
+    # each row of a (k, n_cells) stack gets the dense product G @ (f sigma)
+    # of that row alone, bit for bit, for the kernel and for its adjoint
+    # (a transposed view of the same array for the odd families)
+    grid, family, lam = ADJOINT_CASES[name]
+    kernel, trunc = make_kernel(family, lam, grid.dimension), default_truncation(grid)
+    sigma = random_dyadic_doubling(grid, 3.0, seed=26)
+    stack = np.random.default_rng(27).standard_normal((3, grid.n_cells))
+    for k in (kernel, kernel.transpose()):
+        g = kernel_matrix(k, trunc, grid)
+        got = apply(k, trunc, sigma, stack)
+        assert got.shape == stack.shape
+        for row, image in zip(stack, got):
+            np.testing.assert_array_equal(image, g @ (row * sigma.flat_mass))
+            np.testing.assert_array_equal(
+                image, apply(k, trunc, sigma, row.reshape(grid.mesh_shape)).ravel())
+        assert apply(k, trunc, sigma, stack[:0]).shape == (0, grid.n_cells)
+
+
 def _cube_indicators(grid, sigma, level):
     """(n_cells, cubes) sigma-weighted indicator of every level-`level` cube."""
     return np.array([cube.indicator().ravel() * sigma.flat_mass
@@ -600,23 +628,27 @@ def _adjoint_image_cases():
 
 @pytest.mark.parametrize("grid, family, lam, level", _adjoint_image_cases())
 @pytest.mark.parametrize("measure", ["doubling", "holed"])
-def test_cube_images_of_the_adjoint_view(grid, family, lam, level, measure):
+def test_cube_images_of_the_adjoint_view(monkeypatch, grid, family, lam, level, measure):
     # the transposed view goes by bands of G's rows, the C-ordered copy by
     # row blocks of its own; both match the dense product
     kernel, trunc = make_kernel(family, lam, grid.dimension), default_truncation(grid)
     adjoint = kernel_matrix(kernel.transpose(), trunc, grid)
+    contiguous = np.ascontiguousarray(adjoint)
     sigma = random_dyadic_doubling(grid, 3.0, seed=25)
     if measure == "holed":
         cells = sigma.cell_mass.copy()
         cells[(slice(0, grid.cells_per_axis // 4),) * grid.dimension] = 0.0
         cells.ravel()[-3:] = 0.0
         sigma = custom_cells(grid, cells, label="holed")
-    want = np.ascontiguousarray(adjoint) @ _cube_indicators(grid, sigma, level)
-    for g in (adjoint, np.ascontiguousarray(adjoint)):
-        _assert_close_to(cube_images(g, sigma, level).reshape(grid.n_cells, -1), want)
+    want = contiguous @ _cube_indicators(grid, sigma, level)
+    images = {}
+    for layout, g in (("view", adjoint), ("copy", contiguous)):
+        # the stream reads G through kernel_matrix: hand it either layout
+        monkeypatch.setattr(operators, "kernel_matrix", lambda *args, g=g: g)
+        images[layout] = _stream_images(kernel.transpose(), sigma, level)
+        _assert_close_to(images[layout].reshape(grid.n_cells, -1), want)
+    monkeypatch.undo()
     if level >= 1:
         system = cached_system(sigma, level)
-        np.testing.assert_array_equal(wavelet_images(adjoint, system),
-                                      system.analyse_cube_sums(cube_images(adjoint, sigma, level)))
-        _assert_close_to(wavelet_images(adjoint, system),
-                         wavelet_images(np.ascontiguousarray(adjoint), system))
+        _assert_close_to(system.analyse_cube_sums(images["view"]),
+                         system.analyse_cube_sums(images["copy"]))

@@ -1,12 +1,12 @@
 """The streamed scans against whole-image oracles.
 
 Every scan folds the children's cube images one block of output cells at a
-time (`operators.image_blocks`, `characteristics._level_blocks`). The
-oracles below hold the wavelet and cube images whole, as dense products
-with the kernel matrix, and compute each characteristic from them cube by
-cube. Each case runs with the default block budget, one block on these
-grids, and with a budget of three slabs, which does not divide the slab
-count, so the last block is shorter than the others.
+time (`operators.image_blocks`). The oracles below hold the wavelet and
+cube images whole, as dense products with the kernel matrix, and compute
+each characteristic from them cube by cube. Each case runs with the
+default block budget, one block on these grids, and with a budget of three
+slabs, which does not divide the slab count, so the last block is shorter
+than the others.
 """
 import tracemalloc
 
@@ -20,8 +20,10 @@ from haartest.characteristics import (
     _PAIR_VARIANTS,
     LpConfig,
     _ROTATION_SAMPLES,
+    _PyramidFold,
+    _cube_report,
     _dual_haar_testing,
-    _matrix_haar_and_cube_testing,
+    _matrix_and_testing,
     _pair_scan,
     _restriction_weights,
     _size_setup,
@@ -29,14 +31,15 @@ from haartest.characteristics import (
     haar_testing,
     haar_testing_dual,
     lp_haar_testing,
+    quadratic_haar_testing,
 )
 from haartest.dyadic import DyadicCube, Grid
 from haartest.haar import cached_system
 from haartest.measure import random_dyadic_doubling
 from haartest.operators import (
     assemble_haar_matrix,
-    cube_images,
     default_truncation,
+    image_blocks,
     image_rows,
     kernel_matrix,
     make_kernel,
@@ -89,6 +92,14 @@ def _cube_images(g, sigma, level):
 def _wavelet_images(g, system):
     """Whole (n_cells, n_wavelets) images of the system's wavelets."""
     return g @ (system.values_matrix * system.measure.flat_mass).T
+
+
+def _bundle(sigma, omega, kernel, trunc, depth):
+    """The Haar matrix, global Haar testing and global cube testing of the
+    characteristics bundle, from one pass."""
+    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
+    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth, cubes.add)
+    return matrix, test, _cube_report(cubes, kernel, trunc, 0, 0)
 
 
 def _sign_fixed(v):
@@ -239,7 +250,7 @@ def test_streamed_haar_matrix_and_bundle_match_whole_images(name, rotation_seed,
     assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
     if rotation_seed is not None:
         return
-    matrix, test, cube = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
+    matrix, test, cube = _bundle(sigma, omega, kernel, trunc, depth)
     assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
     _assert_haar(test, _haar_oracle(ssys, images, omega, "global"))
     value, key = _cube_oracle(kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
@@ -271,13 +282,17 @@ def test_cube_images_do_not_depend_on_the_block_budget(monkeypatch, level):
     sigma = random_dyadic_doubling(grid, 3.0, seed=55)
     kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
     slab = grid.n_cells >> level
+
+    def images(k):
+        return np.concatenate([levels[level] for _, levels in image_blocks(k, trunc, sigma, level)],
+                              axis=-1)
+
     for k in (kernel, kernel.transpose()):
-        g = kernel_matrix(k, trunc, grid)
-        whole = cube_images(g, sigma, level)
+        whole = images(k)
         for slabs in (1, 3):
             monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", slabs * slab * grid.n_cells)
             assert len(image_rows(grid, level)) == -(-(2 ** level) // slabs)
-            np.testing.assert_array_equal(cube_images(g, sigma, level), whole)
+            np.testing.assert_array_equal(images(k), whole)
         monkeypatch.undo()
 
 
@@ -295,7 +310,7 @@ def test_bundle_memory_is_bounded_by_a_block(monkeypatch):
     monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", image_entries // 8)
 
     def bundle():
-        matrix, _, _ = _matrix_haar_and_cube_testing(sigma, omega, kernel, trunc, depth)
+        matrix, _, _ = _bundle(sigma, omega, kernel, trunc, depth)
         _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc)
 
     bundle()  # G, both systems and numpy's lazy imports, outside the trace
@@ -307,6 +322,35 @@ def test_bundle_memory_is_bounded_by_a_block(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak - start < image_entries * 8
+
+
+def test_quadratic_haar_testing_memory_is_bounded_by_a_block(monkeypatch):
+    # the member scan and the family values keep no image array whole: with
+    # G built beforehand and the block budgets of the image pass and of the
+    # Haar transform an eighth of the images' entries, the peak traced
+    # allocation stays below one n_cells x 2**(n*depth) float64 array
+    grid, depth = Grid(dimension=2, max_level=5), 4
+    sigma = random_dyadic_doubling(grid, 2.0, seed=1)
+    omega = random_dyadic_doubling(grid, 3.0, seed=2)
+    kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
+    image_entries = grid.n_cells * 2 ** (grid.dimension * depth)
+    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", image_entries // 8)
+    monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", image_entries // 8)
+
+    def quadratic():
+        return quadratic_haar_testing(sigma, omega, kernel, trunc, p=3.0, depth=depth)
+
+    want = quadratic()  # G, the system and numpy's lazy imports, outside the trace
+    assert len(image_rows(grid, depth)) > 8
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        rep = quadratic()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.as_dict() == want.as_dict()
     assert peak - start < image_entries * 8
 
 

@@ -17,7 +17,9 @@ on 2-D L=5 with fractional_integral lambda=0.5 and the chars-2d measures
 entry for both), `characteristics --depth 8` on 1-D L=12 (4,096 cells, so
 each operator-image pass takes several blocks), `characteristics --p 3
 --depth 8` on the same grid (the Lp Haar scans and their duals over
-several blocks) and every op of the benchmark workloads at seed 0 (`perfbench/workloads.py` of this checkout,
+several blocks), `experiment --p 3` on the same grid (16 blocks per pass:
+the one job whose quadratic Haar family values are folded over several
+blocks) and every op of the benchmark workloads at seed 0 (`perfbench/workloads.py` of this checkout,
 imported as is). Each run gets its own output directory.
 
 It then compares, run by run, the exit codes, every JSON report with `meta`
@@ -83,6 +85,8 @@ def jobs(config_dir: Path) -> list:
                 ["characteristics", "--config", str(grid), "--depth", "8"]))
     out.append(("multi-block-lp-characteristics-1d",
                 ["characteristics", "--config", str(grid), "--p", "3", "--depth", "8"]))
+    out.append(("multi-block-lp-experiment-1d",
+                ["experiment", "--config", str(grid), "--p", "3"]))
     for workload in WORKLOADS:
         for i, op in enumerate(ops_for(workload, 0, config_dir)):
             out.append((f"{workload}-{i}-{op.subcommand}",
