@@ -939,15 +939,23 @@ def _top_singular_triple(a: np.ndarray) -> tuple:
     the dense SVD, in 0 steps. The start is a fixed pseudo-random vector,
     so no structure of a can make it orthogonal to the top vector, and a
     zero alpha or beta ends the steps with an exact invariant subspace.
+
+    Where the top value is multiple, any unit vector of its right singular
+    space is a top vector; the Krylov steps find the start's projection on
+    that space, and the dense SVD takes the same projection on its right
+    vectors of values within _NORM_TOL of the top, rather than whichever
+    one LAPACK returns first.
     """
     m, n = a.shape
     if not np.any(a):
         return 0.0, np.zeros(n), 0, True
+    start = np.random.default_rng(0).standard_normal(n)
     if min(m, n) <= _DENSE_NORM_SIDE:
         _, svals, vt = np.linalg.svd(a, full_matrices=False)
-        return float(svals[0]), vt[0], 0, True
+        top = vt[svals >= (1.0 - _NORM_TOL) * svals[0]]
+        v = top.T @ (top @ start)
+        return float(svals[0]), v / np.linalg.norm(v), 0, True
     floor = np.finfo(float).eps * max(m, n) * float(np.linalg.norm(a))
-    start = np.random.default_rng(0).standard_normal(n)
     left, right = [], [start / np.linalg.norm(start)]
     alphas, betas = [], []
     for k in range(min(m, n, _NORM_MAX_ITERS)):

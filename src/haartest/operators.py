@@ -3,20 +3,21 @@
 Kernel families carry declared size/smoothness and lower ellipticity
 constants. Operators act by midpoint quadrature over mesh cells, so
 truncations must not dip below the mesh scale. The kernels are
-translation invariant, so the mesh kernel matrix is gathered from the
-kernel's values at the distinct cell offsets; `points_matrix` evaluates the
-kernel pair by pair at arbitrary points. One dense array serves an operator
-and its adjoint: the adjoint's matrix is the transposed view of the
-operator's.
+translation invariant, so every row of the mesh kernel matrix G is a window
+of one table, the kernel's values at the distinct cell offsets
+(`kernel_matrix`). One table serves an operator and its adjoint: the
+adjoint's table is the operator's reversed. G is never held whole past one
+block: a grid whose G fits one block keeps it, any other gathers a block of
+G's rows from the table when it needs it (`_kernel_blocks`).
 
-Only two functions read the kernel matrix G: `apply`, for a mesh function
-or a stack of them, and `image_blocks`, the one source of operator images.
-Every wavelet of a depth-`depth` Haar system is constant on the
-level-`depth` cubes, so the operator's action on a system is fixed by the
-cube images G diag(sigma) P, P mapping cells to their cubes. `image_blocks`
-takes them a block of output cells at a time, by a batched matmul of each
-input slab's sigma weights against G's columns (`slab_weights`) whatever
-G's layout, and sums them up to the cubes of every coarser level. Every
+Only two functions read G: `apply`, for a mesh function or a stack of
+them, and `image_blocks`, the one source of operator images. Every wavelet
+of a depth-`depth` Haar system is constant on the level-`depth` cubes, so
+the operator's action on a system is fixed by the cube images
+G diag(sigma) P, P mapping cells to their cubes. `image_blocks` takes them
+a block of output cells at a time, by a batched matmul of each input
+slab's sigma weights against the block's columns (`slab_weights`), and
+sums them up to the cubes of every coarser level. Every
 consumer is a fold with add(rows, levels), and one loop (`_fold_images`)
 hands each block to the folds of a pass before the next one is made. The
 Haar coefficient matrix W diag(omega) G diag(sigma) V^T is the two-sided
@@ -29,6 +30,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import Grid, block_sums
 from .haar import HaarSystem, cached_system
@@ -187,53 +189,78 @@ def eval_truncated(kernel: Kernel, trunc: Truncation, x, y) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
-    """G[i, j] = truncated kernel between cell centers i and j (C order).
+    """The offset table of the kernel matrix G: with m cells per axis, entry
+    d + m - 1 ((2m - 1,) * n entries) is the truncated kernel at the offset
+    d * cell_side, so G[i, j] = table[i - j + m - 1] on the C-ordered cells'
+    coordinates. G itself is never formed whole past one block
+    (`_kernel_blocks`).
 
     Every kernel family is translation invariant, K(x, y) = K(x - y, 0), and
-    on the uniform mesh c_i - c_j = (i - j) * cell_side per axis. So G is
-    Toeplitz (block-Toeplitz in 2-D) and is gathered from the kernel at the
-    (2 * cells_per_axis - 1)**n exact offsets. On a window with dyadic origin,
-    shift and side the centers are exact, so G equals the pairwise
-    `points_matrix` build bit for bit; elsewhere they differ by the rounding
-    of the centers.
+    on the uniform mesh c_i - c_j = (i - j) * cell_side per axis. On a window
+    with dyadic origin, shift and side the centers are exact, so the G of the
+    table equals a pairwise build at the cell centers bit for bit; elsewhere
+    they differ by the rounding of the centers.
 
-    The adjoint's kernel K(y, x) has the matrix G^T. The odd families'
-    kernel of sign -1 is the transpose of their sign +1 kernel, so its
-    matrix is the transposed view of that one's, equal entry for entry to
-    a build of its own (the offsets are exact and the kernels exactly odd);
-    `fractional_integral` is its own transpose. So one dense array serves
-    an operator and its adjoint.
+    The adjoint's kernel K(y, x) has the matrix G^T, whose table is this one
+    reversed on every axis. The odd families' kernel of sign -1 is the
+    transpose of their sign +1 kernel, so its table is the reversed view of
+    that one's, equal entry for entry to a build of its own (the offsets are
+    exact and the kernels exactly odd); `fractional_integral` is its own
+    transpose. So one table serves an operator and its adjoint.
     """
-    if kernel.sign < 0 and kernel.transpose().sign > 0:
-        return kernel_matrix(kernel.transpose(), trunc, grid).T
     m, n = grid.cells_per_axis, grid.dimension
+    if kernel.sign < 0 and kernel.transpose().sign > 0:
+        return kernel_matrix(kernel.transpose(), trunc, grid)[(slice(None, None, -1),) * n]
     steps = np.arange(1 - m, m) * grid.cell_side
     offsets = np.stack(np.meshgrid(*[steps] * n, indexing="ij"), axis=-1)
-    table = kernel.eval(offsets, 0.0) * trunc.scale(np.linalg.norm(offsets, axis=-1))
-    # window w at position a of the reversed table holds the offsets
-    # 2m - 2 - a - w; reversing a makes that i - j + m - 1 at (i, j)
+    return kernel.eval(offsets, 0.0) * trunc.scale(np.linalg.norm(offsets, axis=-1))
+
+
+def _gather(table: np.ndarray, grid: Grid, rows: slice, cols: slice,
+            out: np.ndarray) -> np.ndarray:
+    """G[rows, cols] of the offset table into out, C order. rows and cols
+    are cell slices of whole ranges of the first coordinate, as every slice
+    of `image_rows` is."""
+    m, n = grid.cells_per_axis, grid.dimension
+    per = grid.n_cells // m
+    i0, i1, j0, j1 = rows.start // per, rows.stop // per, cols.start // per, cols.stop // per
+    # window w at position p of the reversed table holds entry 2m - 2 - p - w;
+    # the positions m + j0 - 1 - i, reversed, make that i - (j0 + w) + m - 1
+    # at (i, j0 + w) on the first axis, and likewise with j0 = 0 on the others
     flip = (slice(None, None, -1),) * n
-    windows = np.lib.stride_tricks.sliding_window_view(table[flip], (m,) * n)[flip]
-    return np.ascontiguousarray(windows.reshape(grid.n_cells, grid.n_cells))
-
-
-# points per row block of points_matrix
-_POINTS_BLOCK = 1024
-
-
-def points_matrix(kernel: Kernel, trunc: Truncation, points: np.ndarray,
-                  grid: Grid) -> np.ndarray:
-    """Truncated kernel from mesh cell centers (columns) to `points` (rows)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    centers = grid.flat_centers
-    out = np.empty((points.shape[0], centers.shape[0]))
-    for start in range(0, points.shape[0], _POINTS_BLOCK):
-        stop = min(start + _POINTS_BLOCK, points.shape[0])
-        x = points[start:stop, None, :]
-        y = centers[None, :, :]
-        r = np.linalg.norm(x - y, axis=-1)
-        out[start:stop] = kernel.eval(x, y) * trunc.scale(r)
+    windows = sliding_window_view(table[flip], (j1 - j0,) + (m,) * (n - 1))
+    block = windows[m + j0 - i1:m + j0 - i0][flip]
+    np.copyto(out.reshape(block.shape), block)
     return out
+
+
+@lru_cache(maxsize=2)
+def _whole_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
+    """The whole G, C order, for a grid whose G is one block, kept across
+    passes: gathered again for each pass and `apply`, 200 in-process search
+    trials on 1-D L=10 took 2.0 s where they take 1.2 s."""
+    cells = slice(0, grid.n_cells)
+    return _gather(kernel_matrix(kernel, trunc, grid), grid, cells, cells,
+                   np.empty((grid.n_cells, grid.n_cells)))
+
+
+def _kernel_blocks(kernel: Kernel, trunc: Truncation, grid: Grid, parts: list,
+                   columns: bool):
+    """Yield (part, block) for the cell slices `parts`: block is G[part]
+    (C order, count x n_cells), or G[:, part] (n_cells x count) for
+    columns. One part is the whole G (`_whole_matrix`); else each block is
+    gathered from the offset table into one buffer, overwritten by the
+    next, so no block outlives the pass."""
+    if len(parts) == 1:
+        yield parts[0], _whole_matrix(kernel, trunc, grid)
+        return
+    table = kernel_matrix(kernel, trunc, grid)
+    cells = slice(0, grid.n_cells)
+    buffer = np.empty(max(part.stop - part.start for part in parts) * grid.n_cells)
+    for part in parts:
+        rows, cols = (cells, part) if columns else (part, cells)
+        out = buffer[:(part.stop - part.start) * grid.n_cells].reshape(rows.stop - rows.start, -1)
+        yield part, _gather(table, grid, rows, cols, out)
 
 
 def require_resolved(trunc: Truncation, grid: Grid) -> None:
@@ -248,22 +275,29 @@ def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
           f: np.ndarray) -> np.ndarray:
     """Midpoint-quadrature action of the truncated operator at every cell
     center: mesh-shaped for one mesh function, (k, n_cells) for a stack of
-    them (k, n_cells), one matrix-vector product per row so that a row's
-    image does not depend on its stack."""
+    them (k, n_cells). G's rows come a block at a time (`_kernel_blocks`,
+    C order), each row of the stack gets a matrix-vector product of its
+    own with each block, so that a row's image does not depend on its
+    stack."""
     grid = sigma.grid
     require_resolved(trunc, grid)
-    g = kernel_matrix(kernel, trunc, grid)
     f = np.asarray(f)
-    if f.ndim == 2 and f.shape[1] == grid.n_cells:
-        return np.array([g @ (row * sigma.flat_mass) for row in f]).reshape(f.shape)
-    return (g @ (f.ravel() * sigma.flat_mass)).reshape(grid.mesh_shape)
+    stack = f.ndim == 2 and f.shape[1] == grid.n_cells
+    weighted = (f if stack else f.reshape(1, -1)) * sigma.flat_mass
+    out = np.empty(weighted.shape)
+    for rows, block in _kernel_blocks(kernel, trunc, grid, image_rows(grid, grid.max_level),
+                                      columns=False):
+        for x, image in zip(weighted, out):
+            image[rows] = block @ x
+    return out if stack else out.reshape(grid.mesh_shape)
 
 
-# kernel-matrix entries read per block of `image_blocks` (8 MB), so grids
-# of up to 1024 cells take one block. A block's temporaries are a few times
-# its images: at 2-D L=6, depth 5, where G alone takes 167 MiB of RSS with
-# the imports, the characteristics bundle's sigma pass peaked at 191, 191,
-# 196 and 222 MiB with blocks of 128, 256 (this budget), 512 and 1024 rows
+# kernel-matrix entries per block of `image_blocks` and `apply` (8 MB), so
+# grids of up to 1024 cells take one block, kept whole. A block's
+# temporaries are a few times its images: at 2-D L=6, depth 5, from 38.8
+# MiB of RSS with the imports and both Haar systems, the characteristics
+# bundle's sigma pass peaked at 63.5, 64.4, 78.7 and 110.5 MiB with blocks
+# of 128, 256 (this budget), 512 and 1024 rows
 _IMAGE_BLOCK_ENTRIES = 1 << 20
 
 # largest slab product (cubes per slab x cells per slab, n_cells in 2-D)
@@ -310,26 +344,24 @@ def slab_weights(sigma: MeshMeasure, level: int) -> np.ndarray:
     return out
 
 
-def image_block(g: np.ndarray, sigma: MeshMeasure, level: int, rows: slice) -> np.ndarray:
-    """Rows `rows` of the level-`level` cube images G diag(sigma) P, P
-    mapping cells to their cubes: T(1_Q sigma) at the cells of rows, indexed
-    [*cube coords, cell - rows.start], output cells last.
+def image_block(block: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
+    """The level-`level` cube images G diag(sigma) P at a block of G's rows,
+    P mapping cells to their cubes: T(1_Q sigma) at the block's cells,
+    indexed [*cube coords, cell of the block], output cells last.
 
     One batched matmul of each input slab's `slab_weights` against that
-    slab's columns of g's rows, read in g's own layout (a C-ordered G, or
-    the adjoint's transposed view, see `kernel_matrix`) with no copy. Small
-    slab matrix products take the rows a slab at a time
+    slab's columns of the block, read in the block's own layout with no
+    copy. Small slab matrix products take the rows a slab at a time
     (_SMALL_SLAB_PRODUCT), so that every row's image comes from a product
     of one shape whatever the block budget.
     """
-    grid = sigma.grid
     weights = slab_weights(sigma, level)
     side, cubes, slab = weights.shape
-    count = rows.stop - rows.start
+    count = block.shape[0]
     chunk = slab if 1 < cubes and cubes * slab <= _SMALL_SLAB_PRODUCT else count
-    block = g[rows].reshape(count // chunk, chunk, side, slab).transpose(0, 2, 3, 1)
+    block = block.reshape(count // chunk, chunk, side, slab).transpose(0, 2, 3, 1)
     images = np.matmul(weights, block)  # (chunks, side, cubes, chunk)
-    return images.transpose(1, 2, 0, 3).reshape((side,) * grid.dimension + (count,))
+    return images.transpose(1, 2, 0, 3).reshape((side,) * sigma.grid.dimension + (count,))
 
 
 def image_blocks(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, depth: int):
@@ -339,12 +371,23 @@ def image_blocks(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, depth: i
     `image_block` and each coarser level the pairwise block sums
     (`block_sums`) of the next finer. The one source of operator images:
     consumers fold each block into what they keep and drop it
-    (`_fold_images`), so no image array need be held whole."""
-    g = kernel_matrix(kernel, trunc, sigma.grid)
-    for rows in image_rows(sigma.grid, depth):
-        levels = [image_block(g, sigma, depth, rows)]
+    (`_fold_images`), so no image array need be held whole.
+
+    In 1-D every slab product is a matrix-vector product (one cube per
+    slab), which runs 2.5 to 4 times faster on input-major rows: there G's
+    rows are read as the columns G^T[:, rows] of the adjoint's matrix. 2-D
+    reads C-ordered rows (`_kernel_blocks`): its products of several cubes
+    per slab run as fast on them at 2-D L=6, and another layout rounds the
+    images differently, which moves the Lanczos witness of the Haar matrix
+    by more than 1e-15."""
+    grid = sigma.grid
+    input_major = grid.dimension == 1
+    source = kernel.transpose() if input_major else kernel
+    for rows, block in _kernel_blocks(source, trunc, grid, image_rows(grid, depth),
+                                      columns=input_major):
+        levels = [image_block(block.T if input_major else block, sigma, depth)]
         for _ in range(depth):
-            levels.append(block_sums(levels[-1], sigma.grid.dimension, 2, start=0))
+            levels.append(block_sums(levels[-1], grid.dimension, 2, start=0))
         yield rows, levels[::-1]
 
 

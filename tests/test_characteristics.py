@@ -40,9 +40,9 @@ from haartest.operators import (
     apply,
     assemble_haar_matrix,
     default_truncation,
-    kernel_matrix,
     make_kernel,
 )
+from oracles import dense_kernel_matrix
 
 GRID = Grid(dimension=1, max_level=7)
 SIGMA = random_dyadic_doubling(GRID, 2.0, seed=31)
@@ -434,7 +434,7 @@ def test_haar_testing_optima_match_per_cube_svd(name, mode):
     grid = sigma.grid
     depth = 3
     system = cached_system(sigma, depth)
-    images = kernel_matrix(kernel, trunc, grid) @ system.weighted_matrix.T
+    images = dense_kernel_matrix(kernel, trunc, grid) @ system.weighted_matrix.T
 
     def weights_of(key):
         if mode == "global":
@@ -487,7 +487,7 @@ def _whole_wavelet_images(sigma, kernel, trunc, depth):
     """The canonical system and the dense image of each of its wavelets,
     one column each."""
     system = cached_system(sigma, depth)
-    return system, kernel_matrix(kernel, trunc, sigma.grid) @ system.weighted_matrix.T
+    return system, dense_kernel_matrix(kernel, trunc, sigma.grid) @ system.weighted_matrix.T
 
 
 def _haar_family_value(system, images, wflat, members, weights, p):
@@ -520,7 +520,7 @@ def test_lp_haar_denominators_match_dense_values(name, p):
     depth = 3
     system = cached_system(sigma, depth)
     values = system.values_matrix
-    images = kernel_matrix(kernel, trunc, sigma.grid) @ system.weighted_matrix.T
+    images = dense_kernel_matrix(kernel, trunc, sigma.grid) @ system.weighted_matrix.T
     slots = system.cube_slots
 
     def wavelet(key, c):

@@ -35,9 +35,9 @@ from haartest.operators import (
     Truncation,
     TruncationError,
     default_truncation,
-    kernel_matrix,
     make_kernel,
 )
+from oracles import dense_kernel_matrix
 
 GRID = Grid(dimension=1)
 HILBERT = make_kernel("hilbert", 0.0, 1)
@@ -243,7 +243,7 @@ def test_triple_absorption_matches_dense_cube_values(dim, depth):
                         depth=depth)
     np.testing.assert_allclose(d["triple_testing"], cube.value, rtol=1e-12)
     assert d["scanned_cubes"] == cube.search_space["cubes_scanned"]
-    g = kernel_matrix(kernel, trunc, grid)
+    g = dense_kernel_matrix(kernel, trunc, grid)
     h, a = d["haar_testing_global"], d["a2"]
     dense = {}
     for level in range(depth + 1):

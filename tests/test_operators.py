@@ -21,10 +21,10 @@ from haartest.operators import (
     image_blocks,
     kernel_matrix,
     make_kernel,
-    points_matrix,
     require_resolved,
     smoothstep,
 )
+from oracles import dense_kernel_matrix, points_matrix
 
 
 def test_kernel_closed_forms():
@@ -157,19 +157,19 @@ def test_apply_matches_dense_oracle():
     (2, 4, "fractional_integral", 1.2),
 ])
 def test_kernel_matrix_matches_pairwise_build(dim, level, family, lam):
-    # on a dyadic window the centers are exact, so the offset-table gather
-    # reproduces the pairwise build bit for bit; on a shifted window the
-    # pairwise build sees rounded centers
+    # on a dyadic window the centers are exact, so the G of the offset table
+    # (the adjoint's a reversed view) reproduces the pairwise build bit for
+    # bit; on a shifted window the pairwise build sees rounded centers
     dyadic = Grid(dimension=dim, max_level=level)
     shifted = Grid(dimension=dim, max_level=level, origin=(0.1,) * dim,
                    shift=(0.3,) * dim, side=0.7)
     kernel = make_kernel(family, lam, dim)
     for k in (kernel, kernel.transpose()):
         trunc = default_truncation(dyadic)
-        assert np.array_equal(kernel_matrix(k, trunc, dyadic),
+        assert np.array_equal(dense_kernel_matrix(k, trunc, dyadic),
                               points_matrix(k, trunc, dyadic.flat_centers, dyadic))
         trunc = default_truncation(shifted)
-        got = kernel_matrix(k, trunc, shifted)
+        got = dense_kernel_matrix(k, trunc, shifted)
         want = points_matrix(k, trunc, shifted.flat_centers, shifted)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -250,7 +250,7 @@ IMAGE_CASES.update({
 def _image_case(name):
     grid, depth, family, lam, *sigma_of = IMAGE_CASES[name]
     kernel = make_kernel(family, lam, grid.dimension)
-    g = kernel_matrix(kernel, default_truncation(grid), grid)
+    g = dense_kernel_matrix(kernel, default_truncation(grid), grid)
     sigma = sigma_of[0](grid) if sigma_of else random_dyadic_doubling(grid, 3.0, seed=21)
     omega = random_dyadic_doubling(grid, 2.0, seed=22)
     return grid, depth, kernel, g, sigma, omega
@@ -349,6 +349,25 @@ def test_operator_norm_matches_the_dense_norm(corpus1):
         v = np.asarray(rep.witness["coefficients"])
         assert np.linalg.norm(v) == pytest.approx(1.0 if want > 0.0 else 0.0, abs=1e-14)
     assert operator_norm(other[-1]).witness["coefficients"] == [0.0] * 80
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+def test_operator_norm_witness_of_a_double_top_value_is_stable(depth):
+    # on a lebesgue/lebesgue pair the top singular value of the Haar block
+    # is double to rounding, so every unit vector of a plane is a top
+    # vector: the witness, the fixed start's projection on that plane, does
+    # not move when rounding-level noise moves the entries
+    grid = Grid(dimension=1, max_level=10)
+    matrix = assemble_haar_matrix(make_kernel("hilbert", 0.0, 1), default_truncation(grid),
+                                  lebesgue(grid), lebesgue(grid), depth)
+    svals = np.linalg.svd(matrix.entries, compute_uv=False)
+    assert svals[1] >= (1.0 - 1e-13) * svals[0] and svals[2] < 0.99 * svals[0]
+    witness = np.array(operator_norm(matrix).witness["coefficients"])
+    rng = np.random.default_rng(64)
+    for _ in range(5):
+        noisy = matrix.entries * (1.0 + 1e-15 * rng.standard_normal(matrix.entries.shape))
+        rep = operator_norm(dataclasses.replace(matrix, entries=noisy))
+        assert np.abs(np.array(rep.witness["coefficients"]) - witness).max() <= 1e-10
 
 
 def test_operator_norm_dominates_matched_testing(corpus1):
@@ -577,15 +596,20 @@ ADJOINT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
 def test_adjoint_kernel_matrix_is_a_view(name):
+    # the adjoint's offset table is the operator's reversed on every axis,
+    # a view of the same array for the odd families, and its G is G^T
     grid, family, lam = ADJOINT_CASES[name]
     kernel, trunc = make_kernel(family, lam, grid.dimension), default_truncation(grid)
-    g = kernel_matrix(kernel, trunc, grid)
+    table = kernel_matrix(kernel, trunc, grid)
     adjoint = kernel_matrix(kernel.transpose(), trunc, grid)
+    assert table.shape == (2 * grid.cells_per_axis - 1,) * grid.dimension
     if family == "fractional_integral":
-        assert adjoint is g
+        assert adjoint is table
     else:
-        assert np.array_equal(adjoint, g.T) and np.shares_memory(adjoint, g)
-        assert adjoint.T.flags.c_contiguous
+        assert np.array_equal(adjoint, table[(slice(None, None, -1),) * grid.dimension])
+        assert np.shares_memory(adjoint, table)
+    g = dense_kernel_matrix(kernel, trunc, grid)
+    assert np.array_equal(dense_kernel_matrix(kernel.transpose(), trunc, grid), g.T)
     sigma = random_dyadic_doubling(grid, 3.0, seed=23)
     f = np.random.default_rng(24).standard_normal(grid.mesh_shape)
     got = apply(kernel.transpose(), trunc, sigma, f).ravel()
@@ -597,13 +621,13 @@ def test_adjoint_kernel_matrix_is_a_view(name):
 def test_apply_to_a_stack_matches_row_products(name):
     # each row of a (k, n_cells) stack gets the dense product G @ (f sigma)
     # of that row alone, bit for bit, for the kernel and for its adjoint
-    # (a transposed view of the same array for the odd families)
+    # (the G of the reversed offset table for the odd families)
     grid, family, lam = ADJOINT_CASES[name]
     kernel, trunc = make_kernel(family, lam, grid.dimension), default_truncation(grid)
     sigma = random_dyadic_doubling(grid, 3.0, seed=26)
     stack = np.random.default_rng(27).standard_normal((3, grid.n_cells))
     for k in (kernel, kernel.transpose()):
-        g = kernel_matrix(k, trunc, grid)
+        g = dense_kernel_matrix(k, trunc, grid)
         got = apply(k, trunc, sigma, stack)
         assert got.shape == stack.shape
         for row, image in zip(stack, got):
@@ -629,26 +653,24 @@ def _adjoint_image_cases():
 @pytest.mark.parametrize("grid, family, lam, level", _adjoint_image_cases())
 @pytest.mark.parametrize("measure", ["doubling", "holed"])
 def test_cube_images_of_the_adjoint_view(monkeypatch, grid, family, lam, level, measure):
-    # the transposed view goes by bands of G's rows, the C-ordered copy by
-    # row blocks of its own; both match the dense product
+    # the adjoint's stream reads the reversed view of the operator's offset
+    # table, as the whole G or by blocks of rows; both match the dense product
     kernel, trunc = make_kernel(family, lam, grid.dimension), default_truncation(grid)
-    adjoint = kernel_matrix(kernel.transpose(), trunc, grid)
-    contiguous = np.ascontiguousarray(adjoint)
     sigma = random_dyadic_doubling(grid, 3.0, seed=25)
     if measure == "holed":
         cells = sigma.cell_mass.copy()
         cells[(slice(0, grid.cells_per_axis // 4),) * grid.dimension] = 0.0
         cells.ravel()[-3:] = 0.0
         sigma = custom_cells(grid, cells, label="holed")
-    want = contiguous @ _cube_indicators(grid, sigma, level)
-    images = {}
-    for layout, g in (("view", adjoint), ("copy", contiguous)):
-        # the stream reads G through kernel_matrix: hand it either layout
-        monkeypatch.setattr(operators, "kernel_matrix", lambda *args, g=g: g)
-        images[layout] = _stream_images(kernel.transpose(), sigma, level)
-        _assert_close_to(images[layout].reshape(grid.n_cells, -1), want)
+    want = dense_kernel_matrix(kernel.transpose(), trunc, grid) @ _cube_indicators(
+        grid, sigma, level)
+    images = {"whole": _stream_images(kernel.transpose(), sigma, level)}
+    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", grid.n_cells ** 2 // 8)
+    images["blocks"] = _stream_images(kernel.transpose(), sigma, level)
     monkeypatch.undo()
+    for got in images.values():
+        _assert_close_to(got.reshape(grid.n_cells, -1), want)
     if level >= 1:
         system = cached_system(sigma, level)
-        _assert_close_to(system.analyse_cube_sums(images["view"]),
-                         system.analyse_cube_sums(images["copy"]))
+        _assert_close_to(system.analyse_cube_sums(images["whole"]),
+                         system.analyse_cube_sums(images["blocks"]))

@@ -38,12 +38,13 @@ from haartest.haar import cached_system
 from haartest.measure import random_dyadic_doubling
 from haartest.operators import (
     assemble_haar_matrix,
+    apply,
     default_truncation,
     image_blocks,
     image_rows,
-    kernel_matrix,
     make_kernel,
 )
+from oracles import dense_kernel_matrix
 
 GRID_2D = Grid(dimension=2, max_level=4)
 
@@ -57,8 +58,8 @@ def _pair_2d(family, lam):
 def _case(name, corpus1):
     """(sigma, omega, kernel, depth): the conftest corpus against itself
     with the odd hilbert kernel, and a 2-D pair with an odd kernel (the
-    adjoint's matrix a transposed view) and with an even one (its own
-    C-ordered matrix)."""
+    adjoint's offset table a reversed view) and with an even one (its own
+    adjoint)."""
     if name == "2d-odd":
         return _pair_2d("riesz_like", 0.5)
     if name == "2d-even":
@@ -157,10 +158,10 @@ def test_streamed_haar_testing_matches_whole_images(name, mode, corpus1, budget)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
     ssys, osys = cached_system(sigma, depth), cached_system(omega, depth)
-    images = _wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), ssys)
+    images = _wavelet_images(dense_kernel_matrix(kernel, trunc, sigma.grid), ssys)
     _assert_haar(haar_testing(sigma, omega, kernel, trunc, mode=mode, depth=depth),
                  _haar_oracle(ssys, images, omega, mode))
-    dual_images = _wavelet_images(kernel_matrix(kernel.transpose(), trunc, sigma.grid), osys)
+    dual_images = _wavelet_images(dense_kernel_matrix(kernel.transpose(), trunc, sigma.grid), osys)
     dual_oracle = _haar_oracle(osys, dual_images, sigma, mode)
     _assert_haar(haar_testing_dual(sigma, omega, kernel, trunc, mode=mode, depth=depth),
                  dual_oracle)
@@ -175,7 +176,7 @@ def test_streamed_cube_testing_matches_whole_images(name, mode, p, corpus1, budg
     sigma, omega, kernel, depth = _case(name, corpus1)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
-    value, cube = _cube_oracle(kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
+    value, cube = _cube_oracle(dense_kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
                                mode, p, depth)
     rep = cube_testing(sigma, omega, kernel, trunc, mode=mode, depth=depth, p=p)
     assert rep.value == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -224,13 +225,13 @@ def test_streamed_lp_haar_testing_matches_whole_images(name, mode, p, corpus1, b
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
     system = cached_system(sigma, depth)
-    images = _wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), system)
+    images = _wavelet_images(dense_kernel_matrix(kernel, trunc, sigma.grid), system)
     rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, mode=mode, depth=depth, seed=7)
     _assert_haar(rep, _lp_oracle(system, images, omega, p, mode, 7))
     dual = lp_haar_testing(omega, sigma, kernel.transpose(), trunc, p=p, mode=mode,
                            depth=depth, seed=7)
     osys = cached_system(omega, depth)
-    dual_images = _wavelet_images(kernel_matrix(kernel.transpose(), trunc, sigma.grid), osys)
+    dual_images = _wavelet_images(dense_kernel_matrix(kernel.transpose(), trunc, sigma.grid), osys)
     _assert_haar(dual, _lp_oracle(osys, dual_images, sigma, p, mode, 7))
 
 
@@ -243,7 +244,7 @@ def test_streamed_haar_matrix_and_bundle_match_whole_images(name, rotation_seed,
     budget(sigma.grid, depth)
     ssys = cached_system(sigma, depth, rotation_seed)
     osys = cached_system(omega, depth, rotation_seed)
-    images = _wavelet_images(kernel_matrix(kernel, trunc, sigma.grid), ssys)
+    images = _wavelet_images(dense_kernel_matrix(kernel, trunc, sigma.grid), ssys)
     want = (osys.values_matrix * omega.flat_mass) @ images
     scale = np.abs(want).max()
     matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, depth, rotation_seed=rotation_seed)
@@ -253,10 +254,73 @@ def test_streamed_haar_matrix_and_bundle_match_whole_images(name, rotation_seed,
     matrix, test, cube = _bundle(sigma, omega, kernel, trunc, depth)
     assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
     _assert_haar(test, _haar_oracle(ssys, images, omega, "global"))
-    value, key = _cube_oracle(kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
+    value, key = _cube_oracle(dense_kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
                               "global", 2.0, depth)
     assert cube.value == pytest.approx(value, rel=1e-12, abs=0.0)
     assert cube.witness["cube"] == key
+
+
+# (grid, depth, kernel family, lambda) of the offset-table route
+TABLE_CASES = {
+    "1d-L7": (Grid(dimension=1, max_level=7), 3, "hilbert", 0.0),
+    "1d-L10": (Grid(dimension=1, max_level=10), 6, "hilbert", 0.0),
+    "2d-L4-riesz_like": (Grid(dimension=2, max_level=4), 2, "riesz_like", 0.5),
+    "2d-L5-riesz_like": (Grid(dimension=2, max_level=5), 3, "riesz_like", 0.5),
+    "2d-L4-fractional_integral": (Grid(dimension=2, max_level=4), 2, "fractional_integral", 1.2),
+    "2d-L5-fractional_integral": (Grid(dimension=2, max_level=5), 3, "fractional_integral", 1.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+@pytest.mark.parametrize("adjoint", [False, True], ids=["kernel", "adjoint"])
+def test_table_route_matches_the_dense_oracle(name, adjoint, budget):
+    # G's rows gathered from the offset table, whole or by blocks, give the
+    # cube images G diag(sigma) P and the action G (f sigma) of the dense G
+    grid, depth, family, lam = TABLE_CASES[name]
+    kernel = make_kernel(family, lam, grid.dimension)
+    kernel = kernel.transpose() if adjoint else kernel
+    trunc = default_truncation(grid)
+    sigma = random_dyadic_doubling(grid, 3.0, seed=57)
+    budget(grid, depth)
+    g = dense_kernel_matrix(kernel, trunc, grid)
+    blocks = image_blocks(kernel, trunc, sigma, depth)
+    got = np.concatenate([levels[depth] for _, levels in blocks], axis=-1)
+    want = _cube_images(g, sigma, depth)
+    assert np.abs(got.reshape(len(want.T), -1).T - want).max() <= 1e-15 * np.abs(want).max()
+    f = np.random.default_rng(58).standard_normal((2, grid.n_cells))
+    want = (g @ (f * sigma.flat_mass).T).T
+    for got in (apply(kernel, trunc, sigma, f), apply(kernel, trunc, sigma, f[0]).reshape(1, -1)):
+        assert np.abs(got - want[:len(got)]).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_operator_passes_hold_no_kernel_matrix(monkeypatch):
+    # with a block budget of an eighth of G's entries, the bundle's sigma
+    # pass, the dual and one apply each build the offset table afresh and
+    # stay below the N x N float64 array of G in traced allocation
+    grid, depth = Grid(dimension=2, max_level=5), 4
+    sigma = random_dyadic_doubling(grid, 2.0, seed=1)
+    omega = random_dyadic_doubling(grid, 3.0, seed=2)
+    kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
+    f = np.random.default_rng(59).standard_normal(grid.mesh_shape)
+    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", grid.n_cells ** 2 // 8)
+    assert len(image_rows(grid, depth)) > 1 and len(image_rows(grid, grid.max_level)) > 1
+    matrix = _bundle(sigma, omega, kernel, trunc, depth)[0]
+    runs = {
+        "sigma pass": lambda: _bundle(sigma, omega, kernel, trunc, depth),
+        "dual": lambda: _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc),
+        "apply": lambda: apply(kernel, trunc, sigma, f),
+    }
+    for name, run in runs.items():
+        run()  # the systems and numpy's lazy imports, outside the trace
+        operators.kernel_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < grid.n_cells ** 2 * 8, name
 
 
 def test_blocks_of_whole_slabs_keep_the_haar_matrix_bit_for_bit(monkeypatch):
@@ -277,7 +341,7 @@ def test_blocks_of_whole_slabs_keep_the_haar_matrix_bit_for_bit(monkeypatch):
 def test_cube_images_do_not_depend_on_the_block_budget(monkeypatch, level):
     # on 2-D L=5 every slab product is small, so the rows go through the
     # matmul a slab at a time: blocks of one slab and of three give the
-    # images of one block bit for bit, in both layouts of G
+    # images of one block bit for bit, for the kernel and its adjoint
     grid = Grid(dimension=2, max_level=5)
     sigma = random_dyadic_doubling(grid, 3.0, seed=55)
     kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
