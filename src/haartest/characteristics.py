@@ -17,14 +17,22 @@ wavelet is constant on its cube's children, so its image is the same
 combination of theirs: the children's Grams give every cube's exact L2
 optimum (`_GramFold`), the Lp sums of the candidate combinations are
 taken in child space (`_lp_sums`, `_lp_ratios`), and so are the square
-sums of the quadratic families' member images (`_haar_family_values`). Single
+sums of the quadratic families' member images (`_haar_family_values`).
+The members of a quadratic family are disjoint cubes, so the rest of its
+value is a closed form over level arrays, with no mesh function per
+family: the Lp(sigma) norm of the members' square sum is a sum over each
+member's children, and a pair family's two norms are sums over its cubes
+and its distinct partners of their level masses (`_pair_values`). Single
 images, of witnesses and jitter boxes, come from `operators.apply`. The
 operator norm is the top singular value of the Haar matrix by
 Golub-Kahan-Lanczos steps (`_top_singular_triple`). The pair scans take a
 block of cubes' partners at once: an offset stencil, or the finer levels'
 cubes grouped by cube. One witness rule serves every scan (`_first_max`):
 the first largest candidate in scan order, that is levels coarse to fine,
-cubes in C order, each cube's candidates in order, and jitter boxes last.
+cubes in C order, each cube's candidates in order, and jitter boxes last;
+a family search takes its families' tries in order, and its first
+largest try is the witness when it is strictly above the best single
+cube or pair.
 """
 
 from __future__ import annotations
@@ -661,8 +669,7 @@ def _matrix_and_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     _check_pair(sigma, omega)
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
-    # the omega system under assemble_haar_matrix's cache key
-    matrix = HaarMatrixFold(system, cached_system(omega, depth, None))
+    matrix = HaarMatrixFold(system, cached_system(omega, depth))
     test = _GramFold(system, omega.flat_mass)
     _fold_images(kernel, trunc, sigma, depth, *adds, test.add, matrix.add)
     return (matrix.matrix(kernel, trunc),
@@ -911,7 +918,6 @@ def _evaluate_cube_witness(sigma: MeshMeasure, omega: MeshMeasure,
 def _matrix_metadata(matrix: HaarMatrix) -> dict:
     return {
         "depth": matrix.depth,
-        "rotation_seed": matrix.sigma_system.rotation_seed,
         "kernel": _kernel_spec(matrix.kernel),
         "trunc": _trunc_spec(matrix.trunc),
     }
@@ -1033,8 +1039,7 @@ def _evaluate_matrix_witness(sigma: MeshMeasure, omega: MeshMeasure,
     if not witness:
         return 0.0  # matched testing found no cube that carries wavelets
     matrix = assemble_haar_matrix(*_kernel_and_trunc(space), sigma, omega,
-                                  int(space["depth"]),
-                                  rotation_seed=space.get("rotation_seed"))
+                                  int(space["depth"]))
     c = np.asarray(witness["coefficients"], dtype=float)
     side = witness.get("side", "source")
     if side == "source":
@@ -1049,28 +1054,6 @@ def _evaluate_matrix_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 # -- quadratic characteristics -------------------------------------------------
 
-def _pair_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
-                       p: float, cubes: list, partners: list,
-                       coeffs: np.ndarray) -> float:
-    """Lp ratio of a family of cubes Q with partner cubes P and coefficients a.
-
-    Numerator: Lp(omega) norm of (sum_Q (a |P|_sigma / |P|^{1-lam/n})^2 1_Q)^{1/2};
-    denominator: Lp(sigma) norm of (sum_Q a^2 1_P)^{1/2}.
-    """
-    grid = sigma.grid
-    e = 1.0 - lam / grid.dimension
-    num_f = np.zeros(grid.mesh_shape)
-    den_f = np.zeros(grid.mesh_shape)
-    for q, s, a in zip(cubes, partners, coeffs):
-        smass = sigma.cube_mass(s)
-        es = smass / s.volume ** e
-        num_f[q.slices()] += (a * es) ** 2
-        den_f[s.slices()] += a ** 2
-    num = float(np.sum(omega.flat_mass * num_f.ravel() ** (p / 2.0))) ** (1.0 / p)
-    den = float(np.sum(sigma.flat_mass * den_f.ravel() ** (p / 2.0))) ** (1.0 / p)
-    return num / den if den > 0.0 else 0.0
-
-
 # families drawn at random by each quadratic characteristic
 _FAMILY_COUNT = 32
 
@@ -1080,29 +1063,88 @@ _FAMILY_COUNT = 32
 _PAIR_BLOCK_CUBES = 1 << 10
 
 
+def _pyramid(measure: MeshMeasure) -> tuple:
+    """(masses, base): the masses of the cubes of every level 0..max_level,
+    each level in C order, laid end to end, and where each level begins."""
+    masses = [level_masses(measure, lv).ravel() for lv in range(measure.grid.max_level + 1)]
+    return np.concatenate(masses), np.cumsum([0] + [m.size for m in masses])
+
+
+def _keys(levels, cubes, dimension: int) -> list:
+    """`DyadicCube.key()` of the cubes of levels `levels` and C-order
+    indices `cubes`."""
+    return [_cube_keys(int(level), [cube], dimension)[0] for level, cube in zip(levels, cubes)]
+
+
+def _key_cubes(grid: Grid, keys: list) -> tuple:
+    """(levels, C-order indices) of the cubes with `DyadicCube.key()` keys,
+    the inverse of `_keys`."""
+    cubes = [DyadicCube.from_key(grid, key) for key in keys]
+    return (np.array([c.level for c in cubes], dtype=int),
+            np.array([np.ravel_multi_index(c.coords, (2 ** c.level,) * grid.dimension)
+                      for c in cubes], dtype=int))
+
+
+def _pair_values(sigma: MeshMeasure, omega: MeshMeasure, lam: float, p: float,
+                 tries: list) -> np.ndarray:
+    """Lp ratio of each try (levels, cubes, partner levels, partners,
+    coefficients), the arrays of a family of cubes Q with partner cubes P
+    and coefficients a, each cube a level and a C-order index.
+
+    Numerator: Lp(omega) norm of (sum_Q (a |P|_sigma / |P|^{1-lam/n})^2 1_Q)^{1/2};
+    denominator: Lp(sigma) norm of (sum_Q a^2 1_P)^{1/2}; 0 where that is 0.
+    The cubes Q of a family are distinct cubes of one level, so the
+    numerator^p is sum_Q |Q|_omega |a |P|_sigma / |P|^{1-lam/n}|^p. Two
+    partners are equal or disjoint (offsets of one level, or subcubes of
+    disjoint cubes), so the denominator^p is the sum over the distinct
+    partners P of |P|_sigma (sum_{Q -> P} a^2)^{p/2}.
+    """
+    if not tries:
+        return np.zeros(0)
+    grid = sigma.grid
+    levels, cubes, subs, partners, coeffs = (
+        np.concatenate([np.asarray(t[i]) for t in tries]) for i in range(5))
+    at = np.repeat(np.arange(len(tries)), [len(t[1]) for t in tries])
+    smass, base = _pyramid(sigma)
+    wmass, _ = _pyramid(omega)
+    part = base[subs] + partners
+    volumes = (grid.side / 2.0 ** subs) ** grid.dimension
+    es = smass[part] / volumes ** (1.0 - lam / grid.dimension)
+    num = np.bincount(at, wmass[base[levels] + cubes] * np.abs(coeffs * es) ** p,
+                      minlength=len(tries))
+    # one group per distinct (try, partner)
+    pairs, group = np.unique(at * smass.size + part, return_inverse=True)
+    den = np.bincount(pairs // smass.size, smass[pairs % smass.size]
+                      * np.bincount(group, coeffs ** 2) ** (p / 2.0), minlength=len(tries))
+    return np.divide(num ** (1.0 / p), den ** (1.0 / p), out=np.zeros(len(tries)),
+                     where=den > 0.0)
+
+
 def _pair_scan(sigma: MeshMeasure, omega: MeshMeasure, cfg: LpConfig,
-               e: float, depth: int, min_depth: int, partners_of, reach) -> tuple:
-    """Each cube's best partner by the scalar pair ratio, and the best pair.
+               e: float, depth: int, partners_of, reach) -> tuple:
+    """(partners, best, pair, pairs scanned): each cube's best partner by
+    the scalar pair ratio, and the best pair.
 
     partners_of(grid, level, reach, cubes) gives the candidates of the
     level-`level` cubes of C-order indices cubes (c,) as (levels (d,), index
     (c, d)): candidate j of cube i is the level-levels[j] cube of C-order
-    index index[i, j], none where -1. A level's cubes go in blocks of
-    _PAIR_BLOCK_CUBES. A cube's partner is its first candidate of largest
-    ratio."""
+    index index[i, j], none where -1. Levels 0..depth go in blocks of
+    _PAIR_BLOCK_CUBES cubes. A cube's partner is its first candidate of
+    largest ratio: partners holds, for each level, the (levels, index)
+    arrays of its cubes' partners, index -1 where a cube has none. pair is
+    (level, index) of the cube of the best pair, None when no cube has a
+    partner."""
     grid = sigma.grid
     n = grid.dimension
-    masses = [level_masses(sigma, lv).ravel() for lv in range(grid.max_level + 1)]
-    base = np.cumsum([0] + [m.size for m in masses])
-    masses = np.concatenate(masses)
-    best_partner: dict = {}
-    tops = []
+    masses, base = _pyramid(sigma)
+    partners, tops = [], []
     pair_count = 0
-    for level in range(min_depth, depth + 1):
+    for level in range(depth + 1):
         # `_size_value` with the omega and volume powers taken by float_power,
         # the scalar pow (** on arrays may differ from it by an ulp)
         wterm = np.float_power(level_masses(omega, level).reshape(-1, 1), 1.0 / cfg.p)
         top = np.full(len(wterm), -1.0)
+        sub_of, index_of = np.zeros(len(wterm), dtype=int), np.full(len(wterm), -1)
         for start in range(0, len(wterm), _PAIR_BLOCK_CUBES):
             cubes = np.arange(start, min(start + _PAIR_BLOCK_CUBES, len(wterm)))
             subs, index = partners_of(grid, level, reach, cubes)
@@ -1115,17 +1157,12 @@ def _pair_scan(sigma: MeshMeasure, omega: MeshMeasure, cfg: LpConfig,
                               * wterm[cubes] / vterm, -1.0)
             j = ratios.argmax(axis=1)
             top[cubes] = ratios[np.arange(len(j)), j]
-            for sub in np.unique(subs[j]):
-                pick = np.flatnonzero((top[cubes] >= 0.0) & (subs[j] == sub))
-                best_partner.update(zip(_cube_keys(level, cubes[pick], n),
-                                        _cube_keys(sub, index[pick, j[pick]], n)))
+            sub_of[cubes] = subs[j]
+            index_of[cubes] = np.where(top[cubes] >= 0.0, index[np.arange(len(j)), j], -1)
+        partners.append((sub_of, index_of))
         tops.append(top)
-    scalar_best, part, index = _first_max(tops)
-    scalar_pair = None
-    if part is not None:
-        key = _cube_keys(min_depth + part, np.array(index), n)[0]
-        scalar_pair = (key, best_partner[key])
-    return best_partner, scalar_best, scalar_pair, pair_count
+    scalar_best, level, index = _first_max(tops)
+    return partners, scalar_best, None if level is None else (level, int(index[0])), pair_count
 
 
 def _offset_stencil(dimension: int, max_distance: float) -> np.ndarray:
@@ -1152,26 +1189,22 @@ def _stencil_partners(grid: Grid, level: int, max_distance: float,
     return np.full(cand.shape[1], level), np.where(inside, index, -1)
 
 
-def _offset_draw(rng, grid: Grid, depth: int, max_distance: float) -> tuple:
+def _offset_draw(rng, grid: Grid, depth: int, max_distance: float):
     """2 to 6 cubes of one level, each with a random nearby partner from
-    the stencil rows inside the window; empty when fewer than two cubes
-    have a partner."""
+    its stencil candidates inside the window, as (levels, cubes, partner
+    levels, partners); None when fewer than two cubes have a partner."""
     n = grid.dimension
     level = int(rng.integers(1, depth + 1))
     total = 2 ** (n * level)
     k = int(rng.integers(2, min(6, total) + 1))
-    flats = rng.choice(total, size=k, replace=False)
-    stencil = _offset_stencil(n, max_distance)
-    members, partners = [], []
-    for f in np.sort(flats):
-        coords = np.unravel_index(int(f), (2 ** level,) * n)
-        cand = np.array(coords) + stencil
-        plist = cand[((cand >= 0) & (cand < 2 ** level)).all(axis=1)]
-        if len(plist):
-            members.append(DyadicCube(grid, level, coords))
-            pick = plist[int(rng.integers(0, len(plist)))]
-            partners.append(DyadicCube(grid, level, pick))
-    return (members, partners) if len(members) >= 2 else ([], [])
+    cubes = np.sort(rng.choice(total, size=k, replace=False))
+    cands = [row[row >= 0] for row in _stencil_partners(grid, level, max_distance, cubes)[1]]
+    keep = np.array([len(c) > 0 for c in cands])
+    if keep.sum() < 2:
+        return None
+    partners = np.array([c[int(rng.integers(0, len(c)))] for c in cands if len(c)])
+    levels = np.full(len(partners), level)
+    return levels, cubes[keep], levels, partners
 
 
 def _descendant_partners(grid: Grid, level: int, max_generation: int,
@@ -1188,65 +1221,44 @@ def _descendant_partners(grid: Grid, level: int, max_generation: int,
     return np.repeat(subs, [i.shape[1] for i in index]), np.concatenate(index, axis=1)
 
 
-def _subcube_draw(rng, grid: Grid, depth: int, max_generation: int) -> tuple:
-    """1 to 6 cubes of one level, each with a random dyadic subcube."""
+def _subcube_draw(rng, grid: Grid, depth: int, max_generation: int):
+    """1 to 6 cubes of one level, each with a random dyadic subcube, as
+    (levels, cubes, partner levels, partners)."""
     n = grid.dimension
     level = int(rng.integers(0, depth + 1))
     total = 2 ** (n * level)
     k = int(rng.integers(1, min(6, total) + 1))
-    flats = rng.choice(total, size=k, replace=False)
-    members, subs = [], []
-    for f in np.sort(flats):
-        coords = tuple(int(c) for c in np.unravel_index(int(f), (2 ** level,) * n))
+    cubes = np.sort(rng.choice(total, size=k, replace=False))
+    subs, partners = [], []
+    for coords in np.stack(np.unravel_index(cubes, (2 ** level,) * n), axis=-1):
         gen = int(rng.integers(0, min(max_generation, grid.max_level - level) + 1))
-        offs = tuple(int(rng.integers(0, 2 ** gen)) for _ in range(n))
-        members.append(DyadicCube(grid, level, coords))
-        subs.append(DyadicCube(grid, level + gen,
-                               tuple(c * 2 ** gen + o for c, o in zip(coords, offs))))
-    return members, subs
+        offs = [int(rng.integers(0, 2 ** gen)) for _ in range(n)]
+        subs.append(level + gen)
+        partners.append(np.ravel_multi_index(tuple(coords * 2 ** gen + offs),
+                                             (2 ** (level + gen),) * n))
+    return np.full(k, level), cubes, np.array(subs), np.array(partners)
 
 
-def _family_search(families, value, best: float, winner) -> tuple:
-    """(best, winner, families evaluated) of a family search from a starting
-    best and its winner.
-
-    families yields each candidate family as the list of its tries, the
-    argument tuples of value. A try replaces the winner only when its value
-    is strictly above the best so far.
-    """
-    count = 0
-    for tries in families:
-        count += 1
-        for args in tries:
-            val = value(*args)
-            if val > best:
-                best, winner = val, args
-    return best, winner, count
-
-
-def _pair_families(grid: Grid, depth: int, best_partner: dict, draw, reach, rng):
-    """The tries of `_pair_family_ap`: the sibling families (the children of
-    each parent that have a best partner, with it, unit coefficients; one
+def _pair_families(grid: Grid, depth: int, partners: list, draw, reach, rng):
+    """The families of `_pair_family_ap`, each the list of its tries
+    (`_pair_values`): the sibling families (the children of each parent
+    that have a partner (`_pair_scan`), with it, unit coefficients; one
     `group_by_cube` of the finer level), then _FAMILY_COUNT draws, each
     tried with random and with unit coefficients."""
     n = grid.dimension
-    for level in range(0, depth):
-        cells = np.arange(2 ** (n * (level + 1))).reshape((2 ** (level + 1),) * n)
-        keys = _cube_keys(level + 1, cells.ravel(), n)
-        coords = np.stack(np.unravel_index(cells.ravel(), cells.shape), axis=-1).tolist()
-        live = np.array([key in best_partner for key in keys])
-        siblings = group_by_cube(cells, level)
-        for children in siblings[live[siblings].sum(axis=1) >= 2]:
-            children = children[live[children]].tolist()
-            yield [([DyadicCube(grid, level + 1, coords[c]) for c in children],
-                    [DyadicCube.from_key(grid, best_partner[keys[c]]) for c in children],
+    for level in range(1, depth + 1):
+        subs, index = partners[level]
+        siblings = group_by_cube(np.arange(2 ** (n * level)).reshape((2 ** level,) * n),
+                                 level - 1)
+        live = index[siblings] >= 0
+        for children in (c[on] for c, on in zip(siblings, live) if on.sum() >= 2):
+            yield [(np.full(len(children), level), children, subs[children], index[children],
                     np.ones(len(children)))]
     for _ in range(_FAMILY_COUNT):
-        members, partners = draw(rng, grid, depth, reach)
-        if members:
-            coeffs = rng.uniform(0.2, 1.0, size=len(members))
-            yield [(members, partners, coeffs),
-                   (members, partners, np.ones(len(members)))]
+        family = draw(rng, grid, depth, reach)
+        if family is not None:
+            coeffs = rng.uniform(0.2, 1.0, size=len(family[1]))
+            yield [(*family, coeffs), (*family, np.ones(len(coeffs)))]
 
 
 # variant -> (partners, draw, name of its reach parameter, smallest depth)
@@ -1262,32 +1274,35 @@ def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
     """The family search shared by the quadratic pair characteristics.
 
     The scan over the variant's partners gives every cube's best partner
-    and the best single pair, which seeds the value. Then come the sibling
-    families (the children of each parent with their best partners, unit
-    coefficients) and _FAMILY_COUNT seeded random families from the
-    variant's draw, each tried with random and with unit coefficients.
+    and the best single pair, whose value starts the search. Then come the
+    sibling families (the children of each parent with their best partners,
+    unit coefficients) and _FAMILY_COUNT seeded random families from the
+    variant's draw, each tried with random and with unit coefficients. All
+    tries take one `_pair_values`; the first largest (`_first_max`) is the
+    witness when it is strictly above the best pair.
     """
     partners_of, draw, reach_name, min_depth = _PAIR_VARIANTS[variant]
     cfg = LpConfig(p)
     grid, e, depth = _size_setup(sigma, omega, lam, depth, min_depth)
-    best_partner, scalar_best, scalar_pair, pair_count = _pair_scan(
-        sigma, omega, cfg, e, depth, min_depth, partners_of, reach)
+    partners, scalar_best, scalar_pair, pair_count = _pair_scan(
+        sigma, omega, cfg, e, depth, partners_of, reach)
     scalar_best = max(scalar_best, 0.0)
-
-    single = None  # the best pair as a family of one
+    families = list(_pair_families(grid, depth, partners, draw, reach,
+                                   np.random.default_rng(seed)))
+    tries = [t for family in families for t in family]
+    best, _, at = _first_max([_pair_values(sigma, omega, lam, cfg.p, tries)])
+    winner = None  # the best pair as a family of one
     if scalar_pair is not None:
-        cube, partner = (DyadicCube.from_key(grid, k) for k in scalar_pair)
-        single = ([cube], [partner], [1.0])
-    best, winner, families = _family_search(
-        _pair_families(grid, depth, best_partner, draw, reach, np.random.default_rng(seed)),
-        lambda cubes, partners, coeffs: _pair_family_value(
-            sigma, omega, lam, cfg.p, cubes, partners, coeffs),
-        scalar_best, single)
+        level, cube = scalar_pair
+        subs, index = partners[level]
+        winner = ([level], [cube], [subs[cube]], [index[cube]], [1.0])
+    if best > scalar_best:
+        winner = tries[at[0]]
     family_witness: dict = {}
     if winner is not None:
-        cubes, partners, coeffs = winner
-        family_witness = {"cubes": [q.key() for q in cubes],
-                          "partners": [s.key() for s in partners],
+        levels, cubes, subs, index, coeffs = winner
+        family_witness = {"cubes": _keys(levels, cubes, grid.dimension),
+                          "partners": _keys(subs, index, grid.dimension),
                           "coefficients": [float(a) for a in coeffs]}
 
     witness = {**family_witness, "variant": variant, "lambda": lam, "p": cfg.p,
@@ -1296,11 +1311,11 @@ def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
         "depth": depth,
         reach_name: reach,
         "pairs_scanned": pair_count,
-        "families_evaluated": families,
+        "families_evaluated": len(families),
         "family_count": _FAMILY_COUNT,
         "p": cfg.p,
     }
-    return CharacteristicReport(f"quadratic_{variant}_ap", best, witness,
+    return CharacteristicReport(f"quadratic_{variant}_ap", max(best, scalar_best), witness,
                                 search_space, seed)
 
 
@@ -1332,68 +1347,61 @@ def quadratic_subcube_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
 def _evaluate_pair_family_witness(sigma: MeshMeasure, omega: MeshMeasure,
                                   witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
-    cubes = [DyadicCube.from_key(grid, k) for k in witness["cubes"]]
-    partners = [DyadicCube.from_key(grid, k) for k in witness["partners"]]
-    coeffs = np.asarray(witness["coefficients"], dtype=float)
-    return _pair_family_value(sigma, omega, float(witness["lambda"]),
-                              float(witness["p"]), cubes, partners, coeffs)
+    family = (*_key_cubes(grid, witness["cubes"]), *_key_cubes(grid, witness["partners"]),
+              np.asarray(witness["coefficients"], dtype=float))
+    return float(_pair_values(sigma, omega, float(witness["lambda"]), float(witness["p"]),
+                              [family])[0])
 
 
 def _haar_family_values(system: HaarSystem, kernel: Kernel, trunc: Truncation,
-                        wflat: np.ndarray, members: dict, families: list, p: float) -> list:
-    """Ratio of each family (keys, weights a) of cubes with members (cube
-    key -> coefficients): the Lp(omega) norm of the pointwise square sum of
-    the members' images over the Lp(sigma) norm of that of the members
-    themselves, which the system synthesises from their coefficient rows.
+                        wflat: np.ndarray, coeffs: np.ndarray, families: list,
+                        p: float) -> np.ndarray:
+    """Ratio of each family (places, weights a) of distinct cubes of one
+    level, given by their places in `_live_slots`, whose members are the
+    combinations coeffs[place] of their wavelets: the Lp(omega) norm of the
+    pointwise square sum of the members' images over the Lp(sigma) norm of
+    that of the members themselves, 0 where that is 0.
+
     The numerators sum_i omega_i (sum_m (a_m img_m(i))^2)^(p/2) take one
     pass of `image_blocks`: a member c is constant on its cube's children,
     so its image is (c @ V) @ x, V the wavelets' child values and x the
-    children's images."""
-    slots = _live_slots(system)
-    place = {key: i for i, (key, _, _) in enumerate(slots)}
-    coeffs = np.zeros((len(slots), 2 ** system.measure.grid.dimension - 1))
-    for key, c in members.items():
-        coeffs[place[key], :len(c)] = c
+    children's images. The members' cubes are disjoint, so the denominator^p
+    is sum_m |a_m|^p sum_J sigma(J) |c_m @ V_m|_J^p over each member's
+    children J, the child-space sums of `_lp_ratios`."""
     fold = _CubeFold(system, wflat)
     on_children = [coeffs[at, None, :index.shape[1]] @ lv.padded_values[cubes, :index.shape[1]]
                    for at, lv, cubes, index in fold.groups]
-    places = [([place[k] for k in keys], np.asarray(a, dtype=float)) for keys, a in families]
+    norms = np.zeros(len(coeffs))  # each member's Lp(sigma) norm, to the p
+    for (at, lv, cubes, _), v in zip(fold.groups, on_children):
+        norms[at] = (lv.child_masses[cubes] * np.abs(v[:, 0]) ** p).sum(axis=-1)
     nums = np.zeros(len(families))
 
     def add(rows: slice, levels: list) -> None:
-        images = np.empty((len(slots), rows.stop - rows.start))
+        images = np.empty((len(coeffs), rows.stop - rows.start))
         for (at, *_), v, (x, _) in zip(fold.groups, on_children, fold.blocks(rows, levels)):
             images[at] = (v @ x)[:, 0]
         w = wflat[rows]
-        for i, (at, a) in enumerate(places):
+        for i, (at, a) in enumerate(families):
             nums[i] += w @ ((a[:, None] * images[at]) ** 2).sum(axis=0) ** (p / 2.0)
 
     _fold_images(kernel, trunc, system.measure, system.depth, add)
-    out = []
-    for (keys, weights), num in zip(families, nums):
-        rows = np.zeros((len(keys), system.n_wavelets))
-        for i, (key, a) in enumerate(zip(keys, weights)):
-            start, count = system.cube_slots[key]
-            rows[i, start:start + count] = a * coeffs[place[key], :count]
-        den_f = (system.synthesise(rows) ** 2).sum(axis=0)
-        den = float(np.sum(system.measure.flat_mass * den_f ** (p / 2.0))) ** (1.0 / p)
-        out.append(float(num) ** (1.0 / p) / den if den > 0.0 else 0.0)
-    return out
+    dens = np.array([np.sum(np.abs(a) ** p * norms[at]) for at, a in families])
+    return np.divide(nums ** (1.0 / p), dens ** (1.0 / p), out=np.zeros(len(families)),
+                     where=dens > 0.0)
 
 
-def _level_families(by_level: dict, rng) -> list:
-    """The families (keys, weights) of `quadratic_haar_testing`: each
-    level's cubes with unit weights, then _FAMILY_COUNT draws of 1 to 6
-    cubes of one level with random weights, none when no level has cubes."""
-    levels = sorted(by_level)
-    out = [(by_level[level], np.ones(len(by_level[level])))
-           for level in levels if len(by_level[level]) >= 2]
-    for _ in range(_FAMILY_COUNT if levels else 0):
-        keys = by_level[levels[int(rng.integers(0, len(levels)))]]
-        k = int(rng.integers(1, min(6, len(keys)) + 1))
-        picks = sorted(rng.choice(len(keys), size=k, replace=False).tolist())
-        chosen = [keys[i] for i in picks]
-        out.append((chosen, rng.uniform(0.2, 1.0, size=len(chosen))))
+def _level_families(levels: np.ndarray, rng) -> list:
+    """The families (places, weights) of `quadratic_haar_testing`, from the
+    level of each cube of `_live_slots`: each level's cubes with unit
+    weights, then _FAMILY_COUNT draws of 1 to 6 cubes of one level with
+    random weights, none when no level has cubes."""
+    by_level = [np.flatnonzero(levels == level) for level in np.unique(levels)]
+    out = [(at, np.ones(len(at))) for at in by_level if len(at) >= 2]
+    for _ in range(_FAMILY_COUNT if by_level else 0):
+        at = by_level[int(rng.integers(0, len(by_level)))]
+        k = int(rng.integers(1, min(6, len(at)) + 1))
+        out.append((at[np.sort(rng.choice(len(at), size=k, replace=False))],
+                    rng.uniform(0.2, 1.0, size=k)))
     return out
 
 
@@ -1416,19 +1424,20 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
     values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, cfg.p)
-    member_best: dict = {}  # each cube's first best candidate
-    by_level: dict = {}
-    for (key, _, count), row, combo in zip(_live_slots(system), values, combos):
-        member_best[key] = [float(v) for v in combo[row.argmax(), :count]]
-        by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
-    scalar_best, scalar_key, _ = _cube_witness(system, values, combos)
-    families = _level_families(by_level, np.random.default_rng(seed))
-    best, _, at = _first_max([np.array(_haar_family_values(
-        system, kernel, trunc, omega.flat_mass, member_best, families, cfg.p))])
-    keys, weights = ([scalar_key], [1.0]) if scalar_key else ([], [])
+    slots = _live_slots(system)
+    members = combos[np.arange(len(values)), values.argmax(axis=1)]  # first best candidates
+    levels = np.repeat(np.arange(depth), [np.count_nonzero(lv.counts) for lv in system.levels])
+    families = _level_families(levels, np.random.default_rng(seed))
+    scalar_best, _, place = _first_max([values])
+    places, weights = ([], []) if place is None else ([place[0]], [1.0])
+    scalar_best = max(scalar_best, 0.0)
+    best, _, at = _first_max([_haar_family_values(
+        system, kernel, trunc, omega.flat_mass, members, families, cfg.p)])
     if best > scalar_best:
-        keys, weights = families[at[0]]
-    witness = {"members": [{"cube": k, "coefficients": member_best[k]} for k in keys],
+        places, weights = families[at[0]]
+    witness = {"members": [{"cube": slots[i][0],
+                            "coefficients": [float(v) for v in members[i, :slots[i][2]]]}
+                           for i in places],
                "weights": [float(a) for a in weights],
                "p": cfg.p, "scalar_value": scalar_best}
     search_space = {
@@ -1447,10 +1456,15 @@ def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
                                      witness: dict, space: dict) -> float:
     kernel, trunc = _kernel_and_trunc(space)
     require_resolved(trunc, sigma.grid)
-    members = {m["cube"]: m["coefficients"] for m in witness["members"]}
-    return _haar_family_values(cached_system(sigma, int(space["depth"])), kernel, trunc,
-                               omega.flat_mass, members, [(list(members), witness["weights"])],
-                               float(witness["p"]))[0]
+    system = cached_system(sigma, int(space["depth"]))
+    place = {key: i for i, (key, _, _) in enumerate(_live_slots(system))}
+    coeffs = np.zeros((len(place), 2 ** sigma.grid.dimension - 1))
+    at = np.array([place[m["cube"]] for m in witness["members"]], dtype=int)
+    for i, member in zip(at, witness["members"]):
+        coeffs[i, :len(member["coefficients"])] = member["coefficients"]
+    return float(_haar_family_values(system, kernel, trunc, omega.flat_mass, coeffs,
+                                     [(at, np.asarray(witness["weights"], dtype=float))],
+                                     float(witness["p"]))[0])
 
 
 # -- witness re-evaluation -----------------------------------------------------

@@ -114,24 +114,6 @@ def build_cube_wavelets(measure: MeshMeasure, cube: DyadicCube) -> list:
             for i, row in enumerate(values)]
 
 
-def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random orthogonal matrix via QR with positive R diagonal."""
-    a = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
-
-
-def rotate_cube_wavelets(wavelets: list, rotation: np.ndarray) -> list:
-    """Replace one cube's wavelets by an orthogonally rotated basis of the
-    same span, re-applying the leading-sign convention."""
-    if not wavelets:
-        return []
-    rows = normalize_sign(rotation @ np.array([h.child_values for h in wavelets]))
-    return [HaarWavelet(cube=h.cube, index=i, child_values=row,
-                        child_masses=h.child_masses)
-            for i, (h, row) in enumerate(zip(wavelets, rows))]
-
-
 def _cube_keys(level: int, cubes: np.ndarray, dimension: int) -> list:
     """`DyadicCube.key()` of the level-`level` cubes with C-order indices cubes."""
     coords = np.unravel_index(cubes, (2 ** level,) * dimension)
@@ -185,7 +167,6 @@ class HaarSystem:
     measure: MeshMeasure
     depth: int
     levels: list
-    rotation_seed: int | None = None
 
     @cached_property
     def level_rows(self) -> list:
@@ -336,36 +317,23 @@ class HaarSystem:
         return out
 
 
-def build_system(measure: MeshMeasure, depth: int,
-                 rotation_seed: int | None = None) -> HaarSystem:
-    """The system of levels 0..depth-1, each level built in one step.
-
-    With rotation_seed, each cube with two or more wavelets then gets a
-    Haar-random rotation of them, drawn cube by cube in system order.
-    """
+def build_system(measure: MeshMeasure, depth: int) -> HaarSystem:
+    """The system of levels 0..depth-1, each level built in one step."""
     grid = measure.grid
     if depth < 1 or depth > grid.max_level:
         raise ValueError(f"depth must be in [1, {grid.max_level}], got {depth}")
-    rng = np.random.default_rng(rotation_seed) if rotation_seed is not None else None
     levels = []
     for level in range(depth):
         masses = _child_masses(measure, level)
         cubes, values = _level_wavelets(masses)
-        lv = HaarLevel(level=level, cubes=cubes, child_values=values, child_masses=masses)
-        if rng is not None:
-            for start, count in zip(lv.starts.tolist(), lv.counts.tolist()):
-                if count >= 2:
-                    rows = slice(start, start + count)
-                    values[rows] = normalize_sign(random_rotation(count, rng) @ values[rows])
-        levels.append(lv)
-    return HaarSystem(measure=measure, depth=depth, levels=levels,
-                      rotation_seed=rotation_seed)
+        levels.append(HaarLevel(level=level, cubes=cubes, child_values=values,
+                                child_masses=masses))
+    return HaarSystem(measure=measure, depth=depth, levels=levels)
 
 
 @lru_cache(maxsize=64)
-def cached_system(measure: MeshMeasure, depth: int,
-                  rotation_seed: int | None = None) -> HaarSystem:
-    return build_system(measure, depth, rotation_seed)
+def cached_system(measure: MeshMeasure, depth: int) -> HaarSystem:
+    return build_system(measure, depth)
 
 
 def lq_l2_ratio(wavelet: HaarWavelet, q: float) -> float:

@@ -462,13 +462,11 @@ class HaarMatrixFold:
 
 
 def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
-                         omega: MeshMeasure, depth: int,
-                         rotation_seed: int | None = None) -> HaarMatrix:
+                         omega: MeshMeasure, depth: int) -> HaarMatrix:
     if sigma.grid != omega.grid:
         raise ValueError("sigma and omega must share a grid")
     grid = sigma.grid
     require_resolved(trunc, grid)
-    fold = HaarMatrixFold(cached_system(sigma, depth, rotation_seed),
-                          cached_system(omega, depth, rotation_seed))
+    fold = HaarMatrixFold(cached_system(sigma, depth), cached_system(omega, depth))
     _fold_images(kernel, trunc, sigma, depth, fold.add)
     return fold.matrix(kernel, trunc)

@@ -1,7 +1,10 @@
-"""Dense reference builds of the kernel matrix, for tests only.
+"""Dense and full-mesh reference builds, for tests only.
 
 `haartest.operators` never forms the N x N kernel matrix G whole past one
 block; these build it whole to check the block stream and `apply` against.
+`haartest.characteristics` takes the quadratic pair values in closed form
+over level arrays; `pair_family_value` builds the two mesh functions of
+their definition instead.
 """
 from __future__ import annotations
 
@@ -9,6 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from haartest.dyadic import Grid
+from haartest.measure import MeshMeasure
 from haartest.operators import Kernel, Truncation, kernel_matrix
 
 # points per row block of points_matrix
@@ -42,3 +46,24 @@ def points_matrix(kernel: Kernel, trunc: Truncation, points: np.ndarray,
         r = np.linalg.norm(x - y, axis=-1)
         out[start:stop] = kernel.eval(x, y) * trunc.scale(r)
     return out
+
+
+def pair_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float, p: float,
+                      cubes: list, partners: list, coeffs) -> float:
+    """Lp ratio of a family of cubes Q (`DyadicCube`s) with partner cubes P
+    and coefficients a, from its two mesh functions.
+
+    Numerator: Lp(omega) norm of (sum_Q (a |P|_sigma / |P|^{1-lam/n})^2 1_Q)^{1/2};
+    denominator: Lp(sigma) norm of (sum_Q a^2 1_P)^{1/2}; 0 where that is 0.
+    """
+    grid = sigma.grid
+    e = 1.0 - lam / grid.dimension
+    num_f = np.zeros(grid.mesh_shape)
+    den_f = np.zeros(grid.mesh_shape)
+    for q, s, a in zip(cubes, partners, coeffs):
+        es = sigma.cube_mass(s) / s.volume ** e
+        num_f[q.slices()] += (a * es) ** 2
+        den_f[s.slices()] += a ** 2
+    num = float(np.sum(omega.flat_mass * num_f.ravel() ** (p / 2.0))) ** (1.0 / p)
+    den = float(np.sum(sigma.flat_mass * den_f.ravel() ** (p / 2.0))) ** (1.0 / p)
+    return num / den if den > 0.0 else 0.0

@@ -26,7 +26,7 @@ from haartest.characteristics import (
     validate_offset_family,
 )
 from haartest.dyadic import DyadicCube, Grid
-from haartest.haar import cached_system
+from haartest.haar import HaarLevel, HaarSystem, _cube_keys, cached_system
 from haartest.measure import (
     custom_cells,
     lebesgue,
@@ -35,6 +35,7 @@ from haartest.measure import (
     random_dyadic_doubling,
 )
 from haartest.operators import (
+    HaarMatrixFold,
     Truncation,
     _fold_images,
     apply,
@@ -42,7 +43,7 @@ from haartest.operators import (
     default_truncation,
     make_kernel,
 )
-from oracles import dense_kernel_matrix
+from oracles import dense_kernel_matrix, pair_family_value
 
 GRID = Grid(dimension=1, max_level=7)
 SIGMA = random_dyadic_doubling(GRID, 2.0, seed=31)
@@ -262,6 +263,22 @@ def test_matched_testing_below_operator_norm():
     assert col.value >= np.linalg.norm(mat.entries, axis=0).max() - 1e-12
 
 
+def _rotated(system, rng):
+    """The system with each cube's wavelets, where it has two or more,
+    turned by a Haar-random rotation: the same span cube by cube."""
+    levels = []
+    for lv in system.levels:
+        values = lv.child_values.copy()
+        for start, count in zip(lv.starts.tolist(), lv.counts.tolist()):
+            if count >= 2:
+                q, r = np.linalg.qr(rng.standard_normal((count, count)))
+                rows = slice(start, start + count)
+                values[rows] = (q * np.sign(np.diag(r))) @ values[rows]
+        levels.append(HaarLevel(level=lv.level, cubes=lv.cubes, child_values=values,
+                                child_masses=lv.child_masses))
+    return HaarSystem(measure=system.measure, depth=system.depth, levels=levels)
+
+
 def test_matched_testing_is_rotation_invariant():
     # the per-cube block optimum covers every rotation of the cube's
     # wavelets; 2-D cubes carry three wavelets, so rotations really move them
@@ -271,7 +288,11 @@ def test_matched_testing_is_rotation_invariant():
     kernel = make_kernel("riesz_like", 0.5, 2)
     trunc = default_truncation(grid)
     plain = assemble_haar_matrix(kernel, trunc, sigma, omega, 3)
-    turned = assemble_haar_matrix(kernel, trunc, sigma, omega, 3, rotation_seed=7)
+    rng = np.random.default_rng(7)
+    fold = HaarMatrixFold(_rotated(plain.sigma_system, rng), _rotated(plain.omega_system, rng))
+    _fold_images(kernel, trunc, sigma, 3, fold.add)
+    turned = fold.matrix(kernel, trunc)
+    assert np.abs(turned.entries - plain.entries).max() > 1e-3
     for dual in (False, True):
         np.testing.assert_allclose(matched_haar_testing(turned, dual=dual).value,
                                    matched_haar_testing(plain, dual=dual).value,
@@ -514,7 +535,7 @@ def _dense_lp(weights, values, p):
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_lp_haar_denominators_match_dense_values(name, p):
-    from haartest.characteristics import _haar_family_values, _lp_ratios, _lp_sums
+    from haartest.characteristics import _haar_family_values, _live_slots, _lp_ratios, _lp_sums
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     depth = 3
@@ -574,19 +595,29 @@ def test_lp_haar_denominators_match_dense_values(name, p):
         np.testing.assert_allclose(
             _haar_family_value(system, images, omega.flat_mass, members, weights, p), want,
             rtol=1e-12, atol=0.0)
-        got = _haar_family_values(system, kernel, trunc, omega.flat_mass, dict(members),
-                                  [(keys, weights)], p)
+        place = {key: i for i, (key, _, _) in enumerate(_live_slots(system))}
+        coeffs = np.zeros((len(place), 2 ** sigma.grid.dimension - 1))
+        for key, c in members:
+            coeffs[place[key], :len(c)] = c
+        got = _haar_family_values(system, kernel, trunc, omega.flat_mass, coeffs,
+                                  [(np.array([place[k] for k in keys]), weights)], p)
         np.testing.assert_allclose(got, [want], rtol=1e-12, atol=0.0)
 
 
-def test_family_search_keeps_the_first_strict_maximum():
-    from haartest.characteristics import _family_search
-
-    # each family is a list of tries; an empty family still counts
-    families = [[("a", 1.0)], [("b", 2.0), ("c", 2.0)], [], [("d", 0.5)]]
-    value = lambda name, v: v  # noqa: E731
-    assert _family_search(iter(families), value, 1.0, None) == (2.0, ("b", 2.0), 4)
-    assert _family_search(iter(families), value, 2.0, "start") == (2.0, "start", 4)
+def _family_search(families, value, best, winner):
+    """The family search loop of the quadratic scans, as a witness oracle:
+    (best, winner, families evaluated) from a starting best and its winner.
+    families yields each candidate family as the list of its tries, the
+    argument tuples of value; a try replaces the winner only when its value
+    is strictly above the best so far."""
+    count = 0
+    for tries in families:
+        count += 1
+        for args in tries:
+            val = value(*args)
+            if val > best:
+                best, winner = val, args
+    return best, winner, count
 
 
 # -- level-array scans against the per-cube loops they replaced -----------------
@@ -683,22 +714,23 @@ def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_quadratic_member_scan_matches_member_loop(name, p):
-    from haartest.characteristics import _family_search, _level_families, _lp_scan
+    from haartest.characteristics import _level_families, _lp_scan
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     system, images = _whole_wavelet_images(sigma, kernel, trunc, 3)
     loop = _loop_candidates(system, images, omega, p, "global", None, 2)
     _assert_same_candidates(*_lp_scan(system, kernel, trunc, omega.flat_mass, p), loop)
-    # the loop's members, scalar and by-level keys, then its family search
-    # through the module's family driver
-    member_best, by_level = {}, {}
-    for key, ratios, candidates in loop:
-        member_best[key] = [float(v) for v in max(zip(ratios, candidates),
-                                                  key=lambda rc: rc[0])[1]]
-        by_level.setdefault(int(key.split(":", 1)[0]), []).append(key)
+    # the loop's members and scalar, then the oracle family search over the
+    # module's families (places in the loop's cube order)
+    member_best = {key: [float(v) for v in max(zip(ratios, candidates),
+                                               key=lambda rc: rc[0])[1]]
+                   for key, ratios, candidates in loop}
     scalar_best, scalar_key, _ = _loop_best(loop)
+    order = list(member_best)
+    levels = np.array([int(key.split(":", 1)[0]) for key in order])
     best, (keys, weights), families = _family_search(
-        ([family] for family in _level_families(by_level, np.random.default_rng(4))),
+        ([([order[i] for i in at], a)]
+         for at, a in _level_families(levels, np.random.default_rng(4))),
         lambda keys, weights: _haar_family_value(
             system, images, omega.flat_mass, [(k, member_best[k]) for k in keys],
             weights, p),
@@ -773,6 +805,23 @@ def _loop_subcube_partners(cube, max_generation):
         yield cube.level + gen, np.array(cube.coords) * 2 ** gen + offs
 
 
+def _loop_subcube_draw(rng, grid, depth, max_generation):
+    n = grid.dimension
+    level = int(rng.integers(0, depth + 1))
+    total = 2 ** (n * level)
+    k = int(rng.integers(1, min(6, total) + 1))
+    flats = rng.choice(total, size=k, replace=False)
+    members, subs = [], []
+    for f in np.sort(flats):
+        coords = tuple(int(c) for c in np.unravel_index(int(f), (2 ** level,) * n))
+        gen = int(rng.integers(0, min(max_generation, grid.max_level - level) + 1))
+        offs = tuple(int(rng.integers(0, 2 ** gen)) for _ in range(n))
+        members.append(DyadicCube(grid, level, coords))
+        subs.append(DyadicCube(grid, level + gen,
+                               tuple(c * 2 ** gen + o for c, o in zip(coords, offs))))
+    return members, subs
+
+
 def _loop_pair_scan(sigma, omega, cfg, e, depth, min_depth, partners_of, reach):
     from haartest.characteristics import _size_value
     from haartest.measure import level_masses
@@ -802,6 +851,15 @@ def _loop_pair_scan(sigma, omega, cfg, e, depth, min_depth, partners_of, reach):
     return best_partner, scalar_best, scalar_pair, pair_count
 
 
+def _partner_keys(partners, n):
+    """The partners of `_pair_scan` as the loop's dict: cube key -> partner key."""
+    out = {}
+    for level, (subs, index) in enumerate(partners):
+        for cube in np.flatnonzero(index >= 0):
+            out[_cube_keys(level, [cube], n)[0]] = _cube_keys(int(subs[cube]), [index[cube]], n)[0]
+    return out
+
+
 def _pair_case(name):
     if name == "1d":
         return SIGMA, OMEGA, 0.0
@@ -816,39 +874,56 @@ def _pair_case(name):
 @pytest.mark.parametrize("variant,reach", [("offset", 2.5), ("offset", 10.0),
                                            ("subcube", 0), ("subcube", 2)])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_pair_scans_match_per_cube_loops(monkeypatch, case, variant, reach, p):
+def test_pair_scans_match_per_cube_loops(case, variant, reach, p):
     import haartest.characteristics as chars
 
     sigma, omega, lam = _pair_case(case)
+    grid, n = sigma.grid, sigma.grid.dimension
     func = quadratic_offset_ap if variant == "offset" else quadratic_subcube_ap
     kwargs = {"max_distance" if variant == "offset" else "max_generation": reach}
-    partners_of, draw, reach_name, min_depth = chars._PAIR_VARIANTS[variant]
+    partners_of, _, _, min_depth = chars._PAIR_VARIANTS[variant]
     cfg = chars.LpConfig(p)
     _, e, depth = chars._size_setup(sigma, omega, lam, None, min_depth)
-    scan = chars._pair_scan(sigma, omega, cfg, e, depth, min_depth, partners_of, reach)
+    partners, scalar_best, (level, cube), pair_count = chars._pair_scan(
+        sigma, omega, cfg, e, depth, partners_of, reach)
     loop_partners = _loop_offset_partners if variant == "offset" else _loop_subcube_partners
     loop = _loop_pair_scan(sigma, omega, cfg, e, depth, min_depth, loop_partners, reach)
-    assert scan[0] == loop[0]
-    np.testing.assert_allclose(scan[1], loop[1], rtol=1e-12, atol=0.0)
-    assert scan[2:] == loop[2:]
+    best_partner = _partner_keys(partners, n)
+    assert best_partner == loop[0]
+    np.testing.assert_allclose(scalar_best, loop[1], rtol=1e-12, atol=0.0)
+    key = _cube_keys(level, [cube], n)[0]
+    assert (key, best_partner[key]) == loop[2]
+    assert pair_count == loop[3]
+    # the whole search once more by the loops: the per-cube scan and draw,
+    # the mesh values and the oracle family search
     rep = func(sigma, omega, lam, p=p, seed=9, **kwargs)
-    # the whole report once more, with the per-cube scan and draw
-    monkeypatch.setitem(chars._PAIR_VARIANTS, variant, (
-        loop_partners, _loop_offset_draw if variant == "offset" else draw,
-        reach_name, min_depth))
-    monkeypatch.setattr(chars, "_pair_scan", _loop_pair_scan)
-    want = func(sigma, omega, lam, p=p, seed=9, **kwargs)
-    np.testing.assert_allclose(rep.value, want.value, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(rep.witness.pop("singleton_value"),
-                               want.witness.pop("singleton_value"), rtol=1e-12, atol=0.0)
-    assert rep.witness == want.witness
-    assert rep.search_space == want.search_space
+    single = tuple([DyadicCube.from_key(grid, k)] for k in loop[2]) + ([1.0],)
+    draw = _loop_offset_draw if variant == "offset" else _loop_subcube_draw
+    best, winner, families = _family_search(
+        _loop_pair_families(grid, depth, loop[0], draw, reach, np.random.default_rng(9)),
+        lambda cubes, partners, coeffs: pair_family_value(sigma, omega, lam, p, cubes,
+                                                          partners, coeffs),
+        max(loop[1], 0.0), single)
+    np.testing.assert_allclose(rep.value, best, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep.witness["singleton_value"], loop[1], rtol=1e-12, atol=0.0)
+    want = {"cubes": [q.key() for q in winner[0]], "partners": [s.key() for s in winner[1]],
+            "coefficients": [float(a) for a in winner[2]]}
+    got = {k: rep.witness[k] for k in want}
+    if got != want:
+        # a named tie: another try of the oracle's value to rounding
+        tie = pair_family_value(sigma, omega, lam, p,
+                                [DyadicCube.from_key(grid, k) for k in got["cubes"]],
+                                [DyadicCube.from_key(grid, k) for k in got["partners"]],
+                                got["coefficients"])
+        np.testing.assert_allclose(tie, best, rtol=1e-12, atol=0.0)
+    assert rep.search_space["families_evaluated"] == families
     assert rep.search_space["pairs_scanned"] == loop[3]
 
 
 def _loop_pair_families(grid, depth, best_partner, draw, reach, rng):
-    """The tries of `_pair_family_ap` by the per-parent loop over
-    `DyadicCube.children()` that the level arrays replaced."""
+    """The families of `_pair_family_ap` by the per-parent loop over
+    `DyadicCube.children()` that the level arrays replaced, with the
+    cube-by-cube draws."""
     for level in range(0, depth):
         for parent in grid.cubes_at_level(level):
             members = [c for c in parent.children() if c.key() in best_partner]
@@ -871,23 +946,90 @@ def test_pair_families_match_the_per_parent_loop(case, variant, reach, dropped):
     import haartest.characteristics as chars
 
     sigma, omega, lam = _pair_case(case)
+    n = sigma.grid.dimension
     partners_of, draw, _, min_depth = chars._PAIR_VARIANTS[variant]
     _, e, depth = chars._size_setup(sigma, omega, lam, None, min_depth)
-    best_partner = chars._pair_scan(sigma, omega, chars.LpConfig(3.0), e, depth, min_depth,
-                                    partners_of, reach)[0]
-    drop = np.random.default_rng(8).uniform(size=len(best_partner)) < dropped
-    best_partner = {k: v for (k, v), out in zip(best_partner.items(), drop) if not out}
-    got = list(chars._pair_families(sigma.grid, depth, best_partner, draw, reach,
+    partners = chars._pair_scan(sigma, omega, chars.LpConfig(3.0), e, depth, partners_of,
+                                reach)[0]
+    drop = np.random.default_rng(8)
+    partners = [(subs, np.where(drop.uniform(size=index.size) < dropped, -1, index))
+                for subs, index in partners]
+    loop_draw = _loop_offset_draw if variant == "offset" else _loop_subcube_draw
+    got = list(chars._pair_families(sigma.grid, depth, partners, draw, reach,
                                     np.random.default_rng(9)))
-    want = list(_loop_pair_families(sigma.grid, depth, best_partner, draw, reach,
-                                    np.random.default_rng(9)))
+    want = list(_loop_pair_families(sigma.grid, depth, _partner_keys(partners, n), loop_draw,
+                                    reach, np.random.default_rng(9)))
     assert len(got) == len(want) > 32
     for tries, loop_tries in zip(got, want):
         assert len(tries) == len(loop_tries)
-        for (cubes, partners, coeffs), (loop_cubes, loop_partners, loop_coeffs) in zip(
+        for (levels, cubes, subs, index, coeffs), (loop_cubes, loop_partners, loop_coeffs) in zip(
                 tries, loop_tries):
-            assert cubes == loop_cubes and partners == loop_partners
+            assert chars._keys(levels, cubes, n) == [c.key() for c in loop_cubes]
+            assert chars._keys(subs, index, n) == [c.key() for c in loop_partners]
             np.testing.assert_array_equal(coeffs, loop_coeffs)
+
+
+def _offset_family(grid, members, partners, coeffs):
+    """The (levels, cubes, partner levels, partners, coefficients) try of
+    an offset family given by cube keys, checked by validate_offset_family."""
+    from haartest.characteristics import _key_cubes
+
+    validate_offset_family(grid, QuadraticFamily(members, partners, coeffs))
+    return (*_key_cubes(grid, members), *_key_cubes(grid, partners),
+            np.asarray(coeffs, dtype=float))
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+@pytest.mark.parametrize("variant,reach", [("offset", 2.5), ("subcube", 2)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_closed_form_pair_values_match_the_mesh_oracle(case, variant, reach, p):
+    # every try of the search, in closed form over level arrays, against the
+    # two mesh functions of the definition
+    import haartest.characteristics as chars
+
+    sigma, omega, lam = _pair_case(case)
+    grid = sigma.grid
+    partners_of, draw, _, min_depth = chars._PAIR_VARIANTS[variant]
+    _, e, depth = chars._size_setup(sigma, omega, lam, None, min_depth)
+    partners = chars._pair_scan(sigma, omega, chars.LpConfig(p), e, depth, partners_of,
+                                reach)[0]
+    tries = [t for family in chars._pair_families(grid, depth, partners, draw, reach,
+                                                  np.random.default_rng(3))
+             for t in family]
+    if variant == "offset":
+        level = 2
+        key = lambda *c: f"{level}:" + ",".join(map(str, c))  # noqa: E731
+        at = (0,) * (grid.dimension - 1)
+        tries += [
+            # two members share one partner
+            _offset_family(grid, [key(*at, 0), key(*at, 2)], [key(*at, 1), key(*at, 1)],
+                           [0.7, 0.4]),
+            # a partner is another member
+            _offset_family(grid, [key(*at, 1), key(*at, 2)], [key(*at, 2), key(*at, 3)],
+                           [0.5, 1.0]),
+        ]
+    got = chars._pair_values(sigma, omega, lam, p, tries)
+    assert len(got) == len(tries) > 32
+    for value, (levels, cubes, subs, index, coeffs) in zip(got, tries):
+        want = pair_family_value(
+            sigma, omega, lam, p,
+            [DyadicCube.from_key(grid, k) for k in chars._keys(levels, cubes, grid.dimension)],
+            [DyadicCube.from_key(grid, k) for k in chars._keys(subs, index, grid.dimension)],
+            coeffs)
+        assert want > 0.0
+        np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0)
+    # both pair reports round trip through reevaluate, and their witness's
+    # mesh value is the report's value
+    func = quadratic_offset_ap if variant == "offset" else quadratic_subcube_ap
+    kwargs = {"max_distance" if variant == "offset" else "max_generation": reach}
+    rep = func(sigma, omega, lam, p=p, seed=3, **kwargs)
+    again = CharacteristicReport(**json.loads(json.dumps(rep.as_dict())))
+    np.testing.assert_allclose(reevaluate(again, sigma, omega), rep.value, rtol=1e-12, atol=0.0)
+    mesh = pair_family_value(sigma, omega, lam, p,
+                             [DyadicCube.from_key(grid, k) for k in rep.witness["cubes"]],
+                             [DyadicCube.from_key(grid, k) for k in rep.witness["partners"]],
+                             rep.witness["coefficients"])
+    np.testing.assert_allclose(mesh, rep.value, rtol=1e-12, atol=0.0)
 
 
 def test_partner_candidates_keep_the_loop_order():

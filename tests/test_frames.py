@@ -207,8 +207,6 @@ def empty_quadrant_measure():
 SYSTEMS = {
     "1d-doubling": lambda: build_system(MU, GRID.max_level),
     "2d-empty-quadrant": lambda: build_system(empty_quadrant_measure(), 4),
-    "2d-rotated": lambda: build_system(random_dyadic_doubling(GRID_2D, 3.0, seed=5),
-                                       3, rotation_seed=3),
 }
 
 

@@ -10,8 +10,6 @@ from haartest.haar import (
     build_system,
     cached_system,
     lq_l2_ratio,
-    random_rotation,
-    rotate_cube_wavelets,
 )
 from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
 
@@ -134,22 +132,6 @@ def test_sign_convention_leading_positive(grid1):
         assert nz[0] > 0.0
 
 
-def test_rotation_preserves_span_and_gram(grid2):
-    mu = random_dyadic_doubling(grid2, 2.0, seed=5)
-    root = grid2.cube(0, (0, 0))
-    base = build_cube_wavelets(mu, root)
-    assert len(base) == 3
-    rot = random_rotation(3, np.random.default_rng(8))
-    turned = rotate_cube_wavelets(base, rot)
-    flat = mu.flat_mass
-    a = np.array([h.mesh_values().ravel() for h in base])
-    b = np.array([h.mesh_values().ravel() for h in turned])
-    # same span: cross-projection is orthogonal, gram stays the identity
-    np.testing.assert_allclose((b * flat) @ b.T, np.eye(3), atol=1e-10)
-    cross = (b * flat) @ a.T
-    np.testing.assert_allclose(cross @ cross.T, np.eye(3), atol=1e-10)
-
-
 def test_build_system_depth_validation(grid1):
     mu = lebesgue(grid1)
     with pytest.raises(ValueError):
@@ -218,18 +200,14 @@ def _gram_schmidt_cube(masses):
     return rows
 
 
-def _oracle_rows(mu, depth, rotation_seed=None):
+def _oracle_rows(mu, depth):
     """(labels, child-value rows) of the system, one cube at a time in
-    system order, with the rotation drawn per cube as build_system draws it."""
-    rng = None if rotation_seed is None else np.random.default_rng(rotation_seed)
+    system order."""
     labels, rows = [], []
     for level in range(depth):
         for cube in mu.grid.cubes_at_level(level):
             masses = np.array([mu.cube_mass(c) for c in cube.children()])
             block = _gram_schmidt_cube(masses)
-            if rng is not None and len(block) >= 2:
-                turned = random_rotation(len(block), rng) @ np.array(block)
-                block = [_sign_fixed(r) for r in turned]
             labels += [(cube.key(), i) for i in range(len(block))]
             rows += block
     return labels, np.array(rows).reshape(len(rows), 2 ** mu.grid.dimension)
@@ -247,22 +225,19 @@ def _holed_2d():
 
 LEVEL_BUILD_CASES = {
     "1d-doubling": (lambda: random_dyadic_doubling(Grid(dimension=1, max_level=8), 2.5,
-                                                   seed=8), 7, None),
-    "2d-holed": (_holed_2d, 4, None),
-    "1d-point": (lambda: near_point_mass(Grid(dimension=1, max_level=8), 12.0), 6, None),
-    "2d-point": (lambda: near_point_mass(Grid(dimension=2, max_level=4), 9.0), 4, None),
-    "2d-rotated": (_holed_2d, 4, 3),
-    "1d-rotated": (lambda: random_dyadic_doubling(Grid(dimension=1, max_level=8), 2.5,
-                                                  seed=8), 5, 3),
+                                                   seed=8), 7),
+    "2d-holed": (_holed_2d, 4),
+    "1d-point": (lambda: near_point_mass(Grid(dimension=1, max_level=8), 12.0), 6),
+    "2d-point": (lambda: near_point_mass(Grid(dimension=2, max_level=4), 9.0), 4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_BUILD_CASES))
 def test_level_build_matches_gram_schmidt(name):
-    make, depth, seed = LEVEL_BUILD_CASES[name]
+    make, depth = LEVEL_BUILD_CASES[name]
     mu = make()
-    sys = build_system(mu, depth, rotation_seed=seed)
-    labels, rows = _oracle_rows(mu, depth, seed)
+    sys = build_system(mu, depth)
+    labels, rows = _oracle_rows(mu, depth)
     assert sys.wavelet_labels() == labels
     got = np.concatenate([lv.child_values for lv in sys.levels])
     assert got.shape == rows.shape
@@ -302,7 +277,7 @@ def test_build_cube_wavelets_is_the_level_build(grid2):
 TRANSFORM_CASES = {
     **LEVEL_BUILD_CASES,
     "1d-full-depth": (lambda: random_dyadic_doubling(Grid(dimension=1, max_level=8), 2.5,
-                                                     seed=8), 8, None),
+                                                     seed=8), 8),
 }
 
 
@@ -313,9 +288,9 @@ def _assert_close(got, want, tol=1e-12):
 
 @pytest.mark.parametrize("name", sorted(TRANSFORM_CASES))
 def test_transform_matches_dense_matrix(name):
-    make, depth, seed = TRANSFORM_CASES[name]
+    make, depth = TRANSFORM_CASES[name]
     mu = make()
-    sys = build_system(mu, depth, rotation_seed=seed)
+    sys = build_system(mu, depth)
     grid = mu.grid
     n = grid.dimension
     rng = np.random.default_rng(2)
@@ -349,13 +324,13 @@ def test_transform_without_wavelets():
     np.testing.assert_array_equal(sys.synthesise(np.zeros((2, 0))), np.zeros((2, g.n_cells)))
 
 
-@pytest.mark.parametrize("name", ["1d-full-depth", "2d-holed", "2d-rotated"])
+@pytest.mark.parametrize("name", ["1d-full-depth", "2d-holed"])
 def test_transform_in_batch_blocks(name, monkeypatch):
     # blocks of 3 functions, the last one short: the batch loop of
     # analyse_cube_sums, which the grids above fill in one block
-    make, depth, seed = TRANSFORM_CASES[name]
+    make, depth = TRANSFORM_CASES[name]
     mu = make()
-    sys = build_system(mu, depth, rotation_seed=seed)
+    sys = build_system(mu, depth)
     monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", 3 * 2 ** (mu.grid.dimension * depth))
     funcs = np.random.default_rng(4).standard_normal((10, mu.grid.n_cells))
     _assert_close(sys.analyse(funcs), funcs @ sys.weighted_matrix.T)

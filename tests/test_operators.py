@@ -292,13 +292,11 @@ def test_wavelet_images_match_dense_product(name):
 
 
 @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
-@pytest.mark.parametrize("rotation_seed", [None, 3])
-def test_assemble_haar_matrix_matches_dense_products(name, rotation_seed):
+def test_assemble_haar_matrix_matches_dense_products(name):
     grid, depth, kernel, g, sigma, omega = _image_case(name)
-    mat = assemble_haar_matrix(kernel, default_truncation(grid), sigma, omega, depth,
-                               rotation_seed=rotation_seed)
-    ssys = cached_system(sigma, depth, rotation_seed)
-    osys = cached_system(omega, depth, rotation_seed)
+    mat = assemble_haar_matrix(kernel, default_truncation(grid), sigma, omega, depth)
+    ssys = cached_system(sigma, depth)
+    osys = cached_system(omega, depth)
     _assert_close_to(mat.entries, _weighted_values(osys) @ g @ _weighted_values(ssys).T)
 
 

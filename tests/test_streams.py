@@ -236,21 +236,17 @@ def test_streamed_lp_haar_testing_matches_whole_images(name, mode, p, corpus1, b
 
 
 @pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("rotation_seed", [None, 5])
-def test_streamed_haar_matrix_and_bundle_match_whole_images(name, rotation_seed, corpus1,
-                                                            budget):
+def test_streamed_haar_matrix_and_bundle_match_whole_images(name, corpus1, budget):
     sigma, omega, kernel, depth = _case(name, corpus1)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
-    ssys = cached_system(sigma, depth, rotation_seed)
-    osys = cached_system(omega, depth, rotation_seed)
+    ssys = cached_system(sigma, depth)
+    osys = cached_system(omega, depth)
     images = _wavelet_images(dense_kernel_matrix(kernel, trunc, sigma.grid), ssys)
     want = (osys.values_matrix * omega.flat_mass) @ images
     scale = np.abs(want).max()
-    matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, depth, rotation_seed=rotation_seed)
+    matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, depth)
     assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
-    if rotation_seed is not None:
-        return
     matrix, test, cube = _bundle(sigma, omega, kernel, trunc, depth)
     assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
     _assert_haar(test, _haar_oracle(ssys, images, omega, "global"))
@@ -430,8 +426,31 @@ def test_pair_scan_in_blocks_matches_one_block(monkeypatch, variant, reach, dime
     partners_of, _, _, min_depth = _PAIR_VARIANTS[variant]
     cfg = LpConfig(3.0)
     _, e, depth = _size_setup(sigma, omega, 0.0, None, min_depth)
-    args = (sigma, omega, cfg, e, depth, min_depth, partners_of, reach)
+    args = (sigma, omega, cfg, e, depth, partners_of, reach)
     monkeypatch.setattr(characteristics, "_PAIR_BLOCK_CUBES", 1 << 30)
-    whole = _pair_scan(*args)
+    partners, *whole = _pair_scan(*args)
     monkeypatch.setattr(characteristics, "_PAIR_BLOCK_CUBES", 3)
-    assert _pair_scan(*args) == whole
+    blocks, *rest = _pair_scan(*args)
+    assert rest == whole
+    for (subs, index), (want_subs, want_index) in zip(blocks, partners, strict=True):
+        np.testing.assert_array_equal(index, want_index)
+        np.testing.assert_array_equal(subs[index >= 0], want_subs[want_index >= 0])
+
+
+def test_quadratic_haar_testing_peak_on_2d_level_6():
+    # the family denominators are child-space sums: no family is synthesised
+    # on the mesh, as the level-5 family of 1,024 cubes once was, which took
+    # the traced peak of this call past 260 MiB
+    grid = Grid(dimension=2, max_level=6)
+    sigma = random_dyadic_doubling(grid, 2.0, seed=1)
+    omega = random_dyadic_doubling(grid, 3.0, seed=2)
+    kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        rep = quadratic_haar_testing(sigma, omega, kernel, trunc, p=3.0, depth=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.search_space["families_evaluated"] > 32
+    assert peak - start < 100 * 2 ** 20
