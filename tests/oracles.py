@@ -4,7 +4,9 @@
 block; these build it whole to check the block stream and `apply` against.
 `haartest.characteristics` takes the quadratic pair values in closed form
 over level arrays; `pair_family_value` builds the two mesh functions of
-their definition instead.
+their definition instead. `haartest.haar` builds one basis of each cube's
+wavelet span; `rotated_system` turns it into another, to check that the
+transforms and the matrix fold hold for any orthonormal basis of the span.
 """
 from __future__ import annotations
 
@@ -12,8 +14,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from haartest.dyadic import Grid
+from haartest.haar import HaarLevel, HaarSystem, cached_system
 from haartest.measure import MeshMeasure
-from haartest.operators import Kernel, Truncation, kernel_matrix
+from haartest.operators import (
+    HaarMatrix,
+    HaarMatrixFold,
+    Kernel,
+    Truncation,
+    _fold_images,
+    assemble_haar_matrix,
+    kernel_matrix,
+)
 
 # points per row block of points_matrix
 _POINTS_BLOCK = 1024
@@ -67,3 +78,34 @@ def pair_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float, p: flo
     num = float(np.sum(omega.flat_mass * num_f.ravel() ** (p / 2.0))) ** (1.0 / p)
     den = float(np.sum(sigma.flat_mass * den_f.ravel() ** (p / 2.0))) ** (1.0 / p)
     return num / den if den > 0.0 else 0.0
+
+
+def rotated_system(system: HaarSystem, rng: np.random.Generator) -> HaarSystem:
+    """The system with each cube's wavelets turned by a Haar-random
+    orthogonal matrix, a random sign where the cube has one wavelet: the
+    same span cube by cube, in 1-D too."""
+    levels = []
+    for lv in system.levels:
+        values = lv.child_values.copy()
+        for start, count in zip(lv.starts.tolist(), lv.counts.tolist()):
+            if count:
+                q, r = np.linalg.qr(rng.standard_normal((count, count)))
+                rows = slice(start, start + count)
+                values[rows] = (q * np.sign(np.diag(r))) @ values[rows]
+        levels.append(HaarLevel(level=lv.level, cubes=lv.cubes, child_values=values,
+                                child_masses=lv.child_masses))
+    return HaarSystem(measure=system.measure, depth=system.depth, levels=levels)
+
+
+def haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, omega: MeshMeasure,
+                depth: int, rotation: int | None = None) -> HaarMatrix:
+    """`assemble_haar_matrix`, or with a rotation seed the same fold
+    between the two systems turned by `rotated_system`, sigma's first, with
+    one generator of that seed."""
+    if rotation is None:
+        return assemble_haar_matrix(kernel, trunc, sigma, omega, depth)
+    rng = np.random.default_rng(rotation)
+    fold = HaarMatrixFold(rotated_system(cached_system(sigma, depth), rng),
+                          rotated_system(cached_system(omega, depth), rng))
+    _fold_images(kernel, trunc, sigma, depth, fold.add)
+    return fold.matrix(kernel, trunc)

@@ -26,7 +26,7 @@ from haartest.characteristics import (
     validate_offset_family,
 )
 from haartest.dyadic import DyadicCube, Grid
-from haartest.haar import HaarLevel, HaarSystem, _cube_keys, cached_system
+from haartest.haar import _cube_keys, cached_system
 from haartest.measure import (
     custom_cells,
     lebesgue,
@@ -35,7 +35,6 @@ from haartest.measure import (
     random_dyadic_doubling,
 )
 from haartest.operators import (
-    HaarMatrixFold,
     Truncation,
     _fold_images,
     apply,
@@ -43,7 +42,7 @@ from haartest.operators import (
     default_truncation,
     make_kernel,
 )
-from oracles import dense_kernel_matrix, pair_family_value
+from oracles import dense_kernel_matrix, haar_matrix, pair_family_value
 
 GRID = Grid(dimension=1, max_level=7)
 SIGMA = random_dyadic_doubling(GRID, 2.0, seed=31)
@@ -263,22 +262,6 @@ def test_matched_testing_below_operator_norm():
     assert col.value >= np.linalg.norm(mat.entries, axis=0).max() - 1e-12
 
 
-def _rotated(system, rng):
-    """The system with each cube's wavelets, where it has two or more,
-    turned by a Haar-random rotation: the same span cube by cube."""
-    levels = []
-    for lv in system.levels:
-        values = lv.child_values.copy()
-        for start, count in zip(lv.starts.tolist(), lv.counts.tolist()):
-            if count >= 2:
-                q, r = np.linalg.qr(rng.standard_normal((count, count)))
-                rows = slice(start, start + count)
-                values[rows] = (q * np.sign(np.diag(r))) @ values[rows]
-        levels.append(HaarLevel(level=lv.level, cubes=lv.cubes, child_values=values,
-                                child_masses=lv.child_masses))
-    return HaarSystem(measure=system.measure, depth=system.depth, levels=levels)
-
-
 def test_matched_testing_is_rotation_invariant():
     # the per-cube block optimum covers every rotation of the cube's
     # wavelets; 2-D cubes carry three wavelets, so rotations really move them
@@ -288,10 +271,7 @@ def test_matched_testing_is_rotation_invariant():
     kernel = make_kernel("riesz_like", 0.5, 2)
     trunc = default_truncation(grid)
     plain = assemble_haar_matrix(kernel, trunc, sigma, omega, 3)
-    rng = np.random.default_rng(7)
-    fold = HaarMatrixFold(_rotated(plain.sigma_system, rng), _rotated(plain.omega_system, rng))
-    _fold_images(kernel, trunc, sigma, 3, fold.add)
-    turned = fold.matrix(kernel, trunc)
+    turned = haar_matrix(kernel, trunc, sigma, omega, 3, rotation=7)
     assert np.abs(turned.entries - plain.entries).max() > 1e-3
     for dual in (False, True):
         np.testing.assert_allclose(matched_haar_testing(turned, dual=dual).value,

@@ -18,6 +18,7 @@ from haartest.measure import (
     lebesgue,
     random_dyadic_doubling,
 )
+from oracles import rotated_system
 
 GRID_2D = Grid(dimension=2, max_level=4)
 
@@ -207,6 +208,9 @@ def empty_quadrant_measure():
 SYSTEMS = {
     "1d-doubling": lambda: build_system(MU, GRID.max_level),
     "2d-empty-quadrant": lambda: build_system(empty_quadrant_measure(), 4),
+    "2d-rotated": lambda: rotated_system(
+        build_system(random_dyadic_doubling(GRID_2D, 3.0, seed=5), 3),
+        np.random.default_rng(3)),
 }
 
 

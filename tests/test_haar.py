@@ -12,6 +12,7 @@ from haartest.haar import (
     lq_l2_ratio,
 )
 from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
+from oracles import rotated_system
 
 
 def system_for(measure, depth):
@@ -279,6 +280,22 @@ TRANSFORM_CASES = {
     "1d-full-depth": (lambda: random_dyadic_doubling(Grid(dimension=1, max_level=8), 2.5,
                                                      seed=8), 8),
 }
+# the level build's systems with each cube's wavelets turned by a seeded
+# rotation (`rotated_system`): the transforms hold for any basis of the span
+ROTATED_CASES = {
+    "2d-rotated": "2d-holed",
+    "1d-rotated": "1d-doubling",
+}
+
+
+def _transform_system(name):
+    """(measure, system) of a transform case, turned where it is rotated."""
+    make, depth = TRANSFORM_CASES[ROTATED_CASES.get(name, name)]
+    mu = make()
+    sys = build_system(mu, depth)
+    if name in ROTATED_CASES:
+        sys = rotated_system(sys, np.random.default_rng(3))
+    return mu, sys
 
 
 def _assert_close(got, want, tol=1e-12):
@@ -286,11 +303,10 @@ def _assert_close(got, want, tol=1e-12):
     assert np.abs(got - want).max(initial=0.0) <= tol * np.abs(want).max(initial=0.0)
 
 
-@pytest.mark.parametrize("name", sorted(TRANSFORM_CASES))
+@pytest.mark.parametrize("name", sorted(TRANSFORM_CASES.keys() | ROTATED_CASES.keys()))
 def test_transform_matches_dense_matrix(name):
-    make, depth = TRANSFORM_CASES[name]
-    mu = make()
-    sys = build_system(mu, depth)
+    mu, sys = _transform_system(name)
+    depth = sys.depth
     grid = mu.grid
     n = grid.dimension
     rng = np.random.default_rng(2)
@@ -324,13 +340,12 @@ def test_transform_without_wavelets():
     np.testing.assert_array_equal(sys.synthesise(np.zeros((2, 0))), np.zeros((2, g.n_cells)))
 
 
-@pytest.mark.parametrize("name", ["1d-full-depth", "2d-holed"])
+@pytest.mark.parametrize("name", ["1d-full-depth", "2d-holed", "2d-rotated"])
 def test_transform_in_batch_blocks(name, monkeypatch):
     # blocks of 3 functions, the last one short: the batch loop of
     # analyse_cube_sums, which the grids above fill in one block
-    make, depth = TRANSFORM_CASES[name]
-    mu = make()
-    sys = build_system(mu, depth)
+    mu, sys = _transform_system(name)
+    depth = sys.depth
     monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", 3 * 2 ** (mu.grid.dimension * depth))
     funcs = np.random.default_rng(4).standard_normal((10, mu.grid.n_cells))
     _assert_close(sys.analyse(funcs), funcs @ sys.weighted_matrix.T)

@@ -24,7 +24,7 @@ from haartest.operators import (
     require_resolved,
     smoothstep,
 )
-from oracles import dense_kernel_matrix, points_matrix
+from oracles import dense_kernel_matrix, haar_matrix, points_matrix
 
 
 def test_kernel_closed_forms():
@@ -292,11 +292,15 @@ def test_wavelet_images_match_dense_product(name):
 
 
 @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
-def test_assemble_haar_matrix_matches_dense_products(name):
+@pytest.mark.parametrize("rotation", [None, 3])
+def test_assemble_haar_matrix_matches_dense_products(name, rotation):
+    # with a rotation, the fold runs between systems in another basis of
+    # each cube's span (`oracles.rotated_system`)
     grid, depth, kernel, g, sigma, omega = _image_case(name)
-    mat = assemble_haar_matrix(kernel, default_truncation(grid), sigma, omega, depth)
-    ssys = cached_system(sigma, depth)
-    osys = cached_system(omega, depth)
+    mat = haar_matrix(kernel, default_truncation(grid), sigma, omega, depth, rotation)
+    ssys, osys = mat.sigma_system, mat.omega_system
+    if rotation is None:
+        assert ssys is cached_system(sigma, depth) and osys is cached_system(omega, depth)
     _assert_close_to(mat.entries, _weighted_values(osys) @ g @ _weighted_values(ssys).T)
 
 

@@ -44,7 +44,7 @@ from haartest.operators import (
     image_rows,
     make_kernel,
 )
-from oracles import dense_kernel_matrix
+from oracles import dense_kernel_matrix, haar_matrix
 
 GRID_2D = Grid(dimension=2, max_level=4)
 
@@ -236,17 +236,22 @@ def test_streamed_lp_haar_testing_matches_whole_images(name, mode, p, corpus1, b
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_streamed_haar_matrix_and_bundle_match_whole_images(name, corpus1, budget):
+@pytest.mark.parametrize("rotation", [None, 5])
+def test_streamed_haar_matrix_and_bundle_match_whole_images(name, rotation, corpus1,
+                                                            budget):
+    # with a rotation, the streamed fold runs between systems in another
+    # basis of each cube's span (`oracles.rotated_system`)
     sigma, omega, kernel, depth = _case(name, corpus1)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
-    ssys = cached_system(sigma, depth)
-    osys = cached_system(omega, depth)
+    matrix = haar_matrix(kernel, trunc, sigma, omega, depth, rotation)
+    ssys, osys = matrix.sigma_system, matrix.omega_system
     images = _wavelet_images(dense_kernel_matrix(kernel, trunc, sigma.grid), ssys)
     want = (osys.values_matrix * omega.flat_mass) @ images
     scale = np.abs(want).max()
-    matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, depth)
     assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
+    if rotation is not None:
+        return
     matrix, test, cube = _bundle(sigma, omega, kernel, trunc, depth)
     assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
     _assert_haar(test, _haar_oracle(ssys, images, omega, "global"))
