@@ -1244,7 +1244,9 @@ def _pair_families(grid: Grid, depth: int, partners: list, draw, reach, rng):
     (`_pair_values`): the sibling families (the children of each parent
     that have a partner (`_pair_scan`), with it, unit coefficients; one
     `group_by_cube` of the finer level), then _FAMILY_COUNT draws, each
-    tried with random and with unit coefficients."""
+    tried with random and with unit coefficients. A draw of one cube gives
+    no try: its value is its pair's, whatever the coefficient, which the
+    scan has weighed, so a try of it could only win by rounding."""
     n = grid.dimension
     for level in range(1, depth + 1):
         subs, index = partners[level]
@@ -1258,7 +1260,7 @@ def _pair_families(grid: Grid, depth: int, partners: list, draw, reach, rng):
         family = draw(rng, grid, depth, reach)
         if family is not None:
             coeffs = rng.uniform(0.2, 1.0, size=len(family[1]))
-            yield [(*family, coeffs), (*family, np.ones(len(coeffs)))]
+            yield [(*family, coeffs), (*family, np.ones(len(coeffs)))] if len(coeffs) > 1 else []
 
 
 # variant -> (partners, draw, name of its reach parameter, smallest depth)
@@ -1394,7 +1396,10 @@ def _level_families(levels: np.ndarray, rng) -> list:
     """The families (places, weights) of `quadratic_haar_testing`, from the
     level of each cube of `_live_slots`: each level's cubes with unit
     weights, then _FAMILY_COUNT draws of 1 to 6 cubes of one level with
-    random weights, none when no level has cubes."""
+    random weights, none when no level has cubes. A draw of one cube is
+    kept, so that the count of families does not change, but
+    `quadratic_haar_testing` does not try it: its value is its cube's,
+    whatever the weight."""
     by_level = [np.flatnonzero(levels == level) for level in np.unique(levels)]
     out = [(at, np.ones(len(at))) for at in by_level if len(at) >= 2]
     for _ in range(_FAMILY_COUNT if by_level else 0):
@@ -1431,10 +1436,11 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     scalar_best, _, place = _first_max([values])
     places, weights = ([], []) if place is None else ([place[0]], [1.0])
     scalar_best = max(scalar_best, 0.0)
+    tries = [family for family in families if len(family[0]) > 1]
     best, _, at = _first_max([_haar_family_values(
-        system, kernel, trunc, omega.flat_mass, members, families, cfg.p)])
+        system, kernel, trunc, omega.flat_mass, members, tries, cfg.p)])
     if best > scalar_best:
-        places, weights = families[at[0]]
+        places, weights = tries[at[0]]
     witness = {"members": [{"cube": slots[i][0],
                             "coefficients": [float(v) for v in members[i, :slots[i][2]]]}
                            for i in places],

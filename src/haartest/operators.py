@@ -6,23 +6,26 @@ truncations must not dip below the mesh scale. The kernels are
 translation invariant, so every row of the mesh kernel matrix G is a window
 of one table, the kernel's values at the distinct cell offsets
 (`kernel_matrix`). One table serves an operator and its adjoint: the
-adjoint's table is the operator's reversed. G is never held whole past one
-block: a grid whose G fits one block keeps it, any other gathers a block of
-G's rows from the table when it needs it (`_kernel_blocks`).
+adjoint's table is the operator's reversed. G is never held whole, and no
+part of it outlives a pass: G x is the convolution of the table with x, so
+it comes by FFT of the zero-padded table (`_table_spectrum`, `_convolve`),
+or from blocks of G's rows gathered from the table (`_kernel_blocks`).
 
 Only two functions read G: `apply`, for a mesh function or a stack of
-them, and `image_blocks`, the one source of operator images. Every wavelet
-of a depth-`depth` Haar system is constant on the level-`depth` cubes, so
-the operator's action on a system is fixed by the cube images
-G diag(sigma) P, P mapping cells to their cubes. `image_blocks` takes them
-a block of output cells at a time, by a batched matmul of each input
-slab's sigma weights against the block's columns (`slab_weights`), and
-sums them up to the cubes of every coarser level. Every
-consumer is a fold with add(rows, levels), and one loop (`_fold_images`)
-hands each block to the folds of a pass before the next one is made. The
-Haar coefficient matrix W diag(omega) G diag(sigma) V^T is the two-sided
-level transform of the cube-sum matrix P^T diag(omega) G diag(sigma) P
-(`HaarMatrixFold`); no wavelet matrix V or W is formed.
+them, always by FFT, and `image_blocks`, the one source of operator images.
+Every wavelet of a depth-`depth` Haar system is constant on the
+level-`depth` cubes, so the operator's action on a system is fixed by the
+cube images G diag(sigma) P, P mapping cells to their cubes. Where cubes are
+wide (`_fft_route`), `image_blocks` takes them by FFT as one block over all
+output cells (`_fft_images`); else a block of output cells at a time, by a
+batched matmul of each input slab's sigma weights against the gathered
+block's columns (`slab_weights`). Either way it sums them up to the cubes
+of every coarser level. Every consumer is a fold with add(rows, levels),
+and one loop (`_fold_images`) hands each block to the folds of a pass
+before the next one is made. The Haar coefficient matrix
+W diag(omega) G diag(sigma) V^T is the two-sided level transform of the
+cube-sum matrix P^T diag(omega) G diag(sigma) P (`HaarMatrixFold`); no
+wavelet matrix V or W is formed.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dyadic import Grid, block_sums
+from .dyadic import Grid, block_sums, group_by_cube
 from .haar import HaarSystem, cached_system
 from .measure import MeshMeasure
 
@@ -234,26 +237,12 @@ def _gather(table: np.ndarray, grid: Grid, rows: slice, cols: slice,
     return out
 
 
-@lru_cache(maxsize=2)
-def _whole_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
-    """The whole G, C order, for a grid whose G is one block, kept across
-    passes: gathered again for each pass and `apply`, 200 in-process search
-    trials on 1-D L=10 took 2.0 s where they take 1.2 s."""
-    cells = slice(0, grid.n_cells)
-    return _gather(kernel_matrix(kernel, trunc, grid), grid, cells, cells,
-                   np.empty((grid.n_cells, grid.n_cells)))
-
-
 def _kernel_blocks(kernel: Kernel, trunc: Truncation, grid: Grid, parts: list,
                    columns: bool):
     """Yield (part, block) for the cell slices `parts`: block is G[part]
     (C order, count x n_cells), or G[:, part] (n_cells x count) for
-    columns. One part is the whole G (`_whole_matrix`); else each block is
-    gathered from the offset table into one buffer, overwritten by the
-    next, so no block outlives the pass."""
-    if len(parts) == 1:
-        yield parts[0], _whole_matrix(kernel, trunc, grid)
-        return
+    columns, gathered from the offset table into one buffer, overwritten by
+    the next, so no block outlives the pass."""
     table = kernel_matrix(kernel, trunc, grid)
     cells = slice(0, grid.n_cells)
     buffer = np.empty(max(part.stop - part.start for part in parts) * grid.n_cells)
@@ -261,6 +250,48 @@ def _kernel_blocks(kernel: Kernel, trunc: Truncation, grid: Grid, parts: list,
         rows, cols = (cells, part) if columns else (part, cells)
         out = buffer[:(part.stop - part.start) * grid.n_cells].reshape(rows.stop - rows.start, -1)
         yield part, _gather(table, grid, rows, cols, out)
+
+
+@lru_cache(maxsize=4)
+def _table_spectrum(kernel: Kernel, trunc: Truncation, grid: Grid) -> tuple:
+    """(spectrum, floor): the rfftn of the offset table zero-padded to
+    (2m,)*n, and the rounding floor of `_convolve` per unit of an input
+    row's l1 norm. Cached per kernel orientation; a few (2m)^n / 2 complex
+    entries, where G has m^(2n)."""
+    m, n = grid.cells_per_axis, grid.dimension
+    table = kernel_matrix(kernel, trunc, grid)
+    size = (2 * m) ** n
+    spectrum = np.fft.rfftn(table, s=(2 * m,) * n, axes=tuple(range(n)))
+    return spectrum, _FFT_FLOOR * np.finfo(float).eps * np.log2(size) * np.abs(table).max()
+
+
+def _convolve(kernel: Kernel, trunc: Truncation, grid: Grid, count: int, inputs,
+              out: np.ndarray) -> np.ndarray:
+    """G x for count mesh functions x, by FFT, into out (count, n_cells):
+    inputs(start, stop) gives rows start..stop of x as (k, n_cells).
+
+    G[i, j] = table[i - j + m - 1], so G x is the linear convolution of
+    the table with x at the offsets m - 1 .. 2m - 2 per axis; zero-padded
+    to (2m,)*n, the cyclic convolution has no wrapped term there. Rows go
+    in batches whose transforms fill _IMAGE_BLOCK_ENTRIES; pocketfft
+    transforms each row alone, so a row's image does not depend on its
+    batch. An output at or below its row's rounding floor (`_table_spectrum`,
+    times the row's l1 norm) is set to 0: where the truncated kernel
+    vanishes, G x is exactly 0, and the transform leaves rounding there."""
+    m, n = grid.cells_per_axis, grid.dimension
+    spectrum, floor = _table_spectrum(kernel, trunc, grid)
+    shape, axes = (2 * m,) * n, tuple(range(1, n + 1))
+    window = (slice(None),) + (slice(m - 1, 2 * m - 1),) * n
+    batch = max(1, _IMAGE_BLOCK_ENTRIES // (2 * m) ** n)
+    for start in range(0, count, batch):
+        stop = min(start + batch, count)
+        x = inputs(start, stop)
+        spec = np.fft.rfftn(x.reshape((-1,) + grid.mesh_shape), s=shape, axes=axes)
+        spec *= spectrum
+        images = out[start:stop]
+        images[:] = np.fft.irfftn(spec, s=shape, axes=axes)[window].reshape(stop - start, -1)
+        images[np.abs(images) <= floor * np.abs(x).sum(axis=1, keepdims=True)] = 0.0
+    return out
 
 
 def require_resolved(trunc: Truncation, grid: Grid) -> None:
@@ -275,30 +306,36 @@ def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
           f: np.ndarray) -> np.ndarray:
     """Midpoint-quadrature action of the truncated operator at every cell
     center: mesh-shaped for one mesh function, (k, n_cells) for a stack of
-    them (k, n_cells). G's rows come a block at a time (`_kernel_blocks`,
-    C order), each row of the stack gets a matrix-vector product of its
-    own with each block, so that a row's image does not depend on its
-    stack."""
+    them (k, n_cells). By FFT (`_convolve`), which transforms each row
+    alone, so that a row's image does not depend on its stack."""
     grid = sigma.grid
     require_resolved(trunc, grid)
     f = np.asarray(f)
     stack = f.ndim == 2 and f.shape[1] == grid.n_cells
     weighted = (f if stack else f.reshape(1, -1)) * sigma.flat_mass
-    out = np.empty(weighted.shape)
-    for rows, block in _kernel_blocks(kernel, trunc, grid, image_rows(grid, grid.max_level),
-                                      columns=False):
-        for x, image in zip(weighted, out):
-            image[rows] = block @ x
+    out = _convolve(kernel, trunc, grid, len(weighted), lambda start, stop: weighted[start:stop],
+                    np.empty(weighted.shape))
     return out if stack else out.reshape(grid.mesh_shape)
 
 
-# kernel-matrix entries per block of `image_blocks` and `apply` (8 MB), so
-# grids of up to 1024 cells take one block, kept whole. A block's
+# kernel-matrix entries per gathered block of `image_blocks` (8 MB), so
+# grids of up to 1024 cells take one block, gathered again for each pass;
+# also the padded transform entries per batch of `_convolve`. A block's
 # temporaries are a few times its images: at 2-D L=6, depth 5, from 38.8
 # MiB of RSS with the imports and both Haar systems, the characteristics
 # bundle's sigma pass peaked at 63.5, 64.4, 78.7 and 110.5 MiB with blocks
 # of 128, 256 (this budget), 512 and 1024 rows
 _IMAGE_BLOCK_ENTRIES = 1 << 20
+
+# `_fft_route`'s constant, from a sweep of one sigma pass by each route
+# over 1-D L=8..14 and 2-D L=4..7: gather won below it and FFT above it,
+# but on the grids of 256 cells, where each took under 0.2 ms. And
+# `_convolve`'s rounding floor in units of eps * log2((2m)^n) * max|table|
+# * sum|x|: over 1-D hilbert and 2-D riesz_like and fractional_integral
+# images with three truncations, the transform left at most 0.19 of that
+# unit where G x is exactly 0
+_FFT_ROUTE_RATIO = 1.5
+_FFT_FLOOR = 4.0
 
 # largest slab product (cubes per slab x cells per slab, n_cells in 2-D)
 # that `image_block` takes a slab of output cells at a time, so that its
@@ -314,9 +351,9 @@ _SMALL_SLAB_PRODUCT = 1 << 10
 
 
 def image_rows(grid: Grid, level: int) -> list:
-    """The row slices of `image_blocks`: whole slabs, the N / 2**level
-    consecutive cells whose level-`level` cubes share their first
-    coordinate, as many as fit in _IMAGE_BLOCK_ENTRIES kernel-matrix
+    """The row slices of `image_blocks`' gather route: whole slabs, the
+    N / 2**level consecutive cells whose level-`level` cubes share their
+    first coordinate, as many as fit in _IMAGE_BLOCK_ENTRIES kernel-matrix
     entries and at least one. A slab holds whole cubes, so summing a
     block's rows to the cubes pairs the cells as a sum over all rows does."""
     slab = grid.n_cells >> level
@@ -364,28 +401,66 @@ def image_block(block: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray
     return images.transpose(1, 2, 0, 3).reshape((side,) * sigma.grid.dimension + (count,))
 
 
-def image_blocks(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, depth: int):
-    """Yield (rows, levels) for the row slices of `image_rows`: levels[l]
-    holds the images T(sigma 1_Q) at the cells of rows of the level-l cubes
-    Q, l = 0..depth, each (2**l,)*n + (r,), the level-`depth` ones an
-    `image_block` and each coarser level the pairwise block sums
-    (`block_sums`) of the next finer. The one source of operator images:
-    consumers fold each block into what they keep and drop it
-    (`_fold_images`), so no image array need be held whole.
+def _fft_route(grid: Grid, depth: int) -> bool:
+    """Whether `image_blocks` takes the level-`depth` cube images by FFT:
+    when n times the cells per cube, f^n, reaches
+    _FFT_ROUTE_RATIO * 2^n log2(2^n N). A pass costs about 2^(n depth)
+    transforms of (2m)^n = 2^n N entries by FFT, and N^2 multiply-adds by
+    gather, so FFT wins once cubes are wide.
+    The rule holds n f^n, not f^n: in 2-D the slab matmul of the gather
+    route does 2^depth times N^2 multiply-adds, so FFT wins sooner."""
+    n = grid.dimension
+    cells = grid.n_cells >> (n * depth)
+    return n * cells >= _FFT_ROUTE_RATIO * 2 ** n * np.log2(2 ** n * grid.n_cells)
 
-    In 1-D every slab product is a matrix-vector product (one cube per
-    slab), which runs 2.5 to 4 times faster on input-major rows: there G's
-    rows are read as the columns G^T[:, rows] of the adjoint's matrix. 2-D
-    reads C-ordered rows (`_kernel_blocks`): its products of several cubes
-    per slab run as fast on them at 2-D L=6, and another layout rounds the
-    images differently, which moves the Lanczos witness of the Haar matrix
-    by more than 1e-15."""
+
+def _fft_images(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
+                depth: int) -> np.ndarray:
+    """The level-`depth` cube images T(sigma 1_Q) at every cell, indexed
+    [*cube coords, cell], by `_convolve` of the cubes' sigma a batch at a
+    time."""
     grid = sigma.grid
-    input_major = grid.dimension == 1
-    source = kernel.transpose() if input_major else kernel
-    for rows, block in _kernel_blocks(source, trunc, grid, image_rows(grid, depth),
-                                      columns=input_major):
-        levels = [image_block(block.T if input_major else block, sigma, depth)]
+    cells = group_by_cube(np.arange(grid.n_cells).reshape(grid.mesh_shape), depth)
+
+    def inputs(start: int, stop: int) -> np.ndarray:
+        x = np.zeros((stop - start, grid.n_cells))
+        np.put_along_axis(x, cells[start:stop], sigma.flat_mass[cells[start:stop]], axis=1)
+        return x
+
+    images = _convolve(kernel, trunc, grid, len(cells), inputs,
+                       np.empty((len(cells), grid.n_cells)))
+    return images.reshape((2 ** depth,) * grid.dimension + (grid.n_cells,))
+
+
+def image_blocks(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, depth: int):
+    """Yield (rows, levels) for slices rows of output cells: levels[l]
+    holds the images T(sigma 1_Q) at the cells of rows of the level-l cubes
+    Q, l = 0..depth, each (2**l,)*n + (r,), each coarser level the pairwise
+    block sums (`block_sums`) of the next finer. The one source of operator
+    images: consumers fold each block into what they keep and drop it
+    (`_fold_images`), so no image array need be held whole past a block.
+
+    Two routes give the level-`depth` images, chosen by `_fft_route` from
+    the grid and depth. Where cubes are wide, one block over all output
+    cells, by FFT (`_fft_images`). Else an `image_block` for each row slice
+    of `image_rows`, gathered from the offset table: in 1-D every slab
+    product is a matrix-vector product (one cube per slab), which runs 2.5
+    to 4 times faster on input-major rows: there G's rows are read as the
+    columns G^T[:, rows] of the adjoint's matrix. 2-D reads C-ordered rows
+    (`_kernel_blocks`): its products of several cubes per slab run as fast
+    on them at 2-D L=6, and another layout rounds the images differently,
+    which moves the Lanczos witness of the Haar matrix by more than 1e-15."""
+    grid = sigma.grid
+    if _fft_route(grid, depth):
+        blocks = [(slice(0, grid.n_cells), _fft_images(kernel, trunc, sigma, depth))]
+    else:
+        input_major = grid.dimension == 1
+        blocks = ((rows, image_block(block.T if input_major else block, sigma, depth))
+                  for rows, block in _kernel_blocks(
+                      kernel.transpose() if input_major else kernel, trunc, grid,
+                      image_rows(grid, depth), columns=input_major))
+    for rows, finest in blocks:
+        levels = [finest]
         for _ in range(depth):
             levels.append(block_sums(levels[-1], grid.dimension, 2, start=0))
         yield rows, levels[::-1]

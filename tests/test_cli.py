@@ -1,9 +1,14 @@
 import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import haartest
 from haartest.cli import (
     COMMANDS,
     ConfigError,
@@ -297,3 +302,25 @@ def test_main_full_depth_lp_characteristics_build_no_dense_wavelet_matrix(tmp_pa
     pair = json.loads((tmp_path / "characteristics.json").read_text())["results"]["pairs"][0]
     assert pair["lp_haar_testing"]["search_space"]["depth"] == 3
     assert pair["lp_haar_testing_dual"]["value"] > 0.0
+
+
+def test_characteristics_on_a_2_to_16_cell_grid_stays_under_400_mb(tmp_path):
+    # 1-D L=16 at depth 6: cubes of 1,024 cells take the FFT route, and no
+    # pass holds a block of G (a slab of it, N^2 / 64 entries, was 512 MiB).
+    # A child's ru_maxrss starts from what its parent's process held, so a
+    # small launcher, not pytest, starts the op and reads its peak
+    config = tmp_path / "grid.ini"
+    config.write_text("[grid]\ndimension = 1\nmax_level = 16\n")
+    launcher = ("import resource, subprocess, sys; "
+                "rc = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+                "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    src = str(Path(haartest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "haartest.cli",
+                          "characteristics", "--config", str(config), "--depth", "6",
+                          "--out", str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    rc, peak_kib = (int(v) for v in out.stdout.split())
+    assert rc == 0
+    assert peak_kib * 1024 < 400e6

@@ -302,6 +302,20 @@ def test_matrix_counterexample_frozen():
     np.testing.assert_allclose(rep.value, 8.1387728384273, rtol=1e-10)
 
 
+@pytest.mark.parametrize("chunk", [7, 64, 1 << 15])
+def test_action_norm_by_chunks_matches_the_whole_vector(monkeypatch, chunk):
+    # the ladder's |action_n|^2 from chunks with a carried sum, chunk sizes
+    # that divide n or not, against the whole action vector of inner sums
+    import haartest.experiments as experiments
+
+    monkeypatch.setattr(experiments, "_LADDER_CHUNK", chunk)
+    for n, s in ((1000, 1.2), (1024, 1.5), (1, 1.3)):
+        terms = np.arange(1, n + 1, dtype=float) ** -s
+        action = np.cumsum(terms[::-1])[::-1]  # sum_{k<=i<n} terms[i] at k
+        np.testing.assert_allclose(experiments._action_norm_sq(n, s), action @ action,
+                                   rtol=1e-13)
+
+
 def test_matrix_counterexample_config_validation():
     with pytest.raises(ValueError):
         MatrixCounterexampleConfig(gamma=0.5, ladder_exponents=(10, 20))

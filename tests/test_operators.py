@@ -621,9 +621,10 @@ def test_adjoint_kernel_matrix_is_a_view(name):
 
 @pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
 def test_apply_to_a_stack_matches_row_products(name):
-    # each row of a (k, n_cells) stack gets the dense product G @ (f sigma)
-    # of that row alone, bit for bit, for the kernel and for its adjoint
-    # (the G of the reversed offset table for the odd families)
+    # each row of a (k, n_cells) stack gets the image of that row alone, bit
+    # for bit, and the dense product G @ (f sigma) to 1e-13 of its largest
+    # entry (the transform rounds otherwise), for the kernel and for its
+    # adjoint (the G of the reversed offset table for the odd families)
     grid, family, lam = ADJOINT_CASES[name]
     kernel, trunc = make_kernel(family, lam, grid.dimension), default_truncation(grid)
     sigma = random_dyadic_doubling(grid, 3.0, seed=26)
@@ -633,7 +634,7 @@ def test_apply_to_a_stack_matches_row_products(name):
         got = apply(k, trunc, sigma, stack)
         assert got.shape == stack.shape
         for row, image in zip(stack, got):
-            np.testing.assert_array_equal(image, g @ (row * sigma.flat_mass))
+            _assert_close_to(image, g @ (row * sigma.flat_mass), rel=1e-13)
             np.testing.assert_array_equal(
                 image, apply(k, trunc, sigma, row.reshape(grid.mesh_shape)).ravel())
         assert apply(k, trunc, sigma, stack[:0]).shape == (0, grid.n_cells)
@@ -676,3 +677,86 @@ def test_cube_images_of_the_adjoint_view(monkeypatch, grid, family, lam, level, 
         system = cached_system(sigma, level)
         _assert_close_to(system.analyse_cube_sums(images["whole"]),
                          system.analyse_cube_sums(images["blocks"]))
+
+
+# -- the FFT route -------------------------------------------------------------
+
+FFT_CASES = {
+    "1d-hilbert": (Grid(dimension=1, max_level=9), 2, "hilbert", 0.0),
+    "2d-riesz_like": (Grid(dimension=2, max_level=5), 1, "riesz_like", 0.5),
+    "2d-fractional_integral": (Grid(dimension=2, max_level=5), 2, "fractional_integral", 1.2),
+}
+
+
+def _fft_case(name, adjoint):
+    grid, depth, family, lam = FFT_CASES[name]
+    kernel = make_kernel(family, lam, grid.dimension)
+    assert operators._fft_route(grid, depth)
+    return grid, depth, kernel.transpose() if adjoint else kernel
+
+
+@pytest.mark.parametrize("name", sorted(FFT_CASES))
+@pytest.mark.parametrize("adjoint", [False, True], ids=["kernel", "adjoint"])
+def test_fft_route_matches_the_dense_oracle(name, adjoint):
+    # where cubes are wide, the cube images of every level and the action
+    # of apply come by FFT, and match the dense G to 1e-12
+    grid, depth, kernel = _fft_case(name, adjoint)
+    trunc = default_truncation(grid)
+    sigma = random_dyadic_doubling(grid, 3.0, seed=61)
+    g = dense_kernel_matrix(kernel, trunc, grid)
+    (rows, levels), = image_blocks(kernel, trunc, sigma, depth)
+    assert rows == slice(0, grid.n_cells)
+    for level in range(depth + 1):
+        want = g @ _cube_indicators(grid, sigma, level)
+        _assert_close_to(levels[level].reshape(-1, grid.n_cells).T, want)
+    f = np.random.default_rng(62).standard_normal((3, grid.n_cells))
+    _assert_close_to(apply(kernel, trunc, sigma, f), (g @ (f * sigma.flat_mass).T).T)
+
+
+@pytest.mark.parametrize("name", sorted(FFT_CASES))
+def test_fft_images_do_not_depend_on_the_batch(monkeypatch, name):
+    # pocketfft transforms each row alone: batches of one cube, of three
+    # (which divide no level's count) and of all give the same bits, and
+    # so do the rows of an apply stack
+    grid, depth, kernel = _fft_case(name, False)
+    trunc = default_truncation(grid)
+    sigma = random_dyadic_doubling(grid, 2.0, seed=63)
+    f = np.random.default_rng(64).standard_normal((5, grid.n_cells))
+
+    def images():
+        (_, levels), = image_blocks(kernel, trunc, sigma, depth)
+        return levels[depth], apply(kernel, trunc, sigma, f)
+
+    whole = images()
+    padded = (2 * grid.cells_per_axis) ** grid.dimension
+    for rows in (1, 3):
+        monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", rows * padded)
+        for got, want in zip(images(), whole):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(FFT_CASES))
+@pytest.mark.parametrize("depth_of", ["fft", "gather"])
+def test_images_on_the_zero_band_are_exactly_zero(name, depth_of):
+    # with rmax = 4 eps at its least, the truncated kernel vanishes between
+    # cells farther apart than rmax: there every cube image and apply give
+    # exactly 0 on both routes, not the transform's rounding
+    grid, depth, kernel = _fft_case(name, False)
+    depth = depth if depth_of == "fft" else grid.max_level
+    assert operators._fft_route(grid, depth) == (depth_of == "fft")
+    eps = 2.0 * grid.cell_diameter
+    trunc = Truncation(eps=eps, rmax=4.0 * eps)
+    sigma = random_dyadic_doubling(grid, 3.0, seed=65)
+    support = dense_kernel_matrix(kernel, trunc, grid) != 0.0
+    cubes = _cube_indicators(grid, sigma, depth)
+    band = (support.astype(float) @ (cubes != 0.0)) == 0.0
+    assert 0 < band.sum() < band.size
+    blocks = image_blocks(kernel, trunc, sigma, depth)
+    images = np.concatenate([levels[depth] for _, levels in blocks], axis=-1)
+    images = images.reshape(-1, grid.n_cells).T
+    assert np.all(images[band] == 0.0) and np.all(images[~band] != 0.0)
+    f = np.zeros(grid.n_cells)
+    f[:grid.n_cells // 2 ** grid.dimension] = 1.0  # the first slab of the first half
+    image = apply(kernel, trunc, sigma, f.reshape(grid.mesh_shape)).ravel()
+    far = (support.astype(float) @ f) == 0.0
+    assert far.any() and np.all(image[far] == 0.0)
