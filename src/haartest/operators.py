@@ -6,23 +6,23 @@ truncations must not dip below the mesh scale. The kernels are
 translation invariant, so every row of the mesh kernel matrix G is a window
 of one table, the kernel's values at the distinct cell offsets
 (`kernel_matrix`). One table serves an operator and its adjoint: the
-adjoint's table is the operator's reversed. G is never held whole, and no
-part of it outlives a pass: G x is the convolution of the table with x, so
-it comes by FFT of the zero-padded table (`_table_spectrum`, `_convolve`),
-or from blocks of G's rows gathered from the table (`_kernel_blocks`).
+adjoint's table is the operator's reversed. No part of G is ever copied
+out of the table: G x is the convolution of the table with x, so it comes
+by FFT of the zero-padded table (`_table_spectrum`, `_convolve`), or as
+sums over strided windows of the table itself (`_window_images`).
 
-Only two functions read G: `apply`, for a mesh function or a stack of
-them, always by FFT, and `image_blocks`, the one source of operator images.
-Every wavelet of a depth-`depth` Haar system is constant on the
-level-`depth` cubes, so the operator's action on a system is fixed by the
-cube images G diag(sigma) P, P mapping cells to their cubes. Where cubes are
-wide (`_fft_route`), `image_blocks` takes them by FFT as one block over all
-output cells (`_fft_images`); else a block of output cells at a time, by a
-batched matmul of each input slab's sigma weights against the gathered
-block's columns (`slab_weights`). Either way it sums them up to the cubes
-of every coarser level. Every consumer is a fold with add(rows, levels),
-and one loop (`_fold_images`) hands each block to the folds of a pass
-before the next one is made. The Haar coefficient matrix
+Only two functions act by G: `apply`, for a mesh function or a
+stack of them, always by FFT, and `image_blocks`, the one source of
+operator images. Every wavelet of a depth-`depth` Haar system is constant
+on the level-`depth` cubes, so the operator's action on a system is fixed
+by the cube images G diag(sigma) P, P mapping cells to their cubes. Where
+cubes are wide (`_fft_route`), `image_blocks` takes them by FFT as one
+block over all output cells (`_fft_images`); else a block of output cells
+at a time, by matmuls of windows of the table against sigma's masses in
+each cube (`_window_images`). Either way it sums them up to the cubes of
+every coarser level. Every consumer is a fold with add(rows, levels), and
+one loop (`_fold_images`) hands each block to the folds of a pass before
+the next one is made. The Haar coefficient matrix
 W diag(omega) G diag(sigma) V^T is the two-sided level transform of the
 cube-sum matrix P^T diag(omega) G diag(sigma) P (`HaarMatrixFold`); no
 wavelet matrix V or W is formed.
@@ -195,8 +195,8 @@ def kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
     """The offset table of the kernel matrix G: with m cells per axis, entry
     d + m - 1 ((2m - 1,) * n entries) is the truncated kernel at the offset
     d * cell_side, so G[i, j] = table[i - j + m - 1] on the C-ordered cells'
-    coordinates. G itself is never formed whole past one block
-    (`_kernel_blocks`).
+    coordinates. G itself is never formed: `image_blocks` reads its
+    entries off windows of this table (`_window_images`).
 
     Every kernel family is translation invariant, K(x, y) = K(x - y, 0), and
     on the uniform mesh c_i - c_j = (i - j) * cell_side per axis. On a window
@@ -217,39 +217,6 @@ def kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
     steps = np.arange(1 - m, m) * grid.cell_side
     offsets = np.stack(np.meshgrid(*[steps] * n, indexing="ij"), axis=-1)
     return kernel.eval(offsets, 0.0) * trunc.scale(np.linalg.norm(offsets, axis=-1))
-
-
-def _gather(table: np.ndarray, grid: Grid, rows: slice, cols: slice,
-            out: np.ndarray) -> np.ndarray:
-    """G[rows, cols] of the offset table into out, C order. rows and cols
-    are cell slices of whole ranges of the first coordinate, as every slice
-    of `image_rows` is."""
-    m, n = grid.cells_per_axis, grid.dimension
-    per = grid.n_cells // m
-    i0, i1, j0, j1 = rows.start // per, rows.stop // per, cols.start // per, cols.stop // per
-    # window w at position p of the reversed table holds entry 2m - 2 - p - w;
-    # the positions m + j0 - 1 - i, reversed, make that i - (j0 + w) + m - 1
-    # at (i, j0 + w) on the first axis, and likewise with j0 = 0 on the others
-    flip = (slice(None, None, -1),) * n
-    windows = sliding_window_view(table[flip], (j1 - j0,) + (m,) * (n - 1))
-    block = windows[m + j0 - i1:m + j0 - i0][flip]
-    np.copyto(out.reshape(block.shape), block)
-    return out
-
-
-def _kernel_blocks(kernel: Kernel, trunc: Truncation, grid: Grid, parts: list,
-                   columns: bool):
-    """Yield (part, block) for the cell slices `parts`: block is G[part]
-    (C order, count x n_cells), or G[:, part] (n_cells x count) for
-    columns, gathered from the offset table into one buffer, overwritten by
-    the next, so no block outlives the pass."""
-    table = kernel_matrix(kernel, trunc, grid)
-    cells = slice(0, grid.n_cells)
-    buffer = np.empty(max(part.stop - part.start for part in parts) * grid.n_cells)
-    for part in parts:
-        rows, cols = (cells, part) if columns else (part, cells)
-        out = buffer[:(part.stop - part.start) * grid.n_cells].reshape(rows.stop - rows.start, -1)
-        yield part, _gather(table, grid, rows, cols, out)
 
 
 @lru_cache(maxsize=4)
@@ -318,100 +285,54 @@ def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
     return out if stack else out.reshape(grid.mesh_shape)
 
 
-# kernel-matrix entries per gathered block of `image_blocks` (8 MB), so
-# grids of up to 1024 cells take one block, gathered again for each pass;
-# also the padded transform entries per batch of `_convolve`. A block's
-# temporaries are a few times its images: at 2-D L=6, depth 5, from 38.8
-# MiB of RSS with the imports and both Haar systems, the characteristics
-# bundle's sigma pass peaked at 63.5, 64.4, 78.7 and 110.5 MiB with blocks
-# of 128, 256 (this budget), 512 and 1024 rows
-_IMAGE_BLOCK_ENTRIES = 1 << 20
+# cube-image entries (cubes x output cells) per block of `image_blocks`'
+# window route (2 MiB), at least one slab; also the padded transform
+# entries per batch of `_convolve`. On chars-2d (2-D L=6, depth 5) it
+# makes blocks of 256 output cells and the op peaks at 66.0 MB of RSS; at
+# 1 << 20 (blocks of 1,024 cells) it peaked at 95.8 MB
+_IMAGE_BLOCK_ENTRIES = 1 << 18
 
 # `_fft_route`'s constant, from a sweep of one sigma pass by each route
-# over 1-D L=8..14 and 2-D L=4..7: gather won below it and FFT above it,
-# but on the grids of 256 cells, where each took under 0.2 ms. And
-# `_convolve`'s rounding floor in units of eps * log2((2m)^n) * max|table|
-# * sum|x|: over 1-D hilbert and 2-D riesz_like and fractional_integral
-# images with three truncations, the transform left at most 0.19 of that
-# unit where G x is exactly 0
+# over 1-D L=8..14 and 2-D L=4..7 (in process, best of up to 200, 2-core
+# Xeon, numpy 2.4.6; CHANGES.md). As ms by windows / by FFT, at the ratio
+# f^n / (2^n log2(2^n N)): 1-D L=10 depth 5 (1.45) 0.67 / 1.11 and depth 4
+# (2.91) 0.58 / 0.36; 1-D L=12 depth 6 (2.46) 9.4 / 9.7; 1-D L=14 depth 9
+# (1.07) 191 / 371 and depth 8 (2.13) 170 / 164; 2-D L=5 depth 2 (1.33)
+# 1.1 / 1.5; 2-D L=6 depth 3 (1.14) 18 / 24; 2-D L=7 depth 4 (1.00)
+# 300 / 415 and depth 3 (4.00) 233 / 65; 2-D L=4 depth 1 (1.60) 0.14 /
+# 0.12. Windows won at every ratio up to 1.45; from 1.6 FFT won but for
+# near ties (above, and 1-D L=8 depth 3 at 1.78, 0.07 ms by either), so
+# one ratio serves both dimensions. And `_convolve`'s rounding floor in
+# units of eps * log2((2m)^n) * max|table| * sum|x|: over 1-D hilbert and
+# 2-D riesz_like and fractional_integral images with three truncations,
+# the transform left at most 0.19 of that unit where G x is exactly 0
 _FFT_ROUTE_RATIO = 1.5
 _FFT_FLOOR = 4.0
 
-# largest slab product (cubes per slab x cells per slab, n_cells in 2-D)
-# that `image_block` takes a slab of output cells at a time, so that its
-# shape does not depend on the block budget. A BLAS may round products of
-# other shapes differently, as OpenBLAS 0.3.31 on an AVX-512 Xeon does for
-# products this small. Larger products, and the matrix-vector products of
-# one cube per slab (1-D), take a block at once: their images are the same
-# for every block budget only where the BLAS rounds them alike, as that one
-# does. A slab at a time everywhere would not depend on the BLAS, but made
-# chars-2d's wall_s 21% slower there: slab-sized products of rows of G,
-# 4096 entries apart, run far slower than block-sized ones
-_SMALL_SLAB_PRODUCT = 1 << 10
-
 
 def image_rows(grid: Grid, level: int) -> list:
-    """The row slices of `image_blocks`' gather route: whole slabs, the
+    """The row slices of `image_blocks`' window route: whole slabs, the
     N / 2**level consecutive cells whose level-`level` cubes share their
-    first coordinate, as many as fit in _IMAGE_BLOCK_ENTRIES kernel-matrix
-    entries and at least one. A slab holds whole cubes, so summing a
-    block's rows to the cubes pairs the cells as a sum over all rows does."""
+    first coordinate, as many as keep a block's images of the 2**(n level)
+    cubes within _IMAGE_BLOCK_ENTRIES, and at least one. A slab holds whole
+    cubes, so summing a block's rows to the cubes pairs the cells as a sum
+    over all rows does."""
     slab = grid.n_cells >> level
-    step = slab * max(1, _IMAGE_BLOCK_ENTRIES // (grid.n_cells * slab))
+    slab_images = slab << (grid.dimension * level)
+    step = slab * max(1, _IMAGE_BLOCK_ENTRIES // slab_images)
     return [slice(start, min(start + step, grid.n_cells))
             for start in range(0, grid.n_cells, step)]
 
 
-@lru_cache(maxsize=8)
-def slab_weights(sigma: MeshMeasure, level: int) -> np.ndarray:
-    """(2**level, cubes per slab, cells per slab): sigma's cell masses on
-    each slab of input cells (see `image_rows`), spread over the slab's
-    level-`level` cubes: entry [s, q, c] is the mass of cell c of slab s if
-    the cell lies in the slab's q-th cube (C order), and 0 otherwise.
-    Cached, so each pass over a measure builds it once."""
-    grid = sigma.grid
-    n = grid.dimension
-    side = 2 ** level
-    factor = 2 ** (grid.max_level - level)
-    slab = grid.n_cells // side
-    within = np.indices((factor,) + (grid.cells_per_axis,) * (n - 1)).reshape(n, slab)
-    cube = np.ravel_multi_index(tuple(within[1:] // factor), (side,) * (n - 1))
-    out = np.zeros((side, side ** (n - 1), slab))
-    out[:, cube, np.arange(slab)] = sigma.flat_mass.reshape(side, slab)
-    return out
-
-
-def image_block(block: np.ndarray, sigma: MeshMeasure, level: int) -> np.ndarray:
-    """The level-`level` cube images G diag(sigma) P at a block of G's rows,
-    P mapping cells to their cubes: T(1_Q sigma) at the block's cells,
-    indexed [*cube coords, cell of the block], output cells last.
-
-    One batched matmul of each input slab's `slab_weights` against that
-    slab's columns of the block, read in the block's own layout with no
-    copy. Small slab matrix products take the rows a slab at a time
-    (_SMALL_SLAB_PRODUCT), so that every row's image comes from a product
-    of one shape whatever the block budget.
-    """
-    weights = slab_weights(sigma, level)
-    side, cubes, slab = weights.shape
-    count = block.shape[0]
-    chunk = slab if 1 < cubes and cubes * slab <= _SMALL_SLAB_PRODUCT else count
-    block = block.reshape(count // chunk, chunk, side, slab).transpose(0, 2, 3, 1)
-    images = np.matmul(weights, block)  # (chunks, side, cubes, chunk)
-    return images.transpose(1, 2, 0, 3).reshape((side,) * sigma.grid.dimension + (count,))
-
-
 def _fft_route(grid: Grid, depth: int) -> bool:
     """Whether `image_blocks` takes the level-`depth` cube images by FFT:
-    when n times the cells per cube, f^n, reaches
-    _FFT_ROUTE_RATIO * 2^n log2(2^n N). A pass costs about 2^(n depth)
-    transforms of (2m)^n = 2^n N entries by FFT, and N^2 multiply-adds by
-    gather, so FFT wins once cubes are wide.
-    The rule holds n f^n, not f^n: in 2-D the slab matmul of the gather
-    route does 2^depth times N^2 multiply-adds, so FFT wins sooner."""
+    when the cells per cube, f^n, reach _FFT_ROUTE_RATIO * 2^n log2(2^n N).
+    A pass costs about 2^(n depth) transforms of (2m)^n = 2^n N entries by
+    FFT, and N^2 multiply-adds by windows (f^n per cube and output cell),
+    so FFT wins once cubes are wide."""
     n = grid.dimension
     cells = grid.n_cells >> (n * depth)
-    return n * cells >= _FFT_ROUTE_RATIO * 2 ** n * np.log2(2 ** n * grid.n_cells)
+    return cells >= _FFT_ROUTE_RATIO * 2 ** n * np.log2(2 ** n * grid.n_cells)
 
 
 def _fft_images(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
@@ -432,6 +353,38 @@ def _fft_images(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
     return images.reshape((2 ** depth,) * grid.dimension + (grid.n_cells,))
 
 
+def _window_images(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, depth: int):
+    """Yield (rows, images) for the row slices of `image_rows`: the
+    level-`depth` cube images T(sigma 1_Q) at the cells of rows, indexed
+    [*cube coords, cell of rows], read off windows of the offset table.
+
+    With f = m / 2**depth cells per cube side, T(sigma 1_Q)(x) is the sum
+    over u in [0, f)^n of sigma(f q + u) table[x - f q - u + m - 1]. The
+    windows view[q, x, k] = table[m - f - f q + x + k] (per axis, a strided
+    view with no copy) hold that term at k = f - 1 - u, so an image is one
+    matmul over the last axis's k for each k of the other axes, against
+    sigma's masses reversed in each cube. The view is not BLAS-shaped, so
+    numpy sums each image's terms in order: images depend neither on the
+    BLAS nor on the block budget, and no block holds a row of G."""
+    grid = sigma.grid
+    m, n = grid.cells_per_axis, grid.dimension
+    side, f = 2 ** depth, m >> depth
+    per = grid.n_cells // m
+    views = sliding_window_view(kernel_matrix(kernel, trunc, grid), (m,) * n + (f,) * n,
+                                axis=tuple(range(n)) * 2)[(slice(m - f, None, -f),) * n]
+    masses = group_by_cube(sigma.cell_mass, depth).reshape(
+        (side,) * n + (1,) * (n - 1) + (f,) * n)[(Ellipsis,) + (slice(None, None, -1),) * n]
+    for rows in image_rows(grid, depth):
+        windows = views[(slice(None),) * n + (slice(rows.start // per, rows.stop // per),)]
+        parts = (np.matmul(windows[(Ellipsis,) + k + (slice(None),)],
+                           masses[(Ellipsis,) + k + (slice(None), None)])
+                 for k in np.ndindex((f,) * (n - 1)))
+        images = next(parts)
+        for part in parts:
+            images += part
+        yield rows, images.reshape((side,) * n + (-1,))
+
+
 def image_blocks(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, depth: int):
     """Yield (rows, levels) for slices rows of output cells: levels[l]
     holds the images T(sigma 1_Q) at the cells of rows of the level-l cubes
@@ -442,23 +395,14 @@ def image_blocks(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, depth: i
 
     Two routes give the level-`depth` images, chosen by `_fft_route` from
     the grid and depth. Where cubes are wide, one block over all output
-    cells, by FFT (`_fft_images`). Else an `image_block` for each row slice
-    of `image_rows`, gathered from the offset table: in 1-D every slab
-    product is a matrix-vector product (one cube per slab), which runs 2.5
-    to 4 times faster on input-major rows: there G's rows are read as the
-    columns G^T[:, rows] of the adjoint's matrix. 2-D reads C-ordered rows
-    (`_kernel_blocks`): its products of several cubes per slab run as fast
-    on them at 2-D L=6, and another layout rounds the images differently,
-    which moves the Lanczos witness of the Haar matrix by more than 1e-15."""
+    cells, by FFT (`_fft_images`); else a block of whole slabs at a time
+    (`image_rows`), read off windows of the offset table
+    (`_window_images`)."""
     grid = sigma.grid
     if _fft_route(grid, depth):
         blocks = [(slice(0, grid.n_cells), _fft_images(kernel, trunc, sigma, depth))]
     else:
-        input_major = grid.dimension == 1
-        blocks = ((rows, image_block(block.T if input_major else block, sigma, depth))
-                  for rows, block in _kernel_blocks(
-                      kernel.transpose() if input_major else kernel, trunc, grid,
-                      image_rows(grid, depth), columns=input_major))
+        blocks = _window_images(kernel, trunc, sigma, depth)
     for rows, finest in blocks:
         levels = [finest]
         for _ in range(depth):

@@ -1,7 +1,9 @@
 """Dense and full-mesh reference builds, for tests only.
 
-`haartest.operators` never forms the N x N kernel matrix G whole past one
-block; these build it whole to check the block stream and `apply` against.
+`haartest.operators` never forms any part of the N x N kernel matrix G: it
+reads G's entries off windows of the kernel's offset table, or applies G by
+FFT of that table. These build G whole to check the block stream and
+`apply` against.
 `haartest.characteristics` takes the quadratic pair values in closed form
 over level arrays; `pair_family_value` builds the two mesh functions of
 their definition instead. `haartest.haar` builds one basis of each cube's

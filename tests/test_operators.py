@@ -19,6 +19,7 @@ from haartest.operators import (
     default_truncation,
     eval_truncated,
     image_blocks,
+    image_rows,
     kernel_matrix,
     make_kernel,
     require_resolved,
@@ -657,7 +658,8 @@ def _adjoint_image_cases():
 @pytest.mark.parametrize("measure", ["doubling", "holed"])
 def test_cube_images_of_the_adjoint_view(monkeypatch, grid, family, lam, level, measure):
     # the adjoint's stream reads the reversed view of the operator's offset
-    # table, as the whole G or by blocks of rows; both match the dense product
+    # table, in one block or, on the window route, by blocks of rows of an
+    # eighth of the images each; both match the dense product
     kernel, trunc = make_kernel(family, lam, grid.dimension), default_truncation(grid)
     sigma = random_dyadic_doubling(grid, 3.0, seed=25)
     if measure == "holed":
@@ -668,7 +670,9 @@ def test_cube_images_of_the_adjoint_view(monkeypatch, grid, family, lam, level, 
     want = dense_kernel_matrix(kernel.transpose(), trunc, grid) @ _cube_indicators(
         grid, sigma, level)
     images = {"whole": _stream_images(kernel.transpose(), sigma, level)}
-    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", grid.n_cells ** 2 // 8)
+    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES",
+                        (grid.n_cells << (grid.dimension * level)) // 8)
+    assert operators._fft_route(grid, level) or len(image_rows(grid, level)) > 1
     images["blocks"] = _stream_images(kernel.transpose(), sigma, level)
     monkeypatch.undo()
     for got in images.values():
@@ -684,7 +688,7 @@ def test_cube_images_of_the_adjoint_view(monkeypatch, grid, family, lam, level, 
 FFT_CASES = {
     "1d-hilbert": (Grid(dimension=1, max_level=9), 2, "hilbert", 0.0),
     "2d-riesz_like": (Grid(dimension=2, max_level=5), 1, "riesz_like", 0.5),
-    "2d-fractional_integral": (Grid(dimension=2, max_level=5), 2, "fractional_integral", 1.2),
+    "2d-fractional_integral": (Grid(dimension=2, max_level=5), 1, "fractional_integral", 1.2),
 }
 
 
@@ -736,7 +740,7 @@ def test_fft_images_do_not_depend_on_the_batch(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(FFT_CASES))
-@pytest.mark.parametrize("depth_of", ["fft", "gather"])
+@pytest.mark.parametrize("depth_of", ["fft", "windows"])
 def test_images_on_the_zero_band_are_exactly_zero(name, depth_of):
     # with rmax = 4 eps at its least, the truncated kernel vanishes between
     # cells farther apart than rmax: there every cube image and apply give

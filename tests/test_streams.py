@@ -5,8 +5,8 @@ time (`operators.image_blocks`). The oracles below hold the wavelet and
 cube images whole, as dense products with the kernel matrix, and compute
 each characteristic from them cube by cube. Each case runs with the
 default block budget, one block on these grids, and with a budget of three
-slabs, which does not divide the slab count, so the last block is shorter
-than the others.
+slabs of images, which does not divide the slab count, so the last block is
+shorter than the others.
 """
 import tracemalloc
 
@@ -76,8 +76,8 @@ def budget(request, monkeypatch):
     """Set the block budget for a grid and depth; return the blocks' rows."""
     def set_for(grid, depth):
         if request.param == "short-last-block":
-            slab = grid.n_cells >> depth
-            monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", 3 * slab * grid.n_cells)
+            slab_images = (grid.n_cells >> depth) << (grid.dimension * depth)
+            monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", 3 * slab_images)
         rows = image_rows(grid, depth)
         assert (len(rows) == 1) == (request.param == "one-block")
         return rows
@@ -275,8 +275,9 @@ TABLE_CASES = {
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
 @pytest.mark.parametrize("adjoint", [False, True], ids=["kernel", "adjoint"])
 def test_table_route_matches_the_dense_oracle(name, adjoint, budget):
-    # G's rows gathered from the offset table, whole or by blocks, give the
-    # cube images G diag(sigma) P and the action G (f sigma) of the dense G
+    # windows of the offset table, in one block or by blocks, give the cube
+    # images G diag(sigma) P, and its FFT the action G (f sigma), of the
+    # dense G
     grid, depth, family, lam = TABLE_CASES[name]
     kernel = make_kernel(family, lam, grid.dimension)
     kernel = kernel.transpose() if adjoint else kernel
@@ -295,15 +296,17 @@ def test_table_route_matches_the_dense_oracle(name, adjoint, budget):
 
 
 def test_operator_passes_hold_no_kernel_matrix(monkeypatch):
-    # with a block budget of an eighth of G's entries, the bundle's sigma
-    # pass, the dual and one apply each build the offset table afresh and
-    # stay below the N x N float64 array of G in traced allocation
+    # with a block budget of an eighth of the depth-4 images' entries, the
+    # bundle's sigma pass, the dual and one apply each build the offset
+    # table afresh and stay below the N x N float64 array of G in traced
+    # allocation
     grid, depth = Grid(dimension=2, max_level=5), 4
     sigma = random_dyadic_doubling(grid, 2.0, seed=1)
     omega = random_dyadic_doubling(grid, 3.0, seed=2)
     kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
     f = np.random.default_rng(59).standard_normal(grid.mesh_shape)
-    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", grid.n_cells ** 2 // 8)
+    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES",
+                        (grid.n_cells << (grid.dimension * depth)) // 8)
     assert len(image_rows(grid, depth)) > 1 and len(image_rows(grid, grid.max_level)) > 1
     matrix = _bundle(sigma, omega, kernel, trunc, depth)[0]
     runs = {
@@ -324,6 +327,34 @@ def test_operator_passes_hold_no_kernel_matrix(monkeypatch):
         assert peak - start < grid.n_cells ** 2 * 8, name
 
 
+def test_window_route_holds_no_slab_of_the_kernel_matrix(monkeypatch):
+    # on the window route the images are read off the offset table: with a
+    # block budget of one slab of images, one image_blocks pass stays below
+    # one slab of G's rows, N * N / 2**depth float64 (1 MiB), in traced
+    # allocation
+    grid, depth = Grid(dimension=2, max_level=5), 3
+    sigma = random_dyadic_doubling(grid, 3.0, seed=1)
+    kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
+    slab = grid.n_cells >> depth
+    assert not operators._fft_route(grid, depth)
+    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", slab << (grid.dimension * depth))
+    assert len(image_rows(grid, depth)) == 2 ** depth
+
+    def drain():
+        for _ in image_blocks(kernel, trunc, sigma, depth):
+            pass
+
+    drain()  # the table and numpy's lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        drain()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < grid.n_cells * slab * 8
+
+
 def test_blocks_of_whole_slabs_keep_the_haar_matrix_bit_for_bit(monkeypatch):
     # the target side sums whole slabs of cells, pairing them as a sum over
     # every row does: the entries do not depend on the block budget
@@ -331,22 +362,27 @@ def test_blocks_of_whole_slabs_keep_the_haar_matrix_bit_for_bit(monkeypatch):
     trunc = default_truncation(GRID_2D)
     for k in (kernel, kernel.transpose()):
         whole = assemble_haar_matrix(k, trunc, sigma, omega, depth).entries
-        monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", GRID_2D.n_cells)
+        slab_images = (GRID_2D.n_cells >> depth) << (GRID_2D.dimension * depth)
+        monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", slab_images)
         assert len(image_rows(GRID_2D, depth)) == 2 ** depth
         np.testing.assert_array_equal(
             assemble_haar_matrix(k, trunc, sigma, omega, depth).entries, whole)
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4])
-def test_cube_images_do_not_depend_on_the_block_budget(monkeypatch, level):
-    # on 2-D L=5 every slab product is small, so the rows go through the
-    # matmul a slab at a time: blocks of one slab and of three give the
-    # images of one block bit for bit, for the kernel and its adjoint
-    grid = Grid(dimension=2, max_level=5)
+@pytest.mark.parametrize("dimension, level", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                              (1, 4), (1, 6), (1, 8)],
+                         ids=["1", "2", "3", "4", "1d-4", "1d-6", "1d-8"])
+def test_cube_images_do_not_depend_on_the_block_budget(monkeypatch, dimension, level):
+    # each window image sums its terms in order, and each FFT image comes
+    # from its row's own transform: blocks of one slab of images and of
+    # three give the images of one block bit for bit, for the kernel and
+    # its adjoint, on 2-D L=5 and 1-D L=8
+    grid = Grid(dimension=dimension, max_level=5 if dimension == 2 else 8)
     sigma = random_dyadic_doubling(grid, 3.0, seed=55)
-    kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
-    slab = grid.n_cells >> level
+    family, lam = ("riesz_like", 0.5) if dimension == 2 else ("hilbert", 0.0)
+    kernel, trunc = make_kernel(family, lam, dimension), default_truncation(grid)
+    slab_images = (grid.n_cells >> level) << (dimension * level)
 
     def images(k):
         return np.concatenate([levels[level] for _, levels in image_blocks(k, trunc, sigma, level)],
@@ -355,30 +391,31 @@ def test_cube_images_do_not_depend_on_the_block_budget(monkeypatch, level):
     for k in (kernel, kernel.transpose()):
         whole = images(k)
         for slabs in (1, 3):
-            monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", slabs * slab * grid.n_cells)
+            monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", slabs * slab_images)
             assert len(image_rows(grid, level)) == -(-(2 ** level) // slabs)
             np.testing.assert_array_equal(images(k), whole)
         monkeypatch.undo()
 
 
 def test_bundle_memory_is_bounded_by_a_block(monkeypatch):
-    # the sigma pass and the dual keep no image array whole: with G built
-    # beforehand and the block budgets of the image pass and of the Haar
-    # transform an eighth of the images' entries, their peak traced
-    # allocation stays below one n_cells x 2**(n*depth) float64 array
+    # the sigma pass and the dual keep no image array whole: with the
+    # offset table built beforehand, a block budget of one slab of images
+    # (16 blocks) and a Haar transform budget of an eighth of the images'
+    # entries, their peak traced allocation stays below one
+    # n_cells x 2**(n*depth) float64 array
     grid, depth = Grid(dimension=2, max_level=5), 4
     sigma = random_dyadic_doubling(grid, 2.0, seed=1)
     omega = random_dyadic_doubling(grid, 3.0, seed=2)
     kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
     image_entries = grid.n_cells * 2 ** (grid.dimension * depth)
-    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", image_entries // 8)
+    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", image_entries >> depth)
     monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", image_entries // 8)
 
     def bundle():
         matrix, _, _ = _bundle(sigma, omega, kernel, trunc, depth)
         _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc)
 
-    bundle()  # G, both systems and numpy's lazy imports, outside the trace
+    bundle()  # the table, both systems and numpy's lazy imports, outside the trace
     assert len(image_rows(grid, depth)) > 8
     tracemalloc.start()
     try:
@@ -392,21 +429,22 @@ def test_bundle_memory_is_bounded_by_a_block(monkeypatch):
 
 def test_quadratic_haar_testing_memory_is_bounded_by_a_block(monkeypatch):
     # the member scan and the family values keep no image array whole: with
-    # G built beforehand and the block budgets of the image pass and of the
-    # Haar transform an eighth of the images' entries, the peak traced
-    # allocation stays below one n_cells x 2**(n*depth) float64 array
+    # the offset table built beforehand, a block budget of one slab of
+    # images (16 blocks) and a Haar transform budget of an eighth of the
+    # images' entries, the peak traced allocation stays below one
+    # n_cells x 2**(n*depth) float64 array
     grid, depth = Grid(dimension=2, max_level=5), 4
     sigma = random_dyadic_doubling(grid, 2.0, seed=1)
     omega = random_dyadic_doubling(grid, 3.0, seed=2)
     kernel, trunc = make_kernel("riesz_like", 0.5, 2), default_truncation(grid)
     image_entries = grid.n_cells * 2 ** (grid.dimension * depth)
-    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", image_entries // 8)
+    monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES", image_entries >> depth)
     monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", image_entries // 8)
 
     def quadratic():
         return quadratic_haar_testing(sigma, omega, kernel, trunc, p=3.0, depth=depth)
 
-    want = quadratic()  # G, the system and numpy's lazy imports, outside the trace
+    want = quadratic()  # the table, the system and numpy's lazy imports, outside the trace
     assert len(image_rows(grid, depth)) > 8
     tracemalloc.start()
     try:

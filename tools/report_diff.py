@@ -15,12 +15,13 @@ duals in 2-D, on cubes with three wavelets), `characteristics --depth 4`
 on 2-D L=5 with fractional_integral lambda=0.5 and the chars-2d measures
 (an even kernel: the operator is its own adjoint, one kernel-matrix cache
 entry for both), `characteristics --depth 8` on 1-D L=12 (4,096 cells, so
-each operator-image pass takes several blocks), `characteristics --p 3
---depth 8` on the same grid (the Lp Haar scans and their duals over
-several blocks), `experiment --p 3` on the same grid (16 blocks per pass:
-the one job whose quadratic Haar family values are folded over several
-blocks) and every op of the benchmark workloads at seed 0 (`perfbench/workloads.py` of this checkout,
-imported as is). Each run gets its own output directory.
+each operator-image pass takes four blocks of the window route),
+`characteristics --p 3 --depth 8` on the same grid (the Lp Haar scans and
+their duals over four blocks), `experiment --p 3 --depth 8` on the same
+grid (four blocks per depth-8 pass: the one job whose quadratic Haar family
+values are folded over several blocks) and every op of the benchmark
+workloads at seed 0 (`perfbench/workloads.py` of this checkout, imported as
+is). Each run gets its own output directory.
 
 It then compares, run by run, the exit codes, every JSON report with `meta`
 left out, and every CSV cell by cell. A string naming a file inside the
@@ -86,7 +87,7 @@ def jobs(config_dir: Path) -> list:
     out.append(("multi-block-lp-characteristics-1d",
                 ["characteristics", "--config", str(grid), "--p", "3", "--depth", "8"]))
     out.append(("multi-block-lp-experiment-1d",
-                ["experiment", "--config", str(grid), "--p", "3"]))
+                ["experiment", "--config", str(grid), "--p", "3", "--depth", "8"]))
     for workload in WORKLOADS:
         for i, op in enumerate(ops_for(workload, 0, config_dir)):
             out.append((f"{workload}-{i}-{op.subcommand}",
