@@ -50,6 +50,7 @@ from .characteristics import (
     lp_haar_testing_dual,
     matched_haar_testing,
     operator_norm,
+    pair_bundle,
     quadratic_haar_testing,
     quadratic_offset_ap,
     quadratic_subcube_ap,

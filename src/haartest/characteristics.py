@@ -5,7 +5,8 @@ down to a depth, optional non-dyadic sample boxes, and sampled coefficient
 families. Reports carry the search metadata next to the value so separate
 runs stay comparable, and every witness can be re-evaluated independently:
 each family computes a candidate's value with one function, which both its
-scan and its witness evaluator call.
+scan and its witness evaluator call, and one table (`_REGISTRY`) gives
+`reevaluate` each report name's evaluator and the order of its measures.
 
 Scans run on level arrays, not cube by cube. The operator scans are
 folds over `operators.image_blocks`, the images of the dyadic cubes of
@@ -25,7 +26,9 @@ member's children, and a pair family's two norms are sums over its cubes
 and its distinct partners of their level masses (`_pair_values`). Single
 images, of witnesses and jitter boxes, come from `operators.apply`. The
 operator norm is the top singular value of the Haar matrix by
-Golub-Kahan-Lanczos steps (`_top_singular_triple`). The pair scans take a
+Golub-Kahan-Lanczos steps (`_top_singular_triple`). The one pass that
+folds several characteristics at once is `pair_bundle`'s: the norm, both
+Haar testings and the cube testing of a pair. The pair scans take a
 block of cubes' partners at once: an offset stencil, or the finer levels'
 cubes grouped by cube. One witness rule serves every scan (`_first_max`):
 the first largest candidate in scan order, that is levels coarse to fine,
@@ -72,6 +75,7 @@ __all__ = [
     "lp_haar_testing_dual",
     "cube_testing",
     "operator_norm",
+    "pair_bundle",
     "matched_haar_testing",
     "quadratic_offset_ap",
     "quadratic_subcube_ap",
@@ -203,18 +207,15 @@ def _check_pair(sigma: MeshMeasure, omega: MeshMeasure) -> Grid:
     return sigma.grid
 
 
-def _kernel_spec(kernel: Kernel) -> dict:
+def _operator_spec(kernel: Kernel, trunc: Truncation) -> dict:
+    """The kernel and trunc entries of a search space, as `_kernel_and_trunc`
+    reads them back."""
     return {
-        "family": kernel.family,
-        "lambda": kernel.lam,
-        "dimension": kernel.dimension,
-        "direction": list(kernel.direction),
-        "sign": kernel.sign,
+        "kernel": {"family": kernel.family, "lambda": kernel.lam,
+                   "dimension": kernel.dimension, "direction": list(kernel.direction),
+                   "sign": kernel.sign},
+        "trunc": {"eps": trunc.eps, "rmax": trunc.rmax},
     }
-
-
-def _trunc_spec(trunc: Truncation) -> dict:
-    return {"eps": trunc.eps, "rmax": trunc.rmax}
 
 
 def _kernel_and_trunc(space: dict) -> tuple:
@@ -631,15 +632,9 @@ def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
     _check_pair(sigma, omega)
     require_resolved(trunc, sigma.grid)
-    return _haar_testing(cached_system(sigma, depth), omega, kernel, trunc, mode, seed)
-
-
-def _haar_testing(system: HaarSystem, omega: MeshMeasure, kernel: Kernel,
-                  trunc: Truncation, mode: str, seed: int, *adds) -> CharacteristicReport:
-    """haar_testing of the system's measure against omega, from one pass of
-    `image_blocks` that also feeds the extra folds' adds."""
+    system = cached_system(sigma, depth)
     fold = _GramFold(system, omega.flat_mass, mode == "local")
-    _fold_images(kernel, trunc, system.measure, system.depth, *adds, fold.add)
+    _fold_images(kernel, trunc, sigma, depth, fold.add)
     return _haar_report(system, fold, kernel, trunc, mode, seed)
 
 
@@ -653,36 +648,9 @@ def _haar_report(system: HaarSystem, fold: _GramFold, kernel: Kernel,
         "depth": system.depth,
         "cube_blocks": tops.size,
         "per_cube_optimum": "exact",
-        "kernel": _kernel_spec(kernel),
-        "trunc": _trunc_spec(trunc),
+        **_operator_spec(kernel, trunc),
     }
     return CharacteristicReport("haar_testing", best, witness, search_space, seed)
-
-
-def _matrix_and_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                        trunc: Truncation, depth: int, *adds) -> tuple:
-    """(assemble_haar_matrix(...), global haar_testing(...)) of the pair at
-    `depth` from one pass of `image_blocks` for sigma, which also feeds the
-    extra folds' adds, such as the cube pyramid's in the characteristics
-    bundle. The matrix's transforms run first: after the Grams' eigh they
-    raised chars-2d's peak RSS by 0.8 MiB."""
-    _check_pair(sigma, omega)
-    require_resolved(trunc, sigma.grid)
-    system = cached_system(sigma, depth)
-    matrix = HaarMatrixFold(system, cached_system(omega, depth))
-    test = _GramFold(system, omega.flat_mass)
-    _fold_images(kernel, trunc, sigma, depth, *adds, test.add, matrix.add)
-    return (matrix.matrix(kernel, trunc),
-            _haar_report(system, test, kernel, trunc, "global", 0))
-
-
-def _dual_haar_testing(osys: HaarSystem, sigma: MeshMeasure, kernel: Kernel,
-                       trunc: Truncation) -> CharacteristicReport:
-    """The global haar_testing_dual(...) of a pair from osys, the omega
-    system of its Haar matrix: no second omega system is built."""
-    rep = _haar_testing(osys, sigma, kernel.transpose(), trunc, "global", 0)
-    rep.name = "dual_haar_testing"
-    return rep
 
 
 def haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
@@ -717,8 +685,7 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
         "depth": depth,
         "rotation_samples": _ROTATION_SAMPLES,
         "p": cfg.p,
-        "kernel": _kernel_spec(kernel),
-        "trunc": _trunc_spec(trunc),
+        **_operator_spec(kernel, trunc),
     }
     return CharacteristicReport("lp_haar_testing", best, witness, search_space, seed)
 
@@ -898,8 +865,7 @@ def _cube_report(fold: _PyramidFold, kernel: Kernel, trunc: Truncation,
         "mode": mode,
         "p": p,
         "restriction": "clipped to window",
-        "kernel": _kernel_spec(kernel),
-        "trunc": _trunc_spec(trunc),
+        **_operator_spec(kernel, trunc),
     }
     return CharacteristicReport("cube_testing", max(best, 0.0), witness,
                                 search_space, seed)
@@ -914,14 +880,6 @@ def _evaluate_cube_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 
 # -- operator norm and matched testing ----------------------------------------
-
-def _matrix_metadata(matrix: HaarMatrix) -> dict:
-    return {
-        "depth": matrix.depth,
-        "kernel": _kernel_spec(matrix.kernel),
-        "trunc": _trunc_spec(matrix.trunc),
-    }
-
 
 # operator_norm's stopping rule, recorded in its search space: the top
 # singular triple (s, u, v) of the Lanczos bidiagonal has |A^T u - s v|
@@ -1000,15 +958,16 @@ def operator_norm(matrix: HaarMatrix) -> CharacteristicReport:
     else:
         value = 0.0
     witness = {"side": "source", "coefficients": [float(x) for x in v]}
-    search_space = _matrix_metadata(matrix)
-    search_space.update({
+    search_space = {
+        "depth": matrix.depth,
+        **_operator_spec(matrix.kernel, matrix.trunc),
         "rows": int(matrix.entries.shape[0]),
         "cols": int(matrix.entries.shape[1]),
         "tol": _NORM_TOL,
         "max_iters": _NORM_MAX_ITERS,
         "iterations": steps,
         "converged": converged,
-    })
+    }
     return CharacteristicReport("operator_norm", value, witness, search_space)
 
 
@@ -1027,8 +986,8 @@ def matched_haar_testing(matrix: HaarMatrix,
     witness = {} if cube is None else {"cube": cube, "side": "row" if dual else "column",
                                        "coefficients": coefficients}
     name = "dual_haar_testing_matched" if dual else "haar_testing_matched"
-    search_space = _matrix_metadata(matrix)
-    search_space.update({"cube_blocks": tops.size, "per_cube_optimum": "exact"})
+    search_space = {"depth": matrix.depth, **_operator_spec(matrix.kernel, matrix.trunc),
+                    "cube_blocks": tops.size, "per_cube_optimum": "exact"}
     return CharacteristicReport(name, best, witness, search_space)
 
 
@@ -1451,8 +1410,7 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
         "families_evaluated": len(families),
         "family_count": _FAMILY_COUNT,
         "p": cfg.p,
-        "kernel": _kernel_spec(kernel),
-        "trunc": _trunc_spec(trunc),
+        **_operator_spec(kernel, trunc),
     }
     return CharacteristicReport("quadratic_haar_testing", max(best, scalar_best), witness,
                                 search_space, seed)
@@ -1473,21 +1431,57 @@ def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
                                      float(witness["p"]))[0])
 
 
+# -- one pair's comparison -----------------------------------------------------
+
+def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
+                trunc: Truncation, depth: int) -> dict:
+    """The reports of the comparison of N_T(sigma, omega) with
+    H^glob_T(sigma, omega) + H^glob_T*(omega, sigma), keyed by report name:
+    operator_norm, haar_testing, dual_haar_testing and the global
+    cube_testing at p = 2, each the report of its own function at `depth`.
+
+    One pass of sigma's images feeds the cube pyramid, the Haar Grams and
+    the Haar matrix, whose transforms run before the Grams' eigh (after it
+    they raised chars-2d's peak RSS by 0.8 MiB); one pass of omega's, the
+    kernel transposed, feeds the dual Grams on the matrix's omega system.
+    """
+    _check_pair(sigma, omega)
+    require_resolved(trunc, sigma.grid)
+    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
+    ssys, osys = cached_system(sigma, depth), cached_system(omega, depth)
+    fold = HaarMatrixFold(ssys, osys)
+    grams = _GramFold(ssys, omega.flat_mass)
+    _fold_images(kernel, trunc, sigma, depth, cubes.add, grams.add, fold.add)
+    matrix = fold.matrix(kernel, trunc)
+    out = {"haar_testing": _haar_report(ssys, grams, kernel, trunc, "global", 0),
+           "cube_testing": _cube_report(cubes, kernel, trunc, 0, 0),
+           "operator_norm": operator_norm(matrix)}
+    adjoint, grams = kernel.transpose(), _GramFold(osys, sigma.flat_mass)
+    _fold_images(adjoint, trunc, omega, depth, grams.add)
+    out["dual_haar_testing"] = replace(_haar_report(osys, grams, adjoint, trunc, "global", 0),
+                                       name="dual_haar_testing")
+    return out
+
+
 # -- witness re-evaluation -----------------------------------------------------
 
-# report name -> evaluator(sigma, omega, witness, search_space)
-_EVALUATORS = {
-    "a2_lambda": _evaluate_size_witness,
-    "ap_lambda": _evaluate_size_witness,
-    "haar_testing": _evaluate_haar_witness,
-    "lp_haar_testing": _evaluate_haar_witness,
-    "cube_testing": _evaluate_cube_witness,
-    "operator_norm": _evaluate_matrix_witness,
-    "haar_testing_matched": _evaluate_matrix_witness,
-    "dual_haar_testing_matched": _evaluate_matrix_witness,
-    "quadratic_offset_ap": _evaluate_pair_family_witness,
-    "quadratic_subcube_ap": _evaluate_pair_family_witness,
-    "quadratic_haar_testing": _evaluate_quadratic_haar_witness,
+# report name -> (evaluator(sigma, omega, witness, search_space), swapped):
+# a swapped report's scan ran on (omega, sigma), so its witness is
+# evaluated with the measures swapped back
+_REGISTRY = {
+    "a2_lambda": (_evaluate_size_witness, False),
+    "ap_lambda": (_evaluate_size_witness, False),
+    "haar_testing": (_evaluate_haar_witness, False),
+    "dual_haar_testing": (_evaluate_haar_witness, True),
+    "lp_haar_testing": (_evaluate_haar_witness, False),
+    "dual_lp_haar_testing": (_evaluate_haar_witness, True),
+    "cube_testing": (_evaluate_cube_witness, False),
+    "operator_norm": (_evaluate_matrix_witness, False),
+    "haar_testing_matched": (_evaluate_matrix_witness, False),
+    "dual_haar_testing_matched": (_evaluate_matrix_witness, False),
+    "quadratic_offset_ap": (_evaluate_pair_family_witness, False),
+    "quadratic_subcube_ap": (_evaluate_pair_family_witness, False),
+    "quadratic_haar_testing": (_evaluate_quadratic_haar_witness, False),
 }
 
 
@@ -1495,14 +1489,13 @@ def reevaluate(report: CharacteristicReport, sigma: MeshMeasure,
                omega: MeshMeasure) -> float:
     """Recompute a report's value from its stored witness.
 
-    Reports produced by the dual variants carry the already swapped roles,
-    so the original (sigma, omega) order is always passed here. Kernel and
-    truncation parameters are rebuilt from the report's search metadata.
+    The original (sigma, omega) order is always passed here, the dual
+    reports' too (`_REGISTRY`). Kernel and truncation parameters are
+    rebuilt from the report's search metadata.
     """
-    name = report.name
-    if name not in _EVALUATORS and name.startswith("dual_"):
-        # the dual scans ran on the swapped pair
-        name, sigma, omega = name[len("dual_"):], omega, sigma
-    if name not in _EVALUATORS:
+    if report.name not in _REGISTRY:
         raise ValueError(f"unknown report name {report.name!r}")
-    return _EVALUATORS[name](sigma, omega, report.witness, report.search_space)
+    evaluate, swapped = _REGISTRY[report.name]
+    if swapped:
+        sigma, omega = omega, sigma
+    return evaluate(sigma, omega, report.witness, report.search_space)

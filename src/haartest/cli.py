@@ -20,16 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .characteristics import (
-    _PyramidFold,
-    _cube_report,
-    _dual_haar_testing,
-    _matrix_and_testing,
-    a2_lambda,
-    lp_haar_testing,
-    lp_haar_testing_dual,
-    operator_norm,
-)
+from .characteristics import a2_lambda, lp_haar_testing, lp_haar_testing_dual, pair_bundle
 from .dyadic import Grid, MeshExhaustedError
 from .experiments import (
     AlignmentError,
@@ -239,20 +230,15 @@ def _characteristic_bundle(cfg: RunConfig, s_spec: str, o_spec: str,
     kernel = make_kernel(cfg.kernel, cfg.lam, grid.dimension)
     trunc = build_truncation(cfg, grid)
     depth = min(cfg.depth, grid.max_level)
-    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
-    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth, cubes.add)
-    cube = _cube_report(cubes, kernel, trunc, 0, 0)
-    norm = operator_norm(matrix)
-    dual = _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc)
-    size = a2_lambda(sigma, omega, cfg.lam, depth=depth)
+    reports = pair_bundle(sigma, omega, kernel, trunc, depth)
     out = {
         "sigma": s_spec,
         "omega": o_spec,
-        "operator_norm": norm.as_dict(),
-        "haar_testing": test.as_dict(),
-        "haar_testing_dual": dual.as_dict(),
-        "cube_testing": cube.as_dict(),
-        "a2": size.as_dict(),
+        "operator_norm": reports["operator_norm"].as_dict(),
+        "haar_testing": reports["haar_testing"].as_dict(),
+        "haar_testing_dual": reports["dual_haar_testing"].as_dict(),
+        "cube_testing": reports["cube_testing"].as_dict(),
+        "a2": a2_lambda(sigma, omega, cfg.lam, depth=depth).as_dict(),
     }
     if cfg.p != 2.0:
         out["lp_haar_testing"] = lp_haar_testing(
@@ -261,8 +247,8 @@ def _characteristic_bundle(cfg: RunConfig, s_spec: str, o_spec: str,
         out["lp_haar_testing_dual"] = lp_haar_testing_dual(
             sigma, omega, kernel, trunc, p=cfg.p, depth=depth
         ).as_dict()
-    denom = test.value + dual.value
-    out["ratio"] = norm.value / denom if denom > 0 else float("inf")
+    denom = reports["haar_testing"].value + reports["dual_haar_testing"].value
+    out["ratio"] = reports["operator_norm"].value / denom if denom > 0 else float("inf")
     return out
 
 

@@ -19,15 +19,11 @@ from .characteristics import (
     JsonReport,
     _PyramidFold,
     _check_pair,
-    _dual_haar_testing,
-    _haar_testing,
-    _kernel_spec,
-    _matrix_and_testing,
+    _operator_spec,
     _restriction_weights,
-    _trunc_spec,
     a2_lambda,
     haar_testing,
-    operator_norm,
+    pair_bundle,
     quadratic_haar_testing,
     quadratic_offset_ap,
 )
@@ -44,6 +40,7 @@ from .operators import (
     Kernel,
     Truncation,
     TruncationError,
+    _fold_images,
     apply,
     require_resolved,
 )
@@ -491,8 +488,7 @@ def kernel_difference_report(kernel: Kernel, trunc: Truncation,
         "identity_residual_max": float(residual.max()),
         "sample_count": int(sample_count),
         "plateau": [lo_pl, hi_pl],
-        "kernel": _kernel_spec(kernel),
-        "trunc": _trunc_spec(trunc),
+        **_operator_spec(kernel, trunc),
     }
     return ExperimentReport(name="kernel_difference", value=band_fraction,
                             passed=True, details=details, seed=seed)
@@ -683,8 +679,7 @@ def a2_lower_bound_experiment(sigma: MeshMeasure, omega: MeshMeasure,
         "haar_testing_global": test_rep.value,
         "testing_depth": testing_depth,
         "delta": cfg.delta,
-        "kernel": _kernel_spec(kernel),
-        "trunc": _trunc_spec(trunc),
+        **_operator_spec(kernel, trunc),
     }
     return ExperimentReport(name="a2_lower_bound", value=float(coupling),
                             passed=passed, details=details, seed=seed)
@@ -702,13 +697,13 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     For every cube L up to depth (1 to max_level: the global Haar testing
     needs wavelets) with sigma-mass, the energy of the normalized indicator
     image over the tripled box is the square of L's cube_testing value in
-    "triple" mode at p = 2, read from the cube pyramid (`_PyramidFold`) on
-    the global Haar testing's pass of the images. Each energy is compared
-    against C * testing^2 + C * a2 * energy; the report carries the smallest
-    C that makes every comparison hold, the implied constant in
-    triple_testing <= C' * (testing + a2), and the worst Cauchy-Schwarz
-    ratio of cross terms over adjacent same-level pairs, taken on the
-    pair's indicator images over the first cube's tripled box.
+    "triple" mode at p = 2, read from the cube pyramid (`_PyramidFold`).
+    Each energy is compared against C * testing^2 + C * a2 * energy; the
+    report carries the smallest C that makes every comparison hold, the
+    implied constant in triple_testing <= C' * (testing + a2), and the
+    worst Cauchy-Schwarz ratio of cross terms over adjacent same-level
+    pairs, taken on the pair's indicator images over the first cube's
+    tripled box.
     """
     grid = _check_pair(sigma, omega)
     if not 1 <= depth <= grid.max_level:
@@ -716,8 +711,8 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                          f"got {depth}")
     require_resolved(trunc, grid)
     fold = _PyramidFold(sigma, omega, "triple", 2.0, depth)
-    test_rep = _haar_testing(cached_system(sigma, depth), omega, kernel, trunc, "global", 0,
-                             fold.add)
+    _fold_images(kernel, trunc, sigma, depth, fold.add)
+    test_rep = haar_testing(sigma, omega, kernel, trunc, depth=depth)
     size_rep = a2_lambda(sigma, omega, kernel.lam, depth=depth)
     h_val, a_val = test_rep.value, size_rep.value
     # each level's values in C order, from level 0 up to depth
@@ -774,8 +769,7 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
         "cross_term_max_ratio": cross_max,
         "scanned_cubes": len(energies),
         "depth": depth,
-        "kernel": _kernel_spec(kernel),
-        "trunc": _trunc_spec(trunc),
+        **_operator_spec(kernel, trunc),
     }
     return ExperimentReport(name="triple_absorption", value=float(c_prime),
                             passed=True, details=details, seed=seed)
@@ -1113,10 +1107,9 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
     dbl_depth = min(depth, grid.max_level - 1)
 
     def evaluate(sigma: MeshMeasure, omega: MeshMeasure, kind: str) -> dict:
-        matrix, test_rep = _matrix_and_testing(sigma, omega, kernel, trunc, depth)
-        norm = operator_norm(matrix).value
-        test = test_rep.value
-        dual = _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc).value
+        reports = pair_bundle(sigma, omega, kernel, trunc, depth)
+        norm, test, dual = (reports[name].value for name in
+                            ("operator_norm", "haar_testing", "dual_haar_testing"))
         denom = test + dual
         ratio = norm / denom if denom > 0.0 else 0.0
         return {
@@ -1161,8 +1154,7 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
         "family": measure_family if isinstance(measure_family, str) else "callable",
         "ratio_band": [float(min(ratios)), float(max(ratios))],
         "note": "heuristic search; a large ratio is evidence, not a disproof",
-        "kernel": _kernel_spec(kernel),
-        "trunc": _trunc_spec(trunc),
+        **_operator_spec(kernel, trunc),
     }
     return ExperimentReport(name="counterexample_search", value=float(best_ratio),
                             passed=True, details=details, seed=seed)
@@ -1273,8 +1265,7 @@ def quadratic_ap_experiment(sigma: MeshMeasure, omega: MeshMeasure,
         "p": p,
         "delta": delta,
         "control_depth": control_depth,
-        "kernel": _kernel_spec(kernel),
-        "trunc": _trunc_spec(trunc),
+        **_operator_spec(kernel, trunc),
     }
     return ExperimentReport(name="quadratic_ap", value=float(control),
                             passed=passed, details=details, seed=seed)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from haartest.characteristics import (
     CharacteristicReport,
     QuadraticFamily,
+    _REGISTRY,
     _cube_values,
     _GramFold,
     _jittered_boxes,
@@ -19,6 +21,7 @@ from haartest.characteristics import (
     lp_haar_testing_dual,
     matched_haar_testing,
     operator_norm,
+    pair_bundle,
     quadratic_haar_testing,
     quadratic_offset_ap,
     quadratic_subcube_ap,
@@ -281,6 +284,7 @@ def test_matched_testing_is_rotation_invariant():
 
 def test_reevaluate_reproduces_witness_values():
     mat = assemble_haar_matrix(HILBERT, TRUNC, SIGMA, OMEGA, 4)
+    bundle = pair_bundle(SIGMA, OMEGA, HILBERT, TRUNC, 4)
     reports = [
         a2_lambda(SIGMA, OMEGA, 0.0, depth=5),
         ap_lambda(SIGMA, OMEGA, 0.0, p=3.0, depth=5),
@@ -300,11 +304,16 @@ def test_reevaluate_reproduces_witness_values():
         quadratic_offset_ap(SIGMA, OMEGA, 0.0, depth=4, seed=3),
         quadratic_subcube_ap(SIGMA, OMEGA, 0.0, depth=4, seed=3),
         quadratic_haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth=4, seed=3),
+        *bundle.values(),
     ]
+    # every report name the code produces has its evaluator, and no other
+    assert {rep.name for rep in reports} == set(_REGISTRY)
     for rep in reports:
         again = reevaluate(rep, SIGMA, OMEGA)
         np.testing.assert_allclose(again, rep.value, atol=1e-10, rtol=1e-10,
                                    err_msg=rep.name)
+    with pytest.raises(ValueError, match="dual_cube_testing"):
+        reevaluate(replace(bundle["cube_testing"], name="dual_cube_testing"), SIGMA, OMEGA)
 
 
 def test_reports_serialize_to_json():
@@ -470,16 +479,15 @@ def test_matched_optima_match_per_cube_svd(name, dual):
     _assert_same_optimum(matched_haar_testing(mat, dual=dual), oracle)
 
 
-def test_matrix_and_testing_share_one_sigma_pass():
-    from haartest.characteristics import _matrix_and_testing
-
+def test_pair_bundle_shares_one_sigma_pass():
     for depth in (3, GRID.max_level):
-        matrix, test = _matrix_and_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth)
+        bundle = pair_bundle(SIGMA, OMEGA, HILBERT, TRUNC, depth)
         alone = assemble_haar_matrix(HILBERT, TRUNC, SIGMA, OMEGA, depth)
-        np.testing.assert_array_equal(matrix.entries, alone.entries)
-        assert (matrix.row_labels, matrix.col_labels) == (alone.row_labels, alone.col_labels)
+        assert bundle["operator_norm"].as_dict() == operator_norm(alone).as_dict()
         want = haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="global", depth=depth)
-        assert test.as_dict() == want.as_dict()
+        assert bundle["haar_testing"].as_dict() == want.as_dict()
+        want = haar_testing_dual(SIGMA, OMEGA, HILBERT, TRUNC, mode="global", depth=depth)
+        assert bundle["dual_haar_testing"].as_dict() == want.as_dict()
 
 
 # -- Lp and quadratic Haar denominators against the dense cell values -----------
@@ -1072,10 +1080,8 @@ SHARED_PASS_GRID = Grid(dimension=2, max_level=4)
 
 @pytest.mark.parametrize("case", range(7))
 def test_bundle_cube_testing_matches_standalone_scan(case, corpus1):
-    # the characteristics bundle scans cube testing on sigma's cube images
-    # before they become wavelet images; the report is the standalone one
-    from haartest.characteristics import _PyramidFold, _cube_report, _matrix_and_testing
-
+    # the pair bundle scans cube testing on sigma's cube images before they
+    # become wavelet images; the report is the standalone one
     if case < len(corpus1):
         sigma, omega = corpus1[case], corpus1[(case + 3) % len(corpus1)]
         kernel, depth = make_kernel("hilbert", 0.0, 1), 5
@@ -1084,12 +1090,10 @@ def test_bundle_cube_testing_matches_standalone_scan(case, corpus1):
         omega = random_dyadic_doubling(SHARED_PASS_GRID, 3.0, seed=42)
         kernel, depth = make_kernel("riesz_like", 0.5, 2), 3
     trunc = default_truncation(sigma.grid)
-    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
-    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth, cubes.add)
-    cube = _cube_report(cubes, kernel, trunc, 0, 0)
-    assert cube.as_dict() == cube_testing(sigma, omega, kernel, trunc, mode="global",
-                                          depth=depth).as_dict()
-    assert test.as_dict() == haar_testing(sigma, omega, kernel, trunc, mode="global",
-                                          depth=depth).as_dict()
-    np.testing.assert_array_equal(
-        matrix.entries, assemble_haar_matrix(kernel, trunc, sigma, omega, depth).entries)
+    bundle = pair_bundle(sigma, omega, kernel, trunc, depth)
+    assert bundle["cube_testing"].as_dict() == cube_testing(
+        sigma, omega, kernel, trunc, mode="global", depth=depth).as_dict()
+    assert bundle["haar_testing"].as_dict() == haar_testing(
+        sigma, omega, kernel, trunc, mode="global", depth=depth).as_dict()
+    assert bundle["operator_norm"].as_dict() == operator_norm(
+        assemble_haar_matrix(kernel, trunc, sigma, omega, depth)).as_dict()

@@ -20,10 +20,6 @@ from haartest.characteristics import (
     _PAIR_VARIANTS,
     LpConfig,
     _ROTATION_SAMPLES,
-    _PyramidFold,
-    _cube_report,
-    _dual_haar_testing,
-    _matrix_and_testing,
     _pair_scan,
     _restriction_weights,
     _size_setup,
@@ -31,6 +27,8 @@ from haartest.characteristics import (
     haar_testing,
     haar_testing_dual,
     lp_haar_testing,
+    operator_norm,
+    pair_bundle,
     quadratic_haar_testing,
 )
 from haartest.dyadic import DyadicCube, Grid
@@ -93,14 +91,6 @@ def _cube_images(g, sigma, level):
 def _wavelet_images(g, system):
     """Whole (n_cells, n_wavelets) images of the system's wavelets."""
     return g @ (system.values_matrix * system.measure.flat_mass).T
-
-
-def _bundle(sigma, omega, kernel, trunc, depth):
-    """The Haar matrix, global Haar testing and global cube testing of the
-    characteristics bundle, from one pass."""
-    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
-    matrix, test = _matrix_and_testing(sigma, omega, kernel, trunc, depth, cubes.add)
-    return matrix, test, _cube_report(cubes, kernel, trunc, 0, 0)
 
 
 def _sign_fixed(v):
@@ -166,7 +156,8 @@ def test_streamed_haar_testing_matches_whole_images(name, mode, corpus1, budget)
     _assert_haar(haar_testing_dual(sigma, omega, kernel, trunc, mode=mode, depth=depth),
                  dual_oracle)
     if mode == "global":
-        _assert_haar(_dual_haar_testing(osys, sigma, kernel, trunc), dual_oracle)
+        _assert_haar(pair_bundle(sigma, omega, kernel, trunc, depth)["dual_haar_testing"],
+                     dual_oracle)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -252,13 +243,14 @@ def test_streamed_haar_matrix_and_bundle_match_whole_images(name, rotation, corp
     assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
     if rotation is not None:
         return
-    matrix, test, cube = _bundle(sigma, omega, kernel, trunc, depth)
-    assert np.abs(matrix.entries - want).max() <= 1e-12 * scale
-    _assert_haar(test, _haar_oracle(ssys, images, omega, "global"))
+    bundle = pair_bundle(sigma, omega, kernel, trunc, depth)
+    assert bundle["operator_norm"].as_dict() == operator_norm(
+        assemble_haar_matrix(kernel, trunc, sigma, omega, depth)).as_dict()
+    _assert_haar(bundle["haar_testing"], _haar_oracle(ssys, images, omega, "global"))
     value, key = _cube_oracle(dense_kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
                               "global", 2.0, depth)
-    assert cube.value == pytest.approx(value, rel=1e-12, abs=0.0)
-    assert cube.witness["cube"] == key
+    assert bundle["cube_testing"].value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert bundle["cube_testing"].witness["cube"] == key
 
 
 # (grid, depth, kernel family, lambda) of the offset-table route
@@ -297,9 +289,9 @@ def test_table_route_matches_the_dense_oracle(name, adjoint, budget):
 
 def test_operator_passes_hold_no_kernel_matrix(monkeypatch):
     # with a block budget of an eighth of the depth-4 images' entries, the
-    # bundle's sigma pass, the dual and one apply each build the offset
-    # table afresh and stay below the N x N float64 array of G in traced
-    # allocation
+    # pair bundle (its sigma pass and its dual pass) and one apply each
+    # build the offset tables afresh and stay below the N x N float64 array
+    # of G in traced allocation
     grid, depth = Grid(dimension=2, max_level=5), 4
     sigma = random_dyadic_doubling(grid, 2.0, seed=1)
     omega = random_dyadic_doubling(grid, 3.0, seed=2)
@@ -308,10 +300,8 @@ def test_operator_passes_hold_no_kernel_matrix(monkeypatch):
     monkeypatch.setattr(operators, "_IMAGE_BLOCK_ENTRIES",
                         (grid.n_cells << (grid.dimension * depth)) // 8)
     assert len(image_rows(grid, depth)) > 1 and len(image_rows(grid, grid.max_level)) > 1
-    matrix = _bundle(sigma, omega, kernel, trunc, depth)[0]
     runs = {
-        "sigma pass": lambda: _bundle(sigma, omega, kernel, trunc, depth),
-        "dual": lambda: _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc),
+        "bundle": lambda: pair_bundle(sigma, omega, kernel, trunc, depth),
         "apply": lambda: apply(kernel, trunc, sigma, f),
     }
     for name, run in runs.items():
@@ -398,10 +388,10 @@ def test_cube_images_do_not_depend_on_the_block_budget(monkeypatch, dimension, l
 
 
 def test_bundle_memory_is_bounded_by_a_block(monkeypatch):
-    # the sigma pass and the dual keep no image array whole: with the
-    # offset table built beforehand, a block budget of one slab of images
-    # (16 blocks) and a Haar transform budget of an eighth of the images'
-    # entries, their peak traced allocation stays below one
+    # the pair bundle's sigma pass and dual pass keep no image array whole:
+    # with the offset tables built beforehand, a block budget of one slab
+    # of images (16 blocks) and a Haar transform budget of an eighth of the
+    # images' entries, its peak traced allocation stays below one
     # n_cells x 2**(n*depth) float64 array
     grid, depth = Grid(dimension=2, max_level=5), 4
     sigma = random_dyadic_doubling(grid, 2.0, seed=1)
@@ -412,10 +402,9 @@ def test_bundle_memory_is_bounded_by_a_block(monkeypatch):
     monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", image_entries // 8)
 
     def bundle():
-        matrix, _, _ = _bundle(sigma, omega, kernel, trunc, depth)
-        _dual_haar_testing(matrix.omega_system, sigma, kernel, trunc)
+        pair_bundle(sigma, omega, kernel, trunc, depth)
 
-    bundle()  # the table, both systems and numpy's lazy imports, outside the trace
+    bundle()  # the tables, both systems and numpy's lazy imports, outside the trace
     assert len(image_rows(grid, depth)) > 8
     tracemalloc.start()
     try:

@@ -26,11 +26,15 @@ is). Each run gets its own output directory.
 It then compares, run by run, the exit codes, every JSON report with `meta`
 left out, and every CSV cell by cell. A string naming a file inside the
 run's output directory is compared by its path relative to that directory,
-since the directory itself is not a result. For each report it prints the
-largest relative float difference, every float difference above 1e-12
-relative (its place and both values) and every non-float difference. It exits
-1 when a non-float value differs or a float differs by more than 1e-12
-relative, and 0 otherwise.
+since the directory itself is not a result. A float is compared relative to
+the larger of its two values, except in a list under a `coefficients` key (a
+witness vector, such as the operator norm's unit Lanczos vector), whose
+entries are compared relative to the largest magnitude in either list: a
+vector's small entries carry the rounding of its large ones. For each report
+it prints the largest relative float difference, every float difference
+above 1e-12 relative (its place and both values) and every non-float
+difference. It exits 1 when a non-float value differs or a float differs by
+more than 1e-12 relative, and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -132,25 +136,35 @@ def _as_float(value):
     return None
 
 
-def compare(a, b, where: str, diffs: list, floats: list) -> tuple:
+def _largest(values: list) -> float:
+    """The largest finite magnitude among the numbers in values, 0 if none."""
+    nums = (_as_float(v) for v in values)
+    return max((abs(x) for x in nums if x is not None and math.isfinite(x)), default=0.0)
+
+
+def compare(a, b, where: str, diffs: list, floats: list, scale: float = 0.0) -> tuple:
     """(largest relative float difference between a and b, where it is);
     non-float differences, and float differences above REL_TOL, are appended
-    to diffs and floats as text."""
+    to diffs and floats as text. A float difference is taken relative to
+    scale when it is positive, else to the larger of the two values; the
+    entries of a list under a `coefficients` key take the largest magnitude
+    in either list as their scale."""
     worst = (0.0, "")
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
                 diffs.append(f"{where}.{key}: only in {'base' if key in a else 'change'}")
                 continue
-            worst = max(worst, compare(a[key], b[key], f"{where}.{key}", diffs,
-                                       floats))
+            vector = key == "coefficients" and isinstance(a[key], list) and isinstance(b[key], list)
+            worst = max(worst, compare(a[key], b[key], f"{where}.{key}", diffs, floats,
+                                       _largest(a[key] + b[key]) if vector else 0.0))
         return worst
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             diffs.append(f"{where}: length {len(a)} != {len(b)}")
             return worst
         for i, (x, y) in enumerate(zip(a, b)):
-            worst = max(worst, compare(x, y, f"{where}[{i}]", diffs, floats))
+            worst = max(worst, compare(x, y, f"{where}[{i}]", diffs, floats, scale))
         return worst
     fa, fb = _as_float(a), _as_float(b)
     float_like = isinstance(a, float) or isinstance(b, float) or isinstance(a, str)
@@ -158,7 +172,7 @@ def compare(a, b, where: str, diffs: list, floats: list) -> tuple:
         return worst
     if fa is not None and fb is not None and float_like:
         if math.isfinite(fa) and math.isfinite(fb):
-            rel = abs(fa - fb) / max(abs(fa), abs(fb))
+            rel = abs(fa - fb) / (scale or max(abs(fa), abs(fb)))
             if rel > REL_TOL:
                 floats.append(f"{where}: {a!r} != {b!r} (relative {rel:.3g})")
             return rel, where
