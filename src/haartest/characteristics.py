@@ -1,7 +1,7 @@
 """Size, testing, and operator-norm characteristics for measure pairs.
 
-Every supremum here is a finite search over a declared family: dyadic cubes
-down to a depth, optional non-dyadic sample boxes, and sampled coefficient
+Every supremum here is a finite search over a declared family: the cubes
+of the fixed dyadic grid down to a depth, and sampled coefficient
 families. Reports carry the search metadata next to the value so separate
 runs stay comparable, and every witness can be re-evaluated independently:
 each family computes a candidate's value with one function, which both its
@@ -23,19 +23,18 @@ The members of a quadratic family are disjoint cubes, so the rest of its
 value is a closed form over level arrays, with no mesh function per
 family: the Lp(sigma) norm of the members' square sum is a sum over each
 member's children, and a pair family's two norms are sums over its cubes
-and its distinct partners of their level masses (`_pair_values`). Single
-images, of witnesses and jitter boxes, come from `operators.apply`. The
-operator norm is the top singular value of the Haar matrix by
-Golub-Kahan-Lanczos steps (`_top_singular_triple`). The one pass that
-folds several characteristics at once is `pair_bundle`'s: the norm, both
-Haar testings and the cube testing of a pair. The pair scans take a
-block of cubes' partners at once: an offset stencil, or the finer levels'
-cubes grouped by cube. One witness rule serves every scan (`_first_max`):
-the first largest candidate in scan order, that is levels coarse to fine,
-cubes in C order, each cube's candidates in order, and jitter boxes last;
-a family search takes its families' tries in order, and its first
-largest try is the witness when it is strictly above the best single
-cube or pair.
+and its distinct partners of their level masses (`_pair_values`). The
+images of single witnesses come from `operators.apply`. The operator
+norm is the top singular value of the Haar matrix by Golub-Kahan-Lanczos
+steps (`_top_singular_triple`). The one pass that folds several
+characteristics at once is `pair_bundle`'s: the norm, both Haar testings
+and the cube testing of a pair. The pair scans take a block of cubes'
+partners at once: an offset stencil, or the finer levels' cubes grouped
+by cube. One witness rule serves every scan (`_first_max`): the first
+largest candidate in scan order, that is levels coarse to fine, cubes in
+C order and each cube's candidates in order; a family search takes its
+families' tries in order, and its first largest try is the witness when
+it is strictly above the best single cube or pair.
 """
 
 from __future__ import annotations
@@ -189,18 +188,6 @@ def validate_offset_family(grid: Grid, family: QuadraticFamily,
 
 # -- shared helpers ---------------------------------------------------------
 
-def _jittered_boxes(grid: Grid, depth: int, count: int, rng) -> list:
-    """Non-dyadic axis-parallel cubes inside the window, varied in scale."""
-    out = []
-    for _ in range(count):
-        u = float(rng.uniform(0.0, max(depth, 1)))
-        s = grid.side * 2.0 ** (-u)
-        frac = rng.uniform(0.0, 1.0, size=grid.dimension)
-        lower = grid.window_lower + frac * (grid.side - s)
-        out.append((tuple(float(v) for v in lower), float(s)))
-    return out
-
-
 def _check_pair(sigma: MeshMeasure, omega: MeshMeasure) -> Grid:
     if sigma.grid != omega.grid:
         raise ValueError("sigma and omega must share a grid")
@@ -250,46 +237,18 @@ def _first_max(parts: list) -> tuple:
             np.unravel_index(j - sum(sizes[:part]), np.shape(parts[part])))
 
 
-def _region_witness(region) -> dict:
-    """Witness fields naming a dyadic cube or a (lower, side) box."""
-    if isinstance(region, DyadicCube):
-        return {"kind": "dyadic", "cube": region.key()}
-    return {"kind": "box", "lower": list(region[0]), "side": region[1]}
-
-
-def _witness_region(grid: Grid, witness: dict):
-    """The dyadic cube or (lower, side) box a witness names."""
-    if witness["kind"] == "dyadic":
-        return DyadicCube.from_key(grid, witness["cube"])
-    return np.asarray(witness["lower"], dtype=float), float(witness["side"])
-
-
-def _box_corners(region) -> tuple:
-    lower = np.asarray(region[0], dtype=float)
-    return lower, lower + float(region[1])
-
-
 def _restriction_weights(grid: Grid, wflat: np.ndarray, mode: str,
-                         region) -> np.ndarray:
-    """omega's cell masses on the output region a mode assigns to a region.
+                         cube: DyadicCube) -> np.ndarray:
+    """omega's cell masses on the output region a mode assigns to a cube.
 
-    mode "global" keeps every cell, "local" the region itself and "triple"
-    its concentric triple, clipped to the window. The region is a dyadic
-    cube or a (lower, side) box.
+    mode "global" keeps every cell, "local" the cube itself and "triple"
+    its concentric triple, clipped to the window.
     """
     if mode == "global":
         return wflat
-    if isinstance(region, DyadicCube):
-        if mode == "local":
-            return wflat * region.indicator().ravel()
-        lo, hi = region.triple_box()
-    else:
-        lo, hi = _box_corners(region)
-        if mode == "triple":
-            s = float(region[1])
-            center = lo + 0.5 * s
-            lo, hi = center - 1.5 * s, center + 1.5 * s
-    frac, _ = grid.box_fractions(lo, hi)
+    if mode == "local":
+        return wflat * cube.indicator().ravel()
+    frac, _ = grid.box_fractions(*cube.triple_box())
     return wflat * frac.ravel()
 
 
@@ -314,57 +273,36 @@ def _size_value(smass, wmass, volume, s_expo: float, w_expo: float,
     return smass ** s_expo * wmass ** w_expo / volume ** vol_expo
 
 
-def _region_masses(sigma: MeshMeasure, omega: MeshMeasure, region) -> tuple:
-    """(|R|_sigma, |R|_omega, |R|) of a dyadic cube or a (lower, side) box."""
-    if isinstance(region, DyadicCube):
-        return sigma.cube_mass(region), omega.cube_mass(region), region.volume
-    lower, upper = _box_corners(region)
-    return (sigma.box_mass(lower, upper), omega.box_mass(lower, upper),
-            float(region[1]) ** sigma.grid.dimension)
-
-
 def _muckenhoupt_scan(name: str, sigma: MeshMeasure, omega: MeshMeasure,
                       lam: float, s_expo: float, w_expo: float,
-                      depth: int | None, jitter_count: int,
-                      seed: int) -> CharacteristicReport:
+                      depth: int | None) -> CharacteristicReport:
     grid, e, depth = _size_setup(sigma, omega, lam, depth)
-    # (sigma mass, omega mass, volume) of each level's cubes, then of each box
+    # (sigma mass, omega mass, volume) of each level's cubes
     levels = [(level_masses(sigma, level), level_masses(omega, level),
                (grid.side / 2 ** level) ** grid.dimension) for level in range(depth + 1)]
-    boxes = _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed))
-    box_masses = [_region_masses(sigma, omega, box) for box in boxes]
-    values = [_size_value(*masses, s_expo, w_expo, e) for masses in levels]
-    values.append(np.array([_size_value(*masses, s_expo, w_expo, e)
-                            for masses in box_masses]))
-    best, part, index = _first_max(values)
-    if part <= depth:
-        region = grid.cube(part, index)
-        masses = (levels[part][0][index], levels[part][1][index], levels[part][2])
-    else:
-        region, masses = boxes[index[0]], box_masses[index[0]]
-    witness = {**_region_witness(region),
+    best, level, index = _first_max([_size_value(*masses, s_expo, w_expo, e)
+                                      for masses in levels])
+    masses = (levels[level][0][index], levels[level][1][index], levels[level][2])
+    witness = {"cube": grid.cube(level, index).key(),
                **dict(zip(("sigma_mass", "omega_mass", "volume"), map(float, masses))),
                "lambda": lam}
     search_space = {
         "depth": depth,
         "dyadic_cubes": sum(sm.size for sm, _, _ in levels),
-        "jitter_count": jitter_count,
         "sigma_exponent": s_expo,
         "omega_exponent": w_expo,
     }
-    return CharacteristicReport(name, max(best, 0.0), witness, search_space, seed)
+    return CharacteristicReport(name, max(best, 0.0), witness, search_space)
 
 
 def a2_lambda(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
-              depth: int | None = None, jitter_count: int = 0,
-              seed: int = 0) -> CharacteristicReport:
+              depth: int | None = None) -> CharacteristicReport:
     """Two-measure size characteristic in square-root form.
 
     Scans sup over cubes of sqrt of (|Q|_sigma / |Q|^{1-lam/n}) times
     (|Q|_omega / |Q|^{1-lam/n}); the squared value is also recorded.
     """
-    rep = _muckenhoupt_scan("a2_lambda", sigma, omega, lam, 0.5, 0.5,
-                            depth, jitter_count, seed)
+    rep = _muckenhoupt_scan("a2_lambda", sigma, omega, lam, 0.5, 0.5, depth)
     rep.witness["sqrt_value"] = rep.value
     rep.witness["squared_value"] = rep.value ** 2
     rep.search_space["convention"] = "square-root form; squared value in witness"
@@ -372,16 +310,14 @@ def a2_lambda(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
 
 
 def ap_lambda(sigma: MeshMeasure, omega: MeshMeasure, lam: float, p: float = 2.0,
-              depth: int | None = None, jitter_count: int = 0,
-              seed: int = 0) -> CharacteristicReport:
+              depth: int | None = None) -> CharacteristicReport:
     """Product-form size characteristic |Q|_w^{1/p} |Q|_s^{1/p'} / |Q|^{1-lam/n}.
 
     At p = 2 this coincides with the square-root form of a2_lambda.
     """
     cfg = LpConfig(p)
     rep = _muckenhoupt_scan("ap_lambda", sigma, omega, lam,
-                            1.0 / cfg.p_prime, 1.0 / cfg.p,
-                            depth, jitter_count, seed)
+                            1.0 / cfg.p_prime, 1.0 / cfg.p, depth)
     rep.witness["p"] = cfg.p
     rep.search_space["p"] = cfg.p
     rep.search_space["p_prime"] = cfg.p_prime
@@ -393,8 +329,9 @@ def _evaluate_size_witness(sigma: MeshMeasure, omega: MeshMeasure,
                            witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
     e = 1.0 - float(witness["lambda"]) / grid.dimension
-    smass, wmass, vol = _region_masses(sigma, omega, _witness_region(grid, witness))
-    return float(_size_value(smass, wmass, vol, float(space["sigma_exponent"]),
+    cube = DyadicCube.from_key(grid, witness["cube"])
+    return float(_size_value(sigma.cube_mass(cube), omega.cube_mass(cube), cube.volume,
+                             float(space["sigma_exponent"]),
                              float(space["omega_exponent"]), e))
 
 
@@ -617,8 +554,8 @@ def _cube_witness(system: HaarSystem, values: np.ndarray, combos: np.ndarray) ->
 
 
 def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                 trunc: Truncation, mode: str = "global", depth: int = 6,
-                 seed: int = 0) -> CharacteristicReport:
+                 trunc: Truncation, mode: str = "global",
+                 depth: int = 6) -> CharacteristicReport:
     """Largest L2(omega) norm of the operator on a unit wavelet combination.
 
     For each cube the supremum over all rotations of the wavelet block is the
@@ -635,11 +572,11 @@ def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     system = cached_system(sigma, depth)
     fold = _GramFold(system, omega.flat_mass, mode == "local")
     _fold_images(kernel, trunc, sigma, depth, fold.add)
-    return _haar_report(system, fold, kernel, trunc, mode, seed)
+    return _haar_report(system, fold, kernel, trunc, mode)
 
 
 def _haar_report(system: HaarSystem, fold: _GramFold, kernel: Kernel,
-                 trunc: Truncation, mode: str, seed: int) -> CharacteristicReport:
+                 trunc: Truncation, mode: str) -> CharacteristicReport:
     """The haar_testing report of a `_GramFold` that has seen every block."""
     tops, coeffs = fold.optima()
     best, cube, coefficients = _cube_witness(system, tops, coeffs)
@@ -650,7 +587,7 @@ def _haar_report(system: HaarSystem, fold: _GramFold, kernel: Kernel,
         "per_cube_optimum": "exact",
         **_operator_spec(kernel, trunc),
     }
-    return CharacteristicReport("haar_testing", best, witness, search_space, seed)
+    return CharacteristicReport("haar_testing", best, witness, search_space)
 
 
 def haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
@@ -730,24 +667,20 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
 # -- cube testing -------------------------------------------------------------
 
 def _cube_values(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
-                 omega: MeshMeasure, mode: str, p: float, regions: list) -> list:
-    """For each region R, the Lp(omega) norm of T(1_R sigma) on the mode's
-    output region over |R|_sigma^(1/p), or -1, below every value, when R
-    carries no sigma-mass. The images are one `apply` of the indicators.
-
-    R is a dyadic cube or a (lower, side) box, whose indicator takes the
-    fraction of each cell it covers.
+                 omega: MeshMeasure, mode: str, p: float, cubes: list) -> list:
+    """For each dyadic cube Q, the Lp(omega) norm of T(1_Q sigma) on the
+    mode's output region over |Q|_sigma^(1/p), or -1, below every value,
+    when Q carries no sigma-mass. The images are one `apply` of the
+    indicators.
     """
-    grid = sigma.grid
-    masses = [_region_masses(sigma, omega, region)[0] for region in regions]
+    masses = [sigma.cube_mass(cube) for cube in cubes]
     live = [i for i, smass in enumerate(masses) if smass > 0.0]
-    out = [-1.0] * len(regions)
+    out = [-1.0] * len(cubes)
     if live:
-        images = apply(kernel, trunc, sigma, np.array([
-            (regions[i].indicator() if isinstance(regions[i], DyadicCube)
-             else grid.box_fractions(*_box_corners(regions[i]))[0]).ravel() for i in live]))
+        images = apply(kernel, trunc, sigma,
+                       np.array([cubes[i].indicator().ravel() for i in live]))
         for i, tvals in zip(live, images):
-            weights = _restriction_weights(grid, omega.flat_mass, mode, regions[i])
+            weights = _restriction_weights(sigma.grid, omega.flat_mass, mode, cubes[i])
             out[i] = _lp_norm(weights, tvals, p) / masses[i] ** (1.0 / p)
     return out
 
@@ -811,26 +744,22 @@ class _PyramidFold:
 
 def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                  trunc: Truncation, mode: str = "global", depth: int = 6,
-                 p: float = 2.0, jitter_count: int = 0,
-                 seed: int = 0) -> CharacteristicReport:
+                 p: float = 2.0) -> CharacteristicReport:
     """Largest normalized Lp(omega) norm of the operator on cube indicators.
 
-    The test function on a cube I is its indicator scaled by |I|_sigma^{-1/p};
-    mode picks the output restriction: none, the concentric triple, or I
-    itself. jitter_count adds non-dyadic sample cubes (fractional indicators
-    at mesh resolution).
+    The test function on a cube I of the dyadic grid is its indicator
+    scaled by |I|_sigma^{-1/p}; mode picks the output restriction: none,
+    the concentric triple, or I itself.
 
     Dyadic cubes are scanned up a pyramid (`_PyramidFold`): one pass of
     `image_blocks` gives the images of the cubes of every level a block of
     output cells at a time, each coarser cube's image the sum of its
     children's, and each block leaves only its power sums behind, one per
-    cube. The witness follows `_first_max`:
-    levels coarse to fine, cubes in C order, then the jitter boxes. The
-    images are summed in a different order than `_cube_values` (the witness
-    oracle) sums them, so values agree to rounding, and cubes of
-    mathematically equal value may resolve to a different one of them.
-    Jitter boxes go through `_cube_values`. cubes_scanned counts the cubes and
-    boxes with sigma-mass.
+    cube. The witness follows `_first_max`: levels coarse to fine, cubes in
+    C order. The images are summed in a different order than `_cube_values`
+    (the witness oracle) sums them, so values agree to rounding, and cubes
+    of mathematically equal value may resolve to a different one of them.
+    cubes_scanned counts the cubes with sigma-mass.
     """
     if mode not in ("global", "triple", "local"):
         raise ValueError(f"mode must be global/triple/local, got {mode!r}")
@@ -841,41 +770,33 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
         raise ValueError(f"depth outside [0, {grid.max_level}]")
     fold = _PyramidFold(sigma, omega, mode, cfg.p, depth)
     _fold_images(kernel, trunc, sigma, depth, fold.add)
-    return _cube_report(fold, kernel, trunc, jitter_count, seed)
+    return _cube_report(fold, kernel, trunc)
 
 
-def _cube_report(fold: _PyramidFold, kernel: Kernel, trunc: Truncation,
-                 jitter_count: int, seed: int) -> CharacteristicReport:
+def _cube_report(fold: _PyramidFold, kernel: Kernel, trunc: Truncation) -> CharacteristicReport:
     """The cube_testing report of a `_PyramidFold` that has seen every block."""
-    sigma, omega, mode, p, depth = fold.sigma, fold.omega, fold.mode, fold.p, fold.depth
-    grid = sigma.grid
-    parts = fold.values()
-    boxes = _jittered_boxes(grid, depth, jitter_count, np.random.default_rng(seed))
-    parts.append(np.array(_cube_values(kernel, trunc, sigma, omega, mode, p, boxes)))
-    best, part, index = _first_max(parts)
-    scanned = sum(int(np.count_nonzero(values >= 0.0)) for values in parts)
+    mode, p = fold.mode, fold.p
+    levels = fold.values()
+    best, level, index = _first_max(levels)
     witness: dict = {}
-    if part is not None:
-        region = grid.cube(part, index) if part <= depth else boxes[index[0]]
-        witness = {**_region_witness(region), "mode": mode, "p": p}
+    if level is not None:
+        witness = {"cube": fold.sigma.grid.cube(level, index).key(), "mode": mode, "p": p}
     search_space = {
-        "depth": depth,
-        "cubes_scanned": scanned,
-        "jitter_count": jitter_count,
+        "depth": fold.depth,
+        "cubes_scanned": sum(int(np.count_nonzero(values >= 0.0)) for values in levels),
         "mode": mode,
         "p": p,
         "restriction": "clipped to window",
         **_operator_spec(kernel, trunc),
     }
-    return CharacteristicReport("cube_testing", max(best, 0.0), witness,
-                                search_space, seed)
+    return CharacteristicReport("cube_testing", max(best, 0.0), witness, search_space)
 
 
 def _evaluate_cube_witness(sigma: MeshMeasure, omega: MeshMeasure,
                            witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
     val = _cube_values(*_kernel_and_trunc(space), sigma, omega, witness["mode"],
-                       float(witness["p"]), [_witness_region(grid, witness)])[0]
+                       float(witness["p"]), [DyadicCube.from_key(grid, witness["cube"])])[0]
     return max(val, 0.0)
 
 
@@ -1453,12 +1374,12 @@ def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     grams = _GramFold(ssys, omega.flat_mass)
     _fold_images(kernel, trunc, sigma, depth, cubes.add, grams.add, fold.add)
     matrix = fold.matrix(kernel, trunc)
-    out = {"haar_testing": _haar_report(ssys, grams, kernel, trunc, "global", 0),
-           "cube_testing": _cube_report(cubes, kernel, trunc, 0, 0),
+    out = {"haar_testing": _haar_report(ssys, grams, kernel, trunc, "global"),
+           "cube_testing": _cube_report(cubes, kernel, trunc),
            "operator_norm": operator_norm(matrix)}
     adjoint, grams = kernel.transpose(), _GramFold(osys, sigma.flat_mass)
     _fold_images(adjoint, trunc, omega, depth, grams.add)
-    out["dual_haar_testing"] = replace(_haar_report(osys, grams, adjoint, trunc, "global", 0),
+    out["dual_haar_testing"] = replace(_haar_report(osys, grams, adjoint, trunc, "global"),
                                        name="dual_haar_testing")
     return out
 

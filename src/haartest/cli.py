@@ -242,10 +242,10 @@ def _characteristic_bundle(cfg: RunConfig, s_spec: str, o_spec: str,
     }
     if cfg.p != 2.0:
         out["lp_haar_testing"] = lp_haar_testing(
-            sigma, omega, kernel, trunc, p=cfg.p, depth=depth
+            sigma, omega, kernel, trunc, p=cfg.p, depth=depth, seed=cfg.seed
         ).as_dict()
         out["lp_haar_testing_dual"] = lp_haar_testing_dual(
-            sigma, omega, kernel, trunc, p=cfg.p, depth=depth
+            sigma, omega, kernel, trunc, p=cfg.p, depth=depth, seed=cfg.seed
         ).as_dict()
     denom = reports["haar_testing"].value + reports["dual_haar_testing"].value
     out["ratio"] = reports["operator_norm"].value / denom if denom > 0 else float("inf")

@@ -133,7 +133,7 @@ class SectorConfig:
         return np.all(inside & (r > 0.0), axis=-1)
 
 
-def _box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+def _box_vertices(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """(k, 2**n, n) corners of the boxes [lower, upper) (k, n); corner i
     takes the upper end on axis ax when bit ax of i is set."""
     n = lower.shape[-1]
@@ -142,7 +142,7 @@ def _box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def _corners(cube: DyadicCube) -> np.ndarray:
-    return _box_corners(cube.lower[None], cube.upper[None])[0]
+    return _box_vertices(cube.lower[None], cube.upper[None])[0]
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def _aligned_partner(grid: Grid, cfg: SectorConfig, base: DyadicCube) -> DyadicC
     in_band = (lo_band <= dist) & (dist <= hi_band)
     near, dist = near[in_band], dist[in_band]
     fits = cfg.contains_point_sets(np.broadcast_to(base.center, (near.size, n)),
-                                   _box_corners(lower[near], upper[near]))
+                                   _box_vertices(lower[near], upper[near]))
     if not fits.any():
         reason = "distance band is empty" if near.size == 0 else "no candidate fits the cone"
         raise AlignmentError(
@@ -323,7 +323,7 @@ def _dipole_pair(grid: Grid, cfg: SectorConfig, base: DyadicCube, m: int):
     cell = grid.side / 2 ** level
     tlo, thi = lower - cell, upper + cell
     center = lower + 0.5 * cell
-    corners = _box_corners(lower, upper)
+    corners = _box_vertices(lower, upper)
     count = len(coords)
     step = max(1, _PAIR_BLOCK // count)
     found_neg, found_pos, found_dist = [], [], []

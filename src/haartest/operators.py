@@ -428,8 +428,6 @@ class HaarMatrix:
     """
 
     entries: np.ndarray
-    row_labels: list
-    col_labels: list
     depth: int
     sigma_system: HaarSystem
     omega_system: HaarSystem
@@ -474,10 +472,8 @@ class HaarMatrixFold:
         rows = self.ssys.analyse_cube_sums(self.sums.T.reshape((-1,) + cubes))
         self.sums = None  # not held through the target side's transform
         entries = self.osys.analyse_cube_sums(rows.T.reshape((-1,) + cubes)).T
-        return HaarMatrix(entries=entries, row_labels=self.osys.wavelet_labels(),
-                          col_labels=self.ssys.wavelet_labels(), depth=self.ssys.depth,
-                          sigma_system=self.ssys, omega_system=self.osys,
-                          kernel=kernel, trunc=trunc)
+        return HaarMatrix(entries=entries, depth=self.ssys.depth, sigma_system=self.ssys,
+                          omega_system=self.osys, kernel=kernel, trunc=trunc)
 
 
 def assemble_haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,

@@ -304,6 +304,29 @@ def test_main_full_depth_lp_characteristics_build_no_dense_wavelet_matrix(tmp_pa
     assert pair["lp_haar_testing_dual"]["value"] > 0.0
 
 
+def test_main_seed_reaches_the_lp_reports(tmp_path):
+    # in 2-D a cube carries three wavelets, so the seed draws the rotated
+    # candidates of both Lp scans, not only the report's seed field
+    from haartest.characteristics import lp_haar_testing, lp_haar_testing_dual
+    from haartest.operators import default_truncation, make_kernel
+
+    ini = tmp_path / "grid.ini"
+    ini.write_text("[grid]\ndimension = 2\nmax_level = 3\n\n"
+                   "[kernel]\nfamily = riesz_like\nlambda = 0.5\n")
+    measures = "doubling:r=2.0:seed=1,doubling:r=3.0:seed=2"
+    rc = main(["characteristics", "--config", str(ini), "--depth", "3", "--p", "3",
+               "--seed", "5", "--measures", measures, "--out", str(tmp_path)])
+    assert rc in (0, 1)  # 1 is the norm ratio gate, not a failed run
+    pair = json.loads((tmp_path / "characteristics.json").read_text())["results"]["pairs"][0]
+    grid = Grid(dimension=2, max_level=3)
+    sigma, omega = (parse_measure(grid, spec) for spec in measures.split(","))
+    args = (sigma, omega, make_kernel("riesz_like", 0.5, 2), default_truncation(grid))
+    assert pair["lp_haar_testing"] == lp_haar_testing(*args, p=3.0, depth=3,
+                                                      seed=5).as_dict()
+    assert pair["lp_haar_testing_dual"] == lp_haar_testing_dual(*args, p=3.0, depth=3,
+                                                                seed=5).as_dict()
+
+
 def test_characteristics_on_a_2_to_16_cell_grid_stays_under_400_mb(tmp_path):
     # 1-D L=16 at depth 6: cubes of 1,024 cells take the FFT route, and no
     # pass holds a block of G (a slab of it, N^2 / 64 entries, was 512 MiB).

@@ -11,10 +11,13 @@ full-depth transform, and no neighbour band), `characteristics --p 3
 --depth 10` (the full-depth operator images, Haar matrix and Lp Haar
 testing), `characteristics --p 3 --depth 4` on the chars-2d workload's grid
 and measures (2-D L=6, riesz_like lambda=0.5: the Lp Haar scans and their
-duals in 2-D, on cubes with three wavelets), `characteristics --depth 4`
-on 2-D L=5 with fractional_integral lambda=0.5 and the chars-2d measures
-(an even kernel: the operator is its own adjoint, one kernel-matrix cache
-entry for both), `characteristics --depth 8` on 1-D L=12 (4,096 cells, so
+duals in 2-D, on cubes with three wavelets), the same with `--seed 5`
+(`seeded-lp-characteristics-2d`: the rotated Lp candidates drawn from a
+seed other than 0, so a seed that stops reaching them shows as a
+difference), `characteristics --depth 4` on 2-D L=5 with
+fractional_integral lambda=0.5 and the chars-2d measures (an even kernel:
+the operator is its own adjoint, one kernel-matrix cache entry for both),
+`characteristics --depth 8` on 1-D L=12 (4,096 cells, so
 each operator-image pass takes four blocks of the window route),
 `characteristics --p 3 --depth 8` on the same grid (the Lp Haar scans and
 their duals over four blocks), `experiment --p 3 --depth 8` on the same
@@ -77,6 +80,8 @@ def jobs(config_dir: Path) -> list:
     flags = list(ops_for("chars-2d", 0, config_dir)[0].flags)
     flags[flags.index("--depth") + 1] = "4"
     out.append(("lp-characteristics-2d", ["characteristics", *flags, "--p", "3"]))
+    out.append(("seeded-lp-characteristics-2d",
+                ["characteristics", *flags, "--p", "3", "--seed", "5"]))
     grid = config_dir / "grid2d_L5.ini"
     grid.parent.mkdir(parents=True, exist_ok=True)
     grid.write_text("[grid]\ndimension = 2\nmax_level = 5\n")
