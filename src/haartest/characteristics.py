@@ -5,8 +5,9 @@ of the fixed dyadic grid down to a depth, and sampled coefficient
 families. Reports carry the search metadata next to the value so separate
 runs stay comparable, and every witness can be re-evaluated independently:
 each family computes a candidate's value with one function, which both its
-scan and its witness evaluator call, and one table (`_REGISTRY`) gives
-`reevaluate` each report name's evaluator and the order of its measures.
+scan and its witness evaluator call. One table (`_REGISTRY`) gives each
+report name its evaluator, the order of its measures and, where its scan
+reads operator images, the function that makes its fold.
 
 Scans run on level arrays, not cube by cube. The operator scans are
 folds over `operators.image_blocks`, the images of the dyadic cubes of
@@ -26,21 +27,25 @@ member's children, and a pair family's two norms are sums over its cubes
 and its distinct partners of their level masses (`_pair_values`). The
 images of single witnesses come from `operators.apply`. The operator
 norm is the top singular value of the Haar matrix by Golub-Kahan-Lanczos
-steps (`_top_singular_triple`). The one pass that folds several
-characteristics at once is `pair_bundle`'s: the norm, both Haar testings
-and the cube testing of a pair. The pair scans take a block of cubes'
-partners at once: an offset stencil, or the finer levels' cubes grouped
-by cube. One witness rule serves every scan (`_first_max`): the first
-largest candidate in scan order, that is levels coarse to fine, cubes in
-C order and each cube's candidates in order; a family search takes its
-families' tries in order, and its first largest try is the witness when
-it is strictly above the best single cube or pair.
+steps (`_top_singular_triple`). Each fold builds its report with
+report(kernel, trunc), and `pair_bundle(names)` makes the folds of the
+names given and runs one pass of sigma's images and one of omega's, the
+kernel transposed, for the dual reports; the Haar testings, their Lp
+forms and the norm, standalone or bundled, all take it, so a pair's
+side is read once however many of them are asked for. The pair scans
+take a block of cubes' partners at once: an offset stencil, or the finer
+levels' cubes grouped by cube. One witness rule serves every scan
+(`_first_max`): the first largest candidate in scan order, that is levels
+coarse to fine, cubes in C order and each cube's candidates in order; a
+family search takes its families' tries in order, and its first largest
+try is the witness when it is strictly above the best single cube or pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -394,19 +399,6 @@ def _cell_cubes(grid: Grid, level: int) -> np.ndarray:
     return out
 
 
-def _cube_optima(system: HaarSystem, vectors: np.ndarray) -> tuple:
-    """`_optima` of the rows of vectors (one matrix row per wavelet): each
-    cube's Gram of its wavelets' rows."""
-    groups = list(_cube_groups(system))
-
-    def grams():
-        for *_, index in groups:
-            x = vectors[index]
-            yield x @ x.transpose(0, 2, 1)
-
-    return _optima(groups, grams(), 2 ** system.measure.grid.dimension - 1)
-
-
 class _CubeFold:
     """The groups of `_cube_groups` of a system, for folding per-cube sums
     over the output cells from blocks (rows, levels) of `image_blocks`.
@@ -415,14 +407,15 @@ class _CubeFold:
     combinations of the children's cube images. For each block, `blocks`
     gives each group's cubes' children's images x (g, 2**n, r), grouped
     from the next finer level, with their cells' weights: (r,), or with
-    local=True (g, 1, r), vanishing off each cube's own cells.
+    local=True (g, 1, r), vanishing off each cube's own cells: the mode
+    "local", else "global".
     """
 
     def __init__(self, system: HaarSystem, weights: np.ndarray, local: bool = False):
         self.system, self.weights = system, weights
+        self.mode = "local" if local else "global"
         self.groups = list(_cube_groups(system))
-        grid = system.measure.grid
-        self.cells = {lv.level: _cell_cubes(grid, lv.level)
+        self.cells = {lv.level: _cell_cubes(system.measure.grid, lv.level)
                       for _, lv, _, _ in self.groups} if local else None
 
     def blocks(self, rows: slice, levels: list):
@@ -438,13 +431,23 @@ class _CubeFold:
             every = len(cubes) == len(children)  # no copy for a whole level
             yield children if every else children[cubes], weights
 
+    def _report(self, name: str, values: np.ndarray, combos: np.ndarray, kernel: Kernel,
+                trunc: Truncation, witness: dict, space: dict, seed: int | None = None):
+        """The report of the first largest of values, one row per cube that
+        carries wavelets, and of its combination in combos (`_cube_witness`)."""
+        best, cube, coefficients = _cube_witness(self.system, values, combos)
+        witness = {"cube": cube, "coefficients": coefficients, "mode": self.mode, **witness}
+        space = {"depth": self.system.depth, **space, **_operator_spec(kernel, trunc)}
+        return CharacteristicReport(name, best, witness, space, seed)
+
 
 class _GramFold(_CubeFold):
     """Each cube's weighted Gram of its children's images, C = sum_i w_i
     S_J(i) S_J'(i) over the output cells i. A wavelet with child values v
     has the image sum_J v_J S_J, so V C V^T is the Gram of the images of a
     cube's wavelets, V their child values (`wavelet_grams`); `optima` runs
-    one batched eigh per group on those at the end."""
+    one batched eigh per group on those at the end, and `report` gives
+    the haar_testing report of them."""
 
     def __init__(self, system: HaarSystem, weights: np.ndarray, local: bool = False):
         super().__init__(system, weights, local)
@@ -464,6 +467,11 @@ class _GramFold(_CubeFold):
     def optima(self) -> tuple:
         return _optima(self.groups, self.wavelet_grams(),
                        2 ** self.system.measure.grid.dimension - 1)
+
+    def report(self, kernel: Kernel, trunc: Truncation) -> CharacteristicReport:
+        tops, coeffs = self.optima()
+        return self._report("haar_testing", tops, coeffs, kernel, trunc, {},
+                            {"cube_blocks": tops.size, "per_cube_optimum": "exact"})
 
 
 def _lp_sums(x: np.ndarray, weights, combos: np.ndarray, p: float) -> np.ndarray:
@@ -487,59 +495,69 @@ def _lp_ratios(lv: HaarLevel, cubes: np.ndarray, sums: np.ndarray,
                      out=np.zeros_like(sums), where=den > 0.0)
 
 
-def _lp_scan(system: HaarSystem, kernel: Kernel, trunc: Truncation, weights: np.ndarray,
-             p: float, local: bool = False, rng=None, optimum_from: float = 2) -> tuple:
-    """(values, combinations) of the candidates of the cubes of `_live_slots`:
-    values (cubes, r) their `_lp_ratios`, -1 past a cube's last candidate.
-    A cube's candidates are its canonical wavelets; with rng and two or more
-    wavelets, _ROTATION_SAMPLES random unit combinations (one standard_normal
-    call in system order draws what one call per combination would); and
-    with at least optimum_from wavelets, its exact L2 optimum.
+class _LpFold(_CubeFold):
+    """The Lp sums (`_lp_sums`) of the images of candidate combinations of
+    each cube's wavelets, the cubes of `_live_slots`, folded by `add`.
 
-    One pass of `image_blocks` folds the Lp sums (`_lp_sums`), and when
-    some cube takes its L2 optimum, one more before it folds the Grams
-    (`_GramFold`). A combination c of a cube's wavelets takes the values
+    A cube's candidates are its canonical wavelets; with a seed and two or
+    more wavelets, _ROTATION_SAMPLES random unit combinations (one
+    standard_normal call in system order draws what one call per
+    combination would); and with at least optimum_from wavelets, its exact
+    L2 optimum, whose Grams (`_GramFold`) take a pass of their own when the
+    fold is made. A combination c of a cube's wavelets takes the values
     c @ V on its children, V their child values, so its image is
-    (c @ V) @ x, x the children's images.
+    (c @ V) @ x, x the children's images. `report` gives the
+    lp_haar_testing report.
     """
-    counts = np.array([count for _, _, count in _live_slots(system)], dtype=int)
-    samples = 0 if rng is None else _ROTATION_SAMPLES
-    drawn = np.where(counts > 1, samples * counts, 0)
-    first = np.cumsum(drawn) - drawn
-    draws = None if rng is None else rng.standard_normal(int(drawn.sum()))
-    width = 2 ** system.measure.grid.dimension - 1
-    values = np.full((counts.size, width + samples + 1), -1.0)
-    combos = np.zeros(values.shape + (width,))
-    groups = list(_cube_groups(system))
-    cands = []
-    for at, _, _, index in groups:
-        g, k = index.shape
-        cands.append([np.broadcast_to(np.eye(k), (g, k, k))])
-        if k > 1 and samples:
-            c = draws[first[at, None] + np.arange(samples * k)].reshape(g, samples, k)
-            norms = np.linalg.norm(c, axis=-1, keepdims=True)
-            cands[-1].append(c / np.where(norms > 0.0, norms, 1.0))
-    if any(index.shape[1] >= optimum_from for *_, index in groups):
-        grams = _GramFold(system, weights, local)
-        _fold_images(kernel, trunc, system.measure, system.depth, grams.add)
-        for group, (*_, index), gram in zip(cands, groups, grams.wavelet_grams()):
-            if index.shape[1] >= optimum_from:
-                group.append(_gram_optima(gram)[1][:, None])
-    cands = [np.concatenate(c, axis=1) for c in cands]
-    on_children = [c @ lv.padded_values[cubes, :index.shape[1]]
-                   for c, (_, lv, cubes, index) in zip(cands, groups)]
-    lp_sums = [np.zeros(c.shape[:2]) for c in cands]
-    fold = _CubeFold(system, weights, local)
 
-    def add(rows: slice, levels: list) -> None:
-        for sums, c, (x, w) in zip(lp_sums, on_children, fold.blocks(rows, levels)):
-            sums += _lp_sums(x, w, c, p)
+    def __init__(self, system: HaarSystem, kernel: Kernel, trunc: Truncation,
+                 weights: np.ndarray, p: float, local: bool = False, seed: int | None = None,
+                 optimum_from: float = 2):
+        super().__init__(system, weights, local)
+        self.p, self.seed = p, seed
+        counts = np.array([count for _, _, count in _live_slots(system)], dtype=int)
+        samples = 0 if seed is None else _ROTATION_SAMPLES
+        width = 2 ** system.measure.grid.dimension - 1
+        # (cubes, candidates, wavelets) of `candidates`' combinations
+        self.shape = (counts.size, width + samples + 1, width)
+        drawn = np.where(counts > 1, samples * counts, 0)
+        first = np.cumsum(drawn) - drawn
+        draws = None if seed is None else np.random.default_rng(seed).standard_normal(drawn.sum())
+        cands = []
+        for at, _, _, index in self.groups:
+            g, k = index.shape
+            cands.append([np.broadcast_to(np.eye(k), (g, k, k))])
+            if k > 1 and samples:
+                c = draws[first[at, None] + np.arange(samples * k)].reshape(g, samples, k)
+                norms = np.linalg.norm(c, axis=-1, keepdims=True)
+                cands[-1].append(c / np.where(norms > 0.0, norms, 1.0))
+        if any(index.shape[1] >= optimum_from for *_, index in self.groups):
+            grams = _GramFold(system, weights, local)
+            _fold_images(kernel, trunc, system.measure, system.depth, grams.add)
+            for group, (*_, index), gram in zip(cands, self.groups, grams.wavelet_grams()):
+                if index.shape[1] >= optimum_from:
+                    group.append(_gram_optima(gram)[1][:, None])
+        self.cands = [np.concatenate(c, axis=1) for c in cands]
+        self.on_children = [c @ lv.padded_values[cubes, :index.shape[1]]
+                            for c, (_, lv, cubes, index) in zip(self.cands, self.groups)]
+        self.sums = [np.zeros(c.shape[:2]) for c in self.cands]
 
-    _fold_images(kernel, trunc, system.measure, system.depth, add)
-    for (at, lv, cubes, index), c, sums in zip(groups, cands, lp_sums):
-        values[at, :c.shape[1]] = _lp_ratios(lv, cubes, sums, c, p)
-        combos[at, :c.shape[1], :index.shape[1]] = c
-    return values, combos
+    def add(self, rows: slice, levels: list) -> None:
+        for sums, c, (x, w) in zip(self.sums, self.on_children, self.blocks(rows, levels)):
+            sums += _lp_sums(x, w, c, self.p)
+
+    def candidates(self) -> tuple:
+        """(values, combinations): values (cubes, r) the candidates'
+        `_lp_ratios`, -1 past a cube's last candidate."""
+        values, combos = np.full(self.shape[:2], -1.0), np.zeros(self.shape)
+        for (at, lv, cubes, index), c, sums in zip(self.groups, self.cands, self.sums):
+            values[at, :c.shape[1]] = _lp_ratios(lv, cubes, sums, c, self.p)
+            combos[at, :c.shape[1], :index.shape[1]] = c
+        return values, combos
+
+    def report(self, kernel: Kernel, trunc: Truncation) -> CharacteristicReport:
+        return self._report("lp_haar_testing", *self.candidates(), kernel, trunc, {"p": self.p},
+                            {"rotation_samples": _ROTATION_SAMPLES, "p": self.p}, self.seed)
 
 
 def _cube_witness(system: HaarSystem, values: np.ndarray, combos: np.ndarray) -> tuple:
@@ -565,37 +583,16 @@ def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     the largest value is the witness.
     mode="local" restricts the output norm to the cube itself.
     """
-    if mode not in ("global", "local"):
-        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
-    _check_pair(sigma, omega)
-    require_resolved(trunc, sigma.grid)
-    system = cached_system(sigma, depth)
-    fold = _GramFold(system, omega.flat_mass, mode == "local")
-    _fold_images(kernel, trunc, sigma, depth, fold.add)
-    return _haar_report(system, fold, kernel, trunc, mode)
-
-
-def _haar_report(system: HaarSystem, fold: _GramFold, kernel: Kernel,
-                 trunc: Truncation, mode: str) -> CharacteristicReport:
-    """The haar_testing report of a `_GramFold` that has seen every block."""
-    tops, coeffs = fold.optima()
-    best, cube, coefficients = _cube_witness(system, tops, coeffs)
-    witness = {"cube": cube, "coefficients": coefficients, "mode": mode}
-    search_space = {
-        "depth": system.depth,
-        "cube_blocks": tops.size,
-        "per_cube_optimum": "exact",
-        **_operator_spec(kernel, trunc),
-    }
-    return CharacteristicReport("haar_testing", best, witness, search_space)
+    return pair_bundle(sigma, omega, kernel, trunc, depth, ("haar_testing",),
+                       mode=mode)["haar_testing"]
 
 
 def haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                      trunc: Truncation, **kwargs) -> CharacteristicReport:
+                      trunc: Truncation, mode: str = "global",
+                      depth: int = 6) -> CharacteristicReport:
     """Haar testing for the adjoint: measures swapped, kernel transposed."""
-    rep = haar_testing(omega, sigma, kernel.transpose(), trunc, **kwargs)
-    rep.name = "dual_haar_testing"
-    return rep
+    return pair_bundle(sigma, omega, kernel, trunc, depth, ("dual_haar_testing",),
+                       mode=mode)["dual_haar_testing"]
 
 
 def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
@@ -605,36 +602,19 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
 
     Candidates per cube are the canonical wavelets, _ROTATION_SAMPLES seeded
     random unit combinations, and at p = 2 the exact block optimum, which
-    makes the value agree with haar_testing there (`_lp_scan`, over the
+    makes the value agree with haar_testing there (`_LpFold`, over the
     blocks of `image_blocks`).
     """
-    if mode not in ("global", "local"):
-        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
-    cfg = LpConfig(p)
-    _check_pair(sigma, omega)
-    require_resolved(trunc, sigma.grid)
-    system = cached_system(sigma, depth)
-    values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, cfg.p, mode == "local",
-                              np.random.default_rng(seed), 1 if cfg.p == 2.0 else np.inf)
-    best, cube, coefficients = _cube_witness(system, values, combos)
-    witness = {"cube": cube, "coefficients": coefficients, "mode": mode, "p": cfg.p}
-    search_space = {
-        "depth": depth,
-        "rotation_samples": _ROTATION_SAMPLES,
-        "p": cfg.p,
-        **_operator_spec(kernel, trunc),
-    }
-    return CharacteristicReport("lp_haar_testing", best, witness, search_space, seed)
+    return pair_bundle(sigma, omega, kernel, trunc, depth, ("lp_haar_testing",), p, seed,
+                       mode)["lp_haar_testing"]
 
 
 def lp_haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                         trunc: Truncation, p: float = 2.0,
-                         **kwargs) -> CharacteristicReport:
+                         trunc: Truncation, p: float = 2.0, mode: str = "global",
+                         depth: int = 6, seed: int = 0) -> CharacteristicReport:
     """Dual Lp Haar testing: conjugate exponent, swapped measures, transpose."""
-    rep = lp_haar_testing(omega, sigma, kernel.transpose(), trunc,
-                          p=conjugate_exponent(p), **kwargs)
-    rep.name = "dual_lp_haar_testing"
-    return rep
+    return pair_bundle(sigma, omega, kernel, trunc, depth, ("dual_lp_haar_testing",), p,
+                       seed, mode)["dual_lp_haar_testing"]
 
 
 def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
@@ -694,7 +674,7 @@ class _PyramidFold:
     to the window (the cells whose level-`level` cube lies within one step
     of the cube on every axis, as `_restriction_weights` gives them). So
     what stays is one power sum per cube, and a block's temporaries are a
-    few times the block.
+    few times the block. `report` gives the cube_testing report.
     """
 
     def __init__(self, sigma: MeshMeasure, omega: MeshMeasure, mode: str, p: float,
@@ -741,6 +721,21 @@ class _PyramidFold:
             out.append(values.reshape((2 ** level,) * self.sigma.grid.dimension))
         return out
 
+    def report(self, kernel: Kernel, trunc: Truncation) -> CharacteristicReport:
+        levels = self.values()
+        best, level, index = _first_max(levels)
+        witness = {} if level is None else {"cube": self.sigma.grid.cube(level, index).key(),
+                                            "mode": self.mode, "p": self.p}
+        search_space = {
+            "depth": self.depth,
+            "cubes_scanned": sum(int(np.count_nonzero(values >= 0.0)) for values in levels),
+            "mode": self.mode,
+            "p": self.p,
+            "restriction": "clipped to window",
+            **_operator_spec(kernel, trunc),
+        }
+        return CharacteristicReport("cube_testing", max(best, 0.0), witness, search_space)
+
 
 def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                  trunc: Truncation, mode: str = "global", depth: int = 6,
@@ -770,26 +765,7 @@ def cube_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
         raise ValueError(f"depth outside [0, {grid.max_level}]")
     fold = _PyramidFold(sigma, omega, mode, cfg.p, depth)
     _fold_images(kernel, trunc, sigma, depth, fold.add)
-    return _cube_report(fold, kernel, trunc)
-
-
-def _cube_report(fold: _PyramidFold, kernel: Kernel, trunc: Truncation) -> CharacteristicReport:
-    """The cube_testing report of a `_PyramidFold` that has seen every block."""
-    mode, p = fold.mode, fold.p
-    levels = fold.values()
-    best, level, index = _first_max(levels)
-    witness: dict = {}
-    if level is not None:
-        witness = {"cube": fold.sigma.grid.cube(level, index).key(), "mode": mode, "p": p}
-    search_space = {
-        "depth": fold.depth,
-        "cubes_scanned": sum(int(np.count_nonzero(values >= 0.0)) for values in levels),
-        "mode": mode,
-        "p": p,
-        "restriction": "clipped to window",
-        **_operator_spec(kernel, trunc),
-    }
-    return CharacteristicReport("cube_testing", max(best, 0.0), witness, search_space)
+    return fold.report(kernel, trunc)
 
 
 def _evaluate_cube_witness(sigma: MeshMeasure, omega: MeshMeasure,
@@ -892,6 +868,13 @@ def operator_norm(matrix: HaarMatrix) -> CharacteristicReport:
     return CharacteristicReport("operator_norm", value, witness, search_space)
 
 
+class _NormFold(HaarMatrixFold):
+    """The Haar matrix's fold, whose `report` is the matrix's operator_norm."""
+
+    def report(self, kernel: Kernel, trunc: Truncation) -> CharacteristicReport:
+        return operator_norm(self.matrix(kernel, trunc))
+
+
 def matched_haar_testing(matrix: HaarMatrix,
                          dual: bool = False) -> CharacteristicReport:
     """Largest per-cube block norm of the coefficient matrix.
@@ -902,7 +885,10 @@ def matched_haar_testing(matrix: HaarMatrix,
     The block optimum covers every rotation of the cube's wavelets.
     """
     system = matrix.omega_system if dual else matrix.sigma_system
-    tops, coeffs = _cube_optima(system, matrix.entries if dual else matrix.entries.T)
+    vectors = matrix.entries if dual else matrix.entries.T  # one row per wavelet
+    groups = list(_cube_groups(system))
+    grams = (vectors[index] @ vectors[index].transpose(0, 2, 1) for *_, index in groups)
+    tops, coeffs = _optima(groups, grams, 2 ** system.measure.grid.dimension - 1)
     best, cube, coefficients = _cube_witness(system, tops, coeffs)
     witness = {} if cube is None else {"cube": cube, "side": "row" if dual else "column",
                                        "coefficients": coefficients}
@@ -1298,7 +1284,7 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     Each family member is a unit wavelet combination on its cube; the value
     compares the pointwise square sum of the images against that of the
     wavelets, both in Lp. A cube's member is its best candidate of
-    `_lp_scan`: a canonical wavelet or, with two or more wavelets, the exact
+    `_LpFold`: a canonical wavelet or, with two or more wavelets, the exact
     per-cube optimum, so at p = 2 the value matches scalar haar_testing.
     The families depend on the cubes and the seed only, so one more pass
     gives every family's value (`_haar_family_values`); the first family
@@ -1308,7 +1294,9 @@ def quadratic_haar_testing(sigma: MeshMeasure, omega: MeshMeasure,
     _check_pair(sigma, omega)
     require_resolved(trunc, sigma.grid)
     system = cached_system(sigma, depth)
-    values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, cfg.p)
+    scan = _LpFold(system, kernel, trunc, omega.flat_mass, cfg.p)
+    _fold_images(kernel, trunc, sigma, depth, scan.add)
+    values, combos = scan.candidates()
     slots = _live_slots(system)
     members = combos[np.arange(len(values)), values.argmax(axis=1)]  # first best candidates
     levels = np.repeat(np.arange(depth), [np.count_nonzero(lv.counts) for lv in system.levels])
@@ -1354,55 +1342,97 @@ def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 # -- one pair's comparison -----------------------------------------------------
 
-def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                trunc: Truncation, depth: int) -> dict:
-    """The reports of the comparison of N_T(sigma, omega) with
-    H^glob_T(sigma, omega) + H^glob_T*(omega, sigma), keyed by report name:
-    operator_norm, haar_testing, dual_haar_testing and the global
-    cube_testing at p = 2, each the report of its own function at `depth`.
+# the folds of `pair_bundle`'s reports, each made from the keywords of the
+# pass of its side: sigma (the measure whose images are read), omega,
+# kernel, trunc, depth, system (a measure's Haar system at depth), p, seed
+# and mode
 
-    One pass of sigma's images feeds the cube pyramid, the Haar Grams and
-    the Haar matrix, whose transforms run before the Grams' eigh (after it
-    they raised chars-2d's peak RSS by 0.8 MiB); one pass of omega's, the
-    kernel transposed, feeds the dual Grams on the matrix's omega system.
+def _norm_fold(sigma: MeshMeasure, omega: MeshMeasure, system, **_) -> _NormFold:
+    return _NormFold(system(sigma), system(omega))
+
+
+def _gram_fold(sigma: MeshMeasure, omega: MeshMeasure, system, mode: str, **_) -> _GramFold:
+    return _GramFold(system(sigma), omega.flat_mass, mode == "local")
+
+
+def _lp_fold(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: Truncation,
+             system, p: float, seed: int, mode: str, **_) -> _LpFold:
+    """At p = 2 the candidates take the exact optimum, which makes the
+    value agree with haar_testing there."""
+    return _LpFold(system(sigma), kernel, trunc, omega.flat_mass, p, mode == "local", seed,
+                   1 if p == 2.0 else np.inf)
+
+
+def _cube_fold(sigma: MeshMeasure, omega: MeshMeasure, depth: int, **_) -> _PyramidFold:
+    """The comparison's cube testing: global, at p = 2, whatever the pass's
+    p and mode."""
+    return _PyramidFold(sigma, omega, "global", 2.0, depth)
+
+
+def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: Truncation,
+                depth: int, names: tuple = ("operator_norm", "haar_testing",
+                                            "dual_haar_testing", "cube_testing"),
+                p: float = 2.0, seed: int = 0, mode: str = "global") -> dict:
+    """The reports named, keyed by name, each at `depth` from the fold that
+    `_REGISTRY` gives it. By default those of the comparison of
+    N_T(sigma, omega) with H^glob_T(sigma, omega) + H^glob_T*(omega, sigma):
+    operator_norm, haar_testing, dual_haar_testing and the global
+    cube_testing at p = 2.
+
+    The folds of the reports that are not swapped in `_REGISTRY` take one
+    pass of sigma's images, at p; those of the swapped (dual) reports, one
+    pass of omega's, the kernel transposed, at p'. A side with no fold
+    named takes no pass. The Lp reports draw their rotations from seed,
+    and mode, "global" or "local", restricts the output norm of the Haar
+    and Lp Haar scans. Each side's reports are made in `_REGISTRY` order,
+    so the Haar matrix's transforms run before the Grams' eigh (after it
+    they raised chars-2d's peak RSS by 0.8 MiB).
     """
+    if mode not in ("global", "local"):
+        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
+    unknown = [name for name in names if _REGISTRY.get(name, (None,) * 3)[2] is None]
+    if unknown:
+        raise ValueError(f"no fold gives the reports {unknown}")
+    cfg = LpConfig(p)
     _check_pair(sigma, omega)
     require_resolved(trunc, sigma.grid)
-    cubes = _PyramidFold(sigma, omega, "global", 2.0, depth)
-    ssys, osys = cached_system(sigma, depth), cached_system(omega, depth)
-    fold = HaarMatrixFold(ssys, osys)
-    grams = _GramFold(ssys, omega.flat_mass)
-    _fold_images(kernel, trunc, sigma, depth, cubes.add, grams.add, fold.add)
-    matrix = fold.matrix(kernel, trunc)
-    out = {"haar_testing": _haar_report(ssys, grams, kernel, trunc, "global"),
-           "cube_testing": _cube_report(cubes, kernel, trunc),
-           "operator_norm": operator_norm(matrix)}
-    adjoint, grams = kernel.transpose(), _GramFold(osys, sigma.flat_mass)
-    _fold_images(adjoint, trunc, omega, depth, grams.add)
-    out["dual_haar_testing"] = replace(_haar_report(osys, grams, adjoint, trunc, "global"),
-                                       name="dual_haar_testing")
+    # one `cached_system` call per measure, whichever folds share its system
+    system = cache(lambda measure: cached_system(measure, depth))
+    out = {}
+    for dual, source, target, op, q in ((False, sigma, omega, kernel, cfg.p),
+                                        (True, omega, sigma, kernel.transpose(), cfg.p_prime)):
+        folds = {name: make(sigma=source, omega=target, kernel=op, trunc=trunc, depth=depth,
+                            system=system, p=q, seed=seed, mode=mode)
+                 for name, (_, swapped, make) in _REGISTRY.items()
+                 if name in names and swapped == dual}
+        if folds:
+            _fold_images(op, trunc, source, depth, *(fold.add for fold in folds.values()))
+        for name, fold in folds.items():
+            out[name] = replace(fold.report(op, trunc), name=name)
     return out
 
 
 # -- witness re-evaluation -----------------------------------------------------
 
-# report name -> (evaluator(sigma, omega, witness, search_space), swapped):
-# a swapped report's scan ran on (omega, sigma), so its witness is
-# evaluated with the measures swapped back
+# report name -> (evaluator(sigma, omega, witness, search_space), swapped,
+# fold): a swapped report's scan ran on (omega, sigma), so its witness is
+# evaluated with the measures swapped back, and `pair_bundle` folds it on
+# omega's pass; fold makes the fold that gives the report there, None for
+# a scan that reads no operator images
 _REGISTRY = {
-    "a2_lambda": (_evaluate_size_witness, False),
-    "ap_lambda": (_evaluate_size_witness, False),
-    "haar_testing": (_evaluate_haar_witness, False),
-    "dual_haar_testing": (_evaluate_haar_witness, True),
-    "lp_haar_testing": (_evaluate_haar_witness, False),
-    "dual_lp_haar_testing": (_evaluate_haar_witness, True),
-    "cube_testing": (_evaluate_cube_witness, False),
-    "operator_norm": (_evaluate_matrix_witness, False),
-    "haar_testing_matched": (_evaluate_matrix_witness, False),
-    "dual_haar_testing_matched": (_evaluate_matrix_witness, False),
-    "quadratic_offset_ap": (_evaluate_pair_family_witness, False),
-    "quadratic_subcube_ap": (_evaluate_pair_family_witness, False),
-    "quadratic_haar_testing": (_evaluate_quadratic_haar_witness, False),
+    "operator_norm": (_evaluate_matrix_witness, False, _norm_fold),
+    "haar_testing": (_evaluate_haar_witness, False, _gram_fold),
+    "dual_haar_testing": (_evaluate_haar_witness, True, _gram_fold),
+    "lp_haar_testing": (_evaluate_haar_witness, False, _lp_fold),
+    "dual_lp_haar_testing": (_evaluate_haar_witness, True, _lp_fold),
+    "cube_testing": (_evaluate_cube_witness, False, _cube_fold),
+    "a2_lambda": (_evaluate_size_witness, False, None),
+    "ap_lambda": (_evaluate_size_witness, False, None),
+    "haar_testing_matched": (_evaluate_matrix_witness, False, None),
+    "dual_haar_testing_matched": (_evaluate_matrix_witness, False, None),
+    "quadratic_offset_ap": (_evaluate_pair_family_witness, False, None),
+    "quadratic_subcube_ap": (_evaluate_pair_family_witness, False, None),
+    "quadratic_haar_testing": (_evaluate_quadratic_haar_witness, False, None),
 }
 
 
@@ -1416,7 +1446,7 @@ def reevaluate(report: CharacteristicReport, sigma: MeshMeasure,
     """
     if report.name not in _REGISTRY:
         raise ValueError(f"unknown report name {report.name!r}")
-    evaluate, swapped = _REGISTRY[report.name]
+    evaluate, swapped, _ = _REGISTRY[report.name]
     if swapped:
         sigma, omega = omega, sigma
     return evaluate(sigma, omega, report.witness, report.search_space)

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .characteristics import a2_lambda, lp_haar_testing, lp_haar_testing_dual, pair_bundle
+from .characteristics import a2_lambda, pair_bundle
 from .dyadic import Grid, MeshExhaustedError
 from .experiments import (
     AlignmentError,
@@ -224,29 +224,24 @@ def write_report(cfg: RunConfig, name: str, results: dict) -> Path:
     return path
 
 
+# report name -> its key in a characteristics pair, where the two differ
+_PAIR_KEYS = {"dual_haar_testing": "haar_testing_dual",
+              "dual_lp_haar_testing": "lp_haar_testing_dual"}
+
+
 def _characteristic_bundle(cfg: RunConfig, s_spec: str, o_spec: str,
                            sigma, omega) -> dict:
     grid = sigma.grid
     kernel = make_kernel(cfg.kernel, cfg.lam, grid.dimension)
     trunc = build_truncation(cfg, grid)
     depth = min(cfg.depth, grid.max_level)
-    reports = pair_bundle(sigma, omega, kernel, trunc, depth)
-    out = {
-        "sigma": s_spec,
-        "omega": o_spec,
-        "operator_norm": reports["operator_norm"].as_dict(),
-        "haar_testing": reports["haar_testing"].as_dict(),
-        "haar_testing_dual": reports["dual_haar_testing"].as_dict(),
-        "cube_testing": reports["cube_testing"].as_dict(),
-        "a2": a2_lambda(sigma, omega, cfg.lam, depth=depth).as_dict(),
-    }
+    names = ("operator_norm", "haar_testing", "dual_haar_testing", "cube_testing")
     if cfg.p != 2.0:
-        out["lp_haar_testing"] = lp_haar_testing(
-            sigma, omega, kernel, trunc, p=cfg.p, depth=depth, seed=cfg.seed
-        ).as_dict()
-        out["lp_haar_testing_dual"] = lp_haar_testing_dual(
-            sigma, omega, kernel, trunc, p=cfg.p, depth=depth, seed=cfg.seed
-        ).as_dict()
+        names += ("lp_haar_testing", "dual_lp_haar_testing")
+    reports = pair_bundle(sigma, omega, kernel, trunc, depth, names, cfg.p, cfg.seed)
+    out = {"sigma": s_spec, "omega": o_spec,
+           "a2": a2_lambda(sigma, omega, cfg.lam, depth=depth).as_dict()}
+    out.update({_PAIR_KEYS.get(name, name): rep.as_dict() for name, rep in reports.items()})
     denom = reports["haar_testing"].value + reports["dual_haar_testing"].value
     out["ratio"] = reports["operator_norm"].value / denom if denom > 0 else float("inf")
     return out
@@ -427,7 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GRID_KEYS = {"dimension": int, "max_level": int, "side": float}
+def _floats(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(","))
+
+
+_GRID_KEYS = {"dimension": int, "max_level": int, "side": float, "origin": _floats,
+              "shift": _floats}
 _KERNEL_KEYS = {"family": str, "lambda": float, "eps": float, "r": float}
 _RUN_KEYS = {"measures": str, "p": float, "depth": int, "seed": int,
              "trials": int, "gamma": float, "ladder": str, "out": str}
@@ -436,24 +436,23 @@ _FIELD_OF = {"family": "kernel", "lambda": "lam", "r": "rmax"}
 
 def _config_values(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config: cannot read {path!r}")
     values: dict = {}
-    for section, keys in (("grid", _GRID_KEYS), ("kernel", _KERNEL_KEYS),
-                          ("run", _RUN_KEYS)):
-        if not parser.has_section(section):
-            continue
-        for key, raw in parser.items(section):
-            if key in ("origin", "shift") and section == "grid":
-                values[key] = tuple(float(v) for v in raw.split(","))
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config: cannot read {path!r}")
+        for section, keys in (("grid", _GRID_KEYS), ("kernel", _KERNEL_KEYS),
+                              ("run", _RUN_KEYS)):
+            if not parser.has_section(section):
                 continue
-            if key not in keys:
-                raise ConfigError(f"config: unknown key {key!r} in [{section}]")
-            try:
-                values[_FIELD_OF.get(key, key)] = keys[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"config: bad value for {section}.{key}: {exc}") from exc
+            for key, raw in parser.items(section):
+                if key not in keys:
+                    raise ConfigError(f"config: unknown key {key!r} in [{section}]")
+                try:
+                    values[_FIELD_OF.get(key, key)] = keys[key](raw)
+                except ValueError as exc:
+                    raise ConfigError(f"config: bad value for {section}.{key}: {exc}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: cannot parse {path!r}: {exc}") from exc
     return values
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .characteristics import (
     JsonReport,
+    _GramFold,
     _PyramidFold,
     _check_pair,
     _operator_spec,
@@ -697,7 +698,9 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     For every cube L up to depth (1 to max_level: the global Haar testing
     needs wavelets) with sigma-mass, the energy of the normalized indicator
     image over the tripled box is the square of L's cube_testing value in
-    "triple" mode at p = 2, read from the cube pyramid (`_PyramidFold`).
+    "triple" mode at p = 2, read from the cube pyramid (`_PyramidFold`),
+    which takes one pass of sigma's images with the global Haar testing's
+    Grams (`_GramFold`).
     Each energy is compared against C * testing^2 + C * a2 * energy; the
     report carries the smallest C that makes every comparison hold, the
     implied constant in triple_testing <= C' * (testing + a2), and the
@@ -711,10 +714,10 @@ def triple_absorption_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                          f"got {depth}")
     require_resolved(trunc, grid)
     fold = _PyramidFold(sigma, omega, "triple", 2.0, depth)
-    _fold_images(kernel, trunc, sigma, depth, fold.add)
-    test_rep = haar_testing(sigma, omega, kernel, trunc, depth=depth)
-    size_rep = a2_lambda(sigma, omega, kernel.lam, depth=depth)
-    h_val, a_val = test_rep.value, size_rep.value
+    grams = _GramFold(cached_system(sigma, depth), omega.flat_mass)
+    _fold_images(kernel, trunc, sigma, depth, fold.add, grams.add)
+    h_val = grams.report(kernel, trunc).value
+    a_val = a2_lambda(sigma, omega, kernel.lam, depth=depth).value
     # each level's values in C order, from level 0 up to depth
     pyramid = [values.ravel() for values in fold.values()]
     energies: dict[str, float] = {}
@@ -1107,9 +1110,9 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
     dbl_depth = min(depth, grid.max_level - 1)
 
     def evaluate(sigma: MeshMeasure, omega: MeshMeasure, kind: str) -> dict:
-        reports = pair_bundle(sigma, omega, kernel, trunc, depth)
-        norm, test, dual = (reports[name].value for name in
-                            ("operator_norm", "haar_testing", "dual_haar_testing"))
+        names = ("operator_norm", "haar_testing", "dual_haar_testing")
+        reports = pair_bundle(sigma, omega, kernel, trunc, depth, names)
+        norm, test, dual = (reports[name].value for name in names)
         denom = test + dual
         ratio = norm / denom if denom > 0.0 else 0.0
         return {

@@ -264,15 +264,26 @@ def save_measure_csv(measure: MeshMeasure, path) -> None:
 
 
 def load_measure_csv(grid: Grid, path, label: str = "csv") -> MeshMeasure:
+    """Read the (cell_index, mass) rows of `save_measure_csv`. A file with
+    no header, a row that is not an index and a mass, an index outside the
+    mesh or a repeated index raises ValueError, naming the file and row."""
     cells = np.zeros(grid.n_cells)
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["cell_index", "mass"]:
-            raise ValueError(f"unrecognized measure CSV header: {header}")
+            raise ValueError(f"{path}, row 1: expected the header cell_index,mass, got {header}")
         for row in reader:
-            idx = int(row[0])
+            where = f"{path}, row {reader.line_num}"
+            try:
+                idx, mass = int(row[0]), float(row[1])
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{where}: expected cell_index,mass, got {row}") from exc
             if not 0 <= idx < grid.n_cells:
-                raise ValueError(f"cell_index {idx} outside mesh of {grid.n_cells} cells")
-            cells[idx] = float(row[1])
+                raise ValueError(f"{where}: cell_index {idx} outside mesh of {grid.n_cells} cells")
+            if idx in seen:
+                raise ValueError(f"{where}: cell_index {idx} repeated")
+            seen.add(idx)
+            cells[idx] = mass
     return MeshMeasure(grid, cells.reshape(grid.mesh_shape), label=label)

@@ -10,6 +10,7 @@ from haartest.characteristics import (
     _REGISTRY,
     _cube_values,
     _GramFold,
+    _LpFold,
     a2_lambda,
     ap_lambda,
     conjugate_exponent,
@@ -652,6 +653,14 @@ def _loop_candidates(system, images, omega, p, mode, rng, optimum_from):
     return out
 
 
+def _lp_scan(system, kernel, trunc, *args):
+    """The candidates of an `_LpFold(system, kernel, trunc, *args)`, folded
+    over one pass of system's images."""
+    fold = _LpFold(system, kernel, trunc, *args)
+    _fold_images(kernel, trunc, system.measure, system.depth, fold.add)
+    return fold.candidates()
+
+
 def _assert_same_candidates(values, combos, loop):
     """The rows of `_lp_scan` against the loop's candidates, cube by cube."""
     assert len(values) == len(loop)
@@ -678,8 +687,6 @@ def _loop_best(loop):
 @pytest.mark.parametrize("mode", ["global", "local"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
-    from haartest.characteristics import _lp_scan
-
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     system, images = _whole_wavelet_images(sigma, kernel, trunc, 3)
     optimum_from = 1 if p == 2.0 else np.inf
@@ -687,7 +694,7 @@ def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
         loop = _loop_candidates(system, images, omega, p, mode,
                                 np.random.default_rng(seed), optimum_from)
         values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, p, mode == "local",
-                                  np.random.default_rng(seed), optimum_from)
+                                  seed, optimum_from)
         _assert_same_candidates(values, combos, loop)
         rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, mode=mode, depth=3,
                               seed=seed)
@@ -702,7 +709,7 @@ def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_quadratic_member_scan_matches_member_loop(name, p):
-    from haartest.characteristics import _level_families, _lp_scan
+    from haartest.characteristics import _level_families
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     system, images = _whole_wavelet_images(sigma, kernel, trunc, 3)
@@ -1090,10 +1097,21 @@ def test_bundle_cube_testing_matches_standalone_scan(case, corpus1):
         omega = random_dyadic_doubling(SHARED_PASS_GRID, 3.0, seed=42)
         kernel, depth = make_kernel("riesz_like", 0.5, 2), 3
     trunc = default_truncation(sigma.grid)
-    bundle = pair_bundle(sigma, omega, kernel, trunc, depth)
-    assert bundle["cube_testing"].as_dict() == cube_testing(
-        sigma, omega, kernel, trunc, mode="global", depth=depth).as_dict()
-    assert bundle["haar_testing"].as_dict() == haar_testing(
-        sigma, omega, kernel, trunc, mode="global", depth=depth).as_dict()
-    assert bundle["operator_norm"].as_dict() == operator_norm(
-        assemble_haar_matrix(kernel, trunc, sigma, omega, depth)).as_dict()
+    # with the Lp names, the sigma pass also feeds the Lp sums at p and the
+    # omega pass the dual's at p'
+    for p in (2.0, 3.0, 1.5):
+        names = ("operator_norm", "haar_testing", "dual_haar_testing", "cube_testing")
+        if p != 2.0:
+            names += ("lp_haar_testing", "dual_lp_haar_testing")
+        bundle = pair_bundle(sigma, omega, kernel, trunc, depth, names, p)
+        assert bundle["cube_testing"].as_dict() == cube_testing(
+            sigma, omega, kernel, trunc, mode="global", depth=depth).as_dict()
+        assert bundle["haar_testing"].as_dict() == haar_testing(
+            sigma, omega, kernel, trunc, mode="global", depth=depth).as_dict()
+        assert bundle["operator_norm"].as_dict() == operator_norm(
+            assemble_haar_matrix(kernel, trunc, sigma, omega, depth)).as_dict()
+        if p != 2.0:
+            assert bundle["lp_haar_testing"].as_dict() == lp_haar_testing(
+                sigma, omega, kernel, trunc, p=p, depth=depth).as_dict()
+            assert bundle["dual_lp_haar_testing"].as_dict() == lp_haar_testing_dual(
+                sigma, omega, kernel, trunc, p=p, depth=depth).as_dict()

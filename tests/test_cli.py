@@ -227,6 +227,44 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+def _run_cli(*args) -> tuple:
+    """(exit code, stderr) of the CLI run as a program, so that an uncaught
+    exception shows as the interpreter's traceback and exit code."""
+    src = str(Path(haartest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-m", "haartest.cli", *args],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("text", [b"dimension = 2\n", b"[grid]\norigin = 0,a\n",
+                                  b"[grid]\ndimension = \xff\n"],
+                         ids=["no-section-header", "bad-origin", "not-utf-8"])
+def test_main_rejects_a_malformed_ini(tmp_path, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(text)
+    rc, err = _run_cli("characteristics", "--config", str(ini), "--out", str(tmp_path))
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith("config error: config: ")
+
+
+@pytest.mark.parametrize("text, row", [
+    ("", "row 1"),
+    ("cell_index,mass\n0,0.5\n3\n", "row 3"),
+    ("cell_index,mass\n1,0.5\n1,0.25\n", "row 3"),
+], ids=["empty", "one-field", "repeated-index"])
+def test_main_rejects_a_malformed_measure_csv(tmp_path, text, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    rc, err = _run_cli("characteristics", "--measures", f"csv:{path},lebesgue",
+                       "--depth", "2", "--out", str(tmp_path))
+    assert rc == 2
+    assert "Traceback" not in err
+    assert f"ValueError: {path}, {row}: " in err
+
+
 def test_main_validation_failure_exits_2(tmp_path, capsys):
     rc = main(["characteristics", "--p", "0.5", "--out", str(tmp_path)])
     assert rc == 2

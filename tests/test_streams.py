@@ -27,11 +27,14 @@ from haartest.characteristics import (
     haar_testing,
     haar_testing_dual,
     lp_haar_testing,
+    lp_haar_testing_dual,
     operator_norm,
     pair_bundle,
     quadratic_haar_testing,
 )
+from haartest.cli import main
 from haartest.dyadic import DyadicCube, Grid
+from haartest.experiments import counterexample_search, triple_absorption_experiment
 from haartest.haar import cached_system
 from haartest.measure import random_dyadic_doubling
 from haartest.operators import (
@@ -414,6 +417,47 @@ def test_bundle_memory_is_bounded_by_a_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - start < image_entries * 8
+
+
+def test_each_side_of_a_pair_takes_one_image_pass(tmp_path, monkeypatch):
+    # every fold of one side of a pair rides one pass of `image_blocks`, and
+    # a side with no fold asked for takes none
+    passes, pyramids = [], []
+    blocks, init = operators.image_blocks, characteristics._PyramidFold.__init__
+    monkeypatch.setattr(operators, "image_blocks",
+                        lambda *args: passes.append(args[2]) or blocks(*args))
+    monkeypatch.setattr(characteristics._PyramidFold, "__init__",
+                        lambda self, *args: pyramids.append(args[2]) or init(self, *args))
+    ini = tmp_path / "grid.ini"
+    ini.write_text("[grid]\ndimension = 2\nmax_level = 3\n\n"
+                   "[kernel]\nfamily = riesz_like\nlambda = 0.5\n")
+    measures = "doubling:r=2.0:seed=1,doubling:r=3.0:seed=2,lebesgue,doubling:r=2.0:seed=3"
+    rc = main(["characteristics", "--config", str(ini), "--depth", "3", "--p", "3",
+               "--measures", measures, "--out", str(tmp_path)])
+    assert rc in (0, 1)  # 1 is the norm ratio gate, not a failed run
+    assert len(passes) == 4  # two pairs, a sigma pass and an omega pass each
+    assert passes[0] is not passes[1] and passes[2] is not passes[3]
+
+    grid = Grid(dimension=1, max_level=6)
+    kernel, trunc = make_kernel("hilbert", 0.0, 1), default_truncation(grid)
+    passes.clear()
+    pyramids.clear()
+    counterexample_search(grid, kernel, trunc, iterations=2, depth=3)
+    assert len(passes) == 4 and pyramids == []  # two trials, no cube testing
+
+    sigma = random_dyadic_doubling(grid, 2.0, seed=1)
+    omega = random_dyadic_doubling(grid, 3.0, seed=2)
+    passes.clear()
+    triple_absorption_experiment(sigma, omega, kernel, trunc, depth=3)
+    assert passes == [sigma]  # the triple pyramid and the Haar Grams
+    for one in (haar_testing, haar_testing_dual):
+        passes.clear()
+        one(sigma, omega, kernel, trunc, depth=3)
+        assert len(passes) == 1
+    for one, side in ((lp_haar_testing, sigma), (lp_haar_testing_dual, omega)):
+        passes.clear()
+        one(sigma, omega, kernel, trunc, p=3.0, depth=3)
+        assert passes == [side]
 
 
 def test_quadratic_haar_testing_memory_is_bounded_by_a_block(monkeypatch):

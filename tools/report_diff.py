@@ -14,7 +14,9 @@ and measures (2-D L=6, riesz_like lambda=0.5: the Lp Haar scans and their
 duals in 2-D, on cubes with three wavelets), the same with `--seed 5`
 (`seeded-lp-characteristics-2d`: the rotated Lp candidates drawn from a
 seed other than 0, so a seed that stops reaching them shows as a
-difference), `characteristics --depth 4` on 2-D L=5 with
+difference), the chars-2d arguments with `--p 1.5` in place of `--p 3`
+(`lp15-characteristics-2d`: p below 2, so a dual side scanned at p rather
+than at p' shows as a difference), `characteristics --depth 4` on 2-D L=5 with
 fractional_integral lambda=0.5 and the chars-2d measures (an even kernel:
 the operator is its own adjoint, one kernel-matrix cache entry for both),
 `characteristics --depth 8` on 1-D L=12 (4,096 cells, so
@@ -82,6 +84,7 @@ def jobs(config_dir: Path) -> list:
     out.append(("lp-characteristics-2d", ["characteristics", *flags, "--p", "3"]))
     out.append(("seeded-lp-characteristics-2d",
                 ["characteristics", *flags, "--p", "3", "--seed", "5"]))
+    out.append(("lp15-characteristics-2d", ["characteristics", *flags, "--p", "1.5"]))
     grid = config_dir / "grid2d_L5.ini"
     grid.parent.mkdir(parents=True, exist_ok=True)
     grid.write_text("[grid]\ndimension = 2\nmax_level = 5\n")
