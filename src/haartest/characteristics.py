@@ -371,7 +371,7 @@ def _cube_groups(system: HaarSystem):
     done = 0
     for lv, rows in zip(system.levels, system.level_rows):
         live = np.flatnonzero(lv.counts)
-        for count in np.unique(lv.counts[live]):
+        for count in np.flatnonzero(np.bincount(lv.counts[live])):
             group = np.flatnonzero(lv.counts[live] == count)
             cubes = live[group]
             yield done + group, lv, cubes, rows.start + lv.starts[cubes][:, None] + np.arange(count)
@@ -978,8 +978,16 @@ def _pair_values(sigma: MeshMeasure, omega: MeshMeasure, lam: float, p: float,
     es = smass[part] / volumes ** (1.0 - lam / grid.dimension)
     num = np.bincount(at, wmass[base[levels] + cubes] * np.abs(coeffs * es) ** p,
                       minlength=len(tries))
-    # one group per distinct (try, partner)
-    pairs, group = np.unique(at * smass.size + part, return_inverse=True)
+    # one group per distinct (try, partner), numbered in key order (by a sort:
+    # np.unique would import numpy.ma)
+    key = at * smass.size + part
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    starts = np.ones(key.size, dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    pairs = ranked[starts]
+    group = np.empty_like(order)
+    group[order] = np.cumsum(starts) - 1
     den = np.bincount(pairs // smass.size, smass[pairs % smass.size]
                       * np.bincount(group, coeffs ** 2) ** (p / 2.0), minlength=len(tries))
     return np.divide(num ** (1.0 / p), den ** (1.0 / p), out=np.zeros(len(tries)),
@@ -1266,7 +1274,8 @@ def _level_families(levels: np.ndarray, rng) -> list:
     kept, so that the count of families does not change, but
     `quadratic_haar_testing` does not try it: its value is its cube's,
     whatever the weight."""
-    by_level = [np.flatnonzero(levels == level) for level in np.unique(levels)]
+    by_level = [np.flatnonzero(levels == level)
+                for level in np.flatnonzero(np.bincount(levels))]
     out = [(at, np.ones(len(at))) for at in by_level if len(at) >= 2]
     for _ in range(_FAMILY_COUNT if by_level else 0):
         at = by_level[int(rng.integers(0, len(by_level)))]

@@ -2,13 +2,21 @@
 
 Empirical frame bounds in L2(mu), block square-function bounds in Lp(mu),
 and a Banach-frame check of the coefficient map, its sequence norm and
-synthesis. Every Haar coefficient and synthesis goes through the system's
-level-by-level transform (`HaarSystem.analyse`, `synthesise` and
-`level_components`), so no dense wavelet matrix is formed: the sample
-matrix is analysed at once in `_analyse`, and the block square functions
-are summed level by level (`_sequence_norms`), not cube by cube. Bounds are
-sampled, never certified: each report records the sample count, the seed,
-and the extreme witnesses.
+synthesis. Bounds are sampled, never certified: each report records the
+sample count, the seed, and the extreme witnesses.
+
+Every check streams its samples through one row-block loop (`_row_blocks`):
+the probes are the first rows, then the random rows are drawn from the
+check's generator a block at a time, _SAMPLE_BLOCK_ENTRIES entries per
+block. A block is analysed (`_analyse`), and synthesised where the check
+needs it, by the system's level-by-level transform (`HaarSystem.analyse`,
+`synthesise` and `level_components`, so no dense wavelet matrix is formed),
+and only per-sample scalars outlive it: energies, norms, the constant mask,
+ratios and round-trip gaps. So a check holds a few blocks, never a whole
+(samples, cells) or (samples, wavelets) matrix. Consecutive draws from one
+generator give the numbers of one draw, and each row is computed as it is in
+one batch, so the reports do not depend on the block size. The block square
+functions are summed level by level (`_sequence_norms`), not cube by cube.
 """
 from __future__ import annotations
 
@@ -35,6 +43,13 @@ _CONSTANT_TOL = 1e-12
 # elements stacked at a time by hilbert_frame_bounds on a list family: a
 # block is 8 MB at 2-D L=6, instead of a copy of the whole family
 _ELEMENT_BLOCK = 256
+
+# sample entries per row block of `_row_blocks`: 16 rows at 4,096 cells, 64
+# at 1,024. On a 2-core Xeon with OpenBLAS 0.3.31, the frames op on 2-D L=6
+# (depth 5, p = 3) peaked at 39.5, 43.7 and 60.9 MB RSS for 2**14, 2**16 and
+# 2**18 (65.0 MB holding whole sample matrices); its three checks took 61,
+# 46 and 60 ms, and on 1-D L=12 at depth 8 73, 40 and 34 ms
+_SAMPLE_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,12 +97,43 @@ def _ratio_report(ratios: np.ndarray, labels: list, sample_count: int, p: float,
     )
 
 
+def _row_blocks(count: int, draw, n_cells: int, probes=()):
+    """Yield (rows, block) over a sample set: the probes (mesh functions)
+    first, then `count` rows of draw(k), which draws the next k rows.
+
+    A block holds `rows` samples, _SAMPLE_BLOCK_ENTRIES // n_cells of them
+    rounded down to a multiple of four but at least four, fewer in the last
+    block, and is padded with zero rows to a multiple of four rows. The
+    BLAS products that see the rows (the transform's level products, the
+    norms' matvec) round a row by its place when a product has fewer than
+    four rows or a ragged tail: unpadded blocks of one or three rows moved
+    the last bit of the coefficients. Padded, every row is computed as in
+    one batch. A zero row is constant and has zero norm, so it is never kept.
+    """
+    step = max(4, _SAMPLE_BLOCK_ENTRIES // n_cells // 4 * 4)
+    total = len(probes) + count
+    for first in range(0, total, step):
+        stop = min(first + step, total)
+        parts = [np.asarray(q, dtype=float).reshape(1, n_cells)
+                 for q in probes[first:stop]]
+        if stop > len(probes):
+            parts.append(draw(stop - max(first, len(probes))))
+        if (stop - first) % 4:
+            parts.append(np.zeros((-(stop - first) % 4, parts[-1].shape[1])))
+        yield stop - first, parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _labels(probe_count: int, sample_count: int) -> list:
+    """Witness label of every row of `_row_blocks`: the probes, then the
+    random samples."""
+    return ([{"kind": "probe", "index": i} for i in range(probe_count)]
+            + [{"kind": "random", "index": i} for i in range(sample_count)])
+
+
 def _element_energies(elements: list, mu: MeshMeasure, xs: np.ndarray) -> np.ndarray:
     """sum_j |<x, f_j>_mu|^2 of every row x of xs, for a list of mesh
     functions f_j: the elements are stacked and paired with the samples
     _ELEMENT_BLOCK at a time."""
-    if any(np.size(e) != mu.grid.n_cells for e in elements):
-        raise ValueError("elements must be mesh functions on the measure's grid")
     weighted = (xs * mu.flat_mass).T
     num = np.zeros(len(xs))
     for start in range(0, len(elements), _ELEMENT_BLOCK):
@@ -130,22 +176,24 @@ def hilbert_frame_bounds(family, mu: MeshMeasure, sample_count: int = 64,
         element_count = len(family)
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    grid = mu.grid
+    n_cells = mu.grid.n_cells
+    if not is_system and any(np.size(e) != n_cells for e in family):
+        raise ValueError("elements must be mesh functions on the measure's grid")
+    probes = probes or []
     rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((sample_count, grid.n_cells))
-    labels = [{"kind": "random", "index": i} for i in range(sample_count)]
-    if probes:
-        pr = np.stack([np.asarray(q, dtype=float).ravel() for q in probes])
-        xs = np.concatenate([pr, xs])
-        labels = [{"kind": "probe", "index": i} for i in range(len(probes))] + labels
-    num = _system_energies(family, xs) if is_system else _element_energies(family, mu, xs)
-    den = xs**2 @ mu.flat_mass
+    num, den = [], []
+    for rows, xs in _row_blocks(sample_count, lambda k: rng.standard_normal((k, n_cells)),
+                                n_cells, probes):
+        energies = _system_energies(family, xs) if is_system else _element_energies(family, mu, xs)
+        num.append(energies[:rows])
+        den.append((xs**2 @ mu.flat_mass)[:rows])
+    num, den = np.concatenate(num), np.concatenate(den)
     keep = den > 0.0
     if not np.any(keep):
         raise DegenerateMeasureError("every sample has zero norm under the measure")
     ratios = num[keep] / den[keep]
-    labels = [lab for lab, k in zip(labels, keep) if k]
-    details = {"element_count": element_count, "probe_count": len(probes or [])}
+    labels = [lab for lab, k in zip(_labels(len(probes), sample_count), keep) if k]
+    details = {"element_count": element_count, "probe_count": len(probes)}
     return _ratio_report(ratios, labels, sample_count, p=2.0, seed=seed,
                          details=details)
 
@@ -177,9 +225,9 @@ def _lp_norms(funcs: np.ndarray, masses: np.ndarray, p: float) -> np.ndarray:
 
 def _analyse(system: HaarSystem, funcs: np.ndarray, p: float) -> tuple:
     """(coeffs, means, norms, keep, ratios) of the rows of funcs (k, n_cells),
-    all at once: the Haar coefficients, the mu-averages, the sequence norms,
-    the mask of the rows not constant under mu, and those rows' ratios of
-    sequence norm to centered Lp norm.
+    one block of `_row_blocks`: the Haar coefficients, the mu-averages, the
+    sequence norms, the mask of the rows not constant under mu, and those
+    rows' ratios of sequence norm to centered Lp norm.
 
     A row is constant when its centered norm is at most _CONSTANT_TOL times
     its own Lp norm: centering a constant leaves rounding noise, not 0.
@@ -190,15 +238,13 @@ def _analyse(system: HaarSystem, funcs: np.ndarray, p: float) -> tuple:
     norms = _sequence_norms(system, coeffs, p)
     centered = _lp_norms(funcs - means[:, None], mu.flat_mass, p)
     keep = centered > _CONSTANT_TOL * _lp_norms(funcs, mu.flat_mass, p)
-    if not keep.any():
-        raise DegenerateMeasureError("every sample is constant under the measure")
     return coeffs, means, norms, keep, norms[keep] / centered[keep]
 
 
 def _resolved_samples(grid, depth: int, sample_count: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Random mesh functions constant on the level-depth cubes, one per row
-    of a (sample_count, n_cells) array."""
+    of a (sample_count, n_cells) array: the next rows of `_row_blocks`."""
     coarse = rng.standard_normal((sample_count,) + (2**depth,) * grid.dimension)
     return refine(coarse, grid.dimension, 2 ** (grid.max_level - depth)).reshape(
         sample_count, grid.n_cells)
@@ -213,15 +259,25 @@ def _check_square_inputs(mu: MeshMeasure, p: float, depth: int) -> None:
         raise DegenerateMeasureError("measure carries no mass")
 
 
-def _square_function_ratios(mu: MeshMeasure, p: float, depth: int,
-                            samples: np.ndarray, probes: list | None):
+def _square_function_ratios(mu: MeshMeasure, p: float, depth: int, sample_count: int,
+                            seed: int, probes: list | None) -> tuple:
+    """(ratios, labels) of the non-constant rows among the probes and
+    sample_count random functions resolved at `depth`, drawn from
+    default_rng(seed)."""
+    system = cached_system(mu, depth)
+    rng = np.random.default_rng(seed)
     probes = probes or []
-    funcs = np.concatenate([np.reshape(probes, (len(probes), mu.grid.n_cells)),
-                            samples])
-    labels = ([{"kind": "probe", "index": i} for i in range(len(probes))]
-              + [{"kind": "random", "index": i} for i in range(len(samples))])
-    _, _, _, keep, ratios = _analyse(cached_system(mu, depth), funcs, p)
-    return ratios, [lab for lab, k in zip(labels, keep) if k]
+    keep, ratios = [], []
+    for rows, funcs in _row_blocks(
+            sample_count, lambda k: _resolved_samples(mu.grid, depth, k, rng),
+            mu.grid.n_cells, probes):
+        _, _, _, kept, ratio = _analyse(system, funcs, p)
+        keep.append(kept[:rows])
+        ratios.append(ratio)
+    if not any(r.size for r in ratios):
+        raise DegenerateMeasureError("every sample is constant under the measure")
+    labels = _labels(len(probes), sample_count)
+    return np.concatenate(ratios), [lab for lab, k in zip(labels, np.concatenate(keep)) if k]
 
 
 def lp_square_function_bounds(mu: MeshMeasure, p: float, depth: int,
@@ -237,15 +293,11 @@ def lp_square_function_bounds(mu: MeshMeasure, p: float, depth: int,
     level deeper as a stability check.
     """
     _check_square_inputs(mu, p, depth)
-    grid = mu.grid
-    rng = np.random.default_rng(seed)
-    samples = _resolved_samples(grid, depth, sample_count, rng)
-    ratios, labels = _square_function_ratios(mu, p, depth, samples, probes)
+    ratios, labels = _square_function_ratios(mu, p, depth, sample_count, seed, probes)
     details: dict = {"depth": depth}
-    if depth + 1 <= grid.max_level:
-        deeper = _resolved_samples(grid, depth + 1, sample_count,
-                                   np.random.default_rng(seed))
-        d_ratios, _ = _square_function_ratios(mu, p, depth + 1, deeper, probes)
+    if depth + 1 <= mu.grid.max_level:
+        d_ratios, _ = _square_function_ratios(mu, p, depth + 1, sample_count, seed,
+                                              probes)
         lo, hi = float(ratios.min()), float(ratios.max())
         dlo, dhi = float(d_ratios.min()), float(d_ratios.max())
         details["neighbor_depth"] = depth + 1
@@ -259,9 +311,9 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
                        sample_count: int = 32, seed: int = 0) -> ExperimentReport:
     """Exercise the four frame-triple properties on sampled functions.
 
-    One batched analysis gives every sample's coefficients, their sequence
-    norm (the Lp norm of the block square function), the centered Lp norm
-    and the synthesis round trip. (1) Every sequence norm is finite;
+    The samples' analysis, a block at a time, gives their coefficients,
+    their sequence norm (the Lp norm of the block square function), the
+    centered Lp norm and the synthesis round trip. (1) Every sequence norm is finite;
     (2) every sampled ratio of sequence norm to centered Lp norm is finite
     and the band [min, max] of those ratios, reported in details, has a
     positive lower end (the lower square-function bound); (3) synthesis is
@@ -272,12 +324,20 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
     """
     _check_square_inputs(mu, p, depth)
     rng = np.random.default_rng(seed)
-    samples = _resolved_samples(mu.grid, depth, sample_count, rng)
     system = cached_system(mu, depth)
-    coeffs, means, norms, _, ratios = _analyse(system, samples, p)
-    finite = np.isfinite(norms)
-    back = system.synthesise(coeffs) + means[:, None]
-    gaps = np.abs(back - samples)[:, mu.flat_mass > 0.0].max(axis=1)
+    positive = mu.flat_mass > 0.0
+    finite, gaps, ratios = [], [], []
+    for rows, samples in _row_blocks(
+            sample_count, lambda k: _resolved_samples(mu.grid, depth, k, rng),
+            mu.grid.n_cells):
+        coeffs, means, norms, _, ratio = _analyse(system, samples, p)
+        back = system.synthesise(coeffs) + means[:, None]
+        finite.append(np.isfinite(norms[:rows]))
+        gaps.append(np.abs(back[:rows] - samples[:rows])[:, positive].max(axis=1))
+        ratios.append(ratio)
+    if not any(r.size for r in ratios):
+        raise DegenerateMeasureError("every sample is constant under the measure")
+    finite, gaps, ratios = (np.concatenate(a) for a in (finite, gaps, ratios))
     failures = []
     for i, gap in enumerate(gaps):
         if not finite[i]:
@@ -292,16 +352,23 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
         failures.append({"property": 2, "band": band})
     n_wavelets = system.n_wavelets
     sparse_trials = max(8, sample_count // 2)
-    sparse = np.zeros((sparse_trials, n_wavelets))
     k = max(1, n_wavelets // 8)
-    for row in sparse:
-        idx = rng.choice(n_wavelets, size=min(k, n_wavelets), replace=False)
-        row[idx] = rng.standard_normal(idx.size)
-    sparse_norms = _sequence_norms(system, sparse, p)
-    nonzero = sparse_norms != 0.0
-    synth = (_lp_norms(system.synthesise(sparse[nonzero]), mu.flat_mass, p)
-             / sparse_norms[nonzero])
-    synth_bound = float(synth.max(initial=0.0))
+
+    def draw_sparse(count: int) -> np.ndarray:
+        sparse = np.zeros((count, n_wavelets))
+        for row in sparse:
+            idx = rng.choice(n_wavelets, size=min(k, n_wavelets), replace=False)
+            row[idx] = rng.standard_normal(idx.size)
+        return sparse
+
+    # the sparse draws follow every sample block's, as one draw of each would
+    synth_bound = 0.0
+    for _, sparse in _row_blocks(sparse_trials, draw_sparse, mu.grid.n_cells):
+        sparse_norms = _sequence_norms(system, sparse, p)
+        nonzero = sparse_norms != 0.0
+        synth = (_lp_norms(system.synthesise(sparse[nonzero]), mu.flat_mass, p)
+                 / sparse_norms[nonzero])
+        synth_bound = float(np.maximum(synth_bound, synth.max(initial=0.0)))
     synth_ok = bool(np.isfinite(synth_bound) and synth_bound > 0.0)
     if not synth_ok:
         failures.append({"property": 3, "bound": synth_bound})

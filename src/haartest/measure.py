@@ -7,6 +7,7 @@ volume-fraction share of boundary cells.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -266,10 +267,19 @@ def save_measure_csv(measure: MeshMeasure, path) -> None:
 def load_measure_csv(grid: Grid, path, label: str = "csv") -> MeshMeasure:
     """Read the (cell_index, mass) rows of `save_measure_csv`. A file with
     no header, a row that is not an index and a mass, an index outside the
-    mesh or a repeated index raises ValueError, naming the file and row."""
+    mesh or a repeated index raises ValueError, naming the file and row; a
+    file that is not UTF-8, naming the file, the row and the byte offset."""
     cells = np.zeros(grid.n_cells)
     seen = set()
-    with open(path, newline="") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, row {row}, byte {exc.start}: "
+                         f"{raw[exc.start:exc.start + 1]!r} is not UTF-8") from exc
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:2] != ["cell_index", "mass"]:

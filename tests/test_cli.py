@@ -227,15 +227,34 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+def _program_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(haartest.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 def _run_cli(*args) -> tuple:
     """(exit code, stderr) of the CLI run as a program, so that an uncaught
     exception shows as the interpreter's traceback and exit code."""
-    src = str(Path(haartest.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     proc = subprocess.run([sys.executable, "-m", "haartest.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_program_env())
     return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("args", [["characteristics", "--depth", "3"],
+                                  ["search", "--trials", "3", "--depth", "3"]],
+                         ids=["characteristics", "search"])
+def test_ops_never_import_numpy_ma(tmp_path, args):
+    # the first np.unique call imports numpy.ma, 8 to 17 ms of an op
+    ini = tmp_path / "grid.ini"
+    ini.write_text("[grid]\ndimension = 1\nmax_level = 6\n")
+    code = ("import sys; from haartest.cli import main; "
+            "rc = main(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *args, "--config", str(ini),
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=_program_env())
+    assert proc.stdout.splitlines()[-1] in ("0 False", "1 False"), proc.stderr
 
 
 @pytest.mark.parametrize("text", [b"dimension = 2\n", b"[grid]\norigin = 0,a\n",
@@ -251,13 +270,14 @@ def test_main_rejects_a_malformed_ini(tmp_path, text):
 
 
 @pytest.mark.parametrize("text, row", [
-    ("", "row 1"),
-    ("cell_index,mass\n0,0.5\n3\n", "row 3"),
-    ("cell_index,mass\n1,0.5\n1,0.25\n", "row 3"),
-], ids=["empty", "one-field", "repeated-index"])
+    (b"", "row 1"),
+    (b"cell_index,mass\n0,0.5\n3\n", "row 3"),
+    (b"cell_index,mass\n1,0.5\n1,0.25\n", "row 3"),
+    (b"cell_index,mass\n0,\xff1\n", "row 2, byte 18"),
+], ids=["empty", "one-field", "repeated-index", "not-utf-8"])
 def test_main_rejects_a_malformed_measure_csv(tmp_path, text, row):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text)
     rc, err = _run_cli("characteristics", "--measures", f"csv:{path},lebesgue",
                        "--depth", "2", "--out", str(tmp_path))
     assert rc == 2

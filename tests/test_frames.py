@@ -1,17 +1,21 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import haartest.frames as frames
 from haartest.dyadic import Grid
 from haartest.frames import (
     FrameBoundsReport,
+    _resolved_samples,
+    _row_blocks,
     _sequence_norms,
     banach_frame_check,
     hilbert_frame_bounds,
     lp_square_function_bounds,
 )
-from haartest.haar import build_system
+from haartest.haar import build_system, cached_system
 from haartest.measure import (
     DegenerateMeasureError,
     custom_cells,
@@ -329,3 +333,71 @@ def test_hilbert_frame_bounds_rejects_a_system_on_another_measure():
     system = build_system(lebesgue(GRID), 3)
     with pytest.raises(ValueError):
         hilbert_frame_bounds(system, MU)
+
+
+def _frame_reports(mu, depth, probes):
+    """The three reports of the `frames` op at p = 3, the first two with probes."""
+    return [hilbert_frame_bounds(cached_system(mu, mu.grid.max_level), mu,
+                                 sample_count=64, seed=9, probes=probes).as_dict(),
+            lp_square_function_bounds(mu, 3.0, depth, sample_count=64, seed=9,
+                                      probes=probes).as_dict(),
+            banach_frame_check(mu, 3.0, depth, sample_count=32, seed=9).as_dict()]
+
+
+@pytest.mark.parametrize("grid, depth", [(Grid(dimension=2, max_level=4), 3),
+                                         (Grid(dimension=1, max_level=8), 5)],
+                         ids=["2d-L4", "1d-L8"])
+def test_frame_reports_do_not_depend_on_the_row_blocks(monkeypatch, grid, depth):
+    # one row's entries per block give the smallest block, four rows (the
+    # first mixes the three probes with a random row); twelve rows leave an
+    # uneven last block of seven, padded to eight; then every row in one
+    # block: the reports are the same
+    mu = random_dyadic_doubling(grid, 2.0, seed=23)
+    rng = np.random.default_rng(4)
+    probes = [np.ones(grid.mesh_shape), rng.standard_normal(grid.mesh_shape),
+              rng.standard_normal(grid.n_cells)]
+    reports = []
+    for rows in (1, 12, 1 << 10):
+        monkeypatch.setattr(frames, "_SAMPLE_BLOCK_ENTRIES", rows * grid.n_cells)
+        blocks = _row_blocks(64, lambda k: np.zeros((k, grid.n_cells)), grid.n_cells, probes)
+        sizes = [k for k, _ in blocks]
+        assert sizes == {1: [4] * 16 + [3], 12: [12] * 5 + [7], 1 << 10: [67]}[rows]
+        reports.append(_frame_reports(mu, depth, probes))
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+    assert reports[0][0]["details"]["probe_count"] == 3
+
+
+def test_blocked_draws_equal_one_draw():
+    grid = Grid(dimension=2, max_level=4)
+    for splits in ([16] * 4, [5] * 12 + [4], [20, 20, 24], [39, 25]):
+        one, blocked = np.random.default_rng(3), np.random.default_rng(3)
+        np.testing.assert_array_equal(
+            np.concatenate([blocked.standard_normal((k, grid.n_cells)) for k in splits]),
+            one.standard_normal((64, grid.n_cells)))
+        one, blocked = np.random.default_rng(3), np.random.default_rng(3)
+        np.testing.assert_array_equal(
+            np.concatenate([_resolved_samples(grid, 2, k, blocked) for k in splits]),
+            _resolved_samples(grid, 2, 64, one))
+
+
+@pytest.mark.parametrize("check", ["hilbert", "square", "banach"])
+def test_each_frame_check_holds_a_few_blocks(check):
+    # 2-D L=6 at depth 5 and p = 3, as the frames-2d op, with 64 samples each:
+    # a sample matrix is 2 MiB, and the checks that held whole matrices
+    # peaked at 13, 22.5 and 8.6 MiB of traced allocation; streamed in
+    # 16-row blocks, each stays under 8 MiB
+    grid = Grid(dimension=2, max_level=6)
+    mu = random_dyadic_doubling(grid, 2.0, seed=1)
+    run = {"hilbert": lambda: hilbert_frame_bounds(cached_system(mu, 6), mu, sample_count=64),
+           "square": lambda: lp_square_function_bounds(mu, 3.0, 5, sample_count=64),
+           "banach": lambda: banach_frame_check(mu, 3.0, 5, sample_count=64)}[check]
+    run()  # the systems, their cached level arrays and numpy's lazy imports
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 << 20, peak - start

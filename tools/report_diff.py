@@ -24,9 +24,11 @@ each operator-image pass takes four blocks of the window route),
 `characteristics --p 3 --depth 8` on the same grid (the Lp Haar scans and
 their duals over four blocks), `experiment --p 3 --depth 8` on the same
 grid (four blocks per depth-8 pass: the one job whose quadratic Haar family
-values are folded over several blocks) and every op of the benchmark
-workloads at seed 0 (`perfbench/workloads.py` of this checkout, imported as
-is). Each run gets its own output directory.
+values are folded over several blocks), `frames --p 3 --depth 8` on the same
+grid (`multi-block-frames-1d`: 4,096 cells make 16-row sample blocks, so
+each frame check streams its 64 or 32 samples in four or two blocks) and
+every op of the benchmark workloads at seed 0 (`perfbench/workloads.py` of
+this checkout, imported as is). Each run gets its own output directory.
 
 It then compares, run by run, the exit codes, every JSON report with `meta`
 left out, and every CSV cell by cell. A string naming a file inside the
@@ -100,6 +102,8 @@ def jobs(config_dir: Path) -> list:
                 ["characteristics", "--config", str(grid), "--p", "3", "--depth", "8"]))
     out.append(("multi-block-lp-experiment-1d",
                 ["experiment", "--config", str(grid), "--p", "3", "--depth", "8"]))
+    out.append(("multi-block-frames-1d",
+                ["frames", "--config", str(grid), "--p", "3", "--depth", "8"]))
     for workload in WORKLOADS:
         for i, op in enumerate(ops_for(workload, 0, config_dir)):
             out.append((f"{workload}-{i}-{op.subcommand}",
