@@ -44,6 +44,7 @@ from .characteristics import (
     ap_lambda,
     conjugate_exponent,
     cube_testing,
+    haar_block_norm,
     haar_testing,
     haar_testing_dual,
     lp_haar_testing,

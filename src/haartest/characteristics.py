@@ -26,13 +26,14 @@ family: the Lp(sigma) norm of the members' square sum is a sum over each
 member's children, and a pair family's two norms are sums over its cubes
 and its distinct partners of their level masses (`_pair_values`). The
 images of single witnesses come from `operators.apply`. The operator
-norm is the top singular value of the Haar matrix by Golub-Kahan-Lanczos
-steps (`_top_singular_triple`). Each fold builds its report with
-report(kernel, trunc), and `pair_bundle(names)` makes the folds of the
-names given and runs one pass of sigma's images and one of omega's, the
-kernel transposed, for the dual reports; the Haar testings, their Lp
-forms and the norm, standalone or bundled, all take it, so a pair's
-side is read once however many of them are asked for. The pair scans
+norm reads no images: it is the norm of T_sigma from L2(sigma) to
+L2(omega) on the mesh, by Golub-Kahan-Lanczos steps on matrix-free
+products with the kernel and its adjoint (`_mesh_norm`). Each fold builds
+its report with report(kernel, trunc), and `pair_bundle(names)` makes the
+folds of the names given and runs one pass of sigma's images and one of
+omega's, the kernel transposed, for the dual reports; the Haar testings
+and their Lp forms, standalone or bundled, all take it, so a pair's side
+is read once however many of them are asked for. The pair scans
 take a block of cubes' partners at once: an offset stencil, or the finer
 levels' cubes grouped by cube. One witness rule serves every scan
 (`_first_max`): the first largest candidate in scan order, that is levels
@@ -45,7 +46,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, replace
-from functools import cache
+from functools import cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,10 +55,11 @@ from .dyadic import DyadicCube, Grid, box_distance, group_by_cube
 from .haar import HaarLevel, HaarSystem, _cube_keys, cached_system, normalize_sign
 from .measure import MeshMeasure, level_masses
 from .operators import (
+    _IMAGE_BLOCK_ENTRIES,
     HaarMatrix,
-    HaarMatrixFold,
     Kernel,
     Truncation,
+    _fft_operator,
     _fold_images,
     apply,
     assemble_haar_matrix,
@@ -79,6 +82,7 @@ __all__ = [
     "lp_haar_testing_dual",
     "cube_testing",
     "operator_norm",
+    "haar_block_norm",
     "pair_bundle",
     "matched_haar_testing",
     "quadratic_offset_ap",
@@ -778,101 +782,153 @@ def _evaluate_cube_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 # -- operator norm and matched testing ----------------------------------------
 
-# operator_norm's stopping rule, recorded in its search space: the top
+# the norms' stopping rule, recorded in their search spaces: the top
 # singular triple (s, u, v) of the Lanczos bidiagonal has |A^T u - s v|
 # at most _NORM_TOL s, or the steps reach _NORM_MAX_ITERS
 _NORM_TOL = 1e-12
 _NORM_MAX_ITERS = 10000
 
-# blocks whose smaller side is at most this take numpy's dense SVD, which is
-# faster there than the Lanczos steps: 0.09 ms against 1.3 ms on 15 x 15
-_DENSE_NORM_SIDE = 64
 
-
-def _top_singular_triple(a: np.ndarray) -> tuple:
+def _top_singular_triple(matvec, rmatvec, n: int) -> tuple:
     """(value, unit right vector, steps, converged) of the largest singular
-    value of a.
+    value of A, given as x -> A x and y -> A^T y on vectors of length n.
 
     Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization:
     A V_k = U_k B_k with B_k upper bidiagonal, and the top singular triple
-    (s, p, q) of B_k gives v = V_k q with A v = s U_k p and the residual
-    |A^T U_k p - s v| = beta_k |p_k|. Small blocks (_DENSE_NORM_SIDE) take
-    the dense SVD, in 0 steps. The start is a fixed pseudo-random vector,
-    so no structure of a can make it orthogonal to the top vector, and a
-    zero alpha or beta ends the steps with an exact invariant subspace.
+    (s, p, q) of B_k, from the top eigenpair (s^2, p) of the tridiagonal
+    B_k B_k^T and q = B_k^T p / s, gives v = V_k q with A v = s U_k p and
+    the residual |A^T U_k p - s v| = beta_k |p_k|. The start is a fixed
+    pseudo-random vector, so no structure of A can make it orthogonal to
+    the top vector. A zero image of it gives 0 and a zero vector in 0
+    steps; a later alpha or beta at rounding level of the first alpha ends
+    the steps with an exact invariant subspace.
 
     Where the top value is multiple, any unit vector of its right singular
     space is a top vector; the Krylov steps find the start's projection on
-    that space, and the dense SVD takes the same projection on its right
-    vectors of values within _NORM_TOL of the top, rather than whichever
-    one LAPACK returns first.
+    that space, which rounding-level changes of A do not move.
     """
-    m, n = a.shape
-    if not np.any(a):
+    right, betas = _LanczosBasis(n), []  # betas[0]: the start's norm
+    right.add(np.random.default_rng(0).standard_normal(n), betas, 0.0)
+    u = matvec(right[0])
+    if not np.any(u):
         return 0.0, np.zeros(n), 0, True
-    start = np.random.default_rng(0).standard_normal(n)
-    if min(m, n) <= _DENSE_NORM_SIDE:
-        _, svals, vt = np.linalg.svd(a, full_matrices=False)
-        top = vt[svals >= (1.0 - _NORM_TOL) * svals[0]]
-        v = top.T @ (top @ start)
-        return float(svals[0]), v / np.linalg.norm(v), 0, True
-    floor = np.finfo(float).eps * max(m, n) * float(np.linalg.norm(a))
-    left, right = [], [start / np.linalg.norm(start)]
-    alphas, betas = [], []
-    for k in range(min(m, n, _NORM_MAX_ITERS)):
-        u = a @ right[k] - (betas[-1] * left[-1] if k else 0.0)
-        r = a.T @ _next_lanczos_vector(u, left, alphas, floor) - alphas[-1] * right[k]
-        _next_lanczos_vector(r, right, betas, floor)
-        p, svals, qt = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
-        converged = betas[-1] * abs(p[-1, 0]) <= _NORM_TOL * svals[0]
-        if converged or k + 1 == min(m, n, _NORM_MAX_ITERS):
-            return float(svals[0]), qt[0] @ np.array(right[:k + 1]), k + 1, bool(converged)
+    floor = np.finfo(float).eps * n * float(np.linalg.norm(u))
+    left, alphas = _LanczosBasis(u.size), []
+    for k in range(min(n, _NORM_MAX_ITERS)):
+        r = rmatvec(left.add(u, alphas, floor)) - alphas[-1] * right[k]
+        right.add(r, betas, floor)
+        b = np.diag(alphas) + np.diag(betas[1:-1], 1)
+        squares, lefts = np.linalg.eigh(b @ b.T)
+        s, p = float(np.sqrt(squares[-1])), lefts[:, -1]
+        converged = betas[-1] * abs(p[-1]) <= _NORM_TOL * s
+        if converged or k + 1 == min(n, _NORM_MAX_ITERS):
+            return s, sum(c * row for c, row in zip(b.T @ p / s, right)), k + 1, bool(converged)
+        u = matvec(right[k + 1]) - betas[-1] * left[-1]
 
 
-def _next_lanczos_vector(w: np.ndarray, basis: list, norms: list, floor: float) -> np.ndarray:
-    """Append w, orthogonalized twice against basis and normalized, to
-    basis and its norm to norms, and return it; a norm at or below floor
-    is taken as 0, with a zero vector."""
-    if basis:
-        earlier = np.array(basis)
+class _LanczosBasis(list):
+    """Orthonormal vectors of length n, listed as rows of blocks that no
+    step copies: the first block holds about sqrt(n) rows (where the mesh
+    norm's top values cluster its steps grow like that: 258 on 1-D L=16
+    Lebesgue), but at most _IMAGE_BLOCK_ENTRIES entries, and each next one
+    as many rows as all before it."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        rows = max(1, min(int(n ** 0.5) + 1, _IMAGE_BLOCK_ENTRIES // max(n, 1)))
+        self.full, self.block, self.used = [], np.empty((rows, n)), 0
+
+    def add(self, w: np.ndarray, norms: list, floor: float) -> np.ndarray:
+        """Append w, orthogonalized twice against the rows and normalized,
+        and its norm to norms, and return it; a norm at or below floor is
+        taken as 0, with a zero row."""
+        filled = self.full + [self.block[:self.used]]
         for _ in range(2):
-            w = w - earlier.T @ (earlier @ w)
-    norm = float(np.linalg.norm(w))
-    norms.append(norm if norm > floor else 0.0)
-    basis.append(w / norm if norm > floor else np.zeros_like(w))
-    return basis[-1]
+            for block in filled:
+                w = w - (block @ w) @ block
+        if self.used == len(self.block):
+            self.full.append(self.block)
+            self.block, self.used = np.empty((len(self), w.size)), 0
+        norm = float(np.linalg.norm(w))
+        norms.append(norm if norm > floor else 0.0)
+        self.append(self.block[self.used])
+        self.used += 1
+        self[-1][:] = w / norm if norms[-1] else 0.0
+        return self[-1]
+
+
+def _norm_space(kernel: Kernel, trunc: Truncation, steps: int, converged: bool) -> dict:
+    return {**_operator_spec(kernel, trunc), "tol": _NORM_TOL, "max_iters": _NORM_MAX_ITERS,
+            "iterations": steps, "converged": converged}
+
+
+def _evaluate_norm_witness(sigma: MeshMeasure, omega: MeshMeasure,
+                           witness: dict, space: dict) -> float:
+    """|T_sigma f|_L2(omega) / |f|_L2(sigma) of the witness's mesh function
+    f, by one `apply`; 0 where |f|_L2(sigma) is."""
+    f = np.asarray(witness["coefficients"], dtype=float)
+    norm = _lp_norm(sigma.flat_mass, f, 2.0)
+    if not norm:
+        return 0.0
+    image = apply(*_kernel_and_trunc(space), sigma, f).ravel()
+    return _lp_norm(omega.flat_mass, image, 2.0) / norm
+
+
+def _mesh_norm(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
+               trunc: Truncation) -> CharacteristicReport:
+    """N_T(sigma, omega), the norm of T_sigma from L2(sigma) to L2(omega) on
+    the mesh: the top singular value of A = diag(sqrt omega) G diag(sqrt
+    sigma) (`_top_singular_triple`), where A x = sqrt(omega) G(sqrt(sigma)
+    x) and A^T y = sqrt(sigma) G^T(sqrt(omega) y) are one `_fft_operator`
+    product each, of the kernel's table and of its adjoint's. The witness
+    is f = v / sqrt(sigma), 0 where sigma is, of the sign-normalized top
+    right vector v, and the value is f's ratio (`_evaluate_norm_witness`)."""
+    grid = _check_pair(sigma, omega)
+    require_resolved(trunc, grid)
+    roots = np.sqrt(sigma.flat_mass), np.sqrt(omega.flat_mass)
+
+    def product(op: Kernel, inner: np.ndarray, outer: np.ndarray):
+        convolve = _fft_operator(op, trunc, grid)
+        return lambda x: outer * convolve((inner * x)[None])[0]
+
+    _, v, steps, converged = _top_singular_triple(
+        product(kernel, *roots), product(kernel.transpose(), *roots[::-1]), grid.n_cells)
+    live = roots[0] > 0
+    f = np.divide(normalize_sign(np.where(live, v, 0.0)), roots[0],
+                  out=np.zeros(grid.n_cells), where=live)
+    witness = {"side": "mesh", "coefficients": f.tolist()}
+    space = _norm_space(kernel, trunc, steps, converged)
+    value = _evaluate_norm_witness(sigma, omega, witness, space)
+    return CharacteristicReport("operator_norm", value, witness, space)
+
+
+def _mesh_norm_fold(sigma: MeshMeasure, omega: MeshMeasure, **_) -> SimpleNamespace:
+    """operator_norm's fold in `pair_bundle`: it reads no images (add is
+    None), and its report is `_mesh_norm`'s."""
+    return SimpleNamespace(add=None, report=partial(_mesh_norm, sigma, omega))
 
 
 def operator_norm(matrix: HaarMatrix) -> CharacteristicReport:
-    """Largest singular value of the coefficient matrix, with its right
-    singular vector as the witness (`_top_singular_triple`); the value is
-    |entries v| of the sign-normalized unit vector v."""
-    _, v, steps, converged = _top_singular_triple(matrix.entries)
-    norm = np.linalg.norm(v)
-    if v.size and norm > 0:
-        v = normalize_sign(v / norm)
-        value = float(np.linalg.norm(matrix.entries @ v))
-    else:
-        value = 0.0
-    witness = {"side": "source", "coefficients": [float(x) for x in v]}
-    search_space = {
-        "depth": matrix.depth,
-        **_operator_spec(matrix.kernel, matrix.trunc),
-        "rows": int(matrix.entries.shape[0]),
-        "cols": int(matrix.entries.shape[1]),
-        "tol": _NORM_TOL,
-        "max_iters": _NORM_MAX_ITERS,
-        "iterations": steps,
-        "converged": converged,
-    }
-    return CharacteristicReport("operator_norm", value, witness, search_space)
+    """N_T(sigma, omega) of the matrix's measures, kernel and truncation
+    (`_mesh_norm`). The entries are not read: the wavelets leave out the
+    mean component, so their norm (`haar_block_norm`) can fall below the
+    testing constants."""
+    return _mesh_norm(matrix.sigma_system.measure, matrix.omega_system.measure,
+                      matrix.kernel, matrix.trunc)
 
 
-class _NormFold(HaarMatrixFold):
-    """The Haar matrix's fold, whose `report` is the matrix's operator_norm."""
-
-    def report(self, kernel: Kernel, trunc: Truncation) -> CharacteristicReport:
-        return operator_norm(self.matrix(kernel, trunc))
+def haar_block_norm(matrix: HaarMatrix) -> CharacteristicReport:
+    """Largest singular value of the coefficient matrix, with its
+    sign-normalized right singular vector v as the witness and |entries v|
+    as the value. It lies between both matched testing constants and
+    operator_norm."""
+    a = matrix.entries
+    _, v, steps, converged = _top_singular_triple(lambda x: a @ x, lambda y: a.T @ y, a.shape[1])
+    v = normalize_sign(v)
+    space = {"depth": matrix.depth, "rows": int(a.shape[0]), "cols": int(a.shape[1]),
+             **_norm_space(matrix.kernel, matrix.trunc, steps, converged)}
+    return CharacteristicReport("haar_block_norm", float(np.linalg.norm(a @ v)),
+                                {"side": "source", "coefficients": v.tolist()}, space)
 
 
 def matched_haar_testing(matrix: HaarMatrix,
@@ -1356,10 +1412,6 @@ def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
 # kernel, trunc, depth, system (a measure's Haar system at depth), p, seed
 # and mode
 
-def _norm_fold(sigma: MeshMeasure, omega: MeshMeasure, system, **_) -> _NormFold:
-    return _NormFold(system(sigma), system(omega))
-
-
 def _gram_fold(sigma: MeshMeasure, omega: MeshMeasure, system, mode: str, **_) -> _GramFold:
     return _GramFold(system(sigma), omega.flat_mass, mode == "local")
 
@@ -1382,8 +1434,8 @@ def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: T
                 depth: int, names: tuple = ("operator_norm", "haar_testing",
                                             "dual_haar_testing", "cube_testing"),
                 p: float = 2.0, seed: int = 0, mode: str = "global") -> dict:
-    """The reports named, keyed by name, each at `depth` from the fold that
-    `_REGISTRY` gives it. By default those of the comparison of
+    """The reports named, keyed by name, each from the fold that `_REGISTRY`
+    gives it, the scans at `depth`. By default those of the comparison of
     N_T(sigma, omega) with H^glob_T(sigma, omega) + H^glob_T*(omega, sigma):
     operator_norm, haar_testing, dual_haar_testing and the global
     cube_testing at p = 2.
@@ -1391,11 +1443,11 @@ def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: T
     The folds of the reports that are not swapped in `_REGISTRY` take one
     pass of sigma's images, at p; those of the swapped (dual) reports, one
     pass of omega's, the kernel transposed, at p'. A side with no fold
-    named takes no pass. The Lp reports draw their rotations from seed,
-    and mode, "global" or "local", restricts the output norm of the Haar
-    and Lp Haar scans. Each side's reports are made in `_REGISTRY` order,
-    so the Haar matrix's transforms run before the Grams' eigh (after it
-    they raised chars-2d's peak RSS by 0.8 MiB).
+    that reads images takes no pass; operator_norm reads none, and its
+    solver runs on the mesh (`_mesh_norm`). The Lp reports draw their
+    rotations from seed, and mode, "global" or "local", restricts the
+    output norm of the Haar and Lp Haar scans. Each side's reports are
+    made in `_REGISTRY` order.
     """
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
@@ -1414,8 +1466,9 @@ def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: T
                             system=system, p=q, seed=seed, mode=mode)
                  for name, (_, swapped, make) in _REGISTRY.items()
                  if name in names and swapped == dual}
-        if folds:
-            _fold_images(op, trunc, source, depth, *(fold.add for fold in folds.values()))
+        adds = [fold.add for fold in folds.values() if fold.add]
+        if adds:
+            _fold_images(op, trunc, source, depth, *adds)
         for name, fold in folds.items():
             out[name] = replace(fold.report(op, trunc), name=name)
     return out
@@ -1426,10 +1479,11 @@ def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: T
 # report name -> (evaluator(sigma, omega, witness, search_space), swapped,
 # fold): a swapped report's scan ran on (omega, sigma), so its witness is
 # evaluated with the measures swapped back, and `pair_bundle` folds it on
-# omega's pass; fold makes the fold that gives the report there, None for
-# a scan that reads no operator images
+# omega's pass; fold makes the fold that gives the report there (its add
+# None where it reads no images), None for a report `pair_bundle` does not
+# give
 _REGISTRY = {
-    "operator_norm": (_evaluate_matrix_witness, False, _norm_fold),
+    "operator_norm": (_evaluate_norm_witness, False, _mesh_norm_fold),
     "haar_testing": (_evaluate_haar_witness, False, _gram_fold),
     "dual_haar_testing": (_evaluate_haar_witness, True, _gram_fold),
     "lp_haar_testing": (_evaluate_haar_witness, False, _lp_fold),
@@ -1437,6 +1491,7 @@ _REGISTRY = {
     "cube_testing": (_evaluate_cube_witness, False, _cube_fold),
     "a2_lambda": (_evaluate_size_witness, False, None),
     "ap_lambda": (_evaluate_size_witness, False, None),
+    "haar_block_norm": (_evaluate_matrix_witness, False, None),
     "haar_testing_matched": (_evaluate_matrix_witness, False, None),
     "dual_haar_testing_matched": (_evaluate_matrix_witness, False, None),
     "quadratic_offset_ap": (_evaluate_pair_family_witness, False, None),

@@ -1099,37 +1099,21 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
                           top: int = 8) -> ExperimentReport:
     """Randomized plus greedy-mutation search for extreme norm-to-testing ratios.
 
-    Maximizes norm / (testing + dual testing) at fixed depth over measure
-    pairs from the family, mutating the best pair's cell masses in the second
-    phase. Emits a leaderboard ordered by (ratio, hash); a large ratio is
+    Maximizes the mesh operator norm over testing + dual testing at fixed
+    depth over measure pairs from the family, mutating the best pair's cell
+    masses in the second phase. Emits a leaderboard of the top rows ordered
+    by (ratio, hash), with their pairs' doubling constants; a large ratio is
     evidence of degradation, never a disproof of boundedness.
     """
     if iterations < 2:
         raise ValueError("need at least 2 iterations")
     rng = np.random.default_rng(seed)
     dbl_depth = min(depth, grid.max_level - 1)
-
-    def evaluate(sigma: MeshMeasure, omega: MeshMeasure, kind: str) -> dict:
-        names = ("operator_norm", "haar_testing", "dual_haar_testing")
-        reports = pair_bundle(sigma, omega, kernel, trunc, depth, names)
-        norm, test, dual = (reports[name].value for name in names)
-        denom = test + dual
-        ratio = norm / denom if denom > 0.0 else 0.0
-        return {
-            "ratio": float(ratio),
-            "norm": float(norm),
-            "testing": float(test),
-            "dual_testing": float(dual),
-            "doubling_sigma": doubling_constant(sigma, dbl_depth).constant,
-            "doubling_omega": doubling_constant(omega, dbl_depth).constant,
-            "kind": kind,
-            "hash": _pair_hash(sigma, omega),
-        }
-
-    entries = []
+    names = ("operator_norm", "haar_testing", "dual_haar_testing")
+    # the best `top` rows so far with their measures, in leaderboard order
+    board, ratios = [], []
     explore = max(1, iterations // 2)
-    best_cells = None
-    best_ratio = -1.0
+    best_cells, best_ratio = None, -1.0
     for it in range(iterations):
         if it < explore or best_cells is None:
             sigma, omega, kind = _family_draw(grid, measure_family, rng)
@@ -1142,14 +1126,21 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
             sigma = custom_cells(grid, s_cells, label="mutated")
             omega = custom_cells(grid, w_cells, label="mutated")
             kind = "mutation"
-        row = evaluate(sigma, omega, kind)
-        entries.append(row)
+        reports = pair_bundle(sigma, omega, kernel, trunc, depth, names)
+        norm, test, dual = (reports[name].value for name in names)
+        row = {"ratio": norm / (test + dual) if test + dual > 0.0 else 0.0, "norm": norm,
+               "testing": test, "dual_testing": dual}
+        ratios.append(row["ratio"])
+        board.append((row, kind, _pair_hash(sigma, omega), sigma, omega))
+        board.sort(key=lambda entry: (-entry[0]["ratio"], entry[2]))
+        del board[top:]
         if row["ratio"] > best_ratio:
             best_ratio = row["ratio"]
             best_cells = (sigma.cell_mass.copy(), omega.cell_mass.copy())
-    entries.sort(key=lambda row: (-row["ratio"], row["hash"]))
-    leaderboard = entries[:top]
-    ratios = [row["ratio"] for row in entries]
+    leaderboard = [{**row, "doubling_sigma": doubling_constant(sigma, dbl_depth).constant,
+                    "doubling_omega": doubling_constant(omega, dbl_depth).constant,
+                    "kind": kind, "hash": pair_hash}
+                   for row, kind, pair_hash, sigma, omega in board]
     details = {
         "leaderboard": leaderboard,
         "iterations": iterations,

@@ -8,7 +8,7 @@ of one table, the kernel's values at the distinct cell offsets
 (`kernel_matrix`). One table serves an operator and its adjoint: the
 adjoint's table is the operator's reversed. No part of G is ever copied
 out of the table: G x is the convolution of the table with x, so it comes
-by FFT of the zero-padded table (`_table_spectrum`, `_convolve`), or as
+by FFT of the zero-padded table (`_table_spectrum`, `_fft_operator`), or as
 sums over strided windows of the table itself (`_window_images`).
 
 Only two functions act by G: `apply`, for a mesh function or a
@@ -222,7 +222,7 @@ def kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _table_spectrum(kernel: Kernel, trunc: Truncation, grid: Grid) -> tuple:
     """(spectrum, floor): the rfftn of the offset table zero-padded to
-    (2m,)*n, and the rounding floor of `_convolve` per unit of an input
+    (2m,)*n, and the rounding floor of `_fft_operator` per unit of an input
     row's l1 norm. Cached per kernel orientation; a few (2m)^n / 2 complex
     entries, where G has m^(2n)."""
     m, n = grid.cells_per_axis, grid.dimension
@@ -232,32 +232,41 @@ def _table_spectrum(kernel: Kernel, trunc: Truncation, grid: Grid) -> tuple:
     return spectrum, _FFT_FLOOR * np.finfo(float).eps * np.log2(size) * np.abs(table).max()
 
 
-def _convolve(kernel: Kernel, trunc: Truncation, grid: Grid, count: int, inputs,
-              out: np.ndarray) -> np.ndarray:
-    """G x for count mesh functions x, by FFT, into out (count, n_cells):
-    inputs(start, stop) gives rows start..stop of x as (k, n_cells).
+def _fft_operator(kernel: Kernel, trunc: Truncation, grid: Grid):
+    """x -> G x for a stack x (k, n_cells) of mesh functions, by FFT.
 
     G[i, j] = table[i - j + m - 1], so G x is the linear convolution of
     the table with x at the offsets m - 1 .. 2m - 2 per axis; zero-padded
-    to (2m,)*n, the cyclic convolution has no wrapped term there. Rows go
-    in batches whose transforms fill _IMAGE_BLOCK_ENTRIES; pocketfft
+    to (2m,)*n, the cyclic convolution has no wrapped term there. pocketfft
     transforms each row alone, so a row's image does not depend on its
-    batch. An output at or below its row's rounding floor (`_table_spectrum`,
+    stack. An output at or below its row's rounding floor (`_table_spectrum`,
     times the row's l1 norm) is set to 0: where the truncated kernel
     vanishes, G x is exactly 0, and the transform leaves rounding there."""
     m, n = grid.cells_per_axis, grid.dimension
     spectrum, floor = _table_spectrum(kernel, trunc, grid)
     shape, axes = (2 * m,) * n, tuple(range(1, n + 1))
     window = (slice(None),) + (slice(m - 1, 2 * m - 1),) * n
-    batch = max(1, _IMAGE_BLOCK_ENTRIES // (2 * m) ** n)
-    for start in range(0, count, batch):
-        stop = min(start + batch, count)
-        x = inputs(start, stop)
+
+    def convolve(x: np.ndarray) -> np.ndarray:
         spec = np.fft.rfftn(x.reshape((-1,) + grid.mesh_shape), s=shape, axes=axes)
         spec *= spectrum
-        images = out[start:stop]
-        images[:] = np.fft.irfftn(spec, s=shape, axes=axes)[window].reshape(stop - start, -1)
+        images = np.fft.irfftn(spec, s=shape, axes=axes)[window].reshape(len(x), -1)
         images[np.abs(images) <= floor * np.abs(x).sum(axis=1, keepdims=True)] = 0.0
+        return images
+
+    return convolve
+
+
+def _convolve(kernel: Kernel, trunc: Truncation, grid: Grid, count: int, inputs,
+              out: np.ndarray) -> np.ndarray:
+    """G x for count mesh functions x (`_fft_operator`), into out (count,
+    n_cells): inputs(start, stop) gives rows start..stop of x as (k,
+    n_cells), in batches whose transforms fill _IMAGE_BLOCK_ENTRIES."""
+    convolve = _fft_operator(kernel, trunc, grid)
+    batch = max(1, _IMAGE_BLOCK_ENTRIES // (2 * grid.cells_per_axis) ** grid.dimension)
+    for start in range(0, count, batch):
+        stop = min(start + batch, count)
+        out[start:stop] = convolve(inputs(start, stop))
     return out
 
 
@@ -287,7 +296,8 @@ def apply(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure,
 
 # cube-image entries (cubes x output cells) per block of `image_blocks`'
 # window route (2 MiB), at least one slab; also the padded transform
-# entries per batch of `_convolve`. On chars-2d (2-D L=6, depth 5) it
+# entries per batch of `_convolve`, and the first block of a Lanczos basis
+# (`characteristics._LanczosBasis`). On chars-2d (2-D L=6, depth 5) it
 # makes blocks of 256 output cells and the op peaks at 66.0 MB of RSS; at
 # 1 << 20 (blocks of 1,024 cells) it peaked at 95.8 MB
 _IMAGE_BLOCK_ENTRIES = 1 << 18
@@ -302,7 +312,7 @@ _IMAGE_BLOCK_ENTRIES = 1 << 18
 # 300 / 415 and depth 3 (4.00) 233 / 65; 2-D L=4 depth 1 (1.60) 0.14 /
 # 0.12. Windows won at every ratio up to 1.45; from 1.6 FFT won but for
 # near ties (above, and 1-D L=8 depth 3 at 1.78, 0.07 ms by either), so
-# one ratio serves both dimensions. And `_convolve`'s rounding floor in
+# one ratio serves both dimensions. And `_fft_operator`'s rounding floor in
 # units of eps * log2((2m)^n) * max|table| * sum|x|: over 1-D hilbert and
 # 2-D riesz_like and fractional_integral images with three truncations,
 # the transform left at most 0.19 of that unit where G x is exactly 0

@@ -15,6 +15,7 @@ from haartest.characteristics import (
     ap_lambda,
     conjugate_exponent,
     cube_testing,
+    haar_block_norm,
     haar_testing,
     haar_testing_dual,
     lp_haar_testing,
@@ -224,9 +225,9 @@ def test_cube_testing_rejects_bad_mode():
         cube_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="ring")
 
 
-def test_operator_norm_matches_svd():
+def test_haar_block_norm_matches_svd():
     mat = assemble_haar_matrix(HILBERT, TRUNC, SIGMA, OMEGA, 4)
-    rep = operator_norm(mat)
+    rep = haar_block_norm(mat)
     want = np.linalg.svd(mat.entries, compute_uv=False)[0]
     np.testing.assert_allclose(rep.value, want, rtol=1e-9)
     assert rep.search_space["converged"]
@@ -277,6 +278,7 @@ def test_reevaluate_reproduces_witness_values():
         cube_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="triple", depth=4),
         cube_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="local", depth=4),
         operator_norm(mat),
+        haar_block_norm(mat),
         matched_haar_testing(mat),
         matched_haar_testing(mat, dual=True),
         quadratic_offset_ap(SIGMA, OMEGA, 0.0, depth=4, seed=3),

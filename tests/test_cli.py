@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import haartest
+import haartest.cli as cli
+from haartest.characteristics import pair_bundle
 from haartest.cli import (
     COMMANDS,
     ConfigError,
@@ -135,13 +138,45 @@ def test_main_characteristics_roundtrip(tmp_path, capsys):
     assert result["operator_norm"]["name"] == "operator_norm"
 
 
-def test_main_flags_shallow_scan_below_half(tmp_path, capsys):
-    # at depth 3 the truncated two-sided testing bound genuinely exceeds
-    # twice the matrix norm on Lebesgue, and the run reports the failed check
-    rc = main(["characteristics", "--depth", "3", "--out", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "ratio below 1/2" in err
+def test_main_passes_the_gate_where_the_haar_block_norm_fell_below(tmp_path):
+    # the norm on the mesh dominates both testing constants; the Haar block
+    # norm fell below half their sum on these pairs (ratios 0.25 and 0.47)
+    rc = main(tiny_args("characteristics", tmp_path, ["--depth", "3", "--measures",
+                                                      "point:sharpness=4,lebesgue,"
+                                                      "lebesgue,lebesgue"]))
+    assert rc == 0
+    body = json.loads((tmp_path / "characteristics.json").read_text())
+    assert min(pair["ratio"] for pair in body["results"]["pairs"]) >= 0.5
+
+
+def test_main_flags_a_ratio_below_half(tmp_path, capsys, monkeypatch):
+    def low_norm(*args):
+        reports = pair_bundle(*args)
+        reports["operator_norm"] = replace(reports["operator_norm"],
+                                           value=reports["operator_norm"].value / 4)
+        return reports
+
+    monkeypatch.setattr(cli, "pair_bundle", low_norm)
+    assert main(tiny_args("characteristics", tmp_path)) == 1
+    assert "pair 0 ratio below 1/2" in capsys.readouterr().err
+
+
+def test_main_writes_no_ratio_where_both_testing_constants_are_0(tmp_path):
+    # one cell carries all of each measure: no wavelet, so H = H* = 0, and
+    # the report holds null, strict JSON, where it held Infinity
+    path = tmp_path / "one.csv"
+    path.write_text("cell_index,mass\n0,1.0\n")
+    rc = main(tiny_args("characteristics", tmp_path,
+                        ["--depth", "6", "--measures", f"csv:{path},csv:{path}"]))
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "characteristics.json").read_text()
+    (pair,) = json.loads(text, parse_constant=reject)["results"]["pairs"]
+    assert pair["ratio"] is None
+    assert pair["haar_testing"]["value"] == pair["haar_testing_dual"]["value"] == 0.0
 
 
 def test_main_determinism_modulo_timestamp(tmp_path):

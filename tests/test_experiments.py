@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from haartest.characteristics import _cube_values, cube_testing
+import haartest.experiments as experiments
+from haartest.characteristics import _cube_values, cube_testing, pair_bundle
 from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance
 from haartest.experiments import (
     AlignedTriple,
@@ -26,6 +27,7 @@ from haartest.experiments import (
     triple_absorption_experiment,
 )
 from haartest.measure import (
+    doubling_constant,
     lebesgue,
     near_point_mass,
     power_weight,
@@ -342,7 +344,38 @@ def test_counterexample_search_deterministic():
     assert ratios == sorted(ratios, reverse=True)
     assert len(la) <= 4
     assert "evidence" in a.details["note"]
-    np.testing.assert_allclose(a.value, 0.493159, atol=1e-5)
+    np.testing.assert_allclose(a.value, 3.270279, atol=1e-5)
+
+
+def test_counterexample_search_takes_doubling_constants_for_its_leaderboard_only(monkeypatch):
+    # 2 * top doubling constants (at depth 4 on L=10), and the leaderboard
+    # of every row computed, doubling constants too, then sorted by (ratio, hash)
+    calls, pairs = [], []
+
+    def counted(measure, depth):
+        calls.append(depth)
+        return doubling_constant(measure, depth)
+
+    def recorded(sigma, omega, *args):
+        pairs.append((sigma, omega, pair_bundle(sigma, omega, *args)))
+        return pairs[-1][2]
+
+    monkeypatch.setattr(experiments, "doubling_constant", counted)
+    monkeypatch.setattr(experiments, "pair_bundle", recorded)
+    board = counterexample_search(GRID, HILBERT, TRUNC, iterations=12, seed=3, depth=4,
+                                  top=5).details["leaderboard"]
+    assert len(calls) == 2 * 5
+    rows = []
+    for sigma, omega, reports in pairs:
+        norm, test, dual = (reports[name].value for name in
+                            ("operator_norm", "haar_testing", "dual_haar_testing"))
+        rows.append({"ratio": norm / (test + dual) if test + dual > 0.0 else 0.0,
+                     "norm": norm, "testing": test, "dual_testing": dual,
+                     "doubling_sigma": doubling_constant(sigma, 4).constant,
+                     "doubling_omega": doubling_constant(omega, 4).constant,
+                     "hash": experiments._pair_hash(sigma, omega)})
+    rows.sort(key=lambda row: (-row["ratio"], row["hash"]))
+    assert [{k: v for k, v in row.items() if k != "kind"} for row in board] == rows[:5]
 
 
 def test_counterexample_search_callable_family():

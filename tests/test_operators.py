@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import haartest.operators as operators
-from haartest.characteristics import matched_haar_testing, operator_norm
+import haartest.characteristics as characteristics
+from haartest.characteristics import (
+    haar_block_norm,
+    matched_haar_testing,
+    operator_norm,
+    pair_bundle,
+    reevaluate,
+)
 from haartest.dyadic import Grid
 from haartest.haar import cached_system
 from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
@@ -324,9 +331,9 @@ def _norm_pairs(corpus1):
 
 
 def _norm_matrices(corpus1):
-    """The Haar matrices of `_norm_pairs`, then random square matrices of
-    the Lanczos and the dense sizes, a rank-one and a zero matrix, each as
-    the entries of the first Haar matrix."""
+    """The Haar matrices of `_norm_pairs`, then random square matrices from
+    15 to 1023 rows, two rank-one and a zero matrix, each as the entries of
+    the first Haar matrix."""
     matrices = [assemble_haar_matrix(kernel, default_truncation(sigma.grid), sigma, omega, depth)
                 for sigma, omega, kernel, depth in _norm_pairs(corpus1)]
     rng = np.random.default_rng(63)
@@ -336,24 +343,23 @@ def _norm_matrices(corpus1):
     return matrices, [dataclasses.replace(matrices[0], entries=e) for e in entries]
 
 
-def test_operator_norm_matches_the_dense_norm(corpus1):
-    # the Lanczos bidiagonal of the large blocks and the dense SVD of the
-    # small ones both give the spectral norm to rounding
+def test_haar_block_norm_matches_the_dense_norm(corpus1):
+    # the Lanczos bidiagonal gives the spectral norm of every block, small
+    # or large, to rounding
     haar, other = _norm_matrices(corpus1)
     for matrix in haar + other:
-        rep = operator_norm(matrix)
+        rep = haar_block_norm(matrix)
         want = np.linalg.norm(matrix.entries, 2)
         assert abs(rep.value - want) <= 1e-13 * want
         assert rep.search_space["converged"]
-        assert (rep.search_space["iterations"] > 0) == (min(matrix.entries.shape) > 64
-                                                        and want > 0.0)
+        assert (rep.search_space["iterations"] > 0) == (want > 0.0)
         v = np.asarray(rep.witness["coefficients"])
         assert np.linalg.norm(v) == pytest.approx(1.0 if want > 0.0 else 0.0, abs=1e-14)
-    assert operator_norm(other[-1]).witness["coefficients"] == [0.0] * 80
+    assert haar_block_norm(other[-1]).witness["coefficients"] == [0.0] * 80
 
 
 @pytest.mark.parametrize("depth", [4, 6])
-def test_operator_norm_witness_of_a_double_top_value_is_stable(depth):
+def test_haar_block_norm_witness_of_a_double_top_value_is_stable(depth):
     # on a lebesgue/lebesgue pair the top singular value of the Haar block
     # is double to rounding, so every unit vector of a plane is a top
     # vector: the witness, the fixed start's projection on that plane, does
@@ -363,22 +369,75 @@ def test_operator_norm_witness_of_a_double_top_value_is_stable(depth):
                                   lebesgue(grid), lebesgue(grid), depth)
     svals = np.linalg.svd(matrix.entries, compute_uv=False)
     assert svals[1] >= (1.0 - 1e-13) * svals[0] and svals[2] < 0.99 * svals[0]
-    witness = np.array(operator_norm(matrix).witness["coefficients"])
+    witness = np.array(haar_block_norm(matrix).witness["coefficients"])
     rng = np.random.default_rng(64)
     for _ in range(5):
         noisy = matrix.entries * (1.0 + 1e-15 * rng.standard_normal(matrix.entries.shape))
-        rep = operator_norm(dataclasses.replace(matrix, entries=noisy))
+        rep = haar_block_norm(dataclasses.replace(matrix, entries=noisy))
         assert np.abs(np.array(rep.witness["coefficients"]) - witness).max() <= 1e-10
 
 
-def test_operator_norm_dominates_matched_testing(corpus1):
+def test_haar_block_norm_dominates_matched_testing(corpus1):
     # the block norm dominates the norm of every column block and every row
     # block, so both matched testing constants
     haar, _ = _norm_matrices(corpus1)
     for matrix in haar:
         bound = max(matched_haar_testing(matrix).value,
                     matched_haar_testing(matrix, dual=True).value)
-        assert operator_norm(matrix).value >= bound * (1.0 - 1e-13)
+        assert haar_block_norm(matrix).value >= bound * (1.0 - 1e-13)
+
+
+def _mesh_norm_cases():
+    """(sigma, omega, kernel): 1-D L=7 and 2-D L=4 doubling pairs, each
+    also with sigma or omega massless on a block of cells."""
+    for grid, kernel in ((Grid(dimension=1, max_level=7), make_kernel("hilbert", 0.0, 1)),
+                         (Grid(dimension=2, max_level=4), make_kernel("riesz_like", 0.5, 2))):
+        sigma = random_dyadic_doubling(grid, 2.0, seed=71)
+        omega = random_dyadic_doubling(grid, 3.0, seed=72)
+        holed = custom_cells(grid, np.where(np.arange(grid.n_cells) % 16 < 5, 0.0,
+                                            sigma.flat_mass))
+        yield sigma, omega, kernel
+        yield holed, omega, kernel
+        yield omega, holed, kernel.transpose()
+
+
+def test_operator_norm_is_the_dense_mesh_norm(monkeypatch):
+    # the top singular value of diag(sqrt omega) G diag(sqrt sigma), with no
+    # image pass; its witness is 0 where sigma is, re-evaluates to the value
+    # bit for bit, and the Haar matrix's call gives the same report
+    monkeypatch.setattr(characteristics, "_fold_images", None)
+    for sigma, omega, kernel in _mesh_norm_cases():
+        trunc = default_truncation(sigma.grid)
+        rep = pair_bundle(sigma, omega, kernel, trunc, 3, ("operator_norm",))["operator_norm"]
+        g = dense_kernel_matrix(kernel, trunc, sigma.grid)
+        want = np.linalg.norm(np.sqrt(omega.flat_mass)[:, None] * g * np.sqrt(sigma.flat_mass), 2)
+        assert abs(rep.value - want) <= 1e-12 * want
+        assert rep.search_space["converged"] and rep.witness["side"] == "mesh"
+        f = np.array(rep.witness["coefficients"])
+        assert np.all(f[sigma.flat_mass == 0.0] == 0.0)
+        assert np.sqrt(sigma.flat_mass @ f ** 2) == pytest.approx(1.0, abs=1e-14)
+        assert reevaluate(rep, sigma, omega) == rep.value
+        matrix = haar_matrix(kernel, trunc, sigma, omega, 3)
+        assert operator_norm(matrix).as_dict() == rep.as_dict()
+
+
+def test_operator_norm_dominates_every_testing_constant(corpus1):
+    # N_T(sigma, omega) bounds the norm of T_sigma on each test function, so
+    # every testing constant, the dual ones (|T*| = |T|) and the Haar block
+    # norm, which is |T| on the wavelets' span: the gate's N >= (H + H*)/2
+    pairs = [(sigma, omega, make_kernel("hilbert", 0.0, 1), 6)
+             for sigma in corpus1 for omega in corpus1]
+    grid = Grid(dimension=2, max_level=5)
+    sigma, omega = (random_dyadic_doubling(grid, r, seed=s) for r, s in ((2.0, 61), (3.0, 62)))
+    pairs.append((sigma, omega, make_kernel("riesz_like", 0.5, 2), 4))
+    for sigma, omega, kernel, depth in pairs:
+        trunc = default_truncation(sigma.grid)
+        bundle = pair_bundle(sigma, omega, kernel, trunc, depth)
+        matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, depth)
+        below = [rep.value for name, rep in bundle.items() if name != "operator_norm"]
+        below += [matched_haar_testing(matrix).value,
+                  matched_haar_testing(matrix, dual=True).value, haar_block_norm(matrix).value]
+        assert bundle["operator_norm"].value >= max(below) * (1.0 - 1e-12)
 
 
 # -- sampled checks of the declared kernel constants ----------------------------
