@@ -27,19 +27,20 @@ member's children, and a pair family's two norms are sums over its cubes
 and its distinct partners of their level masses (`_pair_values`). The
 images of single witnesses come from `operators.apply`. The operator
 norm reads no images: it is the norm of T_sigma from L2(sigma) to
-L2(omega) on the mesh, by Golub-Kahan-Lanczos steps on matrix-free
-products with the kernel and its adjoint (`_mesh_norm`). Each fold builds
-its report with report(kernel, trunc), and `pair_bundle(names)` makes the
-folds of the names given and runs one pass of sigma's images and one of
-omega's, the kernel transposed, for the dual reports; the Haar testings
-and their Lp forms, standalone or bundled, all take it, so a pair's side
-is read once however many of them are asked for. The pair scans
-take a block of cubes' partners at once: an offset stencil, or the finer
-levels' cubes grouped by cube. One witness rule serves every scan
-(`_first_max`): the first largest candidate in scan order, that is levels
-coarse to fine, cubes in C order and each cube's candidates in order; a
-family search takes its families' tries in order, and its first largest
-try is the witness when it is strictly above the best single cube or pair.
+L2(omega) on the mesh, by Lanczos steps on the normal operator, each one
+matrix-free product with the kernel and one with its adjoint
+(`_mesh_norm`). Each fold builds its report with report(kernel, trunc),
+and `pair_bundle(names)` makes the folds of the names given and runs one
+pass of sigma's images and one of omega's, the kernel transposed, for the
+dual reports; the Haar testings and their Lp forms, standalone or
+bundled, all take it, so a pair's side is read once however many of them
+are asked for. The pair scans take a block of cubes' partners at once: an
+offset stencil, or the finer levels' cubes grouped by cube. One witness
+rule serves every scan (`_first_max`): the first largest candidate in scan
+order, that is levels coarse to fine, cubes in C order and each cube's
+candidates in order; a family search takes its families' tries in order,
+and its first largest try is the witness when it is strictly above the
+best single cube or pair.
 """
 
 from __future__ import annotations
@@ -782,48 +783,44 @@ def _evaluate_cube_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 # -- operator norm and matched testing ----------------------------------------
 
-# the norms' stopping rule, recorded in their search spaces: the top
-# singular triple (s, u, v) of the Lanczos bidiagonal has |A^T u - s v|
-# at most _NORM_TOL s, or the steps reach _NORM_MAX_ITERS
+# the norms' stopping rule, recorded in their search spaces: the top Ritz
+# pair (theta, y) of the Lanczos tridiagonal has |A^T A y - theta y| at most
+# _NORM_TOL theta, or the steps reach _NORM_MAX_ITERS
 _NORM_TOL = 1e-12
 _NORM_MAX_ITERS = 10000
 
 
-def _top_singular_triple(matvec, rmatvec, n: int) -> tuple:
+def _top_singular_triple(normal, n: int) -> tuple:
     """(value, unit right vector, steps, converged) of the largest singular
-    value of A, given as x -> A x and y -> A^T y on vectors of length n.
+    value of A, given as x -> A^T A x on vectors of length n.
 
-    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization:
-    A V_k = U_k B_k with B_k upper bidiagonal, and the top singular triple
-    (s, p, q) of B_k, from the top eigenpair (s^2, p) of the tridiagonal
-    B_k B_k^T and q = B_k^T p / s, gives v = V_k q with A v = s U_k p and
-    the residual |A^T U_k p - s v| = beta_k |p_k|. The start is a fixed
-    pseudo-random vector, so no structure of A can make it orthogonal to
-    the top vector. A zero image of it gives 0 and a zero vector in 0
-    steps; a later alpha or beta at rounding level of the first alpha ends
-    the steps with an exact invariant subspace.
-
-    Where the top value is multiple, any unit vector of its right singular
-    space is a top vector; the Krylov steps find the start's projection on
-    that space, which rounding-level changes of A do not move.
+    Lanczos with full reorthogonalization: the top eigenpair (theta, s) of
+    the tridiagonal T_k of A^T A on the basis Q_k gives the value
+    sqrt(theta), the vector v = Q_k s and the residual |A^T A v - theta v| =
+    beta_k |s_k|; from the same start these are Golub-Kahan-Lanczos's steps
+    and right basis. The start is a fixed pseudo-random vector, which no
+    structure of A makes orthogonal to the top vector. A zero image of it
+    gives 0 and a zero vector in 0 steps; a later beta at rounding level of
+    the first image ends the steps with an exact invariant subspace. Where
+    the top value is multiple, the steps find the start's projection on its
+    right singular space, which rounding-level changes of A do not move.
     """
-    right, betas = _LanczosBasis(n), []  # betas[0]: the start's norm
-    right.add(np.random.default_rng(0).standard_normal(n), betas, 0.0)
-    u = matvec(right[0])
-    if not np.any(u):
+    basis, alphas, betas = _LanczosBasis(n), [], []  # betas[0]: the start's norm
+    basis.add(np.random.default_rng(0).standard_normal(n), betas, 0.0)
+    w = normal(basis[0])
+    if not np.any(w):
         return 0.0, np.zeros(n), 0, True
-    floor = np.finfo(float).eps * n * float(np.linalg.norm(u))
-    left, alphas = _LanczosBasis(u.size), []
+    floor = np.finfo(float).eps * n * float(np.linalg.norm(w))
     for k in range(min(n, _NORM_MAX_ITERS)):
-        r = rmatvec(left.add(u, alphas, floor)) - alphas[-1] * right[k]
-        right.add(r, betas, floor)
-        b = np.diag(alphas) + np.diag(betas[1:-1], 1)
-        squares, lefts = np.linalg.eigh(b @ b.T)
-        s, p = float(np.sqrt(squares[-1])), lefts[:, -1]
-        converged = betas[-1] * abs(p[-1]) <= _NORM_TOL * s
+        alphas.append(float(basis[k] @ w))
+        basis.add(w, betas, floor)
+        t = np.diag(alphas) + np.diag(betas[1:-1], 1) + np.diag(betas[1:-1], -1)
+        thetas, vectors = np.linalg.eigh(t)
+        theta, s = float(thetas[-1]), vectors[:, -1]
+        converged = betas[-1] * abs(s[-1]) <= _NORM_TOL * theta
         if converged or k + 1 == min(n, _NORM_MAX_ITERS):
-            return s, sum(c * row for c, row in zip(b.T @ p / s, right)), k + 1, bool(converged)
-        u = matvec(right[k + 1]) - betas[-1] * left[-1]
+            return np.sqrt(theta), sum(c * row for c, row in zip(s, basis)), k + 1, bool(converged)
+        w = normal(basis[k + 1])
 
 
 class _LanczosBasis(list):
@@ -878,23 +875,18 @@ def _mesh_norm(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
                trunc: Truncation) -> CharacteristicReport:
     """N_T(sigma, omega), the norm of T_sigma from L2(sigma) to L2(omega) on
     the mesh: the top singular value of A = diag(sqrt omega) G diag(sqrt
-    sigma) (`_top_singular_triple`), where A x = sqrt(omega) G(sqrt(sigma)
-    x) and A^T y = sqrt(sigma) G^T(sqrt(omega) y) are one `_fft_operator`
-    product each, of the kernel's table and of its adjoint's. The witness
-    is f = v / sqrt(sigma), 0 where sigma is, of the sign-normalized top
-    right vector v, and the value is f's ratio (`_evaluate_norm_witness`)."""
+    sigma) (`_top_singular_triple`), A^T A x = sqrt(sigma) G^T(omega
+    G(sqrt(sigma) x)) one `_fft_operator` product each of the kernel's and
+    its adjoint's tables. The witness is f = v / sqrt(sigma), 0 where sigma
+    is, of the sign-normalized top right vector v; the value is f's ratio."""
     grid = _check_pair(sigma, omega)
     require_resolved(trunc, grid)
-    roots = np.sqrt(sigma.flat_mass), np.sqrt(omega.flat_mass)
-
-    def product(op: Kernel, inner: np.ndarray, outer: np.ndarray):
-        convolve = _fft_operator(op, trunc, grid)
-        return lambda x: outer * convolve((inner * x)[None])[0]
-
+    root = np.sqrt(sigma.flat_mass)
+    forward, adjoint = (_fft_operator(op, trunc, grid) for op in (kernel, kernel.transpose()))
     _, v, steps, converged = _top_singular_triple(
-        product(kernel, *roots), product(kernel.transpose(), *roots[::-1]), grid.n_cells)
-    live = roots[0] > 0
-    f = np.divide(normalize_sign(np.where(live, v, 0.0)), roots[0],
+        lambda x: root * adjoint(omega.flat_mass * forward((root * x)[None]))[0], grid.n_cells)
+    live = root > 0
+    f = np.divide(normalize_sign(np.where(live, v, 0.0)), root,
                   out=np.zeros(grid.n_cells), where=live)
     witness = {"side": "mesh", "coefficients": f.tolist()}
     space = _norm_space(kernel, trunc, steps, converged)
@@ -923,7 +915,7 @@ def haar_block_norm(matrix: HaarMatrix) -> CharacteristicReport:
     as the value. It lies between both matched testing constants and
     operator_norm."""
     a = matrix.entries
-    _, v, steps, converged = _top_singular_triple(lambda x: a @ x, lambda y: a.T @ y, a.shape[1])
+    _, v, steps, converged = _top_singular_triple(lambda x: a.T @ (a @ x), a.shape[1])
     v = normalize_sign(v)
     space = {"depth": matrix.depth, "rows": int(a.shape[0]), "cols": int(a.shape[1]),
              **_norm_space(matrix.kernel, matrix.trunc, steps, converged)}
@@ -1418,10 +1410,11 @@ def _gram_fold(sigma: MeshMeasure, omega: MeshMeasure, system, mode: str, **_) -
 
 def _lp_fold(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: Truncation,
              system, p: float, seed: int, mode: str, **_) -> _LpFold:
-    """At p = 2 the candidates take the exact optimum, which makes the
-    value agree with haar_testing there."""
+    """At p = 2 every cube with two or more wavelets takes its exact
+    optimum as a candidate (a one-wavelet cube's is its wavelet), which
+    makes the value agree with haar_testing there."""
     return _LpFold(system(sigma), kernel, trunc, omega.flat_mass, p, mode == "local", seed,
-                   1 if p == 2.0 else np.inf)
+                   2 if p == 2.0 else np.inf)
 
 
 def _cube_fold(sigma: MeshMeasure, omega: MeshMeasure, depth: int, **_) -> _PyramidFold:

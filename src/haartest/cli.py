@@ -27,6 +27,7 @@ from .experiments import (
     SignDominanceError,
     a2_lower_bound_experiment,
     counterexample_search,
+    dipole_family_levels,
     halo_cover,
     matrix_counterexample,
     MatrixCounterexampleConfig,
@@ -270,22 +271,19 @@ def run_experiment(cfg: RunConfig) -> tuple:
     grid = cfg.grid()
     pairs = measure_pairs(cfg, grid)
     s_spec, o_spec, sigma, omega = pairs[0]
+    delta_cap = 0.125  # quadratic_ap_experiment's widest cone: check its grid before any trial
+    dipole_family_levels(grid, delta_cap)
     kernel = make_kernel(cfg.kernel, cfg.lam, grid.dimension)
     trunc = build_truncation(cfg, grid)
-    base = None
-    diff_report = None
-    delta = None
     last_error = None
-    for level in range(2, grid.max_level - 2):
+    for base in range(2, grid.max_level - 2):
         try:
             delta, _, diff_report = select_delta(
-                grid, kernel, trunc, grid.cube(level, (0,) * grid.dimension),
-                seed=cfg.seed)
-            base = level
+                grid, kernel, trunc, grid.cube(base, (0,) * grid.dimension), seed=cfg.seed)
             break
         except (AlignmentError, TruncationError) as exc:
             last_error = exc
-    if diff_report is None:
+    else:
         raise AlignmentError(f"no base level admits an aligned configuration: {last_error}")
     depth = min(cfg.depth, grid.max_level - 1)
     lower = a2_lower_bound_experiment(sigma, omega, kernel, trunc,
@@ -294,7 +292,7 @@ def run_experiment(cfg: RunConfig) -> tuple:
     absorption = triple_absorption_experiment(sigma, omega, kernel, trunc,
                                               depth=min(depth, 5), seed=cfg.seed)
     quad = quadratic_ap_experiment(sigma, omega, kernel, trunc, p=cfg.p,
-                                   families=4, seed=cfg.seed, delta=min(delta, 0.125),
+                                   families=4, seed=cfg.seed, delta=min(delta, delta_cap),
                                    control_depth=depth)
     box_lower = tuple(float(t) for t in grid.window_lower + 0.4 * grid.side)
     cover = halo_cover(sigma, (box_lower, 0.25 * grid.side), 0.1, 0.9)

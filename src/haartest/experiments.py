@@ -29,7 +29,7 @@ from .characteristics import (
     quadratic_offset_ap,
 )
 from .dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance
-from .haar import cached_system
+from .haar import HaarSystem, cached_system
 from .measure import (
     MeshMeasure,
     custom_cells,
@@ -528,6 +528,18 @@ def select_delta(grid: Grid, kernel: Kernel, trunc: Truncation,
     )
 
 
+def _rows_within(system: HaarSystem, cube: DyadicCube) -> np.ndarray:
+    """Mask of the system's rows whose cube lies in cube, as
+    `DyadicCube.contains` tells it, from the level arrays."""
+    masks = []
+    for lv in system.levels:
+        shift = lv.level - cube.level
+        coords = np.unravel_index(lv.cubes, (2 ** lv.level,) * cube.grid.dimension)
+        masks.append(np.all([c >> shift == own for c, own in zip(coords, cube.coords)], axis=0)
+                     if shift >= 0 else np.zeros(lv.cubes.size, dtype=bool))
+    return np.concatenate(masks)
+
+
 def _expansion_check(sigma: MeshMeasure, triple: AlignedTriple, phi: np.ndarray,
                      l2_norm: float) -> dict:
     """Expand the normalized dipole and verify support, count, and synthesis.
@@ -536,30 +548,22 @@ def _expansion_check(sigma: MeshMeasure, triple: AlignedTriple, phi: np.ndarray,
     down to one generation above the dipole cubes; reconstruction from that
     block must reproduce the dipole to 1e-10 in L2(sigma).
     """
-    grid = sigma.grid
-    m = triple.m
-    depth = triple.pos_cube.level
-    system = cached_system(sigma, depth)
+    grid, m = sigma.grid, triple.m
+    system = cached_system(sigma, triple.pos_cube.level)
     unit = np.asarray(phi, dtype=float) / l2_norm
     coeffs = system.expand(unit)
-    mean_c = system.mean_coefficient(unit)
-    allowed = {triple.source.key()}
-    if m >= 2:
-        allowed.update(q.key() for q in triple.source.grandchildren(m - 1, cumulative=True))
-    labels = system.wavelet_labels()
+    keep = _rows_within(system, triple.source)
     nonzero = np.abs(coeffs) > 1e-12
-    support_ok = all(labels[i][0] in allowed for i in np.nonzero(nonzero)[0])
     count = int(np.count_nonzero(nonzero))
     n = grid.dimension
     count_bound = (2**n - 1) * sum(2 ** (n * j) for j in range(1, m + 1))
-    keep = np.array([lab[0] in allowed for lab in labels])
     recon = system.reconstruct(coeffs * keep, mean_coeff=0.0)
     err = float(np.sqrt(sigma.integrate((recon - unit.reshape(grid.mesh_shape)) ** 2)))
     return {
-        "mean_coefficient": float(mean_c),
+        "mean_coefficient": float(system.mean_coefficient(unit)),
         "coefficient_count": count,
         "count_bound": int(count_bound),
-        "support_ok": bool(support_ok),
+        "support_ok": not np.any(nonzero & ~keep),
         "count_ok": bool(count <= count_bound),
         "reconstruction_error": err,
     }
@@ -1154,6 +1158,17 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
                             passed=True, details=details, seed=seed)
 
 
+def dipole_family_levels(grid: Grid, delta: float) -> tuple:
+    """(offset, coarsest level, finest level) of the dipole families at cone
+    width delta: members 1/delta cubes apart or more, three levels beneath."""
+    offset = math.ceil(1.0 / delta)
+    level_min, level_max = math.ceil(math.log2(offset + 2.0)), grid.max_level - 3
+    if level_min > level_max:
+        raise AlignmentError(f"dipole families at cone width {delta} need max_level >= "
+                             f"{level_min + 3}, got max_level {grid.max_level}")
+    return offset, level_min, level_max
+
+
 def quadratic_ap_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                             kernel: Kernel, trunc: Truncation, p: float = 2.0,
                             families: int = 4, seed: int = 0,
@@ -1177,14 +1192,8 @@ def quadratic_ap_experiment(sigma: MeshMeasure, omega: MeshMeasure,
     if families < 1:
         raise ValueError("need at least one family")
     rng = np.random.default_rng(seed)
-    offset = math.ceil(1.0 / delta)
-    level_min = math.ceil(math.log2(offset + 2.0))
-    level_max = grid.max_level - 3
-    if level_min > level_max:
-        raise AlignmentError("window too small for dipole families at this cone width")
-    rows = []
-    norm_ratios = []
-    pointwise_cs = []
+    offset, level_min, level_max = dipole_family_levels(grid, delta)
+    rows, norm_ratios, pointwise_cs = [], [], []
     for fam in range(families):
         level = int(rng.integers(level_min, level_max + 1))
         cells = 2**level

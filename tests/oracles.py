@@ -9,12 +9,16 @@ over level arrays; `pair_family_value` builds the two mesh functions of
 their definition instead. `haartest.haar` builds one basis of each cube's
 wavelet span; `rotated_system` turns it into another, to check that the
 transforms and the matrix fold hold for any orthonormal basis of the span.
+`haartest.characteristics` takes the top singular triple by Lanczos on
+A^T A; `golub_kahan_triple` takes it by Golub-Kahan-Lanczos, with a left
+and a right basis, from the same start and under the same stopping rule.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from haartest.characteristics import _NORM_MAX_ITERS, _NORM_TOL, _LanczosBasis
 from haartest.dyadic import Grid
 from haartest.haar import HaarLevel, HaarSystem, cached_system
 from haartest.measure import MeshMeasure
@@ -111,3 +115,34 @@ def haar_matrix(kernel: Kernel, trunc: Truncation, sigma: MeshMeasure, omega: Me
                           rotated_system(cached_system(omega, depth), rng))
     _fold_images(kernel, trunc, sigma, depth, fold.add)
     return fold.matrix(kernel, trunc)
+
+
+def golub_kahan_triple(matvec, rmatvec, n: int) -> tuple:
+    """(value, unit right vector, steps, converged) of the largest singular
+    value of A, given as x -> A x and y -> A^T y on vectors of length n.
+
+    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization:
+    A V_k = U_k B_k with B_k upper bidiagonal, and the top singular triple
+    (s, p, q) of B_k, from the top eigenpair (s^2, p) of the tridiagonal
+    B_k B_k^T and q = B_k^T p / s, gives v = V_k q with A v = s U_k p and
+    the residual |A^T U_k p - s v| = beta_k |p_k|. A zero image of the
+    start gives 0 and a zero vector in 0 steps; a later alpha or beta at
+    rounding level of the first alpha ends the steps.
+    """
+    right, betas = _LanczosBasis(n), []  # betas[0]: the start's norm
+    right.add(np.random.default_rng(0).standard_normal(n), betas, 0.0)
+    u = matvec(right[0])
+    if not np.any(u):
+        return 0.0, np.zeros(n), 0, True
+    floor = np.finfo(float).eps * n * float(np.linalg.norm(u))
+    left, alphas = _LanczosBasis(u.size), []
+    for k in range(min(n, _NORM_MAX_ITERS)):
+        r = rmatvec(left.add(u, alphas, floor)) - alphas[-1] * right[k]
+        right.add(r, betas, floor)
+        b = np.diag(alphas) + np.diag(betas[1:-1], 1)
+        squares, lefts = np.linalg.eigh(b @ b.T)
+        s, p = float(np.sqrt(squares[-1])), lefts[:, -1]
+        converged = betas[-1] * abs(p[-1]) <= _NORM_TOL * s
+        if converged or k + 1 == min(n, _NORM_MAX_ITERS):
+            return s, sum(c * row for c, row in zip(b.T @ p / s, right)), k + 1, bool(converged)
+        u = matvec(right[k + 1]) - betas[-1] * left[-1]

@@ -420,7 +420,19 @@ def test_main_seed_reaches_the_lp_reports(tmp_path):
                                                                 seed=5).as_dict()
 
 
-def test_characteristics_on_a_2_to_16_cell_grid_stays_under_400_mb(tmp_path):
+@pytest.mark.parametrize("max_level", [4, 5, 6])
+def test_experiment_below_max_level_7_fails_up_front(tmp_path, capsys, max_level):
+    # the quadratic families sit at least 8 cubes apart, at level 4 or
+    # finer with three levels beneath: the run stops before any trial
+    config = tmp_path / "grid.ini"
+    config.write_text(f"[grid]\ndimension = 1\nmax_level = {max_level}\n")
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "AlignmentError" in err and f"max_level {max_level}" in err and ">= 7" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_characteristics_on_a_2_to_16_cell_grid_stays_under_250_mb(tmp_path):
     # 1-D L=16 at depth 6: cubes of 1,024 cells take the FFT route, and no
     # pass holds a block of G (a slab of it, N^2 / 64 entries, was 512 MiB).
     # A child's ru_maxrss starts from what its parent's process held, so a
@@ -439,4 +451,4 @@ def test_characteristics_on_a_2_to_16_cell_grid_stays_under_400_mb(tmp_path):
                          capture_output=True, text=True, env=env, check=True)
     rc, peak_kib = (int(v) for v in out.stdout.split())
     assert rc == 0
-    assert peak_kib * 1024 < 400e6
+    assert peak_kib * 1024 < 250e6

@@ -6,6 +6,7 @@ import pytest
 import haartest.experiments as experiments
 from haartest.characteristics import _cube_values, cube_testing, pair_bundle
 from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance
+from haartest.haar import HaarSystem
 from haartest.experiments import (
     AlignedTriple,
     AlignmentError,
@@ -189,6 +190,33 @@ def test_a2_lower_bound_power_pair(power_pair):
     assert d["min_r1"] > 0.0
     assert d["trial_count"] == 10
     np.testing.assert_allclose(rep.value, 0.367496, atol=1e-5)
+
+
+def test_expansion_check_takes_the_source_rows_from_the_level_arrays(monkeypatch):
+    # the rows the dipole may use are those whose cube is the source or a
+    # descendant above the dipole level, as the wavelet labels name them
+    import dataclasses
+
+    grid2 = Grid(dimension=2, max_level=5)
+    kernel2 = dataclasses.replace(HILBERT, delta0=1.0)
+    cases = [(random_dyadic_doubling(GRID, 2.0, seed=1),
+              build_aligned_triple(GRID, HILBERT, narrow_cone(), GRID.cube(4, (0,)))),
+             (random_dyadic_doubling(grid2, 2.0, seed=1),
+              build_aligned_triple(grid2, kernel2, SectorConfig(v=(1.0, 0.5), delta=1.0, m=3),
+                                   grid2.cube(2, (0, 0))))]
+    for sigma, tri in cases:
+        system = experiments.cached_system(sigma, tri.pos_cube.level)
+        allowed = {tri.source.key()} | {
+            q.key() for q in tri.source.grandchildren(tri.m - 1, cumulative=True)}
+        want = np.array([key in allowed for key, _ in system.wavelet_labels()])
+        assert 0 < want.sum() < want.size
+        with monkeypatch.context() as patch:
+            patch.setattr(HaarSystem, "wavelet_labels", lambda self: 1 / 0)
+            np.testing.assert_array_equal(experiments._rows_within(system, tri.source), want)
+            phi, rep = phi_test_function(sigma, tri)
+            check = experiments._expansion_check(sigma, tri, phi, rep.l2_norm)
+        assert check["support_ok"] and check["count_ok"]
+        assert check["reconstruction_error"] < 1e-10
 
 
 def test_a2_lower_bound_floor_violation(power_pair):

@@ -14,7 +14,7 @@ from haartest.characteristics import (
     reevaluate,
 )
 from haartest.dyadic import Grid
-from haartest.haar import cached_system
+from haartest.haar import cached_system, normalize_sign
 from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
 from haartest.operators import (
     KERNEL_FAMILIES,
@@ -32,7 +32,7 @@ from haartest.operators import (
     require_resolved,
     smoothstep,
 )
-from oracles import dense_kernel_matrix, haar_matrix, points_matrix
+from oracles import dense_kernel_matrix, golub_kahan_triple, haar_matrix, points_matrix
 
 
 def test_kernel_closed_forms():
@@ -344,8 +344,8 @@ def _norm_matrices(corpus1):
 
 
 def test_haar_block_norm_matches_the_dense_norm(corpus1):
-    # the Lanczos bidiagonal gives the spectral norm of every block, small
-    # or large, to rounding
+    # the Lanczos tridiagonal of A^T A gives the spectral norm of every
+    # block, small or large, to rounding
     haar, other = _norm_matrices(corpus1)
     for matrix in haar + other:
         rep = haar_block_norm(matrix)
@@ -419,6 +419,55 @@ def test_operator_norm_is_the_dense_mesh_norm(monkeypatch):
         assert reevaluate(rep, sigma, omega) == rep.value
         matrix = haar_matrix(kernel, trunc, sigma, omega, 3)
         assert operator_norm(matrix).as_dict() == rep.as_dict()
+
+
+def _mesh_products(sigma, omega, kernel):
+    """x -> A x and y -> A^T y of the mesh norm's A = diag(sqrt omega) G
+    diag(sqrt sigma)."""
+    grid, trunc = sigma.grid, default_truncation(sigma.grid)
+    forward, adjoint = (operators._fft_operator(op, trunc, grid)
+                        for op in (kernel, kernel.transpose()))
+    root_s, root_o = np.sqrt(sigma.flat_mass), np.sqrt(omega.flat_mass)
+    return (lambda x: root_o * forward((root_s * x)[None])[0],
+            lambda y: root_s * adjoint((root_o * y)[None])[0])
+
+
+def test_lanczos_on_the_normal_operator_takes_the_golub_kahan_steps(corpus1, monkeypatch):
+    # Lanczos on A^T A keeps the right basis of Golub-Kahan-Lanczos from the
+    # same start: each solve of the Haar blocks and of the mesh norm takes
+    # the same steps to the same value and top right vector, to rounding
+    solves = []
+    solve = characteristics._top_singular_triple
+    monkeypatch.setattr(characteristics, "_top_singular_triple",
+                        lambda normal, n: solves.append(solve(normal, n)) or solves[-1])
+    products = []
+    haar, other = _norm_matrices(corpus1)
+    for matrix in haar + other:
+        haar_block_norm(matrix)
+        products.append((matrix.entries.__matmul__, matrix.entries.T.__matmul__))
+    for sigma, omega, kernel in _mesh_norm_cases():
+        characteristics._mesh_norm(sigma, omega, kernel, default_truncation(sigma.grid))
+        products.append(_mesh_products(sigma, omega, kernel))
+    assert len(solves) == len(products) == 20
+    for (value, v, steps, converged), (matvec, rmatvec) in zip(solves, products):
+        want, w, want_steps, want_converged = golub_kahan_triple(matvec, rmatvec, v.size)
+        assert (steps, converged) == (want_steps, want_converged)
+        assert abs(value - want) <= 1e-13 * want
+        w = normalize_sign(w)
+        assert np.abs(normalize_sign(v) - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_each_norm_solve_keeps_one_lanczos_basis(corpus1, monkeypatch):
+    made = []
+    basis = characteristics._LanczosBasis
+    monkeypatch.setattr(characteristics, "_LanczosBasis", lambda n: made.append(n) or basis(n))
+    haar, _ = _norm_matrices(corpus1)
+    haar_block_norm(haar[-1])
+    assert made == [haar[-1].entries.shape[1]]
+    made.clear()
+    sigma, omega, kernel = next(_mesh_norm_cases())
+    characteristics._mesh_norm(sigma, omega, kernel, default_truncation(sigma.grid))
+    assert made == [sigma.grid.n_cells]
 
 
 def test_operator_norm_dominates_every_testing_constant(corpus1):

@@ -26,8 +26,12 @@ their duals over four blocks), `experiment --p 3 --depth 8` on the same
 grid (four blocks per depth-8 pass: the one job whose quadratic Haar family
 values are folded over several blocks), `frames --p 3 --depth 8` on the same
 grid (`multi-block-frames-1d`: 4,096 cells make 16-row sample blocks, so
-each frame check streams its 64 or 32 samples in four or two blocks) and
-every op of the benchmark workloads at seed 0 (`perfbench/workloads.py` of
+each frame check streams its 64 or 32 samples in four or two blocks),
+`characteristics --depth 6` on 1-D L=14 with the default measures
+(`long-krylov-1d`: the Lebesgue pair's top singular values cluster, so the
+operator norm takes 131 Lanczos steps, where the other jobs take at most
+33, and a shifted step count or a witness drifting over a long run shows)
+and every op of the benchmark workloads at seed 0 (`perfbench/workloads.py` of
 this checkout, imported as is). Each run gets its own output directory.
 
 It then compares, run by run, the exit codes, every JSON report with `meta`
@@ -104,6 +108,9 @@ def jobs(config_dir: Path) -> list:
                 ["experiment", "--config", str(grid), "--p", "3", "--depth", "8"]))
     out.append(("multi-block-frames-1d",
                 ["frames", "--config", str(grid), "--p", "3", "--depth", "8"]))
+    grid = config_dir / "grid1d_L14.ini"
+    grid.write_text("[grid]\ndimension = 1\nmax_level = 14\n")
+    out.append(("long-krylov-1d", ["characteristics", "--config", str(grid), "--depth", "6"]))
     for workload in WORKLOADS:
         for i, op in enumerate(ops_for(workload, 0, config_dir)):
             out.append((f"{workload}-{i}-{op.subcommand}",
