@@ -20,9 +20,7 @@ from .measure import (
 from .haar import (
     HaarSystem,
     HaarWavelet,
-    build_cube_wavelets,
     build_system,
-    lq_l2_ratio,
 )
 from .operators import (
     HaarMatrix,
@@ -32,19 +30,15 @@ from .operators import (
     apply,
     assemble_haar_matrix,
     default_truncation,
-    eval_truncated,
     make_kernel,
     smoothstep,
 )
 from .characteristics import (
     CharacteristicReport,
     LpConfig,
-    QuadraticFamily,
     a2_lambda,
     ap_lambda,
-    conjugate_exponent,
     cube_testing,
-    haar_block_norm,
     haar_testing,
     haar_testing_dual,
     lp_haar_testing,
@@ -56,7 +50,6 @@ from .characteristics import (
     quadratic_offset_ap,
     quadratic_subcube_ap,
     reevaluate,
-    validate_offset_family,
 )
 from .experiments import (
     AlignedTriple,

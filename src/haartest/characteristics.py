@@ -52,7 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dyadic import DyadicCube, Grid, box_distance, group_by_cube
+from .dyadic import DyadicCube, Grid, group_by_cube
 from .haar import HaarLevel, HaarSystem, _cube_keys, cached_system, normalize_sign
 from .measure import MeshMeasure, level_masses
 from .operators import (
@@ -71,9 +71,6 @@ from .operators import (
 __all__ = [
     "CharacteristicReport",
     "LpConfig",
-    "QuadraticFamily",
-    "conjugate_exponent",
-    "validate_offset_family",
     "level_masses",
     "a2_lambda",
     "ap_lambda",
@@ -83,7 +80,6 @@ __all__ = [
     "lp_haar_testing_dual",
     "cube_testing",
     "operator_norm",
-    "haar_block_norm",
     "pair_bundle",
     "matched_haar_testing",
     "quadratic_offset_ap",
@@ -137,63 +133,16 @@ class LpConfig:
     """Exponent pair (p, p') with 1/p + 1/p' = 1."""
 
     p: float
-    p_prime: float | None = None
 
     def __post_init__(self):
         p = float(self.p)
         if not (1.0 < p < np.inf):
             raise ValueError(f"p must lie in (1, inf), got {p}")
-        q = p / (p - 1.0) if self.p_prime is None else float(self.p_prime)
-        if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
-            raise ValueError(f"p'={q} is not conjugate to p={p}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "p_prime", q)
 
-
-def conjugate_exponent(p: float) -> float:
-    return LpConfig(p).p_prime
-
-
-@dataclass(frozen=True)
-class QuadraticFamily:
-    """Cubes with partner cubes (offsets or subcubes) and real coefficients."""
-
-    cubes: tuple
-    partners: tuple
-    coefficients: tuple
-
-    def __post_init__(self):
-        cubes = tuple(str(k) for k in self.cubes)
-        partners = tuple(str(k) for k in self.partners)
-        coeffs = tuple(float(a) for a in self.coefficients)
-        if not len(cubes) == len(partners) == len(coeffs):
-            raise ValueError("cubes, partners, coefficients must share a length")
-        if len(coeffs) == 0:
-            raise ValueError("family must be nonempty")
-        if not all(np.isfinite(a) for a in coeffs):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "cubes", cubes)
-        object.__setattr__(self, "partners", partners)
-        object.__setattr__(self, "coefficients", coeffs)
-
-
-def validate_offset_family(grid: Grid, family: QuadraticFamily,
-                           max_distance: float = 10.0) -> None:
-    """Check offset-pair constraints: equal level, disjoint, nearby, no repeats."""
-    cubes = [DyadicCube.from_key(grid, k) for k in family.cubes]
-    for q, pkey in zip(cubes, family.partners):
-        s = DyadicCube.from_key(grid, pkey)
-        if s.level != q.level:
-            raise ValueError(f"partner {pkey} is not at the level of {q.key()}")
-        if s.coords == q.coords:
-            raise ValueError(f"partner {pkey} must be disjoint from {q.key()}")
-        gap = box_distance(q.lower, q.upper, s.lower, s.upper)
-        if gap > max_distance * q.side * (1.0 + 1e-12):
-            raise ValueError(f"partner {pkey} lies farther than {max_distance} "
-                             f"sides from {q.key()}")
-    for a, b in itertools.combinations(cubes, 2):
-        if a.contains(b) or b.contains(a):
-            raise ValueError(f"family cubes {a.key()} and {b.key()} overlap")
+    @property
+    def p_prime(self) -> float:
+        return self.p / (self.p - 1.0)
 
 
 # -- shared helpers ---------------------------------------------------------
@@ -903,24 +852,10 @@ def _mesh_norm_fold(sigma: MeshMeasure, omega: MeshMeasure, **_) -> SimpleNamesp
 def operator_norm(matrix: HaarMatrix) -> CharacteristicReport:
     """N_T(sigma, omega) of the matrix's measures, kernel and truncation
     (`_mesh_norm`). The entries are not read: the wavelets leave out the
-    mean component, so their norm (`haar_block_norm`) can fall below the
-    testing constants."""
+    mean component, so the entries' own norm can fall below the testing
+    constants."""
     return _mesh_norm(matrix.sigma_system.measure, matrix.omega_system.measure,
                       matrix.kernel, matrix.trunc)
-
-
-def haar_block_norm(matrix: HaarMatrix) -> CharacteristicReport:
-    """Largest singular value of the coefficient matrix, with its
-    sign-normalized right singular vector v as the witness and |entries v|
-    as the value. It lies between both matched testing constants and
-    operator_norm."""
-    a = matrix.entries
-    _, v, steps, converged = _top_singular_triple(lambda x: a.T @ (a @ x), a.shape[1])
-    v = normalize_sign(v)
-    space = {"depth": matrix.depth, "rows": int(a.shape[0]), "cols": int(a.shape[1]),
-             **_norm_space(matrix.kernel, matrix.trunc, steps, converged)}
-    return CharacteristicReport("haar_block_norm", float(np.linalg.norm(a @ v)),
-                                {"side": "source", "coefficients": v.tolist()}, space)
 
 
 def matched_haar_testing(matrix: HaarMatrix,
@@ -955,10 +890,7 @@ def _evaluate_matrix_witness(sigma: MeshMeasure, omega: MeshMeasure,
     matrix = assemble_haar_matrix(*_kernel_and_trunc(space), sigma, omega,
                                   int(space["depth"]))
     c = np.asarray(witness["coefficients"], dtype=float)
-    side = witness.get("side", "source")
-    if side == "source":
-        return float(np.linalg.norm(matrix.entries @ c))
-    dual = side == "row"
+    dual = witness["side"] == "row"
     system = matrix.omega_system if dual else matrix.sigma_system
     start, count = system.cube_slots[witness["cube"]]
     rows = slice(start, start + count)
@@ -1484,7 +1416,6 @@ _REGISTRY = {
     "cube_testing": (_evaluate_cube_witness, False, _cube_fold),
     "a2_lambda": (_evaluate_size_witness, False, None),
     "ap_lambda": (_evaluate_size_witness, False, None),
-    "haar_block_norm": (_evaluate_matrix_witness, False, None),
     "haar_testing_matched": (_evaluate_matrix_witness, False, None),
     "dual_haar_testing_matched": (_evaluate_matrix_witness, False, None),
     "quadratic_offset_ap": (_evaluate_pair_family_witness, False, None),

@@ -328,9 +328,8 @@ def run_search(cfg: RunConfig) -> tuple:
     kernel = make_kernel(cfg.kernel, cfg.lam, grid.dimension)
     trunc = build_truncation(cfg, grid)
     depth = min(cfg.depth, grid.max_level, 4)
-    report = counterexample_search(grid, kernel, trunc, measure_family="mixed",
-                                   iterations=cfg.trials, seed=cfg.seed,
-                                   depth=depth)
+    report = counterexample_search(grid, kernel, trunc, iterations=cfg.trials,
+                                   seed=cfg.seed, depth=depth)
     out_dir = cfg.out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "search_leaderboard.csv"

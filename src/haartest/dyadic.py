@@ -183,10 +183,6 @@ class DyadicCube:
         """The concentric dilate 3Q as (lower, upper), not clipped."""
         return self.lower - self.side, self.upper + self.side
 
-    def dilate_box(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
-        half = 0.5 * factor * self.side
-        return self.center - half, self.center + half
-
     # -- tree structure ----------------------------------------------------
     def parent(self) -> "DyadicCube":
         if self.level == 0:
@@ -233,10 +229,6 @@ class DyadicCube:
             return False
         shiftv = other.level - self.level
         return all(oc >> shiftv == c for oc, c in zip(other.coords, self.coords))
-
-    def contains_point(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(np.all(x >= self.lower) and np.all(x < self.upper))
 
     # -- mesh access -------------------------------------------------------
     def slices(self) -> tuple:

@@ -1056,37 +1056,25 @@ def matrix_counterexample(cfg: MatrixCounterexampleConfig) -> ExperimentReport:
                             passed=passed, details=details, seed=None)
 
 
-def _family_draw(grid: Grid, family, rng: np.random.Generator):
-    """One (sigma, omega, kind) draw from a named or callable family."""
-    if callable(family):
-        sigma, omega = family(grid, rng)
-        return sigma, omega, "callable"
-    if family == "doubling":
-        pair = [
-            random_dyadic_doubling(grid, 2.0, seed=int(rng.integers(2**31)))
-            for _ in range(2)
-        ]
-        return pair[0], pair[1], "doubling"
-    if family == "point":
+def _family_draw(grid: Grid, rng: np.random.Generator):
+    """One (sigma, omega, kind) draw: the kind first, uniform over doubling,
+    point and lognormal, then the pair."""
+    kind = ("doubling", "point", "lognormal")[int(rng.integers(0, 3))]
+    if kind == "doubling":
+        pair = [random_dyadic_doubling(grid, 2.0, seed=int(rng.integers(2**31)))
+                for _ in range(2)]
+    elif kind == "point":
         pair = []
         for _ in range(2):
             sharp = float(rng.uniform(2.0, 8.0))
             cell = tuple(int(t) for t in rng.integers(0, grid.cells_per_axis,
                                                       size=grid.dimension))
             pair.append(near_point_mass(grid, sharp, cell))
-        return pair[0], pair[1], "point"
-    if family == "lognormal":
-        pair = [
-            custom_cells(grid, np.exp(rng.normal(0.0, 1.5, size=grid.mesh_shape)),
-                         label="lognormal")
-            for _ in range(2)
-        ]
-        return pair[0], pair[1], "lognormal"
-    if family == "mixed":
-        pick = ("doubling", "point", "lognormal")[int(rng.integers(0, 3))]
-        sigma, omega, _ = _family_draw(grid, pick, rng)
-        return sigma, omega, pick
-    raise ValueError(f"unknown measure family {family!r}")
+    else:
+        pair = [custom_cells(grid, np.exp(rng.normal(0.0, 1.5, size=grid.mesh_shape)),
+                             label="lognormal")
+                for _ in range(2)]
+    return pair[0], pair[1], kind
 
 
 def _pair_hash(sigma: MeshMeasure, omega: MeshMeasure) -> str:
@@ -1098,14 +1086,13 @@ def _pair_hash(sigma: MeshMeasure, omega: MeshMeasure) -> str:
 
 
 def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
-                          measure_family="mixed", iterations: int = 40,
-                          seed: int = 0, depth: int = 4,
+                          iterations: int = 40, seed: int = 0, depth: int = 4,
                           top: int = 8) -> ExperimentReport:
     """Randomized plus greedy-mutation search for extreme norm-to-testing ratios.
 
     Maximizes the mesh operator norm over testing + dual testing at fixed
-    depth over measure pairs from the family, mutating the best pair's cell
-    masses in the second phase. Emits a leaderboard of the top rows ordered
+    depth over measure pairs drawn by `_family_draw`, mutating the best
+    pair's cell masses in the second phase. Emits a leaderboard of the top rows ordered
     by (ratio, hash), with their pairs' doubling constants; a large ratio is
     evidence of degradation, never a disproof of boundedness.
     """
@@ -1120,7 +1107,7 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
     best_cells, best_ratio = None, -1.0
     for it in range(iterations):
         if it < explore or best_cells is None:
-            sigma, omega, kind = _family_draw(grid, measure_family, rng)
+            sigma, omega, kind = _family_draw(grid, rng)
         else:
             s_cells, w_cells = (np.array(c, dtype=float) for c in best_cells)
             target = s_cells if rng.integers(0, 2) == 0 else w_cells
@@ -1149,7 +1136,7 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
         "leaderboard": leaderboard,
         "iterations": iterations,
         "depth": depth,
-        "family": measure_family if isinstance(measure_family, str) else "callable",
+        "family": "mixed",
         "ratio_band": [float(min(ratios)), float(max(ratios))],
         "note": "heuristic search; a large ratio is evidence, not a disproof",
         **_operator_spec(kernel, trunc),
@@ -1216,7 +1203,6 @@ def quadratic_ap_experiment(sigma: MeshMeasure, omega: MeshMeasure,
             base_coords = (base_axis,) + other
             target_coords = (target_axis,) + other
             base = grid.cube(level, base_coords)
-            base = inner_dyadic_cube(grid, base.lower, base.side)
             target = grid.cube(level, target_coords)
             cfg = SectorConfig(v=v, delta=delta, m=None)
             triple = build_aligned_triple(grid, kernel, cfg, base, target_cube=target)

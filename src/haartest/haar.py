@@ -27,8 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dyadic import (DyadicCube, MeshExhaustedError, block_sums, group_by_cube, refine,
-                     ungroup_children)
+from .dyadic import DyadicCube, block_sums, group_by_cube, refine, ungroup_children
 from .measure import MeshMeasure, level_masses
 
 _SIGN_TOL = 1e-13
@@ -46,17 +45,6 @@ class HaarWavelet:
     index: int
     child_values: np.ndarray  # one value per child, lexicographic order
     child_masses: np.ndarray
-
-    @property
-    def cube_mass(self) -> float:
-        return float(self.child_masses.sum())
-
-    def mesh_values(self) -> np.ndarray:
-        out = np.zeros(self.cube.grid.mesh_shape)
-        for child, v in zip(self.cube.children(), self.child_values):
-            if v != 0.0:
-                out[child.slices()] = v
-        return out
 
 
 def normalize_sign(vec: np.ndarray) -> np.ndarray:
@@ -101,17 +89,6 @@ def _level_wavelets(masses: np.ndarray) -> tuple:
     values = np.where(support, (m / total * scale)[:, None], 0.0)
     values[np.arange(cubes.size), child] = -rest / total * scale
     return cubes, normalize_sign(values)
-
-
-def build_cube_wavelets(measure: MeshMeasure, cube: DyadicCube) -> list:
-    """Wavelets of one cube: the level build run on that cube alone."""
-    if cube.level >= cube.grid.max_level:
-        raise MeshExhaustedError(f"mesh exhausted: cube at level {cube.level} has no children")
-    flat = np.ravel_multi_index(cube.coords, (2 ** cube.level,) * cube.grid.dimension)
-    masses = _child_masses(measure, cube.level)[flat]
-    _, values = _level_wavelets(masses[None])
-    return [HaarWavelet(cube=cube, index=i, child_values=row, child_masses=masses)
-            for i, row in enumerate(values)]
 
 
 def _cube_keys(level: int, cubes: np.ndarray, dimension: int) -> list:
@@ -334,17 +311,3 @@ def build_system(measure: MeshMeasure, depth: int) -> HaarSystem:
 @lru_cache(maxsize=64)
 def cached_system(measure: MeshMeasure, depth: int) -> HaarSystem:
     return build_system(measure, depth)
-
-
-def lq_l2_ratio(wavelet: HaarWavelet, q: float) -> float:
-    """Ratio of normalized L^q to L^2 averages of a wavelet over its cube."""
-    if q <= 0:
-        raise ValueError("q must be positive")
-    m = wavelet.child_masses
-    v = wavelet.child_values
-    total = m.sum()
-    if total <= 0:
-        raise ValueError("wavelet cube carries no mass")
-    num = float((np.abs(v) ** q * m).sum() / total) ** (1.0 / q)
-    den = float((v * v * m).sum() / total) ** 0.5
-    return num / den

@@ -213,8 +213,7 @@ def power_weight(grid: Grid, exponent: float, center=None) -> MeshMeasure:
     return MeshMeasure(grid, flat.reshape(grid.mesh_shape), label=f"power({exponent})")
 
 
-def random_dyadic_doubling(grid: Grid, ratio_bound: float, seed: int,
-                           total: float = 1.0) -> MeshMeasure:
+def random_dyadic_doubling(grid: Grid, ratio_bound: float, seed: int) -> MeshMeasure:
     """Random measure splitting each parent across its 2**n children with
     fractions in [1/(2**n * r), r/2**n], summing to 1 at every split.
 
@@ -227,7 +226,7 @@ def random_dyadic_doubling(grid: Grid, ratio_bound: float, seed: int,
     n = grid.dimension
     nc = 2 ** n
     amp = 0.5 * min(1.0 - 1.0 / ratio_bound, ratio_bound - 1.0)
-    mass = np.full((1,) * n, float(total))
+    mass = np.ones((1,) * n)
     for level in range(grid.max_level):
         eps = rng.uniform(-amp, amp, size=mass.shape + (nc,))
         eps -= eps.mean(axis=-1, keepdims=True)

@@ -183,13 +183,6 @@ def default_truncation(grid: Grid) -> Truncation:
     return Truncation(eps=4.0 * grid.cell_side, rmax=4.0 * grid.side)
 
 
-def eval_truncated(kernel: Kernel, trunc: Truncation, x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = np.linalg.norm(x - y, axis=-1)
-    return kernel.eval(x, y) * trunc.scale(r)
-
-
 @lru_cache(maxsize=8)
 def kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
     """The offset table of the kernel matrix G: with m cells per axis, entry

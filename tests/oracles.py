@@ -8,7 +8,9 @@ FFT of that table. These build G whole to check the block stream and
 over level arrays; `pair_family_value` builds the two mesh functions of
 their definition instead. `haartest.haar` builds one basis of each cube's
 wavelet span; `rotated_system` turns it into another, to check that the
-transforms and the matrix fold hold for any orthonormal basis of the span.
+transforms and the matrix fold hold for any orthonormal basis of the span,
+and `mesh_values` paints one wavelet on the mesh child by child, to check
+`HaarSystem.values_matrix` and the Haar matrices against.
 `haartest.characteristics` takes the top singular triple by Lanczos on
 A^T A; `golub_kahan_triple` takes it by Golub-Kahan-Lanczos, with a left
 and a right basis, from the same start and under the same stopping rule.
@@ -20,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from haartest.characteristics import _NORM_MAX_ITERS, _NORM_TOL, _LanczosBasis
 from haartest.dyadic import Grid
-from haartest.haar import HaarLevel, HaarSystem, cached_system
+from haartest.haar import HaarLevel, HaarSystem, HaarWavelet, cached_system
 from haartest.measure import MeshMeasure
 from haartest.operators import (
     HaarMatrix,
@@ -84,6 +86,15 @@ def pair_family_value(sigma: MeshMeasure, omega: MeshMeasure, lam: float, p: flo
     num = float(np.sum(omega.flat_mass * num_f.ravel() ** (p / 2.0))) ** (1.0 / p)
     den = float(np.sum(sigma.flat_mass * den_f.ravel() ** (p / 2.0))) ** (1.0 / p)
     return num / den if den > 0.0 else 0.0
+
+
+def mesh_values(h: HaarWavelet) -> np.ndarray:
+    """The wavelet's values on the mesh: each child's value on its cells."""
+    out = np.zeros(h.cube.grid.mesh_shape)
+    for child, v in zip(h.cube.children(), h.child_values):
+        if v != 0.0:
+            out[child.slices()] = v
+    return out
 
 
 def rotated_system(system: HaarSystem, rng: np.random.Generator) -> HaarSystem:

@@ -138,8 +138,8 @@ def test_main_characteristics_roundtrip(tmp_path, capsys):
     assert result["operator_norm"]["name"] == "operator_norm"
 
 
-def test_main_passes_the_gate_where_the_haar_block_norm_fell_below(tmp_path):
-    # the norm on the mesh dominates both testing constants; the Haar block
+def test_main_passes_the_gate_where_the_haar_matrix_norm_fell_below(tmp_path):
+    # the norm on the mesh dominates both testing constants; the Haar-matrix
     # norm fell below half their sum on these pairs (ratios 0.25 and 0.47)
     rc = main(tiny_args("characteristics", tmp_path, ["--depth", "3", "--measures",
                                                       "point:sharpness=4,lebesgue,"

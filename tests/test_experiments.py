@@ -406,21 +406,6 @@ def test_counterexample_search_takes_doubling_constants_for_its_leaderboard_only
     assert [{k: v for k, v in row.items() if k != "kind"} for row in board] == rows[:5]
 
 
-def test_counterexample_search_callable_family():
-    from haartest.measure import custom_cells
-
-    def family(grid, rng):
-        return tuple(custom_cells(grid, rng.uniform(0.5, 1.5, size=grid.mesh_shape),
-                                  label="uniform-noise") for _ in range(2))
-
-    rep = counterexample_search(GRID, HILBERT, TRUNC, measure_family=family,
-                                iterations=6, seed=1, depth=3, top=3)
-    assert rep.value > 0.0
-    kinds = {row["kind"] for row in rep.details["leaderboard"]}
-    assert kinds <= {"callable", "mutation"}
-    assert "callable" in kinds
-
-
 def test_quadratic_ap_experiment(power_pair):
     sigma, omega = power_pair
     rep = quadratic_ap_experiment(sigma, omega, HILBERT, TRUNC,
@@ -490,6 +475,16 @@ def test_inner_dyadic_cube_frozen():
 def test_inner_dyadic_cube_exact_fit():
     q = inner_dyadic_cube(GRID, (0.25,), 0.25)
     assert q.key() == "2:1"
+
+
+@pytest.mark.parametrize("grid", [Grid(dimension=1, max_level=6), Grid(dimension=2, max_level=4),
+                                  Grid(dimension=1, origin=(-0.7,), side=2.5, shift=(0.15,),
+                                       max_level=7)],
+                         ids=["1d", "2d", "1d-shifted"])
+def test_inner_dyadic_cube_of_a_dyadic_cube_is_that_cube(grid):
+    for level in range(grid.max_level + 1):
+        for cube in grid.cubes_at_level(level):
+            assert inner_dyadic_cube(grid, cube.lower, cube.side) == cube
 
 
 def test_reports_serialize():

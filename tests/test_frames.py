@@ -22,7 +22,7 @@ from haartest.measure import (
     lebesgue,
     random_dyadic_doubling,
 )
-from oracles import rotated_system
+from oracles import mesh_values, rotated_system
 
 GRID_2D = Grid(dimension=2, max_level=4)
 
@@ -33,7 +33,7 @@ MU = random_dyadic_doubling(GRID, 2.0, seed=51)
 def full_basis(mu, depth):
     """The depth-`depth` wavelets plus the constant mean element."""
     sys = build_system(mu, depth)
-    elements = [h.mesh_values() for h in sys.wavelets]
+    elements = [mesh_values(h) for h in sys.wavelets]
     mean = np.full(mu.grid.mesh_shape, 1.0 / np.sqrt(mu.total_mass))
     return elements + [mean], sys
 
@@ -126,7 +126,7 @@ def test_square_function_exact_at_p_two_lebesgue():
 def test_single_wavelet_probe_ratio_one_any_p():
     # a lone wavelet is its own square function: ratio 1 at every p
     sys = build_system(MU, 3)
-    probe = sys.wavelets[4].mesh_values()
+    probe = mesh_values(sys.wavelets[4])
     for p in (1.5, 2.0, 3.0, 4.0):
         rep = lp_square_function_bounds(MU, p=p, depth=3, sample_count=1,
                                         seed=0, probes=[probe])

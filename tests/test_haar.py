@@ -5,14 +5,9 @@ from hypothesis import strategies as st
 
 from haartest import haar
 from haartest.dyadic import Grid, refine
-from haartest.haar import (
-    build_cube_wavelets,
-    build_system,
-    cached_system,
-    lq_l2_ratio,
-)
+from haartest.haar import build_system, cached_system
 from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
-from oracles import rotated_system
+from oracles import mesh_values, rotated_system
 
 
 def system_for(measure, depth):
@@ -25,7 +20,7 @@ def test_wavelet_four_properties(grid1):
     sys = build_system(mu, 4)
     flat = mu.flat_mass
     for h in sys.wavelets:
-        vals = h.mesh_values().ravel()
+        vals = mesh_values(h).ravel()
         ind = h.cube.indicator().ravel()
         # supported on its cube
         assert np.all(vals[ind == 0] == 0.0)
@@ -115,13 +110,10 @@ def test_zero_mass_child_drops_wavelet():
     g = Grid(dimension=1, max_level=3)
     cells = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
     mu = custom_cells(g, cells, label="hole")
-    root = g.cube(0, (0,))
-    hv = build_cube_wavelets(mu, root)
-    assert len(hv) == 1
-    # the level-1 cube [0.25, 0.5) carries no mass: one child active -> no wavelet
-    dead = g.cube(2, (1,))
-    assert build_cube_wavelets(mu, dead) == []
     sys = build_system(mu, 3)
+    assert sys.cube_slots["0:0"][1] == 1
+    # the level-2 cube [0.25, 0.5) carries no mass: no child active -> no wavelet
+    assert sys.cube_slots["2:1"][1] == 0
     gram = sys.gram()
     np.testing.assert_allclose(gram, np.eye(sys.n_wavelets), atol=1e-10)
 
@@ -144,22 +136,6 @@ def test_build_system_depth_validation(grid1):
 def test_cached_system_identity(grid1):
     mu = lebesgue(grid1)
     assert cached_system(mu, 3) is cached_system(mu, 3)
-
-
-def test_lq_l2_ratio_flatness(grid1):
-    # the ratio of normalized averages equals 1 exactly when the wavelet has
-    # constant modulus, which is the Lebesgue case in one dimension
-    mu = lebesgue(grid1)
-    h = build_cube_wavelets(mu, grid1.cube(2, (1,)))[0]
-    np.testing.assert_allclose(lq_l2_ratio(h, 4.0), 1.0, rtol=1e-12)
-    # a lopsided measure tilts the values: ratio > 1 for q > 2, < 1 for q < 2
-    g = Grid(dimension=1, max_level=1)
-    skew = custom_cells(g, np.array([0.9, 0.1]), label="skew")
-    hs = build_cube_wavelets(skew, g.cube(0, (0,)))[0]
-    assert lq_l2_ratio(hs, 4.0) > 1.0 + 1e-6
-    assert lq_l2_ratio(hs, 1.0) < 1.0 - 1e-6
-    with pytest.raises(ValueError):
-        lq_l2_ratio(hs, 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -245,7 +221,7 @@ def test_level_build_matches_gram_schmidt(name):
     scale = np.abs(rows).max(axis=1, keepdims=True)
     assert np.all(np.abs(got - rows) <= 1e-12 * scale)
     # the derived views agree with the per-wavelet objects
-    dense = np.array([h.mesh_values().ravel() for h in sys.wavelets])
+    dense = np.array([mesh_values(h).ravel() for h in sys.wavelets])
     np.testing.assert_array_equal(sys.values_matrix, dense)
     for lv, rows in zip(sys.levels, sys.level_rows):
         padded = [row for cube, count in enumerate(lv.counts)
@@ -262,15 +238,6 @@ def test_holed_case_has_two_and_three_live_children():
     slots = build_system(_holed_2d(), 4).cube_slots
     assert slots["0:0,0"][1] == 2 and slots["1:0,0"][1] == 1
     assert {0, 1, 2, 3} == {count for _, count in slots.values()}
-
-
-def test_build_cube_wavelets_is_the_level_build(grid2):
-    mu = _holed_2d()
-    sys = build_system(mu, 3)
-    for h in sys.wavelets:
-        same = build_cube_wavelets(mu, h.cube)[h.index]
-        np.testing.assert_array_equal(same.child_values, h.child_values)
-        np.testing.assert_array_equal(same.child_masses, h.child_masses)
 
 
 # -- level-by-level transform against the dense wavelet matrix -----------------

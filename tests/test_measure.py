@@ -178,7 +178,7 @@ def _doubling_by_cube(measure, depth):
             m = measure.cube_mass(q)
             if m <= 0:
                 continue
-            frac, clipped = grid.box_fractions(*q.dilate_box(2.0))
+            frac, clipped = grid.box_fractions(q.center - q.side, q.center + q.side)
             ratio = float((measure.cell_mass * frac).sum()) / m
             out[q.key()] = (ratio, clipped)
             if ratio > best:

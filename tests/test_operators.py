@@ -6,13 +6,7 @@ import pytest
 
 import haartest.operators as operators
 import haartest.characteristics as characteristics
-from haartest.characteristics import (
-    haar_block_norm,
-    matched_haar_testing,
-    operator_norm,
-    pair_bundle,
-    reevaluate,
-)
+from haartest.characteristics import matched_haar_testing, operator_norm, pair_bundle, reevaluate
 from haartest.dyadic import Grid
 from haartest.haar import cached_system, normalize_sign
 from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
@@ -24,7 +18,6 @@ from haartest.operators import (
     apply,
     assemble_haar_matrix,
     default_truncation,
-    eval_truncated,
     image_blocks,
     image_rows,
     kernel_matrix,
@@ -32,7 +25,13 @@ from haartest.operators import (
     require_resolved,
     smoothstep,
 )
-from oracles import dense_kernel_matrix, golub_kahan_triple, haar_matrix, points_matrix
+from oracles import (
+    dense_kernel_matrix,
+    golub_kahan_triple,
+    haar_matrix,
+    mesh_values,
+    points_matrix,
+)
 
 
 def test_kernel_closed_forms():
@@ -182,14 +181,6 @@ def test_kernel_matrix_matches_pairwise_build(dim, level, family, lam):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_eval_truncated_vanishes_off_plateau():
-    k = make_kernel("hilbert", 0.0, 1)
-    t = Truncation(0.05, 1.0)
-    assert eval_truncated(k, t, [0.5], [0.52]) == 0.0
-    inside = eval_truncated(k, t, [0.2], [0.5])
-    np.testing.assert_allclose(inside, 1.0 / (0.2 - 0.5))
-
-
 def test_assemble_haar_matrix_against_direct_sums():
     g = Grid(dimension=1, max_level=4)
     sigma = random_dyadic_doubling(g, 2.0, seed=4)
@@ -202,9 +193,9 @@ def test_assemble_haar_matrix_against_direct_sums():
     osys = cached_system(omega, depth)
     centers = g.window_lower[0] + (np.arange(g.cells_per_axis) + 0.5) * g.cell_side
     for r, hw in enumerate(osys.wavelets):
-        hrow = hw.mesh_values().ravel()
+        hrow = mesh_values(hw).ravel()
         for c, hv in enumerate(ssys.wavelets):
-            hcol = hv.mesh_values().ravel()
+            hcol = mesh_values(hv).ravel()
             acc = 0.0
             for i, x in enumerate(centers):
                 if hrow[i] == 0.0:
@@ -265,7 +256,7 @@ def _image_case(name):
 def _weighted_values(system):
     """sigma-weighted cell values of the wavelets, one row each, from the
     per-wavelet objects rather than the system's dense matrices."""
-    return np.array([h.mesh_values().ravel() for h in system.wavelets]) * system.measure.flat_mass
+    return np.array([mesh_values(h).ravel() for h in system.wavelets]) * system.measure.flat_mass
 
 
 def _stream_images(kernel, sigma, level):
@@ -343,23 +334,32 @@ def _norm_matrices(corpus1):
     return matrices, [dataclasses.replace(matrices[0], entries=e) for e in entries]
 
 
-def test_haar_block_norm_matches_the_dense_norm(corpus1):
+def _matrix_norm(matrix):
+    """(|entries v|, v, steps, converged) of the solver's run on the
+    entries' normal matrix, with v its sign-normalized top right vector."""
+    a = matrix.entries
+    _, v, steps, converged = characteristics._top_singular_triple(
+        lambda x: a.T @ (a @ x), a.shape[1])
+    v = normalize_sign(v)
+    return float(np.linalg.norm(a @ v)), v, steps, converged
+
+
+def test_haar_matrix_norm_matches_the_dense_norm(corpus1):
     # the Lanczos tridiagonal of A^T A gives the spectral norm of every
     # block, small or large, to rounding
     haar, other = _norm_matrices(corpus1)
     for matrix in haar + other:
-        rep = haar_block_norm(matrix)
+        value, v, steps, converged = _matrix_norm(matrix)
         want = np.linalg.norm(matrix.entries, 2)
-        assert abs(rep.value - want) <= 1e-13 * want
-        assert rep.search_space["converged"]
-        assert (rep.search_space["iterations"] > 0) == (want > 0.0)
-        v = np.asarray(rep.witness["coefficients"])
+        assert abs(value - want) <= 1e-13 * want
+        assert converged
+        assert (steps > 0) == (want > 0.0)
         assert np.linalg.norm(v) == pytest.approx(1.0 if want > 0.0 else 0.0, abs=1e-14)
-    assert haar_block_norm(other[-1]).witness["coefficients"] == [0.0] * 80
+    assert _matrix_norm(other[-1])[1].tolist() == [0.0] * 80
 
 
 @pytest.mark.parametrize("depth", [4, 6])
-def test_haar_block_norm_witness_of_a_double_top_value_is_stable(depth):
+def test_haar_matrix_norm_witness_of_a_double_top_value_is_stable(depth):
     # on a lebesgue/lebesgue pair the top singular value of the Haar block
     # is double to rounding, so every unit vector of a plane is a top
     # vector: the witness, the fixed start's projection on that plane, does
@@ -369,22 +369,22 @@ def test_haar_block_norm_witness_of_a_double_top_value_is_stable(depth):
                                   lebesgue(grid), lebesgue(grid), depth)
     svals = np.linalg.svd(matrix.entries, compute_uv=False)
     assert svals[1] >= (1.0 - 1e-13) * svals[0] and svals[2] < 0.99 * svals[0]
-    witness = np.array(haar_block_norm(matrix).witness["coefficients"])
+    witness = _matrix_norm(matrix)[1]
     rng = np.random.default_rng(64)
     for _ in range(5):
         noisy = matrix.entries * (1.0 + 1e-15 * rng.standard_normal(matrix.entries.shape))
-        rep = haar_block_norm(dataclasses.replace(matrix, entries=noisy))
-        assert np.abs(np.array(rep.witness["coefficients"]) - witness).max() <= 1e-10
+        v = _matrix_norm(dataclasses.replace(matrix, entries=noisy))[1]
+        assert np.abs(v - witness).max() <= 1e-10
 
 
-def test_haar_block_norm_dominates_matched_testing(corpus1):
+def test_haar_matrix_norm_dominates_matched_testing(corpus1):
     # the block norm dominates the norm of every column block and every row
     # block, so both matched testing constants
     haar, _ = _norm_matrices(corpus1)
     for matrix in haar:
         bound = max(matched_haar_testing(matrix).value,
                     matched_haar_testing(matrix, dual=True).value)
-        assert haar_block_norm(matrix).value >= bound * (1.0 - 1e-13)
+        assert _matrix_norm(matrix)[0] >= bound * (1.0 - 1e-13)
 
 
 def _mesh_norm_cases():
@@ -443,7 +443,7 @@ def test_lanczos_on_the_normal_operator_takes_the_golub_kahan_steps(corpus1, mon
     products = []
     haar, other = _norm_matrices(corpus1)
     for matrix in haar + other:
-        haar_block_norm(matrix)
+        _matrix_norm(matrix)
         products.append((matrix.entries.__matmul__, matrix.entries.T.__matmul__))
     for sigma, omega, kernel in _mesh_norm_cases():
         characteristics._mesh_norm(sigma, omega, kernel, default_truncation(sigma.grid))
@@ -462,12 +462,27 @@ def test_each_norm_solve_keeps_one_lanczos_basis(corpus1, monkeypatch):
     basis = characteristics._LanczosBasis
     monkeypatch.setattr(characteristics, "_LanczosBasis", lambda n: made.append(n) or basis(n))
     haar, _ = _norm_matrices(corpus1)
-    haar_block_norm(haar[-1])
+    _matrix_norm(haar[-1])
     assert made == [haar[-1].entries.shape[1]]
     made.clear()
     sigma, omega, kernel = next(_mesh_norm_cases())
     characteristics._mesh_norm(sigma, omega, kernel, default_truncation(sigma.grid))
     assert made == [sigma.grid.n_cells]
+
+
+def test_lebesgue_hilbert_norm_climbs_towards_pi():
+    # on the 1-D Lebesgue pair every mesh's A is a finite section of one
+    # Toeplitz matrix whose symbol has sup pi: the sections are nested, so
+    # the norms rise with L and stay below pi, which they approach
+    values = []
+    for level in range(6, 13):
+        grid = Grid(dimension=1, max_level=level)
+        mu = lebesgue(grid)
+        values.append(characteristics._mesh_norm(mu, mu, make_kernel("hilbert", 0.0, 1),
+                                                 default_truncation(grid)).value)
+    assert max(values) < np.pi
+    assert values == sorted(values)
+    assert values[-1] > 3.1
 
 
 def test_operator_norm_dominates_every_testing_constant(corpus1):
@@ -485,7 +500,7 @@ def test_operator_norm_dominates_every_testing_constant(corpus1):
         matrix = assemble_haar_matrix(kernel, trunc, sigma, omega, depth)
         below = [rep.value for name, rep in bundle.items() if name != "operator_norm"]
         below += [matched_haar_testing(matrix).value,
-                  matched_haar_testing(matrix, dual=True).value, haar_block_norm(matrix).value]
+                  matched_haar_testing(matrix, dual=True).value, _matrix_norm(matrix)[0]]
         assert bundle["operator_norm"].value >= max(below) * (1.0 - 1e-12)
 
 
