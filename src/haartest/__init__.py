@@ -64,7 +64,6 @@ from .experiments import (
     build_aligned_triple,
     counterexample_search,
     halo_cover,
-    inner_dyadic_cube,
     kernel_difference_report,
     matrix_counterexample,
     phi_test_function,

@@ -360,28 +360,22 @@ class _CubeFold:
     A cube's wavelets are constant on its children, so their images are
     combinations of the children's cube images. For each block, `blocks`
     gives each group's cubes' children's images x (g, 2**n, r), grouped
-    from the next finer level, with their cells' weights: (r,), or with
-    local=True (g, 1, r), vanishing off each cube's own cells: the mode
-    "local", else "global".
+    from the next finer level, with their cells' weights (r,): every
+    output cell counts, the global characteristic H^glob.
     """
 
-    def __init__(self, system: HaarSystem, weights: np.ndarray, local: bool = False):
+    def __init__(self, system: HaarSystem, weights: np.ndarray):
         self.system, self.weights = system, weights
-        self.mode = "local" if local else "global"
         self.groups = list(_cube_groups(system))
-        self.cells = {lv.level: _cell_cubes(system.measure.grid, lv.level)
-                      for _, lv, _, _ in self.groups} if local else None
 
     def blocks(self, rows: slice, levels: list):
         n = self.system.measure.grid.dimension
+        weights = self.weights[rows]
         level = children = None  # the groups come level by level
         for _, lv, cubes, _ in self.groups:
             if lv.level != level:
                 level = lv.level
                 children = group_by_cube(levels[level + 1], level, n, start=0)
-            weights = self.weights[rows]
-            if self.cells is not None:
-                weights = (weights * (self.cells[level][rows] == cubes[:, None]))[:, None]
             every = len(cubes) == len(children)  # no copy for a whole level
             yield children if every else children[cubes], weights
 
@@ -390,7 +384,7 @@ class _CubeFold:
         """The report of the first largest of values, one row per cube that
         carries wavelets, and of its combination in combos (`_cube_witness`)."""
         best, cube, coefficients = _cube_witness(self.system, values, combos)
-        witness = {"cube": cube, "coefficients": coefficients, "mode": self.mode, **witness}
+        witness = {"cube": cube, "coefficients": coefficients, "mode": "global", **witness}
         space = {"depth": self.system.depth, **space, **_operator_spec(kernel, trunc)}
         return CharacteristicReport(name, best, witness, space, seed)
 
@@ -403,8 +397,8 @@ class _GramFold(_CubeFold):
     one batched eigh per group on those at the end, and `report` gives
     the haar_testing report of them."""
 
-    def __init__(self, system: HaarSystem, weights: np.ndarray, local: bool = False):
-        super().__init__(system, weights, local)
+    def __init__(self, system: HaarSystem, weights: np.ndarray):
+        super().__init__(system, weights)
         children = 2 ** system.measure.grid.dimension
         self.grams = [np.zeros((len(at), children, children)) for at, _, _, _ in self.groups]
 
@@ -465,9 +459,9 @@ class _LpFold(_CubeFold):
     """
 
     def __init__(self, system: HaarSystem, kernel: Kernel, trunc: Truncation,
-                 weights: np.ndarray, p: float, local: bool = False, seed: int | None = None,
+                 weights: np.ndarray, p: float, seed: int | None = None,
                  optimum_from: float = 2):
-        super().__init__(system, weights, local)
+        super().__init__(system, weights)
         self.p, self.seed = p, seed
         counts = np.array([count for _, _, count in _live_slots(system)], dtype=int)
         samples = 0 if seed is None else _ROTATION_SAMPLES
@@ -486,7 +480,7 @@ class _LpFold(_CubeFold):
                 norms = np.linalg.norm(c, axis=-1, keepdims=True)
                 cands[-1].append(c / np.where(norms > 0.0, norms, 1.0))
         if any(index.shape[1] >= optimum_from for *_, index in self.groups):
-            grams = _GramFold(system, weights, local)
+            grams = _GramFold(system, weights)
             _fold_images(kernel, trunc, system.measure, system.depth, grams.add)
             for group, (*_, index), gram in zip(cands, self.groups, grams.wavelet_grams()):
                 if index.shape[1] >= optimum_from:
@@ -526,8 +520,7 @@ def _cube_witness(system: HaarSystem, values: np.ndarray, combos: np.ndarray) ->
 
 
 def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                 trunc: Truncation, mode: str = "global",
-                 depth: int = 6) -> CharacteristicReport:
+                 trunc: Truncation, depth: int = 6) -> CharacteristicReport:
     """Largest L2(omega) norm of the operator on a unit wavelet combination.
 
     For each cube the supremum over all rotations of the wavelet block is the
@@ -535,23 +528,20 @@ def haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     the block's Gram matrix, for all cubes at once (`_GramFold`, fed one
     pass of the images' row blocks); the first cube in system order with
     the largest value is the witness.
-    mode="local" restricts the output norm to the cube itself.
     """
-    return pair_bundle(sigma, omega, kernel, trunc, depth, ("haar_testing",),
-                       mode=mode)["haar_testing"]
+    return pair_bundle(sigma, omega, kernel, trunc, depth, ("haar_testing",))["haar_testing"]
 
 
 def haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                      trunc: Truncation, mode: str = "global",
-                      depth: int = 6) -> CharacteristicReport:
+                      trunc: Truncation, depth: int = 6) -> CharacteristicReport:
     """Haar testing for the adjoint: measures swapped, kernel transposed."""
-    return pair_bundle(sigma, omega, kernel, trunc, depth, ("dual_haar_testing",),
-                       mode=mode)["dual_haar_testing"]
+    return pair_bundle(sigma, omega, kernel, trunc, depth,
+                       ("dual_haar_testing",))["dual_haar_testing"]
 
 
 def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                    trunc: Truncation, p: float = 2.0, mode: str = "global",
-                    depth: int = 6, seed: int = 0) -> CharacteristicReport:
+                    trunc: Truncation, p: float = 2.0, depth: int = 6,
+                    seed: int = 0) -> CharacteristicReport:
     """Largest ratio of Lp(omega) image norm to Lp(sigma) wavelet norm.
 
     Candidates per cube are the canonical wavelets, _ROTATION_SAMPLES seeded
@@ -559,21 +549,23 @@ def lp_haar_testing(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
     makes the value agree with haar_testing there (`_LpFold`, over the
     blocks of `image_blocks`).
     """
-    return pair_bundle(sigma, omega, kernel, trunc, depth, ("lp_haar_testing",), p, seed,
-                       mode)["lp_haar_testing"]
+    return pair_bundle(sigma, omega, kernel, trunc, depth, ("lp_haar_testing",), p,
+                       seed)["lp_haar_testing"]
 
 
 def lp_haar_testing_dual(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
-                         trunc: Truncation, p: float = 2.0, mode: str = "global",
-                         depth: int = 6, seed: int = 0) -> CharacteristicReport:
+                         trunc: Truncation, p: float = 2.0, depth: int = 6,
+                         seed: int = 0) -> CharacteristicReport:
     """Dual Lp Haar testing: conjugate exponent, swapped measures, transpose."""
     return pair_bundle(sigma, omega, kernel, trunc, depth, ("dual_lp_haar_testing",), p,
-                       seed, mode)["dual_lp_haar_testing"]
+                       seed)["dual_lp_haar_testing"]
 
 
 def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
                            witness: dict, space: dict) -> float:
     grid = _check_pair(sigma, omega)
+    if witness.get("mode", "global") != "global":
+        raise ValueError(f"Haar witnesses are global, got mode {witness['mode']!r}")
     if witness["cube"] is None:
         return 0.0  # sigma carries no wavelets at the scanned depth
     kernel, trunc = _kernel_and_trunc(space)
@@ -586,16 +578,14 @@ def _evaluate_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
     block = apply(kernel, trunc, sigma, system.synthesise(rows)).T
     c = np.asarray(witness["coefficients"], dtype=float)
     cube = DyadicCube.from_key(grid, witness["cube"])
-    weights = _restriction_weights(grid, omega.flat_mass, witness.get("mode", "global"),
-                                   cube)
     if witness.get("p") is None:
         # L2-normalized convention: unit coefficient vectors, no denominator
-        return _lp_norm(weights, block @ c, 2.0)
+        return _lp_norm(omega.flat_mass, block @ c, 2.0)
     p = float(witness["p"])
     flat = np.ravel_multi_index(cube.coords, (2 ** cube.level,) * grid.dimension)
     combos = c[None, None]
     return float(_lp_ratios(system.levels[cube.level], np.array([flat]),
-                            _lp_sums(block.T[None], weights, combos, p), combos, p)[0, 0])
+                            _lp_sums(block.T[None], omega.flat_mass, combos, p), combos, p)[0, 0])
 
 
 # -- cube testing -------------------------------------------------------------
@@ -1117,15 +1107,16 @@ def _pair_families(grid: Grid, depth: int, partners: list, draw, reach, rng):
             yield [(*family, coeffs), (*family, np.ones(len(coeffs)))] if len(coeffs) > 1 else []
 
 
-# variant -> (partners, draw, name of its reach parameter, smallest depth)
+# variant -> (partners, draw, name of its reach, reach, smallest depth): the
+# offset partners lie within 10 sidelengths, the subcubes 2 generations down
 _PAIR_VARIANTS = {
-    "offset": (_stencil_partners, _offset_draw, "max_distance", 1),
-    "subcube": (_descendant_partners, _subcube_draw, "max_generation", 0),
+    "offset": (_stencil_partners, _offset_draw, "max_distance", 10.0, 1),
+    "subcube": (_descendant_partners, _subcube_draw, "max_generation", 2, 0),
 }
 
 
 def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
-                    lam: float, p: float, depth: int | None, reach,
+                    lam: float, p: float, depth: int | None,
                     seed: int) -> CharacteristicReport:
     """The family search shared by the quadratic pair characteristics.
 
@@ -1137,7 +1128,7 @@ def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
     tries take one `_pair_values`; the first largest (`_first_max`) is the
     witness when it is strictly above the best pair.
     """
-    partners_of, draw, reach_name, min_depth = _PAIR_VARIANTS[variant]
+    partners_of, draw, reach_name, reach, min_depth = _PAIR_VARIANTS[variant]
     cfg = LpConfig(p)
     grid, e, depth = _size_setup(sigma, omega, lam, depth, min_depth)
     partners, scalar_best, scalar_pair, pair_count = _pair_scan(
@@ -1177,27 +1168,29 @@ def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
 
 def quadratic_offset_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
                         p: float = 2.0, depth: int | None = None,
-                        max_distance: float = 10.0, seed: int = 0) -> CharacteristicReport:
+                        seed: int = 0) -> CharacteristicReport:
     """Vector-valued size characteristic over equal-size nearby cube pairs.
 
-    Pairs (I, I*) run over same-level disjoint dyadic cubes within
-    max_distance sidelengths (enumerated exhaustively per cube); families
-    combine disjoint cubes with seeded coefficients. Singleton families are
-    always included, so the value dominates the scalar pair ratio.
+    Pairs (I, I*) run over same-level disjoint dyadic cubes within the
+    offset reach of `_PAIR_VARIANTS`, 10 sidelengths (enumerated
+    exhaustively per cube); families combine disjoint cubes with seeded
+    coefficients. Singleton families are always included, so the value
+    dominates the scalar pair ratio.
     """
-    return _pair_family_ap("offset", sigma, omega, lam, p, depth, max_distance, seed)
+    return _pair_family_ap("offset", sigma, omega, lam, p, depth, seed)
 
 
 def quadratic_subcube_ap(sigma: MeshMeasure, omega: MeshMeasure, lam: float,
                          p: float = 2.0, depth: int | None = None,
-                         max_generation: int = 2, seed: int = 0) -> CharacteristicReport:
+                         seed: int = 0) -> CharacteristicReport:
     """Vector-valued size characteristic with dyadic subcubes as partners.
 
     Pairs (I, J) run over cubes to the depth and their dyadic subcubes down
-    to max_generation levels (generation 0 recovers the plain pair I = J,
-    so the value dominates the product-form characteristic at this depth).
+    to the subcube reach of `_PAIR_VARIANTS`, 2 levels (generation 0
+    recovers the plain pair I = J, so the value dominates the product-form
+    characteristic at this depth).
     """
-    return _pair_family_ap("subcube", sigma, omega, lam, p, depth, max_generation, seed)
+    return _pair_family_ap("subcube", sigma, omega, lam, p, depth, seed)
 
 
 def _evaluate_pair_family_witness(sigma: MeshMeasure, omega: MeshMeasure,
@@ -1333,32 +1326,30 @@ def _evaluate_quadratic_haar_witness(sigma: MeshMeasure, omega: MeshMeasure,
 
 # the folds of `pair_bundle`'s reports, each made from the keywords of the
 # pass of its side: sigma (the measure whose images are read), omega,
-# kernel, trunc, depth, system (a measure's Haar system at depth), p, seed
-# and mode
+# kernel, trunc, depth, system (a measure's Haar system at depth), p and seed
 
-def _gram_fold(sigma: MeshMeasure, omega: MeshMeasure, system, mode: str, **_) -> _GramFold:
-    return _GramFold(system(sigma), omega.flat_mass, mode == "local")
+def _gram_fold(sigma: MeshMeasure, omega: MeshMeasure, system, **_) -> _GramFold:
+    return _GramFold(system(sigma), omega.flat_mass)
 
 
 def _lp_fold(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: Truncation,
-             system, p: float, seed: int, mode: str, **_) -> _LpFold:
+             system, p: float, seed: int, **_) -> _LpFold:
     """At p = 2 every cube with two or more wavelets takes its exact
     optimum as a candidate (a one-wavelet cube's is its wavelet), which
     makes the value agree with haar_testing there."""
-    return _LpFold(system(sigma), kernel, trunc, omega.flat_mass, p, mode == "local", seed,
+    return _LpFold(system(sigma), kernel, trunc, omega.flat_mass, p, seed,
                    2 if p == 2.0 else np.inf)
 
 
 def _cube_fold(sigma: MeshMeasure, omega: MeshMeasure, depth: int, **_) -> _PyramidFold:
-    """The comparison's cube testing: global, at p = 2, whatever the pass's
-    p and mode."""
+    """The comparison's cube testing: global, at p = 2, whatever the pass's p."""
     return _PyramidFold(sigma, omega, "global", 2.0, depth)
 
 
 def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: Truncation,
                 depth: int, names: tuple = ("operator_norm", "haar_testing",
                                             "dual_haar_testing", "cube_testing"),
-                p: float = 2.0, seed: int = 0, mode: str = "global") -> dict:
+                p: float = 2.0, seed: int = 0) -> dict:
     """The reports named, keyed by name, each from the fold that `_REGISTRY`
     gives it, the scans at `depth`. By default those of the comparison of
     N_T(sigma, omega) with H^glob_T(sigma, omega) + H^glob_T*(omega, sigma):
@@ -1370,12 +1361,8 @@ def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: T
     pass of omega's, the kernel transposed, at p'. A side with no fold
     that reads images takes no pass; operator_norm reads none, and its
     solver runs on the mesh (`_mesh_norm`). The Lp reports draw their
-    rotations from seed, and mode, "global" or "local", restricts the
-    output norm of the Haar and Lp Haar scans. Each side's reports are
-    made in `_REGISTRY` order.
+    rotations from seed. Each side's reports are made in `_REGISTRY` order.
     """
-    if mode not in ("global", "local"):
-        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
     unknown = [name for name in names if _REGISTRY.get(name, (None,) * 3)[2] is None]
     if unknown:
         raise ValueError(f"no fold gives the reports {unknown}")
@@ -1388,7 +1375,7 @@ def pair_bundle(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel, trunc: T
     for dual, source, target, op, q in ((False, sigma, omega, kernel, cfg.p),
                                         (True, omega, sigma, kernel.transpose(), cfg.p_prime)):
         folds = {name: make(sigma=source, omega=target, kernel=op, trunc=trunc, depth=depth,
-                            system=system, p=q, seed=seed, mode=mode)
+                            system=system, p=q, seed=seed)
                  for name, (_, swapped, make) in _REGISTRY.items()
                  if name in names and swapped == dual}
         adds = [fold.add for fold in folds.values() if fold.add]

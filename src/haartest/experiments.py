@@ -62,7 +62,6 @@ __all__ = [
     "a2_lower_bound_experiment",
     "triple_absorption_experiment",
     "halo_cover",
-    "inner_dyadic_cube",
     "matrix_counterexample",
     "counterexample_search",
     "quadratic_ap_experiment",
@@ -390,9 +389,12 @@ def _sample_in_cube(cube: DyadicCube, count: int, rng: np.random.Generator) -> n
     return cube.lower[None, :] + cube.side * u
 
 
+# the samples of kernel_difference_report: this many x, and as many y
+_SAMPLE_COUNT = 64
+
+
 def kernel_difference_report(kernel: Kernel, trunc: Truncation,
-                             triple: AlignedTriple, sample_count: int = 64,
-                             seed: int = 0) -> ExperimentReport:
+                             triple: AlignedTriple, seed: int = 0) -> ExperimentReport:
     """Check sign and dominance structure of K(x,y) - K(x,c) on a triple.
 
     For sampled x in the target cube and y in the dipole cubes, the
@@ -403,16 +405,14 @@ def kernel_difference_report(kernel: Kernel, trunc: Truncation,
     correction terms stay below half the main term at 99 percent of
     samples; failures raise SignDominanceError listing the worst sample.
     """
-    if sample_count < 2:
-        raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)
     c = triple.midpoint
     v = triple.sector.axis()
     n = c.size
-    xs = _sample_in_cube(triple.target, sample_count, rng)
-    half = sample_count // 2
+    xs = _sample_in_cube(triple.target, _SAMPLE_COUNT, rng)
+    half = _SAMPLE_COUNT // 2
     ys = np.concatenate([
-        _sample_in_cube(triple.pos_cube, sample_count - half, rng),
+        _sample_in_cube(triple.pos_cube, _SAMPLE_COUNT - half, rng),
         _sample_in_cube(triple.neg_cube, half, rng),
     ])
     lo_pl, hi_pl = trunc.plateau()
@@ -487,7 +487,7 @@ def kernel_difference_report(kernel: Kernel, trunc: Truncation,
         "size_ratio_min": float(size_ratio.min()),
         "size_ratio_max": float(size_ratio.max()),
         "identity_residual_max": float(residual.max()),
-        "sample_count": int(sample_count),
+        "sample_count": _SAMPLE_COUNT,
         "plateau": [lo_pl, hi_pl],
         **_operator_spec(kernel, trunc),
     }
@@ -500,24 +500,21 @@ _MAX_HALVINGS = 10
 
 
 def select_delta(grid: Grid, kernel: Kernel, trunc: Truncation,
-                 base_cube: DyadicCube, v=None, m: int | None = None,
-                 sample_count: int = 64, seed: int = 0):
-    """Smallest-j search over widths 2**-j until the difference check passes.
+                 base_cube: DyadicCube, seed: int = 0):
+    """Smallest-j search over widths 2**-j until the difference check passes,
+    for cones about the first axis with the dipole generation left free.
 
     Returns (delta, triple, report) for the first accepted width; raises
     AlignmentError when every width down to 2**-_MAX_HALVINGS fails.
     """
-    if v is None:
-        v = (1.0,) + (0.0,) * (grid.dimension - 1)
+    v = (1.0,) + (0.0,) * (grid.dimension - 1)
     start = max(1, math.ceil(-math.log2(kernel.delta0)))
     failures = []
     for j in range(start, _MAX_HALVINGS + 1):
         delta = 2.0**-j
-        cfg = SectorConfig(v=v, delta=delta, m=m)
         try:
-            triple = build_aligned_triple(grid, kernel, cfg, base_cube)
-            report = kernel_difference_report(kernel, trunc, triple,
-                                              sample_count=sample_count, seed=seed)
+            triple = build_aligned_triple(grid, kernel, SectorConfig(v=v, delta=delta), base_cube)
+            report = kernel_difference_report(kernel, trunc, triple, seed=seed)
         except (AlignmentError, SignDominanceError) as exc:
             failures.append(f"delta=2^-{j}: {exc}")
             continue
@@ -595,23 +592,22 @@ def _dipole_trial(sigma: MeshMeasure, omega: MeshMeasure, kernel: Kernel,
 
 def a2_lower_bound_experiment(sigma: MeshMeasure, omega: MeshMeasure,
                               kernel: Kernel, trunc: Truncation,
-                              cfg: SectorConfig | None = None,
                               trials: int = 50, seed: int = 0,
-                              floor: float = 0.0,
                               testing_depth: int = 6) -> ExperimentReport:
     """Dipole trials showing the transform pairs against far indicators.
 
-    Each trial builds an aligned configuration, checks that the transform of
+    Each trial builds an aligned configuration, in a cone of width 1/8
+    about the first axis or its negative, checks that the transform of
     the dipole keeps one sign on the target cube, measures the pairing ratio
     r1 = |<T phi, 1_target>_omega| / (|target|_omega / |target|^(1-lam/n)),
     and verifies the finite expansion identity of the normalized dipole.
     The report couples the size characteristic to global testing through
-    the empirical constant value = a2 / testing.
+    the empirical constant value = a2 / testing. A trial whose pairing
+    ratio is not positive raises SignDominanceError.
     """
     grid = sigma.grid
     n = grid.dimension
-    if cfg is None:
-        cfg = SectorConfig(v=(1.0,) + (0.0,) * (n - 1), delta=0.125, m=None)
+    cfg = SectorConfig(v=(1.0,) + (0.0,) * (n - 1), delta=0.125)
     if cfg.delta > kernel.delta0:
         raise AlignmentError(
             f"cone width delta={cfg.delta} exceeds kernel delta0={kernel.delta0:.6g}"
@@ -654,17 +650,16 @@ def a2_lower_bound_experiment(sigma: MeshMeasure, omega: MeshMeasure,
             }
         )
     min_r1 = min(row["r1"] for row in trial_rows)
-    if min_r1 <= floor:
+    if min_r1 <= 0.0:
         worst = min(trial_rows, key=lambda row: row["r1"])
         raise SignDominanceError(
-            f"pairing ratio {min_r1:.6g} at or below floor {floor}; witness triple "
+            f"pairing ratio {min_r1:.6g} at or below floor 0; witness triple "
             f"{worst['triple']}"
         )
     sign_fraction = float(np.mean([row["sign_constant"] for row in trial_rows]))
     max_recon = max(row["reconstruction_error"] for row in trial_rows)
     size_rep = a2_lambda(sigma, omega, kernel.lam, depth=testing_depth)
-    test_rep = haar_testing(sigma, omega, kernel, trunc, mode="global",
-                            depth=testing_depth)
+    test_rep = haar_testing(sigma, omega, kernel, trunc, depth=testing_depth)
     coupling = size_rep.value / test_rep.value if test_rep.value > 0 else float("inf")
     passed = (
         sign_fraction == 1.0
@@ -676,7 +671,7 @@ def a2_lower_bound_experiment(sigma: MeshMeasure, omega: MeshMeasure,
         "trials": trial_rows,
         "trial_count": len(trial_rows),
         "min_r1": float(min_r1),
-        "floor": float(floor),
+        "floor": 0.0,
         "sign_fraction": sign_fraction,
         "max_reconstruction_error": float(max_recon),
         "max_coefficient_count": max(row["coefficient_count"] for row in trial_rows),
@@ -845,24 +840,8 @@ class HaloCover:
         }
 
 
-def _grid_cube_of_box(grid: Grid, lo: np.ndarray, side: float) -> DyadicCube | None:
-    """The dyadic cube exactly equal to the given box, when one exists."""
-    wside = float(grid.window_upper[0] - grid.window_lower[0])
-    ratio = wside / side
-    level = round(math.log2(ratio)) if ratio > 0 else -1
-    if level < 0 or level > grid.max_level:
-        return None
-    if abs(wside * 2.0**-level - side) > 1e-12 * side:
-        return None
-    coords = (lo - grid.window_lower) / side
-    rounded = np.rint(coords)
-    if np.any(np.abs(coords - rounded) > 1e-9) or np.any(rounded < 0) or np.any(rounded >= 2**level):
-        return None
-    return grid.cube(int(level), tuple(int(t) for t in rounded))
-
-
 def halo_cover(measure: MeshMeasure, box, epsilon: float, eta: float) -> HaloCover:
-    """Greedy maximal-dyadic cover of the eta-shrink of an arbitrary cube.
+    """Greedy maximal-dyadic cover of the eta-shrink of a cube box = (lower, side).
 
     Collects maximal dyadic cubes of side at least side/2**t inside the
     shrunken cube, raising t until the mass missed inside the shrink drops
@@ -870,13 +849,9 @@ def halo_cover(measure: MeshMeasure, box, epsilon: float, eta: float) -> HaloCov
     the achieved leftover when the mesh runs out first.
     """
     grid = measure.grid
-    if isinstance(box, DyadicCube):
-        lo = np.array(box.lower, dtype=float)
-        side = box.side
-    else:
-        lower, side = box
-        lo = np.asarray(lower, dtype=float)
-        side = float(side)
+    lower, side = box
+    lo = np.asarray(lower, dtype=float)
+    side = float(side)
     if side <= 0.0:
         raise ValueError("cube side must be positive")
     if not 0.0 < eta <= 1.0:
@@ -887,14 +862,6 @@ def halo_cover(measure: MeshMeasure, box, epsilon: float, eta: float) -> HaloCov
     box_mass = measure.box_mass(lo, hi)
     if box_mass <= 0.0:
         raise ValueError("cube carries no mass")
-    if eta == 1.0:
-        exact = _grid_cube_of_box(grid, lo, side)
-        if exact is not None:
-            halo_mass = measure.cube_mass(exact)
-            return HaloCover(lower=tuple(float(t) for t in lo), side=side,
-                             keys=(exact.key(),), eta=eta, epsilon=epsilon,
-                             count=1, t=0, leftover=0.0, box_mass=box_mass,
-                             halo_mass=halo_mass)
     center = lo + 0.5 * side
     half = 0.5 * eta * side
     lo_e, hi_e = center - half, center + half
@@ -935,45 +902,12 @@ def halo_cover(measure: MeshMeasure, box, epsilon: float, eta: float) -> HaloCov
     )
 
 
-def inner_dyadic_cube(grid: Grid, lower, side: float) -> DyadicCube:
-    """Largest dyadic cube inside a box with side at least a quarter of it.
-
-    Among dyadic cubes contained in the box whose side is at least side/4,
-    picks one of maximal side nearest to the box center (ties by key).
-    """
-    lo = np.asarray(lower, dtype=float)
-    side = float(side)
-    hi = lo + side
-    center = lo + 0.5 * side
-    wside = float(grid.window_upper[0] - grid.window_lower[0])
-    slack = 1e-12 * side
-    for k in range(grid.max_level + 1):
-        cside = wside * 2.0**-k
-        if cside > side + slack:
-            continue
-        if cside < side / 4.0 - slack:
-            break
-        best = None
-        for cube in grid.cubes_at_level(k):
-            if not _inside(cube, lo, hi, slack):
-                continue
-            rank = (float(np.linalg.norm(cube.center - center)), cube.key())
-            if best is None or rank < best[0]:
-                best = (rank, cube)
-        if best is not None:
-            return best[1]
-    raise MeshExhaustedError(
-        f"no dyadic cube with side in [{side / 4.0:.6g}, {side:.6g}] fits inside the box"
-    )
-
-
 @dataclass(frozen=True)
 class MatrixCounterexampleConfig:
     """Slow-decay triangular matrix a[m, n] = n**-gamma for n >= m."""
 
     gamma: float
     ladder_exponents: tuple = tuple(range(10, 21))
-    partial_terms: int = 100000
 
     def __post_init__(self):
         if not 0.5 < self.gamma <= 0.75:
@@ -984,14 +918,15 @@ class MatrixCounterexampleConfig:
         if exps[0] < 1:
             raise ValueError("ladder exponents must be positive")
         object.__setattr__(self, "ladder_exponents", exps)
-        if self.partial_terms < 1000:
-            raise ValueError("partial_terms must be at least 1000")
 
 
 def _zeta_tail(n0: int, s: float) -> float:
     """Euler-Maclaurin tail sum_{n > n0} n**-s for s > 1."""
     return n0 ** (1.0 - s) / (s - 1.0) - 0.5 * n0**-s + (s / 12.0) * n0 ** (-s - 1.0)
 
+
+# terms of matrix_counterexample's zeta partial sum, before the tail estimate
+_PARTIAL_TERMS = 100000
 
 # terms per chunk of `_action_norm_sq`
 _LADDER_CHUNK = 1 << 15
@@ -1023,7 +958,7 @@ def matrix_counterexample(cfg: MatrixCounterexampleConfig) -> ExperimentReport:
     head = np.arange(1, 101, dtype=float)
     col_norms = head ** (0.5 - cfg.gamma)
     col_sup = float(col_norms.max())
-    n0 = cfg.partial_terms
+    n0 = _PARTIAL_TERMS
     terms = np.arange(1, n0 + 1, dtype=float) ** -s
     partial = float(terms[::-1].sum())
     tail = _zeta_tail(n0, s)
@@ -1085,23 +1020,28 @@ def _pair_hash(sigma: MeshMeasure, omega: MeshMeasure) -> str:
     return hashlib.sha256(payload.tobytes()).hexdigest()[:16]
 
 
+# rows of counterexample_search's leaderboard
+_LEADERBOARD_ROWS = 8
+
+
 def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
-                          iterations: int = 40, seed: int = 0, depth: int = 4,
-                          top: int = 8) -> ExperimentReport:
+                          iterations: int = 40, seed: int = 0,
+                          depth: int = 4) -> ExperimentReport:
     """Randomized plus greedy-mutation search for extreme norm-to-testing ratios.
 
     Maximizes the mesh operator norm over testing + dual testing at fixed
     depth over measure pairs drawn by `_family_draw`, mutating the best
-    pair's cell masses in the second phase. Emits a leaderboard of the top rows ordered
-    by (ratio, hash), with their pairs' doubling constants; a large ratio is
-    evidence of degradation, never a disproof of boundedness.
+    pair's cell masses in the second phase. Emits a leaderboard of the
+    _LEADERBOARD_ROWS best rows ordered by (ratio, hash), with their pairs'
+    doubling constants; a large ratio is evidence of degradation, never a
+    disproof of boundedness.
     """
-    if iterations < 2:
-        raise ValueError("need at least 2 iterations")
+    if iterations < 1:
+        raise ValueError("need at least 1 iteration")
     rng = np.random.default_rng(seed)
     dbl_depth = min(depth, grid.max_level - 1)
     names = ("operator_norm", "haar_testing", "dual_haar_testing")
-    # the best `top` rows so far with their measures, in leaderboard order
+    # the best rows so far with their measures, in leaderboard order
     board, ratios = [], []
     explore = max(1, iterations // 2)
     best_cells, best_ratio = None, -1.0
@@ -1124,7 +1064,7 @@ def counterexample_search(grid: Grid, kernel: Kernel, trunc: Truncation,
         ratios.append(row["ratio"])
         board.append((row, kind, _pair_hash(sigma, omega), sigma, omega))
         board.sort(key=lambda entry: (-entry[0]["ratio"], entry[2]))
-        del board[top:]
+        del board[_LEADERBOARD_ROWS:]
         if row["ratio"] > best_ratio:
             best_ratio = row["ratio"]
             best_cells = (sigma.cell_mass.copy(), omega.cell_mass.copy())

@@ -263,7 +263,7 @@ def save_measure_csv(measure: MeshMeasure, path) -> None:
             writer.writerow([i, repr(float(m))])
 
 
-def load_measure_csv(grid: Grid, path, label: str = "csv") -> MeshMeasure:
+def load_measure_csv(grid: Grid, path) -> MeshMeasure:
     """Read the (cell_index, mass) rows of `save_measure_csv`. A file with
     no header, a row that is not an index and a mass, an index outside the
     mesh or a repeated index raises ValueError, naming the file and row; a
@@ -295,4 +295,4 @@ def load_measure_csv(grid: Grid, path, label: str = "csv") -> MeshMeasure:
                 raise ValueError(f"{where}: cell_index {idx} repeated")
             seen.add(idx)
             cells[idx] = mass
-    return MeshMeasure(grid, cells.reshape(grid.mesh_shape), label=label)
+    return MeshMeasure(grid, cells.reshape(grid.mesh_shape), label="csv")

@@ -37,7 +37,6 @@ from haartest.measure import (
     random_dyadic_doubling,
 )
 from haartest.operators import (
-    Truncation,
     _fold_images,
     apply,
     assemble_haar_matrix,
@@ -130,14 +129,6 @@ def test_haar_testing_brute_force_oracle():
     np.testing.assert_allclose(rep.value, best, rtol=1e-10)
     assert rep.witness["mode"] == "global"
     assert rep.search_space["per_cube_optimum"] == "exact"
-
-
-def test_haar_testing_local_below_global():
-    glob = haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth=4, mode="global")
-    loc = haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth=4, mode="local")
-    assert loc.value <= glob.value + 1e-12
-    with pytest.raises(ValueError):
-        haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="triple")
 
 
 def test_haar_testing_dual_swaps_roles():
@@ -268,7 +259,6 @@ def test_reevaluate_reproduces_witness_values():
         ap_lambda(SIGMA, OMEGA, 0.0, p=3.0, depth=5),
         haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth=4),
         haar_testing_dual(SIGMA, OMEGA, HILBERT, TRUNC, depth=4),
-        haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="local", depth=4),
         lp_haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, p=3.0, depth=4),
         lp_haar_testing_dual(SIGMA, OMEGA, HILBERT, TRUNC, p=3.0, depth=4),
         cube_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth=4),
@@ -294,6 +284,16 @@ def test_reevaluate_reproduces_witness_values():
                                    err_msg=rep.name)
     with pytest.raises(ValueError, match="dual_cube_testing"):
         reevaluate(replace(bundle["cube_testing"], name="dual_cube_testing"), SIGMA, OMEGA)
+
+
+@pytest.mark.parametrize("name", ["haar_testing", "dual_lp_haar_testing"])
+def test_reevaluate_rejects_a_local_haar_witness(name):
+    # the Haar scans are global only: a stored witness of another mode is
+    # refused, not re-evaluated under the global norm
+    old = pair_bundle(SIGMA, OMEGA, HILBERT, TRUNC, 4, (name,), 3.0)[name].as_dict()
+    old["witness"]["mode"] = "local"
+    with pytest.raises(ValueError, match="'local'"):
+        reevaluate(CharacteristicReport(**old), SIGMA, OMEGA)
 
 
 @pytest.mark.parametrize("name", ["a2_lambda", "ap_lambda", "cube_testing"])
@@ -330,6 +330,7 @@ def test_report_rejects_negative_value():
 
 def test_quadratic_offset_dominates_singleton():
     rep = quadratic_offset_ap(SIGMA, OMEGA, 0.0, depth=5, seed=5)
+    assert rep.search_space["max_distance"] == 10.0
     assert rep.value >= rep.witness["singleton_value"] - 1e-12
     # p = 2: no family beats the best singleton pair
     np.testing.assert_allclose(rep.value, rep.witness["singleton_value"],
@@ -343,6 +344,7 @@ def test_quadratic_offset_p4_still_dominates():
 
 def test_quadratic_subcube_matches_singleton_at_p2():
     rep = quadratic_subcube_ap(SIGMA, OMEGA, 0.0, depth=4, seed=2)
+    assert rep.search_space["max_generation"] == 2
     np.testing.assert_allclose(rep.value, rep.witness["singleton_value"],
                                rtol=1e-9)
 
@@ -371,16 +373,15 @@ def _sign_fixed(v):
     return -v if lead.size and v[lead[0]] < 0 else v
 
 
-def _svd_optima(system, blocks_of, weights_of):
+def _svd_optima(system, blocks_of, weights=None):
     """[(key, top, vector)] of every cube that carries wavelets, one SVD per
-    cube: blocks_of(start, count) is the cube's (m, count) block,
-    weights_of(key) its row weights or None."""
+    cube: blocks_of(start, count) is the cube's (m, count) block, weights
+    the blocks' row weights, if any."""
     out = []
     for key, (start, count) in system.cube_slots.items():
         if count:
             block = blocks_of(start, count)
-            w = weights_of(key)
-            m = block if w is None else np.sqrt(w)[:, None] * block
+            m = block if weights is None else np.sqrt(weights)[:, None] * block
             _, svals, vh = np.linalg.svd(m, full_matrices=False)
             out.append((key, float(svals[0]), _sign_fixed(vh[0])))
     return out
@@ -414,31 +415,23 @@ def _assert_same_optimum(rep, oracle):
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
-@pytest.mark.parametrize("mode", ["global", "local"])
-def test_haar_testing_optima_match_per_cube_svd(name, mode):
+def test_haar_testing_optima_match_per_cube_svd(name):
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
-    grid = sigma.grid
     depth = 3
     system = cached_system(sigma, depth)
-    images = dense_kernel_matrix(kernel, trunc, grid) @ system.weighted_matrix.T
-
-    def weights_of(key):
-        if mode == "global":
-            return omega.flat_mass
-        return omega.flat_mass * DyadicCube.from_key(grid, key).indicator().ravel()
-
-    oracle = _svd_optima(system, lambda s, c: images[:, s:s + c], weights_of)
-    fold = _GramFold(system, omega.flat_mass, local=mode == "local")
+    images = dense_kernel_matrix(kernel, trunc, sigma.grid) @ system.weighted_matrix.T
+    oracle = _svd_optima(system, lambda s, c: images[:, s:s + c], omega.flat_mass)
+    fold = _GramFold(system, omega.flat_mass)
     _fold_images(kernel, trunc, sigma, depth, fold.add)
     tops, coeffs = fold.optima()
     np.testing.assert_allclose(tops, [top for _, top, _ in oracle], rtol=1e-12, atol=0.0)
     for row, (_, _, vec) in zip(coeffs, oracle):
         np.testing.assert_allclose(row[:vec.size], vec, atol=1e-10)
         assert not row[vec.size:].any()
-    rep = haar_testing(sigma, omega, kernel, trunc, mode=mode, depth=depth)
+    rep = haar_testing(sigma, omega, kernel, trunc, depth=depth)
     _assert_same_optimum(rep, oracle)
     assert rep.search_space["cube_blocks"] == len(oracle)
-    lp = lp_haar_testing(sigma, omega, kernel, trunc, p=2.0, mode=mode, depth=depth)
+    lp = lp_haar_testing(sigma, omega, kernel, trunc, p=2.0, depth=depth)
     np.testing.assert_allclose(lp.value, rep.value, rtol=1e-9)
 
 
@@ -449,9 +442,9 @@ def test_matched_optima_match_per_cube_svd(name, dual):
     mat = assemble_haar_matrix(kernel, trunc, sigma, omega, 3)
     system = mat.omega_system if dual else mat.sigma_system
     if dual:
-        oracle = _svd_optima(system, lambda s, c: mat.entries[s:s + c].T, lambda k: None)
+        oracle = _svd_optima(system, lambda s, c: mat.entries[s:s + c].T)
     else:
-        oracle = _svd_optima(system, lambda s, c: mat.entries[:, s:s + c], lambda k: None)
+        oracle = _svd_optima(system, lambda s, c: mat.entries[:, s:s + c])
     _assert_same_optimum(matched_haar_testing(mat, dual=dual), oracle)
 
 
@@ -460,9 +453,9 @@ def test_pair_bundle_shares_one_sigma_pass():
         bundle = pair_bundle(SIGMA, OMEGA, HILBERT, TRUNC, depth)
         alone = assemble_haar_matrix(HILBERT, TRUNC, SIGMA, OMEGA, depth)
         assert bundle["operator_norm"].as_dict() == operator_norm(alone).as_dict()
-        want = haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, mode="global", depth=depth)
+        want = haar_testing(SIGMA, OMEGA, HILBERT, TRUNC, depth=depth)
         assert bundle["haar_testing"].as_dict() == want.as_dict()
-        want = haar_testing_dual(SIGMA, OMEGA, HILBERT, TRUNC, mode="global", depth=depth)
+        want = haar_testing_dual(SIGMA, OMEGA, HILBERT, TRUNC, depth=depth)
         assert bundle["dual_haar_testing"].as_dict() == want.as_dict()
 
 
@@ -603,15 +596,13 @@ def _loop_ratio(system, key, start, block, c, weights, p):
     return _loop_lp_norm(weights, block @ c, p) / den if den > 0.0 else 0.0
 
 
-def _loop_candidates(system, images, omega, p, mode, rng, optimum_from):
+def _loop_candidates(system, images, omega, p, rng, optimum_from):
     """[(key, ratios, candidates)] of every cube that carries wavelets, in
     system order: the candidate loop of lp_haar_testing (rng given) and of
     the member scan of quadratic_haar_testing (rng None)."""
     out = []
+    weights = omega.flat_mass
     for key, (start, count) in ((k, s) for k, s in system.cube_slots.items() if s[1]):
-        weights = omega.flat_mass
-        if mode == "local":
-            weights = weights * DyadicCube.from_key(omega.grid, key).indicator().ravel()
         block = images[:, start:start + count]
         candidates = list(np.eye(count))
         if count > 1 and rng is not None:
@@ -659,20 +650,18 @@ def _loop_best(loop):
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
-@pytest.mark.parametrize("mode", ["global", "local"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_lp_haar_scan_matches_candidate_loop(name, mode, p):
+def test_lp_haar_scan_matches_candidate_loop(name, p):
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     system, images = _whole_wavelet_images(sigma, kernel, trunc, 3)
     optimum_from = 1 if p == 2.0 else np.inf
     for seed in (0, 5):
-        loop = _loop_candidates(system, images, omega, p, mode,
-                                np.random.default_rng(seed), optimum_from)
-        values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, p, mode == "local",
-                                  seed, optimum_from)
+        loop = _loop_candidates(system, images, omega, p, np.random.default_rng(seed),
+                                optimum_from)
+        values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, p, seed,
+                                  optimum_from)
         _assert_same_candidates(values, combos, loop)
-        rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, mode=mode, depth=3,
-                              seed=seed)
+        rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, depth=3, seed=seed)
         value, cube, coeffs = _loop_best(loop)
         np.testing.assert_allclose(rep.value, value, rtol=1e-12, atol=0.0)
         assert rep.witness["cube"] == cube
@@ -688,7 +677,7 @@ def test_quadratic_member_scan_matches_member_loop(name, p):
 
     sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
     system, images = _whole_wavelet_images(sigma, kernel, trunc, 3)
-    loop = _loop_candidates(system, images, omega, p, "global", None, 2)
+    loop = _loop_candidates(system, images, omega, p, None, 2)
     _assert_same_candidates(*_lp_scan(system, kernel, trunc, omega.flat_mass, p), loop)
     # the loop's members and scalar, then the oracle family search over the
     # module's families (places in the loop's cube order)
@@ -835,18 +824,28 @@ def _pair_case(name):
     return random_dyadic_doubling(grid, 3.0, seed=5), omega, 0.5
 
 
+def _with_reach(monkeypatch, variant, reach):
+    """The variant's `_PAIR_VARIANTS` entry with its reach set to reach, for
+    the public pair scans too."""
+    import haartest.characteristics as chars
+
+    partners_of, draw, name, _, min_depth = chars._PAIR_VARIANTS[variant]
+    entry = (partners_of, draw, name, reach, min_depth)
+    monkeypatch.setitem(chars._PAIR_VARIANTS, variant, entry)
+    return entry
+
+
 @pytest.mark.parametrize("case", ["1d", "2d", "2d-lebesgue"])
 @pytest.mark.parametrize("variant,reach", [("offset", 2.5), ("offset", 10.0),
                                            ("subcube", 0), ("subcube", 2)])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_pair_scans_match_per_cube_loops(case, variant, reach, p):
+def test_pair_scans_match_per_cube_loops(monkeypatch, case, variant, reach, p):
     import haartest.characteristics as chars
 
     sigma, omega, lam = _pair_case(case)
     grid, n = sigma.grid, sigma.grid.dimension
     func = quadratic_offset_ap if variant == "offset" else quadratic_subcube_ap
-    kwargs = {"max_distance" if variant == "offset" else "max_generation": reach}
-    partners_of, _, _, min_depth = chars._PAIR_VARIANTS[variant]
+    partners_of, _, reach_name, _, min_depth = _with_reach(monkeypatch, variant, reach)
     cfg = chars.LpConfig(p)
     _, e, depth = chars._size_setup(sigma, omega, lam, None, min_depth)
     partners, scalar_best, (level, cube), pair_count = chars._pair_scan(
@@ -861,7 +860,8 @@ def test_pair_scans_match_per_cube_loops(case, variant, reach, p):
     assert pair_count == loop[3]
     # the whole search once more by the loops: the per-cube scan and draw,
     # the mesh values and the oracle family search
-    rep = func(sigma, omega, lam, p=p, seed=9, **kwargs)
+    rep = func(sigma, omega, lam, p=p, seed=9)
+    assert rep.search_space[reach_name] == reach
     single = tuple([DyadicCube.from_key(grid, k)] for k in loop[2]) + ([1.0],)
     draw = _loop_offset_draw if variant == "offset" else _loop_subcube_draw
     best, winner, families = _family_search(
@@ -907,7 +907,7 @@ def test_pair_families_match_the_per_parent_loop(case, variant, reach, dropped):
 
     sigma, omega, lam = _pair_case(case)
     n = sigma.grid.dimension
-    partners_of, draw, _, min_depth = chars._PAIR_VARIANTS[variant]
+    partners_of, draw, _, _, min_depth = chars._PAIR_VARIANTS[variant]
     _, e, depth = chars._size_setup(sigma, omega, lam, None, min_depth)
     partners = chars._pair_scan(sigma, omega, chars.LpConfig(3.0), e, depth, partners_of,
                                 reach)[0]
@@ -945,14 +945,14 @@ def _offset_family(grid, members, partners, coeffs):
 @pytest.mark.parametrize("case", ["1d", "2d"])
 @pytest.mark.parametrize("variant,reach", [("offset", 2.5), ("subcube", 2)])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_closed_form_pair_values_match_the_mesh_oracle(case, variant, reach, p):
+def test_closed_form_pair_values_match_the_mesh_oracle(monkeypatch, case, variant, reach, p):
     # every try of the search, in closed form over level arrays, against the
     # two mesh functions of the definition
     import haartest.characteristics as chars
 
     sigma, omega, lam = _pair_case(case)
     grid = sigma.grid
-    partners_of, draw, _, min_depth = chars._PAIR_VARIANTS[variant]
+    partners_of, draw, _, _, min_depth = _with_reach(monkeypatch, variant, reach)
     _, e, depth = chars._size_setup(sigma, omega, lam, None, min_depth)
     partners = chars._pair_scan(sigma, omega, chars.LpConfig(p), e, depth, partners_of,
                                 reach)[0]
@@ -984,8 +984,7 @@ def test_closed_form_pair_values_match_the_mesh_oracle(case, variant, reach, p):
     # both pair reports round trip through reevaluate, and their witness's
     # mesh value is the report's value
     func = quadratic_offset_ap if variant == "offset" else quadratic_subcube_ap
-    kwargs = {"max_distance" if variant == "offset" else "max_generation": reach}
-    rep = func(sigma, omega, lam, p=p, seed=3, **kwargs)
+    rep = func(sigma, omega, lam, p=p, seed=3)
     again = CharacteristicReport(**json.loads(json.dumps(rep.as_dict())))
     np.testing.assert_allclose(reevaluate(again, sigma, omega), rep.value, rtol=1e-12, atol=0.0)
     mesh = pair_family_value(sigma, omega, lam, p,
@@ -1085,7 +1084,7 @@ def test_bundle_cube_testing_matches_standalone_scan(case, corpus1):
         assert bundle["cube_testing"].as_dict() == cube_testing(
             sigma, omega, kernel, trunc, mode="global", depth=depth).as_dict()
         assert bundle["haar_testing"].as_dict() == haar_testing(
-            sigma, omega, kernel, trunc, mode="global", depth=depth).as_dict()
+            sigma, omega, kernel, trunc, depth=depth).as_dict()
         assert bundle["operator_norm"].as_dict() == operator_norm(
             assemble_haar_matrix(kernel, trunc, sigma, omega, depth)).as_dict()
         if p != 2.0:

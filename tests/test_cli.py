@@ -256,6 +256,14 @@ def test_main_search(tmp_path):
     assert len(rows) >= 2
 
 
+def test_main_search_with_one_trial(tmp_path):
+    # one trial is a valid RunConfig: the search draws one pair and ranks it
+    rc = main(["search", "--depth", "3", "--trials", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "search_leaderboard.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[0] == "0"
+
+
 def test_main_rejects_bad_config(tmp_path, capsys):
     rc = main(["characteristics", "--config", str(tmp_path / "missing.ini")])
     assert rc == 2

@@ -19,7 +19,6 @@ from haartest.experiments import (
     build_aligned_triple,
     counterexample_search,
     halo_cover,
-    inner_dyadic_cube,
     kernel_difference_report,
     matrix_counterexample,
     phi_test_function,
@@ -152,6 +151,7 @@ def test_kernel_difference_sign_dominance_frozen():
     assert d["sign_agreement"] == 1.0
     np.testing.assert_allclose(d["worst_band_ratio"], 0.062158, atol=1e-5)
     assert d["identity_residual_max"] < 1e-12
+    assert d["sample_count"] == 64
 
 
 def test_kernel_difference_mirrored_orientation():
@@ -189,6 +189,7 @@ def test_a2_lower_bound_power_pair(power_pair):
     assert d["max_coefficient_count"] <= 5
     assert d["min_r1"] > 0.0
     assert d["trial_count"] == 10
+    assert d["floor"] == 0.0 and d["delta"] == 0.125
     np.testing.assert_allclose(rep.value, 0.367496, atol=1e-5)
 
 
@@ -219,11 +220,18 @@ def test_expansion_check_takes_the_source_rows_from_the_level_arrays(monkeypatch
         assert check["reconstruction_error"] < 1e-10
 
 
-def test_a2_lower_bound_floor_violation(power_pair):
+def test_a2_lower_bound_floor_violation(monkeypatch, power_pair):
+    # a trial whose pairing ratio vanishes fails the experiment
     sigma, omega = power_pair
+    trial = experiments._dipole_trial
+
+    def vanishing(*args):
+        block, _, *rest = trial(*args)
+        return (block, 0.0, *rest)
+
+    monkeypatch.setattr(experiments, "_dipole_trial", vanishing)
     with pytest.raises(SignDominanceError, match="floor"):
-        a2_lower_bound_experiment(sigma, omega, HILBERT, TRUNC,
-                                  trials=5, seed=0, floor=1e9)
+        a2_lower_bound_experiment(sigma, omega, HILBERT, TRUNC, trials=5, seed=0)
 
 
 def test_triple_absorption_stability(power_pair):
@@ -330,6 +338,7 @@ def test_matrix_counterexample_frozen():
     growth = [d["growth"][k] for k in sorted(d["growth"], key=int)]
     assert all(b > a for a, b in zip(growth, growth[1:]))
     np.testing.assert_allclose(rep.value, 8.1387728384273, rtol=1e-10)
+    assert d["partial_terms"] == 100000
 
 
 @pytest.mark.parametrize("chunk", [7, 64, 1 << 15])
@@ -355,28 +364,23 @@ def test_matrix_counterexample_config_validation():
         MatrixCounterexampleConfig(gamma=0.6, ladder_exponents=(20,))
     with pytest.raises(ValueError):
         MatrixCounterexampleConfig(gamma=0.6, ladder_exponents=(20, 10))
-    with pytest.raises(ValueError):
-        MatrixCounterexampleConfig(gamma=0.6, ladder_exponents=(10, 20),
-                                   partial_terms=10)
 
 
 def test_counterexample_search_deterministic():
-    a = counterexample_search(GRID, HILBERT, TRUNC, iterations=10, seed=0,
-                              depth=4, top=4)
-    b = counterexample_search(GRID, HILBERT, TRUNC, iterations=10, seed=0,
-                              depth=4, top=4)
+    a = counterexample_search(GRID, HILBERT, TRUNC, iterations=10, seed=0, depth=4)
+    b = counterexample_search(GRID, HILBERT, TRUNC, iterations=10, seed=0, depth=4)
     assert a.value == b.value
     la, lb = a.details["leaderboard"], b.details["leaderboard"]
     assert [r["hash"] for r in la] == [r["hash"] for r in lb]
     ratios = [r["ratio"] for r in la]
     assert ratios == sorted(ratios, reverse=True)
-    assert len(la) <= 4
+    assert len(la) == 8
     assert "evidence" in a.details["note"]
     np.testing.assert_allclose(a.value, 3.270279, atol=1e-5)
 
 
 def test_counterexample_search_takes_doubling_constants_for_its_leaderboard_only(monkeypatch):
-    # 2 * top doubling constants (at depth 4 on L=10), and the leaderboard
+    # 2 * 8 doubling constants (at depth 4 on L=10), and the leaderboard
     # of every row computed, doubling constants too, then sorted by (ratio, hash)
     calls, pairs = [], []
 
@@ -390,9 +394,9 @@ def test_counterexample_search_takes_doubling_constants_for_its_leaderboard_only
 
     monkeypatch.setattr(experiments, "doubling_constant", counted)
     monkeypatch.setattr(experiments, "pair_bundle", recorded)
-    board = counterexample_search(GRID, HILBERT, TRUNC, iterations=12, seed=3, depth=4,
-                                  top=5).details["leaderboard"]
-    assert len(calls) == 2 * 5
+    board = counterexample_search(GRID, HILBERT, TRUNC, iterations=12, seed=3,
+                                  depth=4).details["leaderboard"]
+    assert len(calls) == 2 * 8
     rows = []
     for sigma, omega, reports in pairs:
         norm, test, dual = (reports[name].value for name in
@@ -403,7 +407,7 @@ def test_counterexample_search_takes_doubling_constants_for_its_leaderboard_only
                      "doubling_omega": doubling_constant(omega, 4).constant,
                      "hash": experiments._pair_hash(sigma, omega)})
     rows.sort(key=lambda row: (-row["ratio"], row["hash"]))
-    assert [{k: v for k, v in row.items() if k != "kind"} for row in board] == rows[:5]
+    assert [{k: v for k, v in row.items() if k != "kind"} for row in board] == rows[:8]
 
 
 def test_quadratic_ap_experiment(power_pair):
@@ -441,12 +445,16 @@ def test_halo_cover_peaked_measure():
     np.testing.assert_allclose(cover.leftover, 0.00625, atol=1e-10)
 
 
-def test_halo_cover_exact_dyadic_shortcut():
-    q = GRID.cube(2, (1,))
-    cover = halo_cover(LEB, q, epsilon=0.5, eta=1.0)
-    assert cover.t == 0
-    assert cover.keys == (q.key(),)
-    assert cover.leftover == pytest.approx(0.0, abs=1e-15)
+@pytest.mark.parametrize("grid", [Grid(dimension=1, max_level=6), Grid(dimension=2, max_level=4)],
+                         ids=["1d", "2d"])
+def test_halo_cover_of_a_dyadic_cube_at_eta_one_is_that_cube(grid):
+    # the greedy cover's first round takes the cube's own level
+    for mu in (lebesgue(grid), random_dyadic_doubling(grid, 2.0, seed=1)):
+        for level in range(grid.max_level + 1):
+            for q in grid.cubes_at_level(level):
+                cover = halo_cover(mu, (q.lower, q.side), epsilon=0.5, eta=1.0)
+                assert cover.keys == (q.key(),) and cover.t == 1
+                assert cover.leftover <= 1e-12 * cover.box_mass
 
 
 def test_halo_cover_validation():
@@ -461,30 +469,6 @@ def test_halo_cover_validation():
 def test_halo_cover_mesh_exhaustion():
     with pytest.raises(MeshExhaustedError):
         halo_cover(LEB, ((0.2,), 0.45), epsilon=1e-9, eta=0.9)
-
-
-def test_inner_dyadic_cube_frozen():
-    q = inner_dyadic_cube(GRID, (0.3,), 0.25)
-    assert q.key() == "3:3"
-    # containment and the quarter-side floor
-    assert q.lower[0] >= 0.3 - 1e-12
-    assert q.upper[0] <= 0.55 + 1e-12
-    assert q.side >= 0.25 / 4.0
-
-
-def test_inner_dyadic_cube_exact_fit():
-    q = inner_dyadic_cube(GRID, (0.25,), 0.25)
-    assert q.key() == "2:1"
-
-
-@pytest.mark.parametrize("grid", [Grid(dimension=1, max_level=6), Grid(dimension=2, max_level=4),
-                                  Grid(dimension=1, origin=(-0.7,), side=2.5, shift=(0.15,),
-                                       max_level=7)],
-                         ids=["1d", "2d", "1d-shifted"])
-def test_inner_dyadic_cube_of_a_dyadic_cube_is_that_cube(grid):
-    for level in range(grid.max_level + 1):
-        for cube in grid.cubes_at_level(level):
-            assert inner_dyadic_cube(grid, cube.lower, cube.side) == cube
 
 
 def test_reports_serialize():

@@ -4,7 +4,6 @@ import pytest
 from haartest.dyadic import Grid
 from haartest.measure import (
     DegenerateMeasureError,
-    MeshMeasure,
     custom_cells,
     doubling_constant,
     lebesgue,

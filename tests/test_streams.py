@@ -33,7 +33,7 @@ from haartest.characteristics import (
     quadratic_haar_testing,
 )
 from haartest.cli import main
-from haartest.dyadic import DyadicCube, Grid
+from haartest.dyadic import Grid
 from haartest.experiments import counterexample_search, triple_absorption_experiment
 from haartest.haar import cached_system
 from haartest.measure import random_dyadic_doubling
@@ -101,18 +101,15 @@ def _sign_fixed(v):
     return -v if v[lead[0]] < 0 else v
 
 
-def _haar_oracle(system, images, omega, mode):
+def _haar_oracle(system, images, omega):
     """(value, cube, coefficients) of haar_testing: one SVD per cube of
     its weighted image block, the first strict maximum in system order."""
-    grid = omega.grid
     best = (0.0, None, [])
+    root = np.sqrt(omega.flat_mass)[:, None]
     for key, (start, count) in system.cube_slots.items():
         if not count:
             continue
-        weights = omega.flat_mass
-        if mode == "local":
-            weights = weights * DyadicCube.from_key(grid, key).indicator().ravel()
-        _, svals, vh = np.linalg.svd(np.sqrt(weights)[:, None] * images[:, start:start + count],
+        _, svals, vh = np.linalg.svd(root * images[:, start:start + count],
                                      full_matrices=False)
         if svals[0] > best[0]:
             best = (float(svals[0]), key, _sign_fixed(vh[0]))
@@ -145,22 +142,19 @@ def _assert_haar(rep, oracle):
 
 
 @pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("mode", ["global", "local"])
-def test_streamed_haar_testing_matches_whole_images(name, mode, corpus1, budget):
+def test_streamed_haar_testing_matches_whole_images(name, corpus1, budget):
     sigma, omega, kernel, depth = _case(name, corpus1)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
     ssys, osys = cached_system(sigma, depth), cached_system(omega, depth)
     images = _wavelet_images(dense_kernel_matrix(kernel, trunc, sigma.grid), ssys)
-    _assert_haar(haar_testing(sigma, omega, kernel, trunc, mode=mode, depth=depth),
-                 _haar_oracle(ssys, images, omega, mode))
+    _assert_haar(haar_testing(sigma, omega, kernel, trunc, depth=depth),
+                 _haar_oracle(ssys, images, omega))
     dual_images = _wavelet_images(dense_kernel_matrix(kernel.transpose(), trunc, sigma.grid), osys)
-    dual_oracle = _haar_oracle(osys, dual_images, sigma, mode)
-    _assert_haar(haar_testing_dual(sigma, omega, kernel, trunc, mode=mode, depth=depth),
+    dual_oracle = _haar_oracle(osys, dual_images, sigma)
+    _assert_haar(haar_testing_dual(sigma, omega, kernel, trunc, depth=depth), dual_oracle)
+    _assert_haar(pair_bundle(sigma, omega, kernel, trunc, depth)["dual_haar_testing"],
                  dual_oracle)
-    if mode == "global":
-        _assert_haar(pair_bundle(sigma, omega, kernel, trunc, depth)["dual_haar_testing"],
-                     dual_oracle)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -177,7 +171,7 @@ def test_streamed_cube_testing_matches_whole_images(name, mode, p, corpus1, budg
     assert rep.witness["cube"] == cube
 
 
-def _lp_oracle(system, images, omega, p, mode, seed):
+def _lp_oracle(system, images, omega, p, seed):
     """(value, cube, coefficients) of lp_haar_testing: each cube's
     candidates are its canonical wavelets, with two or more wavelets
     _ROTATION_SAMPLES seeded unit combinations, and at p = 2 the SVD
@@ -187,12 +181,10 @@ def _lp_oracle(system, images, omega, p, mode, seed):
     rng = np.random.default_rng(seed)
     sigma_mass = system.measure.flat_mass
     best = (0.0, None, [])
+    weights = omega.flat_mass
     for key, (start, count) in system.cube_slots.items():
         if not count:
             continue
-        weights = omega.flat_mass
-        if mode == "local":
-            weights = weights * DyadicCube.from_key(omega.grid, key).indicator().ravel()
         block = images[:, start:start + count]
         candidates = list(np.eye(count))
         if count > 1:
@@ -212,21 +204,19 @@ def _lp_oracle(system, images, omega, p, mode, seed):
 
 
 @pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("mode", ["global", "local"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_streamed_lp_haar_testing_matches_whole_images(name, mode, p, corpus1, budget):
+def test_streamed_lp_haar_testing_matches_whole_images(name, p, corpus1, budget):
     sigma, omega, kernel, depth = _case(name, corpus1)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
     system = cached_system(sigma, depth)
     images = _wavelet_images(dense_kernel_matrix(kernel, trunc, sigma.grid), system)
-    rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, mode=mode, depth=depth, seed=7)
-    _assert_haar(rep, _lp_oracle(system, images, omega, p, mode, 7))
-    dual = lp_haar_testing(omega, sigma, kernel.transpose(), trunc, p=p, mode=mode,
-                           depth=depth, seed=7)
+    rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, depth=depth, seed=7)
+    _assert_haar(rep, _lp_oracle(system, images, omega, p, 7))
+    dual = lp_haar_testing(omega, sigma, kernel.transpose(), trunc, p=p, depth=depth, seed=7)
     osys = cached_system(omega, depth)
     dual_images = _wavelet_images(dense_kernel_matrix(kernel.transpose(), trunc, sigma.grid), osys)
-    _assert_haar(dual, _lp_oracle(osys, dual_images, sigma, p, mode, 7))
+    _assert_haar(dual, _lp_oracle(osys, dual_images, sigma, p, 7))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -249,7 +239,7 @@ def test_streamed_haar_matrix_and_bundle_match_whole_images(name, rotation, corp
     bundle = pair_bundle(sigma, omega, kernel, trunc, depth)
     assert bundle["operator_norm"].as_dict() == operator_norm(
         assemble_haar_matrix(kernel, trunc, sigma, omega, depth)).as_dict()
-    _assert_haar(bundle["haar_testing"], _haar_oracle(ssys, images, omega, "global"))
+    _assert_haar(bundle["haar_testing"], _haar_oracle(ssys, images, omega))
     value, key = _cube_oracle(dense_kernel_matrix(kernel, trunc, sigma.grid), sigma, omega,
                               "global", 2.0, depth)
     assert bundle["cube_testing"].value == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -501,7 +491,7 @@ def test_pair_scan_in_blocks_matches_one_block(monkeypatch, variant, reach, dime
     grid = Grid(dimension=dimension, max_level=8 if dimension == 1 else 4)
     sigma = random_dyadic_doubling(grid, 3.0, seed=53)
     omega = random_dyadic_doubling(grid, 2.0, seed=54)
-    partners_of, _, _, min_depth = _PAIR_VARIANTS[variant]
+    partners_of, _, _, _, min_depth = _PAIR_VARIANTS[variant]
     cfg = LpConfig(3.0)
     _, e, depth = _size_setup(sigma, omega, 0.0, None, min_depth)
     args = (sigma, omega, cfg, e, depth, partners_of, reach)

@@ -8,8 +8,8 @@ and runs, once with each tree's `src/`, the five `haartest` subcommands with
 --depth 4` (which adds the Lp Haar testing reports and their duals),
 `frames --p 1.5 --depth 10` (depth = max_level on the default 1-D grid: the
 full-depth transform, and no neighbour band), `characteristics --p 3
---depth 10` (the full-depth operator images, Haar matrix and Lp Haar
-testing), `characteristics --p 3 --depth 4` on the chars-2d workload's grid
+--depth 10` (the full-depth operator images, mesh norm, Haar testing and
+Lp Haar testing), `characteristics --p 3 --depth 4` on the chars-2d workload's grid
 and measures (2-D L=6, riesz_like lambda=0.5: the Lp Haar scans and their
 duals in 2-D, on cubes with three wavelets), the same with `--seed 5`
 (`seeded-lp-characteristics-2d`: the rotated Lp candidates drawn from a
