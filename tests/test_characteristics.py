@@ -414,9 +414,19 @@ def _assert_same_optimum(rep, oracle):
     np.testing.assert_allclose(rep.witness["coefficients"], oracle[j][2], atol=1e-10)
 
 
+def _scanned_side(pair, dual):
+    """(sigma, omega, kernel, trunc) that a Haar scan of pair folds: the
+    pair itself, or for the dual scan the adjoint with the measures
+    swapped."""
+    sigma, omega, kernel, trunc = pair
+    return (omega, sigma, kernel.transpose(), trunc) if dual else pair
+
+
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
-def test_haar_testing_optima_match_per_cube_svd(name):
-    sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_haar_testing_optima_match_per_cube_svd(name, dual):
+    pair = OPTIMA_CASES[name]()
+    sigma, omega, kernel, trunc = _scanned_side(pair, dual)
     depth = 3
     system = cached_system(sigma, depth)
     images = dense_kernel_matrix(kernel, trunc, sigma.grid) @ system.weighted_matrix.T
@@ -428,11 +438,33 @@ def test_haar_testing_optima_match_per_cube_svd(name):
     for row, (_, _, vec) in zip(coeffs, oracle):
         np.testing.assert_allclose(row[:vec.size], vec, atol=1e-10)
         assert not row[vec.size:].any()
-    rep = haar_testing(sigma, omega, kernel, trunc, depth=depth)
+    rep = (haar_testing_dual if dual else haar_testing)(*pair, depth=depth)
     _assert_same_optimum(rep, oracle)
     assert rep.search_space["cube_blocks"] == len(oracle)
-    lp = lp_haar_testing(sigma, omega, kernel, trunc, p=2.0, depth=depth)
+    lp = (lp_haar_testing_dual if dual else lp_haar_testing)(*pair, p=2.0, depth=depth)
     np.testing.assert_allclose(lp.value, rep.value, rtol=1e-9)
+
+
+def test_haar_testing_deeper_scan_keeps_the_coarser_optima():
+    # the global scan's cube optima do not depend on the depth: a scan one
+    # level deeper keeps every coarser cube's optimum and adds those of the
+    # new level's cubes, so its value never falls
+    for name, case in sorted(OPTIMA_CASES.items()):
+        sigma, omega, kernel, trunc = case()
+        before, value = {}, 0.0
+        for depth in range(1, sigma.grid.max_level + 1):
+            system = cached_system(sigma, depth)
+            fold = _GramFold(system, omega.flat_mass)
+            _fold_images(kernel, trunc, sigma, depth, fold.add)
+            keys = [key for key, (_, count) in system.cube_slots.items() if count]
+            tops = dict(zip(keys, fold.optima()[0]))
+            for key, top in before.items():
+                assert tops[key] == pytest.approx(top, rel=1e-12, abs=1e-300), (name, key)
+            assert {int(key.partition(":")[0]) for key in set(tops) - set(before)} <= {depth - 1}
+            rep = haar_testing(sigma, omega, kernel, trunc, depth=depth)
+            assert rep.value == pytest.approx(max(tops.values()), rel=1e-12, abs=0.0)
+            assert rep.value >= value * (1.0 - 1e-12)
+            before, value = tops, rep.value
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
@@ -651,17 +683,22 @@ def _loop_best(loop):
 
 @pytest.mark.parametrize("name", sorted(OPTIMA_CASES))
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_lp_haar_scan_matches_candidate_loop(name, p):
-    sigma, omega, kernel, trunc = OPTIMA_CASES[name]()
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_lp_haar_scan_matches_candidate_loop(name, p, dual):
+    # the dual scan folds the adjoint's images at the conjugate exponent
+    pair = OPTIMA_CASES[name]()
+    sigma, omega, kernel, trunc = _scanned_side(pair, dual)
+    q = LpConfig(p).p_prime if dual else p
     system, images = _whole_wavelet_images(sigma, kernel, trunc, 3)
-    optimum_from = 1 if p == 2.0 else np.inf
+    optimum_from = 1 if q == 2.0 else np.inf
     for seed in (0, 5):
-        loop = _loop_candidates(system, images, omega, p, np.random.default_rng(seed),
+        loop = _loop_candidates(system, images, omega, q, np.random.default_rng(seed),
                                 optimum_from)
-        values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, p, seed,
+        values, combos = _lp_scan(system, kernel, trunc, omega.flat_mass, q, seed,
                                   optimum_from)
         _assert_same_candidates(values, combos, loop)
-        rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, depth=3, seed=seed)
+        rep = (lp_haar_testing_dual if dual else lp_haar_testing)(*pair, p=p, depth=3,
+                                                                  seed=seed)
         value, cube, coeffs = _loop_best(loop)
         np.testing.assert_allclose(rep.value, value, rtol=1e-12, atol=0.0)
         assert rep.witness["cube"] == cube

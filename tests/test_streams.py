@@ -6,7 +6,8 @@ cube images whole, as dense products with the kernel matrix, and compute
 each characteristic from them cube by cube. Each case runs with the
 default block budget, one block on these grids, and with a budget of three
 slabs of images, which does not divide the slab count, so the last block is
-shorter than the others.
+shorter than the others. The Haar scans also run with their images forced
+onto the FFT route, which these grids do not take by themselves.
 """
 import tracemalloc
 
@@ -85,6 +86,19 @@ def budget(request, monkeypatch):
     return set_for
 
 
+@pytest.fixture(params=["windows", "fft"])
+def route(request, monkeypatch):
+    """Set the route of `image_blocks` for a grid and depth: the default,
+    windows on these grids, or FFT (whose batches the block budget also
+    sizes)."""
+    def set_for(grid, depth):
+        assert not operators._fft_route(grid, depth)
+        if request.param == "fft":
+            monkeypatch.setattr(operators, "_FFT_ROUTE_RATIO", 0.0)
+        assert operators._fft_route(grid, depth) == (request.param == "fft")
+    return set_for
+
+
 def _cube_images(g, sigma, level):
     """Whole (n_cells, cubes) images of the level's cube indicators."""
     return g @ np.array([cube.indicator().ravel() * sigma.flat_mass
@@ -142,10 +156,11 @@ def _assert_haar(rep, oracle):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_streamed_haar_testing_matches_whole_images(name, corpus1, budget):
+def test_streamed_haar_testing_matches_whole_images(name, corpus1, budget, route):
     sigma, omega, kernel, depth = _case(name, corpus1)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
+    route(sigma.grid, depth)
     ssys, osys = cached_system(sigma, depth), cached_system(omega, depth)
     images = _wavelet_images(dense_kernel_matrix(kernel, trunc, sigma.grid), ssys)
     _assert_haar(haar_testing(sigma, omega, kernel, trunc, depth=depth),
@@ -205,10 +220,11 @@ def _lp_oracle(system, images, omega, p, seed):
 
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_streamed_lp_haar_testing_matches_whole_images(name, p, corpus1, budget):
+def test_streamed_lp_haar_testing_matches_whole_images(name, p, corpus1, budget, route):
     sigma, omega, kernel, depth = _case(name, corpus1)
     trunc = default_truncation(sigma.grid)
     budget(sigma.grid, depth)
+    route(sigma.grid, depth)
     system = cached_system(sigma, depth)
     images = _wavelet_images(dense_kernel_matrix(kernel, trunc, sigma.grid), system)
     rep = lp_haar_testing(sigma, omega, kernel, trunc, p=p, depth=depth, seed=7)
