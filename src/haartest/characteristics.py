@@ -52,8 +52,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dyadic import DyadicCube, Grid, group_by_cube
-from .haar import HaarLevel, HaarSystem, _cube_keys, cached_system, normalize_sign
+from .dyadic import DyadicCube, Grid, cube_keys, group_by_cube
+from .haar import HaarLevel, HaarSystem, cached_system, normalize_sign
 from .measure import MeshMeasure, level_masses
 from .operators import (
     _IMAGE_BLOCK_ENTRIES,
@@ -906,15 +906,9 @@ def _pyramid(measure: MeshMeasure) -> tuple:
     return np.concatenate(masses), np.cumsum([0] + [m.size for m in masses])
 
 
-def _keys(levels, cubes, dimension: int) -> list:
-    """`DyadicCube.key()` of the cubes of levels `levels` and C-order
-    indices `cubes`."""
-    return [_cube_keys(int(level), [cube], dimension)[0] for level, cube in zip(levels, cubes)]
-
-
 def _key_cubes(grid: Grid, keys: list) -> tuple:
     """(levels, C-order indices) of the cubes with `DyadicCube.key()` keys,
-    the inverse of `_keys`."""
+    the inverse of `cube_keys`."""
     cubes = [DyadicCube.from_key(grid, key) for key in keys]
     return (np.array([c.level for c in cubes], dtype=int),
             np.array([np.ravel_multi_index(c.coords, (2 ** c.level,) * grid.dimension)
@@ -1148,8 +1142,8 @@ def _pair_family_ap(variant: str, sigma: MeshMeasure, omega: MeshMeasure,
     family_witness: dict = {}
     if winner is not None:
         levels, cubes, subs, index, coeffs = winner
-        family_witness = {"cubes": _keys(levels, cubes, grid.dimension),
-                          "partners": _keys(subs, index, grid.dimension),
+        family_witness = {"cubes": cube_keys(levels, cubes, grid.dimension),
+                          "partners": cube_keys(subs, index, grid.dimension),
                           "coefficients": [float(a) for a in coeffs]}
 
     witness = {**family_witness, "variant": variant, "lambda": lam, "p": cfg.p,

@@ -100,9 +100,6 @@ class Grid:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def root(self) -> "DyadicCube":
-        return DyadicCube(self, 0, (0,) * self.dimension)
-
     def cube(self, level: int, coords) -> "DyadicCube":
         return DyadicCube(self, level, tuple(int(c) for c in coords))
 
@@ -248,6 +245,16 @@ class DyadicCube:
     def from_key(grid: Grid, key: str) -> "DyadicCube":
         level_str, _, coord_str = key.partition(":")
         return DyadicCube(grid, int(level_str), tuple(int(c) for c in coord_str.split(",")))
+
+
+def cube_keys(levels, cubes, dimension: int) -> list:
+    """`DyadicCube.key()` of the cubes of levels `levels` (one level, or one
+    per cube) with C-order indices `cubes`: the array form of the key."""
+    levels, cubes = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (levels, cubes)))
+    coords = [(cubes >> levels * (dimension - 1 - axis)) & ((1 << levels) - 1)
+              for axis in range(dimension)]
+    return [f"{level}:" + ",".join(map(str, c))
+            for level, *c in zip(levels.tolist(), *(axis.tolist() for axis in coords))]
 
 
 def block_sums(values: np.ndarray, dimension: int, factor: int,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .characteristics import (
     quadratic_haar_testing,
     quadratic_offset_ap,
 )
-from .dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance
+from .dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance, refine
 from .haar import HaarSystem, cached_system
 from .measure import (
     MeshMeasure,
@@ -868,6 +869,7 @@ def halo_cover(measure: MeshMeasure, box, epsilon: float, eta: float) -> HaloCov
     halo_mass = measure.box_mass(lo_e, hi_e)
     wside = float(grid.window_upper[0] - grid.window_lower[0])
     slack = 1e-12 * side
+    n = grid.dimension
     leftover = halo_mass
     for t in range(1, grid.max_level + 64):
         min_side = side * 2.0**-t
@@ -875,21 +877,22 @@ def halo_cover(measure: MeshMeasure, box, epsilon: float, eta: float) -> HaloCov
             k for k in range(grid.max_level + 1)
             if min_side <= wside * 2.0**-k <= eta * side + slack
         ]
-        covered = np.zeros(grid.mesh_shape, dtype=bool)
-        cubes = []
+        # coarse to fine, a cube inside the shrink (by `_inside`'s comparisons
+        # on each axis) is taken unless a cube taken at a coarser level holds it
+        covered, previous, cubes = np.zeros((1,) * n, dtype=bool), 0, []
         for k in levels:
-            for cube in grid.cubes_at_level(k):
-                if not _inside(cube, lo_e, hi_e, slack):
-                    continue
-                sl = cube.slices()
-                if covered[sl].any():
-                    continue
-                covered[sl] = True
-                cubes.append(cube)
+            width = grid.side / 2**k
+            lower = grid.window_lower[:, None] + np.arange(2**k) * width
+            fits = ~((lower < lo_e[:, None] - slack) | (lower + width > hi_e[:, None] + slack))
+            covered = refine(covered, n, 2 ** (k - previous))
+            taken = reduce(np.logical_and.outer, fits) & ~covered
+            covered, previous = covered | taken, k
+            cubes.extend(grid.cube(k, np.unravel_index(i, taken.shape))
+                         for i in np.flatnonzero(taken).tolist())
         mass = sum(measure.cube_mass(c) for c in cubes)
         leftover = max(halo_mass - mass, 0.0)
         if leftover < epsilon * box_mass:
-            keys = tuple(c.key() for c in sorted(cubes, key=lambda q: q.key()))
+            keys = tuple(sorted(c.key() for c in cubes))
             return HaloCover(lower=tuple(float(t_) for t_ in lo), side=side,
                              keys=keys, eta=eta, epsilon=epsilon,
                              count=len(keys), t=t, leftover=leftover,

@@ -14,8 +14,8 @@ needs it, by the system's level-by-level transform (`HaarSystem.analyse`,
 and only per-sample scalars outlive it: energies, norms, the constant mask,
 ratios and round-trip gaps. So a check holds a few blocks, never a whole
 (samples, cells) or (samples, wavelets) matrix. Consecutive draws from one
-generator give the numbers of one draw, and each row is computed as it is in
-one batch, so the reports do not depend on the block size. The block square
+generator give the numbers of one draw, and every row is computed as it is
+alone, so the reports do not depend on the block size. The block square
 functions are summed level by level (`_sequence_norms`), not cube by cube.
 """
 from __future__ import annotations
@@ -98,19 +98,13 @@ def _ratio_report(ratios: np.ndarray, labels: list, sample_count: int, p: float,
 
 
 def _row_blocks(count: int, draw, n_cells: int, probes=()):
-    """Yield (rows, block) over a sample set: the probes (mesh functions)
+    """Yield the row blocks of a sample set: the probes (mesh functions)
     first, then `count` rows of draw(k), which draws the next k rows.
 
-    A block holds `rows` samples, _SAMPLE_BLOCK_ENTRIES // n_cells of them
-    rounded down to a multiple of four but at least four, fewer in the last
-    block, and is padded with zero rows to a multiple of four rows. The
-    BLAS products that see the rows (the transform's level products, the
-    norms' matvec) round a row by its place when a product has fewer than
-    four rows or a ragged tail: unpadded blocks of one or three rows moved
-    the last bit of the coefficients. Padded, every row is computed as in
-    one batch. A zero row is constant and has zero norm, so it is never kept.
+    A block holds _SAMPLE_BLOCK_ENTRIES // n_cells rows, at least one,
+    fewer in the last block.
     """
-    step = max(4, _SAMPLE_BLOCK_ENTRIES // n_cells // 4 * 4)
+    step = max(1, _SAMPLE_BLOCK_ENTRIES // n_cells)
     total = len(probes) + count
     for first in range(0, total, step):
         stop = min(first + step, total)
@@ -118,9 +112,7 @@ def _row_blocks(count: int, draw, n_cells: int, probes=()):
                  for q in probes[first:stop]]
         if stop > len(probes):
             parts.append(draw(stop - max(first, len(probes))))
-        if (stop - first) % 4:
-            parts.append(np.zeros((-(stop - first) % 4, parts[-1].shape[1])))
-        yield stop - first, parts[0] if len(parts) == 1 else np.concatenate(parts)
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _labels(probe_count: int, sample_count: int) -> list:
@@ -132,15 +124,18 @@ def _labels(probe_count: int, sample_count: int) -> list:
 
 def _element_energies(elements: list, mu: MeshMeasure, xs: np.ndarray) -> np.ndarray:
     """sum_j |<x, f_j>_mu|^2 of every row x of xs, for a list of mesh
-    functions f_j: the elements are stacked and paired with the samples
-    _ELEMENT_BLOCK at a time."""
-    weighted = (xs * mu.flat_mass).T
+    functions f_j: the elements are stacked _ELEMENT_BLOCK at a time, and
+    each sample is paired alone with a stack, so its energy does not depend
+    on the other samples."""
+    weighted = xs * mu.flat_mass
     num = np.zeros(len(xs))
     for start in range(0, len(elements), _ELEMENT_BLOCK):
         rows = np.stack([np.asarray(e, dtype=float).ravel()
                          for e in elements[start:start + _ELEMENT_BLOCK]])
-        # the running sum leads the block, so the sum runs in element order
-        num = np.concatenate([num[None], (rows @ weighted) ** 2]).sum(axis=0)
+        squares = np.stack([(rows @ x) ** 2 for x in weighted], axis=1)
+        # the running sum leads the block, and a cumulative sum adds in
+        # element order for any number of samples
+        num = np.concatenate([num[None], squares]).cumsum(axis=0)[-1]
     return num
 
 
@@ -182,11 +177,11 @@ def hilbert_frame_bounds(family, mu: MeshMeasure, sample_count: int = 64,
     probes = probes or []
     rng = np.random.default_rng(seed)
     num, den = [], []
-    for rows, xs in _row_blocks(sample_count, lambda k: rng.standard_normal((k, n_cells)),
-                                n_cells, probes):
-        energies = _system_energies(family, xs) if is_system else _element_energies(family, mu, xs)
-        num.append(energies[:rows])
-        den.append((xs**2 @ mu.flat_mass)[:rows])
+    for xs in _row_blocks(sample_count, lambda k: rng.standard_normal((k, n_cells)),
+                          n_cells, probes):
+        num.append(_system_energies(family, xs) if is_system
+                   else _element_energies(family, mu, xs))
+        den.append((xs**2 * mu.flat_mass).sum(axis=1))
     num, den = np.concatenate(num), np.concatenate(den)
     keep = den > 0.0
     if not np.any(keep):
@@ -268,11 +263,11 @@ def _square_function_ratios(mu: MeshMeasure, p: float, depth: int, sample_count:
     rng = np.random.default_rng(seed)
     probes = probes or []
     keep, ratios = [], []
-    for rows, funcs in _row_blocks(
+    for funcs in _row_blocks(
             sample_count, lambda k: _resolved_samples(mu.grid, depth, k, rng),
             mu.grid.n_cells, probes):
         _, _, _, kept, ratio = _analyse(system, funcs, p)
-        keep.append(kept[:rows])
+        keep.append(kept)
         ratios.append(ratio)
     if not any(r.size for r in ratios):
         raise DegenerateMeasureError("every sample is constant under the measure")
@@ -327,13 +322,13 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
     system = cached_system(mu, depth)
     positive = mu.flat_mass > 0.0
     finite, gaps, ratios = [], [], []
-    for rows, samples in _row_blocks(
+    for samples in _row_blocks(
             sample_count, lambda k: _resolved_samples(mu.grid, depth, k, rng),
             mu.grid.n_cells):
         coeffs, means, norms, _, ratio = _analyse(system, samples, p)
         back = system.synthesise(coeffs) + means[:, None]
-        finite.append(np.isfinite(norms[:rows]))
-        gaps.append(np.abs(back[:rows] - samples[:rows])[:, positive].max(axis=1))
+        finite.append(np.isfinite(norms))
+        gaps.append(np.abs(back - samples)[:, positive].max(axis=1))
         ratios.append(ratio)
     if not any(r.size for r in ratios):
         raise DegenerateMeasureError("every sample is constant under the measure")
@@ -363,7 +358,7 @@ def banach_frame_check(mu: MeshMeasure, p: float, depth: int,
 
     # the sparse draws follow every sample block's, as one draw of each would
     synth_bound = 0.0
-    for _, sparse in _row_blocks(sparse_trials, draw_sparse, mu.grid.n_cells):
+    for sparse in _row_blocks(sparse_trials, draw_sparse, mu.grid.n_cells):
         sparse_norms = _sequence_norms(system, sparse, p)
         nonzero = sparse_norms != 0.0
         synth = (_lp_norms(system.synthesise(sparse[nonzero]), mu.flat_mass, p)

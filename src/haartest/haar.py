@@ -12,8 +12,8 @@ level arrays on demand.
 
 The fast transform for these unbalanced wavelets works on the same arrays:
 analysis sums f * mu to the level-`depth` cubes and then, level by level,
-takes one stacked product of every cube's children's sums with its child
-values (`HaarSystem.analyse`, `analyse_cube_sums`); synthesis adds each
+adds each wavelet's child values times its cube's children's sums, child by
+child (`HaarSystem.analyse`, `analyse_cube_sums`); synthesis adds each
 level's component, coarse to fine (`synthesise`, `level_components`). The
 Haar matrices of `operators` are analyses too, of the operator's cube sums
 on both sides, so no code path forms an n_wavelets x n_cells matrix; the
@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicCube, block_sums, group_by_cube, refine, ungroup_children
+from .dyadic import DyadicCube, block_sums, cube_keys, group_by_cube, refine, ungroup_children
 from .measure import MeshMeasure, level_masses
 
 _SIGN_TOL = 1e-13
@@ -89,13 +89,6 @@ def _level_wavelets(masses: np.ndarray) -> tuple:
     values = np.where(support, (m / total * scale)[:, None], 0.0)
     values[np.arange(cubes.size), child] = -rest / total * scale
     return cubes, normalize_sign(values)
-
-
-def _cube_keys(level: int, cubes: np.ndarray, dimension: int) -> list:
-    """`DyadicCube.key()` of the level-`level` cubes with C-order indices cubes."""
-    coords = np.unravel_index(cubes, (2 ** level,) * dimension)
-    return [f"{level}:" + ",".join(map(str, c))
-            for c in zip(*(axis.tolist() for axis in coords))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +155,7 @@ class HaarSystem:
         n = self.measure.grid.dimension
         slots: dict = {}
         for lv, rows in zip(self.levels, self.level_rows):
-            keys = _cube_keys(lv.level, np.arange(lv.counts.size), n)
+            keys = cube_keys(lv.level, np.arange(lv.counts.size), n)
             slots.update(zip(keys, zip((rows.start + lv.starts).tolist(),
                                        lv.counts.tolist())))
         return slots
@@ -226,12 +219,12 @@ class HaarSystem:
         their mu-weighted sums over the level-`depth` cubes, sums (k,) +
         (2**depth,)*n: the level loop of the transform.
 
-        Level by level, finest first, the sums over every cube's children
-        give the level's coefficients in one stacked product with the
-        children's values (`HaarLevel.padded_values`), and the children's
-        sums are the next level's sums. The k functions go through in
-        blocks of _TRANSFORM_BLOCK_ENTRIES sums, each moved to the last
-        axis so that every level is one matmul over contiguous memory.
+        Level by level, finest first, each coefficient is its wavelet's
+        child values times its cube's children's sums, added child by child
+        in a fixed order, and the children's sums, added the same way, are
+        the next level's sums: a row takes the same floating-point operations
+        in any batch. The k functions go through in blocks of
+        _TRANSFORM_BLOCK_ENTRIES sums, each moved to the last axis.
         """
         n = self.measure.grid.dimension
         sums = np.asarray(sums, dtype=float)
@@ -243,8 +236,14 @@ class HaarSystem:
             block = np.ascontiguousarray(np.moveaxis(sums[batch], 0, -1))
             for lv, rows in zip(reversed(self.levels), reversed(self.level_rows)):
                 children = group_by_cube(block, lv.level, n, start=0)  # (cubes, 2**n, b)
-                out[batch, rows] = (lv.padded_values @ children)[lv.cubes, lv.index].T
-                block = children.sum(axis=1).reshape((2 ** lv.level,) * n + (-1,))
+                values = lv.padded_values  # (cubes, 2**n - 1, 2**n)
+                coeffs = values[:, :, :1] * children[:, None, 0]
+                total = children[:, 0].copy()
+                for child in range(1, 2 ** n):
+                    coeffs += values[:, :, child:child + 1] * children[:, None, child]
+                    total += children[:, child]
+                out[batch, rows] = coeffs[lv.cubes, lv.index].T
+                block = total.reshape((2 ** lv.level,) * n + (-1,))
         return out
 
     def level_components(self, coeffs: np.ndarray):
@@ -290,7 +289,7 @@ class HaarSystem:
         n = self.measure.grid.dimension
         out = []
         for lv in self.levels:
-            out.extend(zip(_cube_keys(lv.level, lv.cubes, n), lv.index.tolist()))
+            out.extend(zip(cube_keys(lv.level, lv.cubes, n), lv.index.tolist()))
         return out
 
 

@@ -14,6 +14,8 @@ and `mesh_values` paints one wavelet on the mesh child by child, to check
 `haartest.characteristics` takes the top singular triple by Lanczos on
 A^T A; `golub_kahan_triple` takes it by Golub-Kahan-Lanczos, with a left
 and a right basis, from the same start and under the same stopping rule.
+`haartest.experiments.halo_cover` selects a level's cubes by masks;
+`greedy_halo_cover` walks every cube of every allowed level instead.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from haartest.characteristics import _NORM_MAX_ITERS, _NORM_TOL, _LanczosBasis
 from haartest.dyadic import Grid
+from haartest.experiments import _inside
 from haartest.haar import HaarLevel, HaarSystem, HaarWavelet, cached_system
 from haartest.measure import MeshMeasure
 from haartest.operators import (
@@ -157,3 +160,31 @@ def golub_kahan_triple(matvec, rmatvec, n: int) -> tuple:
         if converged or k + 1 == min(n, _NORM_MAX_ITERS):
             return s, sum(c * row for c, row in zip(b.T @ p / s, right)), k + 1, bool(converged)
         u = matvec(right[k + 1]) - betas[-1] * left[-1]
+
+
+def greedy_halo_cover(measure: MeshMeasure, box, epsilon: float, eta: float):
+    """(t, keys, leftover) of `halo_cover`'s greedy cover, or None where the
+    mesh runs out first, by the per-cube loop: every cube of each allowed
+    level, coarse to fine, is taken when `_inside` accepts it and none of
+    its cells is covered yet."""
+    grid = measure.grid
+    lo, side = np.asarray(box[0], dtype=float), float(box[1])
+    center, half = lo + 0.5 * side, 0.5 * eta * side
+    lo_e, hi_e = center - half, center + half
+    halo_mass, box_mass = measure.box_mass(lo_e, hi_e), measure.box_mass(lo, lo + side)
+    wside, slack = float(grid.window_upper[0] - grid.window_lower[0]), 1e-12 * side
+    for t in range(1, grid.max_level + 64):
+        levels = [k for k in range(grid.max_level + 1)
+                  if side * 2.0**-t <= wside * 2.0**-k <= eta * side + slack]
+        covered = np.zeros(grid.mesh_shape, dtype=bool)
+        cubes = []
+        for k in levels:
+            for cube in grid.cubes_at_level(k):
+                if _inside(cube, lo_e, hi_e, slack) and not covered[cube.slices()].any():
+                    covered[cube.slices()] = True
+                    cubes.append(cube)
+        leftover = max(halo_mass - sum(measure.cube_mass(c) for c in cubes), 0.0)
+        if leftover < epsilon * box_mass:
+            return t, tuple(sorted(c.key() for c in cubes)), leftover
+        if side * 2.0**-t < grid.cell_side:
+            return None

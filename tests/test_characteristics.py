@@ -27,8 +27,8 @@ from haartest.characteristics import (
     quadratic_subcube_ap,
     reevaluate,
 )
-from haartest.dyadic import DyadicCube, Grid
-from haartest.haar import _cube_keys, cached_system
+from haartest.dyadic import DyadicCube, Grid, cube_keys
+from haartest.haar import cached_system
 from haartest.measure import (
     custom_cells,
     lebesgue,
@@ -847,7 +847,7 @@ def _partner_keys(partners, n):
     out = {}
     for level, (subs, index) in enumerate(partners):
         for cube in np.flatnonzero(index >= 0):
-            out[_cube_keys(level, [cube], n)[0]] = _cube_keys(int(subs[cube]), [index[cube]], n)[0]
+            out[cube_keys(level, [cube], n)[0]] = cube_keys(int(subs[cube]), [index[cube]], n)[0]
     return out
 
 
@@ -892,7 +892,7 @@ def test_pair_scans_match_per_cube_loops(monkeypatch, case, variant, reach, p):
     best_partner = _partner_keys(partners, n)
     assert best_partner == loop[0]
     np.testing.assert_allclose(scalar_best, loop[1], rtol=1e-12, atol=0.0)
-    key = _cube_keys(level, [cube], n)[0]
+    key = cube_keys(level, [cube], n)[0]
     assert (key, best_partner[key]) == loop[2]
     assert pair_count == loop[3]
     # the whole search once more by the loops: the per-cube scan and draw,
@@ -961,8 +961,8 @@ def test_pair_families_match_the_per_parent_loop(case, variant, reach, dropped):
         assert len(tries) == len(loop_tries)
         for (levels, cubes, subs, index, coeffs), (loop_cubes, loop_partners, loop_coeffs) in zip(
                 tries, loop_tries):
-            assert chars._keys(levels, cubes, n) == [c.key() for c in loop_cubes]
-            assert chars._keys(subs, index, n) == [c.key() for c in loop_partners]
+            assert cube_keys(levels, cubes, n) == [c.key() for c in loop_cubes]
+            assert cube_keys(subs, index, n) == [c.key() for c in loop_partners]
             np.testing.assert_array_equal(coeffs, loop_coeffs)
 
 
@@ -1013,8 +1013,8 @@ def test_closed_form_pair_values_match_the_mesh_oracle(monkeypatch, case, varian
     for value, (levels, cubes, subs, index, coeffs) in zip(got, tries):
         want = pair_family_value(
             sigma, omega, lam, p,
-            [DyadicCube.from_key(grid, k) for k in chars._keys(levels, cubes, grid.dimension)],
-            [DyadicCube.from_key(grid, k) for k in chars._keys(subs, index, grid.dimension)],
+            [DyadicCube.from_key(grid, k) for k in cube_keys(levels, cubes, grid.dimension)],
+            [DyadicCube.from_key(grid, k) for k in cube_keys(subs, index, grid.dimension)],
             coeffs)
         assert want > 0.0
         np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance
+from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance, cube_keys
 
 
 def test_grid_defaults():
@@ -56,6 +56,16 @@ def test_cube_keys_roundtrip():
     back = DyadicCube.from_key(g, "3:5,2")
     assert back.level == 3
     assert back.coords == (5, 2)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_cube_keys_are_the_keys_of_the_cubes(dimension):
+    g = Grid(dimension=dimension, max_level=4)
+    cubes = [q for level in range(5) for q in g.cubes_at_level(level)]
+    index = [np.ravel_multi_index(q.coords, (2 ** q.level,) * dimension) for q in cubes]
+    keys = [q.key() for q in cubes]
+    assert cube_keys([q.level for q in cubes], index, dimension) == keys
+    assert cube_keys(4, np.arange(2 ** (4 * dimension)), dimension) == keys[-2 ** (4 * dimension):]
 
 
 def test_children_and_parent():

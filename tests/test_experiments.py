@@ -39,7 +39,7 @@ from haartest.operators import (
     default_truncation,
     make_kernel,
 )
-from oracles import dense_kernel_matrix
+from oracles import dense_kernel_matrix, greedy_halo_cover
 
 GRID = Grid(dimension=1)
 HILBERT = make_kernel("hilbert", 0.0, 1)
@@ -455,6 +455,27 @@ def test_halo_cover_of_a_dyadic_cube_at_eta_one_is_that_cube(grid):
                 cover = halo_cover(mu, (q.lower, q.side), epsilon=0.5, eta=1.0)
                 assert cover.keys == (q.key(),) and cover.t == 1
                 assert cover.leftover <= 1e-12 * cover.box_mass
+
+
+@pytest.mark.parametrize("grid", [Grid(dimension=1, max_level=8),
+                                  Grid(dimension=2, max_level=6, origin=(0.3, -1.7), side=2.5,
+                                       shift=(0.1, 0.05))], ids=["1d", "2d-shifted"])
+def test_halo_cover_matches_the_per_cube_loop(grid):
+    # the level masks take the cubes the greedy loop takes, and the same
+    # floats: every t, key and leftover is equal, and so is running out
+    mu = random_dyadic_doubling(grid, 2.0, seed=5)
+    rng = np.random.default_rng(11)
+    for eta in (0.3, 0.9, 1.0):
+        for epsilon in (0.5, 0.15, 1e-3):
+            side = float(rng.uniform(0.2, 0.6)) * grid.side
+            lo = grid.window_lower + rng.uniform(0.0, grid.side - side, grid.dimension)
+            want = greedy_halo_cover(mu, (lo, side), epsilon, eta)
+            if want is None:
+                with pytest.raises(MeshExhaustedError):
+                    halo_cover(mu, (lo, side), epsilon=epsilon, eta=eta)
+                continue
+            cover = halo_cover(mu, (lo, side), epsilon=epsilon, eta=eta)
+            assert (cover.t, cover.keys, cover.leftover) == want
 
 
 def test_halo_cover_validation():

@@ -288,7 +288,7 @@ def test_hilbert_frame_bounds_in_element_blocks():
     rep = hilbert_frame_bounds(elements, mu, sample_count=12, seed=2)
     xs = np.random.default_rng(2).standard_normal((12, grid.n_cells))
     coeffs = np.stack(elements) @ (xs * mu.flat_mass).T
-    ratios = (coeffs**2).sum(axis=0) / (xs**2 @ mu.flat_mass)
+    ratios = (coeffs**2).sum(axis=0) / (xs**2 * mu.flat_mass).sum(axis=1)
     assert [rep.lower, rep.upper] == [ratios.min(), ratios.max()]
     np.testing.assert_allclose([rep.lower, rep.upper], 1.0, atol=1e-9)
     with pytest.raises(ValueError):
@@ -336,9 +336,15 @@ def test_hilbert_frame_bounds_rejects_a_system_on_another_measure():
 
 
 def _frame_reports(mu, depth, probes):
-    """The three reports of the `frames` op at p = 3, the first two with probes."""
-    return [hilbert_frame_bounds(cached_system(mu, mu.grid.max_level), mu,
-                                 sample_count=64, seed=9, probes=probes).as_dict(),
+    """The three reports of the `frames` op at p = 3, the first two with
+    probes, and after the first, its frame bounds with the system given as a
+    list of elements."""
+    system = cached_system(mu, mu.grid.max_level)
+    constant = np.full(mu.grid.n_cells, 1.0 / np.sqrt(mu.total_mass))
+    return [hilbert_frame_bounds(system, mu, sample_count=64, seed=9,
+                                 probes=probes).as_dict(),
+            hilbert_frame_bounds([*system.values_matrix, constant], mu, sample_count=64,
+                                 seed=9, probes=probes).as_dict(),
             lp_square_function_bounds(mu, 3.0, depth, sample_count=64, seed=9,
                                       probes=probes).as_dict(),
             banach_frame_check(mu, 3.0, depth, sample_count=32, seed=9).as_dict()]
@@ -348,10 +354,9 @@ def _frame_reports(mu, depth, probes):
                                          (Grid(dimension=1, max_level=8), 5)],
                          ids=["2d-L4", "1d-L8"])
 def test_frame_reports_do_not_depend_on_the_row_blocks(monkeypatch, grid, depth):
-    # one row's entries per block give the smallest block, four rows (the
-    # first mixes the three probes with a random row); twelve rows leave an
-    # uneven last block of seven, padded to eight; then every row in one
-    # block: the reports are the same
+    # one row's entries per block give blocks of one row; twelve rows leave
+    # an uneven last block of seven (the first mixes the three probes with
+    # random rows); then every row in one block: the reports are the same
     mu = random_dyadic_doubling(grid, 2.0, seed=23)
     rng = np.random.default_rng(4)
     probes = [np.ones(grid.mesh_shape), rng.standard_normal(grid.mesh_shape),
@@ -360,8 +365,8 @@ def test_frame_reports_do_not_depend_on_the_row_blocks(monkeypatch, grid, depth)
     for rows in (1, 12, 1 << 10):
         monkeypatch.setattr(frames, "_SAMPLE_BLOCK_ENTRIES", rows * grid.n_cells)
         blocks = _row_blocks(64, lambda k: np.zeros((k, grid.n_cells)), grid.n_cells, probes)
-        sizes = [k for k, _ in blocks]
-        assert sizes == {1: [4] * 16 + [3], 12: [12] * 5 + [7], 1 << 10: [67]}[rows]
+        sizes = [len(block) for block in blocks]
+        assert sizes == {1: [1] * 67, 12: [12] * 5 + [7], 1 << 10: [67]}[rows]
         reports.append(_frame_reports(mu, depth, probes))
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]

@@ -7,6 +7,7 @@ from haartest import haar
 from haartest.dyadic import Grid, refine
 from haartest.haar import build_system, cached_system
 from haartest.measure import custom_cells, lebesgue, near_point_mass, random_dyadic_doubling
+from haartest.operators import assemble_haar_matrix, default_truncation, make_kernel
 from oracles import mesh_values, rotated_system
 
 
@@ -316,3 +317,35 @@ def test_transform_in_batch_blocks(name, monkeypatch):
     monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", 3 * 2 ** (mu.grid.dimension * depth))
     funcs = np.random.default_rng(4).standard_normal((10, mu.grid.n_cells))
     _assert_close(sys.analyse(funcs), funcs @ sys.weighted_matrix.T)
+
+
+@pytest.mark.parametrize("n, level, depths", [(1, 10, (6, 10)), (2, 6, (5, 6))],
+                         ids=["1d-L10", "2d-L6"])
+def test_analysis_of_a_row_does_not_depend_on_its_batch(n, level, depths):
+    # the level sums take the same floating-point operations for every batch:
+    # any split of the rows, and a row alone, give the same bits
+    mu = random_dyadic_doubling(Grid(dimension=n, max_level=level), 2.0, seed=6)
+    x = np.random.default_rng(8).standard_normal((64, mu.grid.n_cells))
+    for depth in depths:
+        sys = build_system(mu, depth)
+        whole = sys.analyse(x)
+        for size in (1, 2, 3, 5, 7):
+            split = np.concatenate([sys.analyse(x[i:i + size]) for i in range(0, 64, size)])
+            np.testing.assert_array_equal(split, whole)
+        for i in range(0, 64, 9):
+            np.testing.assert_array_equal(sys.expand(x[i]), whole[i])
+
+
+@pytest.mark.parametrize("n, level, depth, kernel", [(1, 8, 5, ("hilbert", 0.0)),
+                                                     (2, 4, 3, ("riesz_like", 0.5))],
+                         ids=["1d", "2d"])
+def test_haar_matrix_does_not_depend_on_the_transform_blocks(monkeypatch, n, level,
+                                                             depth, kernel):
+    grid = Grid(dimension=n, max_level=level)
+    args = (make_kernel(*kernel, n), default_truncation(grid),
+            random_dyadic_doubling(grid, 2.0, seed=1), random_dyadic_doubling(grid, 3.0, seed=2),
+            depth)
+    whole = assemble_haar_matrix(*args).entries
+    # one level-`depth` cube pyramid per block: each row of both transforms alone
+    monkeypatch.setattr(haar, "_TRANSFORM_BLOCK_ENTRIES", 2 ** (n * depth))
+    np.testing.assert_array_equal(assemble_haar_matrix(*args).entries, whole)
