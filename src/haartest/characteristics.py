@@ -52,7 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dyadic import DyadicCube, Grid, cube_keys, group_by_cube
+from .dyadic import DyadicCube, Grid, _first_max, cube_keys, group_by_cube
 from .haar import HaarLevel, HaarSystem, cached_system, normalize_sign
 from .measure import MeshMeasure, level_masses
 from .operators import (
@@ -179,21 +179,6 @@ def _kernel_and_trunc(space: dict) -> tuple:
 def _lp_norm(weights: np.ndarray, values: np.ndarray, p: float) -> float:
     """(sum_i weights_i |values_i|^p)^(1/p)."""
     return float(np.sum(weights * np.abs(values) ** p)) ** (1.0 / p)
-
-
-def _first_max(parts: list) -> tuple:
-    """The witness rule of every scan: (value, part, index) of the first
-    largest entry of the arrays `parts`, each taken in C order and laid end
-    to end in scan order, index a tuple into its part. Entries below 0 are
-    absent; (-1.0, None, None) when every entry is."""
-    flat = np.concatenate([np.ravel(v) for v in parts] + [[-1.0]])
-    j = int(np.argmax(flat))
-    if flat[j] < 0.0:
-        return -1.0, None, None
-    sizes = [np.size(v) for v in parts]
-    part = int(np.searchsorted(np.cumsum(sizes), j, side="right"))
-    return (float(flat[j]), part,
-            np.unravel_index(j - sum(sizes[:part]), np.shape(parts[part])))
 
 
 def _restriction_weights(grid: Grid, wflat: np.ndarray, mode: str,

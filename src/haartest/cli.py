@@ -255,7 +255,8 @@ def run_characteristics(cfg: RunConfig) -> tuple:
     print(f"{'pair':<6}{'sigma':<24}{'omega':<24}{'norm':>10}{'haar':>10}"
           f"{'dual':>10}{'ratio':>10}")
     for i, row in enumerate(rows):
-        print(f"{i:<6}{row['sigma']:<24}{row['omega']:<24}"
+        # a spec that fills its column still keeps one space before the next
+        print(f"{i:<6}{row['sigma']:<23} {row['omega']:<23} "
               f"{row['operator_norm']['value']:>10.4f}"
               f"{row['haar_testing']['value']:>10.4f}"
               f"{row['haar_testing_dual']['value']:>10.4f}"
@@ -291,9 +292,8 @@ def run_experiment(cfg: RunConfig) -> tuple:
                                       testing_depth=depth)
     absorption = triple_absorption_experiment(sigma, omega, kernel, trunc,
                                               depth=min(depth, 5), seed=cfg.seed)
-    quad = quadratic_ap_experiment(sigma, omega, kernel, trunc, p=cfg.p,
-                                   families=4, seed=cfg.seed, delta=min(delta, delta_cap),
-                                   control_depth=depth)
+    quad = quadratic_ap_experiment(sigma, omega, kernel, trunc, p=cfg.p, seed=cfg.seed,
+                                   delta=min(delta, delta_cap), control_depth=depth)
     box_lower = tuple(float(t) for t in grid.window_lower + 0.4 * grid.side)
     cover = halo_cover(sigma, (box_lower, 0.25 * grid.side), 0.1, 0.9)
     cover_check = cover.recompute(sigma)

@@ -103,13 +103,6 @@ class Grid:
     def cube(self, level: int, coords) -> "DyadicCube":
         return DyadicCube(self, level, tuple(int(c) for c in coords))
 
-    def cubes_at_level(self, level: int):
-        """All level-`level` cubes in lexicographic coordinate order."""
-        if level < 0 or level > self.max_level:
-            raise ValueError(f"level {level} outside [0, {self.max_level}]")
-        for coords in itertools.product(range(2 ** level), repeat=self.dimension):
-            yield DyadicCube(self, level, coords)
-
     def axis_fractions(self, lo: float, hi: float, axis: int = 0) -> np.ndarray:
         """Per-cell overlap fraction of [lo, hi) along one axis."""
         base = self.window_lower[axis]
@@ -181,11 +174,6 @@ class DyadicCube:
         return self.lower - self.side, self.upper + self.side
 
     # -- tree structure ----------------------------------------------------
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise ValueError("window cube has no parent")
-        return DyadicCube(self.grid, self.level - 1, tuple(c // 2 for c in self.coords))
-
     def children(self) -> list:
         """The 2**n children in lexicographic offset order."""
         if self.level >= self.grid.max_level:
@@ -203,23 +191,6 @@ class DyadicCube:
                 )
             )
         return out
-
-    def grandchildren(self, m: int, cumulative: bool = False) -> list:
-        """Descendants m levels down; with cumulative=True, levels 1..m."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if self.level + m > self.grid.max_level:
-            raise MeshExhaustedError(
-                f"mesh exhausted: level {self.level + m} exceeds max_level "
-                f"{self.grid.max_level}"
-            )
-        out = []
-        frontier = [self]
-        for _ in range(m):
-            frontier = [c for q in frontier for c in q.children()]
-            if cumulative:
-                out.extend(frontier)
-        return out if cumulative else frontier
 
     def contains(self, other: "DyadicCube") -> bool:
         if other.level < self.level:
@@ -255,6 +226,21 @@ def cube_keys(levels, cubes, dimension: int) -> list:
               for axis in range(dimension)]
     return [f"{level}:" + ",".join(map(str, c))
             for level, *c in zip(levels.tolist(), *(axis.tolist() for axis in coords))]
+
+
+def _first_max(parts: list) -> tuple:
+    """The witness rule of every scan: (value, part, index) of the first
+    largest entry of the arrays `parts`, each taken in C order and laid end
+    to end in scan order, index a tuple into its part. Entries below 0 are
+    absent; (-1.0, None, None) when every entry is."""
+    flat = np.concatenate([np.ravel(v) for v in parts] + [[-1.0]])
+    j = int(np.argmax(flat))
+    if flat[j] < 0.0:
+        return -1.0, None, None
+    sizes = [np.size(v) for v in parts]
+    part = int(np.searchsorted(np.cumsum(sizes), j, side="right"))
+    return (float(flat[j]), part,
+            np.unravel_index(j - sum(sizes[:part]), np.shape(parts[part])))
 
 
 def block_sums(values: np.ndarray, dimension: int, factor: int,

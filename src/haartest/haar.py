@@ -284,14 +284,6 @@ class HaarSystem:
         flat = flat + mean_coeff / np.sqrt(self.measure.total_mass)
         return flat.reshape(self.measure.grid.mesh_shape)
 
-    def wavelet_labels(self) -> list:
-        """(cube key, index within the cube) of every row."""
-        n = self.measure.grid.dimension
-        out = []
-        for lv in self.levels:
-            out.extend(zip(cube_keys(lv.level, lv.cubes, n), lv.index.tolist()))
-        return out
-
 
 def build_system(measure: MeshMeasure, depth: int) -> HaarSystem:
     """The system of levels 0..depth-1, each level built in one step."""

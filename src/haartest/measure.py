@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import DyadicCube, Grid, block_sums, ungroup_children
+from .dyadic import DyadicCube, Grid, _first_max, block_sums, ungroup_children
 
 
 class DegenerateMeasureError(ValueError):
@@ -58,14 +58,6 @@ class MeshMeasure:
         """Integral of a mesh function against this measure."""
         return float((np.asarray(f) * self.cell_mass).sum())
 
-    def norm_lp(self, f: np.ndarray, p: float) -> float:
-        if p <= 0:
-            raise ValueError("p must be positive")
-        return float((np.abs(np.asarray(f)) ** p * self.cell_mass).sum() ** (1.0 / p))
-
-    def density(self) -> np.ndarray:
-        return self.cell_mass / self.grid.cell_volume
-
 
 @dataclass(frozen=True)
 class DoublingReport:
@@ -102,28 +94,22 @@ def doubling_constant(measure: MeshMeasure, depth: int) -> DoublingReport:
     2Q is Q and a collar half its side wide, so |2Q (cap) window|_mu is a sum
     of at most 4**n level-(l+1) cube masses, one array operation per level
     (depth <= max_level - 1 keeps 2Q on that grid). Cubes are scanned by
-    level, then C order, and only a strictly larger ratio replaces the
-    witness; 2Q is clipped exactly when Q touches the window's boundary.
+    level, then C order, and the witness is the first largest ratio
+    (`_first_max`); 2Q is clipped exactly when Q touches the window's boundary.
     """
     grid = measure.grid
     if depth > grid.max_level - 1:
         raise ValueError(f"depth {depth} exceeds max_level-1 = {grid.max_level - 1}")
     if measure.total_mass <= 0:
         raise DegenerateMeasureError("measure has zero total mass")
-    best = -np.inf
-    witness = None
-    for level in range(1, depth + 1):
-        mass = level_masses(measure, level)
-        doubled = _collar_sums(level_masses(measure, level + 1))
-        live = mass > 0
-        ratios = np.full(mass.shape, -np.inf)
-        ratios[live] = doubled[live] / mass[live]
-        j = int(np.argmax(ratios))
-        if ratios.flat[j] > best:
-            best = float(ratios.flat[j])
-            witness = grid.cube(level, np.unravel_index(j, mass.shape))
-    if witness is None:
+    masses = [level_masses(measure, level) for level in range(1, depth + 2)]
+    # -1 marks a zero-mass cube, absent from the scan
+    ratios = [np.divide(_collar_sums(finer), mass, out=np.full(mass.shape, -1.0), where=mass > 0)
+              for mass, finer in zip(masses, masses[1:])]
+    best, part, index = _first_max(ratios)
+    if part is None:
         raise DegenerateMeasureError("no dyadic cube with positive mass in scan range")
+    witness = grid.cube(part + 1, index)
     top = 2 ** witness.level - 1
     clipped = any(c in (0, top) for c in witness.coords)
     return DoublingReport(
@@ -266,8 +252,9 @@ def save_measure_csv(measure: MeshMeasure, path) -> None:
 def load_measure_csv(grid: Grid, path) -> MeshMeasure:
     """Read the (cell_index, mass) rows of `save_measure_csv`. A file with
     no header, a row that is not an index and a mass, an index outside the
-    mesh or a repeated index raises ValueError, naming the file and row; a
-    file that is not UTF-8, naming the file, the row and the byte offset."""
+    mesh, a repeated index or a mass that is negative, NaN or infinite
+    raises ValueError, naming the file and row; a file that is not UTF-8,
+    naming the file, the row and the byte offset."""
     cells = np.zeros(grid.n_cells)
     seen = set()
     with open(path, "rb") as fh:
@@ -293,6 +280,8 @@ def load_measure_csv(grid: Grid, path) -> MeshMeasure:
                 raise ValueError(f"{where}: cell_index {idx} outside mesh of {grid.n_cells} cells")
             if idx in seen:
                 raise ValueError(f"{where}: cell_index {idx} repeated")
+            if not 0.0 <= mass < np.inf:
+                raise ValueError(f"{where}: mass {row[1]} is not finite and nonnegative")
             seen.add(idx)
             cells[idx] = mass
     return MeshMeasure(grid, cells.reshape(grid.mesh_shape), label="csv")

@@ -16,14 +16,19 @@ A^T A; `golub_kahan_triple` takes it by Golub-Kahan-Lanczos, with a left
 and a right basis, from the same start and under the same stopping rule.
 `haartest.experiments.halo_cover` selects a level's cubes by masks;
 `greedy_halo_cover` walks every cube of every allowed level instead.
+The package scans cubes as level arrays and names them by `cube_keys`;
+`cubes_at_level`, `parent`, `grandchildren` and `wavelet_labels` walk and
+name them one `DyadicCube` at a time.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from haartest.characteristics import _NORM_MAX_ITERS, _NORM_TOL, _LanczosBasis
-from haartest.dyadic import Grid
+from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError, cube_keys
 from haartest.experiments import _inside
 from haartest.haar import HaarLevel, HaarSystem, HaarWavelet, cached_system
 from haartest.measure import MeshMeasure
@@ -39,6 +44,45 @@ from haartest.operators import (
 
 # points per row block of points_matrix
 _POINTS_BLOCK = 1024
+
+
+def cubes_at_level(grid: Grid, level: int):
+    """All level-`level` cubes in lexicographic coordinate order."""
+    if level < 0 or level > grid.max_level:
+        raise ValueError(f"level {level} outside [0, {grid.max_level}]")
+    for coords in itertools.product(range(2 ** level), repeat=grid.dimension):
+        yield DyadicCube(grid, level, coords)
+
+
+def parent(cube: DyadicCube) -> DyadicCube:
+    if cube.level == 0:
+        raise ValueError("window cube has no parent")
+    return DyadicCube(cube.grid, cube.level - 1, tuple(c // 2 for c in cube.coords))
+
+
+def grandchildren(cube: DyadicCube, m: int, cumulative: bool = False) -> list:
+    """Descendants m levels down; with cumulative=True, levels 1..m."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if cube.level + m > cube.grid.max_level:
+        raise MeshExhaustedError(
+            f"mesh exhausted: level {cube.level + m} exceeds max_level {cube.grid.max_level}")
+    out = []
+    frontier = [cube]
+    for _ in range(m):
+        frontier = [c for q in frontier for c in q.children()]
+        if cumulative:
+            out.extend(frontier)
+    return out if cumulative else frontier
+
+
+def wavelet_labels(system: HaarSystem) -> list:
+    """(cube key, index within the cube) of every row."""
+    n = system.measure.grid.dimension
+    out = []
+    for lv in system.levels:
+        out.extend(zip(cube_keys(lv.level, lv.cubes, n), lv.index.tolist()))
+    return out
 
 
 def dense_kernel_matrix(kernel: Kernel, trunc: Truncation, grid: Grid) -> np.ndarray:
@@ -179,7 +223,7 @@ def greedy_halo_cover(measure: MeshMeasure, box, epsilon: float, eta: float):
         covered = np.zeros(grid.mesh_shape, dtype=bool)
         cubes = []
         for k in levels:
-            for cube in grid.cubes_at_level(k):
+            for cube in cubes_at_level(grid, k):
                 if _inside(cube, lo_e, hi_e, slack) and not covered[cube.slices()].any():
                     covered[cube.slices()] = True
                     cubes.append(cube)

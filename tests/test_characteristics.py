@@ -43,7 +43,13 @@ from haartest.operators import (
     default_truncation,
     make_kernel,
 )
-from oracles import dense_kernel_matrix, haar_matrix, mesh_values, pair_family_value
+from oracles import (
+    cubes_at_level,
+    dense_kernel_matrix,
+    haar_matrix,
+    mesh_values,
+    pair_family_value,
+)
 
 GRID = Grid(dimension=1, max_level=7)
 SIGMA = random_dyadic_doubling(GRID, 2.0, seed=31)
@@ -161,7 +167,7 @@ def _dense_cube_scan(sigma, omega, kernel, trunc, mode, depth, p):
     """The per-cube dense loop: (values by cube key, first maximiser)."""
     values = {}
     for level in range(depth + 1):
-        cubes = list(sigma.grid.cubes_at_level(level))
+        cubes = list(cubes_at_level(sigma.grid, level))
         for cube, val in zip(cubes, _cube_values(kernel, trunc, sigma, omega, mode, p, cubes)):
             if val >= 0.0:
                 values[cube.key()] = val
@@ -745,7 +751,7 @@ def test_quadratic_member_scan_matches_member_loop(name, p):
 
 
 def test_first_max_takes_the_first_largest_entry_in_scan_order():
-    from haartest.characteristics import _first_max
+    from haartest.dyadic import _first_max
 
     parts = [np.array([1.0, 3.0]), np.array([[3.0, 0.0], [2.0, 3.0]]), np.array([3.0])]
     assert _first_max(parts) == (3.0, 0, (1,))
@@ -823,7 +829,7 @@ def _loop_pair_scan(sigma, omega, cfg, e, depth, min_depth, partners_of, reach):
     best_partner, scalar_best, scalar_pair, pair_count = {}, -1.0, None, 0
     for level in range(min_depth, depth + 1):
         wm = level_masses(omega, level)
-        for cube in grid.cubes_at_level(level):
+        for cube in cubes_at_level(grid, level):
             top_ratio, top_key = -1.0, None
             for sub_level, coords in partners_of(cube, reach):
                 vol = (grid.side / 2 ** sub_level) ** n
@@ -921,7 +927,7 @@ def _loop_pair_families(grid, depth, best_partner, draw, reach, rng):
     cube-by-cube draws; a draw of one cube gives no try, its value being
     its pair's whatever the coefficient."""
     for level in range(0, depth):
-        for parent in grid.cubes_at_level(level):
+        for parent in cubes_at_level(grid, level):
             members = [c for c in parent.children() if c.key() in best_partner]
             if len(members) >= 2:
                 partners = [DyadicCube.from_key(grid, best_partner[c.key()]) for c in members]
@@ -1043,7 +1049,7 @@ def test_partner_candidates_keep_the_loop_order():
         scans += [(_descendant_partners(grid, level, g), _loop_subcube_partners, g)
                   for g in (0, 1, 3)]
         for (subs, index), loop_partners, reach in scans:
-            for cube in grid.cubes_at_level(level):
+            for cube in cubes_at_level(grid, level):
                 row = index[np.ravel_multi_index(cube.coords, shape)]
                 got = [DyadicCube(grid, s, np.unravel_index(i, (2 ** s,) * 2)).key()
                        for s, i in zip(subs, row) if i >= 0]

@@ -161,6 +161,21 @@ def test_main_flags_a_ratio_below_half(tmp_path, capsys, monkeypatch):
     assert "pair 0 ratio below 1/2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", [24, 27])
+def test_characteristics_table_keeps_a_space_after_a_spec_that_fills_its_column(
+        tmp_path, capsys, monkeypatch, length):
+    # the sigma column is 24 characters wide; a csv spec of 24 or more ran
+    # straight into the omega spec, where a shorter one keeps its padding
+    monkeypatch.chdir(tmp_path)
+    spec = "csv:" + "m" * (length - 8) + ".csv"
+    save_measure_csv(random_dyadic_doubling(Grid(dimension=1), 2.0, seed=1), spec[4:])
+    assert main(tiny_args("characteristics", tmp_path,
+                          ["--measures", f"{spec},lebesgue,lebesgue,lebesgue"])) == 0
+    rows = capsys.readouterr().out.splitlines()[1:3]
+    assert rows[0].startswith(f"0     {spec} lebesgue ")
+    assert rows[1].startswith("1     " + "lebesgue".ljust(24) + "lebesgue".ljust(24))
+
+
 def test_main_writes_no_ratio_where_both_testing_constants_are_0(tmp_path):
     # one cell carries all of each measure: no wavelet, so H = H* = 0, and
     # the report holds null, strict JSON, where it held Infinity
@@ -317,7 +332,11 @@ def test_main_rejects_a_malformed_ini(tmp_path, text):
     (b"cell_index,mass\n0,0.5\n3\n", "row 3"),
     (b"cell_index,mass\n1,0.5\n1,0.25\n", "row 3"),
     (b"cell_index,mass\n0,\xff1\n", "row 2, byte 18"),
-], ids=["empty", "one-field", "repeated-index", "not-utf-8"])
+    (b"cell_index,mass\n0,0.5\n1,-2.0\n", "row 3"),
+    (b"cell_index,mass\n0,nan\n", "row 2"),
+    (b"cell_index,mass\n0,0.5\n1,0.5\n2,inf\n", "row 4"),
+], ids=["empty", "one-field", "repeated-index", "not-utf-8", "negative-mass", "nan-mass",
+        "infinite-mass"])
 def test_main_rejects_a_malformed_measure_csv(tmp_path, text, row):
     path = tmp_path / "bad.csv"
     path.write_bytes(text)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance, cube_keys
+from oracles import cubes_at_level, grandchildren, parent
 
 
 def test_grid_defaults():
@@ -61,7 +62,7 @@ def test_cube_keys_roundtrip():
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_cube_keys_are_the_keys_of_the_cubes(dimension):
     g = Grid(dimension=dimension, max_level=4)
-    cubes = [q for level in range(5) for q in g.cubes_at_level(level)]
+    cubes = [q for level in range(5) for q in cubes_at_level(g, level)]
     index = [np.ravel_multi_index(q.coords, (2 ** q.level,) * dimension) for q in cubes]
     keys = [q.key() for q in cubes]
     assert cube_keys([q.level for q in cubes], index, dimension) == keys
@@ -75,7 +76,7 @@ def test_children_and_parent():
     assert len(kids) == 4
     for kid in kids:
         assert kid.level == 2
-        assert kid.parent().coords == q.coords
+        assert parent(kid).coords == q.coords
         assert q.contains(kid)
         assert np.all((q.lower <= kid.center) & (kid.center < q.upper))
     # children tile the parent exactly
@@ -85,11 +86,11 @@ def test_children_and_parent():
 def test_grandchildren_counts():
     g = Grid(dimension=1, max_level=6)
     q = g.cube(1, (1,))
-    assert len(list(q.grandchildren(2))) == 4
+    assert len(grandchildren(q, 2)) == 4
     # cumulative collects strict descendants, levels 1..m below the cube
-    assert len(list(q.grandchildren(2, cumulative=True))) == 2 + 4
+    assert len(grandchildren(q, 2, cumulative=True)) == 2 + 4
     with pytest.raises(MeshExhaustedError):
-        list(q.grandchildren(6))
+        grandchildren(q, 6)
 
 
 def test_cube_slices_and_indicator():
@@ -104,12 +105,12 @@ def test_cube_slices_and_indicator():
 
 def test_cubes_at_level_enumeration():
     g = Grid(dimension=2)
-    cubes = list(g.cubes_at_level(2))
+    cubes = list(cubes_at_level(g, 2))
     assert len(cubes) == 16
     keys = [q.key() for q in cubes]
     assert len(set(keys)) == 16
     with pytest.raises(ValueError):
-        list(g.cubes_at_level(g.max_level + 1))
+        list(cubes_at_level(g, g.max_level + 1))
 
 
 def test_box_fractions_exact_cells():

@@ -6,7 +6,6 @@ import pytest
 import haartest.experiments as experiments
 from haartest.characteristics import _cube_values, cube_testing, pair_bundle
 from haartest.dyadic import DyadicCube, Grid, MeshExhaustedError, box_distance
-from haartest.haar import HaarSystem
 from haartest.experiments import (
     AlignedTriple,
     AlignmentError,
@@ -39,7 +38,13 @@ from haartest.operators import (
     default_truncation,
     make_kernel,
 )
-from oracles import dense_kernel_matrix, greedy_halo_cover
+from oracles import (
+    cubes_at_level,
+    dense_kernel_matrix,
+    grandchildren,
+    greedy_halo_cover,
+    wavelet_labels,
+)
 
 GRID = Grid(dimension=1)
 HILBERT = make_kernel("hilbert", 0.0, 1)
@@ -58,8 +63,6 @@ def test_sector_config_validation():
         SectorConfig(v=(1.0,), delta=0.0)
     with pytest.raises(ValueError):
         SectorConfig(v=(1.0,), delta=1.5)
-    with pytest.raises(ValueError):
-        SectorConfig(v=(1.0,), delta=0.5, m=0)
     # the axis comes out normalized
     cfg = SectorConfig(v=(2.0,), delta=0.5)
     np.testing.assert_allclose(cfg.axis(), [1.0])
@@ -124,7 +127,7 @@ def test_phi_test_function_frozen_values():
     np.testing.assert_allclose(rep.neg_mass, 2.0 ** -7, rtol=1e-12)
     # the mesh function integrates to zero; its sigma-norm is the reported one
     assert abs(LEB.integrate(phi)) < 1e-12
-    np.testing.assert_allclose(LEB.norm_lp(phi, 2.0), rep.l2_norm, rtol=1e-12)
+    np.testing.assert_allclose(np.sqrt(LEB.integrate(phi ** 2)), rep.l2_norm, rtol=1e-12)
     # each lobe integrates to exactly +-1 (mass-normalized dipole)
     pos = phi.copy()
     pos[phi < 0] = 0.0
@@ -193,7 +196,7 @@ def test_a2_lower_bound_power_pair(power_pair):
     np.testing.assert_allclose(rep.value, 0.367496, atol=1e-5)
 
 
-def test_expansion_check_takes_the_source_rows_from_the_level_arrays(monkeypatch):
+def test_expansion_check_takes_the_source_rows_from_the_level_arrays():
     # the rows the dipole may use are those whose cube is the source or a
     # descendant above the dipole level, as the wavelet labels name them
     import dataclasses
@@ -203,19 +206,17 @@ def test_expansion_check_takes_the_source_rows_from_the_level_arrays(monkeypatch
     cases = [(random_dyadic_doubling(GRID, 2.0, seed=1),
               build_aligned_triple(GRID, HILBERT, narrow_cone(), GRID.cube(4, (0,)))),
              (random_dyadic_doubling(grid2, 2.0, seed=1),
-              build_aligned_triple(grid2, kernel2, SectorConfig(v=(1.0, 0.5), delta=1.0, m=3),
+              build_aligned_triple(grid2, kernel2, SectorConfig(v=(1.0, 0.5), delta=1.0),
                                    grid2.cube(2, (0, 0))))]
     for sigma, tri in cases:
         system = experiments.cached_system(sigma, tri.pos_cube.level)
         allowed = {tri.source.key()} | {
-            q.key() for q in tri.source.grandchildren(tri.m - 1, cumulative=True)}
-        want = np.array([key in allowed for key, _ in system.wavelet_labels()])
+            q.key() for q in grandchildren(tri.source, tri.m - 1, cumulative=True)}
+        want = np.array([key in allowed for key, _ in wavelet_labels(system)])
         assert 0 < want.sum() < want.size
-        with monkeypatch.context() as patch:
-            patch.setattr(HaarSystem, "wavelet_labels", lambda self: 1 / 0)
-            np.testing.assert_array_equal(experiments._rows_within(system, tri.source), want)
-            phi, rep = phi_test_function(sigma, tri)
-            check = experiments._expansion_check(sigma, tri, phi, rep.l2_norm)
+        np.testing.assert_array_equal(experiments._rows_within(system, tri.source), want)
+        phi, rep = phi_test_function(sigma, tri)
+        check = experiments._expansion_check(sigma, tri, phi, rep.l2_norm)
         assert check["support_ok"] and check["count_ok"]
         assert check["reconstruction_error"] < 1e-10
 
@@ -223,13 +224,13 @@ def test_expansion_check_takes_the_source_rows_from_the_level_arrays(monkeypatch
 def test_a2_lower_bound_floor_violation(monkeypatch, power_pair):
     # a trial whose pairing ratio vanishes fails the experiment
     sigma, omega = power_pair
-    trial = experiments._dipole_trial
+    dipole_row = experiments._dipole_row
 
     def vanishing(*args):
-        block, _, *rest = trial(*args)
-        return (block, 0.0, *rest)
+        row, *rest = dipole_row(*args)
+        return ({**row, "r1": 0.0}, *rest)
 
-    monkeypatch.setattr(experiments, "_dipole_trial", vanishing)
+    monkeypatch.setattr(experiments, "_dipole_row", vanishing)
     with pytest.raises(SignDominanceError, match="floor"):
         a2_lower_bound_experiment(sigma, omega, HILBERT, TRUNC, trials=5, seed=0)
 
@@ -285,7 +286,7 @@ def test_triple_absorption_matches_dense_cube_values(dim, depth):
     h, a = d["haar_testing_global"], d["a2"]
     dense = {}
     for level in range(depth + 1):
-        for q in grid.cubes_at_level(level):
+        for q in cubes_at_level(grid, level):
             val = _cube_values(kernel, trunc, sigma, omega, "triple", 2.0, [q])[0]
             if val >= 0.0:
                 dense[q.key()] = val**2 / (h**2 + a * val)
@@ -304,7 +305,7 @@ def test_triple_absorption_matches_dense_cube_values(dim, depth):
 
     ratios = []
     for level in range(1, depth + 1):
-        for q in grid.cubes_at_level(level):
+        for q in cubes_at_level(grid, level):
             if q.key() not in dense:
                 continue
             img_q = image(q)
@@ -412,14 +413,42 @@ def test_counterexample_search_takes_doubling_constants_for_its_leaderboard_only
 
 def test_quadratic_ap_experiment(power_pair):
     sigma, omega = power_pair
-    rep = quadratic_ap_experiment(sigma, omega, HILBERT, TRUNC,
-                                  families=2, seed=0)
+    rep = quadratic_ap_experiment(sigma, omega, HILBERT, TRUNC, seed=0)
     assert rep.passed
     np.testing.assert_allclose(rep.value, 0.604387, atol=1e-5)
     assert rep.details["member_count"] >= 2
     assert rep.details["p"] == 2.0
     lo, hi = rep.details["norm_ratio_band"]
     assert 0.0 < lo <= hi
+
+
+def test_quadratic_ap_rejects_a_cone_wider_than_the_kernel_allows(power_pair):
+    # the first member's build_aligned_triple names the kernel's delta0
+    sigma, omega = power_pair
+    with pytest.raises(AlignmentError, match=r"cone width delta=0.5 exceeds kernel delta0=0.25"):
+        quadratic_ap_experiment(sigma, omega, HILBERT, TRUNC, delta=0.5)
+
+
+@pytest.mark.parametrize("max_level", [7, 8])
+def test_quadratic_ap_builds_every_member_of_every_family(max_level):
+    # at every level drawn the members' base and target cubes fall inside
+    # the grid (an out-of-grid cube would raise in Grid.cube), so each
+    # family holds the full count its level allows
+    import dataclasses
+
+    grid = Grid(dimension=1, max_level=max_level)
+    kernel = dataclasses.replace(HILBERT, delta0=1.0)
+    sigma = lebesgue(grid)
+    for delta in (0.125, 0.25, 0.5):
+        offset, _, _ = experiments.dipole_family_levels(grid, delta)
+        for seed in range(16):
+            rep = quadratic_ap_experiment(sigma, sigma, kernel, default_truncation(grid),
+                                          seed=seed, delta=delta, control_depth=2)
+            families = rep.details["families"]
+            assert len(families) == experiments._FAMILIES
+            for family in families:
+                usable = 2 ** family["level"] - offset
+                assert len(family["members"]) == min(4, max(1, usable // (offset + 2)))
 
 
 def test_halo_cover_frozen_lebesgue():
@@ -451,7 +480,7 @@ def test_halo_cover_of_a_dyadic_cube_at_eta_one_is_that_cube(grid):
     # the greedy cover's first round takes the cube's own level
     for mu in (lebesgue(grid), random_dyadic_doubling(grid, 2.0, seed=1)):
         for level in range(grid.max_level + 1):
-            for q in grid.cubes_at_level(level):
+            for q in cubes_at_level(grid, level):
                 cover = halo_cover(mu, (q.lower, q.side), epsilon=0.5, eta=1.0)
                 assert cover.keys == (q.key(),) and cover.t == 1
                 assert cover.leftover <= 1e-12 * cover.box_mass
@@ -528,7 +557,7 @@ def _loop_partner(grid, cfg, base_cube):
     nominal = side / cfg.delta
     in_band = 0
     best = None
-    for cand in grid.cubes_at_level(base_cube.level):
+    for cand in cubes_at_level(grid, base_cube.level):
         if cand.coords == base_cube.coords:
             continue
         dist = box_distance(base_cube.lower, base_cube.upper, cand.lower, cand.upper)
@@ -551,7 +580,7 @@ def _loop_dipole(cfg, base_cube, m):
     (neg, pos), or None."""
     side = base_cube.side
     lo3, hi3 = side / 2.0, 2.0 * side
-    cells = base_cube.grandchildren(m)
+    cells = grandchildren(base_cube, m)
     boxes = [c.triple_box() for c in cells]
     best_pair = None
     for a in range(len(cells)):
@@ -576,10 +605,7 @@ def _loop_triple(grid, cfg, base_cube):
     target = _loop_partner(grid, cfg, base_cube)
     if target.startswith("no aligned partner"):
         return target
-    depths = [cfg.m] if cfg.m is not None else list(range(1, grid.max_level - base_cube.level + 1))
-    for m in depths:
-        if base_cube.level + m > grid.max_level:
-            break
+    for m in range(1, grid.max_level - base_cube.level + 1):
         pair = _loop_dipole(cfg, base_cube, m)
         if pair is not None:
             return (target,) + pair
@@ -591,9 +617,8 @@ def _loop_triple(grid, cfg, base_cube):
 
 TRIPLE_SEARCH_CASES = {
     "1d": (Grid(dimension=1, max_level=7), (1, 2, 3, 4), [(1.0,), (-1.0,)],
-           (0.125, 0.25, 0.5), (None, 2, 3)),
-    "2d": (Grid(dimension=2, max_level=5), (2, 3), [(1.0, 0.5), (-1.0, -0.5)],
-           (1.0,), (None, 2)),
+           (0.125, 0.25, 0.5)),
+    "2d": (Grid(dimension=2, max_level=5), (2, 3), [(1.0, 0.5), (-1.0, -0.5)], (1.0,)),
 }
 
 
@@ -601,24 +626,23 @@ TRIPLE_SEARCH_CASES = {
 def test_aligned_triple_search_matches_candidate_loop(name):
     import dataclasses
 
-    grid, levels, axes, deltas, ms = TRIPLE_SEARCH_CASES[name]
+    grid, levels, axes, deltas = TRIPLE_SEARCH_CASES[name]
     kernel = dataclasses.replace(make_kernel("hilbert", 0.0, 1), delta0=1.0)
     found = failed = 0
     for level in levels:
-        for base in grid.cubes_at_level(level):
+        for base in cubes_at_level(grid, level):
             for v in axes:
                 for delta in deltas:
-                    for m in ms:
-                        cfg = SectorConfig(v=v, delta=delta, m=m)
-                        want = _loop_triple(grid, cfg, base)
-                        try:
-                            tri = build_aligned_triple(grid, kernel, cfg, base)
-                            got = (tri.target.key(), tri.neg_cube.key(), tri.pos_cube.key())
-                            found += 1
-                        except AlignmentError as exc:
-                            got = str(exc)
-                            failed += 1
-                        assert got == want, (base.key(), v, delta, m)
+                    cfg = SectorConfig(v=v, delta=delta)
+                    want = _loop_triple(grid, cfg, base)
+                    try:
+                        tri = build_aligned_triple(grid, kernel, cfg, base)
+                        got = (tri.target.key(), tri.neg_cube.key(), tri.pos_cube.key())
+                        found += 1
+                    except AlignmentError as exc:
+                        got = str(exc)
+                        failed += 1
+                    assert got == want, (base.key(), v, delta)
     # both outcomes occur, so both branches are compared
     assert found and failed
 
@@ -646,7 +670,7 @@ def test_dipole_search_ties_follow_the_key_order(dimension, max_level, m):
     for v in axes:
         for delta in (0.5, 1.0):
             cfg = SectorConfig(v=v, delta=delta)
-            for base in grid.cubes_at_level(1):
+            for base in cubes_at_level(grid, 1):
                 pair = _dipole_pair(grid, cfg, base, m)
                 got = None if pair is None else (pair[0].key(), pair[1].key())
                 assert got == _loop_dipole(cfg, base, m), (base.key(), v, delta)

@@ -26,6 +26,7 @@ from haartest.operators import (
     smoothstep,
 )
 from oracles import (
+    cubes_at_level,
     dense_kernel_matrix,
     golub_kahan_triple,
     haar_matrix,
@@ -276,7 +277,7 @@ def test_cube_images_match_indicator_products(name):
     grid, depth, kernel, g, sigma, _ = _image_case(name)
     got = _stream_images(kernel, sigma, depth).reshape(grid.n_cells, -1)
     want = np.array([g @ (cube.indicator().ravel() * sigma.flat_mass)
-                     for cube in grid.cubes_at_level(depth)]).T
+                     for cube in cubes_at_level(grid, depth)]).T
     _assert_close_to(got, want)
 
 
@@ -765,7 +766,7 @@ def test_apply_to_a_stack_matches_row_products(name):
 def _cube_indicators(grid, sigma, level):
     """(n_cells, cubes) sigma-weighted indicator of every level-`level` cube."""
     return np.array([cube.indicator().ravel() * sigma.flat_mass
-                     for cube in grid.cubes_at_level(level)]).T
+                     for cube in cubes_at_level(grid, level)]).T
 
 
 def _adjoint_image_cases():

@@ -46,7 +46,7 @@ from haartest.operators import (
     image_rows,
     make_kernel,
 )
-from oracles import dense_kernel_matrix, haar_matrix
+from oracles import cubes_at_level, dense_kernel_matrix, haar_matrix
 
 GRID_2D = Grid(dimension=2, max_level=4)
 
@@ -102,7 +102,7 @@ def route(request, monkeypatch):
 def _cube_images(g, sigma, level):
     """Whole (n_cells, cubes) images of the level's cube indicators."""
     return g @ np.array([cube.indicator().ravel() * sigma.flat_mass
-                         for cube in sigma.grid.cubes_at_level(level)]).T
+                         for cube in cubes_at_level(sigma.grid, level)]).T
 
 
 def _wavelet_images(g, system):
@@ -137,7 +137,7 @@ def _cube_oracle(g, sigma, omega, mode, p, depth):
     best = (-1.0, None)
     for level in range(depth + 1):
         images = _cube_images(g, sigma, level)
-        for c, cube in enumerate(grid.cubes_at_level(level)):
+        for c, cube in enumerate(cubes_at_level(grid, level)):
             smass = sigma.cube_mass(cube)
             if smass <= 0.0:
                 continue

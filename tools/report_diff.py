@@ -41,7 +41,10 @@ since the directory itself is not a result. A float is compared relative to
 the larger of its two values, except in a list under a `coefficients` key (a
 witness vector, such as the operator norm's unit Lanczos vector), whose
 entries are compared relative to the largest magnitude in either list: a
-vector's small entries carry the rounding of its large ones. For each report
+vector's small entries carry the rounding of its large ones. Two values of
+a residual field (RESIDUAL_FIELDS: reconstruction errors, round-trip gaps,
+identity residuals; each is rounding noise when it passes its own 1e-10
+check) are equal when both are at most RESIDUAL_FLOOR absolute. For each report
 it prints the largest relative float difference, every float difference
 above 1e-12 relative (its place and both values) and every non-float
 difference. It exits 1 when a non-float value differs or a float differs by
@@ -67,6 +70,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, ops_for  # noqa: E402
 
 REL_TOL = 1e-12
+# fields that measure rounding, compared against an absolute floor
+RESIDUAL_FIELDS = frozenset({"reconstruction_error", "max_reconstruction_error",
+                             "roundtrip_max_gap", "identity_residual_max", "gap"})
+RESIDUAL_FLOOR = 1e-12
 SUBCOMMANDS = ("characteristics", "experiment", "search", "frames", "matrix-demo")
 
 
@@ -161,18 +168,26 @@ def _largest(values: list) -> float:
     return max((abs(x) for x in nums if x is not None and math.isfinite(x)), default=0.0)
 
 
+def _both_residual(a, b) -> bool:
+    """True when a and b are both numbers of magnitude at most RESIDUAL_FLOOR."""
+    return all(x is not None and abs(x) <= RESIDUAL_FLOOR for x in (_as_float(a), _as_float(b)))
+
+
 def compare(a, b, where: str, diffs: list, floats: list, scale: float = 0.0) -> tuple:
     """(largest relative float difference between a and b, where it is);
     non-float differences, and float differences above REL_TOL, are appended
     to diffs and floats as text. A float difference is taken relative to
     scale when it is positive, else to the larger of the two values; the
     entries of a list under a `coefficients` key take the largest magnitude
-    in either list as their scale."""
+    in either list as their scale; two values of a RESIDUAL_FIELDS key are
+    equal when both are at most RESIDUAL_FLOOR in magnitude."""
     worst = (0.0, "")
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
                 diffs.append(f"{where}.{key}: only in {'base' if key in a else 'change'}")
+                continue
+            if key in RESIDUAL_FIELDS and _both_residual(a[key], b[key]):
                 continue
             vector = key == "coefficients" and isinstance(a[key], list) and isinstance(b[key], list)
             worst = max(worst, compare(a[key], b[key], f"{where}.{key}", diffs, floats,
